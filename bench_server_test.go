@@ -2,25 +2,19 @@ package probquorum
 
 // Server hot-path benchmarks for the coalesced reply writer. Two families:
 //
-//   BenchmarkServerScaling    — a conns x GOMAXPROCS throughput curve over
-//                               the coalescing server, showing how aggregate
-//                               ops/s behaves as client connections multiply.
-//   BenchmarkServerCoalescing — PAIRED before/after arms: the same client
-//                               workload alternates between a server set
-//                               running the old inline reply path
-//                               (tcp.WithInlineReplies) and one running the
-//                               coalescing writer, inside one benchmark loop
-//                               with separate busy timers so machine drift
-//                               cancels out of the speedup ratio (same
-//                               technique as BenchmarkKeyspaceVsPipelineTCP).
+//   BenchmarkServerScaling    — a conns x GOMAXPROCS throughput curve,
+//                               showing how aggregate ops/s behaves as client
+//                               connections multiply.
+//   BenchmarkServerCoalescing — the two deeply pipelined workloads the reply
+//                               writer exists for: requests arrive faster
+//                               than replies drain, so the writer folds
+//                               several request frames' worth of replies
+//                               into one batch frame and one syscall.
 //
-// The paired arms are the acceptance numbers scripts/bench.sh collects into
-// BENCH_server.json: pipelined-batch16 and keyspace-conc8 speedup >= 1.3x.
-// The coalescing win comes from reply merging: when a connection's requests
-// arrive faster than its replies drain — deep per-connection pipelines, many
-// goroutines multiplexed over shared conns — the writer folds several
-// request frames' worth of replies into one batch frame and one syscall,
-// where the inline path pays a write per request frame.
+// scripts/bench.sh collects both into BENCH_server.json. The coalescing
+// workloads were once PAIRED against a server writing every reply frame
+// inline (1.33x / 1.38x, CHANGES.md PR 9); that arm is retired with the
+// inline serve loop, and the coalesced_ops/s series continues unpaired.
 
 import (
 	"fmt"
@@ -38,7 +32,7 @@ import (
 
 const (
 	svrBenchServers = 5
-	// svrPairWidth is the in-flight phase width for the paired pipelined
+	// svrPairWidth is the in-flight phase width for the coalescing pipelined
 	// arm: wide enough that each server sees several back-to-back batch-16
 	// request frames per phase on one connection, which is the regime the
 	// reply writer exists for.
@@ -46,9 +40,9 @@ const (
 	// svrCurveWidth is the per-client phase width in the scaling curve —
 	// the standard APSP round shape.
 	svrCurveWidth = 12
-	// svrKsWidth is the per-goroutine phase width for the paired keyspace
+	// svrKsWidth is the per-goroutine phase width for the coalescing keyspace
 	// arm. The shared ksRounds shape (width 12) measures the APSP round;
-	// the coalescing pair wants the deeply pipelined regime, so each of
+	// the coalescing arm wants the deeply pipelined regime, so each of
 	// the 8 goroutines keeps this many operations in flight per phase.
 	svrKsWidth = 48
 )
@@ -106,13 +100,13 @@ func svrKsRounds(tb testing.TB, kc *tcp.KeyspaceClient, n, keysEach, width, roun
 	return total
 }
 
-func startServerBenchSet(tb testing.TB, opts ...tcp.ServerOption) []string {
+func startServerBenchSet(tb testing.TB) []string {
 	tb.Helper()
 	addrs := make([]string, svrBenchServers)
 	for i := range addrs {
 		// No initial contents: registers materialize on first write, so
 		// every client can use a private disjoint range.
-		srv, err := tcp.Listen(replica.New(msg.NodeID(i), nil), "127.0.0.1:0", opts...)
+		srv, err := tcp.Listen(replica.New(msg.NodeID(i), nil), "127.0.0.1:0")
 		if err != nil {
 			tb.Fatalf("listen server %d: %v", i, err)
 		}
@@ -204,83 +198,41 @@ func BenchmarkServerScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkServerCoalescing is the paired before/after measurement. Each arm
-// dials identical clients against two otherwise-identical server sets — one
-// forced onto the old inline reply path, one on the coalescing writer — and
-// alternates one workload slice per side per iteration with separate busy
-// accumulators. The reported speedup is the coalescing/inline throughput
-// ratio; bench.sh records the median of five runs per arm into
-// BENCH_server.json, where the acceptance bar is >= 1.3x.
+// BenchmarkServerCoalescing drives the two deep-pipeline workloads against
+// one server set each and reports coalesced_ops/s; bench.sh records the
+// median of five runs per arm into BENCH_server.json.
 func BenchmarkServerCoalescing(b *testing.B) {
 	sys := quorum.NewMajority(svrBenchServers)
 
 	b.Run("pipelined-batch16", func(b *testing.B) {
-		inlineAddrs := startServerBenchSet(b, tcp.WithInlineReplies())
-		coalAddrs := startServerBenchSet(b)
-		ic, err := tcp.DialPipelined(inlineAddrs, sys, tcp.WithMonotone(), tcp.WithMaxBatch(16))
+		c, err := tcp.DialPipelined(startServerBenchSet(b), sys, tcp.WithMonotone(), tcp.WithMaxBatch(16))
 		if err != nil {
 			b.Fatal(err)
 		}
-		defer ic.Close()
-		cc, err := tcp.DialPipelined(coalAddrs, sys, tcp.WithMonotone(), tcp.WithMaxBatch(16))
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer cc.Close()
-
-		svrPipeRounds(b, ic, 0, svrPairWidth, 3) // warm both sides
-		svrPipeRounds(b, cc, 0, svrPairWidth, 3)
-
-		var inOps, coOps int
-		var inBusy, coBusy time.Duration
+		defer c.Close()
+		svrPipeRounds(b, c, 0, svrPairWidth, 3) // warm up
+		ops := 0
 		b.ResetTimer()
+		start := time.Now()
 		for i := 0; i < b.N; i++ {
-			t0 := time.Now()
-			inOps += svrPipeRounds(b, ic, 0, svrPairWidth, 1)
-			inBusy += time.Since(t0)
-			t0 = time.Now()
-			coOps += svrPipeRounds(b, cc, 0, svrPairWidth, 1)
-			coBusy += time.Since(t0)
+			ops += svrPipeRounds(b, c, 0, svrPairWidth, 1)
 		}
-		inRate := float64(inOps) / inBusy.Seconds()
-		coRate := float64(coOps) / coBusy.Seconds()
-		b.ReportMetric(inRate, "inline_ops/s")
-		b.ReportMetric(coRate, "coalesced_ops/s")
-		b.ReportMetric(coRate/inRate, "speedup")
+		b.ReportMetric(float64(ops)/time.Since(start).Seconds(), "coalesced_ops/s")
 	})
 
 	b.Run("keyspace-conc8", func(b *testing.B) {
-		inlineAddrs := startServerBenchSet(b, tcp.WithInlineReplies())
-		coalAddrs := startServerBenchSet(b)
-		ik, err := tcp.DialKeyspace(inlineAddrs, sys, tcp.DefaultKeyspaceShards, tcp.WithMonotone(), tcp.WithMaxBatch(16))
+		kc, err := tcp.DialKeyspace(startServerBenchSet(b), sys, tcp.DefaultKeyspaceShards, tcp.WithMonotone(), tcp.WithMaxBatch(16))
 		if err != nil {
 			b.Fatal(err)
 		}
-		defer ik.Close()
-		ck, err := tcp.DialKeyspace(coalAddrs, sys, tcp.DefaultKeyspaceShards, tcp.WithMonotone(), tcp.WithMaxBatch(16))
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer ck.Close()
-
-		svrKsRounds(b, ik, 8, 64, svrKsWidth, 3) // warm both sides
-		svrKsRounds(b, ck, 8, 64, svrKsWidth, 3)
-
-		var inOps, coOps int
-		var inBusy, coBusy time.Duration
+		defer kc.Close()
+		svrKsRounds(b, kc, 8, 64, svrKsWidth, 3) // warm up
+		ops := 0
 		b.ResetTimer()
+		start := time.Now()
 		for i := 0; i < b.N; i++ {
-			t0 := time.Now()
-			inOps += svrKsRounds(b, ik, 8, 64, svrKsWidth, 1)
-			inBusy += time.Since(t0)
-			t0 = time.Now()
-			coOps += svrKsRounds(b, ck, 8, 64, svrKsWidth, 1)
-			coBusy += time.Since(t0)
+			ops += svrKsRounds(b, kc, 8, 64, svrKsWidth, 1)
 		}
-		inRate := float64(inOps) / inBusy.Seconds()
-		coRate := float64(coOps) / coBusy.Seconds()
-		b.ReportMetric(inRate, "inline_ops/s")
-		b.ReportMetric(coRate, "coalesced_ops/s")
-		b.ReportMetric(coRate/inRate, "speedup")
+		b.ReportMetric(float64(ops)/time.Since(start).Seconds(), "coalesced_ops/s")
 	})
 }

@@ -48,9 +48,16 @@
 // register.Settings and the With*/Pipe* options that fill it in; the tcp and
 // cluster With* options are thin wrappers over register.Settings, so option
 // semantics cannot drift between transports. Quorum exhaustion is
-// register.ErrQuorumUnavailable everywhere — the former per-transport error
-// aliases in the tcp and cluster packages are gone, as is cluster's combined
-// timeout-and-retries shim (use WithOpTimeout plus WithRetries).
+// register.ErrQuorumUnavailable everywhere, serial and pipelined — the former
+// per-transport error aliases in the tcp and cluster packages are gone, as is
+// cluster's combined timeout-and-retries shim (use WithOpTimeout plus
+// WithRetries).
+//
+// The three tcp constructors share one construction path and one data path:
+// binary frames, one server loop with a coalescing reply writer, and replies
+// delivered a whole frame at a time (transport.ReplySink). Register values
+// written over tcp must be in the wire codec's value union; anything else is
+// refused with msg.ErrUnsupportedValue.
 //
 // The benchmarks in bench_test.go regenerate each experiment at reduced
 // scale; the cmd/ tools run them at paper scale. EXPERIMENTS.md records

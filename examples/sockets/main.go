@@ -1,7 +1,7 @@
 // Sockets: the register protocol over real TCP connections. The same
 // replica stores and client sessions that drive the simulator here serve
-// behind loopback sockets with gob encoding — nothing in the protocol layer
-// changes.
+// behind loopback sockets, framed by the binary wire codec — nothing in the
+// protocol layer changes.
 //
 // Run with:
 //

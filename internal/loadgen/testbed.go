@@ -22,8 +22,6 @@ type TestbedConfig struct {
 	Clients int
 	// Shards is the per-client keyspace shard count (default 4).
 	Shards int
-	// Wire selects the frame encoding (default tcp.WireBinary).
-	Wire tcp.Wire
 	// OpTimeout bounds one client operation attempt (default 250ms).
 	OpTimeout time.Duration
 	// JoinTimeout bounds a state transfer during grow/shrink (default 5s).
@@ -92,7 +90,6 @@ func NewTestbed(cfg TestbedConfig) (*Testbed, error) {
 	for c := 0; c < cfg.Clients; c++ {
 		opts := []tcp.ClientOption{
 			tcp.WithView(tb.view),
-			tcp.WithWire(cfg.Wire),
 			tcp.WithOpTimeout(cfg.OpTimeout),
 			tcp.WithWriter(int32(c + 1)),
 			tcp.WithSeed(uint64(c + 1)),

@@ -1,13 +1,10 @@
 package msg
 
-// wire.go is the hand-rolled binary wire codec for the protocol messages.
-// The TCP transport originally serialized every envelope with reflection-
-// driven encoding/gob; that dominated the hot path (reflection plus per-frame
-// type bookkeeping) and, worse, gob's stateful stream meant a read-deadline
-// timeout ruined the framing and forced a full reconnect. This codec fixes
-// both: frames are explicit, length-prefixed, and self-delimiting, so
-// encoding is a handful of fixed-width appends and a reader that times out
-// mid-frame simply resumes where it left off (see FrameReader).
+// wire.go is the hand-rolled binary wire codec for the protocol messages,
+// the only encoding the TCP transport speaks. Frames are explicit,
+// length-prefixed, and self-delimiting, so encoding is a handful of
+// fixed-width appends and a reader that times out mid-frame simply resumes
+// where it left off (see FrameReader).
 //
 // Frame layout (all integers big-endian):
 //
@@ -38,15 +35,12 @@ package msg
 // corpus stays valid.
 //
 // Batch elements carry their own length prefixes so a receiver can skip a
-// malformed or unrecognized element without losing the rest of the frame —
-// the same junk tolerance the gob batch path had, preserved byte-for-byte
-// here because replies are matched by operation id, never by position.
+// malformed or unrecognized element without losing the rest of the frame:
+// replies are matched by operation id, never by position.
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -70,7 +64,8 @@ const (
 
 // Value-union tag bytes. The codec preserves the Go type of a register value
 // exactly (an int round-trips as int, not int64), because replica stores and
-// application code compare values with interface equality.
+// application code compare values with interface equality. The union is
+// closed: a value of any other type fails to encode with ErrUnsupportedValue.
 const (
 	valNil      byte = 0
 	valInt64    byte = 1
@@ -82,10 +77,6 @@ const (
 	valBytes    byte = 7
 	valFloat64s byte = 8
 	valBools    byte = 9
-	// valGob wraps any other value type in a nested gob stream, so exotic
-	// application value types (registered via tcp.RegisterValueType) keep
-	// working without this codec knowing about them.
-	valGob byte = 255
 )
 
 // MaxWireFrame caps the payload length accepted in one frame. The length
@@ -96,17 +87,17 @@ const MaxWireFrame = 16 << 20
 // ErrFrameTooLarge reports a frame whose length prefix exceeds MaxWireFrame.
 var ErrFrameTooLarge = errors.New("msg: wire frame exceeds MaxWireFrame")
 
-var errShortPayload = errors.New("msg: truncated wire payload")
+// ErrUnsupportedValue reports a register value whose Go type is outside the
+// codec's value union (nil, int64, int, uint64, float64, bool, string,
+// []byte, []float64, []bool).
+var ErrUnsupportedValue = errors.New("msg: register value type not supported on the wire")
 
-// gobValue is the gob-fallback wrapper: gob needs a concrete struct around
-// an interface-typed payload.
-type gobValue struct{ V Value }
+var errShortPayload = errors.New("msg: truncated wire payload")
 
 // AppendMessage appends one complete wire frame (length prefix + payload)
 // for m to dst and returns the extended slice. Supported messages are the
 // four protocol messages and Batch (whose elements must themselves be
-// protocol messages). Encoding into a pre-grown dst does not allocate except
-// through the gob fallback for exotic value types.
+// protocol messages). Encoding into a pre-grown dst does not allocate.
 func AppendMessage(dst []byte, m any) ([]byte, error) {
 	start := len(dst)
 	dst = append(dst, 0, 0, 0, 0)
@@ -365,13 +356,7 @@ func appendValue(dst []byte, v Value) ([]byte, error) {
 		}
 		return dst, nil
 	default:
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(gobValue{V: v}); err != nil {
-			return dst, fmt.Errorf("msg: gob-fallback encode of %T: %w", v, err)
-		}
-		dst = append(dst, valGob)
-		dst = binary.BigEndian.AppendUint32(dst, uint32(buf.Len()))
-		return append(dst, buf.Bytes()...), nil
+		return dst, fmt.Errorf("msg: cannot encode a %T value: %w", v, ErrUnsupportedValue)
 	}
 }
 
@@ -659,9 +644,9 @@ func (w *BatchWriter) Reset(dst []byte) {
 	w.count = 0
 }
 
-// AddReadReply appends one ReadReply element. On an encode error (possible
-// only through the gob fallback for exotic value types) the element is
-// rolled back and the frame remains valid.
+// AddReadReply appends one ReadReply element. On an encode error (a value
+// outside the codec's union, ErrUnsupportedValue) the element is rolled back
+// and the frame remains valid.
 func (w *BatchWriter) AddReadReply(m ReadReply) error {
 	lenAt := len(w.buf)
 	w.buf = append(w.buf, 0, 0, 0, 0)
@@ -814,16 +799,6 @@ func decodeValue(p []byte) (Value, []byte, error) {
 			out[i] = p[i] != 0
 		}
 		return out, p[n:], nil
-	case valGob:
-		b, rest, err := decodeLenBytes(p)
-		if err != nil {
-			return nil, nil, err
-		}
-		var gv gobValue
-		if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&gv); err != nil {
-			return nil, nil, fmt.Errorf("msg: gob-fallback decode: %w", err)
-		}
-		return gv.V, rest, nil
 	default:
 		return nil, nil, fmt.Errorf("msg: unknown wire value tag %d", tag)
 	}
@@ -851,9 +826,7 @@ const frameReaderBuf = 64 << 10
 // state intact — buffered bytes stay buffered, a partially accumulated large
 // frame keeps its progress — so the caller can clear (or extend) the
 // deadline and call Next again. This is the property that lets the TCP
-// transport ride out per-operation timeouts without reconnecting: gob cannot
-// resume a half-decoded stream, so under gob any timeout burned the
-// connection.
+// transport ride out per-operation timeouts without reconnecting.
 type FrameReader struct {
 	br *bufio.Reader
 	// pending is the current frame's payload length, or -1 when the next

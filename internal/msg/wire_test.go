@@ -3,7 +3,6 @@ package msg
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"io"
 	"reflect"
@@ -12,15 +11,10 @@ import (
 	"probquorum/internal/quorum"
 )
 
-// exoticValue is a value type the binary codec has no tag for, exercising
-// the gob fallback.
+// exoticValue is a value type outside the codec's value union.
 type exoticValue struct {
 	A int32
 	B string
-}
-
-func init() {
-	gob.Register(exoticValue{})
 }
 
 func encodeFrame(t testing.TB, m any) []byte {
@@ -68,7 +62,6 @@ func TestWireRoundTripKinds(t *testing.T) {
 		ReadReply{Reg: 3, Op: 17, Tag: tag([]float64{1.5, -2.25, 0})},
 		ReadReply{Reg: 3, Op: 17, Tag: tag([]float64{})},
 		ReadReply{Reg: 3, Op: 17, Tag: tag([]bool{true, false, true})},
-		ReadReply{Reg: 3, Op: 17, Tag: tag(exoticValue{A: 5, B: "fallback"})},
 		WriteReq{Reg: 1, Op: 18, Tag: tag(3.75)},
 		WriteReq{Reg: 1, Op: 18, Tag: Tagged{}},
 	}
@@ -78,6 +71,103 @@ func TestWireRoundTripKinds(t *testing.T) {
 			t.Errorf("round trip mismatch:\n in=%#v\nout=%#v", in, out)
 		}
 	}
+}
+
+// TestWireValueUnion pins the closed value union, one row per member: each
+// round-trips with its Go type preserved (replica stores and applications
+// compare values by interface equality, so int must not come back int64).
+func TestWireValueUnion(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		val  Value
+	}{
+		{"nil", nil},
+		{"int64", int64(-12345)},
+		{"int", int(-7)},
+		{"uint64", uint64(1 << 63)},
+		{"float64", 2.5},
+		{"bool", true},
+		{"string", "hello wire"},
+		{"bytes", []byte{0, 1, 2, 255}},
+		{"float64s", []float64{1.5, -2.25, 0}},
+		{"bools", []bool{true, false, true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			in := WriteReq{Reg: 1, Op: 2, Tag: Tagged{TS: Timestamp{Seq: 3, Writer: 4}, Val: tc.val}}
+			out := decodeFrame(t, encodeFrame(t, in)).(WriteReq)
+			if got, want := reflect.TypeOf(out.Tag.Val), reflect.TypeOf(tc.val); got != want {
+				t.Fatalf("value came back as %v, want %v", got, want)
+			}
+			if !reflect.DeepEqual(in, out) {
+				t.Fatalf("round trip mismatch:\n in=%#v\nout=%#v", in, out)
+			}
+		})
+	}
+}
+
+// TestWireUnsupportedValue pins the edge of the union from both sides: a
+// value of any other type fails every encode entry point with
+// ErrUnsupportedValue, leaving the destination as it was, and a foreign
+// value tag on the wire — 255 was the retired nested-gob fallback — decodes
+// to an error, never a panic.
+func TestWireUnsupportedValue(t *testing.T) {
+	tag := Tagged{TS: Timestamp{Seq: 1}, Val: exoticValue{A: 5, B: "no tag"}}
+	for _, tc := range []struct {
+		name string
+		m    any
+	}{
+		{"ReadReply", ReadReply{Reg: 3, Op: 17, Tag: tag}},
+		{"WriteReq", WriteReq{Reg: 3, Op: 17, Tag: tag}},
+		{"Batch element", Batch{Msgs: []any{ReadReq{Reg: 1, Op: 1}, WriteReq{Reg: 3, Op: 17, Tag: tag}}}},
+		{"SnapReply entry", SnapReply{Op: 1, Entries: []SnapEntry{{Reg: 3, Tag: tag}}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			prefix := []byte("kept")
+			out, err := AppendMessage(prefix, tc.m)
+			if !errors.Is(err, ErrUnsupportedValue) {
+				t.Fatalf("AppendMessage error = %v, want ErrUnsupportedValue", err)
+			}
+			if string(out) != "kept" {
+				t.Fatalf("failed encode left %q in dst, want the original %q", out, "kept")
+			}
+		})
+	}
+
+	// The streaming writer rolls the element back and the frame stays valid.
+	var w BatchWriter
+	w.Reset(nil)
+	w.AddWriteAck(WriteAck{Reg: 1, Op: 18})
+	if err := w.AddReadReply(ReadReply{Reg: 3, Op: 17, Tag: tag}); !errors.Is(err, ErrUnsupportedValue) {
+		t.Fatalf("AddReadReply error = %v, want ErrUnsupportedValue", err)
+	}
+	if b := decodeFrame(t, w.Finish()).(Batch); len(b.Msgs) != 1 {
+		t.Fatalf("frame after a rolled-back element carries %d elements, want 1", len(b.Msgs))
+	}
+
+	for _, tc := range []struct {
+		name string
+		val  []byte // value encoding: tag byte + tag-specific bytes
+	}{
+		{"tag 255, well-formed length-prefixed body", []byte{255, 0, 0, 0, 2, 0xAB, 0xCD}},
+		{"tag 255, truncated", []byte{255}},
+		{"tag 10, first unassigned", []byte{10, 0, 0, 0, 0}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := DecodePayload(taggedValuePayload(tc.val)); err == nil {
+				t.Fatal("DecodePayload: want error, got nil")
+			}
+		})
+	}
+}
+
+// taggedValuePayload builds a ReadReply payload around a raw value encoding.
+func taggedValuePayload(val []byte) []byte {
+	p := []byte{wireReadReply}
+	p = binary.BigEndian.AppendUint32(p, 1) // reg
+	p = binary.BigEndian.AppendUint64(p, 2) // op
+	p = binary.BigEndian.AppendUint64(p, 3) // seq
+	p = binary.BigEndian.AppendUint32(p, 4) // writer
+	return append(p, val...)
 }
 
 // TestWireReplyEpochEcho pins the trailing epoch echo on the three reply
@@ -434,6 +524,8 @@ func FuzzWireMalformed(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0x00, 0x13, 0x37})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1, 2, 3})
+	// Value tag 255, the retired nested-gob fallback: an error, not a panic.
+	f.Add(taggedValuePayload([]byte{255, 0, 0, 0, 2, 0xAB, 0xCD}))
 	if len(valid) > 3 {
 		f.Add(valid[:len(valid)-3])
 		flipped := append([]byte(nil), valid...)
@@ -464,9 +556,11 @@ func FuzzWireMalformed(f *testing.F) {
 	})
 }
 
-// BenchmarkWireCodec compares gob and the binary codec per message kind on
-// an encode+decode round trip — the unit of work a connection performs per
-// frame. scripts/bench.sh collects the output into BENCH_wire.json.
+// BenchmarkWireCodec times the codec per message kind on an encode+decode
+// round trip — the unit of work a connection performs per frame.
+// scripts/bench.sh collects the output into BENCH_wire.json, whose history
+// keys the arms "binary/<kind>" (the gob arm it was once compared against is
+// recorded in CHANGES.md, PR 4).
 func BenchmarkWireCodec(b *testing.B) {
 	tag := Tagged{TS: Timestamp{Seq: 123456, Writer: 3}, Val: 42.5}
 	kinds := []struct {
@@ -485,30 +579,6 @@ func BenchmarkWireCodec(b *testing.B) {
 			return bt
 		}()},
 	}
-
-	b.Run("gob", func(b *testing.B) {
-		for _, k := range kinds {
-			b.Run(k.name, func(b *testing.B) {
-				// Persistent encoder/decoder over one buffer, the transport's
-				// steady state (type descriptors amortized).
-				var buf bytes.Buffer
-				enc := gob.NewEncoder(&buf)
-				dec := gob.NewDecoder(&buf)
-				type env struct{ Payload any }
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := enc.Encode(env{Payload: k.m}); err != nil {
-						b.Fatal(err)
-					}
-					var out env
-					if err := dec.Decode(&out); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	})
 
 	b.Run("binary", func(b *testing.B) {
 		for _, k := range kinds {

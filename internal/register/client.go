@@ -186,15 +186,15 @@ func (c *Client) sink(server int, payload any, err error) {
 	c.push(inEvent{server: server, payload: payload, err: err})
 }
 
-// ReadReply implements transport.ReplySink: one concretely typed read reply,
-// queued without boxing.
-func (c *Client) ReadReply(server int, m msg.ReadReply) {
-	c.push(inEvent{kind: evReadReply, server: server, read: m})
-}
-
-// WriteAck implements transport.ReplySink.
-func (c *Client) WriteAck(server int, m msg.WriteAck) {
-	c.push(inEvent{kind: evWriteAck, server: server, ack: m})
+// ReplyBatch implements transport.ReplySink: one frame's concretely typed
+// replies, queued without boxing.
+func (c *Client) ReplyBatch(server int, reads []msg.ReadReply, acks []msg.WriteAck) {
+	for _, m := range reads {
+		c.push(inEvent{kind: evReadReply, server: server, read: m})
+	}
+	for _, m := range acks {
+		c.push(inEvent{kind: evWriteAck, server: server, ack: m})
+	}
 }
 
 // StaleEpoch implements transport.ReplySink.

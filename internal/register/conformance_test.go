@@ -448,17 +448,6 @@ func runClusterScenario(t *testing.T, sc confScenario) confResult {
 }
 
 func runTCPScenario(t *testing.T, sc confScenario) confResult {
-	return runTCPScenarioWire(t, sc, tcp.WireBinary)
-}
-
-// runTCPScenarioGob is the same harness over the legacy gob codec — the
-// cross-codec pin that the wire format changed the encoding, not the
-// protocol.
-func runTCPScenarioGob(t *testing.T, sc confScenario) confResult {
-	return runTCPScenarioWire(t, sc, tcp.WireGob)
-}
-
-func runTCPScenarioWire(t *testing.T, sc confScenario, wire tcp.Wire) confResult {
 	t.Helper()
 	initial := confInitial(sc.regs)
 	addrs := make([]string, sc.servers)
@@ -477,7 +466,7 @@ func runTCPScenarioWire(t *testing.T, sc confScenario, wire tcp.Wire) confResult
 	pobs := new(register.Observer) // WriteBack laps pin the fast-path rows
 	if sc.pipelined {
 		var g metrics.Gauge
-		pc, err := tcp.DialPipelined(addrs, sys, tcp.WithWire(wire), tcp.WithTrace(log),
+		pc, err := tcp.DialPipelined(addrs, sys, tcp.WithTrace(log),
 			tcp.WithInFlightGauge(&g), tcp.WithObserver(pobs))
 		if err != nil {
 			t.Fatal(err)
@@ -495,7 +484,6 @@ func runTCPScenarioWire(t *testing.T, sc confScenario, wire tcp.Wire) confResult
 	engines := make([]*register.Engine, len(sc.scripts))
 	for pi := range sc.scripts {
 		opts := []tcp.ClientOption{
-			tcp.WithWire(wire),
 			tcp.WithTrace(log),
 			tcp.WithWriter(int32(pi + 1)),
 			tcp.WithSeed(uint64(pi + 1)),
@@ -822,7 +810,6 @@ func TestConformance(t *testing.T) {
 	}{
 		{"cluster", runClusterScenario},
 		{"tcp", runTCPScenario},
-		{"tcp-gob", runTCPScenarioGob},
 		{"sim", runSimScenario},
 	}
 	for _, sc := range confScenarios {
@@ -1303,7 +1290,7 @@ func runKsClusterScenario(t *testing.T, row ksConfRow) ksConfResult {
 	return ksResult(flows, log, &g)
 }
 
-func runKsTCPScenario(t *testing.T, row ksConfRow, wire tcp.Wire) ksConfResult {
+func runKsTCPScenario(t *testing.T, row ksConfRow) ksConfResult {
 	t.Helper()
 	initial := confInitial(ksConfKeys)
 	addrs := make([]string, ksConfServers)
@@ -1321,7 +1308,7 @@ func runKsTCPScenario(t *testing.T, row ksConfRow, wire tcp.Wire) ksConfResult {
 	clients := make([]*tcp.KeyspaceClient, 2)
 	for i := range clients {
 		opts := []tcp.ClientOption{
-			tcp.WithWire(wire), tcp.WithTrace(log), tcp.WithInFlightGauge(&g),
+			tcp.WithTrace(log), tcp.WithInFlightGauge(&g),
 			tcp.WithWriter(int32(i + 1)), tcp.WithSeed(uint64(i + 1)),
 		}
 		if row.monotone {
@@ -1413,8 +1400,7 @@ func TestKeyspaceConformance(t *testing.T) {
 		run  func(t *testing.T, row ksConfRow) ksConfResult
 	}{
 		{"cluster", runKsClusterScenario},
-		{"tcp", func(t *testing.T, row ksConfRow) ksConfResult { return runKsTCPScenario(t, row, tcp.WireBinary) }},
-		{"tcp-gob", func(t *testing.T, row ksConfRow) ksConfResult { return runKsTCPScenario(t, row, tcp.WireGob) }},
+		{"tcp", runKsTCPScenario},
 		{"sim", runKsSimScenario},
 	}
 	for _, row := range ksConfRows {

@@ -38,8 +38,11 @@ type Keyspace struct {
 	mask   msg.OpID
 
 	// batchPool recycles ReplyBatch's per-frame demux scratch (buckets are
-	// sized to this keyspace's shard count, so the pool is per-instance).
-	batchPool sync.Pool
+	// sized to this keyspace's shard count, so the pool is per-instance). It
+	// is allocated apart from the Keyspace: the runtime keeps a used Pool
+	// reachable for two GC cycles, and an embedded one would keep the whole
+	// closed keyspace — pipelines, transport, connections — reachable with it.
+	batchPool *sync.Pool
 }
 
 // NewKeyspace builds a keyspace over per-shard engines; engines[i] must
@@ -56,7 +59,7 @@ func NewKeyspace(engines []*Engine, send SendFunc, opts ...PipelineOption) *Keys
 	if n == 0 || n&(n-1) != 0 {
 		panic(fmt.Sprintf("register: keyspace shard count %d is not a power of two", n))
 	}
-	k := &Keyspace{shards: make([]*Pipeline, n), mask: msg.OpID(n - 1)}
+	k := &Keyspace{shards: make([]*Pipeline, n), mask: msg.OpID(n - 1), batchPool: new(sync.Pool)}
 	for i, e := range engines {
 		if e.opStride != msg.OpID(n) || e.nextOp&k.mask != msg.OpID(i) {
 			panic(fmt.Sprintf(
@@ -164,18 +167,18 @@ func (k *Keyspace) ReadAtomicAsyncFunc(key msg.RegisterID, fn func(msg.Tagged, e
 func (k *Keyspace) Deliver(server int, payload any) {
 	switch m := payload.(type) {
 	case msg.ReadReply:
-		k.shards[m.Op&k.mask].ReadReply(server, m)
+		k.ReadReply(server, m)
 	case msg.WriteAck:
-		k.shards[m.Op&k.mask].WriteAck(server, m)
+		k.WriteAck(server, m)
 	case msg.StaleEpoch:
-		k.shards[m.Op&k.mask].StaleEpoch(server, m)
+		k.StaleEpoch(server, m)
 	default:
 		k.shards[0].Deliver(server, payload)
 	}
 }
 
-// ReadReply routes one concrete read reply to its issuing shard — the
-// unboxed leg of Deliver (transport.ReplySink).
+// ReadReply routes one concrete read reply to its issuing shard — a leg of
+// the boxed Deliver.
 func (k *Keyspace) ReadReply(server int, m msg.ReadReply) {
 	k.shards[m.Op&k.mask].ReadReply(server, m)
 }
@@ -202,7 +205,7 @@ type ksBatch struct {
 
 // ReplyBatch demultiplexes one server frame's worth of replies by op-id
 // residue and hands each touched shard its share in a single call — the
-// batched leg of Deliver (transport.BatchReplySink). Requests from all
+// unboxed counterpart of Deliver (transport.ReplySink). Requests from all
 // shards funnel into the same per-server queues, so a coalesced reply frame
 // interleaves shards freely; delivering it element by element would take
 // each shard's pipeline lock once per reply. Bucketing first keeps the

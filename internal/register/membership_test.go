@@ -127,9 +127,8 @@ const (
 	rollRegs    = 3
 )
 
-// memRollTCP is the TCP leg of the rolling-restart matrix, shared by both
-// wire codecs.
-func memRollTCP(t *testing.T, wire tcp.Wire) {
+// memRollTCP is the TCP leg of the rolling-restart matrix.
+func memRollTCP(t *testing.T) {
 	initial := confInitial(rollRegs)
 	addrs := make([]string, rollServers)
 	stores := make([]*replica.Store, rollServers)
@@ -144,7 +143,7 @@ func memRollTCP(t *testing.T, wire tcp.Wire) {
 	}
 	log := &trace.Log{}
 	cl, err := tcp.DialPipelined(addrs, quorum.NewMajority(rollServers),
-		tcp.WithWire(wire), tcp.WithMonotone(), tcp.WithTrace(log),
+		tcp.WithMonotone(), tcp.WithTrace(log),
 		tcp.WithOpTimeout(100*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
@@ -207,11 +206,7 @@ func TestMembershipRollingRestart(t *testing.T) {
 	})
 	t.Run("tcp", func(t *testing.T) {
 		t.Parallel()
-		memRollTCP(t, tcp.WireBinary)
-	})
-	t.Run("tcp-gob", func(t *testing.T) {
-		t.Parallel()
-		memRollTCP(t, tcp.WireGob)
+		memRollTCP(t)
 	})
 	t.Run("sim", func(t *testing.T) {
 		t.Parallel()
@@ -445,7 +440,7 @@ func TestMembershipGrowShrinkCluster(t *testing.T) {
 	}
 }
 
-func memGrowShrinkTCP(t *testing.T, wire tcp.Wire) {
+func TestMembershipGrowShrinkTCP(t *testing.T) {
 	const base, grown, regs = 5, 7, 3
 	initial := confInitial(regs)
 	addrs := make([]string, base, grown)
@@ -468,7 +463,7 @@ func memGrowShrinkTCP(t *testing.T, wire tcp.Wire) {
 
 	log := &trace.Log{}
 	var tc metrics.TransportCounters
-	writer, err := tcp.DialPipelined(nil, v1.System(), tcp.WithView(v1), tcp.WithWire(wire),
+	writer, err := tcp.DialPipelined(nil, v1.System(), tcp.WithView(v1),
 		tcp.WithTrace(log), tcp.WithOpTimeout(100*time.Millisecond),
 		tcp.WithTransportCounters(&tc))
 	if err != nil {
@@ -477,7 +472,7 @@ func memGrowShrinkTCP(t *testing.T, wire tcp.Wire) {
 	defer writer.Close()
 	// The reader is a keyspace client: the grow/shrink must also flow through
 	// the shard-routed StaleEpoch path and the shared-transport re-target.
-	reader, err := tcp.DialKeyspace(nil, v1.System(), 4, tcp.WithView(v1), tcp.WithWire(wire),
+	reader, err := tcp.DialKeyspace(nil, v1.System(), 4, tcp.WithView(v1),
 		tcp.WithTrace(log), tcp.WithWriter(2), tcp.WithSeed(2),
 		tcp.WithOpTimeout(100*time.Millisecond))
 	if err != nil {
@@ -572,11 +567,6 @@ func memGrowShrinkTCP(t *testing.T, wire tcp.Wire) {
 	if stale == 0 {
 		t.Error("no server ever issued a stale-epoch reject; the clients cannot have migrated lazily")
 	}
-}
-
-func TestMembershipGrowShrinkTCP(t *testing.T) {
-	t.Run("binary", func(t *testing.T) { t.Parallel(); memGrowShrinkTCP(t, tcp.WireBinary) })
-	t.Run("gob", func(t *testing.T) { t.Parallel(); memGrowShrinkTCP(t, tcp.WireGob) })
 }
 
 // memSimNode drives a script of serial operations on virtual time, adopting

@@ -13,10 +13,6 @@ import (
 	"probquorum/internal/transport"
 )
 
-// ErrRetriesExhausted is returned by a pipelined operation that timed out on
-// every quorum its retry budget allowed it to try.
-var ErrRetriesExhausted = errors.New("register: pipelined operation exhausted its retry budget")
-
 // ErrPipelineClosed is returned by operations submitted to (or pending in) a
 // Pipeline that has been closed.
 var ErrPipelineClosed = errors.New("register: pipeline closed")
@@ -137,7 +133,7 @@ func PipeCounters(tc *metrics.TransportCounters) PipelineOption {
 // keep their timestamp, so duplicate installations converge). retries caps
 // the total attempts per operation at retries+1 (0 = unlimited), the same
 // budget arithmetic as the serial client's WithRetries; exhaustion surfaces
-// ErrRetriesExhausted. Without PipeTimeout operations wait forever, which is
+// ErrQuorumUnavailable. Without PipeTimeout operations wait forever, which is
 // only safe on transports that cannot silently lose messages.
 //
 // Deadlines use wall-clock timers; do not combine with virtual-time
@@ -195,9 +191,9 @@ func NewPipelineOver(engine *Engine, tr transport.Transport, opts ...PipelineOpt
 		}
 		p.Deliver(server, payload)
 	})
-	// Transports with a concrete-typed reply path deliver straight into the
-	// pipeline's ReplySink methods, skipping the interface boxing of the Sink
-	// closure above (which remains bound for errors and oddball payloads).
+	// Transports with a concrete-typed reply path deliver whole frames into
+	// ReplyBatch, skipping the interface boxing of the Sink closure above
+	// (which remains bound for errors and oddball payloads).
 	transport.BindReplies(tr, p)
 	return p
 }
@@ -685,7 +681,7 @@ func (p *Pipeline) onTimeout(op *PendingOp, attempt int) {
 	// retries+1 total attempts is spent — the same arithmetic as the serial
 	// Operation.Retry (pinned by TestRetryBudgetArithmetic).
 	if p.retries > 0 && op.attempt >= p.retries {
-		p.finishLocked(op, msg.Tagged{}, ErrRetriesExhausted)
+		p.finishLocked(op, msg.Tagged{}, ErrQuorumUnavailable)
 		var sends []outMsg
 		p.advanceQueueLocked(op.reg, &sends)
 		p.mu.Unlock()
@@ -762,8 +758,8 @@ func (p *Pipeline) Deliver(server int, payload any) {
 	}
 }
 
-// ReadReply feeds one concrete read reply into the pipeline — the unboxed
-// leg of Deliver (transport.ReplySink).
+// ReadReply feeds one concrete read reply into the pipeline — a leg of the
+// boxed Deliver.
 func (p *Pipeline) ReadReply(server int, m msg.ReadReply) {
 	var sends []outMsg
 	p.mu.Lock()
@@ -816,8 +812,8 @@ func (p *Pipeline) readReplyLocked(server int, m msg.ReadReply, sends *[]outMsg)
 	}
 }
 
-// WriteAck feeds one concrete write acknowledgement into the pipeline — the
-// unboxed leg of Deliver (transport.ReplySink).
+// WriteAck feeds one concrete write acknowledgement into the pipeline — a
+// leg of the boxed Deliver.
 func (p *Pipeline) WriteAck(server int, m msg.WriteAck) {
 	var sends []outMsg
 	p.mu.Lock()
@@ -853,8 +849,8 @@ func (p *Pipeline) writeAckLocked(server int, m msg.WriteAck, sends *[]outMsg) *
 var doneOpsPool = sync.Pool{New: func() any { s := make([]*PendingOp, 0, 16); return &s }}
 
 // ReplyBatch feeds one server frame's worth of concrete replies into the
-// pipeline under a single lock acquisition — the batched leg of Deliver
-// (transport.BatchReplySink). It is semantically identical to calling
+// pipeline under a single lock acquisition — the unboxed counterpart of
+// Deliver (transport.ReplySink). It is semantically identical to calling
 // ReadReply and WriteAck once per element; the point is cost: a frame the
 // server's reply writer coalesced from dozens of pipelined replies takes
 // one mutex round trip here instead of one per element, which is where a

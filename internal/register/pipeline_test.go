@@ -228,13 +228,13 @@ func TestPipelineRetryReissuesOnFreshQuorum(t *testing.T) {
 }
 
 // TestPipelineRetriesExhausted starves an operation of every reply and
-// confirms the bounded retry budget surfaces ErrRetriesExhausted.
+// confirms the bounded retry budget surfaces ErrQuorumUnavailable.
 func TestPipelineRetriesExhausted(t *testing.T) {
 	pl, net := pipeFixture(t, 5, true, PipeTimeout(10*time.Millisecond, 3))
 	net.drop = func(int, any) bool { return true }
 	_, err := pl.Read(0)
-	if !errors.Is(err, ErrRetriesExhausted) {
-		t.Fatalf("read err = %v, want ErrRetriesExhausted", err)
+	if !errors.Is(err, ErrQuorumUnavailable) {
+		t.Fatalf("read err = %v, want ErrQuorumUnavailable", err)
 	}
 	if got := pl.InFlight(); got != 0 {
 		t.Fatalf("InFlight after exhaustion = %d, want 0", got)
@@ -254,8 +254,8 @@ func TestPipelineAdvancesQueueAfterExhaustion(t *testing.T) {
 	}
 	first := pl.ReadAsync(0)
 	second := pl.ReadAsync(0)
-	if _, err := first.Wait(); !errors.Is(err, ErrRetriesExhausted) {
-		t.Fatalf("first op err = %v, want ErrRetriesExhausted", err)
+	if _, err := first.Wait(); !errors.Is(err, ErrQuorumUnavailable) {
+		t.Fatalf("first op err = %v, want ErrQuorumUnavailable", err)
 	}
 	mu.Lock()
 	dropping = false

@@ -105,8 +105,8 @@ func TestRetryBudgetArithmetic(t *testing.T) {
 			p := register.NewPipelineOver(e, tr,
 				register.PipeTimeout(5*time.Millisecond, retries))
 			defer p.Close(nil)
-			if _, err := p.Read(0); !errors.Is(err, register.ErrRetriesExhausted) {
-				t.Fatalf("Read error = %v, want ErrRetriesExhausted", err)
+			if _, err := p.Read(0); !errors.Is(err, register.ErrQuorumUnavailable) {
+				t.Fatalf("Read error = %v, want ErrQuorumUnavailable", err)
 			}
 			if got := tr.sent.Load(); got != wantAttempts*n {
 				t.Fatalf("pipeline sent %d requests = %v attempts, want %d attempts",

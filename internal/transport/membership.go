@@ -40,32 +40,22 @@ func Update(t Transport, v quorum.View) (bool, error) {
 }
 
 // ReplySink receives server replies as concrete message values — the unboxed
-// mirror of Sink for the three reply kinds. The TCP transport's binary read
-// path walks batch frames straight into one of these (msg.VisitBatchPayload),
-// so a pipelined client decodes a full batch of replies without boxing each
-// element into an interface. Like Sink, methods may be invoked from internal
-// goroutines and must not block.
+// mirror of Sink for the three reply kinds. Servers coalesce replies into
+// batch frames, and the TCP transport walks each frame straight into one of
+// these (msg.VisitBatchPayload), so a client decodes a full frame of replies
+// without boxing each element into an interface and pays its internal
+// synchronization once per frame, not once per reply. Like Sink, methods may
+// be invoked from internal goroutines and must not block.
 type ReplySink interface {
-	ReadReply(server int, m msg.ReadReply)
-	WriteAck(server int, m msg.WriteAck)
-	StaleEpoch(server int, m msg.StaleEpoch)
-}
-
-// BatchReplySink is an optional extension of ReplySink: a sink that also
-// accepts a whole frame's worth of replies from one server in a single
-// call. When servers coalesce pipelined replies into batch frames,
-// per-element delivery makes the sink pay its internal synchronization once
-// per reply; ReplyBatch lets it pay once per frame. Transports probe for
-// this interface and fall back to the per-element methods when it is
-// absent, so implementing it is purely an optimization — ReplyBatch must be
-// semantically identical to calling ReadReply / WriteAck once per element
-// in slice order. Stale-epoch rejects are never batched (they are cold and
-// carry view-adoption side effects whose ordering matters); they always
-// arrive through StaleEpoch. The slices are only valid for the duration of
-// the call: the transport recycles them.
-type BatchReplySink interface {
-	ReplySink
+	// ReplyBatch delivers one frame's worth of replies from one server. It
+	// must be semantically identical to handling each element in slice
+	// order. The slices are only valid for the duration of the call: the
+	// transport recycles them.
 	ReplyBatch(server int, reads []msg.ReadReply, acks []msg.WriteAck)
+	// StaleEpoch delivers one stale-epoch reject. Rejects are never batched:
+	// they are cold and carry view-adoption side effects whose ordering
+	// against the replies decoded before them matters.
+	StaleEpoch(server int, m msg.StaleEpoch)
 }
 
 // ReplyBinder is implemented by transports that can deliver replies through

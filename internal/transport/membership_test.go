@@ -128,8 +128,10 @@ func TestUpdateAndBindRepliesSeams(t *testing.T) {
 		t.Fatal("BindReplies did not reach the transport")
 	}
 
-	// Through Instrument: both seams forward, and the unboxed reply path
-	// counts MsgsRecv like the boxed one.
+	// Through Instrument: both seams forward. A frame is forwarded whole —
+	// one downstream ReplyBatch per frame, not one call per reply — and
+	// counted per reply, so MsgsRecv reads the same as when the boxed Sink
+	// carries the same traffic.
 	var tc metrics.TransportCounters
 	st2 := &stubTransport{n: 3}
 	wrapped := transport.Instrument(st2, &tc)
@@ -139,17 +141,34 @@ func TestUpdateAndBindRepliesSeams(t *testing.T) {
 	if len(st2.updated) != 1 {
 		t.Fatal("instrumented Update did not forward")
 	}
+	wrapped.Bind(func(int, any, error) {})
+	sink = &recordingSink{}
 	if !transport.BindReplies(wrapped, sink) {
 		t.Fatal("BindReplies(instrumented) = false")
 	}
-	st2.rs.ReadReply(0, msg.ReadReply{Op: 7})
-	st2.rs.WriteAck(1, msg.WriteAck{Op: 8})
-	st2.rs.StaleEpoch(2, msg.StaleEpoch{Op: 9, View: v})
-	if got := tc.MsgsRecv.Value(); got != 3 {
-		t.Errorf("unboxed replies counted %d MsgsRecv, want 3", got)
+	reads := []msg.ReadReply{{Op: 7}, {Op: 8}, {Op: 9}}
+	acks := []msg.WriteAck{{Op: 10}, {Op: 11}}
+	stale := msg.StaleEpoch{Op: 12, View: v}
+	st2.rs.ReplyBatch(0, reads, acks)
+	st2.rs.StaleEpoch(2, stale)
+	if sink.batches != 1 {
+		t.Errorf("one frame reached the sink as %d ReplyBatch calls, want 1", sink.batches)
 	}
-	if sink.reads != 1 || sink.acks != 1 || sink.stales != 1 {
-		t.Errorf("sink saw %d/%d/%d, want 1/1/1", sink.reads, sink.acks, sink.stales)
+	if sink.reads != 3 || sink.acks != 2 || sink.stales != 1 {
+		t.Errorf("sink saw %d/%d/%d, want 3/2/1", sink.reads, sink.acks, sink.stales)
+	}
+	unboxed := tc.MsgsRecv.Value()
+	tc.MsgsRecv.Reset()
+	for _, m := range reads {
+		st2.sink(0, m, nil)
+	}
+	for _, m := range acks {
+		st2.sink(0, m, nil)
+	}
+	st2.sink(2, stale, nil)
+	st2.sink(1, nil, errors.New("conn died")) // fault-path traffic is not counted
+	if boxed := tc.MsgsRecv.Value(); unboxed != 6 || boxed != unboxed {
+		t.Errorf("MsgsRecv: %d through ReplyBatch, %d through the boxed Sink, want 6 both", unboxed, boxed)
 	}
 
 	// A transport without the seams: helpers report false / not-updated and
@@ -172,8 +191,11 @@ func TestUpdateAndBindRepliesSeams(t *testing.T) {
 	}
 }
 
-type recordingSink struct{ reads, acks, stales int }
+type recordingSink struct{ batches, reads, acks, stales int }
 
-func (r *recordingSink) ReadReply(int, msg.ReadReply)   { r.reads++ }
-func (r *recordingSink) WriteAck(int, msg.WriteAck)     { r.acks++ }
+func (r *recordingSink) ReplyBatch(_ int, reads []msg.ReadReply, acks []msg.WriteAck) {
+	r.batches++
+	r.reads += len(reads)
+	r.acks += len(acks)
+}
 func (r *recordingSink) StaleEpoch(int, msg.StaleEpoch) { r.stales++ }

@@ -1,7 +1,6 @@
 package tcp
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
@@ -15,83 +14,13 @@ import (
 	"probquorum/internal/transport"
 )
 
-// connCodec is one connection's frame encoding. encode is called with the
-// connection mutex held (one writer at a time); next is called only from the
-// connection's reader goroutine.
-type connCodec interface {
-	// encode frames one message and writes it to the connection.
-	encode(m any) error
-	// next blocks for the next inbound message.
-	next() (any, error)
-	// resumable reports whether the inbound stream survives a read-deadline
-	// timeout: self-delimiting frames keep their position and resync on the
-	// next frame; a stateful stream (gob) is ruined and must be re-dialed.
-	resumable() bool
-	// release returns any pooled resources; the codec is dead afterwards.
-	release()
-}
-
-// gobCodec is the legacy encoding/gob stream, kept behind WireGob for one
-// release so conformance tests can pin cross-codec protocol equivalence.
-type gobCodec struct {
-	enc *gob.Encoder
-	dec *gob.Decoder
-}
-
-func (c *gobCodec) encode(m any) error { return c.enc.Encode(envelope{Payload: m}) }
-
-func (c *gobCodec) next() (any, error) {
-	var env envelope
-	if err := c.dec.Decode(&env); err != nil {
-		return nil, err
-	}
-	return env.Payload, nil
-}
-
-func (c *gobCodec) resumable() bool { return false }
-func (c *gobCodec) release()        {}
-
-// binCodec is the length-prefixed binary codec (internal/msg/wire.go):
-// encode appends the frame into a pooled buffer and writes it with one
-// syscall; decode goes through a resumable FrameReader, so a read-deadline
-// timeout costs a resync instead of a reconnect.
-type binCodec struct {
-	w   net.Conn
-	fr  *msg.FrameReader
-	buf *[]byte
-}
-
-func newBinCodec(conn net.Conn) *binCodec {
-	return &binCodec{w: conn, fr: msg.NewFrameReader(conn), buf: msg.GetEncodeBuf()}
-}
-
-func (c *binCodec) encode(m any) error {
-	out, err := msg.AppendMessage((*c.buf)[:0], m)
-	if err != nil {
-		return err
-	}
-	*c.buf = out[:0]
-	_, err = c.w.Write(out)
-	return err
-}
-
-func (c *binCodec) next() (any, error) { return c.fr.Next() }
-func (c *binCodec) resumable() bool    { return true }
-
-func (c *binCodec) release() {
-	if c.buf != nil {
-		msg.PutEncodeBuf(c.buf)
-		c.buf = nil
-	}
-}
-
 // tcpTransport implements transport.Transport over one persistent framed
 // connection per replica server. It carries no protocol logic: the
 // transport-agnostic register client (or pipeline) above it owns quorums,
 // deadlines, and retries; this layer owns dialing, framing, reconnect
 // backoff, and the fault counters.
 //
-// Two wire modes share the connection machinery:
+// Two send modes share the connection machinery:
 //
 //   - Serial (async=false): Send encodes the request inline and arms a read
 //     deadline; each reply decrements the connection's outstanding count.
@@ -104,7 +33,6 @@ func (c *binCodec) release() {
 type tcpTransport struct {
 	// Per-connection configuration, fixed at construction and shared by
 	// connections dialed later by Update.
-	wire     Wire
 	timeout  time.Duration
 	counters *metrics.TransportCounters
 	async    bool
@@ -125,17 +53,17 @@ type tcpTransport struct {
 
 	// sink is atomic, not mutex-guarded: every reply from every reader
 	// goroutine passes through emit, and a shared lock there serializes the
-	// reply fan-in the pipelined client exists to parallelize. rsink is the
-	// optional concrete-typed fast path (transport.ReplyBinder): when bound,
-	// binary batch frames are walked element by element straight into it.
+	// reply fan-in the pipelined client exists to parallelize. rsink is where
+	// batch frames — every reply a server's reply writer emits — are walked
+	// to: the client's concrete-typed path once bound
+	// (transport.ReplyBinder), until then boxedReplies, which feeds the sink.
 	sink  atomic.Pointer[transport.Sink]
 	rsink atomic.Pointer[transport.ReplySink]
 }
 
-func newTCPTransport(addrs []string, wire Wire, timeout time.Duration, counters *metrics.TransportCounters,
+func newTCPTransport(addrs []string, timeout time.Duration, counters *metrics.TransportCounters,
 	async bool, maxBatch int, hist *metrics.IntHistogram) *tcpTransport {
 	t := &tcpTransport{
-		wire:     wire,
 		timeout:  timeout,
 		counters: counters,
 		async:    async,
@@ -147,8 +75,26 @@ func newTCPTransport(addrs []string, wire Wire, timeout time.Duration, counters 
 		conns[srv] = t.newConn(srv, addr)
 	}
 	t.conns.Store(&conns)
+	var boxed transport.ReplySink = boxedReplies{t}
+	t.rsink.Store(&boxed)
 	return t
 }
+
+// boxedReplies is the reply path of a client that never bound a ReplySink:
+// each element of a batch frame is boxed into the Sink, already labeled with
+// the server index its epoch echo resolved to.
+type boxedReplies struct{ t *tcpTransport }
+
+func (b boxedReplies) ReplyBatch(server int, reads []msg.ReadReply, acks []msg.WriteAck) {
+	for _, m := range reads {
+		b.t.emit(server, m, nil)
+	}
+	for _, m := range acks {
+		b.t.emit(server, m, nil)
+	}
+}
+
+func (b boxedReplies) StaleEpoch(server int, m msg.StaleEpoch) { b.t.emit(server, m, nil) }
 
 // newConn builds (but does not dial) one connection slot for server index
 // srv at addr, carrying the transport's fixed per-connection configuration.
@@ -156,7 +102,6 @@ func (t *tcpTransport) newConn(srv int, addr string) *netConn {
 	nc := &netConn{
 		t:        t,
 		addr:     addr,
-		wire:     t.wire,
 		timeout:  t.timeout,
 		counters: t.counters,
 		async:    t.async,
@@ -197,9 +142,8 @@ func (t *tcpTransport) Bind(sink transport.Sink) {
 }
 
 // BindReplies installs the concrete-typed reply path (transport.ReplyBinder):
-// binary batch frames are then walked element by element into rs with zero
-// per-element boxing; errors and non-reply payloads keep flowing through the
-// boxed Sink.
+// batch frames are then walked straight into rs with zero per-element
+// boxing; errors and non-batch payloads keep flowing through the boxed Sink.
 func (t *tcpTransport) BindReplies(rs transport.ReplySink) bool {
 	t.rsink.Store(&rs)
 	return true
@@ -337,7 +281,6 @@ type netConn struct {
 	// with only dial-time numbering there is nothing to translate.
 	epochIdx atomic.Pointer[map[quorum.Epoch]int32]
 	addr     string
-	wire     Wire
 	timeout  time.Duration
 	counters *metrics.TransportCounters
 
@@ -349,16 +292,15 @@ type netConn struct {
 
 	wg sync.WaitGroup
 
-	// brReads/brAcks accumulate one batch frame's reply elements for the
-	// BatchReplySink delivery path (decodeRawBatched). Only the recv
+	// brReads/brAcks accumulate one batch frame's reply elements for
+	// delivery through ReplyBatch (decodeRawBatched). Only the recv
 	// goroutine touches them, and the sink must not retain them past the
 	// ReplyBatch call, so they recycle frame to frame with no lock.
 	brReads []msg.ReadReply
 	brAcks  []msg.WriteAck
 
-	mu    sync.Mutex
-	conn  net.Conn
-	codec connCodec
+	mu   sync.Mutex
+	conn net.Conn
 	// gen is the connection generation; a reader only kills (and reports)
 	// its own connection, so a re-dialed successor is never collateral
 	// damage of a stale reader's death.
@@ -427,7 +369,14 @@ func (nc *netConn) send(req any) error {
 	if nc.timeout > 0 {
 		_ = nc.conn.SetWriteDeadline(time.Now().Add(nc.timeout))
 	}
-	if err := nc.codec.encode(req); err != nil {
+	buf := msg.GetEncodeBuf()
+	defer msg.PutEncodeBuf(buf)
+	out, err := msg.AppendMessage((*buf)[:0], req)
+	if err == nil {
+		*buf = out[:0]
+		_, err = nc.conn.Write(out)
+	}
+	if err != nil {
 		nc.dropLocked(err)
 		return fmt.Errorf("send: %w", err)
 	}
@@ -447,45 +396,19 @@ func (nc *netConn) enqueue(req any) {
 	}
 }
 
-// clientCoalesceBytes caps how many pre-encoded frames the binary write loop
+// clientCoalesceBytes caps how many pre-encoded frames the write loop
 // accumulates before forcing a syscall. It stays under the encode-buffer
 // pool's recycling cap so burst buffers return to the pool.
 const clientCoalesceBytes = 256 << 10
 
+// writeLoop is the async-mode writer: it drains the queue into as many batch
+// frames as are pending and writes them with one syscall. maxBatch caps
+// elements per frame — the receiver's decode/fairness unit — not frames per
+// write, so a deep burst costs one conn.Write instead of one per frame.
+// Frames are encoded outside the connection lock into a pooled buffer owned
+// by this goroutine.
 func (nc *netConn) writeLoop() {
 	defer nc.wg.Done()
-	if nc.wire == WireBinary {
-		nc.writeLoopBinary()
-		return
-	}
-	batch := make([]any, 0, nc.maxBatch)
-	for {
-		select {
-		case <-nc.stop:
-			return
-		case m := <-nc.out:
-			batch = append(batch[:0], m)
-		drain:
-			for len(batch) < nc.maxBatch {
-				select {
-				case m2 := <-nc.out:
-					batch = append(batch, m2)
-				default:
-					break drain
-				}
-			}
-			nc.flush(batch)
-		}
-	}
-}
-
-// writeLoopBinary is the binary-codec writer: it drains the queue into as
-// many batch frames as are pending and writes them with one syscall.
-// maxBatch caps elements per frame — the receiver's decode/fairness unit —
-// not frames per write, so a deep burst costs one conn.Write instead of one
-// per frame. Frames are encoded outside the connection lock into a pooled
-// buffer owned by this goroutine.
-func (nc *netConn) writeLoopBinary() {
 	buf := msg.GetEncodeBuf()
 	defer msg.PutEncodeBuf(buf)
 	batch := make([]any, 0, nc.maxBatch)
@@ -508,8 +431,8 @@ func (nc *netConn) writeLoopBinary() {
 				}
 				next, err := msg.AppendMessage(out, msg.Batch{Msgs: batch})
 				if err != nil {
-					// Unencodable payload: same contract as flush — drop the
-					// connection so the failure is visible, not a silent stall.
+					// Unencodable payload: drop the connection so the failure
+					// is visible, not a silent stall.
 					nc.mu.Lock()
 					if !nc.closed {
 						nc.dropLocked(err)
@@ -565,32 +488,8 @@ func (nc *netConn) writeFrames(out []byte) {
 	}
 }
 
-// flush writes one batch frame, transparently re-dialing a dead connection
-// first. Failures drop the batch: the operations' deadlines take over.
-func (nc *netConn) flush(batch []any) {
-	nc.mu.Lock()
-	defer nc.mu.Unlock()
-	if nc.closed {
-		return
-	}
-	if err := nc.ensureLocked(); err != nil {
-		return
-	}
-	if nc.timeout > 0 {
-		_ = nc.conn.SetWriteDeadline(time.Now().Add(nc.timeout))
-	}
-	if err := nc.codec.encode(msg.Batch{Msgs: batch}); err != nil {
-		nc.dropLocked(err)
-		return
-	}
-	if nc.hist != nil {
-		nc.hist.Observe(len(batch))
-	}
-}
-
 // ensureLocked re-dials a dead connection, honouring the re-dial backoff,
-// announces the wire mode with a one-byte preamble, and spawns the reader
-// for the new connection. Callers hold mu.
+// and spawns the reader for the new connection. Callers hold mu.
 func (nc *netConn) ensureLocked() error {
 	if nc.conn != nil {
 		return nil
@@ -601,19 +500,6 @@ func (nc *netConn) ensureLocked() error {
 	}
 	d := net.Dialer{Timeout: nc.timeout}
 	conn, err := d.Dial("tcp", nc.addr)
-	if err == nil {
-		pre := byte(wirePreambleBin)
-		if nc.wire == WireGob {
-			pre = wirePreambleGob
-		}
-		if nc.timeout > 0 {
-			_ = conn.SetWriteDeadline(time.Now().Add(nc.timeout))
-		}
-		if _, werr := conn.Write([]byte{pre}); werr != nil {
-			_ = conn.Close()
-			err = werr
-		}
-	}
 	if err != nil {
 		if nc.redialWait == 0 {
 			nc.redialWait = redialBackoffMin
@@ -627,11 +513,6 @@ func (nc *netConn) ensureLocked() error {
 		return fmt.Errorf("reconnect %s: %w", nc.addr, err)
 	}
 	nc.conn = conn
-	if nc.wire == WireGob {
-		nc.codec = &gobCodec{enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn)}
-	} else {
-		nc.codec = newBinCodec(conn)
-	}
 	nc.gen++
 	nc.outstanding = 0
 	nc.redialWait = 0
@@ -640,21 +521,17 @@ func (nc *netConn) ensureLocked() error {
 		nc.counters.Reconnects.Inc()
 	}
 	nc.wg.Add(1)
-	go nc.readLoop(conn, nc.codec, nc.gen)
+	go nc.readLoop(conn, nc.gen)
 	return nil
 }
 
-// dropLocked discards the current connection after an error. Write errors
-// and non-timeout read errors mean the connection is genuinely broken; a
-// gob stream additionally dies on timeouts (a half-finished exchange cannot
-// be resumed), which the reader handles before getting here. Callers hold
-// mu.
+// dropLocked discards the current connection after an error: write errors
+// and non-timeout read errors mean the connection is genuinely broken.
+// Callers hold mu.
 func (nc *netConn) dropLocked(err error) {
 	if nc.conn != nil {
 		_ = nc.conn.Close()
 		nc.conn = nil
-		nc.codec.release()
-		nc.codec = nil
 	}
 	nc.outstanding = 0
 	var nerr net.Error
@@ -663,48 +540,33 @@ func (nc *netConn) dropLocked(err error) {
 	}
 }
 
-// readLoop delivers every reply arriving on one connection to the bound
-// sink (batch frames unpacked per element), but only while this reader is
-// current: a stale generation's death is not news.
+// readLoop delivers every frame arriving on one connection, but only while
+// this reader is current: a stale generation's death is not news. Each
+// frame's payload is inspected in place (decodeRaw): batch frames walk
+// straight into the bound ReplySink with concrete types — the client-side
+// mirror of the server's batch walk — and anything else is boxed through the
+// Sink.
 //
-// Error handling is where the two codecs diverge. Under the binary codec a
-// read-deadline timeout is survivable: frames are self-delimiting and the
+// A read-deadline timeout is survivable: frames are self-delimiting and the
 // FrameReader holds its stream position across the error, so the reader
 // counts the timeout, clears the deadline, and keeps reading — the late
 // reply, when it arrives, is dropped by op-id upstairs (StaleDrops) and the
 // connection never burns. Everything else — connection closed by a crashed
-// server, corrupt frame, and any gob error including timeouts — kills the
-// connection and surfaces as one per-server error delivery.
-func (nc *netConn) readLoop(conn net.Conn, codec connCodec, gen int) {
+// server, corrupt frame — kills the connection and surfaces as one
+// per-server error delivery.
+func (nc *netConn) readLoop(conn net.Conn, gen int) {
 	defer nc.wg.Done()
-	// The binary codec is read raw: each frame's payload is inspected in
-	// place, and batch frames walk straight into the bound ReplySink with
-	// concrete types — the client-side mirror of the server's batch walk —
-	// instead of boxing every element through the Sink.
-	bc, raw := codec.(*binCodec)
+	fr := msg.NewFrameReader(conn)
 	for {
 		var m any
-		var payload []byte
 		var acked int
-		var err error
-		if raw {
-			payload, err = bc.fr.NextRaw()
-			if err == nil {
-				m, acked, err = nc.decodeRaw(payload)
-			}
-		} else {
-			m, err = codec.next()
-			if err == nil {
-				if batch, ok := m.(msg.Batch); ok {
-					acked = len(batch.Msgs)
-				} else {
-					acked = 1
-				}
-			}
+		payload, err := fr.NextRaw()
+		if err == nil {
+			m, acked, err = nc.decodeRaw(payload)
 		}
 		if err != nil {
 			var nerr net.Error
-			if codec.resumable() && errors.As(err, &nerr) && nerr.Timeout() {
+			if errors.As(err, &nerr) && nerr.Timeout() {
 				nc.mu.Lock()
 				if nc.gen == gen && nc.conn == conn && !nc.closed {
 					if nc.counters != nil {
@@ -751,96 +613,23 @@ func (nc *netConn) readLoop(conn net.Conn, codec connCodec, gen int) {
 			}
 			nc.mu.Unlock()
 		}
-		if m == nil {
-			continue // delivered concretely (or dropped as junk)
+		if m != nil {
+			nc.emit(m, nil)
 		}
-		if batch, ok := m.(msg.Batch); ok {
-			for _, el := range batch.Msgs {
-				nc.emit(el, nil)
-			}
-			continue
-		}
-		nc.emit(m, nil)
 	}
 }
 
-// decodeRaw handles one raw binary frame. With a bound ReplySink, both
-// batch frames and lone reply frames are delivered element by element as
-// concrete types — returning (nil, acked, nil), where acked counts the
-// reply elements the frame carried (for the serial reader's outstanding
-// bookkeeping). Everything else decodes through the boxed path and is
-// returned for the generic delivery below. A decode error is fatal to the
-// connection, exactly as it was when decoding happened inside the codec.
+// decodeRaw handles one raw frame. A batch frame — the only kind a server's
+// reply writer coalesces replies into — is delivered concretely
+// (decodeRawBatched) and yields a nil message. Anything else is the cold
+// path — snapshot replies, a lone reply frame from a peer that does not
+// coalesce — and decodes boxed, returned for delivery through the Sink.
+// acked counts the replies the frame carried (for the serial reader's
+// outstanding bookkeeping). A decode error is fatal to the connection.
 func (nc *netConn) decodeRaw(payload []byte) (any, int, error) {
-	rsp := nc.t.rsink.Load()
 	if msg.IsBatchPayload(payload) {
-		if rsp == nil {
-			m, err := msg.DecodePayload(payload)
-			if batch, ok := m.(msg.Batch); ok && err == nil {
-				return m, len(batch.Msgs), nil
-			}
-			return m, 1, err
-		}
-		rs := *rsp
-		if nc.detached.Load() {
-			return nil, 0, nil
-		}
-		if brs, ok := rs.(transport.BatchReplySink); ok {
-			return nc.decodeRawBatched(payload, brs)
-		}
-		acked := 0
-		_, err := msg.VisitBatchPayload(payload, msg.BatchVisitor{
-			ReadReply: func(m msg.ReadReply) bool {
-				acked++
-				if idx, ok := nc.indexForEpoch(m.Epoch); ok {
-					rs.ReadReply(idx, m)
-				}
-				return true
-			},
-			WriteAck: func(m msg.WriteAck) bool {
-				acked++
-				if idx, ok := nc.indexForEpoch(m.Epoch); ok {
-					rs.WriteAck(idx, m)
-				}
-				return true
-			},
-			StaleEpoch: func(m msg.StaleEpoch) bool {
-				acked++
-				if idx, ok := nc.indexForEpoch(m.Epoch); ok {
-					rs.StaleEpoch(idx, m)
-				}
-				return true
-			},
-			// Request-kind elements are foreign on a client-bound stream;
-			// nil callbacks drop them like any junk element.
-		})
+		acked, err := nc.decodeRawBatched(payload, *nc.t.rsink.Load())
 		return nil, acked, err
-	}
-	if rsp != nil && !nc.detached.Load() {
-		rs := *rsp
-		handled, _ := msg.VisitPayload(payload, msg.BatchVisitor{
-			ReadReply: func(m msg.ReadReply) bool {
-				if idx, ok := nc.indexForEpoch(m.Epoch); ok {
-					rs.ReadReply(idx, m)
-				}
-				return true
-			},
-			WriteAck: func(m msg.WriteAck) bool {
-				if idx, ok := nc.indexForEpoch(m.Epoch); ok {
-					rs.WriteAck(idx, m)
-				}
-				return true
-			},
-			StaleEpoch: func(m msg.StaleEpoch) bool {
-				if idx, ok := nc.indexForEpoch(m.Epoch); ok {
-					rs.StaleEpoch(idx, m)
-				}
-				return true
-			},
-		})
-		if handled {
-			return nil, 1, nil
-		}
 	}
 	m, err := msg.DecodePayload(payload)
 	return m, 1, err
@@ -852,11 +641,16 @@ func (nc *netConn) decodeRaw(payload []byte) (any, int, error) {
 // locking across everything the server's reply writer coalesced. In steady
 // state a frame is a single run (all elements echo the same epoch); only a
 // frame straddling a view change splits. Stale-epoch rejects flush the
-// pending run first and then take the per-element path: the sink's view
+// pending run first and are then delivered on their own: the sink's view
 // adoption must not be reordered ahead of replies already decoded. The
 // accumulator slices live on the netConn because only the recv goroutine
 // decodes frames; ReplyBatch's contract says the sink must not retain them.
-func (nc *netConn) decodeRawBatched(payload []byte, rs transport.BatchReplySink) (any, int, error) {
+// A connection detached from the view delivers nothing: a leaver's late
+// replies are not news.
+func (nc *netConn) decodeRawBatched(payload []byte, rs transport.ReplySink) (int, error) {
+	if nc.detached.Load() {
+		return 0, nil
+	}
 	acked := 0
 	idx := -1 // server index of the run being accumulated
 	flush := func() {
@@ -904,7 +698,7 @@ func (nc *netConn) decodeRawBatched(payload []byte, rs transport.BatchReplySink)
 		// nil callbacks drop them like any junk element.
 	})
 	flush()
-	return nil, acked, err
+	return acked, err
 }
 
 func (nc *netConn) close() {
@@ -921,8 +715,6 @@ func (nc *netConn) close() {
 	if nc.conn != nil {
 		_ = nc.conn.Close()
 		nc.conn = nil
-		nc.codec.release()
-		nc.codec = nil
 	}
 	nc.mu.Unlock()
 	nc.wg.Wait()

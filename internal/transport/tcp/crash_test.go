@@ -15,7 +15,7 @@ import (
 
 // watchdog runs fn and fails the test if it does not return within d — the
 // guard that distinguishes "returns an error" from the pre-fix behaviour of
-// blocking forever in gob.Decode.
+// blocking forever in the reply read.
 func watchdog(t *testing.T, d time.Duration, what string, fn func() error) error {
 	t.Helper()
 	done := make(chan error, 1)
@@ -31,7 +31,7 @@ func watchdog(t *testing.T, d time.Duration, what string, fn func() error) error
 
 // TestCrashedReplicaDoesNotHang is the core regression test for the
 // crashed-replica hang: before the fix, serveConn silently dropped the
-// request of a crashed store and the client blocked forever in gob.Decode.
+// request of a crashed store and the client blocked forever in the reply read.
 // Now the server closes the connection, so the read returns an error
 // promptly even with no operation timeout configured.
 func TestCrashedReplicaDoesNotHang(t *testing.T) {
@@ -130,32 +130,25 @@ func TestDeadlineOnSilentServer(t *testing.T) {
 	}
 }
 
-// TestTimeoutResyncNoReconnect pins the binary codec's headline fault
-// property: a per-operation timeout on an otherwise healthy connection is a
-// resync, not a reconnect. A hand-rolled server delays its first reply past
-// the operation deadline; the retried operation must complete over the SAME
-// connection, the late replies must be dropped by op-id, and the reconnect
-// counter must stay at zero. (Under gob this exact scenario burned the
-// connection: the half-read stream could not be resumed.)
-func TestTimeoutResyncNoReconnect(t *testing.T) {
+// startLoneFramePeer runs a hand-rolled single-connection server that does
+// not coalesce: every request is answered with a lone reply frame — a
+// ReadReply carrying val, or a WriteAck — never a batch. The first exchange
+// stalls for firstDelay before answering.
+func startLoneFramePeer(t *testing.T, val msg.Value, firstDelay time.Duration) string {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
+	t.Cleanup(func() { _ = ln.Close() })
 	go func() {
 		conn, err := ln.Accept()
 		if err != nil {
 			return
 		}
 		defer conn.Close()
-		var pre [1]byte
-		if _, err := io.ReadFull(conn, pre[:]); err != nil || pre[0] != wirePreambleBin {
-			return
-		}
 		fr := msg.NewFrameReader(conn)
 		buf := make([]byte, 0, 256)
-		slow := true
 		for {
 			m, err := fr.Next()
 			if err != nil {
@@ -165,18 +158,14 @@ func TestTimeoutResyncNoReconnect(t *testing.T) {
 			switch req := m.(type) {
 			case msg.ReadReq:
 				reply = msg.ReadReply{Reg: req.Reg, Op: req.Op,
-					Tag: msg.Tagged{TS: msg.Timestamp{Seq: 1, Writer: 1}, Val: "slow"}}
+					Tag: msg.Tagged{TS: msg.Timestamp{Seq: 1, Writer: 1}, Val: val}}
 			case msg.WriteReq:
 				reply = msg.WriteAck{Reg: req.Reg, Op: req.Op}
 			default:
 				continue
 			}
-			if slow {
-				// Only the very first exchange stalls past the client's
-				// deadline; everything after answers promptly.
-				slow = false
-				time.Sleep(200 * time.Millisecond)
-			}
+			time.Sleep(firstDelay)
+			firstDelay = 0
 			out, err := msg.AppendMessage(buf[:0], reply)
 			if err != nil {
 				return
@@ -186,8 +175,47 @@ func TestTimeoutResyncNoReconnect(t *testing.T) {
 			}
 		}
 	}()
+	return ln.Addr().String()
+}
 
-	c, err := Dial([]string{ln.Addr().String()}, quorum.NewSingleton(1, 0),
+// TestLoneReplyFrameBoxedLeg pins the cold reply path: a peer that answers
+// with lone reply frames instead of batch frames still completes a strict
+// serial client's operations — the frames decode boxed and reach the
+// register client through the Sink rather than through ReplyBatch.
+func TestLoneReplyFrameBoxedLeg(t *testing.T) {
+	addr := startLoneFramePeer(t, "lone", 0)
+	c, err := Dial([]string{addr}, quorum.NewSingleton(1, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var tag msg.Tagged
+	if err := watchdog(t, 10*time.Second, "read answered by a lone frame", func() error {
+		var err error
+		tag, err = c.Read(0)
+		return err
+	}); err != nil {
+		t.Fatalf("read answered by a lone ReadReply frame: %v", err)
+	}
+	if tag.Val != "lone" {
+		t.Fatalf("read %v, want the peer's value", tag.Val)
+	}
+	if err := watchdog(t, 10*time.Second, "write answered by a lone frame", func() error {
+		return c.Write(0, "next")
+	}); err != nil {
+		t.Fatalf("write answered by a lone WriteAck frame: %v", err)
+	}
+}
+
+// TestTimeoutResyncNoReconnect pins the codec's headline fault property: a
+// per-operation timeout on an otherwise healthy connection is a resync, not
+// a reconnect. A hand-rolled server delays its first reply past the
+// operation deadline; the retried operation must complete over the SAME
+// connection, the late replies must be dropped by op-id, and the reconnect
+// counter must stay at zero.
+func TestTimeoutResyncNoReconnect(t *testing.T) {
+	addr := startLoneFramePeer(t, "slow", 200*time.Millisecond)
+	c, err := Dial([]string{addr}, quorum.NewSingleton(1, 0),
 		WithOpTimeout(60*time.Millisecond)) // unlimited retries
 	if err != nil {
 		t.Fatal(err)

@@ -1,14 +1,10 @@
 package tcp
 
 import (
-	"fmt"
-
 	"probquorum/internal/metrics"
 	"probquorum/internal/msg"
 	"probquorum/internal/quorum"
 	"probquorum/internal/register"
-	"probquorum/internal/rng"
-	"probquorum/internal/transport"
 )
 
 // DefaultKeyspaceShards is the client-side shard count DialKeyspace uses
@@ -38,72 +34,18 @@ type KeyspaceClient struct {
 // up to a power of two; <= 0 selects DefaultKeyspaceShards). The pipelined
 // client's options apply; the per-operation deadline defaults to 2s.
 func DialKeyspace(addrs []string, sys quorum.System, shards int, opts ...ClientOption) (*KeyspaceClient, error) {
-	registerWireTypes()
-	o := clientOpts{seed: 1, maxBatch: defaultMaxBatch}
-	for _, opt := range opts {
-		opt(&o)
-	}
-	addrs, err := applyView(&o, addrs)
-	if err != nil {
-		return nil, err
-	}
-	if sys.N() != len(addrs) {
-		return nil, fmt.Errorf("tcp: quorum system covers %d servers, got %d addresses",
-			sys.N(), len(addrs))
-	}
 	if shards <= 0 {
 		shards = DefaultKeyspaceShards
 	}
 	for shards&(shards-1) != 0 {
 		shards++
 	}
-	counted := o.Counters != nil
-	if o.Counters == nil {
-		o.Counters = &metrics.TransportCounters{}
-	}
-	if o.OpTimeout <= 0 {
-		o.OpTimeout = defaultPipelineTimeout
-	}
-	if o.maxBatch < 1 {
-		o.maxBatch = 1
-	}
-	o.Proc = msg.NodeID(o.writer)
-
-	var eopts []register.Option
-	if o.monotone {
-		eopts = append(eopts, register.Monotone())
-	}
-	if o.noFastRead {
-		eopts = append(eopts, register.WithoutFastRead())
-	}
-	if o.tally != nil {
-		eopts = append(eopts, register.WithTally(o.tally))
-	}
-	if o.hasView {
-		eopts = append(eopts, register.WithView(o.view))
-	}
-	engines := make([]*register.Engine, shards)
-	for i := range engines {
-		sopts := append([]register.Option{
-			register.WithOpStride(uint64(i), uint64(shards)),
-		}, eopts...)
-		engines[i] = register.NewEngine(o.writer, sys,
-			rng.Derive(o.seed, fmt.Sprintf("tcp.keyspace.%d.%d", o.writer, i)), sopts...)
-	}
-
-	tr := newTCPTransport(addrs, o.wire, o.OpTimeout, o.Counters, true, o.maxBatch, o.batchHist)
-	if o.hasView {
-		tr.epoch = o.view.Epoch
-	}
-	if err := tr.start(); err != nil {
+	d, err := dial(addrs, sys, opts, "keyspace", true, shards)
+	if err != nil {
 		return nil, err
 	}
-	var rt transport.Transport = tr
-	if counted {
-		rt = transport.Instrument(tr, o.Counters)
-	}
-	c := &KeyspaceClient{tr: tr, counters: o.Counters}
-	c.ks = register.NewKeyspaceOver(engines, rt, register.ApplyPipeline(o.Settings)...)
+	c := &KeyspaceClient{tr: d.tr, counters: d.Counters}
+	c.ks = register.NewKeyspaceOver(d.engines, d.rt, register.ApplyPipeline(d.Settings)...)
 	return c, nil
 }
 
@@ -119,7 +61,8 @@ func (c *KeyspaceClient) ReadAtomic(key msg.RegisterID) (msg.Tagged, error) {
 
 // Write performs one pipelined write of key, blocking until acknowledged.
 func (c *KeyspaceClient) Write(key msg.RegisterID, val msg.Value) error {
-	return c.ks.Write(key, val)
+	_, err := c.WriteAsyncFunc(key, val, nil).Wait()
+	return err
 }
 
 // ReadAsync submits a read of key and returns immediately.
@@ -134,7 +77,7 @@ func (c *KeyspaceClient) ReadAtomicAsync(key msg.RegisterID) *register.PendingOp
 
 // WriteAsync submits a write of key and returns immediately.
 func (c *KeyspaceClient) WriteAsync(key msg.RegisterID, val msg.Value) *register.PendingOp {
-	return c.ks.WriteAsync(key, val)
+	return c.WriteAsyncFunc(key, val, nil)
 }
 
 // ReadAsyncFunc submits a read of key whose completion invokes fn — the
@@ -151,6 +94,9 @@ func (c *KeyspaceClient) ReadAtomicAsyncFunc(key msg.RegisterID, fn func(msg.Tag
 
 // WriteAsyncFunc submits a write of key whose completion invokes fn.
 func (c *KeyspaceClient) WriteAsyncFunc(key msg.RegisterID, val msg.Value, fn func(msg.Tagged, error)) *register.PendingOp {
+	if err := checkValue(val); err != nil {
+		return rejectWrite(key, err, fn)
+	}
 	return c.ks.WriteAsyncFunc(key, val, fn)
 }
 

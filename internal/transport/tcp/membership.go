@@ -139,7 +139,6 @@ func JoinQuorum(store *replica.Store, v quorum.View, timeout time.Duration) erro
 
 // pullSnapshot performs one SnapReq/SnapReply exchange against addr.
 func pullSnapshot(addr string, timeout time.Duration) (msg.SnapReply, error) {
-	registerWireTypes()
 	d := net.Dialer{Timeout: timeout}
 	conn, err := d.Dial("tcp", addr)
 	if err != nil {
@@ -151,7 +150,7 @@ func pullSnapshot(addr string, timeout time.Duration) (msg.SnapReply, error) {
 	}
 	buf := msg.GetEncodeBuf()
 	defer msg.PutEncodeBuf(buf)
-	out, err := msg.AppendMessage(append((*buf)[:0], wirePreambleBin), msg.SnapReq{Op: 1})
+	out, err := msg.AppendMessage((*buf)[:0], msg.SnapReq{Op: 1})
 	if err != nil {
 		return msg.SnapReply{}, fmt.Errorf("tcp join %s: encode: %w", addr, err)
 	}

@@ -2,16 +2,13 @@ package tcp
 
 import (
 	"errors"
-	"fmt"
 	"time"
 
 	"probquorum/internal/metrics"
 	"probquorum/internal/msg"
 	"probquorum/internal/quorum"
 	"probquorum/internal/register"
-	"probquorum/internal/rng"
 	"probquorum/internal/trace"
-	"probquorum/internal/transport"
 )
 
 // ErrClientClosed is returned by operations pending in a pipelined client
@@ -69,8 +66,8 @@ func WithClock(clock func() int64) ClientOption {
 // over one TCP connection per replica server: a thin adapter binding a
 // transport-agnostic register.Pipeline to a tcpTransport in its batching
 // (async) mode. Outgoing requests queued for a server are coalesced into
-// batch frames (one gob envelope carrying several requests, amortizing
-// encode and syscall cost), and replies are matched to operations by
+// batch frames (one frame carrying several requests, amortizing encode and
+// syscall cost), and replies are matched to operations by
 // operation id rather than request/reply pairing, so the connection carries
 // any number of interleaved exchanges at once.
 //
@@ -95,61 +92,12 @@ type PipelinedClient struct {
 // WithBatchHistogram, and WithInFlightGauge apply; WithOpTimeout defaults
 // to 2s (a pipelined client never runs without a deadline, see above).
 func DialPipelined(addrs []string, sys quorum.System, opts ...ClientOption) (*PipelinedClient, error) {
-	registerWireTypes()
-	o := clientOpts{seed: 1, maxBatch: defaultMaxBatch}
-	for _, opt := range opts {
-		opt(&o)
-	}
-	addrs, err := applyView(&o, addrs)
+	d, err := dial(addrs, sys, opts, "pipeclient", true, 0)
 	if err != nil {
 		return nil, err
 	}
-	if sys.N() != len(addrs) {
-		return nil, fmt.Errorf("tcp: quorum system covers %d servers, got %d addresses",
-			sys.N(), len(addrs))
-	}
-	// As in Dial: per-message counting is opt-in via WithTransportCounters.
-	counted := o.Counters != nil
-	if o.Counters == nil {
-		o.Counters = &metrics.TransportCounters{}
-	}
-	if o.OpTimeout <= 0 {
-		o.OpTimeout = defaultPipelineTimeout
-	}
-	if o.maxBatch < 1 {
-		o.maxBatch = 1
-	}
-	o.Proc = msg.NodeID(o.writer)
-
-	var eopts []register.Option
-	if o.monotone {
-		eopts = append(eopts, register.Monotone())
-	}
-	if o.noFastRead {
-		eopts = append(eopts, register.WithoutFastRead())
-	}
-	if o.tally != nil {
-		eopts = append(eopts, register.WithTally(o.tally))
-	}
-	if o.hasView {
-		eopts = append(eopts, register.WithView(o.view))
-	}
-	engine := register.NewEngine(o.writer, sys,
-		rng.Derive(o.seed, fmt.Sprintf("tcp.pipeclient.%d", o.writer)), eopts...)
-
-	tr := newTCPTransport(addrs, o.wire, o.OpTimeout, o.Counters, true, o.maxBatch, o.batchHist)
-	if o.hasView {
-		tr.epoch = o.view.Epoch
-	}
-	if err := tr.start(); err != nil {
-		return nil, err
-	}
-	var rt transport.Transport = tr
-	if counted {
-		rt = transport.Instrument(tr, o.Counters)
-	}
-	c := &PipelinedClient{engine: engine, tr: tr, counters: o.Counters}
-	c.pl = register.NewPipelineOver(engine, rt, register.ApplyPipeline(o.Settings)...)
+	c := &PipelinedClient{engine: d.engines[0], tr: d.tr, counters: d.Counters}
+	c.pl = register.NewPipelineOver(c.engine, d.rt, register.ApplyPipeline(d.Settings)...)
 	return c, nil
 }
 
@@ -167,7 +115,8 @@ func (c *PipelinedClient) ReadAtomic(reg msg.RegisterID) (msg.Tagged, error) {
 
 // Write performs one pipelined quorum write, blocking until acknowledged.
 func (c *PipelinedClient) Write(reg msg.RegisterID, val msg.Value) error {
-	return c.pl.Write(reg, val)
+	_, err := c.WriteAsync(reg, val).Wait()
+	return err
 }
 
 // ReadAsync submits a read and returns immediately.
@@ -182,6 +131,9 @@ func (c *PipelinedClient) ReadAtomicAsync(reg msg.RegisterID) *register.PendingO
 
 // WriteAsync submits a write and returns immediately.
 func (c *PipelinedClient) WriteAsync(reg msg.RegisterID, val msg.Value) *register.PendingOp {
+	if err := checkValue(val); err != nil {
+		return rejectWrite(reg, err, nil)
+	}
 	return c.pl.WriteAsync(reg, val)
 }
 

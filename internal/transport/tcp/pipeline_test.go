@@ -1,7 +1,7 @@
 package tcp
 
 import (
-	"encoding/gob"
+	"errors"
 	"net"
 	"sync"
 	"testing"
@@ -146,23 +146,14 @@ func TestPipelinedClientConcurrencyTraced(t *testing.T) {
 // TestPipeConnCoalesces pins the batching behaviour deterministically: five
 // requests queued before the writer runs leave in one frame.
 func TestPipeConnCoalesces(t *testing.T) {
-	registerWireTypes()
 	client, server := net.Pipe()
 	defer client.Close()
 	defer server.Close()
 
 	hist := metrics.NewIntHistogram()
-	pc := &netConn{
-		t:        &tcpTransport{},
-		wire:     WireGob, // the codec below is gob; keep writeLoop on the gob path
-		async:    true,
-		out:      make(chan any, 64),
-		stop:     make(chan struct{}),
-		maxBatch: 16,
-		hist:     hist,
-	}
+	tr := newTCPTransport([]string{"pipe"}, 0, nil, true, 16, hist)
+	pc := (*tr.conns.Load())[0]
 	pc.conn = client
-	pc.codec = &gobCodec{enc: gob.NewEncoder(client)}
 	pc.gen = 1
 	for i := 0; i < 5; i++ {
 		pc.enqueue(msg.ReadReq{Reg: msg.RegisterID(i), Op: msg.OpID(i + 1)})
@@ -174,63 +165,62 @@ func TestPipeConnCoalesces(t *testing.T) {
 		pc.wg.Wait()
 	}()
 
-	dec := gob.NewDecoder(server)
-	var env envelope
-	if err := dec.Decode(&env); err != nil {
+	m, err := msg.NewFrameReader(server).Next()
+	if err != nil {
 		t.Fatalf("decode frame: %v", err)
 	}
-	batch, ok := env.Payload.(msg.Batch)
+	batch, ok := m.(msg.Batch)
 	if !ok {
-		t.Fatalf("frame payload is %T, want msg.Batch", env.Payload)
+		t.Fatalf("frame payload is %T, want msg.Batch", m)
 	}
 	if len(batch.Msgs) != 5 {
 		t.Fatalf("frame carries %d requests, want 5 coalesced", len(batch.Msgs))
 	}
-	// net.Pipe is synchronous: the decoder can return before flush() gets to
-	// record the batch size, so poll briefly.
-	deadline := time.Now().Add(2 * time.Second)
-	for hist.Max() != 5 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
+	for i, el := range batch.Msgs {
+		if req, ok := el.(msg.ReadReq); !ok || req.Op != msg.OpID(i+1) {
+			t.Fatalf("element %d = %#v, want ReadReq op %d (queue order)", i, el, i+1)
+		}
 	}
-	if hist.Max() != 5 {
-		t.Fatalf("batch histogram max = %d, want 5", hist.Max())
+	if hist.Total() != 1 || hist.Max() != 5 {
+		t.Fatalf("batch histogram: %d frames, max %d; want 1 frame of 5", hist.Total(), hist.Max())
 	}
 }
 
-// TestBatchMalformedFrameSurvives sends a batch whose first element is junk:
-// the server must apply the valid element, reply with a one-element batch,
-// and keep the connection usable — op-id matching makes dropping junk safe,
-// where the strict request/reply path would have to kill the stream.
+// TestBatchMalformedFrameSurvives sends a batch whose leading elements are
+// junk: the server must apply the valid element, reply with a one-element
+// batch, and keep the connection usable — op-id matching makes dropping junk
+// safe, where a malformed lone frame has to kill the stream.
 func TestBatchMalformedFrameSurvives(t *testing.T) {
 	initial := map[msg.RegisterID]msg.Value{0: 7.0}
 	addrs, _ := pipeCluster(t, 1, initial)
-	registerWireTypes()
-	conn, err := net.Dial("tcp", addrs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := conn.Write([]byte{wirePreambleGob}); err != nil {
-		t.Fatalf("send preamble: %v", err)
-	}
-	enc := gob.NewEncoder(conn)
-	dec := gob.NewDecoder(conn)
+	conn := dialRawBinary(t, addrs[0])
+	fr := msg.NewFrameReader(conn)
 
-	junk := msg.Batch{Msgs: []any{
-		"this is not a protocol message",
-		3.25,
-		msg.ReadReq{Reg: 0, Op: 41},
-	}}
-	if err := enc.Encode(envelope{Payload: junk}); err != nil {
+	payload := func(m any) []byte {
+		t.Helper()
+		frame, err := msg.AppendMessage(nil, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return frame[4:]
+	}
+	junk := msg.AppendRawBatchFrame(nil, [][]byte{
+		{0xEE, 1, 2, 3},                          // unknown kind
+		{},                                       // empty element
+		payload(msg.ReadReq{Reg: 0, Op: 40})[:5], // truncated request
+		payload(msg.WriteAck{Reg: 0, Op: 40}),    // reply kind: foreign on a server-bound stream
+		payload(msg.ReadReq{Reg: 0, Op: 41}),     // the one valid request
+	})
+	if _, err := conn.Write(junk); err != nil {
 		t.Fatalf("send junk batch: %v", err)
 	}
-	var env envelope
-	if err := dec.Decode(&env); err != nil {
+	m, err := fr.Next()
+	if err != nil {
 		t.Fatalf("reply to junk batch: %v", err)
 	}
-	replies, ok := env.Payload.(msg.Batch)
+	replies, ok := m.(msg.Batch)
 	if !ok {
-		t.Fatalf("reply payload is %T, want msg.Batch", env.Payload)
+		t.Fatalf("reply payload is %T, want msg.Batch", m)
 	}
 	if len(replies.Msgs) != 1 {
 		t.Fatalf("reply batch has %d elements, want 1 (junk dropped, valid served)", len(replies.Msgs))
@@ -241,10 +231,10 @@ func TestBatchMalformedFrameSurvives(t *testing.T) {
 	}
 
 	// The connection must still serve subsequent frames.
-	if err := enc.Encode(envelope{Payload: msg.Batch{Msgs: []any{msg.ReadReq{Reg: 0, Op: 42}}}}); err != nil {
+	if _, err := conn.Write(encodeBatchFrame(t, msg.ReadReq{Reg: 0, Op: 42})); err != nil {
 		t.Fatalf("send follow-up batch: %v", err)
 	}
-	if err := dec.Decode(&env); err != nil {
+	if _, err := fr.Next(); err != nil {
 		t.Fatalf("connection died after junk batch: %v", err)
 	}
 }
@@ -282,7 +272,7 @@ func TestPipelinedClientRidesOutCrash(t *testing.T) {
 }
 
 // TestPipelinedClientRetriesExhausted kills every replica: bounded retries
-// must surface ErrRetriesExhausted instead of hanging.
+// must surface ErrQuorumUnavailable instead of hanging.
 func TestPipelinedClientRetriesExhausted(t *testing.T) {
 	initial := map[msg.RegisterID]msg.Value{0: 0.0}
 	addrs, servers := pipeCluster(t, 3, initial)
@@ -299,8 +289,8 @@ func TestPipelinedClientRetriesExhausted(t *testing.T) {
 	go func() { _, err := c.Read(0); done <- err }()
 	select {
 	case err := <-done:
-		if err == nil {
-			t.Fatalf("read against an all-crashed cluster succeeded")
+		if !errors.Is(err, register.ErrQuorumUnavailable) {
+			t.Fatalf("read against an all-crashed cluster: err = %v, want ErrQuorumUnavailable", err)
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatalf("bounded retries did not surface within 10s")

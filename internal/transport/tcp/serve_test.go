@@ -16,8 +16,8 @@ import (
 	"probquorum/internal/transport"
 )
 
-// dialRawBinary opens one raw binary-codec connection to addr: preamble
-// sent, frames are the caller's business.
+// dialRawBinary opens one raw connection to addr; frames are the caller's
+// business.
 func dialRawBinary(t *testing.T, addr string) net.Conn {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
@@ -25,9 +25,6 @@ func dialRawBinary(t *testing.T, addr string) net.Conn {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = conn.Close() })
-	if _, err := conn.Write([]byte{wirePreambleBin}); err != nil {
-		t.Fatal(err)
-	}
 	return conn
 }
 
@@ -109,14 +106,13 @@ func TestServeAllocGate(t *testing.T) {
 type sealedTransport struct{ transport.Transport }
 
 // dialSerialGateClient mirrors Dial's construction with the pieces the gate
-// needs: a serial register.Client over a binary tcpTransport, optionally
-// sealed to force boxed reply delivery.
+// needs: a serial register.Client over a tcpTransport, optionally sealed to
+// force boxed reply delivery.
 func dialSerialGateClient(t *testing.T, addrs []string, writer int32, sealed bool) *register.Client {
 	t.Helper()
-	registerWireTypes()
 	engine := register.NewEngine(writer, quorum.NewMajority(len(addrs)),
 		rng.Derive(1, fmt.Sprintf("serve_test.gate.%d", writer)))
-	tr := newTCPTransport(addrs, WireBinary, 0, &metrics.TransportCounters{}, false, 0, nil)
+	tr := newTCPTransport(addrs, 0, &metrics.TransportCounters{}, false, 0, nil)
 	if err := tr.start(); err != nil {
 		t.Fatal(err)
 	}

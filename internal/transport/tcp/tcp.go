@@ -4,17 +4,20 @@
 // run under the simulator and the goroutine runtime serve here behind
 // network sockets.
 //
-// Frames default to the hand-rolled length-prefixed binary codec
-// (internal/msg/wire.go, see the DESIGN.md "Wire format" section); WithWire
-// (WireGob) keeps the previous reflection-driven encoding/gob stream for
-// cross-codec conformance runs. Each connection announces its codec with a
-// one-byte preamble after dialing, so one server handles both.
+// Frames use the hand-rolled length-prefixed binary codec
+// (internal/msg/wire.go, see the DESIGN.md "Wire format" section) — the one
+// encoding both sides speak, with no negotiation.
 //
-// The design is deliberately simple: each client holds one persistent
-// connection per replica server and performs one request/response exchange
-// at a time per connection. A quorum operation fans out across the quorum's
-// connections in parallel goroutines, so an operation still costs one
-// round-trip.
+// Each client holds one persistent connection per replica server, and every
+// operation travels the same route: requests are framed (one at a time by
+// the serial Client, coalesced into batch frames by the pipelined and
+// keyspace clients' per-server writer goroutines), the server's one serve
+// loop applies them and hands the replies to a per-connection reply writer
+// that coalesces them into batch frames, and the client's reader walks each
+// batch frame straight into the register layer (transport.ReplySink). A
+// quorum operation fans out across the quorum's connections, so it still
+// costs one round-trip; replies are matched to operations by operation id,
+// so a connection carries any number of interleaved exchanges.
 //
 // # Fault model
 //
@@ -24,7 +27,8 @@
 //
 //   - Deadlines: every per-member exchange carries a read/write deadline,
 //     so a silent peer costs at most the operation timeout instead of
-//     wedging the client forever.
+//     wedging the client forever. Frames are self-delimiting, so a read
+//     timeout resyncs on the next frame instead of costing a reconnect.
 //   - Retry with a fresh quorum: an operation whose fan-out fails abandons
 //     its session and re-picks a new random quorum from the engine — the
 //     paper's availability mechanism (Section 4): a probabilistic quorum
@@ -40,9 +44,7 @@
 package tcp
 
 import (
-	"encoding/gob"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
@@ -56,72 +58,6 @@ import (
 	"probquorum/internal/rng"
 	"probquorum/internal/transport"
 )
-
-// envelope wraps a protocol message for gob, which needs a concrete struct
-// around interface-typed payloads.
-type envelope struct {
-	Payload any
-}
-
-// Wire selects a connection's frame encoding.
-type Wire int
-
-const (
-	// WireBinary (the default) frames messages with the length-prefixed
-	// binary codec: ~10× cheaper than gob to encode and self-delimiting, so
-	// a read-deadline timeout resyncs on the next frame instead of forcing a
-	// reconnect.
-	WireBinary Wire = iota
-	// WireGob keeps the stateful encoding/gob stream of earlier releases.
-	// Any error on a gob stream — timeout included — ruins the framing and
-	// costs a reconnect; it remains for one release so the conformance suite
-	// can pin cross-codec equivalence of protocol behavior.
-	WireGob
-)
-
-// Wire-mode preamble: the first byte a client writes after dialing, telling
-// the server which codec the connection speaks.
-const (
-	wirePreambleBin = 'B'
-	wirePreambleGob = 'G'
-)
-
-// WithWire selects the client's frame encoding (default WireBinary).
-func WithWire(w Wire) ClientOption {
-	return func(o *clientOpts) { o.wire = w }
-}
-
-var registerTypesOnce sync.Once
-
-func registerWireTypes() {
-	registerTypesOnce.Do(func() {
-		gob.Register(msg.ReadReq{})
-		gob.Register(msg.ReadReply{})
-		gob.Register(msg.WriteReq{})
-		gob.Register(msg.WriteAck{})
-		gob.Register(msg.Batch{})
-		gob.Register(msg.StaleEpoch{})
-		gob.Register(msg.SnapReq{})
-		gob.Register(msg.SnapReply{})
-		// Common register value types; applications with custom value
-		// types add theirs via RegisterValueType.
-		gob.Register([]float64(nil))
-		gob.Register([]bool(nil))
-		gob.Register("")
-		gob.Register(0)
-		gob.Register(0.0)
-		gob.Register(uint64(0))
-		gob.Register(false)
-	})
-}
-
-// RegisterValueType registers a custom register value type for transport.
-// Call it (in both client and server processes) before Serve or Dial when
-// register values are not among the built-in types.
-func RegisterValueType(v any) {
-	registerWireTypes()
-	gob.Register(v)
-}
 
 // Server serves one replica store over a listener.
 type Server struct {
@@ -137,7 +73,6 @@ type Server struct {
 
 type serverOpts struct {
 	metrics *metrics.ServerMetrics
-	inline  bool
 }
 
 // ServerOption configures a Server.
@@ -151,18 +86,9 @@ func WithServerMetrics(m *metrics.ServerMetrics) ServerOption {
 	return func(o *serverOpts) { o.metrics = m }
 }
 
-// WithInlineReplies disables the per-connection coalescing reply writer and
-// writes every reply frame inline from the serve loop — the pre-coalescing
-// server behavior. It exists as the ablation arm of paired benchmarks
-// (BenchmarkServerScaling) and is not intended for production use.
-func WithInlineReplies() ServerOption {
-	return func(o *serverOpts) { o.inline = true }
-}
-
 // Serve starts serving store on ln. It returns immediately; use Close to
 // stop. The caller owns neither ln nor the spawned goroutines afterwards.
 func Serve(store *replica.Store, ln net.Listener, opts ...ServerOption) *Server {
-	registerWireTypes()
 	s := &Server{store: store, ln: ln, conns: make(map[net.Conn]struct{})}
 	for _, o := range opts {
 		o(&s.opts)
@@ -236,6 +162,21 @@ func (s *Server) acceptLoop() {
 	}
 }
 
+// serveConn serves one connection: length-prefixed frames in, coalesced
+// reply frames out. The loop only applies requests and appends replies to the
+// connection's replyWriter; a dedicated writer goroutine folds whatever has
+// accumulated into one msg.Batch frame per conn.Write, so the reader never
+// waits on the socket and bursty request batches amortize to well under one
+// syscall per reply. Requests — batched or lone — are decoded through the
+// concrete visitor, so the steady-state loop is allocation-free in both
+// directions; only snapshot traffic (and other non-visitor kinds) takes the
+// boxed fallback.
+//
+// Inside a batch frame a malformed or foreign element is dropped rather than
+// fatal: replies are matched by operation id, not position, so skipping junk
+// cannot desynchronize the stream — the junk element's "operation" simply
+// never completes and the sender's per-operation deadline deals with it. A
+// malformed batch envelope or lone frame closes the connection.
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -244,34 +185,6 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 		_ = conn.Close()
 	}()
-	var pre [1]byte
-	if _, err := io.ReadFull(conn, pre[:]); err != nil {
-		return
-	}
-	switch pre[0] {
-	case wirePreambleBin:
-		s.serveBinary(conn)
-	case wirePreambleGob:
-		s.serveGob(conn)
-	default:
-		// Unknown preamble: not a protocol peer; drop the connection.
-	}
-}
-
-// serveBinary serves one binary-codec connection: length-prefixed frames in,
-// coalesced reply frames out. The serve loop only applies requests and
-// appends replies to the connection's replyWriter; a dedicated writer
-// goroutine folds whatever has accumulated into one msg.Batch frame per
-// conn.Write, so the reader never waits on the socket and bursty request
-// batches amortize to well under one syscall per reply. Requests — batched
-// or lone — are decoded through the concrete visitor, so the steady-state
-// loop is allocation-free in both directions; only snapshot traffic (and
-// other non-visitor kinds) takes the boxed fallback.
-func (s *Server) serveBinary(conn net.Conn) {
-	if s.opts.inline {
-		s.serveBinaryInline(conn)
-		return
-	}
 	fr := msg.NewFrameReader(conn)
 	rw := newReplyWriter(conn, s.opts.metrics)
 	defer rw.close()
@@ -333,7 +246,12 @@ func (s *Server) serveBinary(conn net.Conn) {
 		}
 		reply, ok := s.store.Apply(m)
 		if !ok {
-			// Crashed store: close the connection (see serveGob for why).
+			// Crashed store (or a non-protocol message): close the
+			// connection instead of silently skipping the reply. A client
+			// whose request vanished would wait out its whole deadline; a
+			// closed connection surfaces promptly as an error on the
+			// client's pending call — its crash signal — and the client
+			// re-dials on next use.
 			return
 		}
 		if !rw.addBoxed(reply) {
@@ -353,152 +271,6 @@ func (rw *replyWriter) addBoxed(reply any) bool {
 	}
 	*buf = out[:0]
 	return rw.addRaw(out)
-}
-
-// serveBinaryInline is the pre-coalescing binary serve loop — one conn.Write
-// per reply (per reply frame for batches), kept behind WithInlineReplies as
-// the benchmark ablation arm.
-func (s *Server) serveBinaryInline(conn net.Conn) {
-	fr := msg.NewFrameReader(conn)
-	buf := msg.GetEncodeBuf()
-	defer msg.PutEncodeBuf(buf)
-	for {
-		payload, err := fr.NextRaw()
-		if err != nil {
-			return // connection closed or corrupt; drop it
-		}
-		if msg.IsBatchPayload(payload) {
-			if !s.serveBatchBinary(conn, buf, payload) {
-				return
-			}
-			continue
-		}
-		m, err := msg.DecodePayload(payload)
-		if err != nil {
-			return
-		}
-		reply, ok := s.store.Apply(m)
-		if !ok {
-			// Crashed store: close the connection (see serveGob for why).
-			return
-		}
-		out, err := msg.AppendMessage((*buf)[:0], reply)
-		if err != nil {
-			return
-		}
-		*buf = out[:0]
-		if _, err := conn.Write(out); err != nil {
-			return
-		}
-	}
-}
-
-// serveBatchBinary is serveBatch for the binary codec, on the allocation-free
-// walk: recognized requests are applied through the store's concrete-typed
-// paths and answered in one incrementally built reply frame, junk elements
-// are dropped (batch replies match by operation id, not position), and a
-// crashed store or malformed batch envelope closes the connection.
-func (s *Server) serveBatchBinary(conn net.Conn, buf *[]byte, payload []byte) bool {
-	var w msg.BatchWriter
-	w.Reset((*buf)[:0])
-	encodeFailed := false
-	completed, err := msg.VisitBatchPayload(payload, msg.BatchVisitor{
-		ReadReq: func(m msg.ReadReq) bool {
-			if rej, stale := s.store.StaleFor(m.Reg, m.Op, m.Epoch); stale {
-				w.AddStaleEpoch(rej)
-				return true
-			}
-			reply, ok := s.store.ApplyRead(m)
-			if !ok {
-				return false // crashed
-			}
-			if err := w.AddReadReply(reply); err != nil {
-				encodeFailed = true
-				return false
-			}
-			return true
-		},
-		WriteReq: func(m msg.WriteReq) bool {
-			if rej, stale := s.store.StaleFor(m.Reg, m.Op, m.Epoch); stale {
-				w.AddStaleEpoch(rej)
-				return true
-			}
-			ack, ok := s.store.ApplyWrite(m)
-			if !ok {
-				return false // crashed
-			}
-			w.AddWriteAck(ack)
-			return true
-		},
-		// Reply-kind elements are foreign on a server-bound stream; leaving
-		// their callbacks nil drops them, like any other junk.
-	})
-	if err != nil || !completed || encodeFailed {
-		return false
-	}
-	out := w.Finish()
-	*buf = out[:0]
-	_, werr := conn.Write(out)
-	return werr == nil
-}
-
-// serveGob serves one legacy gob-stream connection.
-func (s *Server) serveGob(conn net.Conn) {
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
-	for {
-		var env envelope
-		if err := dec.Decode(&env); err != nil {
-			return // connection closed or corrupt; drop it
-		}
-		if batch, ok := env.Payload.(msg.Batch); ok {
-			if !s.serveBatch(enc, batch) {
-				return
-			}
-			continue
-		}
-		reply, ok := s.store.Apply(env.Payload)
-		if !ok {
-			// Crashed store (or a non-protocol message): close the
-			// connection instead of silently skipping the reply. Skipping
-			// one reply on a persistent connection would desynchronize
-			// request/reply pairing for every operation after Recover; a
-			// closed connection surfaces promptly as an error on the
-			// client's pending call, and the client re-dials on next use.
-			// (The binary path keeps the same behavior: a closed connection
-			// is the client's crash signal under either codec.)
-			return
-		}
-		if err := enc.Encode(envelope{Payload: reply}); err != nil {
-			return
-		}
-	}
-}
-
-// serveBatch applies every recognized request in a batch frame and answers
-// with one batch of replies; it reports whether the connection should stay
-// open. Unlike the strict request/reply path above, a malformed element
-// inside a well-formed frame is dropped rather than fatal: batch replies are
-// matched by operation id, not position, so skipping junk cannot
-// desynchronize the stream — the junk element's "operation" simply never
-// completes and the sender's per-operation deadline deals with it. A crashed
-// store still closes the connection, which is the client's prompt crash
-// signal.
-func (s *Server) serveBatch(enc *gob.Encoder, batch msg.Batch) bool {
-	replies := make([]any, 0, len(batch.Msgs))
-	for _, m := range batch.Msgs {
-		switch m.(type) {
-		case msg.ReadReq, msg.WriteReq:
-			reply, ok := s.store.Apply(m)
-			if !ok {
-				return false // crashed
-			}
-			replies = append(replies, reply)
-		default:
-			// Malformed or foreign element: drop it, keep the connection.
-		}
-	}
-	return enc.Encode(envelope{Payload: msg.Batch{Msgs: replies}}) == nil
 }
 
 // Close stops accepting, closes all connections, and waits for the serving
@@ -543,7 +315,7 @@ type ClientOption func(*clientOpts)
 
 // clientOpts embeds the shared register.Settings — the transport-independent
 // client configuration — plus the knobs only the TCP transport has. Every
-// With* option is a thin wrapper writing one field; Dial and DialPipelined
+// With* option is a thin wrapper writing one field; the Dial* constructors
 // hand the Settings to register.Apply / register.ApplyPipeline.
 type clientOpts struct {
 	register.Settings
@@ -552,7 +324,6 @@ type clientOpts struct {
 	noFastRead bool
 	writer     int32
 	seed       uint64
-	wire       Wire
 	tally      *metrics.AccessTally
 	view       quorum.View
 	hasView    bool
@@ -627,16 +398,34 @@ func WithTally(t *metrics.AccessTally) ClientOption {
 	return func(o *clientOpts) { o.tally = t }
 }
 
-// Dial connects to every replica server address. The quorum system's N must
-// match the address count.
-func Dial(addrs []string, sys quorum.System, opts ...ClientOption) (*Client, error) {
-	registerWireTypes()
-	o := clientOpts{seed: 1}
-	o.RetryBackoff, o.RetryBackoffMax = 2*time.Millisecond, 100*time.Millisecond
-	for _, opt := range opts {
-		opt(&o)
+// dialed is what the one construction path hands each Dial* constructor:
+// the applied options, the engines, and the started transport — rt is tr
+// behind the message-counting shim when the caller passed counters.
+type dialed struct {
+	clientOpts
+	engines []*register.Engine
+	tr      *tcpTransport
+	rt      transport.Transport
+}
+
+// dial is the construction path shared by Dial, DialPipelined and
+// DialKeyspace: options → view → engines → started transport → optional
+// counting shim. kind names the client flavour in the engines' rng.Derive
+// labels, so seeded runs reproduce per flavour. pipelined selects the
+// transport's batching mode and its defaults — a 2s per-operation deadline
+// (defaultPipelineTimeout) and frames of up to 16 requests — where the
+// serial client instead defaults to no deadline and 2ms–100ms retry backoff.
+// shards > 0 builds that many op-id-strided engines (a keyspace); 0 builds
+// the one engine of a single-pipeline client.
+func dial(addrs []string, sys quorum.System, opts []ClientOption, kind string, pipelined bool, shards int) (*dialed, error) {
+	d := &dialed{clientOpts: clientOpts{seed: 1, maxBatch: defaultMaxBatch}}
+	if !pipelined {
+		d.RetryBackoff, d.RetryBackoffMax = 2*time.Millisecond, 100*time.Millisecond
 	}
-	addrs, err := applyView(&o, addrs)
+	for _, opt := range opts {
+		opt(&d.clientOpts)
+	}
+	addrs, err := applyView(&d.clientOpts, addrs)
 	if err != nil {
 		return nil, err
 	}
@@ -646,40 +435,92 @@ func Dial(addrs []string, sys quorum.System, opts ...ClientOption) (*Client, err
 	}
 	// Message counting costs two contended atomics per message, so the
 	// transport is only instrumented when the caller asked for counters.
-	counted := o.Counters != nil
-	if o.Counters == nil {
-		o.Counters = &metrics.TransportCounters{}
+	counted := d.Counters != nil
+	if !counted {
+		d.Counters = &metrics.TransportCounters{}
 	}
-	o.Proc = msg.NodeID(o.writer)
+	if pipelined && d.OpTimeout <= 0 {
+		d.OpTimeout = defaultPipelineTimeout
+	}
+	if d.maxBatch < 1 {
+		d.maxBatch = 1
+	}
+	d.Proc = msg.NodeID(d.writer)
+
 	var eopts []register.Option
-	if o.monotone {
+	if d.monotone {
 		eopts = append(eopts, register.Monotone())
 	}
-	if o.noFastRead {
+	if d.noFastRead {
 		eopts = append(eopts, register.WithoutFastRead())
 	}
-	if o.tally != nil {
-		eopts = append(eopts, register.WithTally(o.tally))
+	if d.tally != nil {
+		eopts = append(eopts, register.WithTally(d.tally))
 	}
-	if o.hasView {
-		eopts = append(eopts, register.WithView(o.view))
+	if d.hasView {
+		eopts = append(eopts, register.WithView(d.view))
 	}
-	engine := register.NewEngine(o.writer, sys,
-		rng.Derive(o.seed, fmt.Sprintf("tcp.client.%d", o.writer)), eopts...)
+	label := fmt.Sprintf("tcp.%s.%d", kind, d.writer)
+	if shards == 0 {
+		d.engines = append(d.engines, register.NewEngine(d.writer, sys, rng.Derive(d.seed, label), eopts...))
+	}
+	for i := 0; i < shards; i++ {
+		sopts := append([]register.Option{
+			register.WithOpStride(uint64(i), uint64(shards)),
+		}, eopts...)
+		d.engines = append(d.engines, register.NewEngine(d.writer, sys,
+			rng.Derive(d.seed, fmt.Sprintf("%s.%d", label, i)), sopts...))
+	}
 
-	tr := newTCPTransport(addrs, o.wire, o.OpTimeout, o.Counters, false, 0, nil)
-	if o.hasView {
-		tr.epoch = o.view.Epoch
+	d.tr = newTCPTransport(addrs, d.OpTimeout, d.Counters, pipelined, d.maxBatch, d.batchHist)
+	if d.hasView {
+		d.tr.epoch = d.view.Epoch
 	}
-	if err := tr.start(); err != nil {
+	if err := d.tr.start(); err != nil {
 		return nil, err
 	}
-	var rt transport.Transport = tr
+	d.rt = d.tr
 	if counted {
-		rt = transport.Instrument(tr, o.Counters)
+		d.rt = transport.Instrument(d.tr, d.Counters)
 	}
-	rc := register.NewClient(engine, rt, register.Apply(o.Settings)...)
-	return &Client{rc: rc, engine: engine, tr: tr, counters: o.Counters}, nil
+	return d, nil
+}
+
+// checkValue rejects a register value the wire codec cannot carry
+// (msg.ErrUnsupportedValue) before the write is submitted: discovered later,
+// inside a connection's writer, it would kill the connection and burn the
+// retry budget of every operation sharing the frame. It trial-encodes the
+// value into pooled scratch, so the codec stays the one place that knows the
+// value union.
+func checkValue(val msg.Value) error {
+	buf := msg.GetEncodeBuf()
+	defer msg.PutEncodeBuf(buf)
+	var w msg.BatchWriter
+	w.Reset((*buf)[:0])
+	err := w.AddReadReply(msg.ReadReply{Tag: msg.Tagged{Val: val}})
+	*buf = w.Finish()[:0] // capture pool-buffer growth
+	return err
+}
+
+// rejectWrite returns an already-failed operation for a write checkValue
+// refused, invoking fn (if any) with the error. Submitting to a pipeline
+// closed with err is how register hands out a failed PendingOp; this is the
+// cold path.
+func rejectWrite(reg msg.RegisterID, err error, fn func(msg.Tagged, error)) *register.PendingOp {
+	p := register.NewPipeline(nil, nil)
+	p.Close(err)
+	return p.WriteAsyncFunc(reg, nil, fn)
+}
+
+// Dial connects to every replica server address. The quorum system's N must
+// match the address count.
+func Dial(addrs []string, sys quorum.System, opts ...ClientOption) (*Client, error) {
+	d, err := dial(addrs, sys, opts, "client", false, 0)
+	if err != nil {
+		return nil, err
+	}
+	rc := register.NewClient(d.engines[0], d.rt, register.Apply(d.Settings)...)
+	return &Client{rc: rc, engine: d.engines[0], tr: d.tr, counters: d.Counters}, nil
 }
 
 // Close closes every server connection.
@@ -711,6 +552,9 @@ func (c *Client) ReadAtomic(reg msg.RegisterID) (msg.Tagged, error) {
 // timestamp (replicas deduplicate installations by timestamp), so partial
 // fan-outs of abandoned attempts are harmless.
 func (c *Client) Write(reg msg.RegisterID, val msg.Value) error {
+	if err := checkValue(val); err != nil {
+		return err
+	}
 	_, err := c.rc.Write(reg, val)
 	return err
 }

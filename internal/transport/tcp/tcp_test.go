@@ -1,12 +1,17 @@
 package tcp
 
 import (
+	"errors"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"probquorum/internal/metrics"
 	"probquorum/internal/msg"
 	"probquorum/internal/quorum"
+	"probquorum/internal/register"
 	"probquorum/internal/replica"
 )
 
@@ -215,24 +220,89 @@ func TestServerCloseIdempotent(t *testing.T) {
 	srv.Close()
 }
 
-func TestRegisterValueType(t *testing.T) {
-	type custom struct{ A, B int }
-	RegisterValueType(custom{})
-	addrs := startCluster(t, 3, map[msg.RegisterID]msg.Value{0: nil})
+// TestValueUnionOverTCP writes one value of every type in the wire codec's
+// union and reads it back with its Go type intact.
+func TestValueUnionOverTCP(t *testing.T) {
+	addrs := startCluster(t, 3, map[msg.RegisterID]msg.Value{0: "init"})
 	c, err := Dial(addrs, quorum.NewAll(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Write(0, custom{A: 1, B: 2}); err != nil {
-		t.Fatal(err)
+	for _, val := range []msg.Value{
+		nil, int64(-5), int(7), uint64(1 << 63), 2.5, true, "s",
+		[]byte{1, 2}, []float64{1.5, -2}, []bool{true, false},
+	} {
+		if err := c.Write(0, val); err != nil {
+			t.Fatalf("write %T: %v", val, err)
+		}
+		tag, err := c.Read(0)
+		if err != nil {
+			t.Fatalf("read %T back: %v", val, err)
+		}
+		if !reflect.DeepEqual(tag.Val, val) {
+			t.Errorf("wrote %#v (%T), read %#v (%T)", val, val, tag.Val, tag.Val)
+		}
 	}
-	tag, err := c.Read(0)
+}
+
+// TestUnsupportedValueFailsFast pins every write entry point's up-front
+// check: a value outside the codec's union is refused with
+// msg.ErrUnsupportedValue before anything is sent — no retry budget burns,
+// no connection dies — and the client keeps working.
+func TestUnsupportedValueFailsFast(t *testing.T) {
+	type custom struct{ A, B int }
+	bad := custom{A: 1, B: 2}
+	addrs := startCluster(t, 3, map[msg.RegisterID]msg.Value{0: nil})
+	sys := quorum.NewAll(3)
+
+	serial, err := Dial(addrs, sys, WithOpTimeout(50*time.Millisecond), WithRetries(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := tag.Val.(custom); !ok || got.A != 1 || got.B != 2 {
-		t.Fatalf("custom value = %#v", tag.Val)
+	defer serial.Close()
+	pipe, err := DialPipelined(addrs, sys, WithWriter(2), WithRetries(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pipe.Close()
+	ks, err := DialKeyspace(addrs, sys, 2, WithWriter(3), WithRetries(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ks.Close()
+
+	wait := func(op *register.PendingOp) error { _, err := op.Wait(); return err }
+	for _, tc := range []struct {
+		name     string
+		write    func(val msg.Value) error
+		counters *metrics.TransportCounters
+	}{
+		{"Client.Write", func(v msg.Value) error { return serial.Write(0, v) }, serial.Counters()},
+		{"PipelinedClient.Write", func(v msg.Value) error { return pipe.Write(0, v) }, pipe.Counters()},
+		{"PipelinedClient.WriteAsync", func(v msg.Value) error { return wait(pipe.WriteAsync(0, v)) }, pipe.Counters()},
+		{"KeyspaceClient.Write", func(v msg.Value) error { return ks.Write(0, v) }, ks.Counters()},
+		{"KeyspaceClient.WriteAsync", func(v msg.Value) error { return wait(ks.WriteAsync(0, v)) }, ks.Counters()},
+		{"KeyspaceClient.WriteAsyncFunc", func(v msg.Value) error {
+			got := make(chan error, 1)
+			op := ks.WriteAsyncFunc(0, v, func(_ msg.Tagged, err error) { got <- err })
+			if cb := <-got; cb != wait(op) {
+				t.Errorf("callback got %v, Wait got %v", cb, wait(op))
+			}
+			return wait(op)
+		}, ks.Counters()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.write(bad); !errors.Is(err, msg.ErrUnsupportedValue) {
+				t.Fatalf("write of a %T: err = %v, want msg.ErrUnsupportedValue", bad, err)
+			}
+			if err := tc.write("fine"); err != nil {
+				t.Fatalf("write after the refused one: %v", err)
+			}
+			if r, d := tc.counters.Retries.Value(), tc.counters.Reconnects.Value(); r != 0 || d != 0 {
+				t.Errorf("refused write cost %d retries and %d reconnects, want 0 and 0", r, d)
+			}
+		})
 	}
 }
 

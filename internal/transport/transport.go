@@ -111,14 +111,9 @@ type countedReplies struct {
 	tc *metrics.TransportCounters
 }
 
-func (c *countedReplies) ReadReply(server int, m msg.ReadReply) {
-	c.tc.MsgsRecv.Inc()
-	c.rs.ReadReply(server, m)
-}
-
-func (c *countedReplies) WriteAck(server int, m msg.WriteAck) {
-	c.tc.MsgsRecv.Inc()
-	c.rs.WriteAck(server, m)
+func (c *countedReplies) ReplyBatch(server int, reads []msg.ReadReply, acks []msg.WriteAck) {
+	c.tc.MsgsRecv.Add(int64(len(reads) + len(acks)))
+	c.rs.ReplyBatch(server, reads, acks)
 }
 
 func (c *countedReplies) StaleEpoch(server int, m msg.StaleEpoch) {

@@ -33,6 +33,11 @@ go build ./...
 echo "== go test =="
 go test $race ./...
 
+echo "== bench module =="
+# bench/ is a nested module, so the ./... patterns above never compile it; an
+# API deletion in the main module could break the benchmark unnoticed.
+(cd bench && go vet ./... && go test $race ./...)
+
 echo "== allocation gates =="
 # The testing.AllocsPerRun pins run as ordinary tests (and self-skip under
 # -race, where the instrumentation inflates counts); naming them here keeps
@@ -86,6 +91,17 @@ deprecated_uses="$(grep -rn \
 if [ -n "$deprecated_uses" ]; then
     echo "check.sh: new uses of deprecated identifiers (migrate to register.ErrQuorumUnavailable / WithOpTimeout+WithRetries):" >&2
     echo "$deprecated_uses" >&2
+    hygiene_fail=1
+fi
+# The TCP transport carries an op along one route (binary frames, one serve
+# loop, whole-frame reply delivery); the gob wire, the inline serve loop and
+# the per-element reply leg were deleted with the options that selected them.
+retired_uses="$(grep -rnE 'WireGob|WithWire|WithInlineReplies|RegisterValueType|BatchReplySink' \
+    --include='*.go' . || true)"
+gob_imports="$(grep -rn '"encoding/gob"' --include='*.go' --exclude='*_test.go' . || true)"
+if [ -n "$retired_uses$gob_imports" ]; then
+    echo "check.sh: retired TCP data-path forks reappeared (gob wire, inline replies, per-element reply sink):" >&2
+    echo "$retired_uses$gob_imports" >&2
     hygiene_fail=1
 fi
 # Every exported With* option must carry a doc comment: the unified options
