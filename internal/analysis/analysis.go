@@ -43,6 +43,42 @@ func NonOverlapProb(n, k int) float64 {
 	return math.Exp(LogBinomial(n-k, k) - LogBinomial(n, k))
 }
 
+// NonOverlapProbSuspects is NonOverlapProb for clients that pick around
+// servers they suspect (the fault-aware fan-out): the probability that a read
+// quorum misses a write quorum when the writer drew its k-subset uniformly
+// from the n−sw servers it does not suspect and the reader draws its own from
+// the n−sr it does not suspect, common of the suspects being shared. Of the
+// writer's k members, i fall among the d = sr−common servers only the reader
+// avoids — hypergeometrically, d specials in the writer's universe of n−sw —
+// and are invisible to the reader, which must then miss the other k−i inside
+// its own universe:
+//
+//	ε = Σ_i  C(d,i)·C(n−sw−d, k−i)/C(n−sw, k)  ·  C(n−sr−(k−i), k)/C(n−sr, k)
+//
+// Suspicions the two share only shrink the universe (ε = NonOverlapProb(n−s,
+// k) < NonOverlapProb(n, k) when both suspect the same s). Suspects of one
+// side alone change nothing: a quorum uniform over all n servers misses any
+// fixed k-subset equally often, wherever that subset was drawn from. ε rises
+// only when both sides avoid servers and disagree on which, and then slowly:
+// for n = 34, k = 6 it is 0.2801 with no suspects and 0.2805, 0.2818, 0.2841
+// with one, two, three suspects each, none shared. When a suspicion is right
+// the avoided server is down and could not have answered anyway; the formula
+// prices wrong ones. It is 0 whenever 2k > n, as for a majority.
+func NonOverlapProbSuspects(n, k, sw, sr, common int) float64 {
+	d := sr - common
+	if d < 0 || common > sw || k > n-sw || k > n-sr {
+		return math.NaN()
+	}
+	var eps float64
+	for i := 0; i <= k && i <= d; i++ {
+		if miss := n - sr - (k - i); miss >= k {
+			eps += Hypergeometric(n-sw, d, k, i) *
+				math.Exp(LogBinomial(miss, k)-LogBinomial(n-sr, k))
+		}
+	}
+	return eps
+}
+
 // OverlapProb returns q = 1 − C(n−k, k)/C(n, k), the per-read "success"
 // probability of condition [R5] for the monotone probabilistic quorum
 // algorithm (Theorem 4).

@@ -289,3 +289,66 @@ func TestMaskingVulnerableProb(t *testing.T) {
 		prev = cur
 	}
 }
+
+// TestNonOverlapProbSuspectsBruteForce enumerates, for small systems, every
+// write quorum in the writer's universe against every read quorum in the
+// reader's and compares the share of disjoint pairs with the closed form.
+// The writer suspects servers [0, sw); the reader suspects common of those
+// plus the sr−common servers just above them.
+func TestNonOverlapProbSuspectsBruteForce(t *testing.T) {
+	for _, c := range []struct{ n, k, sw, sr, common int }{
+		{8, 2, 0, 0, 0},
+		{8, 2, 2, 2, 2}, // agreed suspects
+		{8, 2, 3, 0, 0}, // the writer's alone
+		{8, 2, 0, 3, 0}, // the reader's alone
+		{9, 3, 2, 3, 1},
+		{10, 3, 1, 4, 0},
+		{7, 4, 1, 2, 0}, // a majority: always 0
+	} {
+		var wu, ru uint // universes as bitmasks
+		for s := 0; s < c.n; s++ {
+			if s >= c.sw {
+				wu |= 1 << s
+			}
+			if !(s < c.common || (s >= c.sw && s < c.sw+c.sr-c.common)) {
+				ru |= 1 << s
+			}
+		}
+		var pairs, miss int
+		for w := uint(0); w < 1<<c.n; w++ {
+			if w&^wu != 0 || bitCount(w) != c.k {
+				continue
+			}
+			for r := uint(0); r < 1<<c.n; r++ {
+				if r&^ru != 0 || bitCount(r) != c.k {
+					continue
+				}
+				pairs++
+				if w&r == 0 {
+					miss++
+				}
+			}
+		}
+		want := float64(miss) / float64(pairs)
+		if got := NonOverlapProbSuspects(c.n, c.k, c.sw, c.sr, c.common); math.Abs(got-want) > 1e-12 {
+			t.Errorf("NonOverlapProbSuspects%v = %v, want %v", c, got, want)
+		}
+	}
+	if got, want := NonOverlapProbSuspects(34, 6, 0, 0, 0), NonOverlapProb(34, 6); math.Abs(got-want) > 1e-12 {
+		t.Errorf("with no suspects %v, want NonOverlapProb = %v", got, want)
+	}
+	if got, want := NonOverlapProbSuspects(34, 6, 3, 3, 3), NonOverlapProb(31, 6); math.Abs(got-want) > 1e-12 {
+		t.Errorf("with three agreed suspects %v, want NonOverlapProb(31, 6) = %v", got, want)
+	}
+	if !math.IsNaN(NonOverlapProbSuspects(8, 3, 6, 0, 0)) {
+		t.Error("fewer than k unsuspected servers accepted")
+	}
+}
+
+func bitCount(x uint) int {
+	n := 0
+	for ; x != 0; x &= x - 1 {
+		n++
+	}
+	return n
+}

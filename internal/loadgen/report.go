@@ -53,6 +53,14 @@ func (res *Result) Summary() string {
 		fmt.Fprintf(&b, "  %-6s issued %d completed %d errors %d  p50 %v  p99 %v\n",
 			kind, ks.Issued, ks.Completed, ks.Errors, ks.Hist.Quantile(0.50), ks.Hist.Quantile(0.99))
 	}
+	for _, iv := range res.Intervals {
+		fmt.Fprintf(&b, "  @%-7v completed %d errors %d  p50 %v  p99 %v",
+			iv.Start.Round(time.Millisecond), iv.Completed, iv.Errors, iv.P50, iv.P99)
+		if iv.Obs != nil {
+			fmt.Fprintf(&b, "  %s", faultCounterLine(iv.Obs))
+		}
+		b.WriteByte('\n')
+	}
 	if res.Trace != nil {
 		fmt.Fprintf(&b, "soak: %d trace ops, %d retired keys, %d isolation violations\n",
 			len(res.Trace), res.RetiredKeys, res.IsolationViolations)
@@ -61,6 +69,24 @@ func (res *Result) Summary() string {
 		fmt.Fprintf(&b, "server obs delta: %s\n", obsCounterLine(res.Obs))
 	}
 	return b.String()
+}
+
+// faultCounterLine sums an interval's client fault counters over every
+// registered client: deadlines that spent retry budget, the members silent at
+// them, and the fault-aware fan-out's suspicions, top-ups and probes.
+func faultCounterLine(s *obs.Snapshot) string {
+	suffixes := []string{"retries", "timeouts", "suspicions", "top_ups", "probes"}
+	parts := make([]string, len(suffixes))
+	for i, suffix := range suffixes {
+		var sum int64
+		for name, v := range s.Counters {
+			if strings.HasSuffix(name, "."+suffix) {
+				sum += v
+			}
+		}
+		parts[i] = fmt.Sprintf("%s %d", suffix, sum)
+	}
+	return strings.Join(parts, "  ")
 }
 
 // obsCounterLine compresses an obs delta to its non-zero counters in sorted

@@ -27,7 +27,8 @@ type TestbedConfig struct {
 	// JoinTimeout bounds a state transfer during grow/shrink (default 5s).
 	JoinTimeout time.Duration
 	// Registry, when set, receives every server's health probe and metrics
-	// plus per-client transport counters and phase observers.
+	// plus per-client transport counters and each client's per-server
+	// suspicion probes (for the servers of the initial view).
 	Registry *obs.Registry
 }
 
@@ -103,6 +104,9 @@ func NewTestbed(cfg TestbedConfig) (*Testbed, error) {
 		if err != nil {
 			tb.Close()
 			return nil, fmt.Errorf("loadgen: dial client %d: %w", c, err)
+		}
+		if cfg.Registry != nil {
+			cl.RegisterHealth(cfg.Registry, fmt.Sprintf("loadgen.client.%d.server", c))
 		}
 		tb.clients = append(tb.clients, cl)
 	}

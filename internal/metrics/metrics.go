@@ -46,7 +46,9 @@ func (c *Counter) Reset() { c.n.Store(0) }
 type TransportCounters struct {
 	// Retries counts operations abandoned and re-issued on a fresh quorum.
 	Retries Counter
-	// Timeouts counts per-member calls that hit their deadline.
+	// Timeouts counts per-member calls that hit their deadline: a serial
+	// client's socket deadlines, and one per quorum member still silent when
+	// a pipelined operation's deadline expires.
 	Timeouts Counter
 	// Reconnects counts dead connections successfully re-dialed.
 	Reconnects Counter
@@ -61,6 +63,21 @@ type TransportCounters struct {
 	// ViewAdopts counts membership views adopted mid-stream after a
 	// stale-epoch reject — the client-side pulse of a reconfiguration.
 	ViewAdopts Counter
+	// TopUps counts quorum members replaced inside a live attempt: the
+	// request re-sent to one fresh server instead of the operation restarting
+	// on a fresh quorum.
+	TopUps Counter
+	// Suspicions counts servers newly marked suspected (a dead connection, a
+	// failed hand-off, silence past the deadline); picks avoid them until a
+	// reply clears the mark.
+	Suspicions Counter
+	// Probes counts shadow requests sent to suspected servers to notice
+	// their recovery.
+	Probes Counter
+	// SendDrops counts requests the transport lost before the wire — a burst
+	// dropped on a failed (re-)dial or write, a full send queue. Each is also
+	// reported to the client as a per-server error.
+	SendDrops Counter
 }
 
 // Snapshot returns the three fault-path counts at once.

@@ -43,9 +43,11 @@ func (t *AccessTally) Register(name string, r Registrar) *AccessTally {
 	return t
 }
 
-// Register adds all six counters to r under prefix, as "<prefix>.retries",
+// Register adds every counter to r under prefix, as "<prefix>.retries",
 // "<prefix>.timeouts", "<prefix>.reconnects", "<prefix>.stale_drops",
-// "<prefix>.msgs_sent" and "<prefix>.msgs_recv". It returns the receiver.
+// "<prefix>.msgs_sent", "<prefix>.msgs_recv", "<prefix>.view_adopts",
+// "<prefix>.top_ups", "<prefix>.suspicions", "<prefix>.probes" and
+// "<prefix>.send_drops". It returns the receiver.
 func (t *TransportCounters) Register(prefix string, r Registrar) *TransportCounters {
 	t.Retries.Register(prefix+".retries", r)
 	t.Timeouts.Register(prefix+".timeouts", r)
@@ -54,5 +56,9 @@ func (t *TransportCounters) Register(prefix string, r Registrar) *TransportCount
 	t.MsgsSent.Register(prefix+".msgs_sent", r)
 	t.MsgsRecv.Register(prefix+".msgs_recv", r)
 	t.ViewAdopts.Register(prefix+".view_adopts", r)
+	t.TopUps.Register(prefix+".top_ups", r)
+	t.Suspicions.Register(prefix+".suspicions", r)
+	t.Probes.Register(prefix+".probes", r)
+	t.SendDrops.Register(prefix+".send_drops", r)
 	return t
 }

@@ -12,6 +12,7 @@ package obs
 import (
 	"sort"
 	"sync"
+	"time"
 
 	"probquorum/internal/metrics"
 )
@@ -133,9 +134,13 @@ func (r *Registry) LatencyHist(name string) *metrics.LatencyHist {
 	return h
 }
 
-// Health is one server's liveness report: whether its replica store is
-// serving (a crashed store drops requests on the floor), how many transport
-// sessions are attached, and the store's cumulative request counts.
+// Health is one server's liveness report. Registered by a server it says
+// whether its replica store is serving (a crashed store drops requests on the
+// floor), how many transport sessions are attached, and the store's
+// cumulative request counts. Registered by a client (one probe per server of
+// its view) it says whether that client currently suspects the server — Live
+// is then "not suspected" — since when, and the last failure it attributed to
+// it.
 type Health struct {
 	Live     bool   `json:"live"`
 	Sessions int    `json:"sessions"`
@@ -147,6 +152,11 @@ type Health struct {
 	// Both stay zero for servers running in static (pre-membership) mode.
 	Epoch uint64 `json:"epoch,omitempty"`
 	View  int    `json:"view,omitempty"`
+	// Since is when a client's current suspicion of the server began (nil
+	// when it suspects nothing), LastError the most recent failure the client
+	// attributed to the server, kept after the suspicion clears.
+	Since     *time.Time `json:"suspected_since,omitempty"`
+	LastError string     `json:"last_error,omitempty"`
 }
 
 // HealthFunc samples one server's current health. It must be safe to call

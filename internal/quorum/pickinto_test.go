@@ -1,6 +1,7 @@
 package quorum
 
 import (
+	"math"
 	"math/rand/v2"
 	"reflect"
 	"sort"
@@ -133,5 +134,133 @@ func TestPickIntoAllocs(t *testing.T) {
 		if allocs > 0 {
 			t.Errorf("%s: PickInto allocates %v/op, want 0", sys.Name(), allocs)
 		}
+		avoid := maskOf(2)
+		allocs = testing.AllocsPerRun(200, func() {
+			dst = PickAvoiding(sys, dst, r, avoid)
+		})
+		if allocs > 0 {
+			t.Errorf("%s: PickAvoiding allocates %v/op, want 0", sys.Name(), allocs)
+		}
+	}
+}
+
+func maskOf(servers ...int) Mask {
+	var m Mask
+	for _, s := range servers {
+		m = m.With(s)
+	}
+	return m
+}
+
+// TestPickAvoidingUniform draws ≥ 50k quorums per row and checks, by
+// chi-square, that membership is uniform over the servers the pick may use:
+// the unmasked ones, or all of them once fewer than Size() remain unmasked.
+func TestPickAvoidingUniform(t *testing.T) {
+	const draws = 60000
+	for _, tc := range []struct {
+		name  string
+		sys   System
+		avoid Mask
+	}{
+		{"maj5/0", NewMajority(5), nil},
+		{"maj5/1", NewMajority(5), maskOf(1)},
+		{"maj5/3-ignored", NewMajority(5), maskOf(0, 2, 4)},
+		{"k6n34/0", NewProbabilistic(34, 6), nil},
+		{"k6n34/1", NewProbabilistic(34, 6), maskOf(33)},
+		{"k6n34/3", NewProbabilistic(34, 6), maskOf(0, 17, 31)},
+		{"k6n70/3", NewProbabilistic(70, 6), maskOf(5, 64, 69)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n, k := tc.sys.N(), tc.sys.Size()
+			allowed := make([]bool, n)
+			m := 0
+			for s := range allowed {
+				if allowed[s] = !tc.avoid.Has(s); allowed[s] {
+					m++
+				}
+			}
+			if m < k {
+				m = n
+				for s := range allowed {
+					allowed[s] = true
+				}
+			}
+			r := rand.New(rand.NewPCG(5, 8))
+			counts := make([]int, n)
+			var dst []int
+			for i := 0; i < draws; i++ {
+				dst = PickAvoiding(tc.sys, dst, r, tc.avoid)
+				if len(dst) != k {
+					t.Fatalf("quorum %v has %d members, want %d", dst, len(dst), k)
+				}
+				seen := map[int]bool{}
+				for _, s := range dst {
+					if s < 0 || s >= n || !allowed[s] || seen[s] {
+						t.Fatalf("quorum %v: server %d out of range, masked or repeated", dst, s)
+					}
+					seen[s] = true
+					counts[s]++
+				}
+			}
+			// Each allowed server is a member with probability k/m. The
+			// statistic has m-1 degrees of freedom (scaled by 1-k/m for
+			// sampling without replacement, which only tightens it);
+			// mean + 5·sd of that chi-square is far beyond a fair sampler
+			// and well below any biased one at this draw count.
+			want := float64(draws) * float64(k) / float64(m)
+			var chi2 float64
+			for s, c := range counts {
+				if allowed[s] {
+					d := float64(c) - want
+					chi2 += d * d / want
+				}
+			}
+			df := float64(m - 1)
+			if limit := df + 5*math.Sqrt(2*df); chi2 > limit {
+				t.Fatalf("chi-square %.1f over %d servers exceeds %.1f: counts %v", chi2, m, limit, counts)
+			}
+		})
+	}
+}
+
+// TestPickAvoidingEmptyMaskIsPickInto pins the healthy path: with nothing to
+// avoid — and for systems that are not KSubsets, whatever the mask —
+// PickAvoiding returns PickInto's quorums from PickInto's draws.
+func TestPickAvoidingEmptyMaskIsPickInto(t *testing.T) {
+	for _, sys := range pickIntoSystems(t) {
+		for _, avoid := range []Mask{nil, {}, {0}, maskOf(1)} {
+			if IsKSubsets(sys) && avoid.Has(1) {
+				continue
+			}
+			r1 := rand.New(rand.NewPCG(7, 11))
+			r2 := rand.New(rand.NewPCG(7, 11))
+			var a, b []int
+			for i := 0; i < 200; i++ {
+				a = PickInto(sys, a, r1)
+				b = PickAvoiding(sys, b, r2, avoid)
+				if !reflect.DeepEqual(a, b) {
+					t.Fatalf("%s mask %v pick %d: PickInto=%v PickAvoiding=%v", sys.Name(), avoid, i, a, b)
+				}
+			}
+			if r1.Uint64() != r2.Uint64() {
+				t.Fatalf("%s mask %v: the two picks consumed different amounts of the stream", sys.Name(), avoid)
+			}
+		}
+	}
+}
+
+func TestIsKSubsets(t *testing.T) {
+	for _, sys := range pickIntoSystems(t) {
+		_, isProb := sys.(*Probabilistic)
+		_, isMaj := sys.(*Majority)
+		if got := IsKSubsets(sys); got != (isProb || isMaj) {
+			t.Errorf("IsKSubsets(%s) = %v", sys.Name(), got)
+		}
+	}
+	if v := (View{Epoch: 1, Members: []int32{0, 1, 2}}); !IsKSubsets(v.System()) {
+		t.Error("a view's majority system is not KSubsets")
+	}
+	if v := (View{Epoch: 1, Members: []int32{0, 1, 2}, K: 2}); !IsKSubsets(v.System()) {
+		t.Error("a view's probabilistic system is not KSubsets")
 	}
 }

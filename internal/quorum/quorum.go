@@ -16,6 +16,7 @@ package quorum
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand/v2"
 )
 
@@ -56,6 +57,93 @@ func PickInto(s System, dst []int, r *rand.Rand) []int {
 		return ip.PickInto(dst, r)
 	}
 	return append(dst[:0], s.Pick(r)...)
+}
+
+// KSubsets is implemented by the systems whose quorums are exactly the
+// Size()-subsets of their servers, so that any Size() distinct servers form a
+// quorum — Probabilistic and Majority here (and whatever View.System
+// returns). Two things are sound only for them: replacing one member of an
+// in-flight quorum by any server outside it (the result is a quorum of the
+// same system, drawn no less uniformly), and drawing the quorum from the
+// servers a client believes live (PickAvoiding). Grid, tree, projective-plane
+// and fixed-quorum systems have structure a substituted member would break.
+type KSubsets interface {
+	KSubsets()
+}
+
+// IsKSubsets reports whether any Size() distinct servers of s form a quorum.
+func IsKSubsets(s System) bool {
+	_, ok := s.(KSubsets)
+	return ok
+}
+
+// Mask is a set of server indices — bit i%64 of word i/64 — for picks to
+// avoid. The nil Mask is empty; indices beyond the last word are not members.
+type Mask []uint64
+
+// Has reports whether server i is in the set.
+func (m Mask) Has(i int) bool {
+	w := i >> 6
+	return w < len(m) && m[w]&(1<<uint(i&63)) != 0
+}
+
+// With returns the set with server i added, growing it as needed.
+func (m Mask) With(i int) Mask {
+	for i>>6 >= len(m) {
+		m = append(m, 0)
+	}
+	m[i>>6] |= 1 << uint(i&63)
+	return m
+}
+
+// free returns word w of the complement of m within [0, n): the servers of
+// that word a pick may still use.
+func (m Mask) free(w, n int) uint64 {
+	f := ^uint64(0)
+	if w < len(m) {
+		f = ^m[w]
+	}
+	if rem := n - w<<6; rem < 64 {
+		f &= 1<<uint(rem) - 1
+	}
+	return f
+}
+
+// PickAvoiding picks a quorum of s into dst like PickInto, but for a
+// KSubsets system draws it uniformly from the servers outside avoid. With an
+// empty mask it is PickInto — same result, same draws from r — and so it is
+// when fewer than Size() servers remain outside the mask (a client that
+// suspects too many servers is no worse off than one that suspects none) or
+// when s is not a KSubsets system. It allocates nothing when cap(dst) >=
+// Size().
+func PickAvoiding(s System, dst []int, r *rand.Rand, avoid Mask) []int {
+	n, k := s.N(), s.Size()
+	words := (n + 63) >> 6
+	m := 0
+	for w := 0; w < words; w++ {
+		m += bits.OnesCount64(avoid.free(w, n))
+	}
+	if m == n || m < k || !IsKSubsets(s) {
+		return PickInto(s, dst, r)
+	}
+	// A uniform k-subset of the ranks [0, m), each rank then mapped to the
+	// server holding it among those outside the mask.
+	dst = RandomSubsetInto(dst, r, m, k)
+	for i, rank := range dst {
+		for w := 0; ; w++ {
+			f := avoid.free(w, n)
+			if c := bits.OnesCount64(f); rank >= c {
+				rank -= c
+				continue
+			}
+			for ; rank > 0; rank-- {
+				f &= f - 1
+			}
+			dst[i] = w<<6 + bits.TrailingZeros64(f)
+			break
+		}
+	}
+	return dst
 }
 
 // Probabilistic is the probabilistic quorum system: the quorums are all
@@ -103,6 +191,9 @@ func (p *Probabilistic) PickInto(dst []int, r *rand.Rand) []int {
 	return RandomSubsetInto(dst, r, p.n, p.k)
 }
 
+// KSubsets implements KSubsets: every k-subset is a quorum.
+func (p *Probabilistic) KSubsets() {}
+
 // Majority is the majority quorum system: the quorums are all subsets of
 // size floor(n/2)+1, picked uniformly. It is the strict system with maximal
 // availability (ceil(n/2) crash failures are needed to disable it) but load
@@ -143,6 +234,10 @@ func (m *Majority) Pick(r *rand.Rand) []int {
 func (m *Majority) PickInto(dst []int, r *rand.Rand) []int {
 	return RandomSubsetInto(dst, r, m.n, m.Size())
 }
+
+// KSubsets implements KSubsets: any floor(n/2)+1 distinct servers are a
+// majority.
+func (m *Majority) KSubsets() {}
 
 // Singleton routes every operation to the same single server. It is the
 // degenerate strict system: minimal quorum size, load 1, availability 1.

@@ -146,6 +146,10 @@ func NewClient(e *Engine, tr transport.Transport, opts ...ClientOption) *Client 
 	if c.counters == nil {
 		c.counters = &metrics.TransportCounters{}
 	}
+	// The engine's suspicion table: the serial client feeds it (member
+	// errors, failed sends, members silent at a deadline) and re-picks avoid
+	// the suspects; attempts still restart whole.
+	e.health = transport.NewHealth(tr.N())
 	tr.Bind(c.sink)
 	// When the transport can deliver replies concretely (the TCP binary
 	// codec), take them without boxing; errors and foreign payloads still
@@ -256,10 +260,19 @@ func (c *Client) sendAll(sends []Send) error {
 			if errors.Is(err, transport.ErrNotInView) {
 				continue
 			}
+			c.suspect(s.Server, err)
 			return fmt.Errorf("server %d: %w", s.Server, err)
 		}
 	}
 	return nil
+}
+
+// suspect marks server suspected so the engine's next picks avoid it, when
+// the engine's systems allow that (Engine.FaultAware).
+func (c *Client) suspect(server int, cause error) {
+	if c.e.FaultAware() && c.e.health.Suspect(server, cause) {
+		c.counters.Suspicions.Inc()
+	}
 }
 
 func (c *Client) backoff(attempt int) {
@@ -293,11 +306,22 @@ func (c *Client) run(o *Operation, kind trace.Kind) (msg.Tagged, error) {
 	for {
 		c.drainStale()
 		cause := c.sendAll(sends)
+		if probe, ok := o.Probe(); ok && cause == nil {
+			// Fire and forget: only a reply matters, and it clears the
+			// suspicion in pump.
+			c.counters.Probes.Inc()
+			_ = c.tr.Send(probe.Server, probe.Req)
+		}
 		pt.lap(phaseFanOut)
 		if cause == nil {
 			cause = c.pump(o, &pt)
 		}
 		pt.lapWait()
+		if errors.Is(cause, errAttemptTimeout) {
+			for _, srv := range o.Silent() {
+				c.suspect(srv, cause)
+			}
+		}
 		if f, ok := cause.(fatalError); ok {
 			return msg.Tagged{}, f.err
 		}
@@ -366,11 +390,13 @@ func (c *Client) pump(o *Operation, pt *phaseTimer) error {
 			continue
 		}
 		if ev.err != nil {
+			c.suspect(ev.server, ev.err)
 			if o.Member(ev.server) {
 				return fmt.Errorf("server %d: %w", ev.server, ev.err)
 			}
 			continue
 		}
+		c.e.health.Clear(ev.server) // any reply is proof of life
 		// Per-kind dispatch: concretely queued replies stay concrete all the
 		// way into the Operation. A stale event is a late reply to an
 		// abandoned attempt (it raced a timeout); dropped by op-id — on a

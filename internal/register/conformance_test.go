@@ -27,6 +27,7 @@ import (
 	"probquorum/internal/rng"
 	"probquorum/internal/sim"
 	"probquorum/internal/trace"
+	"probquorum/internal/transport"
 	"probquorum/internal/transport/tcp"
 )
 
@@ -46,6 +47,12 @@ type confResult struct {
 	writeBacks int64 // write-back rounds actually run (observer laps; op count on sim)
 	gaugeMax   int64
 	errs       []error // one slot per script: first operation error, or nil
+	// Fault-path accounting of the pipelined crash rows: members replaced
+	// within an attempt, deadlines that spent retry budget, and whether the
+	// harness's transport reports a crashed server (an error event) or
+	// leaves it silent.
+	topUps, retries int64
+	signalsCrash    bool
 }
 
 // confScenario is one row of the conformance table. Serial scenarios carry
@@ -58,6 +65,7 @@ type confScenario struct {
 	sys        func(n int) quorum.System
 	monotone   bool
 	crashAll   bool          // crash every replica before the scripts run
+	crashOne   bool          // crash replica 0 before the scripts run
 	timeout    time.Duration // per-attempt deadline (0 = strict mode)
 	retries    int           // attempt budget passed with the deadline
 	pipelined  bool
@@ -287,6 +295,61 @@ var confScenarios = []confScenario{
 			}
 		},
 	},
+	{
+		// Fault-aware fan-out over strict majorities: with one of five
+		// replicas crashed, every operation whose quorum includes it replaces
+		// that member within the attempt instead of restarting on a fresh
+		// quorum, and the trace stays well-formed, reads-from-correct and
+		// atomic. Where the transport signals the crash no deadline is
+		// waited out; where the server is just silent the first deadline
+		// suspects it and the rest of the flow picks around it.
+		name:       "crash-topup",
+		servers:    5,
+		regs:       6,
+		sys:        confMajority,
+		crashOne:   true,
+		timeout:    40 * time.Millisecond,
+		pipelined:  true,
+		atomicFlow: true,
+		check:      checkCrashTopUp,
+	},
+	{
+		// The same over the paper's k-of-n system (k = 5 of 8, so that the
+		// flow's value checks hold: any two quorums intersect).
+		name:      "crash-topup-prob",
+		servers:   8,
+		regs:      6,
+		sys:       func(n int) quorum.System { return quorum.NewProbabilistic(n, 5) },
+		crashOne:  true,
+		timeout:   40 * time.Millisecond,
+		pipelined: true,
+		check:     checkCrashTopUp,
+	},
+}
+
+func checkCrashTopUp(t *testing.T, r confResult) {
+	noErrs(t, r)
+	if err := trace.CheckPipelinedWellFormed(r.ops); err != nil {
+		t.Fatal(err)
+	}
+	if err := trace.CheckReadsFrom(r.ops); err != nil {
+		t.Fatal(err)
+	}
+	if err := trace.CheckMonotone(r.ops); err != nil {
+		t.Fatal(err)
+	}
+	if err := trace.CheckAtomic(r.ops); err != nil {
+		t.Fatal(err)
+	}
+	if r.topUps == 0 {
+		t.Fatal("no member was replaced: the crashed replica was never in a quorum, or attempts restarted instead")
+	}
+	if r.signalsCrash && r.retries != 0 {
+		t.Fatalf("Retries = %d on a transport that signals the crash: a top-up on error spends no deadline", r.retries)
+	}
+	if !r.signalsCrash && r.retries > int64(len(r.ops)) {
+		t.Fatalf("Retries = %d for %d operations: the silent replica kept being picked", r.retries, len(r.ops))
+	}
 }
 
 // confClient is the operation surface the script runner needs; the cluster
@@ -404,10 +467,19 @@ func runClusterScenario(t *testing.T, sc confScenario) confResult {
 			c.Server(i).Crash()
 		}
 	}
+	if sc.crashOne {
+		c.Server(0).Crash()
+	}
 	pobs := new(register.Observer) // WriteBack laps pin the fast-path rows
 	if sc.pipelined {
 		var g metrics.Gauge
-		pc, err := c.NewPipeline(sys, cluster.WithTrace(log), cluster.WithInFlightGauge(&g), cluster.WithObserver(pobs))
+		var tc metrics.TransportCounters
+		opts := []cluster.ClientOption{cluster.WithTrace(log), cluster.WithInFlightGauge(&g), cluster.WithObserver(pobs)}
+		if sc.crashOne {
+			opts = append(opts, cluster.WithOpTimeout(sc.timeout), cluster.WithRetries(sc.retries),
+				cluster.WithTransportCounters(&tc))
+		}
+		pc, err := c.NewPipeline(sys, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -418,7 +490,8 @@ func runClusterScenario(t *testing.T, sc confScenario) confResult {
 		}
 		ferr := flow(pc, sc.regs)
 		return confResult{ops: log.Ops(), fastReads: pc.Engine().FastReads(),
-			writeBacks: pobs.WriteBack.Count(), gaugeMax: g.Max(), errs: []error{ferr}}
+			writeBacks: pobs.WriteBack.Count(), gaugeMax: g.Max(), errs: []error{ferr},
+			topUps: tc.TopUps.Value(), retries: pc.Pipeline().Retries()}
 	}
 	clients := make([]confClient, len(sc.scripts))
 	engines := make([]*register.Engine, len(sc.scripts))
@@ -466,19 +539,31 @@ func runTCPScenario(t *testing.T, sc confScenario) confResult {
 	pobs := new(register.Observer) // WriteBack laps pin the fast-path rows
 	if sc.pipelined {
 		var g metrics.Gauge
-		pc, err := tcp.DialPipelined(addrs, sys, tcp.WithTrace(log),
-			tcp.WithInFlightGauge(&g), tcp.WithObserver(pobs))
+		var tc metrics.TransportCounters
+		opts := []tcp.ClientOption{tcp.WithTrace(log), tcp.WithInFlightGauge(&g), tcp.WithObserver(pobs)}
+		if sc.crashOne {
+			opts = append(opts, tcp.WithOpTimeout(sc.timeout), tcp.WithRetries(sc.retries),
+				tcp.WithTransportCounters(&tc))
+		}
+		pc, err := tcp.DialPipelined(addrs, sys, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer pc.Close()
+		if sc.crashOne {
+			// After dialing, like crashAll below: the crashed store closes
+			// the connection on its next request, which the client's reader
+			// reports as a per-server error.
+			stores[0].Crash()
+		}
 		flow := runPipelinedFlow
 		if sc.atomicFlow {
 			flow = runPipelinedAtomicFlow
 		}
 		ferr := flow(pc, sc.regs)
 		return confResult{ops: log.Ops(), fastReads: pc.Engine().FastReads(),
-			writeBacks: pobs.WriteBack.Count(), gaugeMax: g.Max(), errs: []error{ferr}}
+			writeBacks: pobs.WriteBack.Count(), gaugeMax: g.Max(), errs: []error{ferr},
+			topUps: tc.TopUps.Value(), retries: pc.Pipeline().Retries(), signalsCrash: true}
 	}
 	clients := make([]confClient, len(sc.scripts))
 	engines := make([]*register.Engine, len(sc.scripts))
@@ -647,6 +732,7 @@ func (n *confSimNode) Recv(ctx *sim.Context, from msg.NodeID, m any) {
 // entry point before the pipeline can emit sends through it.
 type confPipeNode struct {
 	pl      *register.Pipeline
+	tr      *simTransport // nil unless the scenario crashes a replica
 	ctx     *sim.Context
 	regs    int
 	atomic  bool // append the all-in-flight atomic-read round
@@ -729,6 +815,39 @@ func (n *confPipeNode) Recv(ctx *sim.Context, from msg.NodeID, m any) {
 	n.pl.Deliver(int(from), m)
 }
 
+// Timer delivers a crashed server's connection reset (simTransport.Send).
+func (n *confPipeNode) Timer(ctx *sim.Context, _ int, payload any) {
+	n.ctx = ctx
+	n.tr.sink(payload.(int), nil, errSimReset)
+}
+
+var errSimReset = errors.New("sim: connection reset by crashed server")
+
+// simTransport carries a pipeline's requests over the simulator as a
+// transport.Transport, so the crash rows run the same NewPipelineOver binding
+// the socket and goroutine runtimes do. Replies reach the pipeline through
+// confPipeNode.Recv. A request to a crashed server is lost, and — like a TCP
+// peer whose connection the crashed store closes — the sender learns of it
+// one network delay later as a per-server error.
+type simTransport struct {
+	node    *confPipeNode
+	n       int
+	crashed map[int]bool
+	sink    transport.Sink
+}
+
+func (s *simTransport) N() int                   { return s.n }
+func (s *simTransport) Bind(sink transport.Sink) { s.sink = sink }
+func (s *simTransport) Close() error             { return nil }
+
+func (s *simTransport) Send(server int, req any) error {
+	s.node.ctx.Send(msg.NodeID(server), req)
+	if s.crashed[server] {
+		s.node.ctx.After(time.Millisecond, 0, server)
+	}
+	return nil
+}
+
 func runSimScenario(t *testing.T, sc confScenario) confResult {
 	t.Helper()
 	s := sim.New(13, sim.DistDelay{Dist: rng.Exponential{MeanD: time.Millisecond}})
@@ -741,6 +860,9 @@ func runSimScenario(t *testing.T, sc confScenario) confResult {
 		for _, st := range stores {
 			st.Crash()
 		}
+	}
+	if sc.crashOne {
+		stores[0].Crash()
 	}
 	log := &trace.Log{}
 	sys := sc.sys(sc.servers)
@@ -758,19 +880,31 @@ func runSimScenario(t *testing.T, sc confScenario) confResult {
 		engine := newEngine(0)
 		self := msg.NodeID(sc.servers)
 		node := &confPipeNode{regs: sc.regs, atomic: sc.atomicFlow}
-		send := func(server int, req any) { node.ctx.Send(msg.NodeID(server), req) }
-		node.pl = register.NewPipeline(engine, send,
+		var tc metrics.TransportCounters
+		popts := []register.PipelineOption{
 			register.PipeClock(func() int64 { return int64(node.ctx.Now()) }),
 			register.PipeTrace(log, self),
 			register.PipeGauge(&g),
-			register.PipeObserver(pobs))
+			register.PipeObserver(pobs),
+		}
+		if sc.crashOne {
+			popts = append(popts, register.PipeCounters(&tc))
+			// No deadline: wall-clock timers have no meaning on virtual time,
+			// and the error signal must be enough on its own.
+			node.tr = &simTransport{node: node, n: sc.servers, crashed: map[int]bool{0: true}}
+			node.pl = register.NewPipelineOver(engine, node.tr, popts...)
+		} else {
+			send := func(server int, req any) { node.ctx.Send(msg.NodeID(server), req) }
+			node.pl = register.NewPipeline(engine, send, popts...)
+		}
 		s.Add(self, node)
 		s.Run()
 		if node.err == nil && !node.done {
 			t.Fatal("pipelined sim flow stalled before completing")
 		}
 		return confResult{ops: log.Ops(), fastReads: engine.FastReads(),
-			writeBacks: pobs.WriteBack.Count(), gaugeMax: g.Max(), errs: []error{node.err}}
+			writeBacks: pobs.WriteBack.Count(), gaugeMax: g.Max(), errs: []error{node.err},
+			topUps: tc.TopUps.Value(), retries: node.pl.Retries(), signalsCrash: true}
 	}
 	engines := make([]*register.Engine, len(sc.scripts))
 	nodes := make([]*confSimNode, len(sc.scripts))

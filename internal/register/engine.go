@@ -7,6 +7,7 @@ import (
 	"probquorum/internal/metrics"
 	"probquorum/internal/msg"
 	"probquorum/internal/quorum"
+	"probquorum/internal/transport"
 )
 
 // Engine holds one client process's register-subsystem state: the quorum
@@ -51,6 +52,13 @@ type Engine struct {
 
 	tally    *metrics.AccessTally
 	messages *metrics.Counter
+
+	// health is the suspicion table of the transport this engine's client is
+	// bound to (nil without one), shared with every other engine over that
+	// transport; mask is the scratch its suspects are copied into for a pick.
+	// See FaultAware.
+	health *transport.Health
+	mask   quorum.Mask
 
 	// cacheHits counts monotone reads answered from the cache because the
 	// queried quorum only returned older timestamps.
@@ -216,6 +224,7 @@ func (e *Engine) AdoptView(v quorum.View) bool {
 	e.epoch = v.Epoch
 	e.sys = e.view.System()
 	e.writeSys = e.sys
+	e.health.Reset(v.Epoch, v.N())
 	return true
 }
 
@@ -255,8 +264,32 @@ func (e *Engine) RepairTargets(s *ReadSession, result msg.Tagged) (servers []int
 	return servers, msg.WriteReq{Reg: s.Reg, Op: e.nextOp, Tag: result}
 }
 
+// FaultAware reports whether the engine picks around suspected servers and
+// tops attempts up (TopUpRead, TopUpWrite) instead of restarting them: it has
+// a suspicion table, any Size() distinct servers form a quorum of both its
+// systems (quorum.KSubsets), and it is not b-masking — a masked read needs
+// b+1 matching replies out of one picked quorum, which a substituted member
+// would not have been drawn for. Everything else keeps the restart-and-re-pick
+// path of RetryRead and RetryWrite.
+func (e *Engine) FaultAware() bool {
+	return e.health != nil && e.maskB < 0 && quorum.IsKSubsets(e.sys) && quorum.IsKSubsets(e.writeSys)
+}
+
+// pickAvoiding draws a quorum from the servers the table does not suspect.
+// It is reached only while something is suspected, which only clients of
+// FaultAware engines ever cause.
+func (e *Engine) pickAvoiding(sys quorum.System, dst []int) []int {
+	e.mask = e.health.MaskInto(e.mask)
+	return quorum.PickAvoiding(sys, dst, e.rnd, e.mask)
+}
+
 func (e *Engine) pick(sys quorum.System) []int {
-	q := sys.Pick(e.rnd)
+	var q []int
+	if e.health.Any() {
+		q = e.pickAvoiding(sys, nil)
+	} else {
+		q = sys.Pick(e.rnd)
+	}
 	if e.tally != nil {
 		e.tally.Touch(q)
 	}
@@ -272,7 +305,12 @@ func (e *Engine) pick(sys quorum.System) []int {
 // uniform) algorithm here than in pick, so seeded runs draw retry quorums
 // from a different stream than first attempts — deterministic either way.
 func (e *Engine) pickInto(sys quorum.System, dst []int) []int {
-	q := quorum.PickInto(sys, dst, e.rnd)
+	var q []int
+	if e.health.Any() {
+		q = e.pickAvoiding(sys, dst)
+	} else {
+		q = quorum.PickInto(sys, dst, e.rnd)
+	}
 	if e.tally != nil {
 		e.tally.Touch(q)
 	}
@@ -296,8 +334,7 @@ func (e *Engine) BeginRead(reg msg.RegisterID) *ReadSession {
 		*s = ReadSession{
 			Reg:       reg,
 			Op:        e.nextOp,
-			Quorum:    q,
-			Epoch:     e.epoch,
+			fanout:    fanout{Quorum: q, Epoch: e.epoch},
 			tags:      sizeTags(s.tags, len(q)),
 			unanimous: true,
 		}
@@ -307,8 +344,7 @@ func (e *Engine) BeginRead(reg msg.RegisterID) *ReadSession {
 	return &ReadSession{
 		Reg:       reg,
 		Op:        e.nextOp,
-		Quorum:    q,
-		Epoch:     e.epoch,
+		fanout:    fanout{Quorum: q, Epoch: e.epoch},
 		tags:      sizeTags(nil, len(q)),
 		unanimous: true,
 	}
@@ -318,7 +354,7 @@ func (e *Engine) BeginRead(reg msg.RegisterID) *ReadSession {
 // when it is big enough. The whole capacity is cleared, not just the first
 // n entries: tag values are interfaces, and a recycled session must not
 // retain reply values from a larger earlier quorum. It also enforces the
-// reply bitmask's quorum-size cap (see ReadSession.replied) at session
+// reply bitmask's quorum-size cap (see fanout.replied) at session
 // construction, where an oversized pick fails loudly instead of silently
 // dropping replies.
 func sizeTags(buf []msg.Tagged, n int) []msg.Tagged {
@@ -366,8 +402,7 @@ func (e *Engine) RetryRead(s *ReadSession) *ReadSession {
 	return &ReadSession{
 		Reg:       s.Reg,
 		Op:        e.nextOp,
-		Quorum:    q,
-		Epoch:     e.epoch,
+		fanout:    fanout{Quorum: q, Epoch: e.epoch},
 		tags:      sizeTags(s.tags, len(q)),
 		unanimous: true,
 	}
@@ -388,19 +423,87 @@ func (e *Engine) RetryWrite(s *WriteSession) *WriteSession {
 		Reg:    s.Reg,
 		Op:     e.nextOp,
 		Tag:    s.Tag,
-		Quorum: checkQuorumCap(e.pickInto(e.writeSys, s.Quorum)),
-		Epoch:  e.epoch,
+		fanout: fanout{Quorum: checkQuorumCap(e.pickInto(e.writeSys, s.Quorum)), Epoch: e.epoch},
 	}
 }
 
 // checkQuorumCap enforces the acked bitmask's quorum-size cap (see
-// ReadSession.replied) on the write path, where there is no tag buffer to
+// fanout.replied) on the write path, where there is no tag buffer to
 // do it as a side effect.
 func checkQuorumCap(q []int) []int {
 	if len(q) > 64 {
 		panic("register: quorum exceeds the 64-member session cap")
 	}
 	return q
+}
+
+// TopUpRead replaces the member at quorum position i of s — one known lost
+// and still owed its reply — by a server drawn uniformly from those neither
+// in the attempt nor suspected, and returns it; the caller re-sends
+// s.Request() to it under the same operation id. Every reply already
+// collected stays, and the lost member's own reply, should it still come,
+// falls outside the quorum like any stranger's.
+//
+// It is sound because the engine is FaultAware: the quorum after the swap is
+// Size() distinct servers, hence a quorum; for a majority that keeps strict
+// intersection (and with it regularity, ABD atomicity and the unanimous fast
+// read) intact, and for k of n the quorum stays a uniform k-subset of the
+// servers the client believes live — the paper's Section 4 availability
+// argument. ok is false, and nothing changes, when the engine is not
+// FaultAware, s was picked under an older view (its indices mean something
+// else now), position i has already answered, or no candidate remains; the
+// caller then falls back to its deadline and RetryRead.
+func (e *Engine) TopUpRead(s *ReadSession, i int) (server int, ok bool) {
+	return e.topUp(&s.fanout, i)
+}
+
+// TopUpWrite is TopUpRead for a write session: the re-sent request carries
+// the same tag, and replicas deduplicate by timestamp.
+func (e *Engine) TopUpWrite(s *WriteSession, i int) (server int, ok bool) {
+	return e.topUp(&s.fanout, i)
+}
+
+func (e *Engine) topUp(f *fanout, i int) (int, bool) {
+	e.guard.enter()
+	defer e.guard.leave()
+	if !e.FaultAware() || f.Epoch != e.epoch || i < 0 || i >= len(f.Quorum) || !f.Pending(i) {
+		return 0, false
+	}
+	n := e.sys.N() // the read and write systems cover the same servers
+	candidate := func(srv int) bool { return pos(f.Quorum, srv) < 0 && !e.health.Suspected(srv) }
+	free := 0
+	for srv := 0; srv < n; srv++ {
+		if candidate(srv) {
+			free++
+		}
+	}
+	if free == 0 {
+		return 0, false
+	}
+	srv := 0
+	for skip := e.rnd.IntN(free); ; srv++ {
+		if candidate(srv) {
+			if skip == 0 {
+				break
+			}
+			skip--
+		}
+	}
+	f.Replace(i, srv)
+	if e.messages != nil {
+		e.messages.Add(2)
+	}
+	return srv, true
+}
+
+// ProbeRead returns a suspected server that is due a probe, for the caller to
+// send s.Request() to as a shadow member: the server is not in s's quorum, so
+// its reply completes nothing and only clears the suspicion (any reply does).
+// At most one read per suspected server and transport.ProbeInterval gets one,
+// which is what notices a recovery while picks avoid the server.
+func (e *Engine) ProbeRead(s *ReadSession) (server int, ok bool) {
+	server, ok = e.health.ProbeTarget()
+	return server, ok && pos(s.Quorum, server) < 0
 }
 
 // FinishRead applies the monotone filter to a completed read session and
@@ -503,8 +606,7 @@ func (e *Engine) newWriteSessionLocked(reg msg.RegisterID, tag msg.Tagged) *Writ
 			Reg:    reg,
 			Op:     e.nextOp,
 			Tag:    tag,
-			Quorum: checkQuorumCap(e.pickInto(e.writeSys, s.Quorum)),
-			Epoch:  e.epoch,
+			fanout: fanout{Quorum: checkQuorumCap(e.pickInto(e.writeSys, s.Quorum)), Epoch: e.epoch},
 		}
 		return s
 	}
@@ -512,8 +614,7 @@ func (e *Engine) newWriteSessionLocked(reg msg.RegisterID, tag msg.Tagged) *Writ
 		Reg:    reg,
 		Op:     e.nextOp,
 		Tag:    tag,
-		Quorum: checkQuorumCap(e.pick(e.writeSys)),
-		Epoch:  e.epoch,
+		fanout: fanout{Quorum: checkQuorumCap(e.pick(e.writeSys)), Epoch: e.epoch},
 	}
 }
 

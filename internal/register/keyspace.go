@@ -72,32 +72,38 @@ func NewKeyspace(engines []*Engine, send SendFunc, opts ...PipelineOption) *Keys
 
 // NewKeyspaceOver builds a Keyspace running over a Transport, binding its
 // sink to Deliver once for all shards. As with NewPipelineOver, a
-// transport-wide fatal error closes the keyspace; per-server errors are left
-// to the per-operation deadline.
+// transport-wide fatal error closes the keyspace, and a per-server error or
+// failed Send marks the server suspected — in the one suspicion table every
+// shard's picks consult — and tops up the operations of every shard that
+// were waiting on it.
 func NewKeyspaceOver(engines []*Engine, tr transport.Transport, opts ...PipelineOption) *Keyspace {
-	k := NewKeyspace(engines, func(server int, req any) {
-		_ = tr.Send(server, req)
-	}, opts...)
+	var k *Keyspace
+	k = NewKeyspace(engines, sendOver(tr, func(server int, err error) { k.memberLost(server, err) }), opts...)
+	h := transport.NewHealth(tr.N())
 	for _, s := range k.shards {
 		// Each shard adopts views independently (whichever shard is rejected
 		// first re-targets the shared transport; Update is idempotent by
 		// epoch, so the rest are no-ops).
-		s.tr = tr
+		s.bind(tr, h)
 	}
-	tr.Bind(func(server int, payload any, err error) {
-		if err != nil {
-			if server == transport.Broadcast {
-				k.Close(err)
-			}
-			return
-		}
-		k.Deliver(server, payload)
-	})
+	deliverTo(tr, k)
 	// Concrete-typed delivery: batch replies walk straight into the issuing
-	// shard without boxing (the Sink above keeps carrying errors).
+	// shard without boxing (the Sink keeps carrying errors).
 	transport.BindReplies(tr, k)
 	return k
 }
+
+// memberLost hands a per-server loss to every shard: the shards share the
+// transport, so each may have operations waiting on the lost server.
+func (k *Keyspace) memberLost(server int, cause error) {
+	for _, s := range k.shards {
+		s.memberLost(server, cause)
+	}
+}
+
+// Health returns the per-server suspicion snapshot of the transport the
+// keyspace runs over (nil when it was built without one).
+func (k *Keyspace) Health() []transport.ServerHealth { return k.shards[0].Health() }
 
 // ShardFor returns the shard index serving key, by the same mixed hash the
 // replica store stripes with (msg.Mix32 masked to the shard count).

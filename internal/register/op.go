@@ -381,17 +381,51 @@ func (o *Operation) PendingTag() msg.Tagged {
 	return o.ws.Tag
 }
 
+// current returns the membership half of the current attempt's session, nil
+// before the operation has started.
+func (o *Operation) current() *fanout {
+	if o.phase == opPhaseRead && o.rs != nil {
+		return &o.rs.fanout
+	}
+	if o.ws != nil {
+		return &o.ws.fanout
+	}
+	return nil
+}
+
 // Member reports whether server belongs to the current attempt's quorum —
 // the filter deciding whether a per-server transport failure dooms this
 // attempt or concerns someone else's traffic.
 func (o *Operation) Member(server int) bool {
-	if o.phase == opPhaseRead && o.rs != nil {
-		return pos(o.rs.Quorum, server) >= 0
+	f := o.current()
+	return f != nil && pos(f.Quorum, server) >= 0
+}
+
+// Silent returns the members of the current attempt's quorum that have not
+// answered — the servers a driver suspects when the attempt's deadline
+// expires.
+func (o *Operation) Silent() []int {
+	f := o.current()
+	if f == nil {
+		return nil
 	}
-	if o.ws != nil {
-		return pos(o.ws.Quorum, server) >= 0
+	var out []int
+	for i, srv := range f.Quorum {
+		if f.Pending(i) {
+			out = append(out, srv)
+		}
 	}
-	return false
+	return out
+}
+
+// Probe returns the shadow request to send alongside a read-phase attempt
+// when a suspected server is due a probe (Engine.ProbeRead).
+func (o *Operation) Probe() (Send, bool) {
+	if o.phase != opPhaseRead || o.rs == nil {
+		return Send{}, false
+	}
+	srv, ok := o.e.ProbeRead(o.rs)
+	return Send{Server: srv, Req: o.rs.Request()}, ok
 }
 
 // Desc names the operation for error messages.

@@ -20,8 +20,8 @@ var ErrPipelineClosed = errors.New("register: pipeline closed")
 // SendFunc transmits one protocol request to one replica server. It must not
 // block indefinitely and must be safe for concurrent use; transports coalesce
 // the requests queued for a server into batch frames on their own schedule.
-// Delivery may fail silently (a dead connection, a dropped frame) — the
-// Pipeline's per-operation deadline re-issues the operation on a fresh quorum.
+// Delivery may fail silently (a dropped frame, a partitioned peer) — the
+// Pipeline's per-operation deadline then tops the attempt up or re-issues it.
 type SendFunc func(server int, req any)
 
 // Pipeline is a concurrency-safe register client layered on an Engine that
@@ -47,8 +47,9 @@ type SendFunc func(server int, req any)
 // Replies are matched to operations by operation id (Deliver), not by
 // request/reply pairing, so a transport may deliver replies in any order,
 // deliver duplicates, or drop them entirely — a per-operation deadline
-// (PipeTimeout) re-issues abandoned operations on freshly picked quorums,
-// the paper's availability mechanism.
+// (PipeTimeout) covers what is lost. Over a Transport (NewPipelineOver) the
+// fan-out is fault-aware: a member the transport reports lost is replaced
+// within the attempt, and picks avoid suspected servers (see memberLost).
 type Pipeline struct {
 	mu     sync.Mutex
 	engine *Engine
@@ -57,6 +58,10 @@ type Pipeline struct {
 	// NewPipelineOver (nil otherwise): view adoptions triggered by stale-epoch
 	// rejects re-target it before the rejected operation re-fans out.
 	tr transport.Transport
+	// health is the transport's suspicion table, shared with the engine and
+	// with the other shards of a keyspace; nil without a transport, which
+	// leaves every fault to the deadline's restart-and-re-pick.
+	health *transport.Health
 
 	clock    func() int64
 	log      *trace.Log
@@ -121,16 +126,20 @@ func PipeGauge(g *metrics.Gauge) PipelineOption {
 	return func(p *Pipeline) { p.gauge = g }
 }
 
-// PipeCounters records fault-path events into tc: re-issued operations
-// (Retries) and replies that arrived after their operation was abandoned or
-// completed (StaleDrops).
+// PipeCounters records fault-path events into tc: deadline expiries that
+// spent retry budget (Retries) and the members still silent at them
+// (Timeouts), replaced members (TopUps), newly suspected servers
+// (Suspicions), shadow probes (Probes), and replies that arrived after their
+// operation was abandoned or completed (StaleDrops).
 func PipeCounters(tc *metrics.TransportCounters) PipelineOption {
 	return func(p *Pipeline) { p.counters = tc }
 }
 
 // PipeTimeout arms a per-operation deadline: an operation not complete
-// within d is abandoned and re-issued on a freshly picked quorum (writes
-// keep their timestamp, so duplicate installations converge). retries caps
+// within d has its silent members replaced (a fault-aware pipeline, see
+// memberLost) or is abandoned and re-issued on a freshly picked quorum
+// (writes keep their timestamp, so duplicate installations converge), either
+// of which spends one unit of retry budget. retries caps
 // the total attempts per operation at retries+1 (0 = unlimited), the same
 // budget arithmetic as the serial client's WithRetries; exhaustion surfaces
 // ErrQuorumUnavailable. Without PipeTimeout operations wait forever, which is
@@ -171,31 +180,65 @@ func NewPipeline(engine *Engine, send SendFunc, opts ...PipelineOption) *Pipelin
 }
 
 // NewPipelineOver builds a Pipeline running over a Transport: sends go
-// through tr.Send (hand-off failures surface as missing replies, resolved by
-// the per-operation deadline), and the transport's sink feeds Deliver. A
-// transport-wide fatal error closes the pipeline with it; per-server error
-// events are ignored — the deadline machinery already covers lost replies,
-// and a pipelined client cannot attribute a connection failure to any one of
-// its many in-flight operations.
+// through tr.Send and the transport's sink feeds Deliver. A transport-wide
+// fatal error closes the pipeline with it. A per-server error event, or a
+// Send that could not hand its request off, means every request in flight to
+// that server is lost: the server is marked suspected in the suspicion table
+// created here, and the operations waiting on it replace it at once
+// (memberLost) instead of waiting out their deadline. Send's ErrNotInView is
+// not a fault — the server left the view on purpose — and stays with the
+// deadline.
 func NewPipelineOver(engine *Engine, tr transport.Transport, opts ...PipelineOption) *Pipeline {
-	p := NewPipeline(engine, func(server int, req any) {
-		_ = tr.Send(server, req)
-	}, opts...)
-	p.tr = tr
-	tr.Bind(func(server int, payload any, err error) {
-		if err != nil {
-			if server == transport.Broadcast {
-				p.Close(err)
-			}
-			return
-		}
-		p.Deliver(server, payload)
-	})
+	var p *Pipeline
+	p = NewPipeline(engine, sendOver(tr, func(server int, err error) { p.memberLost(server, err) }), opts...)
+	p.bind(tr, transport.NewHealth(tr.N()))
+	deliverTo(tr, p)
 	// Transports with a concrete-typed reply path deliver whole frames into
-	// ReplyBatch, skipping the interface boxing of the Sink closure above
+	// ReplyBatch, skipping the interface boxing of the Sink closure
 	// (which remains bound for errors and oddball payloads).
 	transport.BindReplies(tr, p)
 	return p
+}
+
+// faultSink is what a transport's traffic is delivered to: a Pipeline, or a
+// Keyspace fanning out to its shards.
+type faultSink interface {
+	Deliver(server int, payload any)
+	Close(err error)
+	memberLost(server int, cause error)
+}
+
+// deliverTo binds tr's sink to fs: replies are delivered, a transport-wide
+// error closes it, a per-server error is a lost member.
+func deliverTo(tr transport.Transport, fs faultSink) {
+	tr.Bind(func(server int, payload any, err error) {
+		switch {
+		case err == nil:
+			fs.Deliver(server, payload)
+		case server == transport.Broadcast:
+			fs.Close(err)
+		default:
+			fs.memberLost(server, err)
+		}
+	})
+}
+
+// sendOver is the SendFunc of a client running over tr: a request tr could
+// not hand off is reported to lost, except into a server that left the view.
+func sendOver(tr transport.Transport, lost func(server int, cause error)) SendFunc {
+	return func(server int, req any) {
+		if err := tr.Send(server, req); err != nil && !errors.Is(err, transport.ErrNotInView) {
+			lost(server, err)
+		}
+	}
+}
+
+// bind attaches the pipeline (and its engine's picks) to the transport it
+// runs over and that transport's suspicion table.
+func (p *Pipeline) bind(tr transport.Transport, h *transport.Health) {
+	p.tr = tr
+	p.health = h
+	p.engine.health = h
 }
 
 // Engine returns the wrapped engine. Callers must not invoke its methods
@@ -233,8 +276,15 @@ func (p *Pipeline) Epoch() quorum.Epoch {
 	return p.engine.Epoch()
 }
 
-// Retries returns how many times operations were re-issued on fresh quorums.
+// Retries returns how many operation deadlines expired with retry budget
+// left, each answered by a top-up of the silent members or a re-issue on a
+// fresh quorum. Top-ups on a transport's error signal are not retries.
 func (p *Pipeline) Retries() int64 { return p.retried.Load() }
+
+// Health returns, per server, whether the pipeline's transport currently
+// suspects it, since when, and the last failure attributed to it (nil for a
+// pipeline built without a transport).
+func (p *Pipeline) Health() []transport.ServerHealth { return p.health.Snapshot() }
 
 // InFlight returns the number of submitted-but-incomplete operations.
 func (p *Pipeline) InFlight() int {
@@ -534,6 +584,14 @@ func (p *Pipeline) startLocked(op *PendingOp, sends *[]outMsg) {
 		for _, srv := range op.rs.Quorum {
 			*sends = append(*sends, outMsg{server: srv, req: req})
 		}
+		if p.health.Any() {
+			if srv, ok := p.engine.ProbeRead(op.rs); ok {
+				*sends = append(*sends, outMsg{server: srv, req: req})
+				if p.counters != nil {
+					p.counters.Probes.Inc()
+				}
+			}
+		}
 	case opWrite:
 		op.ws = p.engine.BeginWrite(op.reg, op.val)
 		p.inflight[op.ws.Op] = op
@@ -667,15 +725,36 @@ func (p *Pipeline) expire() {
 	}
 }
 
-// onTimeout re-issues a still-incomplete operation on a freshly picked
-// quorum (the paper's availability mechanism: a probabilistic quorum client
-// depends on no particular quorum). The stale session's operation id leaves
-// the in-flight map, so late replies to it are ignored.
+// onTimeout is an operation's deadline expiring with members still silent.
+// It spends one unit of retry budget and then, on a fault-aware pipeline,
+// suspects exactly those members and replaces them within the attempt —
+// replies already collected stay, and operations started from now on pick
+// around the suspects, so a silent server costs the operations in flight when
+// it went silent one deadline and later ones nothing. Otherwise, or when a
+// silent member has no replacement left, the operation is re-issued on a
+// freshly picked quorum (the paper's availability mechanism: a probabilistic
+// quorum client depends on no particular quorum) and the stale session's
+// operation id leaves the in-flight map, so late replies to it are ignored.
 func (p *Pipeline) onTimeout(op *PendingOp, attempt int) {
 	p.mu.Lock()
 	if op.finished || op.attempt != attempt || p.closed {
 		p.mu.Unlock()
 		return
+	}
+	f, _ := op.phase()
+	aware := p.engine.FaultAware()
+	for i, srv := range f.Quorum {
+		if !f.Pending(i) {
+			continue
+		}
+		if p.counters != nil {
+			p.counters.Timeouts.Inc()
+		}
+		if aware {
+			// Every silent member is suspected before any is replaced, so
+			// none of them is drawn as another's replacement.
+			p.suspect(srv, errSilent)
+		}
 	}
 	// op.attempt counts re-issues, so attempt == retries means the budget of
 	// retries+1 total attempts is spent — the same arithmetic as the serial
@@ -695,9 +774,106 @@ func (p *Pipeline) onTimeout(op *PendingOp, attempt int) {
 	}
 	op.attempt++
 	var sends []outMsg
-	p.reissueLocked(op, &sends)
+	if aware && p.topUpLocked(op, -1, &sends) {
+		p.armTimerLocked(op)
+	} else {
+		sends = sends[:0]
+		p.reissueLocked(op, &sends)
+	}
 	p.mu.Unlock()
 	p.dispatch(sends)
+}
+
+// errSilent is the cause recorded for a server suspected because it stayed
+// silent past an operation deadline.
+var errSilent = errors.New("register: no reply within the operation deadline")
+
+// writing reports whether op's current phase is a write session: a write, or
+// an atomic read in its write-back.
+func (op *PendingOp) writing() bool { return op.kind == opWrite || op.wback }
+
+// phase returns the membership half of op's current-phase session and the
+// operation id its requests carry.
+func (op *PendingOp) phase() (*fanout, msg.OpID) {
+	if op.writing() {
+		return &op.ws.fanout, op.ws.Op
+	}
+	return &op.rs.fanout, op.rs.Op
+}
+
+// suspect marks server suspected in the shared table, counting it if that is
+// news.
+func (p *Pipeline) suspect(server int, cause error) {
+	if p.health.Suspect(server, cause) && p.counters != nil {
+		p.counters.Suspicions.Inc()
+	}
+}
+
+// heard notes a reply from server: any reply is proof of life and lifts a
+// suspicion. On a healthy run it is the one atomic load of Any.
+func (p *Pipeline) heard(server int) {
+	if p.health.Any() {
+		p.health.Clear(server)
+	}
+}
+
+// memberLost is the transport saying that whatever was in flight to server
+// is lost (its connection died, or a request could not be handed to it).
+// The server is suspected, so picks avoid it until a reply — in practice a
+// probe's — clears the mark, and every operation still waiting on it
+// replaces it within its attempt: one extra round trip, no retry budget (a
+// crash signal is not a timeout), the deadline untouched. Each replacement is
+// drawn from the servers neither in the attempt nor suspected, and every loss
+// suspects one more server, so an attempt is topped up at most n−k times;
+// with no candidate left it falls back to the deadline. A replaced member
+// that was in fact alive answers into the void (Replace).
+func (p *Pipeline) memberLost(server int, cause error) {
+	var sends []outMsg
+	p.mu.Lock()
+	if p.closed || !p.engine.FaultAware() {
+		p.mu.Unlock()
+		return
+	}
+	p.suspect(server, cause)
+	for id, op := range p.inflight {
+		// An atomic read in its write-back is in the map under both its
+		// sessions' ids; it is topped up once, under the current phase's.
+		if _, cur := op.phase(); cur == id {
+			p.topUpLocked(op, server, &sends)
+		}
+	}
+	p.mu.Unlock()
+	p.dispatch(sends)
+}
+
+// topUpLocked replaces the pending members of op's current phase that are
+// lost — server, or with server < 0 every pending member — capturing the
+// re-sent requests, and reports whether each of them found a replacement.
+func (p *Pipeline) topUpLocked(op *PendingOp, server int, sends *[]outMsg) bool {
+	f, _ := op.phase()
+	var req any
+	for i, srv := range f.Quorum {
+		if !f.Pending(i) || (server >= 0 && srv != server) {
+			continue
+		}
+		repl, ok := p.engine.topUp(f, i)
+		if !ok {
+			return false
+		}
+		if req == nil {
+			// Boxed once per operation, like the first fan-out's.
+			if op.writing() {
+				req = op.ws.Request()
+			} else {
+				req = op.rs.Request()
+			}
+		}
+		*sends = append(*sends, outMsg{server: repl, req: req})
+		if p.counters != nil {
+			p.counters.TopUps.Inc()
+		}
+	}
+	return true
 }
 
 // reissueLocked re-fans an in-flight operation's current phase on a freshly
@@ -718,7 +894,7 @@ func (p *Pipeline) reissueLocked(op *PendingOp, sends *[]outMsg) {
 		op.phaseMark = now
 	}
 	switch {
-	case op.kind == opWrite || op.wback:
+	case op.writing():
 		// A write, or an atomic read stuck in its write-back: re-issue the
 		// same tag on a fresh quorum (replicas deduplicate by timestamp).
 		// The atomic read's read-phase op id stays in the in-flight map so
@@ -761,6 +937,7 @@ func (p *Pipeline) Deliver(server int, payload any) {
 // ReadReply feeds one concrete read reply into the pipeline — a leg of the
 // boxed Deliver.
 func (p *Pipeline) ReadReply(server int, m msg.ReadReply) {
+	p.heard(server)
 	var sends []outMsg
 	p.mu.Lock()
 	completed := p.readReplyLocked(server, m, &sends)
@@ -815,6 +992,7 @@ func (p *Pipeline) readReplyLocked(server int, m msg.ReadReply, sends *[]outMsg)
 // WriteAck feeds one concrete write acknowledgement into the pipeline — a
 // leg of the boxed Deliver.
 func (p *Pipeline) WriteAck(server int, m msg.WriteAck) {
+	p.heard(server)
 	var sends []outMsg
 	p.mu.Lock()
 	completed := p.writeAckLocked(server, m, &sends)
@@ -858,6 +1036,7 @@ var doneOpsPool = sync.Pool{New: func() any { s := make([]*PendingOp, 0, 16); re
 // closes and completion callbacks still run after the lock is dropped, in
 // element order, exactly as on the per-element path.
 func (p *Pipeline) ReplyBatch(server int, reads []msg.ReadReply, acks []msg.WriteAck) {
+	p.heard(server)
 	sends := outMsgPool.Get().(*[]outMsg)
 	done := doneOpsPool.Get().(*[]*PendingOp)
 	p.mu.Lock()
@@ -890,7 +1069,7 @@ func (p *Pipeline) ReplyBatch(server int, reads []msg.ReadReply, acks []msg.Writ
 // long reconfiguration cannot exhaust an operation. Rejects for attempts the
 // pipeline already abandoned drain as stale drops like any late reply.
 func (p *Pipeline) StaleEpoch(server int, m msg.StaleEpoch) {
-	_ = server
+	p.heard(server)
 	var sends []outMsg
 	p.mu.Lock()
 	op := p.inflight[m.Op]

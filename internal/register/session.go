@@ -20,40 +20,25 @@ import (
 	"probquorum/internal/msg"
 )
 
-// ReadSession is the client state of one in-flight read operation: it has
-// fanned a ReadReq out to every server in Quorum and completes when all of
-// them have replied (the network is reliable and, in the failure-free model
-// of the paper's Section 4, so are the servers).
-type ReadSession struct {
-	Reg    msg.RegisterID
-	Op     msg.OpID
+// fanout is the membership half of a session, shared by reads and writes:
+// which servers the attempt was fanned out to and which of them have
+// answered. Everything in it is keyed by quorum position, so replacing the
+// member at a position (Replace) leaves the bookkeeping of the others alone.
+type fanout struct {
 	Quorum []int
 	// Epoch is the membership epoch the quorum was picked against; requests
 	// carry it so replicas on a newer view reject with the replacement.
 	Epoch msg.Epoch
 
 	// replied is a bitmask over quorum positions (bit i = Quorum[i] has
-	// replied) and nrep its population count; tags holds the reply
-	// timestamps densely by quorum position, valid where the bit is set.
-	// Position-keyed state makes the per-reply bookkeeping a couple of
-	// register ops where server-keyed maps cost a hash insert per reply —
-	// the membership scan already finds the position for free. The mask
-	// caps quorums at 64 members, far above what the paper's O(sqrt(n)
-	// log n) constructions pick; Engine.pickInto enforces the cap loudly.
+	// answered) and nrep its population count. Position-keyed state makes
+	// the per-reply bookkeeping a couple of register ops where server-keyed
+	// maps cost a hash insert per reply — the membership scan already finds
+	// the position for free. The mask caps quorums at 64 members, far above
+	// what the paper's O(sqrt(n) log n) constructions pick; Engine.pickInto
+	// enforces the cap loudly.
 	replied uint64
 	nrep    int
-	tags    []msg.Tagged
-	best    msg.Tagged
-	gotAny  bool
-	// unanimous stays true while every accepted reply has carried the same
-	// timestamp — the condition under which an atomic read may skip its
-	// write-back phase (see Engine.TryFinishReadFast).
-	unanimous bool
-}
-
-// Request returns the message to send to each quorum member.
-func (s *ReadSession) Request() msg.ReadReq {
-	return msg.ReadReq{Reg: s.Reg, Op: s.Op, Epoch: s.Epoch}
 }
 
 // pos returns server's position within the quorum, or -1 for outsiders
@@ -67,6 +52,63 @@ func pos(quorum []int, server int) int {
 	return -1
 }
 
+// mark records server's answer, returning its quorum position; ok is false
+// for a duplicate or a server outside the quorum — which is what a replaced
+// member's late answer is.
+func (f *fanout) mark(server int) (i int, ok bool) {
+	i = pos(f.Quorum, server)
+	if i < 0 || f.replied&(1<<uint(i)) != 0 {
+		return i, false
+	}
+	f.replied |= 1 << uint(i)
+	f.nrep++
+	return i, true
+}
+
+// Done reports whether every quorum member has answered.
+func (f *fanout) Done() bool { return f.nrep == len(f.Quorum) }
+
+// Pending reports whether the member at quorum position i has yet to answer.
+func (f *fanout) Pending(i int) bool { return f.replied&(1<<uint(i)) == 0 }
+
+// Replace makes server the member at quorum position i, in place of one that
+// is known lost; the caller re-sends the session's Request to it. It refuses
+// — returns false and changes nothing — when position i has already
+// answered (its reply is part of the result) or server is already a member.
+// For a KSubsets system the result is again a quorum; see Engine.TopUpRead.
+func (f *fanout) Replace(i, server int) bool {
+	if i < 0 || i >= len(f.Quorum) || !f.Pending(i) || pos(f.Quorum, server) >= 0 {
+		return false
+	}
+	f.Quorum[i] = server
+	return true
+}
+
+// ReadSession is the client state of one in-flight read operation: it has
+// fanned a ReadReq out to every server in Quorum and completes when all of
+// them have replied (the network is reliable and, in the failure-free model
+// of the paper's Section 4, so are the servers).
+type ReadSession struct {
+	Reg msg.RegisterID
+	Op  msg.OpID
+	fanout
+
+	// tags holds the reply timestamps densely by quorum position, valid
+	// where the position has answered.
+	tags   []msg.Tagged
+	best   msg.Tagged
+	gotAny bool
+	// unanimous stays true while every accepted reply has carried the same
+	// timestamp — the condition under which an atomic read may skip its
+	// write-back phase (see Engine.TryFinishReadFast).
+	unanimous bool
+}
+
+// Request returns the message to send to each quorum member.
+func (s *ReadSession) Request() msg.ReadReq {
+	return msg.ReadReq{Reg: s.Reg, Op: s.Op, Epoch: s.Epoch}
+}
+
 // OnReply feeds one server's reply into the session and reports whether the
 // operation is complete. Replies for other operations, duplicate replies,
 // and replies from servers outside the quorum are ignored, so drivers may
@@ -75,12 +117,10 @@ func (s *ReadSession) OnReply(server int, rep msg.ReadReply) (done bool) {
 	if rep.Op != s.Op || rep.Reg != s.Reg {
 		return s.Done()
 	}
-	i := pos(s.Quorum, server)
-	if i < 0 || s.replied&(1<<uint(i)) != 0 {
+	i, ok := s.mark(server)
+	if !ok {
 		return s.Done()
 	}
-	s.replied |= 1 << uint(i)
-	s.nrep++
 	s.tags[i] = rep.Tag
 	if s.gotAny && rep.Tag.TS != s.best.TS {
 		// While unanimous holds, best equals every tag seen so far, so one
@@ -107,15 +147,12 @@ func (s *ReadSession) Unanimous() bool { return s.gotAny && s.unanimous }
 func (s *ReadSession) StaleMembers(tag msg.Tagged) []int {
 	var out []int
 	for i, srv := range s.Quorum {
-		if s.replied&(1<<uint(i)) != 0 && s.tags[i].TS.Less(tag.TS) {
+		if !s.Pending(i) && s.tags[i].TS.Less(tag.TS) {
 			out = append(out, srv)
 		}
 	}
 	return out
 }
-
-// Done reports whether every quorum member has replied.
-func (s *ReadSession) Done() bool { return s.nrep == len(s.Quorum) }
 
 // Best returns the maximum-timestamp value observed so far. It is only
 // meaningful once Done reports true.
@@ -125,17 +162,10 @@ func (s *ReadSession) Best() msg.Tagged { return s.best }
 // fanned a WriteReq out to every server in Quorum and completes when all of
 // them have acknowledged.
 type WriteSession struct {
-	Reg    msg.RegisterID
-	Op     msg.OpID
-	Tag    msg.Tagged
-	Quorum []int
-	// Epoch is as in ReadSession.
-	Epoch msg.Epoch
-
-	// acked is a bitmask over quorum positions and nack its population
-	// count, as in ReadSession.replied.
-	acked uint64
-	nack  int
+	Reg msg.RegisterID
+	Op  msg.OpID
+	Tag msg.Tagged
+	fanout
 }
 
 // Request returns the message to send to each quorum member.
@@ -150,14 +180,6 @@ func (s *WriteSession) OnAck(server int, ack msg.WriteAck) (done bool) {
 	if ack.Op != s.Op || ack.Reg != s.Reg {
 		return s.Done()
 	}
-	i := pos(s.Quorum, server)
-	if i < 0 || s.acked&(1<<uint(i)) != 0 {
-		return s.Done()
-	}
-	s.acked |= 1 << uint(i)
-	s.nack++
+	s.mark(server)
 	return s.Done()
 }
-
-// Done reports whether every quorum member has acknowledged.
-func (s *WriteSession) Done() bool { return s.nack == len(s.Quorum) }

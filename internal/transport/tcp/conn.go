@@ -26,10 +26,13 @@ import (
 //     deadline; each reply decrements the connection's outstanding count.
 //     Encode and decode failures surface as per-server error deliveries, the
 //     prompt crash signal the strict (no-timeout) client relies on.
-//   - Pipelined (async=true): Send enqueues without blocking (overflow drops
-//     the request — the operation's deadline re-issues it) and a writer
-//     goroutine coalesces the queue into batch frames of up to maxBatch
-//     requests, amortizing encode and syscall cost.
+//   - Pipelined (async=true): Send enqueues without blocking (overflow is a
+//     failed hand-off, returned as an error) and a writer goroutine coalesces
+//     the queue into batch frames of up to maxBatch requests, amortizing
+//     encode and syscall cost. A burst the writer cannot put on the wire — the
+//     re-dial failed, the write failed — surfaces as one per-server error
+//     delivery, like a connection death seen by the reader: no lost send is
+//     silent, so the client replaces the member instead of waiting it out.
 type tcpTransport struct {
 	// Per-connection configuration, fixed at construction and shared by
 	// connections dialed later by Update.
@@ -166,8 +169,7 @@ func (t *tcpTransport) Send(server int, req any) error {
 	}
 	nc := conns[server]
 	if nc.async {
-		nc.enqueue(req)
-		return nil
+		return nc.enqueue(req)
 	}
 	return nc.send(req)
 }
@@ -387,12 +389,26 @@ func (nc *netConn) send(req any) error {
 	return nil
 }
 
-// enqueue queues one request for the writer goroutine (async mode),
-// dropping it if the queue is full (the operation's deadline re-issues it).
-func (nc *netConn) enqueue(req any) {
+// errSendQueueFull is Send's error for a connection whose writer has fallen a
+// whole queue behind: the peer is not draining, and the request was not
+// handed off.
+var errSendQueueFull = errors.New("tcp: send queue full")
+
+// enqueue queues one request for the writer goroutine (async mode). A full
+// queue refuses the request instead of blocking the pipeline.
+func (nc *netConn) enqueue(req any) error {
 	select {
 	case nc.out <- req:
+		return nil
 	default:
+		nc.sendDropped()
+		return fmt.Errorf("send %s: %w", nc.addr, errSendQueueFull)
+	}
+}
+
+func (nc *netConn) sendDropped() {
+	if nc.counters != nil {
+		nc.counters.SendDrops.Inc()
 	}
 }
 
@@ -466,26 +482,36 @@ func (nc *netConn) writeLoop() {
 }
 
 // writeFrames writes pre-encoded frames in one syscall, transparently
-// re-dialing a dead connection first. Failures drop the frames: the
-// operations' deadlines re-issue them.
+// re-dialing a dead connection first. A failure — the dial was refused or is
+// backed off, the write errored — loses the whole burst, and is reported as
+// one per-server error so the operations in it are topped up at once.
 func (nc *netConn) writeFrames(out []byte) {
 	if len(out) == 0 {
 		return
 	}
+	if err := nc.writeFramesLocked(out); err != nil {
+		nc.sendDropped()
+		nc.emit(nil, fmt.Errorf("send: %w", err))
+	}
+}
+
+func (nc *netConn) writeFramesLocked(out []byte) error {
 	nc.mu.Lock()
 	defer nc.mu.Unlock()
 	if nc.closed {
-		return
+		return nil
 	}
 	if err := nc.ensureLocked(); err != nil {
-		return
+		return err
 	}
 	if nc.timeout > 0 {
 		_ = nc.conn.SetWriteDeadline(time.Now().Add(nc.timeout))
 	}
-	if _, err := nc.conn.Write(out); err != nil {
+	_, err := nc.conn.Write(out)
+	if err != nil {
 		nc.dropLocked(err)
 	}
+	return err
 }
 
 // ensureLocked re-dials a dead connection, honouring the re-dial backoff,

@@ -3,8 +3,10 @@ package tcp
 import (
 	"probquorum/internal/metrics"
 	"probquorum/internal/msg"
+	"probquorum/internal/obs"
 	"probquorum/internal/quorum"
 	"probquorum/internal/register"
+	"probquorum/internal/transport"
 )
 
 // DefaultKeyspaceShards is the client-side shard count DialKeyspace uses
@@ -106,6 +108,17 @@ func (c *KeyspaceClient) Keyspace() *register.Keyspace { return c.ks }
 
 // Counters exposes the client's transport fault counters.
 func (c *KeyspaceClient) Counters() *metrics.TransportCounters { return c.counters }
+
+// Health returns, per server index, whether this client currently suspects
+// the server, since when, and the last failure it attributed to it. Every
+// shard shares the one table.
+func (c *KeyspaceClient) Health() []transport.ServerHealth { return c.ks.Health() }
+
+// RegisterHealth attaches one health probe per server to reg, named
+// "<name>.<index>"; see PipelinedClient.RegisterHealth.
+func (c *KeyspaceClient) RegisterHealth(reg *obs.Registry, name string) {
+	registerHealth(reg, name, c.tr, c.ks.Health)
+}
 
 // Close tears down every connection and fails all pending operations with
 // ErrClientClosed.

@@ -2,13 +2,16 @@ package tcp
 
 import (
 	"errors"
+	"fmt"
 	"time"
 
 	"probquorum/internal/metrics"
 	"probquorum/internal/msg"
+	"probquorum/internal/obs"
 	"probquorum/internal/quorum"
 	"probquorum/internal/register"
 	"probquorum/internal/trace"
+	"probquorum/internal/transport"
 )
 
 // ErrClientClosed is returned by operations pending in a pipelined client
@@ -26,8 +29,8 @@ const defaultPipelineTimeout = 2 * time.Second
 const defaultMaxBatch = 16
 
 // pipeOutBuffer is each server connection's send-queue capacity. Overflow
-// drops the request — the operation's deadline re-issues it on a fresh
-// quorum — so a stalled connection can never block the pipeline.
+// refuses the request — Send fails, and the operation replaces that member —
+// so a stalled connection can never block the pipeline.
 const pipeOutBuffer = 4096
 
 // WithMaxBatch caps how many queued requests the pipelined client coalesces
@@ -73,10 +76,19 @@ func WithClock(clock func() int64) ClientOption {
 //
 // Ordering guarantees are the Pipeline's: operations on different registers
 // proceed concurrently; same-register operations are FIFO per client, which
-// preserves the monotone variant's [R4]. Crashed or silent replicas cost at
-// most the per-operation deadline, after which the operation re-issues on a
-// freshly picked quorum; dead connections re-dial transparently with capped
-// backoff on next use.
+// preserves the monotone variant's [R4].
+//
+// The fan-out is fault-aware over majority and k-of-n systems (DESIGN.md,
+// "Fault-aware fan-out"). A crashed replica — its connection dies, or a burst
+// cannot be written to it — costs the operations in flight to it one extra
+// round trip: each replaces that member with a fresh server and keeps the
+// replies it has. A silent one costs the operations in flight one
+// per-operation deadline, once. Either way the server is then suspected
+// (Health, RegisterHealth): picks avoid it, and a shadow request every
+// transport.ProbeInterval notices its recovery. Other quorum systems keep
+// the plain path — the deadline re-issues the operation on a freshly picked
+// quorum. Dead connections re-dial transparently with capped backoff on next
+// use.
 //
 // PipelinedClient is safe for concurrent use by any number of goroutines.
 type PipelinedClient struct {
@@ -146,6 +158,39 @@ func (c *PipelinedClient) Pipeline() *register.Pipeline { return c.pl }
 
 // Counters exposes the client's transport fault counters.
 func (c *PipelinedClient) Counters() *metrics.TransportCounters { return c.counters }
+
+// Health returns, per server index, whether this client currently suspects
+// the server, since when, and the last failure it attributed to it.
+func (c *PipelinedClient) Health() []transport.ServerHealth { return c.pl.Health() }
+
+// RegisterHealth attaches one health probe per server to reg, named
+// "<name>.<index>", so /healthz shows this client's suspicions next to the
+// servers' own liveness (Server.RegisterHealth): live means not suspected.
+// The probes cover the servers of the view at the time of the call.
+func (c *PipelinedClient) RegisterHealth(reg *obs.Registry, name string) {
+	registerHealth(reg, name, c.tr, c.pl.Health)
+}
+
+// registerHealth registers the per-server probes of a client whose
+// suspicion snapshot is health, over the connections of tr.
+func registerHealth(reg *obs.Registry, name string, tr *tcpTransport, health func() []transport.ServerHealth) {
+	for i, nc := range *tr.conns.Load() {
+		i, addr := i, nc.addr
+		reg.RegisterHealth(fmt.Sprintf("%s.%d", name, i), func() obs.Health {
+			h := obs.Health{Live: true, Addr: addr}
+			if rows := health(); i < len(rows) {
+				h.Live = !rows[i].Suspected
+				if rows[i].Suspected {
+					h.Since = &rows[i].Since
+				}
+				if rows[i].LastErr != nil {
+					h.LastError = rows[i].LastErr.Error()
+				}
+			}
+			return h
+		})
+	}
+}
 
 // Close tears down every connection and fails all pending operations with
 // ErrClientClosed.

@@ -35,6 +35,13 @@
 //     client depends on no particular quorum, so it simply draws another.
 //     Attempts are paced by capped exponential backoff and bounded by
 //     WithRetries; exhaustion surfaces register.ErrQuorumUnavailable.
+//   - Fault-aware fan-out (pipelined and keyspace clients, majority and
+//     k-of-n systems): a member the transport reports lost — its connection
+//     died, a burst could not be written to it — is replaced within the
+//     attempt, which keeps its replies and costs one extra round trip; a
+//     silent member is replaced at the deadline. Lost servers are suspected
+//     and picked around until a probe sees them answer (PipelinedClient
+//     documents it; DESIGN.md "Fault-aware fan-out" argues it).
 //   - Reconnect: a connection that errored is marked dead and transparently
 //     re-dialed (with its own capped backoff) on next use, so a recovered
 //     replica rejoins without restarting the client.

@@ -43,10 +43,13 @@ type Transport interface {
 	// machinery here.
 	Bind(sink Sink)
 	// Send hands req to the given server. A nil error means the request was
-	// accepted for delivery, not that it arrived: lost messages surface as
-	// missing replies (the client's deadline machinery handles those). A
-	// non-nil error means the request could not even be handed off — e.g. a
-	// dead connection that could not be re-dialed.
+	// accepted for delivery, not that it arrived: a transport that later
+	// learns the request was lost says so with a per-server error delivery
+	// (see Sink), and what it cannot know surfaces as a missing reply — the
+	// client's deadline machinery handles those. A non-nil error means the
+	// request could not even be handed off — e.g. a dead connection that
+	// could not be re-dialed, a full send queue. Clients treat both signals
+	// alike: whatever was in flight to that server is lost (see Health).
 	Send(server int, req any) error
 	// Close releases the transport. Subsequent Sends fail or are dropped;
 	// the sink receives no further deliveries (implementations may emit one

@@ -58,15 +58,26 @@ echo "== membership churn smoke =="
 go test -race -cpu 2,8 -run 'TestMembership|TestSetView|TestStaleFor|TestSnapshotInstall|TestViewStats' \
     ./internal/register ./internal/replica
 
+echo "== fault-aware fan-out under the race detector =="
+# The same treatment for the fault path: the transport's error sink, the
+# keyspace's shard locks, the deadline timer and the probe path all meet in a
+# top-up, and they meet on goroutines the healthy path never crosses.
+go test -race -cpu 2,8 \
+    -run 'TestFlappingServerNoLivelock|TestSilentServerCostsOneDeadline|TestConformance/crash-topup|TestHealth|TestCrashCostsOneRoundTrip|TestKilledListenerIsNotSilent|TestPartitionCostsOneDeadline' \
+    ./internal/register ./internal/transport ./internal/transport/tcp
+
 echo "== load harness smoke soak =="
 # A 30-second open-loop soak against an in-process TCP server set, always
 # under the race detector: the harness's callback completions, the fault
 # links' pipe goroutines, and the keyspace client's delivery goroutines all
 # meet here, and the run replays the trace checkers (well-formedness,
 # reads-from, atomicity, per-key isolation) as its exit criterion — CI's
-# proof that a random sustained workload stays linearizable end to end.
+# proof that a random sustained workload stays linearizable end to end. The
+# crash arm is a fault the transport signals (top-up on error); the partition
+# arm is a silent one (top-up on deadline), so the atomicity checker runs
+# across both.
 go run -race ./cmd/loadgen -soak -duration 30s -rate 250 -servers 3 \
-    -schedule '@5s crash 1; @10s recover 1; @15s slow 2 2ms; @20s slow 2 0s'
+    -schedule '@5s crash 1; @10s recover 1; @15s slow 2 2ms; @20s slow 2 0s; @22s partition 1; @26s heal'
 
 echo "== fuzz corpora =="
 # Replay every checked-in fuzz corpus entry (plus the f.Add seeds) as
