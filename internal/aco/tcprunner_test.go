@@ -1,6 +1,7 @@
 package aco_test
 
 import (
+	"runtime"
 	"testing"
 
 	"probquorum/internal/aco"
@@ -52,5 +53,48 @@ func TestRunTCPClosureStrict(t *testing.T) {
 	}
 	if !res.Converged {
 		t.Fatal("TCP closure run did not converge")
+	}
+}
+
+// TestRunTCPLeavesLittleReachable is the per-job cost gate for the paper's
+// own application at its own scale — APSP on chain(34) over k = 6 of n = 34,
+// two workers, so 68 client and 68 server connections per job. Connections
+// cost what their traffic costs (send queues and read windows grow on
+// demand) and Close releases (no timer keeps a closed client reachable), so
+// a finished job leaves well under 1.5 MB behind and allocates under 5 MB;
+// pre-sized for the worst case, the same job left 5.2 MB and allocated
+// 15.7 MB.
+func TestRunTCPLeavesLittleReachable(t *testing.T) {
+	if raceEnabled {
+		t.Skip("memory accounting differs under the race detector")
+	}
+	g := graph.Chain(34)
+	op, target := semiring.NewAPSP(g), semiring.APSPTarget(g)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	res, err := aco.RunTCP(aco.TCPConfig{
+		Op: op, Target: target,
+		Servers: 34, Procs: 2, System: quorum.NewProbabilistic(34, 6),
+		Monotone: true, Pipelined: true,
+		Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Converged || !aco.VectorsEqual(op, res.Final, target) {
+		t.Fatal("job did not converge on the APSP fixed point")
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	const mb = 1 << 20
+	left := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / mb
+	allocated := float64(after.TotalAlloc-before.TotalAlloc) / mb
+	t.Logf("one job: %.2f MB left reachable, %.2f MB allocated", left, allocated)
+	if left > 1.5 {
+		t.Errorf("a finished job leaves %.2f MB reachable, want < 1.5 MB", left)
+	}
+	if allocated > 5 {
+		t.Errorf("a job allocates %.2f MB, want < 5 MB", allocated)
 	}
 }

@@ -78,6 +78,12 @@ type TransportCounters struct {
 	// dropped on a failed (re-)dial or write, a full send queue. Each is also
 	// reported to the client as a per-server error.
 	SendDrops Counter
+	// SendQueueMax reads how many requests a connection's writer found
+	// pending the last time it drained a send queue; its Max is the deepest
+	// any of the client's send queues has been — the client-side twin of the
+	// server's reply-queue depth, and the first sign of a writer falling
+	// behind (requests are refused at the queue bound, see SendDrops).
+	SendQueueMax Gauge
 }
 
 // Snapshot returns the three fault-path counts at once.

@@ -47,7 +47,8 @@ func (t *AccessTally) Register(name string, r Registrar) *AccessTally {
 // "<prefix>.timeouts", "<prefix>.reconnects", "<prefix>.stale_drops",
 // "<prefix>.msgs_sent", "<prefix>.msgs_recv", "<prefix>.view_adopts",
 // "<prefix>.top_ups", "<prefix>.suspicions", "<prefix>.probes" and
-// "<prefix>.send_drops". It returns the receiver.
+// "<prefix>.send_drops", and the send-queue gauge as
+// "<prefix>.send_queue_max". It returns the receiver.
 func (t *TransportCounters) Register(prefix string, r Registrar) *TransportCounters {
 	t.Retries.Register(prefix+".retries", r)
 	t.Timeouts.Register(prefix+".timeouts", r)
@@ -60,5 +61,6 @@ func (t *TransportCounters) Register(prefix string, r Registrar) *TransportCount
 	t.Suspicions.Register(prefix+".suspicions", r)
 	t.Probes.Register(prefix+".probes", r)
 	t.SendDrops.Register(prefix+".send_drops", r)
+	t.SendQueueMax.Register(prefix+".send_queue_max", r)
 	return t
 }

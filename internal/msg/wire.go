@@ -39,7 +39,6 @@ package msg
 // replies are matched by operation id, never by position.
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -816,10 +815,25 @@ func decodeLenBytes(p []byte) (b, rest []byte, err error) {
 	return p[:n], p[n:], nil
 }
 
-// frameReaderBuf is the FrameReader's window: frames that fit are decoded
-// zero-copy straight out of the bufio buffer (one Peek + Discard, no
-// intermediate payload allocation).
+// frameReaderBuf caps the FrameReader's window: frames that fit are decoded
+// zero-copy straight out of it (no intermediate payload allocation); larger
+// ones accumulate in an owned buffer.
 const frameReaderBuf = 64 << 10
+
+// frameReaderMin is the window a FrameReader starts with. The window follows
+// the connection's traffic instead of its worst case: it doubles, up to
+// frameReaderBuf, whenever a read fills it or the pending frame does not
+// fit, so a connection that only ever carries small frames never pays for —
+// or has the collector clear and mark — the full 64 KiB. The windows are
+// deliberately not pooled: sync.Pool's victim cache keeps a released window
+// reachable across one more collection, which is exactly the retention a
+// closed connection is meant to end.
+const frameReaderMin = 4 << 10
+
+// recycleCap is the largest one-off buffer worth keeping for reuse: encode
+// buffers (PutEncodeBuf) and a FrameReader's oversized-frame buffer beyond it
+// are released, so one MiB-sized frame does not pin memory for good.
+const recycleCap = 1 << 20
 
 // FrameReader reads length-prefixed wire frames from a stream. It is
 // resumable: a deadline-induced read timeout mid-frame leaves the reader's
@@ -828,19 +842,27 @@ const frameReaderBuf = 64 << 10
 // deadline and call Next again. This is the property that lets the TCP
 // transport ride out per-operation timeouts without reconnecting.
 type FrameReader struct {
-	br *bufio.Reader
+	r io.Reader
+	// win is the read window; win[rd:wr] holds the bytes read from r and not
+	// yet consumed. len(win) is the window size (see frameReaderMin).
+	win    []byte
+	rd, wr int
+	// rerr is an error r returned that no caller has seen yet: reads that
+	// also produced enough data succeed, and the error surfaces the next time
+	// the reader runs short.
+	rerr error
 	// pending is the current frame's payload length, or -1 when the next
 	// bytes are a frame header.
 	pending int
-	// big accumulates a payload larger than the bufio window across
-	// (possibly interrupted) reads; got is its fill level.
+	// big accumulates a payload larger than frameReaderBuf across (possibly
+	// interrupted) reads; got is its fill level.
 	big []byte
 	got int
 }
 
 // NewFrameReader returns a FrameReader over r.
 func NewFrameReader(r io.Reader) *FrameReader {
-	return &FrameReader{br: bufio.NewReaderSize(r, frameReaderBuf), pending: -1}
+	return &FrameReader{r: r, win: make([]byte, frameReaderMin), pending: -1}
 }
 
 // Next reads and decodes the next frame. A timeout error from the underlying
@@ -870,58 +892,106 @@ func (fr *FrameReader) NextRaw() ([]byte, error) {
 // read on fr.
 func (fr *FrameReader) payload() ([]byte, error) {
 	if fr.pending < 0 {
-		hdr, err := fr.br.Peek(4)
-		if len(hdr) < 4 {
-			if err == nil {
-				err = io.ErrNoProgress
-			}
+		if cap(fr.big) > recycleCap {
+			// The oversized frame handed out last call is dead by contract;
+			// do not keep a state transfer's MiBs for the connection's life.
+			fr.big = nil
+		}
+		if err := fr.fill(4); err != nil {
 			return nil, err
 		}
-		n := binary.BigEndian.Uint32(hdr)
+		n := binary.BigEndian.Uint32(fr.win[fr.rd:])
 		if n > MaxWireFrame {
 			return nil, ErrFrameTooLarge
 		}
-		if _, err := fr.br.Discard(4); err != nil {
-			return nil, err
-		}
+		fr.rd += 4
 		fr.pending = int(n)
 		fr.got = 0
 	}
-	if fr.pending <= fr.br.Size() && fr.got == 0 {
-		p, err := fr.br.Peek(fr.pending)
-		if len(p) < fr.pending {
-			if err == nil {
-				err = io.ErrNoProgress
-			}
+	if fr.pending <= frameReaderBuf {
+		if err := fr.fill(fr.pending); err != nil {
 			return nil, err
 		}
-		// Discard only moves the buffered-read cursor; the peeked window
-		// stays intact until the next fill, which cannot happen before the
-		// next call on fr.
-		_, _ = fr.br.Discard(fr.pending)
+		// Consuming only moves the cursor; the bytes stay put until the next
+		// fill, which cannot happen before the next call on fr.
+		p := fr.win[fr.rd : fr.rd+fr.pending]
+		fr.rd += fr.pending
 		fr.pending = -1
 		return p, nil
 	}
 	// Oversized frame: accumulate into an owned buffer across calls, so a
-	// timeout mid-accumulation resumes instead of losing the prefix.
+	// timeout mid-accumulation resumes instead of losing the prefix. Whatever
+	// the window already holds goes first; the rest is read straight into
+	// the buffer, so the window is empty again when the frame completes.
 	if cap(fr.big) < fr.pending {
 		fr.big = make([]byte, fr.pending)
 	}
 	buf := fr.big[:fr.pending]
+	n := copy(buf[fr.got:], fr.win[fr.rd:fr.wr])
+	fr.rd += n
+	fr.got += n
 	for fr.got < fr.pending {
-		n, err := fr.br.Read(buf[fr.got:])
+		if err := fr.takeErr(); err != nil {
+			return nil, err
+		}
+		n, err := fr.r.Read(buf[fr.got:])
 		fr.got += n
-		if fr.got < fr.pending {
-			if err == nil && n == 0 {
-				err = io.ErrNoProgress
-			}
-			if err != nil {
-				return nil, err
-			}
+		fr.rerr = err
+		if n == 0 && err == nil {
+			return nil, io.ErrNoProgress
 		}
 	}
 	fr.pending = -1
 	return buf, nil
+}
+
+// fill reads until the window holds at least n (<= frameReaderBuf) unread
+// bytes. On error the bytes read so far stay buffered, so a later call
+// resumes.
+func (fr *FrameReader) fill(n int) error {
+	for fr.wr-fr.rd < n {
+		if err := fr.takeErr(); err != nil {
+			return err
+		}
+		if n > len(fr.win) {
+			fr.resize(n)
+		} else if fr.rd > 0 {
+			fr.wr = copy(fr.win, fr.win[fr.rd:fr.wr])
+			fr.rd = 0
+		}
+		m, err := fr.r.Read(fr.win[fr.wr:])
+		fr.wr += m
+		fr.rerr = err
+		if fr.wr == len(fr.win) && len(fr.win) < frameReaderBuf {
+			// The stream had at least a windowful waiting: the traffic has
+			// outgrown the window.
+			fr.resize(2 * len(fr.win))
+		}
+		if m == 0 && err == nil {
+			return io.ErrNoProgress
+		}
+	}
+	return nil
+}
+
+// resize moves the unread bytes to the front of a new window of the first
+// doubling that holds size bytes.
+func (fr *FrameReader) resize(size int) {
+	n := len(fr.win)
+	for n < size {
+		n *= 2
+	}
+	win := make([]byte, n)
+	fr.wr = copy(win, fr.win[fr.rd:fr.wr])
+	fr.rd = 0
+	fr.win = win
+}
+
+// takeErr returns and clears the stored read error.
+func (fr *FrameReader) takeErr() error {
+	err := fr.rerr
+	fr.rerr = nil
+	return err
 }
 
 // encodeBufs recycles AppendMessage scratch buffers across frames; one
@@ -942,10 +1012,10 @@ func GetEncodeBuf() *[]byte {
 	return b
 }
 
-// PutEncodeBuf recycles a scratch buffer. Buffers grown past 1 MiB are
+// PutEncodeBuf recycles a scratch buffer. Buffers grown past recycleCap are
 // dropped so one oversized frame does not pin memory in the pool forever.
 func PutEncodeBuf(b *[]byte) {
-	if cap(*b) > 1<<20 {
+	if cap(*b) > recycleCap {
 		return
 	}
 	encodeBufs.Put(b)

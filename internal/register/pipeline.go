@@ -87,6 +87,11 @@ type Pipeline struct {
 	thead, ttail *pipeTimer
 	expiry       *time.Timer
 	expiryArmed  bool
+	// live is how expiry's callback finds the pipeline. The runtime keeps a
+	// stopped timer, callback included, until its original expiry comes
+	// round; Close clears live so that what lingers is one word, not the
+	// pipeline and everything it points to.
+	live *atomic.Pointer[Pipeline]
 
 	closed   bool
 	closeErr error
@@ -653,7 +658,14 @@ func (p *Pipeline) armTimerLocked(op *PendingOp) {
 	if !p.expiryArmed {
 		p.expiryArmed = true
 		if p.expiry == nil {
-			p.expiry = time.AfterFunc(p.opTimeout, p.expire)
+			live := new(atomic.Pointer[Pipeline])
+			live.Store(p)
+			p.live = live
+			p.expiry = time.AfterFunc(p.opTimeout, func() {
+				if p := live.Load(); p != nil {
+					p.expire()
+				}
+			})
 		} else {
 			p.expiry.Reset(p.opTimeout)
 		}
@@ -1239,7 +1251,8 @@ func (p *Pipeline) signal(op *PendingOp) {
 }
 
 // Close fails every pending and queued operation with err (defaulting to
-// ErrPipelineClosed) and makes further submissions fail immediately. It does
+// ErrPipelineClosed), makes further submissions fail immediately, and stops
+// the deadline timer, so a closed pipeline is collectable at once. It does
 // not touch the transport; callers close that separately.
 func (p *Pipeline) Close(err error) {
 	if err == nil {
@@ -1268,6 +1281,17 @@ func (p *Pipeline) Close(err error) {
 	}
 	p.inflight = make(map[msg.OpID]*PendingOp)
 	p.queues = make(map[msg.RegisterID]*regQueue)
+	// Release what the pipeline held for operations to come. The runtime
+	// timer is cut loose too (see live): left armed it would keep the
+	// pipeline, the engine and the transport reachable until it fires, an
+	// OpTimeout after the last arm. A fire already past Stop finds an empty
+	// list and stands down.
+	if p.expiry != nil {
+		p.expiry.Stop()
+		p.live.Store(nil)
+	}
+	p.thead, p.ttail = nil, nil
+	p.qfree, p.tfree = nil, nil
 	p.mu.Unlock()
 	for _, op := range victims {
 		p.signal(op)

@@ -113,7 +113,7 @@ func (t *tcpTransport) newConn(srv int, addr string) *netConn {
 	}
 	nc.server.Store(int32(srv))
 	if t.async {
-		nc.out = make(chan any, pipeOutBuffer)
+		nc.notify = make(chan struct{}, 1)
 		nc.stop = make(chan struct{})
 	}
 	return nc
@@ -289,8 +289,21 @@ type netConn struct {
 	async    bool
 	maxBatch int
 	hist     *metrics.IntHistogram
-	out      chan any      // async mode: the writer goroutine's send queue
 	stop     chan struct{} // async mode: stops the writer goroutine
+
+	// The async-mode send queue. Send appends to queue under qmu — the slice
+	// grows with the traffic and refuses at pipeOutBuffer pending requests —
+	// and signals notify (capacity 1: "something is pending") when it turns
+	// the queue non-empty; the writer goroutine swaps the whole slice out per
+	// wake, one lock round per burst. held counts the requests of that burst
+	// the writer has not yet put on the wire: they are still unwritten, so
+	// they count against pipeOutBuffer like the queued ones. qclosed refuses
+	// hand-offs after close.
+	qmu     sync.Mutex
+	queue   []any
+	held    int
+	qclosed bool
+	notify  chan struct{}
 
 	wg sync.WaitGroup
 
@@ -397,13 +410,26 @@ var errSendQueueFull = errors.New("tcp: send queue full")
 // enqueue queues one request for the writer goroutine (async mode). A full
 // queue refuses the request instead of blocking the pipeline.
 func (nc *netConn) enqueue(req any) error {
-	select {
-	case nc.out <- req:
-		return nil
-	default:
+	nc.qmu.Lock()
+	if nc.qclosed {
+		nc.qmu.Unlock()
+		return ErrClientClosed
+	}
+	n := len(nc.queue)
+	if n+nc.held >= pipeOutBuffer {
+		nc.qmu.Unlock()
 		nc.sendDropped()
 		return fmt.Errorf("send %s: %w", nc.addr, errSendQueueFull)
 	}
+	nc.queue = append(nc.queue, req)
+	nc.qmu.Unlock()
+	if n == 0 {
+		select {
+		case nc.notify <- struct{}{}:
+		default:
+		}
+	}
+	return nil
 }
 
 func (nc *netConn) sendDropped() {
@@ -417,68 +443,85 @@ func (nc *netConn) sendDropped() {
 // pool's recycling cap so burst buffers return to the pool.
 const clientCoalesceBytes = 256 << 10
 
-// writeLoop is the async-mode writer: it drains the queue into as many batch
-// frames as are pending and writes them with one syscall. maxBatch caps
-// elements per frame — the receiver's decode/fairness unit — not frames per
-// write, so a deep burst costs one conn.Write instead of one per frame.
-// Frames are encoded outside the connection lock into a pooled buffer owned
-// by this goroutine.
+// writeLoop is the async-mode writer: each wake swaps the whole pending
+// queue out — the requests accumulate in one slice while the writer encodes
+// and writes the other, the shape the server's replyWriter has — and puts it
+// on the wire. Frames are encoded outside every lock into a pooled buffer
+// owned by this goroutine.
 func (nc *netConn) writeLoop() {
 	defer nc.wg.Done()
 	buf := msg.GetEncodeBuf()
 	defer msg.PutEncodeBuf(buf)
-	batch := make([]any, 0, nc.maxBatch)
+	var spare []any
 	for {
 		select {
 		case <-nc.stop:
 			return
-		case m := <-nc.out:
-			out := (*buf)[:0]
-			batch = append(batch[:0], m)
-			for {
-			drain:
-				for len(batch) < nc.maxBatch {
-					select {
-					case m2 := <-nc.out:
-						batch = append(batch, m2)
-					default:
-						break drain
-					}
-				}
-				next, err := msg.AppendMessage(out, msg.Batch{Msgs: batch})
-				if err != nil {
-					// Unencodable payload: drop the connection so the failure
-					// is visible, not a silent stall.
-					nc.mu.Lock()
-					if !nc.closed {
-						nc.dropLocked(err)
-					}
-					nc.mu.Unlock()
-					out = out[:0]
-					break
-				}
-				out = next
-				if nc.hist != nil {
-					nc.hist.Observe(len(batch))
-				}
-				batch = batch[:0]
-				if len(out) >= clientCoalesceBytes {
-					break
-				}
-				// Start another frame only if a request is already queued.
-				select {
-				case m2 := <-nc.out:
-					batch = append(batch, m2)
-				default:
-				}
-				if len(batch) == 0 {
-					break
-				}
+		case <-nc.notify:
+		}
+		nc.qmu.Lock()
+		pend := nc.queue
+		nc.queue = spare
+		nc.held = len(pend)
+		nc.qmu.Unlock()
+		if nc.counters != nil {
+			nc.counters.SendQueueMax.Set(int64(len(pend)))
+		}
+		nc.writeBurst(buf, pend)
+		clear(pend)
+		spare = pend[:0]
+	}
+}
+
+// writeBurst encodes pend into batch frames and writes them. maxBatch caps
+// elements per frame — the receiver's decode/fairness unit — not frames per
+// write, so a deep burst costs one conn.Write per clientCoalesceBytes of
+// frames instead of one per frame.
+func (nc *netConn) writeBurst(buf *[]byte, pend []any) {
+	out := (*buf)[:0]
+	inOut := 0 // requests encoded into out
+	for len(pend) > 0 {
+		batch := pend[:min(len(pend), nc.maxBatch)]
+		pend = pend[len(batch):]
+		next, err := msg.AppendMessage(out, msg.Batch{Msgs: batch})
+		if err != nil {
+			// Unencodable payload: drop the connection so the failure is
+			// visible, not a silent stall. The frames encoded so far go with
+			// it; the rest of the burst rides the re-dialed connection.
+			nc.mu.Lock()
+			if !nc.closed {
+				nc.dropLocked(err)
 			}
-			*buf = out[:0] // capture pool-buffer growth across bursts
+			nc.mu.Unlock()
+			nc.release(inOut + len(batch))
+			out, inOut = out[:0], 0
+			continue
+		}
+		out = next
+		inOut += len(batch)
+		if nc.hist != nil {
+			nc.hist.Observe(len(batch))
+		}
+		if len(out) >= clientCoalesceBytes {
 			nc.writeFrames(out)
+			nc.release(inOut)
+			out, inOut = out[:0], 0
 		}
 	}
+	*buf = out[:0] // capture pool-buffer growth across bursts
+	nc.writeFrames(out)
+	nc.release(inOut)
+}
+
+// release takes n written (or lost) requests off the writer's share of the
+// send-queue bound: one lock round per conn.Write.
+func (nc *netConn) release(n int) {
+	if n == 0 {
+		return
+	}
+	nc.qmu.Lock()
+	nc.held -= n
+	nc.qmu.Unlock()
 }
 
 // writeFrames writes pre-encoded frames in one syscall, transparently
@@ -743,5 +786,11 @@ func (nc *netConn) close() {
 		nc.conn = nil
 	}
 	nc.mu.Unlock()
+	// Nothing will write the queued requests now; holding them would keep
+	// their operations reachable from a closed client.
+	nc.qmu.Lock()
+	nc.qclosed = true
+	nc.queue = nil
+	nc.qmu.Unlock()
 	nc.wg.Wait()
 }

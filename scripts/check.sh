@@ -42,9 +42,11 @@ echo "== allocation gates =="
 # The testing.AllocsPerRun pins run as ordinary tests (and self-skip under
 # -race, where the instrumentation inflates counts); naming them here keeps
 # hot-path allocation regressions loud even if the full suite's output
-# scrolls past.
-go test $race -run 'TestWireAllocGates|TestPickIntoAllocs|TestObserverAllocGate|TestFastReadAllocGate|TestKeyspaceAllocGate|TestKeyspaceIdleKeyBytes|TestServeAllocGate|TestClientDecodeAllocGate' \
-    ./internal/msg ./internal/quorum ./internal/register ./internal/transport/tcp
+# scrolls past. The two retention gates ride along: a closed client is
+# collectable at once, and a whole APSP job over TCP leaves (and allocates)
+# what its traffic cost, not what 136 worst-case connections would.
+go test $race -run 'TestWireAllocGates|TestPickIntoAllocs|TestObserverAllocGate|TestFastReadAllocGate|TestKeyspaceAllocGate|TestKeyspaceIdleKeyBytes|TestServeAllocGate|TestClientDecodeAllocGate|TestClosedClientIsCollectable|TestRunTCPLeavesLittleReachable' \
+    ./internal/msg ./internal/quorum ./internal/register ./internal/transport/tcp ./internal/aco
 
 echo "== membership churn smoke =="
 # The membership conformance suite (rolling restarts, grow/shrink across
