@@ -128,13 +128,26 @@ func (tb *Testbed) startServer() error {
 		srv.Close()
 		return fmt.Errorf("loadgen: link %d: %w", id, err)
 	}
-	if tb.cfg.Registry != nil {
-		srv.RegisterHealth(tb.cfg.Registry, fmt.Sprintf("loadgen.server.%d", id))
-	}
+	tb.observe(id, st, srv)
 	tb.stores = append(tb.stores, st)
 	tb.servers = append(tb.servers, srv)
 	tb.links = append(tb.links, link)
 	return nil
+}
+
+// observe attaches server id to the testbed's registry, if it has one: the
+// server's health probe, and its store's table gauges (keys, table_slots,
+// table_bytes — bytes per key and occupancy per server) and membership
+// metrics, all under "loadgen.server.<id>". A server that rejoins with a
+// fresh store registers again under the same names, replacing the old ones.
+func (tb *Testbed) observe(id int, st *replica.Store, srv *tcp.Server) {
+	if tb.cfg.Registry == nil {
+		return
+	}
+	name := fmt.Sprintf("loadgen.server.%d", id)
+	srv.RegisterHealth(tb.cfg.Registry, name)
+	st.RegisterStoreMetrics(name, tb.cfg.Registry)
+	st.RegisterViewMetrics(name, tb.cfg.Registry)
 }
 
 // identityView is the view over servers[:active] with proxy addresses and
@@ -294,6 +307,7 @@ func (tb *Testbed) Grow(n int) error {
 				tb.rollbackSeal()
 				return fmt.Errorf("loadgen: relink server %d: %w", id, err)
 			}
+			tb.observe(id, st, srv)
 			tb.stores[id], tb.servers[id], tb.links[id] = st, srv, link
 		} else {
 			id := len(tb.stores)
@@ -313,9 +327,7 @@ func (tb *Testbed) Grow(n int) error {
 				tb.rollbackSeal()
 				return fmt.Errorf("loadgen: link server %d: %w", id, err)
 			}
-			if tb.cfg.Registry != nil {
-				srv.RegisterHealth(tb.cfg.Registry, fmt.Sprintf("loadgen.server.%d", id))
-			}
+			tb.observe(id, st, srv)
 			tb.stores = append(tb.stores, st)
 			tb.servers = append(tb.servers, srv)
 			tb.links = append(tb.links, link)

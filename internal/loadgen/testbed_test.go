@@ -60,6 +60,20 @@ func TestTestbedHealthySoak(t *testing.T) {
 	if serverOps == 0 {
 		t.Error("obs delta shows no counter movement across the run")
 	}
+	// Every server's store answers "bytes per key and occupancy" from the
+	// registry, beside its membership gauges.
+	gauges := registry.Snapshot().Gauges
+	for _, srv := range []string{"loadgen.server.0", "loadgen.server.1", "loadgen.server.2"} {
+		keys, slots, bytes := gauges[srv+".keys"].Value, gauges[srv+".table_slots"].Value, gauges[srv+".table_bytes"].Value
+		// The 32 data keys plus the view register; a server a quorum never
+		// picked for some key may hold fewer.
+		if keys < 1 || keys > 33 || slots < keys || bytes != slots*25 {
+			t.Errorf("%s: keys=%d table_slots=%d table_bytes=%d", srv, keys, slots, bytes)
+		}
+		if got := gauges[srv+".view_size"].Value; got != 3 {
+			t.Errorf("%s.view_size = %d, want 3", srv, got)
+		}
+	}
 }
 
 func TestTestbedCrashScenario(t *testing.T) {

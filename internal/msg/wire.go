@@ -78,6 +78,75 @@ const (
 	valBools    byte = 9
 )
 
+// ScalarKind is the value-union tag of a value that fits one 64-bit word:
+// nil (the zero ScalarKind), int64, int, uint64, float64 and bool — exactly
+// those Go types, so a named scalar type is not a scalar here and keeps its
+// identity. A store that keeps (kind, bits) instead of the boxed value holds
+// no pointer for it, and BatchWriter.AddScalarReadReply encodes the pair
+// without boxing it back.
+type ScalarKind byte
+
+// ScalarOf splits v into its kind and bits; ok is false for every value
+// outside the scalar kinds.
+func ScalarOf(v Value) (kind ScalarKind, bits uint64, ok bool) {
+	switch t := v.(type) {
+	case nil:
+		return ScalarKind(valNil), 0, true
+	case int64:
+		return ScalarKind(valInt64), uint64(t), true
+	case int:
+		return ScalarKind(valInt), uint64(int64(t)), true
+	case uint64:
+		return ScalarKind(valUint64), t, true
+	case float64:
+		return ScalarKind(valFloat64), math.Float64bits(t), true
+	case bool:
+		if t {
+			return ScalarKind(valBool), 1, true
+		}
+		return ScalarKind(valBool), 0, true
+	default:
+		return 0, 0, false
+	}
+}
+
+// Value boxes bits back into the Go value ScalarOf took them from: the
+// same type, and for a float64 the same bit pattern (NaN payloads and the
+// sign of zero survive).
+func (k ScalarKind) Value(bits uint64) Value {
+	switch byte(k) {
+	case valInt64:
+		return int64(bits)
+	case valInt:
+		return int(int64(bits))
+	case valUint64:
+		return bits
+	case valFloat64:
+		return math.Float64frombits(bits)
+	case valBool:
+		return bits != 0
+	default:
+		return nil
+	}
+}
+
+// appendScalar appends the wire form of a scalar value: its tag, then no
+// bytes for nil, one for a bool, eight for the rest — what appendValue writes
+// for the boxed value (TestScalarKinds pins the two against each other).
+// appendValue keeps its own type switch: routing it through ScalarOf and this
+// function cost every scalar encode a second dispatch.
+func appendScalar(dst []byte, k ScalarKind, bits uint64) []byte {
+	dst = append(dst, byte(k))
+	switch byte(k) {
+	case valNil:
+		return dst
+	case valBool:
+		return append(dst, byte(bits&1))
+	default:
+		return binary.BigEndian.AppendUint64(dst, bits)
+	}
+}
+
 // MaxWireFrame caps the payload length accepted in one frame. The length
 // prefix is validated against it before any allocation, bounding what a
 // corrupt or malicious peer can make the decoder allocate.
@@ -660,6 +729,22 @@ func (w *BatchWriter) AddReadReply(m ReadReply) error {
 	binary.BigEndian.PutUint32(w.buf[lenAt:], uint32(len(w.buf)-lenAt-4))
 	w.count++
 	return nil
+}
+
+// AddScalarReadReply appends one ReadReply element whose value is given as
+// its scalar kind and bits — byte-identical to AddReadReply of the boxed
+// value, without the box. It cannot fail: every scalar kind is in the union.
+func (w *BatchWriter) AddScalarReadReply(reg RegisterID, op OpID, ts Timestamp, kind ScalarKind, bits uint64, epoch Epoch) {
+	lenAt := len(w.buf)
+	w.buf = append(w.buf, 0, 0, 0, 0)
+	w.buf = append(w.buf, wireReadReply)
+	w.buf = appendRegOp(w.buf, reg, op)
+	w.buf = binary.BigEndian.AppendUint64(w.buf, ts.Seq)
+	w.buf = binary.BigEndian.AppendUint32(w.buf, uint32(ts.Writer))
+	w.buf = appendScalar(w.buf, kind, bits)
+	w.buf = appendEpoch(w.buf, epoch)
+	binary.BigEndian.PutUint32(w.buf[lenAt:], uint32(len(w.buf)-lenAt-4))
+	w.count++
 }
 
 // AddWriteAck appends one WriteAck element.

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"reflect"
 	"testing"
 
@@ -102,6 +103,53 @@ func TestWireValueUnion(t *testing.T) {
 				t.Fatalf("round trip mismatch:\n in=%#v\nout=%#v", in, out)
 			}
 		})
+	}
+}
+
+// TestScalarKinds pins the (kind, bits) form of the scalar union members: a
+// scalar splits and boxes back to the same type and bits, AddScalarReadReply
+// writes the bytes AddReadReply writes for the boxed value (with and without
+// an epoch), and everything else — a named scalar type included — is not a
+// scalar.
+func TestScalarKinds(t *testing.T) {
+	type named float64
+	for _, v := range []Value{
+		nil, int64(-12345), int64(math.MinInt64), int(-7), math.MaxInt, uint64(1 << 63), uint64(3),
+		2.5, math.Copysign(0, -1), math.Inf(-1), math.Float64frombits(0x7ff8_0000_0000_beef), true, false,
+	} {
+		kind, bits, ok := ScalarOf(v)
+		if !ok {
+			t.Fatalf("ScalarOf(%#v) not ok", v)
+		}
+		back := kind.Value(bits)
+		if reflect.TypeOf(back) != reflect.TypeOf(v) {
+			t.Errorf("%#v came back as %T", v, back)
+		}
+		if f, isFloat := v.(float64); isFloat {
+			if math.Float64bits(back.(float64)) != math.Float64bits(f) {
+				t.Errorf("float %x came back as %x", math.Float64bits(f), math.Float64bits(back.(float64)))
+			}
+		} else if back != v {
+			t.Errorf("%#v came back as %#v", v, back)
+		}
+		for _, epoch := range []Epoch{0, 9} {
+			ts := Timestamp{Seq: 1 << 62, Writer: -1}
+			var boxed, scalar BatchWriter
+			boxed.Reset(nil)
+			scalar.Reset(nil)
+			if err := boxed.AddReadReply(ReadReply{Reg: -1, Op: 5, Tag: Tagged{TS: ts, Val: v}, Epoch: epoch}); err != nil {
+				t.Fatal(err)
+			}
+			scalar.AddScalarReadReply(-1, 5, ts, kind, bits, epoch)
+			if !bytes.Equal(scalar.Finish(), boxed.Finish()) {
+				t.Errorf("%#v epoch %d: scalar form % x, boxed form % x", v, epoch, scalar.Finish(), boxed.Finish())
+			}
+		}
+	}
+	for _, v := range []Value{"s", []byte{1}, []float64{1}, []bool{true}, named(1), int32(1), struct{}{}} {
+		if _, _, ok := ScalarOf(v); ok {
+			t.Errorf("ScalarOf(%#v) ok, want not a scalar", v)
+		}
 	}
 }
 

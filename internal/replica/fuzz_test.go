@@ -1,6 +1,9 @@
 package replica
 
 import (
+	"bytes"
+	"fmt"
+	"math"
 	"math/rand/v2"
 	"testing"
 
@@ -210,5 +213,66 @@ func FuzzStoreMixedKeyBatch(f *testing.F) {
 				}
 			}
 		}
+	})
+}
+
+// FuzzStoreModel replays a random operation stream over a small id range —
+// so keys collide, values change kind under one another and the tables grow
+// and wrap — against a store and against the map the store used to be, and
+// requires Get, Keys and Snapshot (as a set) to agree afterwards.
+//
+// Each operation is four bytes: register, sequence number, writer (its high
+// bit routes the write through Install instead of ApplyWrite) and value.
+func FuzzStoreModel(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 1, 0, 0, 0, 1, 0, 1, 0, 2, 0, 7, 0, 1, 1, 9})                // one key: ties, older, kind changes
+	f.Add([]byte{1, 1, 0, 6, 2, 1, 0, 7, 1, 2, 0, 3, 3, 1, 0x80, 8, 1, 3, 1, 9}) // side list freed and reused
+	f.Add(bytes.Repeat([]byte{0, 0, 0, 0, 0, 0, 0x80, 0}, 4))                    // zero timestamps, view register
+	var grow []byte
+	for i := 0; i < 200; i++ { // every id, past several growth steps
+		grow = append(grow, byte(i), byte(i/64), byte(i), byte(i*7))
+	}
+	f.Add(grow)
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		const ids = 200
+		regOf := func(b byte) msg.RegisterID { return msg.RegisterID(int(b)%ids)*0x01010101 - 1 }
+		s, m := New(0, nil), modelStore{}
+		for ; len(ops) >= 4; ops = ops[4:] {
+			reg, x := regOf(ops[0]), uint64(ops[3])
+			tag := msg.Tagged{TS: msg.Timestamp{Seq: uint64(ops[1] % 8), Writer: int32(ops[2]%4) - 1}}
+			switch ops[3] % 10 {
+			case 0:
+				tag.Val = nil
+			case 1:
+				tag.Val = int64(x) - 128
+			case 2:
+				tag.Val = int(x) << 30
+			case 3:
+				tag.Val = x << 40
+			case 4:
+				tag.Val = math.Float64frombits(x << 52)
+			case 5:
+				tag.Val = x&16 != 0
+			case 6:
+				tag.Val = fmt.Sprint("s", x)
+			case 7:
+				tag.Val = []byte{ops[3]}
+			case 8:
+				tag.Val = []float64{float64(x), math.Inf(-1)}
+			case 9:
+				tag.Val = dist(x)
+			}
+			if ops[2]&0x80 != 0 {
+				s.Install([]msg.SnapEntry{{Reg: reg, Tag: tag}})
+			} else if _, ok := s.ApplyWrite(msg.WriteReq{Reg: reg, Tag: tag}); !ok {
+				t.Fatal("write refused")
+			}
+			m.put(reg, tag)
+		}
+		regs := make([]msg.RegisterID, 0, ids)
+		for b := 0; b < ids; b++ {
+			regs = append(regs, regOf(byte(b)))
+		}
+		checkAgainstModel(t, s, m, regs)
 	})
 }

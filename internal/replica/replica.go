@@ -12,13 +12,16 @@
 // lock-protected shards by a mixed hash of the register id, so concurrent
 // requests for different keys proceed in parallel instead of serializing on
 // one store-wide mutex. Requests for the same key still serialize on that
-// key's shard, which is all the install-if-newer rule needs.
+// key's shard, which is all the install-if-newer rule needs. Each shard keeps
+// its registers in a pointer-free open-addressed table (table.go).
 package replica
 
 import (
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
+	"probquorum/internal/metrics"
 	"probquorum/internal/msg"
 )
 
@@ -36,16 +39,25 @@ func shardFor(reg msg.RegisterID) uint32 {
 	return msg.Mix32(uint32(reg)) & (storeShards - 1)
 }
 
-// storeShard is one lock stripe: a mutex and the register entries whose keys
-// hash into it. Entries are created lazily on first write (or copied from the
-// initial contents); a key with no entry reads as the zero Tagged value, the
-// notional initializing write.
+// cacheLine is the size the stripes are padded to, so neighbouring stripes'
+// mutexes never share a line under cross-core contention.
+const cacheLine = 64
+
+// shardState is what one lock stripe holds: a mutex and the table of the
+// register entries whose keys hash into it. Entries are created lazily on
+// first write (or copied from the initial contents); a key with no entry
+// reads as the zero Tagged value, the notional initializing write.
+type shardState struct {
+	mu sync.Mutex
+	t  table
+}
+
+// storeShard pads shardState to a whole number of cache lines; the pad is
+// computed from the real fields, so it follows them when they change
+// (TestStoreLayout pins the result).
 type storeShard struct {
-	mu   sync.Mutex
-	regs map[msg.RegisterID]msg.Tagged
-	// Pad each stripe to its own cache line so neighbouring shards' mutexes
-	// do not false-share under cross-core contention.
-	_ [40]byte
+	shardState
+	_ [(cacheLine - unsafe.Sizeof(shardState{})%cacheLine) % cacheLine]byte
 }
 
 // Store is one replica server's state: a timestamped value per register,
@@ -55,6 +67,10 @@ type storeShard struct {
 // deliver requests from many clients at once, and requests touching
 // different keys proceed concurrently.
 type Store struct {
+	// shards comes first so the array starts at offset 0 of the allocation:
+	// with every stripe a multiple of cacheLine, each then owns its lines.
+	shards [storeShards]storeShard
+
 	id msg.NodeID
 
 	// crashed and the request counters are atomics, not shard state: Crash
@@ -66,12 +82,17 @@ type Store struct {
 	reads   atomic.Int64
 	writes  atomic.Int64
 
+	// keys, slots and bytes describe the tables across all stripes (see
+	// RegisterStoreMetrics). They move when a key is added or a table grows,
+	// never on a read or an overwrite.
+	keys  metrics.Gauge
+	slots metrics.Gauge
+	bytes metrics.Gauge
+
 	// vs is the membership state (installed view, join/drain/stale
 	// counters); see view.go. Static-mode servers never touch it beyond
 	// one atomic load per epoch-stamped request.
 	vs viewState
-
-	shards [storeShards]storeShard
 }
 
 // New returns a replica server with the given identity and initial register
@@ -79,13 +100,58 @@ type Store struct {
 func New(id msg.NodeID, initial map[msg.RegisterID]msg.Value) *Store {
 	s := &Store{id: id}
 	for r, v := range initial {
-		sh := &s.shards[shardFor(r)]
-		if sh.regs == nil {
-			sh.regs = make(map[msg.RegisterID]msg.Tagged)
-		}
-		sh.regs[r] = msg.Tagged{Val: v} // zero timestamp
+		s.put(r, msg.Tagged{Val: v}) // zero timestamp
 	}
 	return s
+}
+
+// put installs tag under reg if reg is new to the store or tag is newer than
+// what it holds — the one way a value enters a table.
+func (s *Store) put(reg msg.RegisterID, tag msg.Tagged) {
+	sh := &s.shards[shardFor(reg)]
+	sh.mu.Lock()
+	added, grown := sh.t.put(reg, tag)
+	sh.mu.Unlock()
+	if added {
+		s.keys.Inc()
+	}
+	if grown > 0 {
+		s.slots.Add(int64(grown))
+		s.bytes.Add(int64(grown) * slotBytes)
+	}
+}
+
+// install is put plus the side effect of the reserved view register: a write
+// that lands there moves membership — the self-hosting reconfiguration path
+// (view.go).
+func (s *Store) install(reg msg.RegisterID, tag msg.Tagged) {
+	s.put(reg, tag)
+	if reg == msg.ViewKey {
+		s.maybeInstallView(tag)
+	}
+}
+
+// load copies reg's state out from under its stripe lock (see table.get);
+// every read of the store, whatever it renders the state as, goes through it.
+func (s *Store) load(reg msg.RegisterID) (ts msg.Timestamp, ctrl byte, bits uint64, side msg.Value) {
+	sh := &s.shards[shardFor(reg)]
+	sh.mu.Lock()
+	ts, ctrl, bits, side = sh.t.get(reg)
+	sh.mu.Unlock()
+	return
+}
+
+// RegisterStoreMetrics attaches the store's table gauges to r under prefix:
+// "<prefix>.keys" (registers materialized), "<prefix>.table_slots" (slots
+// allocated across all stripes, so keys/table_slots is the occupancy) and
+// "<prefix>.table_bytes" (what those slots cost the heap, so
+// table_bytes/keys is the bytes per key; values in the side lists are not
+// counted). The registered gauges are the live ones inserts and table growth
+// maintain, so scrapes cost the request path nothing.
+func (s *Store) RegisterStoreMetrics(prefix string, r metrics.Registrar) {
+	s.keys.Register(prefix+".keys", r)
+	s.slots.Register(prefix+".table_slots", r)
+	s.bytes.Register(prefix+".table_bytes", r)
 }
 
 // ID returns the server's node identifier.
@@ -133,19 +199,34 @@ func (s *Store) Apply(req any) (reply any, ok bool) {
 	}
 }
 
-// ApplyRead is the concrete-typed read path: the TCP server's batch loop
-// calls it directly so replies never pass through an interface box. ok=false
-// means the server is crashed (silent).
+// ApplyRead is the concrete-typed read path of the in-memory transports, the
+// simulator and the probes. It boxes a stored scalar back into the reply's
+// msg.Tagged; the TCP server calls AppendRead instead, which does not.
+// ok=false means the server is crashed (silent).
 func (s *Store) ApplyRead(m msg.ReadReq) (msg.ReadReply, bool) {
 	if s.crashed.Load() {
 		return msg.ReadReply{}, false
 	}
 	s.reads.Add(1)
-	sh := &s.shards[shardFor(m.Reg)]
-	sh.mu.Lock()
-	tag := sh.regs[m.Reg]
-	sh.mu.Unlock()
-	return msg.ReadReply{Reg: m.Reg, Op: m.Op, Tag: tag, Epoch: m.Epoch}, true
+	return msg.ReadReply{Reg: m.Reg, Op: m.Op, Tag: tagged(s.load(m.Reg)), Epoch: m.Epoch}, true
+}
+
+// AppendRead is ApplyRead rendered as wire bytes: it appends the reply for m
+// to the batch frame w is assembling, a stored scalar straight from its slot
+// with nothing boxed. ok=false means the server is crashed; err is w's
+// refusal of a side-list value outside the codec's union, in which case
+// nothing was appended.
+func (s *Store) AppendRead(w *msg.BatchWriter, m msg.ReadReq) (ok bool, err error) {
+	if s.crashed.Load() {
+		return false, nil
+	}
+	s.reads.Add(1)
+	ts, ctrl, bits, side := s.load(m.Reg)
+	if ctrl == ctrlSide {
+		return true, w.AddReadReply(msg.ReadReply{Reg: m.Reg, Op: m.Op, Tag: msg.Tagged{TS: ts, Val: side}, Epoch: m.Epoch})
+	}
+	w.AddScalarReadReply(m.Reg, m.Op, ts, msg.ScalarKind(ctrl-1), bits, m.Epoch)
+	return true, nil
 }
 
 // ApplyWrite is the concrete-typed write path; see ApplyRead.
@@ -154,20 +235,7 @@ func (s *Store) ApplyWrite(m msg.WriteReq) (msg.WriteAck, bool) {
 		return msg.WriteAck{}, false
 	}
 	s.writes.Add(1)
-	sh := &s.shards[shardFor(m.Reg)]
-	sh.mu.Lock()
-	if cur, exists := sh.regs[m.Reg]; !exists || cur.TS.Less(m.Tag.TS) {
-		if sh.regs == nil {
-			sh.regs = make(map[msg.RegisterID]msg.Tagged)
-		}
-		sh.regs[m.Reg] = m.Tag
-	}
-	sh.mu.Unlock()
-	// A write that lands on the reserved view register moves membership as a
-	// side effect — this is the self-hosting reconfiguration path (view.go).
-	if m.Reg == msg.ViewKey {
-		s.maybeInstallView(m.Tag)
-	}
+	s.install(m.Reg, m.Tag)
 	return msg.WriteAck{Reg: m.Reg, Op: m.Op, Epoch: m.Epoch}, true
 }
 
@@ -185,24 +253,14 @@ func (s *Store) Crashed() bool { return s.crashed.Load() }
 // Monte-Carlo experiments inspect replica state directly with it. A key
 // never written reads as the zero Tagged value.
 func (s *Store) Get(reg msg.RegisterID) msg.Tagged {
-	sh := &s.shards[shardFor(reg)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.regs[reg]
+	return tagged(s.load(reg))
 }
 
 // Keys returns the number of register entries currently materialized across
-// all shards (initial contents plus every key written so far).
-func (s *Store) Keys() int {
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		n += len(sh.regs)
-		sh.mu.Unlock()
-	}
-	return n
-}
+// all shards (initial contents plus every key written so far). It reads the
+// gauge put maintains, which counts a key before the write that added it is
+// acknowledged.
+func (s *Store) Keys() int { return int(s.keys.Value()) }
 
 // Stats returns the number of read and write requests the server has
 // processed (excluding those dropped while crashed).

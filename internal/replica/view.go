@@ -217,9 +217,7 @@ func (s *Store) Snapshot() []msg.SnapEntry {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		for r, t := range sh.regs {
-			out = append(out, msg.SnapEntry{Reg: r, Tag: t})
-		}
+		out = sh.t.appendEntries(out)
 		sh.mu.Unlock()
 	}
 	return out
@@ -230,18 +228,7 @@ func (s *Store) Snapshot() []msg.SnapEntry {
 // can never regress a register. A view entry also installs the view.
 func (s *Store) Install(entries []msg.SnapEntry) {
 	for _, e := range entries {
-		sh := &s.shards[shardFor(e.Reg)]
-		sh.mu.Lock()
-		if cur, exists := sh.regs[e.Reg]; !exists || cur.TS.Less(e.Tag.TS) {
-			if sh.regs == nil {
-				sh.regs = make(map[msg.RegisterID]msg.Tagged)
-			}
-			sh.regs[e.Reg] = e.Tag
-		}
-		sh.mu.Unlock()
-		if e.Reg == msg.ViewKey {
-			s.maybeInstallView(e.Tag)
-		}
+		s.install(e.Reg, e.Tag)
 	}
 }
 

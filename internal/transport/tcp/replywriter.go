@@ -6,6 +6,7 @@ import (
 
 	"probquorum/internal/metrics"
 	"probquorum/internal/msg"
+	"probquorum/internal/replica"
 )
 
 // replyQueueLimit bounds how many bytes of coalesced replies may sit unsent
@@ -101,11 +102,13 @@ func (rw *replyWriter) end() bool {
 	return true
 }
 
-// addReadReply appends one read reply; the caller holds the frame lock via
-// begin. It reports whether the element fit (encode success and backpressure
-// headroom).
-func (rw *replyWriter) addReadReply(m msg.ReadReply) bool {
-	if err := rw.w.AddReadReply(m); err != nil {
+// addRead appends store's reply to one read request, encoded straight from
+// the store's slot into the open batch; the caller holds the frame lock via
+// begin. It reports whether the connection should go on: false for a crashed
+// store (closing the connection is the client's crash signal), a value the
+// codec cannot carry, or no backpressure headroom.
+func (rw *replyWriter) addRead(store *replica.Store, m msg.ReadReq) bool {
+	if ok, err := store.AppendRead(&rw.w, m); !ok || err != nil {
 		return false
 	}
 	return rw.fits()

@@ -1,8 +1,10 @@
 package tcp
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -39,64 +41,111 @@ func encodeBatchFrame(t *testing.T, msgs ...any) []byte {
 }
 
 // TestServeAllocGate pins the steady-state binary serve loop — coalescing
-// reply writer, pooled encode buffers, concrete request walk — at zero
-// per-operation server allocations. The client side of the exchange is a raw
-// connection driven with pre-encoded frames and a hoisted reply visitor, so
-// testing.AllocsPerRun (which counts mallocs process-wide) sees only the
-// server's serve and reply paths.
+// reply writer, pooled encode buffers, concrete request walk, replies encoded
+// straight from the store's slots — at zero server allocations per read,
+// whatever the stored value is, and at the request decoder's own allocations
+// per write. The client side of the exchange is a raw connection driven with
+// pre-encoded frames and a hoisted reply visitor, so testing.AllocsPerRun
+// (which counts mallocs process-wide) sees only the server's serve and reply
+// paths.
 func TestServeAllocGate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
-	store := replica.New(0, map[msg.RegisterID]msg.Value{0: nil})
-	srv, err := Listen(store, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	row := make([]float64, 34)
+	for i := range row {
+		row[i] = float64(i) + 0.5
 	}
-	defer srv.Close()
-	conn := dialRawBinary(t, srv.Addr())
-
-	// Half reads of a nil-valued register, half writes re-offering the same
-	// tag: every reply encodes without boxing a value, and the repeated
-	// write installs nothing after the first round.
 	const batch = 16
-	var reqs []any
-	for i := 0; i < batch/2; i++ {
-		reqs = append(reqs, msg.ReadReq{Reg: 0, Op: msg.OpID(100 + i)})
-		reqs = append(reqs, msg.WriteReq{Reg: 1, Op: msg.OpID(200 + i),
-			Tag: msg.Tagged{TS: msg.Timestamp{Seq: 1}, Val: nil}})
+	tests := []struct {
+		name string
+		val  msg.Value
+		// perWrite is what decoding one WriteReq carrying val allocates before
+		// the store sees it: the box behind the any, and for a row the slice
+		// under it. The store adds nothing — an overwrite reuses its slot (and
+		// its side-list index) — and a read allocates nothing at all.
+		perWrite float64
+	}{
+		{"nil", nil, 0},
+		{"uint64", uint64(1) << 40, 1}, // past the runtime's small-integer cache
+		{"row34", row, 2},
 	}
-	frame := encodeBatchFrame(t, reqs...)
-
-	fr := msg.NewFrameReader(conn)
-	var got int
-	vis := msg.BatchVisitor{
-		ReadReply: func(msg.ReadReply) bool { got++; return true },
-		WriteAck:  func(msg.WriteAck) bool { got++; return true },
-	}
-	roundTrip := func() {
-		if _, err := conn.Write(frame); err != nil {
-			t.Fatal(err)
-		}
-		got = 0
-		for got < batch {
-			payload, err := fr.NextRaw()
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			store := replica.New(0, map[msg.RegisterID]msg.Value{0: tt.val})
+			srv, err := Listen(store, "127.0.0.1:0")
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := msg.VisitBatchPayload(payload, vis); err != nil {
-				t.Fatal(err)
+			defer srv.Close()
+			conn := dialRawBinary(t, srv.Addr())
+
+			// One frame of reads of the stored value, one of writes re-offering
+			// the same tag: the repeated write installs nothing after the
+			// first round, which is the steady state of a converged register.
+			var reads, writes []any
+			for i := 0; i < batch; i++ {
+				reads = append(reads, msg.ReadReq{Reg: 0, Op: msg.OpID(100 + i)})
+				writes = append(writes, msg.WriteReq{Reg: 1, Op: msg.OpID(200 + i),
+					Tag: msg.Tagged{TS: msg.Timestamp{Seq: 1}, Val: tt.val}})
 			}
-		}
-	}
-	// Warm up: install reg 1, grow the server's reply buffers and the
-	// FrameReader window to steady state.
-	for i := 0; i < 100; i++ {
-		roundTrip()
-	}
-	allocs := testing.AllocsPerRun(100, roundTrip)
-	if allocs != 0 {
-		t.Errorf("steady-state serve loop: %.1f allocs per %d-request batch, want 0", allocs, batch)
+
+			fr := msg.NewFrameReader(conn)
+			var got int
+			vis := msg.BatchVisitor{
+				ReadReply: func(m msg.ReadReply) bool {
+					if !reflect.DeepEqual(m.Tag.Val, tt.val) {
+						t.Errorf("read reply carries %#v, want %#v", m.Tag.Val, tt.val)
+					}
+					got++
+					return true
+				},
+				WriteAck: func(msg.WriteAck) bool { got++; return true },
+			}
+			// decode=false counts a reply frame's elements from its header
+			// (kind byte, then the count) instead of visiting them: decoding a
+			// read reply allocates its value on this side of the socket, which
+			// AllocsPerRun would charge to the server.
+			roundTrip := func(frame []byte, decode bool) func() {
+				return func() {
+					if _, err := conn.Write(frame); err != nil {
+						t.Fatal(err)
+					}
+					got = 0
+					for got < batch {
+						payload, err := fr.NextRaw()
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !msg.IsBatchPayload(payload) {
+							t.Fatalf("reply is not a batch frame: % x", payload)
+						}
+						if !decode {
+							got += int(binary.BigEndian.Uint32(payload[1:]))
+						} else if _, err := msg.VisitBatchPayload(payload, vis); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+			}
+			roundTrip(encodeBatchFrame(t, reads...), true)() // the replies are the stored value
+			readTrip := roundTrip(encodeBatchFrame(t, reads...), false)
+			writeTrip := roundTrip(encodeBatchFrame(t, writes...), true)
+			// Warm up: install reg 1, grow the server's reply buffers and the
+			// FrameReader window to steady state.
+			for i := 0; i < 100; i++ {
+				readTrip()
+				writeTrip()
+			}
+			if allocs := testing.AllocsPerRun(100, readTrip); allocs != 0 {
+				t.Errorf("steady-state serve loop: %.1f allocs per %d-read batch, want 0", allocs, batch)
+			}
+			allocs, want := testing.AllocsPerRun(100, writeTrip), tt.perWrite*batch
+			t.Logf("%.1f allocs per %d-write batch", allocs, batch)
+			if allocs > want {
+				t.Errorf("steady-state serve loop: %.1f allocs per %d-write batch, want <= %.0f (the decoder's)", allocs, batch, want)
+			}
+		})
 	}
 }
 

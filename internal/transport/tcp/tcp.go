@@ -200,11 +200,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			if rej, stale := s.store.StaleFor(m.Reg, m.Op, m.Epoch); stale {
 				return rw.addStaleEpoch(rej)
 			}
-			reply, ok := s.store.ApplyRead(m)
-			if !ok {
-				return false // crashed store: close the connection
-			}
-			return rw.addReadReply(reply)
+			return rw.addRead(s.store, m)
 		},
 		WriteReq: func(m msg.WriteReq) bool {
 			if rej, stale := s.store.StaleFor(m.Reg, m.Op, m.Epoch); stale {

@@ -33,20 +33,17 @@ go build ./...
 echo "== go test =="
 go test $race ./...
 
-echo "== bench module =="
-# bench/ is a nested module, so the ./... patterns above never compile it; an
-# API deletion in the main module could break the benchmark unnoticed.
-(cd bench && go vet ./... && go test $race ./...)
-
 echo "== allocation gates =="
 # The testing.AllocsPerRun pins run as ordinary tests (and self-skip under
 # -race, where the instrumentation inflates counts); naming them here keeps
 # hot-path allocation regressions loud even if the full suite's output
 # scrolls past. The two retention gates ride along: a closed client is
 # collectable at once, and a whole APSP job over TCP leaves (and allocates)
-# what its traffic cost, not what 136 worst-case connections would.
-go test $race -run 'TestWireAllocGates|TestPickIntoAllocs|TestObserverAllocGate|TestFastReadAllocGate|TestKeyspaceAllocGate|TestKeyspaceIdleKeyBytes|TestServeAllocGate|TestClientDecodeAllocGate|TestClosedClientIsCollectable|TestRunTCPLeavesLittleReachable' \
-    ./internal/msg ./internal/quorum ./internal/register ./internal/transport/tcp ./internal/aco
+# what its traffic cost, not what 136 worst-case connections would. So do the
+# store's memory gates: bytes of live heap per stored register, and the
+# stripe layout that keeps neighbouring locks off one cache line.
+go test $race -run 'TestWireAllocGates|TestPickIntoAllocs|TestObserverAllocGate|TestFastReadAllocGate|TestKeyspaceAllocGate|TestKeyspaceIdleKeyBytes|TestServeAllocGate|TestClientDecodeAllocGate|TestClosedClientIsCollectable|TestRunTCPLeavesLittleReachable|TestStoreBytesPerKey|TestStoreLayout' \
+    ./internal/msg ./internal/quorum ./internal/register ./internal/replica ./internal/transport/tcp ./internal/aco
 
 echo "== membership churn smoke =="
 # The membership conformance suite (rolling restarts, grow/shrink across
@@ -84,8 +81,8 @@ go run -race ./cmd/loadgen -soak -duration 30s -rate 250 -servers 3 \
 echo "== fuzz corpora =="
 # Replay every checked-in fuzz corpus entry (plus the f.Add seeds) as
 # ordinary tests: the wire codec's round-trip and malformed-input fuzzers
-# and the striped store's mixed-key batch fuzzer must stay green on the
-# regression inputs without needing -fuzz time.
+# and the striped store's mixed-key batch and map-model fuzzers must stay
+# green on the regression inputs without needing -fuzz time.
 go test $race -run 'Fuzz' ./internal/msg ./internal/replica
 
 echo "== API hygiene =="
@@ -131,5 +128,12 @@ fi
 if [ "$hygiene_fail" -ne 0 ]; then
     exit 1
 fi
+
+echo "== bench module =="
+# bench/ is a nested module, so the ./... patterns above never compile it; an
+# API deletion in the main module could break the benchmark unnoticed. It runs
+# last: under set -e a failure in bench/'s own tests (which changes outside
+# bench/ cannot repair) must not hide the gates above.
+(cd bench && go vet ./... && go test $race ./...)
 
 echo "check.sh: all gates passed"
