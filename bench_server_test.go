@@ -1,15 +1,15 @@
 package probquorum
 
-// Server hot-path benchmarks for the coalesced reply writer. Two families:
+// Server hot-path benchmarks for reply coalescing. Two families:
 //
 //   BenchmarkServerScaling    — a conns x GOMAXPROCS throughput curve,
 //                               showing how aggregate ops/s behaves as client
 //                               connections multiply.
-//   BenchmarkServerCoalescing — the two deeply pipelined workloads the reply
-//                               writer exists for: requests arrive faster
-//                               than replies drain, so the writer folds
-//                               several request frames' worth of replies
-//                               into one batch frame and one syscall.
+//   BenchmarkServerCoalescing — the two deeply pipelined workloads reply
+//                               coalescing exists for: several request
+//                               frames arrive per read, and the serve loop
+//                               folds their replies into one batch frame
+//                               and one syscall.
 //
 // scripts/bench.sh collects both into BENCH_server.json. The coalescing
 // workloads were once PAIRED against a server writing every reply frame
@@ -34,8 +34,8 @@ const (
 	svrBenchServers = 5
 	// svrPairWidth is the in-flight phase width for the coalescing pipelined
 	// arm: wide enough that each server sees several back-to-back batch-16
-	// request frames per phase on one connection, which is the regime the
-	// reply writer exists for.
+	// request frames per phase on one connection, which is the regime reply
+	// coalescing exists for.
 	svrPairWidth = 256
 	// svrCurveWidth is the per-client phase width in the scaling curve —
 	// the standard APSP round shape.

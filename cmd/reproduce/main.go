@@ -292,8 +292,6 @@ func run() error {
 		tcpCfg.Vertices = 6
 		tcpCfg.Procs = 3
 		tcpCfg.Crashed = 1
-		tcpCfg.CrashAt = time.Millisecond
-		tcpCfg.RecoverAt = 150 * time.Millisecond
 	}
 	tcpRes, err := experiments.RunTCPFault(tcpCfg)
 	if err != nil {

@@ -54,10 +54,10 @@
 // WithRetries).
 //
 // The three tcp constructors share one construction path and one data path:
-// binary frames, one server loop with a coalescing reply writer, and replies
-// delivered a whole frame at a time (transport.ReplySink). Register values
-// written over tcp must be in the wire codec's value union; anything else is
-// refused with msg.ErrUnsupportedValue.
+// binary frames, one server loop per connection coalescing its replies, and
+// replies delivered a whole frame at a time (transport.ReplySink). Register
+// values written over tcp must be in the wire codec's value union; anything
+// else is refused with msg.ErrUnsupportedValue.
 //
 // The benchmarks in bench_test.go regenerate each experiment at reduced
 // scale; the cmd/ tools run them at paper scale. EXPERIMENTS.md records

@@ -102,6 +102,11 @@ func TestCrashScheduleValidation(t *testing.T) {
 	if _, err := aco.RunSim(cfg); err == nil {
 		t.Fatal("negative crash time accepted")
 	}
+	cfg = crashConfig(6, 2, 4)
+	cfg.Crashes = []aco.CrashEvent{{AfterIteration: 1, Server: 0}}
+	if _, err := aco.RunSim(cfg); err == nil {
+		t.Fatal("progress trigger accepted by the simulator, which has none")
+	}
 }
 
 func TestTimeoutWithoutCrashesIsHarmless(t *testing.T) {

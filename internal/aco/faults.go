@@ -10,10 +10,16 @@ import (
 )
 
 // CrashEvent schedules a replica crash or recovery at a virtual time in a
-// simulated execution.
+// simulated execution (RunTCP: at a wall-clock offset, or on progress).
 type CrashEvent struct {
 	// At is the virtual time of the event.
 	At time.Duration
+	// AfterIteration, if positive, fires the event when worker 0 completes
+	// that many iterations, instead of at At. RunTCP only: a wall-clock
+	// offset races the run it is meant to interrupt — a job faster than the
+	// offset never sees the fault. The simulator's clock is the run's own,
+	// so it needs no such trigger and rejects one.
+	AfterIteration int
 	// Server is the replica index.
 	Server int
 	// Recover brings the server back instead of crashing it.
@@ -49,8 +55,9 @@ func (f *faultController) Timer(_ *sim.Context, kind int, _ any) {
 
 // validateCrashes checks the schedule against the cluster size and the
 // timeout requirement: crashed servers never reply, so operations can only
-// make progress if they time out and retry with fresh quorums.
-func validateCrashes(events []CrashEvent, servers int, opTimeout time.Duration) error {
+// make progress if they time out and retry with fresh quorums. progress
+// admits AfterIteration triggers.
+func validateCrashes(events []CrashEvent, servers int, opTimeout time.Duration, progress bool) error {
 	if len(events) == 0 {
 		return nil
 	}
@@ -63,6 +70,9 @@ func validateCrashes(events []CrashEvent, servers int, opTimeout time.Duration) 
 		}
 		if ev.At < 0 {
 			return fmt.Errorf("aco: crash event %d has negative time", i)
+		}
+		if ev.AfterIteration < 0 || (ev.AfterIteration > 0 && !progress) {
+			return fmt.Errorf("aco: crash event %d: AfterIteration %d (progress triggers are for RunTCP, and positive)", i, ev.AfterIteration)
 		}
 	}
 	return nil

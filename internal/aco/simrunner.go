@@ -421,7 +421,7 @@ func RunSim(cfg SimConfig) (SimResult, error) {
 	if maxRounds <= 0 {
 		maxRounds = 10000
 	}
-	if err := validateCrashes(cfg.Crashes, cfg.Servers, cfg.OpTimeout); err != nil {
+	if err := validateCrashes(cfg.Crashes, cfg.Servers, cfg.OpTimeout, false); err != nil {
 		return SimResult{}, err
 	}
 	if cfg.Pipelined {

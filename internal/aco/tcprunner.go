@@ -48,7 +48,8 @@ type TCPConfig struct {
 	// Crashes schedules replica crashes and recoveries at wall-clock
 	// offsets from the start of the worker phase — the TCP analogue of
 	// SimConfig.Crashes (CrashEvent.At is real elapsed time here, not
-	// virtual time).
+	// virtual time) — or, with CrashEvent.AfterIteration, on worker 0's
+	// progress.
 	Crashes []CrashEvent
 	// Pipelined dials pipelined clients (tcp.DialPipelined): the m reads
 	// of an iteration are submitted at once and overlap their quorum
@@ -105,7 +106,7 @@ func RunTCP(cfg TCPConfig) (TCPResult, error) {
 	if procs == 0 {
 		procs = m
 	}
-	if err := validateCrashes(cfg.Crashes, cfg.Servers, cfg.OpTimeout); err != nil {
+	if err := validateCrashes(cfg.Crashes, cfg.Servers, cfg.OpTimeout, true); err != nil {
 		return TCPResult{}, err
 	}
 	target := cfg.Target
@@ -223,12 +224,23 @@ func RunTCP(cfg TCPConfig) (TCPResult, error) {
 	errs := make([]error, procs)
 	start := time.Now()
 
-	// Apply the crash schedule on wall-clock timers. The stop channel both
-	// cancels unfired events when the run ends early and ensures no store
-	// mutation races with the final read-back below.
+	// Apply the crash schedule: progress events from worker 0's loop, the
+	// rest on wall-clock timers. The stop channel both cancels unfired
+	// events when the run ends early and ensures no store mutation races
+	// with the final read-back below.
+	apply := func(ev CrashEvent) {
+		if ev.Recover {
+			stores[ev.Server].Recover()
+		} else {
+			stores[ev.Server].Crash()
+		}
+	}
 	stopFaults := make(chan struct{})
 	var faultWG sync.WaitGroup
 	for _, ev := range cfg.Crashes {
+		if ev.AfterIteration > 0 {
+			continue
+		}
 		ev := ev
 		faultWG.Add(1)
 		go func() {
@@ -237,11 +249,7 @@ func RunTCP(cfg TCPConfig) (TCPResult, error) {
 			defer t.Stop()
 			select {
 			case <-t.C:
-				if ev.Recover {
-					stores[ev.Server].Recover()
-				} else {
-					stores[ev.Server].Crash()
-				}
+				apply(ev)
 			case <-stopFaults:
 			}
 		}()
@@ -315,6 +323,13 @@ func RunTCP(cfg TCPConfig) (TCPResult, error) {
 					}
 				}
 				iters[pi]++
+				if pi == 0 {
+					for _, ev := range cfg.Crashes {
+						if ev.AfterIteration == int(iters[0]) {
+							apply(ev)
+						}
+					}
+				}
 				tracker.report(pi, correct)
 			}
 		}(pi)

@@ -32,9 +32,51 @@ type Semiring[T any] interface {
 	Zero() T
 	// One is Times's identity — the value of the empty path (the diagonal).
 	One() T
+	// AddMulRow folds one term of a matrix product into a row: acc[j] =
+	// Plus(acc[j], Times(a, row[j])) for every j < len(acc), bit for bit,
+	// as direct arithmetic instead of two interface calls per entry.
+	AddMulRow(acc []T, a T, row []T)
 	Equal(a, b T) bool
 	Name() string
 }
+
+// fmin is math.Min spelled out so it inlines into the row kernels: equal
+// operands are equal non-zero values, which have equal bits, or zeros, where
+// a set sign bit wins (Min(-0, ±0) = -0); past a NaN, -Inf still wins.
+func fmin(x, y float64) float64 {
+	switch {
+	case x < y:
+		return x
+	case y < x:
+		return y
+	case x == y:
+		return math.Float64frombits(math.Float64bits(x) | math.Float64bits(y))
+	case x == negInf || y == negInf:
+		return negInf
+	}
+	return nan
+}
+
+// fmax is math.Max the same way: between zeros a clear sign bit wins
+// (Max(+0, ±0) = +0), and past a NaN +Inf does.
+func fmax(x, y float64) float64 {
+	switch {
+	case x > y:
+		return x
+	case y > x:
+		return y
+	case x == y:
+		return math.Float64frombits(math.Float64bits(x) & math.Float64bits(y))
+	case x == posInf || y == posInf:
+		return posInf
+	}
+	return nan
+}
+
+var (
+	posInf, negInf = math.Inf(1), math.Inf(-1)
+	nan            = math.NaN()
+)
 
 // MinPlus is the shortest-path semiring over float64 with +Inf as "no path".
 type MinPlus struct{}
@@ -46,6 +88,14 @@ func (MinPlus) Plus(a, b float64) float64 { return math.Min(a, b) }
 
 // Times implements Semiring.
 func (MinPlus) Times(a, b float64) float64 { return a + b }
+
+// AddMulRow implements Semiring.
+func (MinPlus) AddMulRow(acc []float64, a float64, row []float64) {
+	row = row[:len(acc)]
+	for j, x := range row {
+		acc[j] = fmin(acc[j], a+x)
+	}
+}
 
 // Zero implements Semiring.
 func (MinPlus) Zero() float64 { return math.Inf(1) }
@@ -72,6 +122,17 @@ func (BoolOrAnd) Plus(a, b bool) bool { return a || b }
 // Times implements Semiring.
 func (BoolOrAnd) Times(a, b bool) bool { return a && b }
 
+// AddMulRow implements Semiring. A false a contributes nothing.
+func (BoolOrAnd) AddMulRow(acc []bool, a bool, row []bool) {
+	if !a {
+		return
+	}
+	row = row[:len(acc)]
+	for j, x := range row {
+		acc[j] = acc[j] || x
+	}
+}
+
 // Zero implements Semiring.
 func (BoolOrAnd) Zero() bool { return false }
 
@@ -95,6 +156,14 @@ func (MaxMin) Plus(a, b float64) float64 { return math.Max(a, b) }
 
 // Times implements Semiring.
 func (MaxMin) Times(a, b float64) float64 { return math.Min(a, b) }
+
+// AddMulRow implements Semiring.
+func (MaxMin) AddMulRow(acc []float64, a float64, row []float64) {
+	row = row[:len(acc)]
+	for j, x := range row {
+		acc[j] = fmax(acc[j], fmin(a, x))
+	}
+}
 
 // Zero implements Semiring.
 func (MaxMin) Zero() float64 { return 0 }
@@ -161,17 +230,19 @@ func (o *MatrixOp[T]) Row(v msg.Value) []T {
 	return row
 }
 
-// Apply implements aco.Operator: new_ij = ⊕_k view_ik ⊗ view_kj.
+// Apply implements aco.Operator: new_ij = ⊕_k view_ik ⊗ view_kj. The sum
+// runs k-outer, so each row of the view is asserted once and folded in by
+// the semiring's row kernel; every entry still accumulates its terms in
+// ascending k, so the result is bit-identical to the entry-by-entry sum.
 func (o *MatrixOp[T]) Apply(i int, view []msg.Value) msg.Value {
-	n := len(o.init)
 	rowI := o.Row(view[i])
-	out := make([]T, n)
-	for j := 0; j < n; j++ {
-		acc := o.s.Zero()
-		for k := 0; k < n; k++ {
-			acc = o.s.Plus(acc, o.s.Times(rowI[k], o.Row(view[k])[j]))
-		}
-		out[j] = acc
+	out := make([]T, len(o.init))
+	zero := o.s.Zero()
+	for j := range out {
+		out[j] = zero
+	}
+	for k := range out {
+		o.s.AddMulRow(out, rowI[k], o.Row(view[k]))
 	}
 	return out
 }

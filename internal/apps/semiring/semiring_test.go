@@ -2,6 +2,7 @@ package semiring
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 
@@ -295,6 +296,103 @@ func TestAllSemiringsAgreeWithReferencesUnderAsyncSchedules(t *testing.T) {
 		for j := range row {
 			if row[j] != refC[i][j] {
 				t.Fatalf("closure[%d][%d] = %v, want %v", i, j, row[j], refC[i][j])
+			}
+		}
+	}
+}
+
+// addMulRowRef is the entry-wise fold the row kernels replace.
+func addMulRowRef[T any](s Semiring[T], acc []T, a T, row []T) {
+	for j := range acc {
+		acc[j] = s.Plus(acc[j], s.Times(a, row[j]))
+	}
+}
+
+// floatEdge draws a float from the values where math.Min and math.Max have
+// special cases — ±Inf, ±0, NaNs with two payloads — and from ordinary
+// weights, negative ones included, with repeats so ties occur.
+func floatEdge(r *rand.Rand) float64 {
+	edges := []float64{
+		math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), math.NaN(),
+		math.Float64frombits(0x7ff8_0000_dead_beef), -1, 1, 2.5, -3.25, 7,
+	}
+	if r.IntN(3) == 0 {
+		return (r.Float64() - 0.5) * 100
+	}
+	return edges[r.IntN(len(edges))]
+}
+
+// TestAddMulRowMatchesPlusTimes: every semiring's row kernel leaves the
+// accumulator bit-identical to the entry-wise Plus(acc, Times(a, x)) fold,
+// on random rows dense in special values.
+func TestAddMulRowMatchesPlusTimes(t *testing.T) {
+	r := rand.New(rand.NewPCG(1, 2))
+	floats := []Semiring[float64]{MinPlus{}, MaxMin{}}
+	for iter := 0; iter < 20000; iter++ {
+		n := r.IntN(40)
+		acc, row := make([]float64, n), make([]float64, n+r.IntN(3)) // the kernel reads len(acc) entries
+		for j := range acc {
+			acc[j] = floatEdge(r)
+		}
+		for j := range row {
+			row[j] = floatEdge(r)
+		}
+		a := floatEdge(r)
+		for _, s := range floats {
+			got, want := append([]float64(nil), acc...), append([]float64(nil), acc...)
+			s.AddMulRow(got, a, row)
+			addMulRowRef(s, want, a, row)
+			for j := range want {
+				if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+					t.Fatalf("%s: acc %v, a %v, x %v: kernel %v (%#x), Plus/Times %v (%#x)",
+						s.Name(), acc[j], a, row[j], got[j], math.Float64bits(got[j]), want[j], math.Float64bits(want[j]))
+				}
+			}
+		}
+		bacc, brow := make([]bool, n), make([]bool, n)
+		for j := range bacc {
+			bacc[j], brow[j] = r.IntN(2) == 0, r.IntN(2) == 0
+		}
+		ba := r.IntN(2) == 0
+		got, want := append([]bool(nil), bacc...), append([]bool(nil), bacc...)
+		BoolOrAnd{}.AddMulRow(got, ba, brow)
+		addMulRowRef[bool](BoolOrAnd{}, want, ba, brow)
+		for j := range want {
+			if got[j] != want[j] {
+				t.Fatalf("bool-or-and: acc %v, a %v, x %v: kernel %v, Plus/Times %v", bacc[j], ba, brow[j], got[j], want[j])
+			}
+		}
+	}
+}
+
+// TestApplyMatchesEntrywiseSum: the k-outer Apply equals the entry-wise
+// ⊕_k view_ik ⊗ view_kj bit for bit, on matrices with negative weights,
+// infinities, signed zeros and NaNs.
+func TestApplyMatchesEntrywiseSum(t *testing.T) {
+	r := rand.New(rand.NewPCG(3, 4))
+	for _, s := range []Semiring[float64]{MinPlus{}, MaxMin{}} {
+		for iter := 0; iter < 200; iter++ {
+			n := 1 + r.IntN(12)
+			init := make([][]float64, n)
+			for i := range init {
+				init[i] = make([]float64, n)
+				for j := range init[i] {
+					init[i][j] = floatEdge(r)
+				}
+			}
+			op := NewMatrixOp[float64](s, init, "random")
+			view := op.Initial()
+			for i := 0; i < n; i++ {
+				got := op.Row(op.Apply(i, view))
+				for j := 0; j < n; j++ {
+					want := s.Zero()
+					for k := 0; k < n; k++ {
+						want = s.Plus(want, s.Times(init[i][k], init[k][j]))
+					}
+					if math.Float64bits(got[j]) != math.Float64bits(want) {
+						t.Fatalf("%s n=%d: entry (%d,%d) = %v, entry-wise sum %v", s.Name(), n, i, j, got[j], want)
+					}
+				}
 			}
 		}
 	}

@@ -14,11 +14,14 @@ import (
 
 // TCPFaultConfig parameterizes the TCP fault-tolerance demonstration (E16):
 // the APSP workload over real loopback sockets, once on a healthy cluster
-// and once with replicas crashing at CrashAt and recovering at RecoverAt.
-// Workers survive the outage through per-member deadlines, fresh-quorum
-// retries, and transparent reconnects — the paper's Section 4 availability
-// mechanism realized over a real transport, with the fault-path activity
-// (retries, timeouts, reconnects) reported next to convergence.
+// and once with replicas crashing after worker 0's CrashAfter-th iteration
+// and recovering after its RecoverAfter-th. Workers survive the outage
+// through per-member deadlines, fresh-quorum retries, and transparent
+// reconnects — the paper's Section 4 availability mechanism realized over a
+// real transport, with the fault-path activity (retries, timeouts,
+// reconnects) reported next to convergence. The events are keyed to the
+// run's progress, not the clock, so the outage lands inside the run however
+// fast the host is.
 type TCPFaultConfig struct {
 	// N is the number of replica servers (default 8).
 	N int
@@ -30,10 +33,12 @@ type TCPFaultConfig struct {
 	Procs int
 	// Crashed is how many replicas crash (default 2).
 	Crashed int
-	// CrashAt is the wall-clock crash offset (default 20ms).
-	CrashAt time.Duration
-	// RecoverAt is the wall-clock recovery offset (default 250ms).
-	RecoverAt time.Duration
+	// CrashAfter is worker 0's iteration after which the replicas crash
+	// (default 1).
+	CrashAfter int
+	// RecoverAfter is worker 0's iteration after which they recover
+	// (default 3); a run that converges first ends with them still down.
+	RecoverAfter int
 	// OpTimeout is the per-member deadline (default 100ms).
 	OpTimeout time.Duration
 	// Seed is the base seed.
@@ -63,11 +68,11 @@ func (c *TCPFaultConfig) applyDefaults() {
 	if c.Crashed == 0 {
 		c.Crashed = 2
 	}
-	if c.CrashAt == 0 {
-		c.CrashAt = 20 * time.Millisecond
+	if c.CrashAfter == 0 {
+		c.CrashAfter = 1
 	}
-	if c.RecoverAt == 0 {
-		c.RecoverAt = 250 * time.Millisecond
+	if c.RecoverAfter == 0 {
+		c.RecoverAfter = 3
 	}
 	if c.OpTimeout == 0 {
 		c.OpTimeout = 100 * time.Millisecond
@@ -100,11 +105,16 @@ type TCPFaultResult struct {
 // TCPFaultResultConfig echoes the effective configuration in the result.
 type TCPFaultResultConfig = TCPFaultConfig
 
-// RunTCPFault runs the healthy and crash/recover scenarios over sockets.
+// RunTCPFault runs the healthy and crash/recover scenarios over sockets. A
+// crash arm that records no retry, timeout or reconnect is an error: the
+// experiment would be reporting a healthy run as a fault run.
 func RunTCPFault(cfg TCPFaultConfig) (TCPFaultResult, error) {
 	cfg.applyDefaults()
 	if cfg.Crashed >= cfg.N {
 		return TCPFaultResult{}, fmt.Errorf("tcpfault: crashing %d of %d servers leaves no cluster", cfg.Crashed, cfg.N)
+	}
+	if cfg.CrashAfter < 1 || cfg.RecoverAfter <= cfg.CrashAfter {
+		return TCPFaultResult{}, fmt.Errorf("tcpfault: crash after iteration %d, recover after %d: want 1 <= crash < recover", cfg.CrashAfter, cfg.RecoverAfter)
 	}
 	g := graph.Chain(cfg.Vertices)
 	op := semiring.NewAPSP(g)
@@ -112,8 +122,8 @@ func RunTCPFault(cfg TCPFaultConfig) (TCPFaultResult, error) {
 
 	var crashes []aco.CrashEvent
 	for i := 0; i < cfg.Crashed; i++ {
-		crashes = append(crashes, aco.CrashEvent{At: cfg.CrashAt, Server: i})
-		crashes = append(crashes, aco.CrashEvent{At: cfg.RecoverAt, Server: i, Recover: true})
+		crashes = append(crashes, aco.CrashEvent{AfterIteration: cfg.CrashAfter, Server: i})
+		crashes = append(crashes, aco.CrashEvent{AfterIteration: cfg.RecoverAfter, Server: i, Recover: true})
 	}
 
 	scenarios := []struct {
@@ -141,6 +151,9 @@ func RunTCPFault(cfg TCPFaultConfig) (TCPFaultResult, error) {
 		if err != nil {
 			return TCPFaultResult{}, fmt.Errorf("tcpfault %s: %w", sc.name, err)
 		}
+		if sc.crashes != nil && r.Retries+r.Timeouts+r.Reconnects == 0 {
+			return TCPFaultResult{}, fmt.Errorf("tcpfault %s: no retry, timeout or reconnect in %d iterations; the outage was never observed", sc.name, r.Iterations)
+		}
 		res.Rows = append(res.Rows, TCPFaultRow{
 			Scenario:   sc.name,
 			Converged:  r.Converged,
@@ -158,9 +171,9 @@ func RunTCPFault(cfg TCPFaultConfig) (TCPFaultResult, error) {
 func (r TCPFaultResult) Render(w io.Writer) error {
 	if _, err := fmt.Fprintf(w,
 		"TCP fault tolerance: APSP chain m=%d over %d loopback replicas, k=%d, %d workers\n"+
-			"%d replicas crash at %v and recover at %v; per-member deadline %v, unlimited retries\n\n",
+			"%d replicas crash after worker 0's iteration %d and recover after its iteration %d; per-member deadline %v, unlimited retries\n\n",
 		r.Config.Vertices, r.Config.N, r.Config.K, r.Config.Procs,
-		r.Config.Crashed, r.Config.CrashAt, r.Config.RecoverAt, r.Config.OpTimeout); err != nil {
+		r.Config.Crashed, r.Config.CrashAfter, r.Config.RecoverAfter, r.Config.OpTimeout); err != nil {
 		return err
 	}
 	headers := []string{"scenario", "converged", "iterations", "retries", "timeouts", "reconnects", "elapsed"}

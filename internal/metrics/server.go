@@ -1,33 +1,27 @@
 package metrics
 
 // ServerMetrics aggregates the replica server's reply-path instruments: how
-// many replies each coalesced batch frame carried, how deep a connection's
-// reply queue got before its writer drained it, and how many connections
-// were dropped for reading too slowly. One ServerMetrics is typically shared
-// by every connection of a server; QueueDepth.Max is then the high-watermark
-// across all of them.
+// many replies each conn.Write carried, and the most any one carried. One
+// ServerMetrics is typically shared by every connection of a server;
+// QueueDepth.Max is then the largest reply burst across all of them.
 type ServerMetrics struct {
-	ReplyBatch    *IntHistogram // replies per flushed reply frame
-	QueueDepth    *Gauge        // replies pending behind one writer (Max = high watermark)
-	SlowConnDrops *Counter      // connections dropped by reply backpressure
+	ReplyBatch *IntHistogram // replies per conn.Write
+	QueueDepth *Gauge        // replies in the latest write (Max = the largest single write)
 }
 
 // NewServerMetrics returns a zeroed ServerMetrics ready to attach through
 // the TCP server's WithServerMetrics option.
 func NewServerMetrics() *ServerMetrics {
 	return &ServerMetrics{
-		ReplyBatch:    NewIntHistogram(),
-		QueueDepth:    &Gauge{},
-		SlowConnDrops: &Counter{},
+		ReplyBatch: NewIntHistogram(),
+		QueueDepth: &Gauge{},
 	}
 }
 
-// Register adds all three instruments to r as "<prefix>.reply_batch",
-// "<prefix>.queue_depth" and "<prefix>.slow_conn_drops". It returns the
-// receiver.
+// Register adds both instruments to r as "<prefix>.reply_batch" and
+// "<prefix>.queue_depth". It returns the receiver.
 func (m *ServerMetrics) Register(prefix string, r Registrar) *ServerMetrics {
 	m.ReplyBatch.Register(prefix+".reply_batch", r)
 	m.QueueDepth.Register(prefix+".queue_depth", r)
-	m.SlowConnDrops.Register(prefix+".slow_conn_drops", r)
 	return m
 }

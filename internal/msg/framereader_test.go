@@ -64,11 +64,41 @@ func (s *scriptReader) advance() {
 	}
 }
 
+// countingReader counts the reads a FrameReader makes of its source.
+type countingReader struct {
+	r     io.Reader
+	reads int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	c.reads++
+	return c.r.Read(p)
+}
+
+// nextRaw is fr.NextRaw checked against fr.Ready: a call the reader reported
+// ready for must not read, and any other call must.
+func nextRaw(t *testing.T, fr *FrameReader) ([]byte, error) {
+	t.Helper()
+	cr, ok := fr.r.(*countingReader)
+	if !ok {
+		cr = &countingReader{r: fr.r}
+		fr.r = cr
+	}
+	ready, before := fr.Ready(), cr.reads
+	p, err := fr.NextRaw()
+	if read := cr.reads != before; read == ready {
+		t.Fatalf("Ready() = %v and NextRaw read = %v (returned %d bytes, err %v): a ready reader must not read, an unready one must",
+			ready, read, len(p), err)
+	}
+	return p, err
+}
+
 // readAllRaw drains fr, riding out timeouts, and returns a copy of every
 // payload, how many timeouts surfaced, and the error that ended the stream.
-func readAllRaw(fr *FrameReader) (frames [][]byte, timeouts int, err error) {
+// Every call is checked against fr.Ready (nextRaw).
+func readAllRaw(t *testing.T, fr *FrameReader) (frames [][]byte, timeouts int, err error) {
 	for {
-		p, err := fr.NextRaw()
+		p, err := nextRaw(t, fr)
 		if err != nil {
 			var ne interface{ Timeout() bool }
 			if errors.As(err, &ne) && ne.Timeout() {
@@ -130,7 +160,7 @@ func TestFrameReaderWindowBoundaries(t *testing.T) {
 			steps = []int{14, 0, 4, 0, 14}
 		}
 		fr := NewFrameReader(&scriptReader{data: stream, steps: steps, loop: -1})
-		got, _, err := readAllRaw(fr)
+		got, _, err := readAllRaw(t, fr)
 		checkFrames(t, fmt.Sprintf("payload %d", r.payload), got, err, want, io.EOF)
 		if len(fr.win) != r.window {
 			t.Errorf("payload %d: window %d, want %d", r.payload, len(fr.win), r.window)
@@ -163,7 +193,7 @@ func TestFrameReaderGrowsWhenReadsFillWindow(t *testing.T) {
 		{"one burst, then a trickle", []int{6000, 100}, 1, 2 * frameReaderMin},
 	} {
 		fr := NewFrameReader(&scriptReader{data: stream, steps: tc.steps, loop: tc.loop})
-		got, _, err := readAllRaw(fr)
+		got, _, err := readAllRaw(t, fr)
 		checkFrames(t, tc.name, got, err, want, io.EOF)
 		if len(fr.win) != tc.window {
 			t.Errorf("%s: window %d, want %d", tc.name, len(fr.win), tc.window)
@@ -202,7 +232,7 @@ func TestFrameReaderTimeoutPlacement(t *testing.T) {
 			steps = []int{0}
 		}
 		fr := NewFrameReader(&scriptReader{data: stream, steps: steps, loop: -1})
-		got, timeouts, err := readAllRaw(fr)
+		got, timeouts, err := readAllRaw(t, fr)
 		checkFrames(t, tc.name, got, err, want, io.EOF)
 		if timeouts != 1 {
 			t.Errorf("%s: %d timeouts surfaced, want 1", tc.name, timeouts)
@@ -242,6 +272,52 @@ func TestFrameReaderDropsHugeFrameBuffer(t *testing.T) {
 	}
 }
 
+// TestFrameReaderReady walks the window states the TCP serve loop asks Ready
+// about (it writes its pending replies when the answer is false) and checks
+// the answer, and that the next NextRaw reads exactly when Ready said it
+// would (nextRaw).
+func TestFrameReaderReady(t *testing.T) {
+	a, b := rawFrame(10, 1), rawFrame(10, 2)
+	big := rawFrame(frameReaderBuf+100, 3)
+	grown := rawFrame(frameReaderMin+904, 4) // one doubling of the window
+	cat := func(frames ...[]byte) []byte { return bytes.Join(frames, nil) }
+	for _, tc := range []struct {
+		name   string
+		stream []byte
+		steps  []int // scriptReader budgets: bytes per step, 0 = a timed-out read
+		calls  int   // NextRaw calls (timeouts included) before asking
+		want   bool
+	}{
+		{"empty window", a, nil, 0, false},
+		{"partial header", a, []int{2, 0}, 1, false},
+		{"header only", a, []int{4, 0}, 1, false},
+		{"header plus partial payload", a, []int{9, 0}, 1, false},
+		{"exactly one frame", cat(a, b), []int{28, 0}, 1, true},
+		{"one frame plus part of the next", cat(a, b, a), []int{34, 0}, 1, true},
+		{"then only the part", cat(a, b, a), []int{34, 0}, 2, false},
+		{"two frames", cat(a, b, a), []int{42, 0}, 1, true},
+		{"pending frame larger than frameReaderBuf", big, []int{1004, 0}, 1, false},
+		{"all but the last byte of one", big, []int{len(big) - 1, 0}, 1, false},
+		{"resume after a timeout mid-payload", cat(a, b), []int{9, 0, 19, 0}, 2, true},
+		{"after a window growth", cat(grown, b), []int{len(grown) + 14, 0}, 1, true},
+		{"oversized length prefix", []byte{0xff, 0xff, 0xff, 0xff}, nil, 1, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fr := NewFrameReader(&scriptReader{data: tc.stream, steps: tc.steps, loop: -1})
+			for i := 0; i < tc.calls; i++ {
+				_, _ = nextRaw(t, fr) // timeouts and the prefix error are part of the setup
+			}
+			if tc.name == "after a window growth" && len(fr.win) == frameReaderMin {
+				t.Fatalf("window still %d bytes; the row needs a grown one", len(fr.win))
+			}
+			if got := fr.Ready(); got != tc.want {
+				t.Fatalf("Ready() = %v, want %v", got, tc.want)
+			}
+			_, _ = nextRaw(t, fr)
+		})
+	}
+}
+
 // splitFrames is the whole-buffer decode FuzzFrameReaderChunked compares
 // against: the payloads of stream and the error a reader ends on (io.EOF also
 // for a stream cut mid-frame, as the underlying reader reports it).
@@ -263,7 +339,8 @@ func splitFrames(stream []byte) ([][]byte, error) {
 
 // FuzzFrameReaderChunked: however the bytes of a stream are cut into reads
 // and wherever timeouts land, the reader must yield exactly the payloads —
-// and the same terminal error — as one read of the whole buffer.
+// and the same terminal error — as one read of the whole buffer, and Ready
+// must never claim a frame the next call has to read for (readAllRaw).
 func FuzzFrameReaderChunked(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7}, []byte{1, 0, 7, 200, 0, 0, 33}, []byte{})
 	f.Add([]byte{3, 3, 3, 4, 4, 5, 5, 6, 6, 7}, []byte{255}, []byte{0, 0})
@@ -294,7 +371,7 @@ func FuzzFrameReaderChunked(f *testing.F) {
 		if slices.ContainsFunc(steps, func(s int) bool { return s > 0 }) {
 			loop = 0
 		}
-		got, _, err := readAllRaw(NewFrameReader(&scriptReader{data: stream, steps: steps, loop: loop}))
+		got, _, err := readAllRaw(t, NewFrameReader(&scriptReader{data: stream, steps: steps, loop: loop}))
 		checkFrames(t, "chunked", got, err, want, wantErr)
 	})
 }

@@ -779,7 +779,7 @@ func (w *BatchWriter) Count() int { return int(w.count) }
 
 // Len reports the size in bytes of the frame under construction — header
 // plus every element appended since Reset. Servers use it to bound how much
-// coalesced reply data may pile up unsent before a slow reader is dropped.
+// coalesced reply data may pile up unsent before they write it out.
 func (w *BatchWriter) Len() int { return len(w.buf) - w.start }
 
 // Finish patches the prefixes and returns the completed frame (everything
@@ -970,6 +970,28 @@ func (fr *FrameReader) Next() (any, error) {
 // first. Resumability matches Next.
 func (fr *FrameReader) NextRaw() ([]byte, error) {
 	return fr.payload()
+}
+
+// Ready reports whether the next Next or NextRaw returns without reading from
+// the underlying reader: the window holds a complete frame, or there is an
+// error to report (one a read returned alongside data, an oversized length
+// prefix). The TCP server writes its pending replies when it is false — the
+// moment its next read would wait on the socket.
+func (fr *FrameReader) Ready() bool {
+	if fr.rerr != nil {
+		return true
+	}
+	buffered := fr.wr - fr.rd
+	if fr.pending >= 0 {
+		// An oversized frame is never complete in the window: its payload
+		// completes in big, on the call that reads its last bytes.
+		return fr.pending <= frameReaderBuf && fr.pending <= buffered
+	}
+	if buffered < 4 {
+		return false
+	}
+	n := binary.BigEndian.Uint32(fr.win[fr.rd:])
+	return n > MaxWireFrame || int(n) <= buffered-4
 }
 
 // payload reads the next frame's payload, leaving the stream aligned on the

@@ -1042,7 +1042,7 @@ var doneOpsPool = sync.Pool{New: func() any { s := make([]*PendingOp, 0, 16); re
 // pipeline under a single lock acquisition — the unboxed counterpart of
 // Deliver (transport.ReplySink). It is semantically identical to calling
 // ReadReply and WriteAck once per element; the point is cost: a frame the
-// server's reply writer coalesced from dozens of pipelined replies takes
+// server coalesced from dozens of pipelined replies takes
 // one mutex round trip here instead of one per element, which is where a
 // deeply pipelined client otherwise spends its receive path. Done-channel
 // closes and completion callbacks still run after the lock is dropped, in

@@ -57,7 +57,7 @@ type tcpTransport struct {
 	// sink is atomic, not mutex-guarded: every reply from every reader
 	// goroutine passes through emit, and a shared lock there serializes the
 	// reply fan-in the pipelined client exists to parallelize. rsink is where
-	// batch frames — every reply a server's reply writer emits — are walked
+	// batch frames — every reply a server's serve loop writes — are walked
 	// to: the client's concrete-typed path once bound
 	// (transport.ReplyBinder), until then boxedReplies, which feeds the sink.
 	sink  atomic.Pointer[transport.Sink]
@@ -445,8 +445,7 @@ const clientCoalesceBytes = 256 << 10
 
 // writeLoop is the async-mode writer: each wake swaps the whole pending
 // queue out — the requests accumulate in one slice while the writer encodes
-// and writes the other, the shape the server's replyWriter has — and puts it
-// on the wire. Frames are encoded outside every lock into a pooled buffer
+// and writes the other — and puts it on the wire. Frames are encoded outside every lock into a pooled buffer
 // owned by this goroutine.
 func (nc *netConn) writeLoop() {
 	defer nc.wg.Done()
@@ -689,7 +688,7 @@ func (nc *netConn) readLoop(conn net.Conn, gen int) {
 }
 
 // decodeRaw handles one raw frame. A batch frame — the only kind a server's
-// reply writer coalesces replies into — is delivered concretely
+// serve loop coalesces replies into — is delivered concretely
 // (decodeRawBatched) and yields a nil message. Anything else is the cold
 // path — snapshot replies, a lone reply frame from a peer that does not
 // coalesce — and decodes boxed, returned for delivery through the Sink.
@@ -707,7 +706,7 @@ func (nc *netConn) decodeRaw(payload []byte) (any, int, error) {
 // decodeRawBatched walks one batch frame and hands its reply elements to
 // the sink in whole-frame calls — one ReplyBatch per run of elements that
 // resolve to the same server index — so the sink amortizes its internal
-// locking across everything the server's reply writer coalesced. In steady
+// locking across everything the server coalesced into the frame. In steady
 // state a frame is a single run (all elements echo the same epoch); only a
 // frame straddling a view change splits. Stale-epoch rejects flush the
 // pending run first and are then delivered on their own: the sink's view

@@ -1,11 +1,14 @@
 package tcp
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"net"
 	"reflect"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -40,8 +43,8 @@ func encodeBatchFrame(t *testing.T, msgs ...any) []byte {
 	return frame
 }
 
-// TestServeAllocGate pins the steady-state binary serve loop — coalescing
-// reply writer, pooled encode buffers, concrete request walk, replies encoded
+// TestServeAllocGate pins the steady-state binary serve loop — coalesced
+// replies in a pooled buffer, concrete request walk, replies encoded
 // straight from the store's slots — at zero server allocations per read,
 // whatever the stored value is, and at the request decoder's own allocations
 // per write. The client side of the exchange is a raw connection driven with
@@ -208,12 +211,166 @@ func TestClientDecodeAllocGate(t *testing.T) {
 		boxedAllocs, unboxedAllocs)
 }
 
-// TestServerDropsSlowReader pins the reply backpressure policy: a client
-// that requests large values but never reads its replies gets its
-// connection dropped once the pending reply bytes exceed the bound — the
-// serve loop never blocks behind the slow socket — and the server keeps
-// serving everyone else.
-func TestServerDropsSlowReader(t *testing.T) {
+// pipeListener hands the server net.Pipe ends, each wrapped to count the
+// serve loop's reads and writes. A Write on the client end reaches the server
+// in one Read whenever the server's window has room for it, so a test decides
+// exactly which request frames the serve loop sees per read.
+type pipeListener struct {
+	conns chan net.Conn
+	done  chan struct{}
+}
+
+func newPipeListener() *pipeListener {
+	return &pipeListener{conns: make(chan net.Conn), done: make(chan struct{})}
+}
+
+func (l *pipeListener) Accept() (net.Conn, error) {
+	select {
+	case c := <-l.conns:
+		return c, nil
+	case <-l.done:
+		return nil, net.ErrClosed
+	}
+}
+
+// Close is called once, by Server.Close.
+func (l *pipeListener) Close() error {
+	close(l.done)
+	return nil
+}
+
+func (l *pipeListener) Addr() net.Addr { return &net.UnixAddr{Name: "pipe", Net: "pipe"} }
+
+// dial connects one client end to the server and returns it with the
+// server end's counters.
+func (l *pipeListener) dial(t *testing.T) (net.Conn, *countingConn) {
+	t.Helper()
+	client, server := net.Pipe()
+	t.Cleanup(func() { _ = client.Close() })
+	sc := &countingConn{Conn: server}
+	l.conns <- sc
+	return client, sc
+}
+
+// countingConn counts the serve loop's non-empty reads and its writes.
+type countingConn struct {
+	net.Conn
+	reads, writes atomic.Int64
+}
+
+func (c *countingConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if n > 0 {
+		c.reads.Add(1)
+	}
+	return n, err
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// TestServeWritesOncePerRead pins when the serve loop writes: the request
+// frames that arrive in one read are answered in exactly one conn.Write,
+// issued before the loop reads again. The client sends nothing after its one
+// Write, so a flush that waited for the next read would leave it without its
+// replies. A snapshot reply rides the same write as a standalone frame,
+// behind the batch replies to the requests that preceded it.
+func TestServeWritesOncePerRead(t *testing.T) {
+	store := replica.New(0, map[msg.RegisterID]msg.Value{0: 1.5})
+	ln := newPipeListener()
+	srv := Serve(store, ln)
+	defer srv.Close()
+
+	lone := func(m any) []byte {
+		f, err := msg.AppendMessage(nil, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	reads := func(from, n int) []any {
+		var reqs []any
+		for i := 0; i < n; i++ {
+			reqs = append(reqs, msg.ReadReq{Reg: 0, Op: msg.OpID(from + i)})
+		}
+		return reqs
+	}
+	write := msg.WriteReq{Reg: 1, Op: 50, Tag: msg.Tagged{TS: msg.Timestamp{Seq: 1}, Val: 2.5}}
+	var eight [][]byte
+	for i := 0; i < 8; i++ {
+		eight = append(eight, lone(msg.ReadReq{Reg: 0, Op: msg.OpID(10 + i)}))
+	}
+	for _, tc := range []struct {
+		name    string
+		frames  [][]byte
+		replies int  // reply elements, plus standalone frames
+		snap    bool // the last reply is a standalone SnapReply
+	}{
+		{"lone frame", [][]byte{lone(msg.ReadReq{Reg: 0, Op: 1})}, 1, false},
+		{"eight lone frames", eight, 8, false},
+		{"batch and lone frames", [][]byte{encodeBatchFrame(t, reads(20, 16)...), lone(write), encodeBatchFrame(t, reads(40, 4)...)}, 21, false},
+		{"batch, then a snapshot", [][]byte{encodeBatchFrame(t, reads(60, 3)...), lone(msg.SnapReq{Op: 70})}, 4, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			client, sc := ln.dial(t)
+			_ = client.SetReadDeadline(time.Now().Add(10 * time.Second))
+			if _, err := client.Write(bytes.Join(tc.frames, nil)); err != nil {
+				t.Fatal(err)
+			}
+			fr := msg.NewFrameReader(client)
+			for got := 0; got < tc.replies; {
+				payload, err := fr.NextRaw()
+				if err != nil {
+					t.Fatalf("after %d of %d replies: %v", got, tc.replies, err)
+				}
+				if msg.IsBatchPayload(payload) {
+					got += int(binary.BigEndian.Uint32(payload[1:]))
+					continue
+				}
+				m, err := msg.DecodePayload(payload)
+				if _, ok := m.(msg.SnapReply); !ok || err != nil || !tc.snap || got != tc.replies-1 {
+					t.Fatalf("standalone %T (err %v) after %d of %d replies; want only a final SnapReply", m, err, got, tc.replies)
+				}
+				got++
+			}
+			if r, w := sc.reads.Load(), sc.writes.Load(); r != 1 || w != 1 {
+				t.Errorf("server: %d reads, %d writes; want the frames of one read answered in one write", r, w)
+			}
+		})
+	}
+}
+
+// waitGoroutines fails the test unless the goroutine count falls back to
+// before within a few seconds.
+func waitGoroutines(t *testing.T, before int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines: %d before serving, %d after Close", before, runtime.NumGoroutine())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// liveHeap is the heap still reachable after a collection.
+func liveHeap() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// TestSlowReaderStallsOnlyItself pins the reply backpressure policy: a client
+// that requests 64 KiB values and never reads its replies parks its serve
+// loop in Write — TCP backpressure, so the client's own writes stall next —
+// while the replies the server holds for it stay bounded by replyQueueLimit
+// plus one, a second client is still served, and Server.Close returns with
+// the loop parked, leaving no goroutine behind.
+func TestSlowReaderStallsOnlyItself(t *testing.T) {
+	before := runtime.NumGoroutine()
 	big := make([]float64, 8<<10) // 64 KiB per reply
 	store := replica.New(0, map[msg.RegisterID]msg.Value{0: big})
 	sm := metrics.NewServerMetrics()
@@ -222,59 +379,72 @@ func TestServerDropsSlowReader(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	heapBefore := liveHeap()
 
 	slow := dialRawBinary(t, srv.Addr())
-	// Keep requesting the 64 KiB value without ever reading a reply. The
-	// socket absorbs what it can; after that the writer parks in Write,
-	// pending bytes pile up behind it, and the append that crosses the
-	// bound kills the connection.
+	// Keep requesting the value without ever reading a reply, until a write
+	// stalls: both sockets' buffers are full because the serve loop has
+	// stopped reading — it is parked in Write.
 	var op msg.OpID
-	deadline := time.Now().Add(20 * time.Second)
-	for sm.SlowConnDrops.Value() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("no slow-conn drop after 20s (queue depth max %d)", sm.QueueDepth.Max())
+	giveUp := time.Now().Add(20 * time.Second)
+	for stalled := false; !stalled; {
+		if time.Now().After(giveUp) {
+			t.Fatalf("slow client's writes never stalled (largest reply write %d)", sm.QueueDepth.Max())
 		}
 		var reqs []any
 		for i := 0; i < 16; i++ {
 			op++
 			reqs = append(reqs, msg.ReadReq{Reg: 0, Op: op})
 		}
-		if _, err := slow.Write(encodeBatchFrame(t, reqs...)); err != nil {
-			break // server already dropped us; the counter check below decides
+		_ = slow.SetWriteDeadline(time.Now().Add(time.Second))
+		var ne net.Error
+		switch _, err := slow.Write(encodeBatchFrame(t, reqs...)); {
+		case errors.As(err, &ne) && ne.Timeout():
+			stalled = true
+		case err != nil:
+			t.Fatalf("slow client's write failed: %v; the server dropped it", err)
 		}
 	}
-	if got := sm.SlowConnDrops.Value(); got == 0 {
-		t.Fatal("connection died without a slow-conn drop being counted")
+	reply := int64(len(big) * 8)
+	if most, bound := sm.QueueDepth.Max(), replyQueueLimit/reply+1; most == 0 || most > bound {
+		t.Errorf("largest reply write carried %d replies, want 1..%d", most, bound)
 	}
-	if sm.QueueDepth.Max() == 0 {
-		t.Error("queue-depth gauge never observed a pending reply")
+	if !raceEnabled {
+		// The pending replies (≤ replyQueueLimit + one reply) and the read
+		// window; the kernel holds the rest.
+		if held := liveHeap() - heapBefore; held > 2*replyQueueLimit {
+			t.Errorf("server holds %d bytes of live heap for a client that does not read, want <= %d", held, 2*replyQueueLimit)
+		}
 	}
 
-	// The rest of the server is unharmed: a well-behaved client still gets
-	// its replies.
 	healthy := dialRawBinary(t, srv.Addr())
+	_ = healthy.SetReadDeadline(time.Now().Add(10 * time.Second))
 	if _, err := healthy.Write(encodeBatchFrame(t, msg.ReadReq{Reg: 0, Op: 1})); err != nil {
 		t.Fatal(err)
 	}
-	fr := msg.NewFrameReader(healthy)
-	ok := false
-	payload, err := fr.NextRaw()
+	payload, err := msg.NewFrameReader(healthy).NextRaw()
 	if err != nil {
-		t.Fatalf("healthy connection read: %v", err)
+		t.Fatalf("second client, next to the stalled one: %v", err)
 	}
-	if _, err := msg.VisitBatchPayload(payload, msg.BatchVisitor{
-		ReadReply: func(m msg.ReadReply) bool { ok = true; return true },
-	}); err != nil {
-		t.Fatal(err)
+	if !msg.IsBatchPayload(payload) || binary.BigEndian.Uint32(payload[1:]) != 1 {
+		t.Fatalf("second client got % x, want one batch frame of one reply", payload[:min(len(payload), 9)])
 	}
-	if !ok {
-		t.Error("healthy connection got no read reply after the slow conn was dropped")
+
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Server.Close did not return with a serve loop parked in Write")
 	}
+	waitGoroutines(t, before)
 }
 
-// TestServerCloseNoGoroutineLeak pins the writer-goroutine lifecycle:
-// serving connections spawns reader and writer goroutines, and Server.Close
-// joins every one of them.
+// TestServerCloseNoGoroutineLeak pins the connection lifecycle: serving
+// connections spawns one goroutine each, and Server.Close joins every one.
 func TestServerCloseNoGoroutineLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 	store := replica.New(0, map[msg.RegisterID]msg.Value{0: nil})
@@ -294,20 +464,11 @@ func TestServerCloseNoGoroutineLeak(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	srv.Close() // must join every serve and reply-writer goroutine
+	srv.Close() // must join every serve goroutine
 	for _, c := range conns {
 		_ = c.Close()
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if g := runtime.NumGoroutine(); g <= before {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines: %d before serving, %d after Close", before, runtime.NumGoroutine())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitGoroutines(t, before)
 }
 
 // TestServeCoalescedEpochEcho pins reply coalescing across a view change at

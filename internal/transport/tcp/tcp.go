@@ -11,10 +11,10 @@
 // Each client holds one persistent connection per replica server, and every
 // operation travels the same route: requests are framed (one at a time by
 // the serial Client, coalesced into batch frames by the pipelined and
-// keyspace clients' per-server writer goroutines), the server's one serve
-// loop applies them and hands the replies to a per-connection reply writer
-// that coalesces them into batch frames, and the client's reader walks each
-// batch frame straight into the register layer (transport.ReplySink). A
+// keyspace clients' per-server writer goroutines), the server's serve loop —
+// one goroutine per connection — applies them and writes the replies to
+// every frame of one read as one batch frame, and the client's reader walks
+// each batch frame straight into the register layer (transport.ReplySink). A
 // quorum operation fans out across the quorum's connections, so it still
 // costs one round-trip; replies are matched to operations by operation id,
 // so a connection carries any number of interleaved exchanges.
@@ -86,9 +86,8 @@ type serverOpts struct {
 type ServerOption func(*serverOpts)
 
 // WithServerMetrics attaches reply-path instruments to every connection the
-// server accepts: replies per coalesced frame, reply-queue depth high
-// watermark, and connections dropped by slow-reader backpressure. The
-// default is no instrumentation, which keeps the serve loop allocation-free.
+// server accepts: replies per conn.Write and the largest such burst. The
+// default is no instrumentation.
 func WithServerMetrics(m *metrics.ServerMetrics) ServerOption {
 	return func(o *serverOpts) { o.metrics = m }
 }
@@ -169,15 +168,26 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// serveConn serves one connection: length-prefixed frames in, coalesced
-// reply frames out. The loop only applies requests and appends replies to the
-// connection's replyWriter; a dedicated writer goroutine folds whatever has
-// accumulated into one msg.Batch frame per conn.Write, so the reader never
-// waits on the socket and bursty request batches amortize to well under one
-// syscall per reply. Requests — batched or lone — are decoded through the
-// concrete visitor, so the steady-state loop is allocation-free in both
-// directions; only snapshot traffic (and other non-visitor kinds) takes the
-// boxed fallback.
+// replyQueueLimit bounds the bytes of replies one connection holds unsent:
+// the serve loop writes them out as soon as they pass it, even in the middle
+// of a request frame, so a burst of large values holds at most one reply
+// more than this.
+const replyQueueLimit = 1 << 20
+
+// serveConn serves one connection on one goroutine: length-prefixed frames
+// in, coalesced reply frames out. Every reply is appended to one open
+// msg.Batch frame in the connection's pooled buffer, and the loop writes the
+// pending replies in one conn.Write before it reads again — when the read
+// window holds no further complete frame (FrameReader.Ready), or as soon as
+// they pass replyQueueLimit. So the replies to every request frame that
+// arrived in one read share one write syscall, and a reply leaves at the
+// moment the loop would otherwise wait on the socket, with no hand-off to
+// another goroutine. A peer that stops reading stalls only its own
+// connection: the loop parks in Write (TCP backpressure) holding at most
+// replyQueueLimit plus one reply, and Server.Close closes the socket under
+// it. Requests — batched or lone — are decoded through the concrete visitor,
+// so the steady-state loop is allocation-free in both directions; only
+// snapshot traffic (and other non-visitor kinds) takes the boxed fallback.
 //
 // Inside a batch frame a malformed or foreign element is dropped rather than
 // fatal: replies are matched by operation id, not position, so skipping junk
@@ -186,60 +196,63 @@ func (s *Server) acceptLoop() {
 // malformed batch envelope or lone frame closes the connection.
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
+	out := replies{conn: conn, m: s.opts.metrics, buf: msg.GetEncodeBuf()}
+	out.w.Reset((*out.buf)[:0])
 	defer func() {
 		s.mu.Lock()
 		delete(s.conns, conn)
 		s.mu.Unlock()
 		_ = conn.Close()
+		out.release()
 	}()
 	fr := msg.NewFrameReader(conn)
-	rw := newReplyWriter(conn, s.opts.metrics)
-	defer rw.close()
 	vis := msg.BatchVisitor{
 		ReadReq: func(m msg.ReadReq) bool {
 			if rej, stale := s.store.StaleFor(m.Reg, m.Op, m.Epoch); stale {
-				return rw.addStaleEpoch(rej)
+				out.w.AddStaleEpoch(rej)
+				return out.bound()
 			}
-			return rw.addRead(s.store, m)
+			// A crashed store (closing the connection is the client's crash
+			// signal) or a value the codec cannot carry ends the connection.
+			if ok, err := s.store.AppendRead(&out.w, m); !ok || err != nil {
+				return false
+			}
+			return out.bound()
 		},
 		WriteReq: func(m msg.WriteReq) bool {
 			if rej, stale := s.store.StaleFor(m.Reg, m.Op, m.Epoch); stale {
-				return rw.addStaleEpoch(rej)
+				out.w.AddStaleEpoch(rej)
+				return out.bound()
 			}
 			ack, ok := s.store.ApplyWrite(m)
 			if !ok {
 				return false // crashed
 			}
-			return rw.addWriteAck(ack)
+			out.w.AddWriteAck(ack)
+			return out.bound()
 		},
 		// Reply-kind elements are foreign on a server-bound stream; leaving
 		// their callbacks nil drops them, like any other junk.
 	}
 	for {
+		if !fr.Ready() && !out.flush() {
+			return
+		}
 		payload, err := fr.NextRaw()
 		if err != nil {
 			return // connection closed or corrupt; drop it
 		}
-		// The reply buffer is locked once per request frame: every element's
-		// replies append under the one hold, and end() wakes the writer once.
-		if !rw.begin() {
-			return
-		}
 		if msg.IsBatchPayload(payload) {
-			completed, verr := msg.VisitBatchPayload(payload, vis)
-			if !rw.end() || verr != nil || !completed {
+			if completed, err := msg.VisitBatchPayload(payload, vis); err != nil || !completed {
 				return
 			}
 			continue
 		}
 		if handled, cont := msg.VisitPayload(payload, vis); handled {
-			if !rw.end() || !cont {
+			if !cont {
 				return
 			}
 			continue
-		}
-		if !rw.end() {
-			return
 		}
 		// Boxed fallback: snapshot requests, and the close-on-junk contract
 		// for anything the store does not serve.
@@ -257,23 +270,70 @@ func (s *Server) serveConn(conn net.Conn) {
 			// re-dials on next use.
 			return
 		}
-		if !rw.addBoxed(reply) {
+		if !out.writeFrame(reply) {
 			return
 		}
 	}
 }
 
-// addBoxed encodes one boxed reply (in practice a SnapReply) and enqueues it
-// as a standalone frame behind any pending coalesced replies.
-func (rw *replyWriter) addBoxed(reply any) bool {
-	buf := msg.GetEncodeBuf()
-	defer msg.PutEncodeBuf(buf)
-	out, err := msg.AppendMessage((*buf)[:0], reply)
+// replies is the write half of one server connection, owned by its serve
+// loop: the open batch of pending replies, in a pooled buffer.
+type replies struct {
+	conn net.Conn
+	m    *metrics.ServerMetrics
+	buf  *[]byte
+	w    msg.BatchWriter
+}
+
+// bound writes the pending replies once they pass replyQueueLimit. The
+// replies to one request frame may then span two reply frames, which is
+// harmless: replies are matched by operation id. It reports whether the
+// connection is still usable.
+func (r *replies) bound() bool {
+	return r.w.Len() <= replyQueueLimit || r.flush()
+}
+
+// flush writes the open batch, if it holds a reply.
+func (r *replies) flush() bool {
+	if r.w.Count() == 0 {
+		return true
+	}
+	return r.write(r.w.Finish(), r.w.Count())
+}
+
+// writeFrame writes the pending replies and then reply, encoded as a
+// standalone frame (in practice a SnapReply: a joining server reads the
+// snapshot as a lone frame, so it is never folded into a batch), in one
+// conn.Write — the cold path.
+func (r *replies) writeFrame(reply any) bool {
+	n := r.w.Count()
+	out := r.w.Finish()
+	if n == 0 {
+		out = out[:len(out)-r.w.Len()] // drop the open batch's empty header
+	}
+	out, err := msg.AppendMessage(out, reply)
 	if err != nil {
 		return false
 	}
-	*buf = out[:0]
-	return rw.addRaw(out)
+	return r.write(out, n+1)
+}
+
+// write sends out, which carries n replies, in one conn.Write and opens the
+// next batch in the same buffer.
+func (r *replies) write(out []byte, n int) bool {
+	if r.m != nil {
+		r.m.ReplyBatch.Observe(n)
+		r.m.QueueDepth.Set(int64(n))
+	}
+	_, err := r.conn.Write(out)
+	r.w.Reset(out[:0])
+	return err == nil
+}
+
+// release returns the buffer, grown as the traffic needed, to the pool.
+func (r *replies) release() {
+	*r.buf = r.w.Finish()[:0]
+	msg.PutEncodeBuf(r.buf)
 }
 
 // Close stops accepting, closes all connections, and waits for the serving

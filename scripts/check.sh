@@ -52,17 +52,19 @@ echo "== membership churn smoke =="
 # swaps, and the replica's view installs all meet, and a data race in that
 # seam would otherwise only surface under churn in production. -cpu 2,8
 # replays it at two parallelism levels: reconfiguration races shift with
-# scheduler pressure, and the reply-coalescing writer adds one more
-# goroutine per connection to the mix.
+# scheduler pressure.
 go test -race -cpu 2,8 -run 'TestMembership|TestSetView|TestStaleFor|TestSnapshotInstall|TestViewStats' \
     ./internal/register ./internal/replica
 
-echo "== fault-aware fan-out under the race detector =="
+echo "== fault-aware fan-out and the serve loop under the race detector =="
 # The same treatment for the fault path: the transport's error sink, the
 # keyspace's shard locks, the deadline timer and the probe path all meet in a
-# top-up, and they meet on goroutines the healthy path never crosses.
+# top-up, and they meet on goroutines the healthy path never crosses. The
+# serve-loop tests ride along: when the one goroutine per connection writes,
+# a reader that never drains (a loop parked in Write), and Server.Close
+# unblocking it without leaking a goroutine.
 go test -race -cpu 2,8 \
-    -run 'TestFlappingServerNoLivelock|TestSilentServerCostsOneDeadline|TestConformance/crash-topup|TestHealth|TestCrashCostsOneRoundTrip|TestKilledListenerIsNotSilent|TestPartitionCostsOneDeadline' \
+    -run 'TestFlappingServerNoLivelock|TestSilentServerCostsOneDeadline|TestConformance/crash-topup|TestHealth|TestCrashCostsOneRoundTrip|TestKilledListenerIsNotSilent|TestPartitionCostsOneDeadline|TestServeWritesOncePerRead|TestSlowReaderStallsOnlyItself|TestServerCloseNoGoroutineLeak' \
     ./internal/register ./internal/transport ./internal/transport/tcp
 
 echo "== load harness smoke soak =="
