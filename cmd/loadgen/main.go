@@ -16,7 +16,7 @@
 //	loadgen -rate 1000 -duration 10s -mix read=0.6,write=0.3,atomic=0.1
 //	loadgen -rate 500 -duration 8s -schedule '@2s crash 1; @5s recover 1'
 //	loadgen -soak -duration 30s
-//	loadgen frontier -rates 400,800,1600,3200 -o BENCH_loadgen.json
+//	loadgen frontier -rates 400,800,1600,3200 -o frontier.json
 //
 // The -schedule flag takes the fault DSL inline or a file path; see
 // internal/faults.ParseSchedule for the grammar.

@@ -285,7 +285,7 @@ func run() error {
 		return err
 	}
 
-	section("E16", "TCP fault tolerance: crash, retry with fresh quorums, reconnect")
+	section("E16", "TCP fault tolerance: crash, top-up or retry, reconnect")
 	tcpCfg := experiments.TCPFaultConfig{Seed: *seed, Obs: obsReg}
 	if *quick {
 		tcpCfg.N = 6

@@ -32,34 +32,39 @@
 //
 // # Client constructors
 //
-// Three client shapes (serial one-op-at-a-time, pipelined single-register,
-// sharded multi-register keyspace) ride over three runtimes. One blessed
-// constructor per cell:
+// Three client shapes ride over three runtimes, and all three are one
+// operation engine — register.Operation's transition table driven by a
+// register.Pipeline — at different depths: a blocking client is a pipeline
+// of depth one (the paper's one pending operation per process), a pipelined
+// client keeps many registers in flight, and a keyspace shards pipelines
+// across keys. One blessed constructor per cell:
 //
 //	            cluster (goroutines)         tcp (sockets)        register cores (sim, custom)
-//	serial      (*cluster.Cluster).NewClient   tcp.Dial             register.NewClient
+//	depth 1     (*cluster.Cluster).NewClient   tcp.Dial             register.NewClient
 //	pipelined   (*cluster.Cluster).NewPipeline tcp.DialPipelined    register.NewPipeline(Over)
 //	keyspace    (*cluster.Cluster).NewKeyspace tcp.DialKeyspace     register.NewKeyspace(Over)
 //
 // The third column is what the first two are built from: the protocol cores
 // take a raw send function (or a transport.Transport via the ...Over
-// variants), which is how the discrete-event simulator and the tests drive
-// them. Every cell is configured through the same surface —
-// register.Settings and the With*/Pipe* options that fill it in; the tcp and
-// cluster With* options are thin wrappers over register.Settings, so option
-// semantics cannot drift between transports. Quorum exhaustion is
-// register.ErrQuorumUnavailable everywhere, serial and pipelined — the former
-// per-transport error aliases in the tcp and cluster packages are gone, as is
-// cluster's combined timeout-and-retries shim (use WithOpTimeout plus
-// WithRetries).
+// variants and NewClient), which is how the discrete-event simulator and the
+// tests drive them. Every cell is configured through the same surface —
+// register.Settings, translated by register.ApplyPipeline into the one
+// PipelineOption list; the tcp and cluster With* options are thin wrappers
+// over register.Settings, so option semantics cannot drift between
+// transports. Quorum exhaustion is register.ErrQuorumUnavailable everywhere
+// — the former per-transport error aliases in the tcp and cluster packages
+// are gone, as is cluster's combined timeout-and-retries shim (use
+// WithOpTimeout plus WithRetries).
 //
-// The three tcp constructors share one construction path and one data path:
-// binary frames, one server loop per connection coalescing its replies, and
-// replies delivered a whole frame at a time (transport.ReplySink). Register
-// values written over tcp must be in the wire codec's value union; anything
-// else is refused with msg.ErrUnsupportedValue.
+// The three tcp constructors share one construction path, one default
+// deadline (2s) and one data path: requests coalesced into batch frames by a
+// writer goroutine per connection, one server loop per connection coalescing
+// its replies, and replies delivered a whole frame at a time
+// (transport.ReplySink). Register values written over tcp must be in the
+// wire codec's value union; anything else is refused with
+// msg.ErrUnsupportedValue.
 //
-// The benchmarks in bench_test.go regenerate each experiment at reduced
-// scale; the cmd/ tools run them at paper scale. EXPERIMENTS.md records
-// paper-versus-measured outcomes.
+// The cmd/ tools regenerate every experiment at paper scale; EXPERIMENTS.md
+// records paper-versus-measured outcomes. The benchmark lives in bench/
+// (BENCHMARK.json declares it; bench/README.md explains it).
 package probquorum

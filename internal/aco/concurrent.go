@@ -37,9 +37,9 @@ type ConcurrentConfig struct {
 	Seed uint64
 	// MaxIterations caps each worker's loop; 0 means 100000.
 	MaxIterations int
-	// DriverConfig carries the per-operation deadline, retry budget, and
-	// retry backoff shared with the simulator and TCP runners. OpTimeout is
-	// required to ride out server crashes injected via Faults.
+	// DriverConfig carries the per-operation deadline and retry budget
+	// shared with the simulator and TCP runners. OpTimeout is required to
+	// ride out server crashes injected via Faults.
 	DriverConfig
 	// Faults, if non-nil, is called with the running cluster right after
 	// the clients are connected and before the workers start — the hook
@@ -50,8 +50,7 @@ type ConcurrentConfig struct {
 	Masking int
 	// Pipelined runs each worker through a pipelined client: the m reads
 	// of an iteration are submitted at once and overlap their quorum
-	// round-trips, as do the writes of the owned components. Incompatible
-	// with Masking (the pipeline does not support masking reads).
+	// round-trips, as do the writes of the owned components.
 	Pipelined bool
 	// Gauge, if non-nil, tracks the pipelined workers' in-flight operation
 	// count; its high-watermark is how tests assert genuine overlap.
@@ -199,9 +198,6 @@ func RunConcurrent(cfg ConcurrentConfig) (ConcurrentResult, error) {
 	}
 	defer c.Close()
 
-	if cfg.Pipelined && cfg.Masking > 0 {
-		return ConcurrentResult{}, fmt.Errorf("aco: pipelined workers do not support masking reads")
-	}
 	clients := make([]*cluster.Client, procs)
 	pipeClients := make([]*cluster.PipeClient, procs)
 	for pi := 0; pi < procs; pi++ {
@@ -214,13 +210,6 @@ func RunConcurrent(cfg ConcurrentConfig) (ConcurrentResult, error) {
 		}
 		if cfg.OpTimeout > 0 {
 			opts = append(opts, cluster.WithOpTimeout(cfg.OpTimeout), cluster.WithRetries(cfg.Retries))
-		}
-		if cfg.RetryBackoff > 0 {
-			max := cfg.RetryBackoffMax
-			if max <= 0 {
-				max = cfg.RetryBackoff
-			}
-			opts = append(opts, cluster.WithRetryBackoff(cfg.RetryBackoff, max))
 		}
 		if cfg.Masking > 0 {
 			opts = append(opts, cluster.WithMasking(cfg.Masking))

@@ -4,10 +4,9 @@ import "time"
 
 // DriverConfig is the transport-facing half of a runner configuration,
 // shared verbatim by the simulator, cluster, and TCP drivers: how long one
-// register operation attempt may run, how many attempts it gets, and how
-// wall-clock retries are paced. Embedding it keeps the three runner configs
-// aligned — an experiment moved between runtimes carries these knobs
-// unchanged.
+// register operation attempt may run, and how many attempts it gets.
+// Embedding it keeps the three runner configs aligned — an experiment moved
+// between runtimes carries these knobs unchanged.
 type DriverConfig struct {
 	// OpTimeout, when positive, bounds each operation attempt; an attempt
 	// that misses the deadline is reissued on a freshly picked quorum.
@@ -16,11 +15,4 @@ type DriverConfig struct {
 	// Retries caps the attempts per operation (0 = unlimited); an operation
 	// that exhausts the budget fails with register.ErrQuorumUnavailable.
 	Retries int
-	// RetryBackoff and RetryBackoffMax pace wall-clock retry attempts: the
-	// first retry waits RetryBackoff, each further retry doubles the wait,
-	// capped at RetryBackoffMax. Zero keeps each runtime's default pacing.
-	// The simulator ignores both — its deadlines are virtual-time events,
-	// which already pace retries.
-	RetryBackoff    time.Duration
-	RetryBackoffMax time.Duration
 }

@@ -6,6 +6,7 @@ import (
 
 	"probquorum/internal/aco"
 	"probquorum/internal/apps/semiring"
+	"probquorum/internal/cluster"
 	"probquorum/internal/graph"
 	"probquorum/internal/metrics"
 	"probquorum/internal/quorum"
@@ -157,10 +158,11 @@ func TestRunSimPipelinedValidation(t *testing.T) {
 	if _, err := aco.RunSim(withTimeout); err == nil {
 		t.Fatal("pipelined sim accepted a crash schedule")
 	}
+	// Read repair rides the one engine: a pipelined run with it converges.
 	withRepair := base
 	withRepair.ReadRepair = true
-	if _, err := aco.RunSim(withRepair); err == nil {
-		t.Fatal("pipelined sim accepted read repair")
+	if res, err := aco.RunSim(withRepair); err != nil || !res.Converged {
+		t.Fatalf("pipelined sim with read repair: converged=%v, err=%v", res.Converged, err)
 	}
 }
 
@@ -197,18 +199,34 @@ func TestRunConcurrentPipelined(t *testing.T) {
 	}
 }
 
-func TestRunConcurrentPipelinedRejectsMasking(t *testing.T) {
-	g := graph.Chain(3)
-	_, err := aco.RunConcurrent(aco.ConcurrentConfig{
-		Op:        semiring.NewAPSP(g),
-		Servers:   3,
-		System:    quorum.NewMajority(3),
+// TestRunConcurrentPipelinedMasking: pipelined workers mask reads like
+// blocking ones — the same Operation drives both — and converge to the exact
+// fixed point past a Byzantine server.
+func TestRunConcurrentPipelinedMasking(t *testing.T) {
+	g := graph.Chain(5)
+	op := semiring.NewAPSP(g)
+	target := semiring.APSPTarget(g)
+	res, err := aco.RunConcurrent(aco.ConcurrentConfig{
+		Op:        op,
+		Target:    target,
+		Servers:   5,
+		System:    quorum.NewProbabilistic(5, 3),
+		Monotone:  true,
 		Pipelined: true,
+		Seed:      12,
 		Masking:   1,
-		Seed:      1,
+		Faults: func(c *cluster.Cluster) {
+			c.SetByzantine(4, "POISON")
+		},
 	})
-	if err == nil {
-		t.Fatal("pipelined concurrent run accepted masking")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Converged {
+		t.Fatal("masked pipelined workers did not converge past the Byzantine server")
+	}
+	if !aco.VectorsEqual(op, res.Final, target) {
+		t.Fatal("final vector corrupted despite masking")
 	}
 }
 

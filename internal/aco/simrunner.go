@@ -45,9 +45,9 @@ type SimConfig struct {
 	// round-trips, as do the writes of the owned components. Only
 	// failure-free executions are supported in the simulator (the
 	// Pipeline's retry deadlines are wall-clock timers, which have no
-	// meaning on virtual time): OpTimeout, Crashes, and ReadRepair are
-	// rejected. Crash injection against pipelined clients runs on the
-	// cluster and TCP runtimes instead.
+	// meaning on virtual time): OpTimeout and Crashes are rejected. Crash
+	// injection against pipelined clients runs on the cluster and TCP
+	// runtimes instead.
 	Pipelined bool
 	// Gauge, if non-nil, tracks the pipelined processes' in-flight
 	// operation count; its high-watermark is how tests assert that
@@ -69,7 +69,7 @@ type SimConfig struct {
 	MaxRounds int
 	// DriverConfig carries the per-operation deadline and retry budget
 	// shared with the cluster and TCP runners. Deadlines are virtual-time
-	// events here; the wall-clock backoff fields are ignored. A process
+	// events here. A process
 	// whose operation exhausts a non-zero Retries budget aborts the run
 	// with register.ErrQuorumUnavailable.
 	DriverConfig
@@ -212,6 +212,7 @@ type procNode struct {
 	reading   bool // current phase: reading the view vs writing owned
 	cursor    int
 	cur       *register.Operation
+	sends     []register.Send // fan-out buffer, handed to the simulator per event
 	iterStart sim.Time
 	opInvoke  sim.Time
 	wsHandle  int // trace handle of the in-flight write, if tr != nil
@@ -245,16 +246,21 @@ func (p *procNode) armTimeout(ctx *sim.Context) {
 	}
 }
 
-func (p *procNode) dispatch(ctx *sim.Context, sends []register.Send) {
-	for _, s := range sends {
+// dispatch hands the buffered fan-out to the simulator and empties the
+// buffer.
+func (p *procNode) dispatch(ctx *sim.Context) {
+	for _, s := range p.sends {
 		ctx.Send(msg.NodeID(s.Server), s.Req)
 	}
+	clear(p.sends)
+	p.sends = p.sends[:0]
 }
 
 func (p *procNode) beginRead(ctx *sim.Context) {
 	p.cur = p.engine.NewReadOp(msg.RegisterID(p.cursor), p.budget)
 	p.opInvoke = ctx.Now()
-	p.dispatch(ctx, p.cur.Start())
+	p.sends = p.cur.Start(p.sends)
+	p.dispatch(ctx)
 	p.armTimeout(ctx)
 }
 
@@ -262,7 +268,7 @@ func (p *procNode) beginWrite(ctx *sim.Context) {
 	comp := p.owned[p.cursor]
 	p.cur = p.engine.NewWriteOp(msg.RegisterID(comp), p.newVals[p.cursor], p.budget)
 	p.opInvoke = ctx.Now()
-	sends := p.cur.Start()
+	p.sends = p.cur.Start(p.sends)
 	if p.tr != nil {
 		// Writes are logged at invocation so that reads observing a write
 		// still in flight when the run stops can be validated against it.
@@ -271,7 +277,7 @@ func (p *procNode) beginWrite(ctx *sim.Context) {
 			Invoke: int64(p.opInvoke), Tag: p.cur.PendingTag(),
 		})
 	}
-	p.dispatch(ctx, sends)
+	p.dispatch(ctx)
 	p.armTimeout(ctx)
 }
 
@@ -279,7 +285,8 @@ func (p *procNode) beginWrite(ctx *sim.Context) {
 // keep their timestamp). An exhausted retry budget aborts the whole run:
 // under the configured fault load no quorum answered this process in time.
 func (p *procNode) retryOp(ctx *sim.Context) {
-	sends, err := p.cur.Retry()
+	var err error
+	p.sends, err = p.cur.Retry(p.sends)
 	if err != nil {
 		p.err = fmt.Errorf("aco: proc %d: %s reg %d: %w after %d attempts",
 			p.idx, p.cur.Desc(), p.cur.Reg(), err, p.cur.Attempts())
@@ -287,7 +294,7 @@ func (p *procNode) retryOp(ctx *sim.Context) {
 		return
 	}
 	p.retries++
-	p.dispatch(ctx, sends)
+	p.dispatch(ctx)
 	p.armTimeout(ctx)
 }
 
@@ -311,7 +318,8 @@ func (p *procNode) Recv(ctx *sim.Context, from msg.NodeID, m any) {
 	}
 	// Repair write-backs ride along in the returned fan-out: fire-and-forget,
 	// replicas drop stale installs and stray acks are filtered by op id.
-	p.dispatch(ctx, p.cur.Deliver(int(from), m))
+	p.sends = p.cur.Deliver(int(from), m, p.sends)
+	p.dispatch(ctx)
 	if p.cur.Rejected() {
 		p.retryOp(ctx) // masked read outvoted; draw a fresh quorum now
 		return
@@ -427,9 +435,6 @@ func RunSim(cfg SimConfig) (SimResult, error) {
 	if cfg.Pipelined {
 		if cfg.OpTimeout > 0 || len(cfg.Crashes) > 0 {
 			return SimResult{}, fmt.Errorf("aco: pipelined simulation is failure-free: OpTimeout and Crashes are not supported (use the cluster or TCP runtime for pipelined crash injection)")
-		}
-		if cfg.ReadRepair {
-			return SimResult{}, fmt.Errorf("aco: pipelined clients do not support read repair")
 		}
 	}
 

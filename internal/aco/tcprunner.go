@@ -39,11 +39,10 @@ type TCPConfig struct {
 	Seed uint64
 	// MaxIterations caps each worker's loop; 0 means 10000.
 	MaxIterations int
-	// DriverConfig carries the per-operation deadline, retry budget, and
-	// retry backoff shared with the simulator and cluster runners.
-	// OpTimeout is required when Crashes is non-empty: crashed servers
-	// never reply, so operations can only make progress by timing out and
-	// re-picking. Exhausting Retries surfaces register.ErrQuorumUnavailable.
+	// DriverConfig carries the per-operation deadline and retry budget
+	// shared with the simulator and cluster runners. OpTimeout is required
+	// when Crashes is non-empty: a crashed server can only be waited out or
+	// replaced. Exhausting Retries surfaces register.ErrQuorumUnavailable.
 	DriverConfig
 	// Crashes schedules replica crashes and recoveries at wall-clock
 	// offsets from the start of the worker phase — the TCP analogue of
@@ -87,12 +86,16 @@ type TCPResult struct {
 	Elapsed time.Duration
 	// Final is the register contents read back from the replicas.
 	Final []msg.Value
-	// Retries counts operations that were re-issued on a fresh quorum.
+	// Retries counts operation deadlines that spent retry budget.
 	Retries int64
-	// Timeouts counts per-member calls that hit their deadline.
+	// Timeouts counts members still silent at an operation deadline, plus
+	// socket writes that hit theirs.
 	Timeouts int64
 	// Reconnects counts dead connections that were re-dialed.
 	Reconnects int64
+	// TopUps counts quorum members replaced inside a live attempt — what a
+	// crash the transport signals costs instead of a retry.
+	TopUps int64
 	// Snapshot is the final state of Config.Obs at the end of the run; nil
 	// when no registry was attached.
 	Snapshot *obs.Snapshot
@@ -179,13 +182,6 @@ func RunTCP(cfg TCPConfig) (TCPResult, error) {
 		}
 		if cfg.OpTimeout > 0 {
 			opts = append(opts, tcp.WithOpTimeout(cfg.OpTimeout), tcp.WithRetries(cfg.Retries))
-		}
-		if cfg.RetryBackoff > 0 {
-			max := cfg.RetryBackoffMax
-			if max <= 0 {
-				max = cfg.RetryBackoff
-			}
-			opts = append(opts, tcp.WithRetryBackoff(cfg.RetryBackoff, max))
 		}
 		if cfg.Trace != nil {
 			opts = append(opts, tcp.WithTrace(cfg.Trace))
@@ -356,14 +352,6 @@ func RunTCP(cfg TCPConfig) (TCPResult, error) {
 		final[i] = best.Val
 	}
 	retries, timeouts, reconnects := counters.Snapshot()
-	if cfg.Pipelined {
-		// Pipelined retries are counted by the pipelines, not the transport
-		// (the multiplexed connections have no per-operation exchanges).
-		retries = 0
-		for _, pc := range pipeClients {
-			retries += pc.Pipeline().Retries()
-		}
-	}
 	res := TCPResult{
 		Converged:  tracker.converged(),
 		Iterations: total,
@@ -372,6 +360,7 @@ func RunTCP(cfg TCPConfig) (TCPResult, error) {
 		Retries:    retries,
 		Timeouts:   timeouts,
 		Reconnects: reconnects,
+		TopUps:     counters.TopUps.Value(),
 	}
 	if cfg.Obs != nil {
 		snap := cfg.Obs.Snapshot()

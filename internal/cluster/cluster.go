@@ -446,13 +446,12 @@ func (t *clusterTransport) Close() error {
 }
 
 // Client is one application process's blocking register interface: a thin
-// adapter binding a transport-agnostic register.Client to this cluster.
+// adapter binding a register.Client — a depth-one register.Pipeline — to
+// this cluster.
 type Client struct {
-	c      *Cluster
-	id     msg.NodeID
-	engine *register.Engine
-	rc     *register.Client
-	tr     *clusterTransport
+	id msg.NodeID
+	rc *register.Client
+	tr *clusterTransport
 }
 
 // ClientOption configures a client.
@@ -461,8 +460,7 @@ type ClientOption func(*clientConfig)
 // clientConfig embeds the shared register.Settings — the transport-
 // independent client configuration — plus the engine variants only this
 // runtime exposes. Every With* option is a thin wrapper writing one field;
-// NewClient and NewPipeline hand the Settings to register.Apply /
-// register.ApplyPipeline.
+// the constructors hand the Settings to register.ApplyPipeline.
 type clientConfig struct {
 	register.Settings
 
@@ -499,6 +497,78 @@ func (c *Cluster) checkSys(sys quorum.System, cc *clientConfig) error {
 	return nil
 }
 
+// attached is one registered client process: its applied options, node
+// identity, and transport — rt is tr behind the message-counting shim when
+// the caller passed counters.
+type attached struct {
+	clientConfig
+	c  *Cluster
+	id msg.NodeID
+	tr *clusterTransport
+	rt transport.Transport
+}
+
+// attach is the construction path shared by NewClient, NewPipeline and
+// NewKeyspace: options → system check → process id and inbox → transport
+// (re-targeted at the client's view) → optional counting shim.
+func (c *Cluster) attach(sys quorum.System, opts []ClientOption) (*attached, error) {
+	a := &attached{c: c}
+	for _, o := range opts {
+		o(&a.clientConfig)
+	}
+	if err := c.checkSys(sys, &a.clientConfig); err != nil {
+		return nil, err
+	}
+	if c.closed.Load() {
+		return nil, ErrClosed
+	}
+	c.mu.Lock()
+	a.id = c.nextID
+	c.nextID++
+	inbox := make(chan envelope, 16*len(c.servers))
+	c.clients[a.id] = inbox
+	c.mu.Unlock()
+	a.tr = &clusterTransport{c: c, id: a.id, inbox: inbox, done: make(chan struct{})}
+	if a.hasView {
+		if err := a.tr.Update(a.view); err != nil {
+			a.tr.Close()
+			return nil, err
+		}
+	}
+	a.Proc = a.id
+	a.Clock = c.tick
+	a.rt = a.tr
+	if a.Counters != nil {
+		a.rt = transport.Instrument(a.tr, a.Counters)
+	}
+	return a, nil
+}
+
+// engine builds one of the process's engines over sys with the client's
+// variants, its randomness derived from the cluster seed under label.
+func (a *attached) engine(sys quorum.System, label string, extra ...register.Option) *register.Engine {
+	opts := extra
+	if a.monotone {
+		opts = append(opts, register.Monotone())
+	}
+	if a.readRepair {
+		opts = append(opts, register.WithReadRepair())
+	}
+	if a.masking {
+		opts = append(opts, register.WithMasking(a.maskB))
+	}
+	if a.noFastRead {
+		opts = append(opts, register.WithoutFastRead())
+	}
+	if a.tally != nil {
+		opts = append(opts, register.WithTally(a.tally))
+	}
+	if a.hasView {
+		opts = append(opts, register.WithView(a.view))
+	}
+	return register.NewEngine(int32(a.id), sys, rng.Derive(a.c.seed, label), opts...)
+}
+
 // WithoutFastRead disables the atomic read's one-round-trip fast path for
 // this client (see register.WithoutFastRead) — the ablation knob for the
 // paired fast-path benchmark.
@@ -532,8 +602,8 @@ func WithOpTimeout(d time.Duration) ClientOption {
 	return func(c *clientConfig) { c.OpTimeout = d }
 }
 
-// WithRetries caps the attempts per operation when WithOpTimeout is set
-// (0 = unlimited); exhaustion surfaces register.ErrQuorumUnavailable.
+// WithRetries caps the attempts per operation (0 = unlimited); exhaustion
+// surfaces register.ErrQuorumUnavailable.
 func WithRetries(n int) ClientOption {
 	return func(c *clientConfig) { c.Retries = n }
 }
@@ -548,25 +618,12 @@ func WithTally(t *metrics.AccessTally) ClientOption {
 	return func(c *clientConfig) { c.tally = t }
 }
 
-// WithLatency records every operation's wall-clock duration (including
-// retries) into h.
-func WithLatency(h *metrics.LatencyHist) ClientOption {
-	return func(c *clientConfig) { c.Latency = h }
-}
-
-// WithTransportCounters shares tc with the client: retries, plus the logical
-// message counts (one MsgsSent per request handed to the cluster, one
-// MsgsRecv per reply delivered back) for cross-transport message-complexity
-// comparisons.
+// WithTransportCounters shares tc with the client: fault-path events, plus
+// the logical message counts (one MsgsSent per request handed to the
+// cluster, one MsgsRecv per reply delivered back) for cross-transport
+// message-complexity comparisons.
 func WithTransportCounters(tc *metrics.TransportCounters) ClientOption {
 	return func(c *clientConfig) { c.Counters = tc }
-}
-
-// WithRetryBackoff sleeps before each retry: base doubled per attempt,
-// capped at max. Zero base (the default) retries immediately, which suits
-// the in-process cluster's microsecond round-trips.
-func WithRetryBackoff(base, max time.Duration) ClientOption {
-	return func(c *clientConfig) { c.RetryBackoff = base; c.RetryBackoffMax = max }
 }
 
 // WithObserver records phase-level operation timings (pick, fan-out,
@@ -578,62 +635,15 @@ func WithObserver(obs *register.Observer) ClientOption {
 
 // NewClient registers a new client process using the given quorum system.
 func (c *Cluster) NewClient(sys quorum.System, opts ...ClientOption) (*Client, error) {
-	var cc clientConfig
-	for _, o := range opts {
-		o(&cc)
-	}
-	if err := c.checkSys(sys, &cc); err != nil {
+	a, err := c.attach(sys, opts)
+	if err != nil {
 		return nil, err
 	}
-	if c.closed.Load() {
-		return nil, ErrClosed
-	}
-	c.mu.Lock()
-	id := c.nextID
-	c.nextID++
-	inbox := make(chan envelope, 4*len(c.servers))
-	c.clients[id] = inbox
-	c.mu.Unlock()
-
-	var eopts []register.Option
-	if cc.monotone {
-		eopts = append(eopts, register.Monotone())
-	}
-	if cc.readRepair {
-		eopts = append(eopts, register.WithReadRepair())
-	}
-	if cc.masking {
-		eopts = append(eopts, register.WithMasking(cc.maskB))
-	}
-	if cc.noFastRead {
-		eopts = append(eopts, register.WithoutFastRead())
-	}
-	if cc.tally != nil {
-		eopts = append(eopts, register.WithTally(cc.tally))
-	}
-	if cc.hasView {
-		eopts = append(eopts, register.WithView(cc.view))
-	}
-	engine := register.NewEngine(int32(id), sys, rng.Derive(c.seed, fmt.Sprintf("cluster.client.%d", id)), eopts...)
-	tr := &clusterTransport{c: c, id: id, inbox: inbox, done: make(chan struct{})}
-	if cc.hasView {
-		if err := tr.Update(cc.view); err != nil {
-			tr.Close()
-			return nil, err
-		}
-	}
-	cc.Proc = id
-	cc.Clock = c.tick
-	var rt transport.Transport = tr
-	if cc.Counters != nil {
-		rt = transport.Instrument(tr, cc.Counters)
-	}
+	engine := a.engine(sys, fmt.Sprintf("cluster.client.%d", a.id))
 	return &Client{
-		c:      c,
-		id:     id,
-		engine: engine,
-		rc:     register.NewClient(engine, rt, register.Apply(cc.Settings)...),
-		tr:     tr,
+		id: a.id,
+		rc: register.NewClient(engine, a.rt, register.ApplyPipeline(a.Settings)...),
+		tr: a.tr,
 	}, nil
 }
 
@@ -647,7 +657,7 @@ func (cl *Client) Detach() {
 }
 
 // Engine exposes the client's register engine (tests inspect cache hits).
-func (cl *Client) Engine() *register.Engine { return cl.engine }
+func (cl *Client) Engine() *register.Engine { return cl.rc.Engine() }
 
 // Read performs one read of reg and returns the tagged value.
 func (cl *Client) Read(reg msg.RegisterID) (msg.Tagged, error) {

@@ -304,10 +304,12 @@ func TestInvalidServerCount(t *testing.T) {
 	}
 }
 
-func TestWithLatencyRecordsOps(t *testing.T) {
+// TestWithObserverRecordsOps: the observer's Ops histogram is the client's
+// end-to-end latency record — one observation per completed operation.
+func TestWithObserverRecordsOps(t *testing.T) {
 	c := newTestCluster(t, 4, nil)
-	var h metrics.LatencyHist
-	cl, err := c.NewClient(quorum.NewMajority(4), WithLatency(&h))
+	obs := new(register.Observer)
+	cl, err := c.NewClient(quorum.NewMajority(4), WithObserver(obs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,10 +321,10 @@ func TestWithLatencyRecordsOps(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := h.Count(); got != 20 {
+	if got := obs.Ops.Count(); got != 20 {
 		t.Fatalf("latency observations = %d, want 20", got)
 	}
-	if h.Quantile(0.99) <= 0 {
+	if obs.Ops.Quantile(0.99) <= 0 {
 		t.Fatal("p99 latency not positive")
 	}
 }

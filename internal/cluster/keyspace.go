@@ -7,8 +7,6 @@ import (
 	"probquorum/internal/msg"
 	"probquorum/internal/quorum"
 	"probquorum/internal/register"
-	"probquorum/internal/rng"
-	"probquorum/internal/transport"
 )
 
 // DefaultKeyspaceShards is the client-side shard count NewKeyspace uses
@@ -20,7 +18,6 @@ const DefaultKeyspaceShards = 16
 // per client-side shard, replies routed to shards by op-id residue. All of
 // its methods are safe for concurrent use.
 type KeyspaceClient struct {
-	c         *Cluster
 	id        msg.NodeID
 	ks        *register.Keyspace
 	tr        *clusterTransport
@@ -29,77 +26,30 @@ type KeyspaceClient struct {
 
 // NewKeyspace registers a sharded keyspace client process using the given
 // quorum system and client-side shard count (rounded up to a power of two;
-// <= 0 selects DefaultKeyspaceShards). The pipelined client's option rules
-// apply: read repair and masking are rejected, and with crashes in play set
-// WithOpTimeout so stalled operations re-issue on fresh quorums.
+// <= 0 selects DefaultKeyspaceShards). The blocking Client's options apply;
+// with crashes in play set WithOpTimeout so stalled operations re-issue on
+// fresh quorums.
 func (c *Cluster) NewKeyspace(sys quorum.System, shards int, opts ...ClientOption) (*KeyspaceClient, error) {
-	var cc clientConfig
-	for _, o := range opts {
-		o(&cc)
-	}
-	if err := c.checkSys(sys, &cc); err != nil {
-		return nil, err
-	}
-	if c.closed.Load() {
-		return nil, ErrClosed
-	}
 	if shards <= 0 {
 		shards = DefaultKeyspaceShards
 	}
 	for shards&(shards-1) != 0 {
 		shards++
 	}
-	if cc.readRepair {
-		return nil, fmt.Errorf("cluster: keyspace clients do not support read repair")
-	}
-	if cc.masking {
-		return nil, fmt.Errorf("cluster: keyspace clients do not support masking reads")
-	}
-	c.mu.Lock()
-	id := c.nextID
-	c.nextID++
-	inbox := make(chan envelope, 16*len(c.servers))
-	c.clients[id] = inbox
-	c.mu.Unlock()
-
-	var eopts []register.Option
-	if cc.monotone {
-		eopts = append(eopts, register.Monotone())
-	}
-	if cc.noFastRead {
-		eopts = append(eopts, register.WithoutFastRead())
-	}
-	if cc.tally != nil {
-		eopts = append(eopts, register.WithTally(cc.tally))
-	}
-	if cc.hasView {
-		eopts = append(eopts, register.WithView(cc.view))
+	a, err := c.attach(sys, opts)
+	if err != nil {
+		return nil, err
 	}
 	engines := make([]*register.Engine, shards)
 	for i := range engines {
-		sopts := append([]register.Option{
-			register.WithOpStride(uint64(i), uint64(shards)),
-		}, eopts...)
-		engines[i] = register.NewEngine(int32(id), sys,
-			rng.Derive(c.seed, fmt.Sprintf("cluster.keyspace.%d.%d", id, i)), sopts...)
+		engines[i] = a.engine(sys, fmt.Sprintf("cluster.keyspace.%d.%d", a.id, i),
+			register.WithOpStride(uint64(i), uint64(shards)))
 	}
-
-	tr := &clusterTransport{c: c, id: id, inbox: inbox, done: make(chan struct{})}
-	if cc.hasView {
-		if err := tr.Update(cc.view); err != nil {
-			tr.Close()
-			return nil, err
-		}
-	}
-	kc := &KeyspaceClient{c: c, id: id, tr: tr}
-	cc.Proc = id
-	cc.Clock = c.tick
-	var rt transport.Transport = tr
-	if cc.Counters != nil {
-		rt = transport.Instrument(tr, cc.Counters)
-	}
-	kc.ks = register.NewKeyspaceOver(engines, rt, register.ApplyPipeline(cc.Settings)...)
-	return kc, nil
+	return &KeyspaceClient{
+		id: a.id,
+		ks: register.NewKeyspaceOver(engines, a.rt, register.ApplyPipeline(a.Settings)...),
+		tr: a.tr,
+	}, nil
 }
 
 // ID returns the client's node identifier.

@@ -8,8 +8,6 @@ import (
 	"probquorum/internal/msg"
 	"probquorum/internal/quorum"
 	"probquorum/internal/register"
-	"probquorum/internal/rng"
-	"probquorum/internal/transport"
 )
 
 // This file layers the pipelined register client onto the cluster runtime:
@@ -19,9 +17,8 @@ import (
 // registers proceed concurrently; same-register operations stay FIFO per
 // client, which preserves the monotone variant's [R4].
 
-// WithInFlightGauge tracks the pipelined client's submitted-but-incomplete
-// operation count (and its high-watermark) in g. It has no effect on the
-// blocking Client.
+// WithInFlightGauge tracks the client's submitted-but-incomplete operation
+// count (and its high-watermark) in g.
 func WithInFlightGauge(g *metrics.Gauge) ClientOption {
 	return func(c *clientConfig) { c.Gauge = g }
 }
@@ -29,74 +26,26 @@ func WithInFlightGauge(g *metrics.Gauge) ClientOption {
 // PipeClient is a pipelined register client attached to a cluster. All of
 // its methods are safe for concurrent use.
 type PipeClient struct {
-	c         *Cluster
 	id        msg.NodeID
-	engine    *register.Engine
 	pl        *register.Pipeline
 	tr        *clusterTransport
 	closeOnce sync.Once
 }
 
 // NewPipeline registers a pipelined client process using the given quorum
-// system. The blocking Client's options apply, except WithReadRepair and
-// WithMasking, which require the strict one-op-at-a-time session flow and
-// are rejected. With crashes in play, set WithOpTimeout so stalled
-// operations re-issue on fresh quorums.
+// system. The blocking Client's options apply. With crashes in play, set
+// WithOpTimeout so stalled operations re-issue on fresh quorums.
 func (c *Cluster) NewPipeline(sys quorum.System, opts ...ClientOption) (*PipeClient, error) {
-	var cc clientConfig
-	for _, o := range opts {
-		o(&cc)
-	}
-	if err := c.checkSys(sys, &cc); err != nil {
+	a, err := c.attach(sys, opts)
+	if err != nil {
 		return nil, err
 	}
-	if c.closed.Load() {
-		return nil, ErrClosed
-	}
-	if cc.readRepair {
-		return nil, fmt.Errorf("cluster: pipelined clients do not support read repair")
-	}
-	if cc.masking {
-		return nil, fmt.Errorf("cluster: pipelined clients do not support masking reads")
-	}
-	c.mu.Lock()
-	id := c.nextID
-	c.nextID++
-	inbox := make(chan envelope, 16*len(c.servers))
-	c.clients[id] = inbox
-	c.mu.Unlock()
-
-	var eopts []register.Option
-	if cc.monotone {
-		eopts = append(eopts, register.Monotone())
-	}
-	if cc.noFastRead {
-		eopts = append(eopts, register.WithoutFastRead())
-	}
-	if cc.tally != nil {
-		eopts = append(eopts, register.WithTally(cc.tally))
-	}
-	if cc.hasView {
-		eopts = append(eopts, register.WithView(cc.view))
-	}
-	engine := register.NewEngine(int32(id), sys, rng.Derive(c.seed, fmt.Sprintf("cluster.pipeclient.%d", id)), eopts...)
-
-	tr := &clusterTransport{c: c, id: id, inbox: inbox, done: make(chan struct{})}
-	if cc.hasView {
-		if err := tr.Update(cc.view); err != nil {
-			tr.Close()
-			return nil, err
-		}
-	}
-	pc := &PipeClient{c: c, id: id, engine: engine, tr: tr}
-	cc.Proc = id
-	cc.Clock = c.tick
-	var rt transport.Transport = tr
-	if cc.Counters != nil {
-		rt = transport.Instrument(tr, cc.Counters)
-	}
-	pc.pl = register.NewPipelineOver(engine, rt, register.ApplyPipeline(cc.Settings)...)
-	return pc, nil
+	engine := a.engine(sys, fmt.Sprintf("cluster.pipeclient.%d", a.id))
+	return &PipeClient{
+		id: a.id,
+		pl: register.NewPipelineOver(engine, a.rt, register.ApplyPipeline(a.Settings)...),
+		tr: a.tr,
+	}, nil
 }
 
 // ID returns the client's node identifier.
@@ -105,7 +54,7 @@ func (pc *PipeClient) ID() msg.NodeID { return pc.id }
 // Engine exposes the client's register engine (tests inspect cache hits).
 // It is owned by the pipeline; do not call its methods directly while
 // operations are in flight.
-func (pc *PipeClient) Engine() *register.Engine { return pc.engine }
+func (pc *PipeClient) Engine() *register.Engine { return pc.pl.Engine() }
 
 // Pipeline exposes the underlying pipeline (for Retries and InFlight).
 func (pc *PipeClient) Pipeline() *register.Pipeline { return pc.pl }

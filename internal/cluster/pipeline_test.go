@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -158,17 +159,73 @@ func TestPipeClientRidesOutCrash(t *testing.T) {
 	}
 }
 
-// TestPipeClientRejectsUnsupportedOptions: masking and read repair assume
-// the serial one-op discipline and must be refused up front.
-func TestPipeClientRejectsUnsupportedOptions(t *testing.T) {
+// TestPipeClientSupportsMaskingAndRepair: a pipelined client runs the same
+// Operation as a blocking one, so masked reads defeat a Byzantine replica
+// and repaired reads push the freshest value back, with operations in
+// flight at once.
+func TestPipeClientSupportsMaskingAndRepair(t *testing.T) {
 	c := pipeTestCluster(t, 5, nil)
-	sys := quorum.NewMajority(5)
-	if _, err := c.NewPipeline(sys, cluster.WithMasking(1)); err == nil {
-		t.Fatalf("NewPipeline accepted masking")
+	w, err := c.NewPipeline(quorum.NewSingleton(5, 0))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := c.NewPipeline(sys, cluster.WithReadRepair()); err == nil {
-		t.Fatalf("NewPipeline accepted read repair")
+	defer w.Close()
+	for reg := msg.RegisterID(0); reg < 4; reg++ {
+		if err := w.Write(reg, "honest"); err != nil {
+			t.Fatal(err)
+		}
 	}
+	repair, err := c.NewPipeline(quorum.NewAll(5), cluster.WithReadRepair())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer repair.Close()
+	if err := waitAll(repair.ReadAsync, 4); err != nil {
+		t.Fatal(err)
+	}
+	if got := repair.Engine().Repairs(); got != 16 {
+		t.Fatalf("repairs = %d, want 16 (four stale members on each of four registers)", got)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for s := 0; s < 5; s++ {
+		for reg := msg.RegisterID(0); reg < 4; reg++ {
+			for c.Server(s).Get(reg).Val != "honest" { // the repairs are fire-and-forget
+				if time.Now().After(deadline) {
+					t.Fatalf("server %d register %d never repaired", s, reg)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
+	}
+
+	c.SetByzantine(4, "EVIL")
+	masked, err := c.NewPipeline(quorum.NewAll(5), cluster.WithMasking(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer masked.Close()
+	if err := waitAll(masked.ReadAsync, 4); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// waitAll submits one operation per register 0..n-1 through submit, all in
+// flight at once, and checks each returns the honest value.
+func waitAll(submit func(msg.RegisterID) *register.PendingOp, n int) error {
+	ops := make([]*register.PendingOp, n)
+	for reg := range ops {
+		ops[reg] = submit(msg.RegisterID(reg))
+	}
+	for reg, op := range ops {
+		tag, err := op.Wait()
+		if err != nil {
+			return err
+		}
+		if tag.Val != "honest" {
+			return fmt.Errorf("register %d read %v, want the honest value", reg, tag.Val)
+		}
+	}
+	return nil
 }
 
 // TestPipeClientCloseFailsPending verifies closing a pipelined client

@@ -15,11 +15,12 @@ import (
 // TCPFaultConfig parameterizes the TCP fault-tolerance demonstration (E16):
 // the APSP workload over real loopback sockets, once on a healthy cluster
 // and once with replicas crashing after worker 0's CrashAfter-th iteration
-// and recovering after its RecoverAfter-th. Workers survive the outage
-// through per-member deadlines, fresh-quorum retries, and transparent
+// and recovering after its RecoverAfter-th. Workers survive the outage by
+// replacing the members whose connections the crashed stores close, through
+// per-operation deadlines and fresh-quorum retries, and transparent
 // reconnects — the paper's Section 4 availability mechanism realized over a
 // real transport, with the fault-path activity (retries, timeouts,
-// reconnects) reported next to convergence. The events are keyed to the
+// reconnects, top-ups) reported next to convergence. The events are keyed to the
 // run's progress, not the clock, so the outage lands inside the run however
 // fast the host is.
 type TCPFaultConfig struct {
@@ -39,7 +40,7 @@ type TCPFaultConfig struct {
 	// RecoverAfter is worker 0's iteration after which they recover
 	// (default 3); a run that converges first ends with them still down.
 	RecoverAfter int
-	// OpTimeout is the per-member deadline (default 100ms).
+	// OpTimeout is the per-operation deadline (default 100ms).
 	OpTimeout time.Duration
 	// Seed is the base seed.
 	Seed uint64
@@ -93,6 +94,7 @@ type TCPFaultRow struct {
 	Retries    int64
 	Timeouts   int64
 	Reconnects int64
+	TopUps     int64
 	Elapsed    time.Duration
 }
 
@@ -106,8 +108,8 @@ type TCPFaultResult struct {
 type TCPFaultResultConfig = TCPFaultConfig
 
 // RunTCPFault runs the healthy and crash/recover scenarios over sockets. A
-// crash arm that records no retry, timeout or reconnect is an error: the
-// experiment would be reporting a healthy run as a fault run.
+// crash arm that records no retry, timeout, reconnect or top-up is an error:
+// the experiment would be reporting a healthy run as a fault run.
 func RunTCPFault(cfg TCPFaultConfig) (TCPFaultResult, error) {
 	cfg.applyDefaults()
 	if cfg.Crashed >= cfg.N {
@@ -151,8 +153,8 @@ func RunTCPFault(cfg TCPFaultConfig) (TCPFaultResult, error) {
 		if err != nil {
 			return TCPFaultResult{}, fmt.Errorf("tcpfault %s: %w", sc.name, err)
 		}
-		if sc.crashes != nil && r.Retries+r.Timeouts+r.Reconnects == 0 {
-			return TCPFaultResult{}, fmt.Errorf("tcpfault %s: no retry, timeout or reconnect in %d iterations; the outage was never observed", sc.name, r.Iterations)
+		if sc.crashes != nil && r.Retries+r.Timeouts+r.Reconnects+r.TopUps == 0 {
+			return TCPFaultResult{}, fmt.Errorf("tcpfault %s: no retry, timeout, reconnect or top-up in %d iterations; the outage was never observed", sc.name, r.Iterations)
 		}
 		res.Rows = append(res.Rows, TCPFaultRow{
 			Scenario:   sc.name,
@@ -161,6 +163,7 @@ func RunTCPFault(cfg TCPFaultConfig) (TCPFaultResult, error) {
 			Retries:    r.Retries,
 			Timeouts:   r.Timeouts,
 			Reconnects: r.Reconnects,
+			TopUps:     r.TopUps,
 			Elapsed:    r.Elapsed,
 		})
 	}
@@ -171,12 +174,12 @@ func RunTCPFault(cfg TCPFaultConfig) (TCPFaultResult, error) {
 func (r TCPFaultResult) Render(w io.Writer) error {
 	if _, err := fmt.Fprintf(w,
 		"TCP fault tolerance: APSP chain m=%d over %d loopback replicas, k=%d, %d workers\n"+
-			"%d replicas crash after worker 0's iteration %d and recover after its iteration %d; per-member deadline %v, unlimited retries\n\n",
+			"%d replicas crash after worker 0's iteration %d and recover after its iteration %d; per-operation deadline %v, unlimited retries\n\n",
 		r.Config.Vertices, r.Config.N, r.Config.K, r.Config.Procs,
 		r.Config.Crashed, r.Config.CrashAfter, r.Config.RecoverAfter, r.Config.OpTimeout); err != nil {
 		return err
 	}
-	headers := []string{"scenario", "converged", "iterations", "retries", "timeouts", "reconnects", "elapsed"}
+	headers := []string{"scenario", "converged", "iterations", "retries", "timeouts", "reconnects", "top_ups", "elapsed"}
 	var rows [][]string
 	for _, row := range r.Rows {
 		rows = append(rows, []string{
@@ -186,6 +189,7 @@ func (r TCPFaultResult) Render(w io.Writer) error {
 			I64(row.Retries),
 			I64(row.Timeouts),
 			I64(row.Reconnects),
+			I64(row.TopUps),
 			row.Elapsed.Round(time.Millisecond).String(),
 		})
 	}
@@ -194,7 +198,7 @@ func (r TCPFaultResult) Render(w io.Writer) error {
 
 // RenderCSV writes the scenario rows as CSV.
 func (r TCPFaultResult) RenderCSV(w io.Writer) error {
-	headers := []string{"scenario", "converged", "iterations", "retries", "timeouts", "reconnects", "elapsed_ms"}
+	headers := []string{"scenario", "converged", "iterations", "retries", "timeouts", "reconnects", "top_ups", "elapsed_ms"}
 	var rows [][]string
 	for _, row := range r.Rows {
 		rows = append(rows, []string{
@@ -204,6 +208,7 @@ func (r TCPFaultResult) RenderCSV(w io.Writer) error {
 			I64(row.Retries),
 			I64(row.Timeouts),
 			I64(row.Reconnects),
+			I64(row.TopUps),
 			F(float64(row.Elapsed)/float64(time.Millisecond), 1),
 		})
 	}

@@ -29,8 +29,8 @@ func TestTCPFaultSmoke(t *testing.T) {
 	if res.Rows[0].Retries != 0 {
 		t.Fatalf("healthy run retried %d times", res.Rows[0].Retries)
 	}
-	if res.Rows[1].Retries == 0 {
-		t.Fatal("crash scenario recorded no retries")
+	if crash := res.Rows[1]; crash.Retries+crash.Timeouts+crash.Reconnects+crash.TopUps == 0 {
+		t.Fatal("crash scenario recorded no retry, timeout, reconnect or top-up")
 	}
 	var tbl, csv strings.Builder
 	if err := res.Render(&tbl); err != nil {
@@ -67,14 +67,14 @@ func TestTCPFaultObservedEveryRun(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		healthy, crash := res.Rows[0], res.Rows[1]
-		if healthy.Retries+healthy.Timeouts+healthy.Reconnects != 0 {
+		if healthy.Retries+healthy.Timeouts+healthy.Reconnects+healthy.TopUps != 0 {
 			t.Errorf("seed %d: healthy arm recorded faults: %+v", seed, healthy)
 		}
-		if !crash.Converged || crash.Retries+crash.Timeouts+crash.Reconnects == 0 {
+		if !crash.Converged || crash.Retries+crash.Timeouts+crash.Reconnects+crash.TopUps == 0 {
 			t.Errorf("seed %d: crash arm %+v, want converged with faults observed", seed, crash)
 		}
-		t.Logf("seed %d: crash arm %d iterations, retries %d, timeouts %d, reconnects %d, %v",
-			seed, crash.Iterations, crash.Retries, crash.Timeouts, crash.Reconnects, crash.Elapsed)
+		t.Logf("seed %d: crash arm %d iterations, retries %d, timeouts %d, reconnects %d, top-ups %d, %v",
+			seed, crash.Iterations, crash.Retries, crash.Timeouts, crash.Reconnects, crash.TopUps, crash.Elapsed)
 	}
 }
 

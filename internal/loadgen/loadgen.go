@@ -10,8 +10,8 @@
 // measures per-operation latency from scheduled-issue to completion in a
 // log-linear histogram fine enough for p50/p99 frontiers, scrapes an obs
 // registry per interval, and — under fault schedules from internal/faults —
-// produces the latency-vs-offered-load frontier that BENCH_loadgen.json
-// records. cmd/loadgen is the CLI over this package.
+// produces the latency-vs-offered-load frontier. cmd/loadgen is the CLI
+// over this package.
 package loadgen
 
 import (

@@ -605,10 +605,9 @@ func FuzzWireMalformed(f *testing.F) {
 }
 
 // BenchmarkWireCodec times the codec per message kind on an encode+decode
-// round trip — the unit of work a connection performs per frame.
-// scripts/bench.sh collects the output into BENCH_wire.json, whose history
-// keys the arms "binary/<kind>" (the gob arm it was once compared against is
-// recorded in CHANGES.md, PR 4).
+// round trip — the unit of work a connection performs per frame. The arms
+// are keyed "binary/<kind>"; the gob arm it was once compared against is
+// recorded in CHANGES.md.
 func BenchmarkWireCodec(b *testing.B) {
 	tag := Tagged{TS: Timestamp{Seq: 123456, Writer: 3}, Val: 42.5}
 	kinds := []struct {

@@ -53,6 +53,7 @@ type confResult struct {
 	// leaves it silent.
 	topUps, retries int64
 	signalsCrash    bool
+	repairs         int64 // repair messages the engine issued
 }
 
 // confScenario is one row of the conformance table. Serial scenarios carry
@@ -70,9 +71,34 @@ type confScenario struct {
 	retries    int           // attempt budget passed with the deadline
 	pipelined  bool
 	atomicFlow bool // pipelined flow appends an all-in-flight atomic-read round
-	scripts    [][]confStep
-	check      func(t *testing.T, r confResult)
+	// Engine variants of the pipelined flow. masked reads with b = 1 against
+	// replica 0, which holds a fabricated tag with an enormous timestamp for
+	// every register (a Byzantine fabricator); repair pushes each read's
+	// result back to stale members; multiWriter writes through the
+	// multi-writer write (a read round, then a tag-carrying write round).
+	// The tcp adapter has no masking or read-repair option, so those two
+	// variants run on the cluster and sim harnesses here and over the TCP
+	// transport in the tcp package's TestEngineVariantsOverTCP.
+	masked, repair, multiWriter bool
+	scripts                     [][]confStep
+	check                       func(t *testing.T, r confResult)
 }
+
+// fabricated is the tag replica 0 holds for every register in the masked
+// rows: newer than anything a client writes, and never written by one.
+var fabricated = msg.Tagged{TS: msg.Timestamp{Seq: 1 << 40, Writer: 99}, Val: "fabricated"}
+
+// plantFabricated makes st answer every register of the flow with
+// fabricated.
+func plantFabricated(st *replica.Store, regs int) {
+	for r := 0; r < regs; r++ {
+		st.Apply(msg.WriteReq{Reg: msg.RegisterID(r), Op: 1, Tag: fabricated})
+	}
+}
+
+// engineOnlyVariant reports whether the row needs an engine variant the tcp
+// adapter exposes no option for.
+func (sc confScenario) engineOnlyVariant() bool { return sc.masked || sc.repair }
 
 func confMajority(n int) quorum.System { return quorum.NewMajority(n) }
 
@@ -325,6 +351,63 @@ var confScenarios = []confScenario{
 		pipelined: true,
 		check:     checkCrashTopUp,
 	},
+	{
+		// b-masking on the pipelined engine: replica 0 fabricates a tag far
+		// newer than any write. With k = 4 of 5 every read quorum meets
+		// every write quorum's three honest members in at least two, so a
+		// masked read always finds b+1 = 2 votes for the written value and
+		// never accepts the fabrication's one — the flow's value checks and
+		// the reads-from check both catch a leak.
+		name:      "pipelined-masking",
+		servers:   5,
+		regs:      6,
+		sys:       func(n int) quorum.System { return quorum.NewProbabilistic(n, 4) },
+		pipelined: true,
+		masked:    true,
+		check:     checkPipelinedFlow,
+	},
+	{
+		// Read repair on the pipelined engine: reads over majorities push
+		// the written value back to the members of their quorum that missed
+		// the write, fire-and-forget, while the trace stays correct.
+		name:      "pipelined-repair",
+		servers:   5,
+		regs:      6,
+		sys:       confMajority,
+		pipelined: true,
+		repair:    true,
+		check: func(t *testing.T, r confResult) {
+			checkPipelinedFlow(t, r)
+			if r.repairs == 0 {
+				t.Fatal("no repair message was issued: every read quorum held the write")
+			}
+		},
+	},
+	{
+		// Multi-writer writes on the pipelined engine: each write reads the
+		// register's current timestamp and installs its value one past it,
+		// every register's in flight at once; the reads that follow must
+		// return them.
+		name:        "pipelined-write-multi",
+		servers:     5,
+		regs:        6,
+		sys:         confMajority,
+		pipelined:   true,
+		multiWriter: true,
+		check:       checkPipelinedFlow,
+	},
+}
+
+// checkPipelinedFlow is the pipelined rows' common verdict: no errors, a
+// pipelined-well-formed trace, and reads that return written values.
+func checkPipelinedFlow(t *testing.T, r confResult) {
+	noErrs(t, r)
+	if err := trace.CheckPipelinedWellFormed(r.ops); err != nil {
+		t.Fatal(err)
+	}
+	if err := trace.CheckReadsFrom(r.ops); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func checkCrashTopUp(t *testing.T, r confResult) {
@@ -384,14 +467,25 @@ type asyncClient interface {
 	ReadAsync(msg.RegisterID) *register.PendingOp
 	ReadAtomicAsync(msg.RegisterID) *register.PendingOp
 	WriteAsync(msg.RegisterID, msg.Value) *register.PendingOp
+	Pipeline() *register.Pipeline
 }
 
 // runPipelinedFlow writes regs distinct registers with all writes in flight
 // at once, then reads them all back the same way, checking the values.
 func runPipelinedFlow(pc asyncClient, regs int) error {
+	return runPipelinedFlowOf(pc, regs, false)
+}
+
+// runPipelinedFlowOf is runPipelinedFlow, its writes multi-writer writes
+// when multi is set.
+func runPipelinedFlowOf(pc asyncClient, regs int, multi bool) error {
 	pend := make([]*register.PendingOp, 0, regs)
 	for r := 0; r < regs; r++ {
-		pend = append(pend, pc.WriteAsync(msg.RegisterID(r), float64(r+1)))
+		if multi {
+			pend = append(pend, pc.Pipeline().WriteMultiAsyncFunc(msg.RegisterID(r), float64(r+1), nil))
+		} else {
+			pend = append(pend, pc.WriteAsync(msg.RegisterID(r), float64(r+1)))
+		}
 	}
 	for _, op := range pend {
 		if _, err := op.Wait(); err != nil {
@@ -470,6 +564,9 @@ func runClusterScenario(t *testing.T, sc confScenario) confResult {
 	if sc.crashOne {
 		c.Server(0).Crash()
 	}
+	if sc.masked {
+		plantFabricated(c.Server(0), sc.regs)
+	}
 	pobs := new(register.Observer) // WriteBack laps pin the fast-path rows
 	if sc.pipelined {
 		var g metrics.Gauge
@@ -479,19 +576,26 @@ func runClusterScenario(t *testing.T, sc confScenario) confResult {
 			opts = append(opts, cluster.WithOpTimeout(sc.timeout), cluster.WithRetries(sc.retries),
 				cluster.WithTransportCounters(&tc))
 		}
+		if sc.masked {
+			opts = append(opts, cluster.WithMasking(1))
+		}
+		if sc.repair {
+			opts = append(opts, cluster.WithReadRepair())
+		}
 		pc, err := c.NewPipeline(sys, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer pc.Close()
-		flow := runPipelinedFlow
+		var ferr error
 		if sc.atomicFlow {
-			flow = runPipelinedAtomicFlow
+			ferr = runPipelinedAtomicFlow(pc, sc.regs)
+		} else {
+			ferr = runPipelinedFlowOf(pc, sc.regs, sc.multiWriter)
 		}
-		ferr := flow(pc, sc.regs)
 		return confResult{ops: log.Ops(), fastReads: pc.Engine().FastReads(),
 			writeBacks: pobs.WriteBack.Count(), gaugeMax: g.Max(), errs: []error{ferr},
-			topUps: tc.TopUps.Value(), retries: pc.Pipeline().Retries()}
+			topUps: tc.TopUps.Value(), retries: pc.Pipeline().Retries(), repairs: pc.Engine().Repairs()}
 	}
 	clients := make([]confClient, len(sc.scripts))
 	engines := make([]*register.Engine, len(sc.scripts))
@@ -556,11 +660,12 @@ func runTCPScenario(t *testing.T, sc confScenario) confResult {
 			// reports as a per-server error.
 			stores[0].Crash()
 		}
-		flow := runPipelinedFlow
+		var ferr error
 		if sc.atomicFlow {
-			flow = runPipelinedAtomicFlow
+			ferr = runPipelinedAtomicFlow(pc, sc.regs)
+		} else {
+			ferr = runPipelinedFlowOf(pc, sc.regs, sc.multiWriter)
 		}
-		ferr := flow(pc, sc.regs)
 		return confResult{ops: log.Ops(), fastReads: pc.Engine().FastReads(),
 			writeBacks: pobs.WriteBack.Count(), gaugeMax: g.Max(), errs: []error{ferr},
 			topUps: tc.TopUps.Value(), retries: pc.Pipeline().Retries(), signalsCrash: true}
@@ -620,6 +725,7 @@ type confSimNode struct {
 
 	idx      int
 	cur      *register.Operation
+	sends    []register.Send
 	invoke   sim.Time
 	wsHandle int
 	attempt  uint64
@@ -648,21 +754,22 @@ func (n *confSimNode) next(ctx *sim.Context) {
 		n.cur = n.engine.NewWriteOp(st.reg, st.val, n.budget)
 	}
 	n.invoke = ctx.Now()
-	sends := n.cur.Start()
+	n.sends = n.cur.Start(n.sends)
 	if st.kind == 'w' && n.tr != nil {
 		n.wsHandle = n.tr.Begin(trace.Op{
 			Kind: trace.KindWrite, Proc: n.self, Reg: st.reg,
 			Invoke: int64(n.invoke), Tag: n.cur.PendingTag(),
 		})
 	}
-	n.dispatch(ctx, sends)
+	n.dispatch(ctx)
 	n.arm(ctx)
 }
 
-func (n *confSimNode) dispatch(ctx *sim.Context, sends []register.Send) {
-	for _, sd := range sends {
+func (n *confSimNode) dispatch(ctx *sim.Context) {
+	for _, sd := range n.sends {
 		ctx.Send(msg.NodeID(sd.Server), sd.Req)
 	}
+	n.sends = n.sends[:0]
 }
 
 func (n *confSimNode) arm(ctx *sim.Context) {
@@ -673,14 +780,14 @@ func (n *confSimNode) arm(ctx *sim.Context) {
 }
 
 func (n *confSimNode) retry(ctx *sim.Context) {
-	sends, err := n.cur.Retry()
-	if err != nil {
+	var err error
+	if n.sends, err = n.cur.Retry(n.sends); err != nil {
 		n.err = fmt.Errorf("sim proc %d: %s reg %d after %d attempts: %w",
 			int(n.self), n.cur.Desc(), n.cur.Reg(), n.cur.Attempts(), err)
 		n.cur = nil
 		return
 	}
-	n.dispatch(ctx, sends)
+	n.dispatch(ctx)
 	n.arm(ctx)
 }
 
@@ -699,7 +806,8 @@ func (n *confSimNode) Recv(ctx *sim.Context, from msg.NodeID, m any) {
 	if n.cur == nil || n.cur.Done() {
 		return // stale reply from a completed operation
 	}
-	n.dispatch(ctx, n.cur.Deliver(int(from), m))
+	n.sends = n.cur.Deliver(int(from), m, n.sends)
+	n.dispatch(ctx)
 	if n.cur.Rejected() {
 		n.retry(ctx)
 		return
@@ -732,10 +840,11 @@ func (n *confSimNode) Recv(ctx *sim.Context, from msg.NodeID, m any) {
 // entry point before the pipeline can emit sends through it.
 type confPipeNode struct {
 	pl      *register.Pipeline
-	tr      *simTransport // nil unless the scenario crashes a replica
+	tr      *simTransport
 	ctx     *sim.Context
 	regs    int
 	atomic  bool // append the all-in-flight atomic-read round
+	multi   bool // write with multi-writer writes
 	phase   int  // 0: writes in flight; 1: reads in flight; 2: atomic reads
 	pending int
 	done    bool
@@ -745,10 +854,13 @@ type confPipeNode struct {
 func (n *confPipeNode) Init(ctx *sim.Context) {
 	n.ctx = ctx
 	n.pending = n.regs
+	wrote := func(_ msg.Tagged, err error) { n.wrote(err) }
 	for r := 0; r < n.regs; r++ {
-		n.pl.WriteAsyncFunc(msg.RegisterID(r), float64(r+1), func(_ msg.Tagged, err error) {
-			n.wrote(err)
-		})
+		if n.multi {
+			n.pl.WriteMultiAsyncFunc(msg.RegisterID(r), float64(r+1), wrote)
+		} else {
+			n.pl.WriteAsyncFunc(msg.RegisterID(r), float64(r+1), wrote)
+		}
 	}
 }
 
@@ -824,8 +936,8 @@ func (n *confPipeNode) Timer(ctx *sim.Context, _ int, payload any) {
 var errSimReset = errors.New("sim: connection reset by crashed server")
 
 // simTransport carries a pipeline's requests over the simulator as a
-// transport.Transport, so the crash rows run the same NewPipelineOver binding
-// the socket and goroutine runtimes do. Replies reach the pipeline through
+// transport.Transport, so the pipelined rows run the same NewPipelineOver
+// binding the socket and goroutine runtimes do. Replies reach the pipeline through
 // confPipeNode.Recv. A request to a crashed server is lost, and — like a TCP
 // peer whose connection the crashed store closes — the sender learns of it
 // one network delay later as a per-server error.
@@ -864,12 +976,21 @@ func runSimScenario(t *testing.T, sc confScenario) confResult {
 	if sc.crashOne {
 		stores[0].Crash()
 	}
+	if sc.masked {
+		plantFabricated(stores[0], sc.regs)
+	}
 	log := &trace.Log{}
 	sys := sc.sys(sc.servers)
 	newEngine := func(pi int) *register.Engine {
 		var eopts []register.Option
 		if sc.monotone {
 			eopts = append(eopts, register.Monotone())
+		}
+		if sc.masked {
+			eopts = append(eopts, register.WithMasking(1))
+		}
+		if sc.repair {
+			eopts = append(eopts, register.WithReadRepair())
 		}
 		return register.NewEngine(int32(pi+1), sys,
 			rng.Derive(17, fmt.Sprintf("conf.sim.%d", pi)), eopts...)
@@ -879,24 +1000,17 @@ func runSimScenario(t *testing.T, sc confScenario) confResult {
 		pobs := new(register.Observer)
 		engine := newEngine(0)
 		self := msg.NodeID(sc.servers)
-		node := &confPipeNode{regs: sc.regs, atomic: sc.atomicFlow}
+		node := &confPipeNode{regs: sc.regs, atomic: sc.atomicFlow, multi: sc.multiWriter}
 		var tc metrics.TransportCounters
-		popts := []register.PipelineOption{
+		// No deadline: wall-clock timers have no meaning on virtual time,
+		// and in the crash rows the error signal must be enough on its own.
+		node.tr = &simTransport{node: node, n: sc.servers, crashed: map[int]bool{0: sc.crashOne}}
+		node.pl = register.NewPipelineOver(engine, node.tr,
 			register.PipeClock(func() int64 { return int64(node.ctx.Now()) }),
 			register.PipeTrace(log, self),
 			register.PipeGauge(&g),
 			register.PipeObserver(pobs),
-		}
-		if sc.crashOne {
-			popts = append(popts, register.PipeCounters(&tc))
-			// No deadline: wall-clock timers have no meaning on virtual time,
-			// and the error signal must be enough on its own.
-			node.tr = &simTransport{node: node, n: sc.servers, crashed: map[int]bool{0: true}}
-			node.pl = register.NewPipelineOver(engine, node.tr, popts...)
-		} else {
-			send := func(server int, req any) { node.ctx.Send(msg.NodeID(server), req) }
-			node.pl = register.NewPipeline(engine, send, popts...)
-		}
+			register.PipeCounters(&tc))
 		s.Add(self, node)
 		s.Run()
 		if node.err == nil && !node.done {
@@ -904,7 +1018,8 @@ func runSimScenario(t *testing.T, sc confScenario) confResult {
 		}
 		return confResult{ops: log.Ops(), fastReads: engine.FastReads(),
 			writeBacks: pobs.WriteBack.Count(), gaugeMax: g.Max(), errs: []error{node.err},
-			topUps: tc.TopUps.Value(), retries: node.pl.Retries(), signalsCrash: true}
+			topUps: tc.TopUps.Value(), retries: node.pl.Retries(), signalsCrash: true,
+			repairs: engine.Repairs()}
 	}
 	engines := make([]*register.Engine, len(sc.scripts))
 	nodes := make([]*confSimNode, len(sc.scripts))
@@ -950,6 +1065,9 @@ func TestConformance(t *testing.T) {
 		sc := sc
 		for _, h := range harnesses {
 			h := h
+			if h.name == "tcp" && sc.engineOnlyVariant() {
+				continue // see confScenario.masked
+			}
 			t.Run(sc.name+"/"+h.name, func(t *testing.T) {
 				t.Parallel()
 				sc.check(t, h.run(t, sc))

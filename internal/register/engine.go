@@ -112,9 +112,8 @@ func WithReadRepair() Option {
 
 // WithoutFastRead disables the atomic read's one-round-trip fast path, so
 // every atomic read pays the full read + awaited write-back even when the
-// quorum replied unanimously. This is the ablation knob behind the paired
-// fast-path benchmark (scripts/bench.sh → BENCH_fastread.json); production
-// configurations have no reason to set it.
+// quorum replied unanimously. This is the ablation knob the fast path was
+// measured against; production configurations have no reason to set it.
 func WithoutFastRead() Option {
 	return func(e *Engine) { e.fastRead = false }
 }

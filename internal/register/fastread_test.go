@@ -15,7 +15,7 @@ import (
 	"probquorum/internal/rng"
 )
 
-func allClient(n int, opts ...register.ClientOption) (*register.Client, *loopback) {
+func allClient(n int, opts ...register.PipelineOption) (*register.Client, *loopback) {
 	tr := newLoopback(n)
 	e := register.NewEngine(1, quorum.NewAll(n), rng.Derive(1, "fastread.test"))
 	return register.NewClient(e, tr, opts...), tr
@@ -167,15 +167,15 @@ func (d *dupLoopback) Send(server int, req any) error {
 	return nil
 }
 
-// TestStaleDropsZeroOnLateReadReply is the regression test for the
-// Operation.Stale misclassification: a read reply from the atomic read's own
+// TestStaleDropsZeroOnLateReadReply is the regression test for a late
+// read reply misclassified as stale: a read reply from the atomic read's own
 // read phase arriving once the operation is in its write-back phase must
 // drain as a harmless duplicate, not count as a stale drop.
 func TestStaleDropsZeroOnLateReadReply(t *testing.T) {
 	tr := &dupLoopback{loopback: newLoopback(3)}
 	e := register.NewEngine(1, quorum.NewAll(3), rng.Derive(1, "fastread.stale"))
 	tc := &metrics.TransportCounters{}
-	cl := register.NewClient(e, tr, register.WithTransportCounters(tc))
+	cl := register.NewClient(e, tr, register.PipeCounters(tc))
 	if _, err := cl.Write(0, 1.0); err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestFastReadAllocGate(t *testing.T) {
 	if _, err := cl.Write(0, 1.0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.ReadAtomic(0); err != nil { // warm up the scratch slice
+	if _, err := cl.ReadAtomic(0); err != nil { // warm up the recycled sessions
 		t.Fatal(err)
 	}
 	plain := testing.AllocsPerRun(200, func() {
@@ -272,12 +272,12 @@ func TestPendingTagContract(t *testing.T) {
 	if got := ro.PendingTag(); got != (msg.Tagged{}) {
 		t.Fatalf("PendingTag before Start = %+v, want zero", got)
 	}
-	ro.Start()
+	ro.Start(nil)
 	if got := ro.PendingTag(); got != (msg.Tagged{}) {
 		t.Fatalf("PendingTag during the read phase = %+v, want zero", got)
 	}
 	wo := e.NewWriteOp(0, 4.0, 0)
-	wo.Start()
+	wo.Start(nil)
 	if got := wo.PendingTag(); got.Val != 4.0 || got.TS.IsZero() {
 		t.Fatalf("PendingTag of a started write = %+v, want tag carrying 4.0", got)
 	}

@@ -5,6 +5,7 @@ package register_test
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -210,5 +211,63 @@ func TestSilentServerCostsOneDeadline(t *testing.T) {
 	}
 	if tc.Probes.Value() == 0 {
 		t.Error("the suspicion cleared without a probe")
+	}
+}
+
+// lossy is a loopback transport on which some servers are down: every
+// request to one of them is lost and reported as a per-server error, the
+// way a TCP client's refused re-dial is.
+type lossy struct {
+	*loopback
+	down map[int]bool
+}
+
+var errDown = errors.New("lossy: connection refused")
+
+func (l *lossy) Send(server int, req any) error {
+	if l.down[server] {
+		l.sink(server, nil, errDown)
+		return nil
+	}
+	return l.loopback.Send(server, req)
+}
+
+// readWithin reads register 0 through a pipeline without a deadline over tr,
+// failing the test rather than hanging if the read has not returned within
+// a second.
+func readWithin(t *testing.T, sys quorum.System, tr *lossy) error {
+	t.Helper()
+	pl := register.NewPipelineOver(register.NewEngine(1, sys, rng.Derive(4, "lossy.test")), tr)
+	defer pl.Close(nil)
+	done := make(chan error, 1)
+	go func() { _, err := pl.Read(0); done <- err }()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(time.Second):
+		t.Fatal("a read without a deadline hung on a member loss it could not replace")
+		return nil
+	}
+}
+
+// TestLossWithoutDeadlineFailsUnreplaceable: over all-of-3 quorums no member
+// has a replacement, so with no deadline to wait for, the loss of server 1
+// fails the read with that member's error.
+func TestLossWithoutDeadlineFailsUnreplaceable(t *testing.T) {
+	tr := &lossy{loopback: newLoopback(3), down: map[int]bool{1: true}}
+	err := readWithin(t, quorum.NewAll(3), tr)
+	if !errors.Is(err, errDown) || !strings.Contains(err.Error(), "server 1") {
+		t.Fatalf("read err = %v, want server 1's %v", err, errDown)
+	}
+}
+
+// TestLossWithoutDeadlineFailsWithNoCandidate: over majorities of 3 with two
+// servers down, the first loss is replaced by the other downed server, whose
+// loss then leaves no candidate — and with no deadline the read fails with
+// that member's error instead of waiting for ever.
+func TestLossWithoutDeadlineFailsWithNoCandidate(t *testing.T) {
+	tr := &lossy{loopback: newLoopback(3), down: map[int]bool{1: true, 2: true}}
+	if err := readWithin(t, quorum.NewMajority(3), tr); !errors.Is(err, errDown) {
+		t.Fatalf("read err = %v, want %v", err, errDown)
 	}
 }

@@ -157,3 +157,31 @@ func TestMaskedMonotoneCacheInteraction(t *testing.T) {
 		t.Fatalf("slice value = %v", tag.Val)
 	}
 }
+
+// TestPipelineMaskingRejectionRetries: a pipelined masked read whose quorum
+// meets the Byzantine server has no tag with b+1 votes, so the vote count
+// rejects the attempt and the Operation retries on a fresh quorum, spending
+// budget like a deadline would — and only an honest value is ever returned.
+func TestPipelineMaskingRejectionRetries(t *testing.T) {
+	c := newByzCluster(3, map[int]bool{0: true}, map[msg.RegisterID]msg.Value{0: "honest"})
+	var pl *Pipeline
+	send := func(server int, req any) {
+		if reply, ok := c.appliers[server].Apply(req); ok {
+			pl.Deliver(server, reply)
+		}
+	}
+	e := NewEngine(1, quorum.NewProbabilistic(3, 2), rng.Derive(5, "masking.pipeline"), WithMasking(1))
+	pl = NewPipeline(e, send)
+	for i := 0; i < 30; i++ {
+		tag, err := pl.Read(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tag.Val != "honest" {
+			t.Fatalf("masked pipelined read returned %v", tag.Val)
+		}
+	}
+	if pl.Retries() == 0 {
+		t.Fatal("30 reads of 2 of 3 servers never met the Byzantine one and retried")
+	}
+}

@@ -582,6 +582,7 @@ type memSimNode struct {
 
 	idx      int
 	cur      *register.Operation
+	sends    []register.Send
 	invoke   sim.Time
 	wsHandle int
 	attempt  uint64
@@ -608,19 +609,20 @@ func (n *memSimNode) next(ctx *sim.Context) {
 		n.cur = n.engine.NewWriteOp(st.reg, st.val, 0)
 	}
 	n.invoke = ctx.Now()
-	sends := n.cur.Start()
+	n.sends = n.cur.Start(n.sends)
 	if st.kind == 'w' && n.tr != nil {
 		n.wsHandle = n.tr.Begin(trace.Op{
 			Kind: trace.KindWrite, Proc: n.self, Reg: st.reg,
 			Invoke: int64(n.invoke), Tag: n.cur.PendingTag(),
 		})
 	}
-	n.dispatch(ctx, sends)
+	n.dispatch(ctx)
 	n.arm(ctx)
 }
 
-func (n *memSimNode) dispatch(ctx *sim.Context, sends []register.Send) {
-	for _, sd := range sends {
+func (n *memSimNode) dispatch(ctx *sim.Context) {
+	defer func() { n.sends = n.sends[:0] }()
+	for _, sd := range n.sends {
 		// Identity views (members i at position i) keep the position == node
 		// id equality the simulator's addressing relies on.
 		ctx.Send(msg.NodeID(sd.Server), sd.Req)
@@ -639,13 +641,13 @@ func (n *memSimNode) Timer(ctx *sim.Context, _ int, payload any) {
 	if n.cur == nil || n.cur.Done() {
 		return
 	}
-	sends, err := n.cur.Retry()
-	if err != nil {
+	var err error
+	if n.sends, err = n.cur.Retry(n.sends); err != nil {
 		n.err = fmt.Errorf("sim proc %d: %w", int(n.self), err)
 		n.cur = nil
 		return
 	}
-	n.dispatch(ctx, sends)
+	n.dispatch(ctx)
 	n.arm(ctx)
 }
 
@@ -653,17 +655,22 @@ func (n *memSimNode) Recv(ctx *sim.Context, from msg.NodeID, m any) {
 	if n.cur == nil || n.cur.Done() {
 		return
 	}
-	n.dispatch(ctx, n.cur.Deliver(int(from), m))
-	if v, ok := n.cur.NewerView(); ok {
-		// Adopt and re-fan against the new view — no budget spent, exactly
-		// like Pipeline.StaleEpoch: a reconfiguration is not a fault.
-		if n.engine.AdoptView(v) {
-			n.adopted++
+	if rej, ok := m.(msg.StaleEpoch); ok {
+		if n.cur.DeliverStaleEpoch(int(from), rej) {
+			// Adopt and re-fan against the new view — no budget spent,
+			// exactly like Pipeline.StaleEpoch: a reconfiguration is not a
+			// fault.
+			if n.engine.AdoptView(rej.View) {
+				n.adopted++
+			}
+			n.sends = n.cur.RetryView(n.sends)
+			n.dispatch(ctx)
+			n.arm(ctx)
 		}
-		n.dispatch(ctx, n.cur.RetryView())
-		n.arm(ctx)
 		return
 	}
+	n.sends = n.cur.Deliver(int(from), m, n.sends)
+	n.dispatch(ctx)
 	if n.cur.Rejected() {
 		n.Timer(ctx, 1, n.attempt) // same path as a deadline: fresh quorum
 		return

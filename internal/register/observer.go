@@ -1,8 +1,6 @@
 package register
 
 import (
-	"time"
-
 	"probquorum/internal/metrics"
 )
 
@@ -13,22 +11,22 @@ import (
 //	Pick        selecting a quorum and opening the engine session
 //	FanOut      handing the attempt's requests to the transport
 //	QuorumWait  waiting for enough replies to resolve the attempt
-//	WriteBack   an atomic read's second round (when the quorum disagreed)
+//	WriteBack   the second round of a two-round operation: an atomic read's
+//	            write-back (when the quorum disagreed) or a multi-writer
+//	            write's write round
 //	Ops         end-to-end operation latency
 //
-// For the serial Client, retries add extra laps to each phase and Ops spans
-// the whole operation including backoff sleeps, so the per-phase sums fall
-// just short of the Ops sum (the gap is backoff plus loop bookkeeping). For
-// the Pipeline, Ops spans start-of-service to completion (queue wait behind
-// same-register FIFO predecessors is excluded), each phase entry is a
-// per-operation total with retries folded in, and FanOut is sampled one
-// dispatch in eight and overlaps QuorumWait — the transport hand-off happens
-// inside the wait window — so Pick + QuorumWait = Ops exactly. Only
-// successful operations are recorded.
+// Ops spans start-of-service to completion (queue wait behind same-register
+// FIFO predecessors is excluded), each phase entry is a per-operation total
+// with retries folded in, and FanOut is sampled one dispatch in eight and
+// overlaps QuorumWait — the transport hand-off happens inside the wait
+// window — so Pick + QuorumWait + WriteBack = Ops exactly. Only successful
+// operations are recorded.
 //
-// A zero Observer is ready to use; attach one with WithObserver (serial) or
-// PipeObserver (pipelined), and export it with Register. A nil Observer — the
-// default — keeps the operation path free of clock reads and allocations.
+// A zero Observer is ready to use; attach one with PipeObserver (or a
+// transport adapter's WithObserver), and export it with Register. A nil
+// Observer — the default — keeps the operation path free of clock reads and
+// allocations.
 type Observer struct {
 	Pick       metrics.LatencyHist
 	FanOut     metrics.LatencyHist
@@ -54,96 +52,4 @@ func (o *Observer) Register(prefix string, r metrics.Registrar) *Observer {
 	o.Ops.Register(prefix+".ops", r)
 	o.FastReads.Register(prefix+".fast_reads", r)
 	return o
-}
-
-// WithObserver records phase-level timings of every operation into o. With a
-// nil observer (the default) the client takes no clock readings at all.
-func WithObserver(o *Observer) ClientOption {
-	return func(c *Client) { c.obsv = o }
-}
-
-// PipeObserver records phase-level timings of every pipelined operation into
-// o; see Observer for the pipelined phase semantics.
-func PipeObserver(o *Observer) PipelineOption {
-	return func(p *Pipeline) { p.obsv = o }
-}
-
-// phase identifies which Observer bucket a lap lands in.
-type phase uint8
-
-const (
-	phasePick phase = iota
-	phaseFanOut
-	phaseQuorumWait
-	phaseWriteBack
-)
-
-// phaseTimer measures one serial operation's phases. It lives on run's
-// stack; every method is a no-op when the observer is nil, which is what
-// keeps the observer-off path free of time.Now calls (pinned by
-// TestObserverAllocGate).
-type phaseTimer struct {
-	obs       *Observer
-	start     time.Time
-	mark      time.Time
-	writeBack bool
-}
-
-func (t *phaseTimer) begin(obs *Observer) {
-	if obs == nil {
-		return
-	}
-	t.obs = obs
-	t.start = time.Now()
-	t.mark = t.start
-}
-
-// lap closes the current phase into p's histogram and starts the next one.
-// A pick lap begins a fresh attempt, so it also resets the write-back flag.
-func (t *phaseTimer) lap(p phase) {
-	if t.obs == nil {
-		return
-	}
-	now := time.Now()
-	d := now.Sub(t.mark)
-	t.mark = now
-	switch p {
-	case phasePick:
-		t.writeBack = false
-		t.obs.Pick.Observe(d)
-	case phaseFanOut:
-		t.obs.FanOut.Observe(d)
-	case phaseQuorumWait:
-		t.obs.QuorumWait.Observe(d)
-	case phaseWriteBack:
-		t.obs.WriteBack.Observe(d)
-	}
-}
-
-// lapWait closes the attempt's reply-wait phase: QuorumWait normally,
-// WriteBack once the attempt transitioned into an atomic read's second
-// round.
-func (t *phaseTimer) lapWait() {
-	if t.writeBack {
-		t.lap(phaseWriteBack)
-	} else {
-		t.lap(phaseQuorumWait)
-	}
-}
-
-// skip restarts the phase clock without attributing the elapsed time to any
-// phase (used across backoff sleeps).
-func (t *phaseTimer) skip() {
-	if t.obs == nil {
-		return
-	}
-	t.mark = time.Now()
-}
-
-// finish records the operation's end-to-end latency.
-func (t *phaseTimer) finish() {
-	if t.obs == nil {
-		return
-	}
-	t.obs.Ops.Observe(time.Since(t.start))
 }

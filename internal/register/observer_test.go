@@ -2,7 +2,6 @@ package register_test
 
 import (
 	"testing"
-	"time"
 
 	"probquorum/internal/msg"
 	"probquorum/internal/quorum"
@@ -40,20 +39,20 @@ func (l *loopback) Send(server int, req any) error {
 	return nil
 }
 
-func loopbackClient(n, k int, opts ...register.ClientOption) *register.Client {
+func loopbackClient(n, k int, opts ...register.PipelineOption) *register.Client {
 	tr := newLoopback(n)
 	e := register.NewEngine(1, quorum.NewProbabilistic(n, k), rng.Derive(1, "observer.test"))
 	return register.NewClient(e, tr, opts...)
 }
 
 // TestObserverPhaseAccounting drives writes, reads, and atomic reads through
-// a serial client and checks the phase taxonomy: lap counts per phase match
-// the protocol structure, and the per-phase sums add up to (almost exactly)
-// the end-to-end Ops sum — the laps are contiguous, so the only gap is the
-// bookkeeping between the final wait lap and operation completion.
+// a blocking client and checks the phase taxonomy: entry counts per phase
+// match the protocol structure, and the per-phase sums add up to exactly the
+// end-to-end Ops sum — the laps are contiguous from start of service to
+// completion.
 func TestObserverPhaseAccounting(t *testing.T) {
 	obs := new(register.Observer)
-	cl := loopbackClient(6, 3, register.WithObserver(obs))
+	cl := loopbackClient(6, 3, register.PipeObserver(obs))
 
 	const writes, reads, atomics = 40, 40, 20
 	for i := 0; i < writes; i++ {
@@ -76,7 +75,7 @@ func TestObserverPhaseAccounting(t *testing.T) {
 	if got := obs.Ops.Count(); got != ops {
 		t.Errorf("Ops count = %d, want %d", got, ops)
 	}
-	// One attempt per op on the loopback transport: one pick lap each.
+	// One entry per op and phase, retries folded in.
 	if got := obs.Pick.Count(); got != ops {
 		t.Errorf("Pick count = %d, want %d", got, ops)
 	}
@@ -90,14 +89,12 @@ func TestObserverPhaseAccounting(t *testing.T) {
 		t.Errorf("FastReads = %d of %d atomic reads; schedule should exercise both paths", fast, atomics)
 	}
 	slow := int64(atomics) - fast
-	// Every attempt fans out once, and each slow-path atomic read fans out a
-	// second time for its write-back round.
-	if got := obs.FanOut.Count(); got != ops+slow {
-		t.Errorf("FanOut count = %d, want %d", got, ops+slow)
+	// The transport hand-off is sampled, one dispatch in eight.
+	if got := obs.FanOut.Count(); got == 0 || got > ops+slow {
+		t.Errorf("FanOut count = %d, want a sample of the %d dispatches", got, ops+slow)
 	}
-	// Every op closes a wait in QuorumWait (fast-path atomic reads included);
-	// slow-path atomic reads lap QuorumWait at the write-back transition and
-	// close in WriteBack.
+	// Every op waits in QuorumWait (fast-path atomic reads included);
+	// slow-path atomic reads add their write-back round in WriteBack.
 	if got := obs.QuorumWait.Count(); got != ops {
 		t.Errorf("QuorumWait count = %d, want %d", got, ops)
 	}
@@ -105,17 +102,13 @@ func TestObserverPhaseAccounting(t *testing.T) {
 		t.Errorf("WriteBack count = %d, want %d", got, slow)
 	}
 
-	phaseSum := obs.Pick.Sum() + obs.FanOut.Sum() + obs.QuorumWait.Sum() + obs.WriteBack.Sum()
-	opsSum := obs.Ops.Sum()
-	if phaseSum > opsSum {
-		t.Errorf("phase sums %v exceed end-to-end sum %v", phaseSum, opsSum)
-	}
-	if gap := opsSum - phaseSum; gap > 50*time.Millisecond {
-		t.Errorf("phase sums %v fall %v short of end-to-end %v — phases are losing time", phaseSum, gap, opsSum)
+	phaseSum := obs.Pick.Sum() + obs.QuorumWait.Sum() + obs.WriteBack.Sum()
+	if opsSum := obs.Ops.Sum(); phaseSum != opsSum {
+		t.Errorf("Pick + QuorumWait + WriteBack = %v, want exactly the end-to-end sum %v", phaseSum, opsSum)
 	}
 }
 
-// TestObserverNilIsInert pins that a client without WithObserver records
+// TestObserverNilIsInert pins that a client without PipeObserver records
 // nothing and that a zero Observer is ready to use.
 func TestObserverNilIsInert(t *testing.T) {
 	obs := new(register.Observer)
@@ -130,15 +123,16 @@ func TestObserverNilIsInert(t *testing.T) {
 
 // TestObserverAllocGate pins the observer's allocation cost at zero: an
 // operation with phase timing attached allocates exactly as much as one
-// without. The phaseTimer lives on run's stack and LatencyHist.Observe
-// touches only its fixed bucket array, so attaching an observer must not add
-// a single allocation — and, by the same measurement, the observer-off path
-// cannot have picked up any from the observability plumbing.
+// without. The phase marks live in the operation's PendingOp and
+// LatencyHist.Observe touches only its fixed bucket array, so attaching an
+// observer must not add a single allocation — and, by the same measurement,
+// the observer-off path cannot have picked up any from the observability
+// plumbing.
 func TestObserverAllocGate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
-	measure := func(opts ...register.ClientOption) float64 {
+	measure := func(opts ...register.PipelineOption) float64 {
 		cl := loopbackClient(6, 3, opts...)
 		if _, err := cl.Write(0, 1.0); err != nil { // warm up timestamp path
 			t.Fatal(err)
@@ -153,7 +147,7 @@ func TestObserverAllocGate(t *testing.T) {
 		})
 	}
 	off := measure()
-	on := measure(register.WithObserver(new(register.Observer)))
+	on := measure(register.PipeObserver(new(register.Observer)))
 	if on != off {
 		t.Errorf("allocs/op with observer = %v, without = %v; want identical", on, off)
 	}

@@ -2,27 +2,37 @@ package register
 
 import (
 	"probquorum/internal/msg"
-	"probquorum/internal/quorum"
 )
 
 // Send is one outbound fan-out request: hand Req to server Server. The
-// transport-agnostic Operation below returns slices of these instead of
-// touching a network; the caller (Client, Pipeline, or a simulator node)
-// pushes them through whatever carrier it runs over.
+// transport-agnostic Operation below appends these to a buffer its caller
+// owns instead of touching a network; the caller (the Pipeline, or a
+// simulator node) pushes them through whatever carrier it runs over.
 type Send struct {
 	Server int
 	Req    any
 }
 
-// opAtomicRead extends the pipeline's opKind enumeration for the ABD read:
-// a read phase followed by an awaited write-back phase — unless the quorum
-// replied unanimously, in which case the write-back is elided and the read
-// completes in one round trip (see Engine.TryFinishReadFast).
-const opAtomicRead opKind = opWrite + 1
+// opKind is what an operation does.
+type opKind uint8
 
-// opPhase distinguishes the two halves of an atomic read (and trivially
-// labels plain reads and writes).
-type opPhase int
+const (
+	opRead opKind = iota + 1
+	opWrite
+	// opAtomicRead is the ABD read: a read phase followed by an awaited
+	// write-back phase — unless the quorum replied unanimously, in which case
+	// the write-back is elided and the read completes in one round trip (see
+	// Engine.TryFinishReadFast).
+	opAtomicRead
+	// opWriteMulti is the multi-writer write: a read phase discovers the
+	// current maximum timestamp, and the write phase installs the value one
+	// past it, tie-broken by writer id (Engine.NextMultiWriterTS).
+	opWriteMulti
+)
+
+// opPhase distinguishes the two rounds of an atomic read or a multi-writer
+// write (and trivially labels plain reads and writes).
+type opPhase uint8
 
 const (
 	opPhaseRead opPhase = iota + 1
@@ -31,50 +41,43 @@ const (
 
 // Operation is the full state machine of one register operation, decoupled
 // from any transport: the caller starts it, feeds it inbound payloads, and
-// fans out whatever Sends it returns. It owns the protocol — quorum
-// sessions, the ABD read→write-back phase transition, b-masking acceptance,
-// read-repair dispatch, and the fresh-quorum retry budget — so every runtime
-// (blocking client, pipeline, simulator node) drives the identical logic.
+// fans out whatever Sends it appends. It owns the protocol — quorum
+// sessions, the two-round phase transitions (ABD write-back, multi-writer
+// write), b-masking acceptance, read-repair dispatch, member top-up and the
+// fresh-quorum retry budget — so every driver (the Pipeline, the simulator's
+// nodes) runs the identical transition table.
+//
+// Every method that fans out appends to the out slice it is given and
+// returns the extended slice, one request boxing per fan-out; the caller
+// must hand the sends to its carrier before reusing the buffer.
 //
 // An Operation is not safe for concurrent use; it inherits the Engine's
-// one-pending-operation-per-process discipline.
+// one-caller-at-a-time discipline.
 type Operation struct {
-	e      *Engine
-	kind   opKind
-	reg    msg.RegisterID
-	val    msg.Value
-	tagIn  msg.Tagged
-	hasTag bool
-	// retries caps the total attempts at retries+1 (0 = unlimited).
-	retries int
-
-	phase    opPhase
-	rs       *ReadSession
-	ws       *WriteSession
-	attempts int
-	result   msg.Tagged
-	done     bool
-	// scratch backs every fan-out this operation returns: the caller must
-	// consume (or copy) a returned []Send before the next Start/Deliver/Retry
-	// call, which every driver does — they hand the sends to the transport
-	// synchronously. Reusing it makes steady-state attempts allocation-free.
-	scratch []Send
+	// What every reply touches comes first, to share a cache line.
+	e     *Engine
+	rs    *ReadSession
+	ws    *WriteSession
+	reg   msg.RegisterID
+	kind  opKind
+	phase opPhase
+	done  bool
 	// rejected marks a completed read whose vote count failed the b-masking
 	// threshold: the attempt is over but the operation is not done, and the
 	// caller should Retry on a fresh quorum.
 	rejected bool
 	// fast marks an atomic read that completed without a write-back phase.
 	fast bool
-	// newView holds a replacement membership view delivered by a StaleEpoch
-	// reject of the current attempt. The driver consumes it via NewerView,
-	// adopts it (engine + transport), and re-fans with RetryView.
-	newView    quorum.View
-	hasNewView bool
+	// retries caps the total attempts at retries+1 (0 = unlimited).
+	retries  int32
+	attempts int32
+	val      msg.Value
+	result   msg.Tagged
 }
 
 // NewReadOp prepares a read of reg with the given retry budget.
 func (e *Engine) NewReadOp(reg msg.RegisterID, retries int) *Operation {
-	return &Operation{e: e, kind: opRead, reg: reg, retries: retries}
+	return &Operation{e: e, kind: opRead, reg: reg, retries: int32(retries)}
 }
 
 // NewAtomicReadOp prepares an ABD atomic read of reg: a read phase followed,
@@ -83,268 +86,228 @@ func (e *Engine) NewReadOp(reg msg.RegisterID, retries int) *Operation {
 // every reply carries the same timestamp the write-back is elided and the
 // read completes in a single round trip (FastPath reports which happened).
 func (e *Engine) NewAtomicReadOp(reg msg.RegisterID, retries int) *Operation {
-	return &Operation{e: e, kind: opAtomicRead, reg: reg, retries: retries}
+	return &Operation{e: e, kind: opAtomicRead, reg: reg, retries: int32(retries)}
 }
 
 // NewWriteOp prepares a single-writer write of val to reg.
 func (e *Engine) NewWriteOp(reg msg.RegisterID, val msg.Value, retries int) *Operation {
-	return &Operation{e: e, kind: opWrite, reg: reg, val: val, retries: retries}
+	return &Operation{e: e, kind: opWrite, reg: reg, val: val, retries: int32(retries)}
 }
 
-// NewWriteTagOp prepares a write carrying an explicit tag — the write phase
-// of the multi-writer extension, after NextMultiWriterTS has chosen the
-// timestamp.
-func (e *Engine) NewWriteTagOp(reg msg.RegisterID, tag msg.Tagged, retries int) *Operation {
-	return &Operation{e: e, kind: opWrite, reg: reg, tagIn: tag, hasTag: true, retries: retries}
-}
-
-// fanOut builds the per-member send list in the operation's scratch slice —
-// one request boxing, zero slice allocations once the scratch has grown.
-func (o *Operation) fanOut(quorum []int, req any) []Send {
-	if cap(o.scratch) < len(quorum) {
-		o.scratch = make([]Send, len(quorum))
-	}
-	out := o.scratch[:len(quorum)]
-	for i, srv := range quorum {
-		out[i] = Send{Server: srv, Req: req}
+// fanOut appends one send per quorum member, all sharing req boxed once.
+func fanOut(out []Send, quorum []int, req any) []Send {
+	for _, srv := range quorum {
+		out = append(out, Send{Server: srv, Req: req})
 	}
 	return out
 }
 
-// Start begins the first attempt and returns its fan-out.
-func (o *Operation) Start() []Send {
-	o.attempts = 1
-	switch o.kind {
-	case opRead, opAtomicRead:
-		o.phase = opPhaseRead
-		o.rs = o.e.BeginRead(o.reg)
-		return o.fanOut(o.rs.Quorum, o.rs.Request())
-	default:
-		o.phase = opPhaseWrite
-		if o.hasTag {
-			o.ws = o.e.BeginWriteWithTS(o.reg, o.tagIn)
-		} else {
-			o.ws = o.e.BeginWrite(o.reg, o.val)
-		}
-		return o.fanOut(o.ws.Quorum, o.ws.Request())
+// request returns the current phase's request, boxed.
+func (o *Operation) request() any {
+	if o.phase == opPhaseWrite {
+		return o.ws.Request()
 	}
+	return o.rs.Request()
 }
 
-// Deliver feeds one server's payload into the current attempt. It returns a
-// non-empty fan-out when the delivery triggered a new send phase: the
-// write-back of an atomic read whose quorum replies disagreed (awaited —
-// keep pumping; a unanimous quorum skips this phase and completes the
-// operation outright), or the
-// fire-and-forget repair messages of a completed repaired read (Done is
-// already true; send them without awaiting anything). Irrelevant payloads —
-// stale sessions, non-members, duplicate replies, foreign types — are
-// ignored.
-func (o *Operation) Deliver(server int, payload any) []Send {
+// refan appends the current phase's fan-out to out.
+func (o *Operation) refan(out []Send) []Send {
+	return fanOut(out, o.current().Quorum, o.request())
+}
+
+// Start begins the first attempt and appends its fan-out to out.
+func (o *Operation) Start(out []Send) []Send {
+	o.attempts = 1
+	if o.kind == opWrite {
+		o.phase = opPhaseWrite
+		o.ws = o.e.BeginWrite(o.reg, o.val)
+	} else {
+		o.phase = opPhaseRead
+		o.rs = o.e.BeginRead(o.reg)
+	}
+	return o.refan(out)
+}
+
+// Deliver feeds one server's reply into the current attempt and appends
+// whatever it triggers to out: the second round of an atomic read whose
+// quorum replies disagreed or of a multi-writer write (awaited — keep
+// delivering), or the fire-and-forget repair messages of a completed
+// repaired read (Done is already true; send them without awaiting
+// anything). Irrelevant payloads — stale sessions, non-members, duplicate
+// replies, foreign types — are ignored; stale-epoch rejects go to
+// DeliverStaleEpoch.
+func (o *Operation) Deliver(server int, payload any, out []Send) []Send {
 	switch m := payload.(type) {
 	case msg.ReadReply:
-		return o.DeliverReadReply(server, m)
+		return o.DeliverReadReply(server, m, out)
 	case msg.WriteAck:
-		return o.DeliverWriteAck(server, m)
-	case msg.StaleEpoch:
-		return o.DeliverStaleEpoch(server, m)
-	default:
-		return nil
+		o.DeliverWriteAck(server, m)
 	}
+	return out
 }
 
 // DeliverReadReply is Deliver for a concretely typed read reply — the
 // de-boxed hot path a transport.ReplySink driver feeds directly, with the
 // same contract as Deliver.
-func (o *Operation) DeliverReadReply(server int, m msg.ReadReply) []Send {
-	if o.done || o.rejected {
-		return nil
+func (o *Operation) DeliverReadReply(server int, m msg.ReadReply, out []Send) []Send {
+	if o.done || o.rejected || o.phase != opPhaseRead || !o.rs.OnReply(server, m) {
+		return out
 	}
-	if o.phase != opPhaseRead || !o.rs.OnReply(server, m) {
-		return nil
-	}
-	if o.kind == opAtomicRead {
+	switch o.kind {
+	case opAtomicRead:
 		if tag, ok := o.e.TryFinishReadFast(o.rs); ok {
-			// Unanimous quorum: every member already holds the result,
-			// so the write-back would install nothing — complete in one
-			// round trip.
-			o.result = tag
-			o.fast = true
-			o.done = true
-			return nil
+			// Unanimous quorum: every member already holds the result, so
+			// the write-back would install nothing — complete in one round
+			// trip.
+			o.result, o.fast, o.done = tag, true, true
+			return out
 		}
 		// Phase transition: write the read's result back and await the
 		// acknowledgments before returning it (ABD).
 		o.result = o.e.FinishRead(o.rs)
-		o.phase = opPhaseWrite
-		o.ws = o.e.BeginWriteWithTS(o.reg, o.result)
-		return o.fanOut(o.ws.Quorum, o.ws.Request())
+		return o.beginWrite(o.result, out)
+	case opWriteMulti:
+		cur, ok := o.e.FinishReadMasked(o.rs)
+		if !ok {
+			o.rejected = true
+			return out
+		}
+		return o.beginWrite(msg.Tagged{TS: o.e.NextMultiWriterTS(cur.TS), Val: o.val}, out)
 	}
 	tag, ok := o.e.FinishReadMasked(o.rs)
 	if !ok {
 		o.rejected = true
-		return nil
+		return out
 	}
-	o.result = tag
-	o.done = true
+	o.result, o.done = tag, true
+	if !o.e.readRepair {
+		return out
+	}
 	servers, req := o.e.RepairTargets(o.rs, tag)
 	if len(servers) == 0 {
-		return nil
+		return out // and box no request
 	}
-	return o.fanOut(servers, req)
+	return fanOut(out, servers, req)
+}
+
+// beginWrite opens the second round: tag goes to a freshly picked write
+// quorum under its own operation id.
+func (o *Operation) beginWrite(tag msg.Tagged, out []Send) []Send {
+	o.phase = opPhaseWrite
+	o.ws = o.e.BeginWriteWithTS(o.reg, tag)
+	return o.refan(out)
 }
 
 // DeliverWriteAck is Deliver for a concretely typed write acknowledgment.
-func (o *Operation) DeliverWriteAck(server int, m msg.WriteAck) []Send {
-	if o.done || o.rejected {
-		return nil
+func (o *Operation) DeliverWriteAck(server int, m msg.WriteAck) {
+	if o.done || o.rejected || o.phase != opPhaseWrite || !o.ws.OnAck(server, m) {
+		return
 	}
-	if o.phase != opPhaseWrite || !o.ws.OnAck(server, m) {
-		return nil
-	}
-	if o.kind == opWrite {
+	if o.kind != opAtomicRead {
 		o.result = o.ws.Tag
 	}
 	o.done = true
-	return nil
 }
 
-// DeliverStaleEpoch is Deliver for a concretely typed stale-epoch reject.
-// A replica on a newer view refused this attempt. Record the view if it
-// actually advances us; the driver adopts it and calls RetryView. Rejects
-// addressed to abandoned attempts, or carrying a view we have already
-// adopted, are ignored — the quorum members still on our epoch may yet
-// complete the attempt.
-func (o *Operation) DeliverStaleEpoch(_ int, m msg.StaleEpoch) []Send {
-	if o.done || o.rejected {
-		return nil
-	}
-	if !o.currentOp(m.Reg, m.Op) {
-		return nil
-	}
-	if m.View.Newer(o.e.Epoch()) && (!o.hasNewView || m.View.Newer(o.newView.Epoch)) {
-		o.newView = m.View
-		o.hasNewView = true
-	}
-	return nil
-}
-
-// currentOp reports whether (reg, op) addresses the current attempt of
-// either phase — the filter deciding whether a StaleEpoch reject concerns
-// this operation as it stands now.
-func (o *Operation) currentOp(reg msg.RegisterID, op msg.OpID) bool {
-	if reg != o.reg {
+// DeliverStaleEpoch takes a stale-epoch reject: a replica on a newer view
+// refused this attempt. It reports whether the reject addresses the current
+// attempt (of either round) and carries a view newer than the one the
+// attempt was picked under; the driver then adopts m.View — Engine.AdoptView
+// plus transport.Update — and re-fans with RetryView. Rejects addressed to
+// abandoned attempts, or carrying a view the attempt already runs under,
+// concern nobody.
+func (o *Operation) DeliverStaleEpoch(_ int, m msg.StaleEpoch) bool {
+	if o.done || o.rejected || o.phase == 0 || m.Reg != o.reg {
 		return false
 	}
-	if o.phase == opPhaseRead && o.rs != nil {
-		return op == o.rs.Op
+	if m.Op != o.currentID() && (o.rs == nil || m.Op != o.rs.Op) {
+		return false
 	}
-	if o.ws != nil {
-		if o.rs != nil && op == o.rs.Op {
-			return true
-		}
-		return op == o.ws.Op
-	}
-	return false
-}
-
-// NewerView returns (and clears) the replacement membership view a
-// StaleEpoch reject delivered for the current attempt. The driver should
-// adopt it — Engine.AdoptView plus transport.Update — and then re-fan the
-// operation with RetryView.
-func (o *Operation) NewerView() (quorum.View, bool) {
-	if !o.hasNewView {
-		return quorum.View{}, false
-	}
-	v := o.newView
-	o.newView = quorum.View{}
-	o.hasNewView = false
-	return v, true
+	return m.View.Newer(o.current().Epoch)
 }
 
 // RetryView abandons the current attempt and re-fans it against the
-// engine's (freshly adopted) view. Unlike Retry it does not consume the
-// retry budget: a reconfiguration is not a fault, and a client riding
-// through a long rolling restart must not run out of attempts because of
-// it. The phase is preserved, as in Retry.
-func (o *Operation) RetryView() []Send {
-	o.rejected = false
-	if o.phase == opPhaseRead {
-		o.rs = o.e.RetryRead(o.rs)
-		return o.fanOut(o.rs.Quorum, o.rs.Request())
-	}
-	o.ws = o.e.RetryWrite(o.ws)
-	return o.fanOut(o.ws.Quorum, o.ws.Request())
-}
+// engine's (freshly adopted) view, appending the fan-out to out. Unlike
+// Retry it does not consume the retry budget: a reconfiguration is not a
+// fault, and a client riding through a long rolling restart must not run
+// out of attempts because of it. The phase is preserved, as in Retry.
+func (o *Operation) RetryView(out []Send) []Send { return o.repick(out) }
 
 // Retry abandons the current attempt — quorum members crashed, timed out, or
 // (under masking) outvoted the honest replicas — and starts a fresh one on a
-// freshly picked quorum, returning its fan-out. When the budget is exhausted
-// it returns ErrQuorumUnavailable instead. An atomic read retries the phase
-// it is in: a failed write-back re-fans the same tag, it does not restart
-// the read.
-func (o *Operation) Retry() ([]Send, error) {
+// freshly picked quorum, appending its fan-out to out. When the budget is
+// exhausted it returns ErrQuorumUnavailable instead. A two-round operation
+// retries the round it is in: a failed write-back re-fans the same tag, it
+// does not restart the read.
+func (o *Operation) Retry(out []Send) ([]Send, error) {
+	if err := o.spend(); err != nil {
+		return out, err
+	}
+	return o.repick(out), nil
+}
+
+// expire is the current attempt's deadline passing with members still
+// silent. It spends one unit of retry budget like Retry, and then replaces
+// the silent members within the attempt when every one of them finds a
+// replacement (topUp) — replies already collected stay — or re-issues the
+// attempt on a fresh quorum otherwise; repicked reports which. The caller
+// suspects the silent members first, so none is drawn as another's
+// replacement.
+func (o *Operation) expire(out []Send) (sends []Send, repicked bool, err error) {
+	if err := o.spend(); err != nil {
+		return out, false, err
+	}
+	if topped, ok := o.topUp(-1, out); ok {
+		return topped, false, nil
+	}
+	return o.repick(out), true, nil
+}
+
+func (o *Operation) spend() error {
 	if o.retries > 0 && o.attempts > o.retries {
-		return nil, ErrQuorumUnavailable
+		return ErrQuorumUnavailable
 	}
 	o.attempts++
+	return nil
+}
+
+func (o *Operation) repick(out []Send) []Send {
 	o.rejected = false
 	if o.phase == opPhaseRead {
 		o.rs = o.e.RetryRead(o.rs)
-		return o.fanOut(o.rs.Quorum, o.rs.Request()), nil
+	} else {
+		o.ws = o.e.RetryWrite(o.ws)
 	}
-	o.ws = o.e.RetryWrite(o.ws)
-	return o.fanOut(o.ws.Quorum, o.ws.Request()), nil
+	return o.refan(out)
 }
 
-// Stale reports whether payload is a reply addressed to an attempt this
-// operation has already abandoned: the register matches but the operation id
-// is not the current attempt's. Such replies are harmless — the session's
-// duplicate filter would ignore them anyway — but callers that count
-// fault-path events use Stale to record them (metrics.TransportCounters.
-// StaleDrops) before discarding, making "late reply raced a timeout"
-// observable without a reconnect.
-func (o *Operation) Stale(payload any) bool {
-	switch m := payload.(type) {
-	case msg.ReadReply:
-		return o.staleOp(m.Reg, m.Op, true)
-	case msg.WriteAck:
-		return o.staleOp(m.Reg, m.Op, false)
-	case msg.StaleEpoch:
-		return o.StaleReject(m)
-	default:
-		return false
+// topUp replaces the current attempt's pending members that are lost —
+// server, or every pending member when server < 0 — each by a server drawn
+// from those neither in the attempt nor suspected (Engine.TopUpRead),
+// appending the re-sends to out under the same operation id. ok is false
+// when a lost member found no replacement: the engine is not FaultAware, or
+// no candidate is left. A server that is not a pending member needs
+// nothing, and reports ok.
+func (o *Operation) topUp(server int, out []Send) ([]Send, bool) {
+	f := o.current()
+	if o.done || o.rejected || f == nil {
+		return out, true
 	}
-}
-
-// StaleRead is Stale for a concretely typed read reply.
-func (o *Operation) StaleRead(m msg.ReadReply) bool { return o.staleOp(m.Reg, m.Op, true) }
-
-// StaleAck is Stale for a concretely typed write acknowledgment.
-func (o *Operation) StaleAck(m msg.WriteAck) bool { return o.staleOp(m.Reg, m.Op, false) }
-
-// StaleReject is Stale for a concretely typed stale-epoch reject: a reject
-// is stale exactly when it no longer addresses the current attempt of
-// either phase.
-func (o *Operation) StaleReject(m msg.StaleEpoch) bool { return !o.currentOp(m.Reg, m.Op) }
-
-func (o *Operation) staleOp(reg msg.RegisterID, op msg.OpID, isRead bool) bool {
-	if reg != o.reg {
-		return false
-	}
-	if o.phase == opPhaseRead && o.rs != nil {
-		return op != o.rs.Op
-	}
-	if o.ws != nil {
-		// An atomic read in its write-back phase still owns its read
-		// phase's op id: a slow-but-healthy replica's read reply arriving
-		// after the quorum completed is a harmless duplicate of the current
-		// attempt, not a stale drop.
-		if isRead && o.rs != nil {
-			return op != o.rs.Op
+	var req any
+	for i, srv := range f.Quorum {
+		if !f.Pending(i) || (server >= 0 && srv != server) {
+			continue
 		}
-		return op != o.ws.Op
+		repl, ok := o.e.topUp(f, i)
+		if !ok {
+			return out, false
+		}
+		if req == nil {
+			req = o.request() // boxed once, like the first fan-out's
+		}
+		out = append(out, Send{Server: repl, Req: req})
 	}
-	return false
+	return out, true
 }
 
 // Done reports whether the operation has completed successfully.
@@ -367,7 +330,7 @@ func (o *Operation) Result() msg.Tagged { return o.result }
 func (o *Operation) Reg() msg.RegisterID { return o.reg }
 
 // Attempts returns how many attempts have been started.
-func (o *Operation) Attempts() int { return o.attempts }
+func (o *Operation) Attempts() int { return int(o.attempts) }
 
 // PendingTag returns the tag of the in-flight write phase — what a trace
 // records at invocation time, before any acknowledgment arrives. Only
@@ -384,48 +347,39 @@ func (o *Operation) PendingTag() msg.Tagged {
 // current returns the membership half of the current attempt's session, nil
 // before the operation has started.
 func (o *Operation) current() *fanout {
-	if o.phase == opPhaseRead && o.rs != nil {
+	switch o.phase {
+	case opPhaseRead:
 		return &o.rs.fanout
-	}
-	if o.ws != nil {
+	case opPhaseWrite:
 		return &o.ws.fanout
 	}
 	return nil
 }
 
-// Member reports whether server belongs to the current attempt's quorum —
-// the filter deciding whether a per-server transport failure dooms this
-// attempt or concerns someone else's traffic.
-func (o *Operation) Member(server int) bool {
-	f := o.current()
-	return f != nil && pos(f.Quorum, server) >= 0
+// currentID is the operation id the current attempt's requests carry.
+func (o *Operation) currentID() msg.OpID {
+	if o.phase == opPhaseWrite {
+		return o.ws.Op
+	}
+	return o.rs.Op
 }
 
-// Silent returns the members of the current attempt's quorum that have not
-// answered — the servers a driver suspects when the attempt's deadline
-// expires.
-func (o *Operation) Silent() []int {
-	f := o.current()
-	if f == nil {
-		return nil
-	}
-	var out []int
-	for i, srv := range f.Quorum {
-		if f.Pending(i) {
-			out = append(out, srv)
-		}
-	}
-	return out
-}
+// secondRound reports whether the operation is in the second round of a
+// two-round operation: an atomic read's write-back, or a multi-writer
+// write's write phase.
+func (o *Operation) secondRound() bool { return o.phase == opPhaseWrite && o.kind != opWrite }
 
 // Probe returns the shadow request to send alongside a read-phase attempt
 // when a suspected server is due a probe (Engine.ProbeRead).
 func (o *Operation) Probe() (Send, bool) {
-	if o.phase != opPhaseRead || o.rs == nil {
+	if o.phase != opPhaseRead {
 		return Send{}, false
 	}
 	srv, ok := o.e.ProbeRead(o.rs)
-	return Send{Server: srv, Req: o.rs.Request()}, ok
+	if !ok {
+		return Send{}, false
+	}
+	return Send{Server: srv, Req: o.rs.Request()}, true
 }
 
 // Desc names the operation for error messages.
@@ -436,6 +390,8 @@ func (o *Operation) Desc() string {
 			return "atomic read write-back"
 		}
 		return "atomic read"
+	case opWriteMulti:
+		return "multi-writer write"
 	case opWrite:
 		return "write"
 	default:

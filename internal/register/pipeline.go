@@ -2,6 +2,7 @@ package register
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,12 +25,13 @@ var ErrPipelineClosed = errors.New("register: pipeline closed")
 // Pipeline's per-operation deadline then tops the attempt up or re-issues it.
 type SendFunc func(server int, req any)
 
-// Pipeline is a concurrency-safe register client layered on an Engine that
-// keeps many operations in flight per process. The paper's model allows one
-// pending operation per process, which serializes every quorum round-trip;
-// the Pipeline relaxes exactly the part of that discipline that latency-bound
-// deployments cannot afford while preserving the guarantees the algorithm's
-// correctness actually rests on:
+// Pipeline is the register client: a concurrency-safe driver of
+// Operations over one Engine that keeps many operations in flight per
+// process. The paper's model allows one pending operation per process, which
+// serializes every quorum round-trip; the Pipeline relaxes exactly the part
+// of that discipline that latency-bound deployments cannot afford while
+// preserving the guarantees the algorithm's correctness actually rests on
+// (a Client is the Pipeline used at depth one, which is the paper's model):
 //
 //   - Operations on different registers proceed fully concurrently — reads of
 //     m registers overlap their quorum round-trips instead of paying m
@@ -40,9 +42,14 @@ type SendFunc func(server int, req any)
 //     (per-process read monotonicity) and write-timestamp ordering intact —
 //     the Engine's monotone cache and timestamp counter are only touched in
 //     per-register program order.
-//   - All Engine calls are serialized under one mutex, so the Engine's
-//     single-caller assertion (opGuard) never trips: session bookkeeping is
-//     cheap and local, and only the network fan-outs overlap.
+//   - All Engine and Operation calls are serialized under one mutex, so the
+//     Engine's single-caller assertion (opGuard) never trips: session
+//     bookkeeping is cheap and local, and only the network fan-outs overlap.
+//
+// The protocol itself — sessions, the two-round transitions, masking,
+// repair, top-up and the retry budget — is Operation's; the Pipeline owns
+// the per-register FIFO, the op-id map that routes replies, the shared
+// deadline list, and the observer, trace and gauge around them.
 //
 // Replies are matched to operations by operation id (Deliver), not by
 // request/reply pairing, so a transport may deliver replies in any order,
@@ -106,13 +113,14 @@ var globalClock atomic.Int64
 
 func nextGlobalTick() int64 { return globalClock.Add(1) }
 
-// PipelineOption configures a Pipeline.
+// PipelineOption configures a Pipeline (and so a Client or a Keyspace).
 type PipelineOption func(*Pipeline)
 
 // PipeTrace records every completed operation into log under process
 // identity proc. Reads are recorded at completion; writes are recorded at
-// start (pending) and completed when acknowledged, so a run that stops with
-// writes in flight still validates reads against them.
+// the start of their write round (pending) and completed when acknowledged,
+// so a run that stops with writes in flight still validates reads against
+// them.
 func PipeTrace(log *trace.Log, proc msg.NodeID) PipelineOption {
 	return func(p *Pipeline) { p.log = log; p.proc = proc }
 }
@@ -131,11 +139,12 @@ func PipeGauge(g *metrics.Gauge) PipelineOption {
 	return func(p *Pipeline) { p.gauge = g }
 }
 
-// PipeCounters records fault-path events into tc: deadline expiries that
-// spent retry budget (Retries) and the members still silent at them
-// (Timeouts), replaced members (TopUps), newly suspected servers
-// (Suspicions), shadow probes (Probes), and replies that arrived after their
-// operation was abandoned or completed (StaleDrops).
+// PipeCounters records fault-path events into tc: deadline expiries and
+// masking rejections that spent retry budget (Retries) and the members still
+// silent at a deadline (Timeouts), replaced members (TopUps), newly
+// suspected servers (Suspicions), shadow probes (Probes), adopted views
+// (ViewAdopts), and replies that arrived after their operation was abandoned
+// or completed (StaleDrops).
 func PipeCounters(tc *metrics.TransportCounters) PipelineOption {
 	return func(p *Pipeline) { p.counters = tc }
 }
@@ -144,24 +153,28 @@ func PipeCounters(tc *metrics.TransportCounters) PipelineOption {
 // within d has its silent members replaced (a fault-aware pipeline, see
 // memberLost) or is abandoned and re-issued on a freshly picked quorum
 // (writes keep their timestamp, so duplicate installations converge), either
-// of which spends one unit of retry budget. retries caps
-// the total attempts per operation at retries+1 (0 = unlimited), the same
-// budget arithmetic as the serial client's WithRetries; exhaustion surfaces
-// ErrQuorumUnavailable. Without PipeTimeout operations wait forever, which is
-// only safe on transports that cannot silently lose messages.
+// of which spends one unit of retry budget. retries caps the total attempts
+// per operation at retries+1 (0 = unlimited); exhaustion surfaces
+// ErrQuorumUnavailable. The budget also pays for masked reads the vote count
+// rejects, with or without a deadline. Without a deadline an operation waits
+// for its replies, and a member the transport reports lost that it cannot
+// replace fails it with that member's error.
 //
-// Deadlines use wall-clock timers; do not combine with virtual-time
-// runtimes (the simulator runs the Pipeline failure-free instead).
+// Deadlines use wall-clock timers; do not set one on a virtual-time runtime
+// (the simulator runs the Pipeline without deadlines instead).
 func PipeTimeout(d time.Duration, retries int) PipelineOption {
 	return func(p *Pipeline) { p.opTimeout = d; p.retries = retries }
+}
+
+// PipeObserver records phase-level timings of every operation into o; see
+// Observer for the phase semantics.
+func PipeObserver(o *Observer) PipelineOption {
+	return func(p *Pipeline) { p.obsv = o }
 }
 
 // NewPipeline wraps engine for concurrent use, sending requests through
 // send. The Pipeline owns the engine from now on: calling Engine methods
 // directly while the Pipeline is live trips the engine's concurrency guard.
-//
-// Masking and read-repair engines are not supported (both assume the serial
-// one-op discipline for their retry/write-back decisions).
 func NewPipeline(engine *Engine, send SendFunc, opts ...PipelineOption) *Pipeline {
 	p := &Pipeline{
 		engine:   engine,
@@ -281,9 +294,10 @@ func (p *Pipeline) Epoch() quorum.Epoch {
 	return p.engine.Epoch()
 }
 
-// Retries returns how many operation deadlines expired with retry budget
-// left, each answered by a top-up of the silent members or a re-issue on a
-// fresh quorum. Top-ups on a transport's error signal are not retries.
+// Retries returns how many attempts spent retry budget and went on: deadline
+// expiries, each answered by a top-up of the silent members or a re-issue on
+// a fresh quorum, and masked reads the vote count rejected. Top-ups on a
+// transport's error signal are not retries.
 func (p *Pipeline) Retries() int64 { return p.retried.Load() }
 
 // Health returns, per server, whether the pipeline's transport currently
@@ -354,7 +368,7 @@ func (p *Pipeline) putQueueLocked(q *regQueue) {
 // recycled node from a still-linked one. Entries are pooled on p.tfree.
 type pipeTimer struct {
 	op         *PendingOp
-	attempt    int
+	attempt    int32
 	deadline   time.Duration // since p.epoch
 	prev, next *pipeTimer
 }
@@ -362,43 +376,32 @@ type pipeTimer struct {
 // tfreeMax bounds the recycled-timer free list, like qfreeMax for queues.
 const tfreeMax = 512
 
-// outMsgPool recycles the fan-out buffers submit hands to dispatch: each
-// submission needs one for the duration of the call (built under the
-// pipeline lock, drained outside it, so concurrent submitters cannot share
-// a per-pipeline buffer), it holds a handful of sends, and the call rate is
+// sendsPool recycles the fan-out buffers the pipeline's entry points fill
+// under the lock and drain outside it (concurrent callers cannot share a
+// per-pipeline buffer). Each holds a handful of sends, and the call rate is
 // the pipeline's throughput — exactly the sync.Pool shape. Buffers are
 // cleared before returning so no request outlives its dispatch.
-var outMsgPool = sync.Pool{New: func() any { s := make([]outMsg, 0, 16); return &s }}
+var sendsPool = sync.Pool{New: func() any { s := make([]Send, 0, 16); return &s }}
 
-type opKind int
+func getSends() *[]Send { return sendsPool.Get().(*[]Send) }
 
-const (
-	opRead opKind = iota + 1
-	opWrite
-)
+func putSends(s *[]Send) {
+	clear(*s)
+	*s = (*s)[:0]
+	sendsPool.Put(s)
+}
 
 // PendingOp is one submitted pipeline operation. Wait blocks until it
 // completes; Done exposes the completion signal for select loops.
 type PendingOp struct {
-	kind opKind
-	reg  msg.RegisterID
-	val  msg.Value
-
-	rs       *ReadSession
-	ws       *WriteSession
+	// o is the operation's protocol state, driven under the pipeline lock.
+	o        Operation
 	invoke   int64
 	wsHandle int
-	attempt  int
 	timer    *pipeTimer
-	finished bool
-	// wback marks an atomic read that has transitioned into its write-back
-	// phase; fast marks one that completed without needing it (unanimous
-	// quorum — see Engine.TryFinishReadFast).
-	wback bool
-	fast  bool
 
 	// started/phaseMark are clock marks for the pipeline's observer,
-	// expressed as monotonic offsets from the pipeline's epoch; both stay
+	// expressed as monotonic offsets from the pipeline's epoch; all stay
 	// zero (and cost nothing) when no observer is attached. The phase
 	// durations accumulate under the pipeline lock but are observed into
 	// the histograms by signal, outside it — the observer must not
@@ -408,72 +411,67 @@ type PendingOp struct {
 	pickDur   time.Duration
 	waitDur   time.Duration
 	wbDur     time.Duration
-	opsDur    time.Duration
 
 	// Completion is a lazy-channel protocol: most waiters arrive after the
 	// operation already completed (deep pipelines Wait in submission order),
 	// so the common case is a flag check under cmu and no channel ever
 	// exists — one fewer allocation per operation. done is created on demand
-	// by the first Done/Wait that beats completion.
+	// by the first Done/Wait that beats completion. The result is o.result;
+	// err is the terminal error — and, while the operation is in flight, the
+	// last member loss it could not replace, which an exhausted budget
+	// reports.
 	cmu       sync.Mutex
 	done      chan struct{}
-	completed bool
 	callback  func(msg.Tagged, error)
-	tag       msg.Tagged
 	err       error
+	finished  bool
+	completed bool
 }
 
 // Reg returns the register the operation addresses.
-func (o *PendingOp) Reg() msg.RegisterID { return o.reg }
+func (op *PendingOp) Reg() msg.RegisterID { return op.o.reg }
 
 // Done returns a channel closed when the operation completes.
-func (o *PendingOp) Done() <-chan struct{} {
-	o.cmu.Lock()
-	defer o.cmu.Unlock()
-	if o.done == nil {
-		o.done = make(chan struct{})
-		if o.completed {
-			close(o.done)
+func (op *PendingOp) Done() <-chan struct{} {
+	op.cmu.Lock()
+	defer op.cmu.Unlock()
+	if op.done == nil {
+		op.done = make(chan struct{})
+		if op.completed {
+			close(op.done)
 		}
 	}
-	return o.done
+	return op.done
 }
 
 // Wait blocks until the operation completes and returns its result: the
 // tagged value read (reads) or written (writes), and the terminal error if
 // the operation failed.
-func (o *PendingOp) Wait() (msg.Tagged, error) {
-	o.cmu.Lock()
-	if o.completed {
-		o.cmu.Unlock()
-		return o.tag, o.err
+func (op *PendingOp) Wait() (msg.Tagged, error) {
+	op.cmu.Lock()
+	if op.completed {
+		op.cmu.Unlock()
+		return op.o.result, op.err
 	}
-	if o.done == nil {
-		o.done = make(chan struct{})
+	if op.done == nil {
+		op.done = make(chan struct{})
 	}
-	done := o.done
-	o.cmu.Unlock()
+	done := op.done
+	op.cmu.Unlock()
 	<-done
-	return o.tag, o.err
+	return op.o.result, op.err
 }
 
-// complete publishes the operation's terminal state (tag/err were written
-// before the call) and wakes any waiter parked on the lazy done channel.
-func (o *PendingOp) complete() {
-	o.cmu.Lock()
-	o.completed = true
-	if o.done != nil {
-		close(o.done)
+// complete publishes the operation's terminal state (result/err were
+// written before the call) and wakes any waiter parked on the lazy done
+// channel.
+func (op *PendingOp) complete() {
+	op.cmu.Lock()
+	op.completed = true
+	if op.done != nil {
+		close(op.done)
 	}
-	o.cmu.Unlock()
-}
-
-// outMsg is a request captured under the pipeline lock and sent after it is
-// released, so a transport (or the simulator) may call back into the
-// Pipeline from Send without deadlocking.
-type outMsg struct {
-	server int
-	req    any
+	op.cmu.Unlock()
 }
 
 // Read performs one pipelined read, blocking until it completes. Operations
@@ -530,8 +528,17 @@ func (p *Pipeline) ReadAtomicAsyncFunc(reg msg.RegisterID, fn func(msg.Tagged, e
 	return p.submit(opAtomicRead, reg, nil, fn)
 }
 
+// WriteMultiAsyncFunc submits a multi-writer write of val (the paper's
+// Section 8 extension): a read round discovers the register's current
+// maximum timestamp, and a write round installs val one past it, tie-broken
+// by writer id. Its completion invokes fn (if non-nil) with the tag
+// written.
+func (p *Pipeline) WriteMultiAsyncFunc(reg msg.RegisterID, val msg.Value, fn func(msg.Tagged, error)) *PendingOp {
+	return p.submit(opWriteMulti, reg, val, fn)
+}
+
 func (p *Pipeline) submit(kind opKind, reg msg.RegisterID, val msg.Value, fn func(msg.Tagged, error)) *PendingOp {
-	op := &PendingOp{kind: kind, reg: reg, val: val, callback: fn}
+	op := &PendingOp{o: Operation{e: p.engine, kind: kind, reg: reg, val: val, retries: int32(p.retries)}, callback: fn}
 	p.mu.Lock()
 	if p.closed {
 		err := p.closeErr
@@ -552,23 +559,22 @@ func (p *Pipeline) submit(kind opKind, reg msg.RegisterID, val msg.Value, fn fun
 		p.queues[reg] = q
 	}
 	q.ops = append(q.ops, op)
-	sends := outMsgPool.Get().(*[]outMsg)
+	sends := getSends()
 	if len(q.ops)-q.head == 1 {
 		p.startLocked(op, sends)
 	}
 	p.mu.Unlock()
 	p.dispatch(*sends)
-	clear(*sends)
-	*sends = (*sends)[:0]
-	outMsgPool.Put(sends)
+	putSends(sends)
 	return op
 }
 
-// startLocked begins the head-of-queue operation: it opens the engine
+// startLocked begins the head-of-queue operation: the Operation opens its
 // session (assigning the operation id and, for writes, the timestamp — so
-// same-register timestamps are assigned in client FIFO order), registers the
-// operation in the in-flight map, and captures the quorum fan-out.
-func (p *Pipeline) startLocked(op *PendingOp, sends *[]outMsg) {
+// same-register timestamps are assigned in client FIFO order), the id joins
+// the in-flight map, and the quorum fan-out — plus a probe of a suspected
+// server, when one is due — is captured.
+func (p *Pipeline) startLocked(op *PendingOp, sends *[]Send) {
 	if p.obsv != nil {
 		op.started = time.Since(p.epoch)
 		op.phaseMark = op.started
@@ -579,51 +585,51 @@ func (p *Pipeline) startLocked(op *PendingOp, sends *[]outMsg) {
 		// trace is attached.
 		op.invoke = p.clock()
 	}
-	switch op.kind {
-	case opRead, opAtomicRead:
-		op.rs = p.engine.BeginRead(op.reg)
-		p.inflight[op.rs.Op] = op
-		// Box the request once: the concrete ReadReq goes into an interface
-		// here, not per quorum member inside the append below.
-		req := any(op.rs.Request())
-		for _, srv := range op.rs.Quorum {
-			*sends = append(*sends, outMsg{server: srv, req: req})
-		}
-		if p.health.Any() {
-			if srv, ok := p.engine.ProbeRead(op.rs); ok {
-				*sends = append(*sends, outMsg{server: srv, req: req})
-				if p.counters != nil {
-					p.counters.Probes.Inc()
-				}
+	*sends = op.o.Start(*sends)
+	p.inflight[op.o.currentID()] = op
+	if op.o.kind == opWrite {
+		p.traceWriteLocked(op)
+	}
+	if p.health.Any() {
+		if probe, ok := op.o.Probe(); ok {
+			*sends = append(*sends, probe)
+			if p.counters != nil {
+				p.counters.Probes.Inc()
 			}
 		}
-	case opWrite:
-		op.ws = p.engine.BeginWrite(op.reg, op.val)
-		p.inflight[op.ws.Op] = op
-		if p.log != nil {
-			op.wsHandle = p.log.Begin(trace.Op{
-				Kind: trace.KindWrite, Proc: p.proc, Reg: op.reg,
-				Invoke: op.invoke, Tag: op.ws.Tag,
-			})
-		}
-		req := any(op.ws.Request())
-		for _, srv := range op.ws.Quorum {
-			*sends = append(*sends, outMsg{server: srv, req: req})
-		}
 	}
-	p.lapPickLocked(op)
+	p.lapLocked(op, &op.pickDur)
 	p.armTimerLocked(op)
 }
 
-// lapPickLocked closes op's pick phase (session opened, fan-out captured)
-// and starts its wait phase.
-func (p *Pipeline) lapPickLocked(op *PendingOp) {
+// traceWriteLocked records op's write round as pending in the trace.
+func (p *Pipeline) traceWriteLocked(op *PendingOp) {
+	if p.log != nil {
+		op.wsHandle = p.log.Begin(trace.Op{
+			Kind: trace.KindWrite, Proc: p.proc, Reg: op.o.reg,
+			Invoke: op.invoke, Tag: op.o.PendingTag(),
+		})
+	}
+}
+
+// lapLocked closes op's current observer phase into *into and starts the
+// next one.
+func (p *Pipeline) lapLocked(op *PendingOp, into *time.Duration) {
 	if p.obsv == nil {
 		return
 	}
 	now := time.Since(p.epoch)
-	op.pickDur += now - op.phaseMark
+	*into += now - op.phaseMark
 	op.phaseMark = now
+}
+
+// waitLap is where op's reply wait accumulates: WriteBack in the second
+// round of a two-round operation, QuorumWait otherwise.
+func (op *PendingOp) waitLap() *time.Duration {
+	if op.o.secondRound() {
+		return &op.wbDur
+	}
+	return &op.waitDur
 }
 
 func (p *Pipeline) armTimerLocked(op *PendingOp) {
@@ -641,12 +647,12 @@ func (p *Pipeline) armTimerLocked(op *PendingOp) {
 		}
 		op.timer = pt
 	} else {
-		// Re-arm (retry or write-back phase): the entry may still be
-		// linked at its old position; the new deadline belongs at the tail.
+		// Re-arm (retry or second round): the entry may still be linked at
+		// its old position; the new deadline belongs at the tail.
 		p.unlinkTimerLocked(pt)
 	}
 	pt.op = op
-	pt.attempt = op.attempt
+	pt.attempt = op.o.attempts
 	pt.deadline = time.Since(p.epoch) + p.opTimeout
 	pt.prev = p.ttail
 	if p.ttail != nil {
@@ -713,13 +719,13 @@ func (p *Pipeline) releaseTimerLocked(op *PendingOp) {
 // deadline has passed, re-arm for the new head (or stand down if the list
 // emptied), then run the timeout path for each popped operation outside the
 // lock. Expired entries stay owned by their operation (op.timer) — onTimeout
-// re-validates (op, attempt) under the lock and reissueLocked re-links the
+// re-validates (op, attempt) under the lock and a re-arm re-links the
 // entry — so a completion racing the wake degrades to a no-op, exactly like
 // the old per-operation timer's stale fire.
 func (p *Pipeline) expire() {
 	now := time.Since(p.epoch)
 	var ops []*PendingOp
-	var attempts []int
+	var attempts []int32
 	p.mu.Lock()
 	for pt := p.thead; pt != nil && pt.deadline <= now; pt = p.thead {
 		p.unlinkTimerLocked(pt)
@@ -738,22 +744,23 @@ func (p *Pipeline) expire() {
 }
 
 // onTimeout is an operation's deadline expiring with members still silent.
-// It spends one unit of retry budget and then, on a fault-aware pipeline,
-// suspects exactly those members and replaces them within the attempt —
-// replies already collected stay, and operations started from now on pick
-// around the suspects, so a silent server costs the operations in flight when
-// it went silent one deadline and later ones nothing. Otherwise, or when a
-// silent member has no replacement left, the operation is re-issued on a
-// freshly picked quorum (the paper's availability mechanism: a probabilistic
-// quorum client depends on no particular quorum) and the stale session's
-// operation id leaves the in-flight map, so late replies to it are ignored.
-func (p *Pipeline) onTimeout(op *PendingOp, attempt int) {
+// On a fault-aware pipeline it suspects exactly those members, and then the
+// Operation spends one unit of retry budget and replaces them within the
+// attempt — replies already collected stay, and operations started from now
+// on pick around the suspects, so a silent server costs the operations in
+// flight when it went silent one deadline and later ones nothing. Otherwise,
+// or when a silent member has no replacement left, the operation is re-issued
+// on a freshly picked quorum (the paper's availability mechanism: a
+// probabilistic quorum client depends on no particular quorum) and the stale
+// session's operation id leaves the in-flight map, so late replies to it are
+// ignored.
+func (p *Pipeline) onTimeout(op *PendingOp, attempt int32) {
 	p.mu.Lock()
-	if op.finished || op.attempt != attempt || p.closed {
+	if op.finished || op.o.attempts != attempt || p.closed {
 		p.mu.Unlock()
 		return
 	}
-	f, _ := op.phase()
+	f := op.o.current()
 	aware := p.engine.FaultAware()
 	for i, srv := range f.Quorum {
 		if !f.Pending(i) {
@@ -768,49 +775,68 @@ func (p *Pipeline) onTimeout(op *PendingOp, attempt int) {
 			p.suspect(srv, errSilent)
 		}
 	}
-	// op.attempt counts re-issues, so attempt == retries means the budget of
-	// retries+1 total attempts is spent — the same arithmetic as the serial
-	// Operation.Retry (pinned by TestRetryBudgetArithmetic).
-	if p.retries > 0 && op.attempt >= p.retries {
-		p.finishLocked(op, msg.Tagged{}, ErrQuorumUnavailable)
-		var sends []outMsg
-		p.advanceQueueLocked(op.reg, &sends)
-		p.mu.Unlock()
-		p.dispatch(sends)
-		p.signal(op)
-		return
-	}
-	p.retried.Add(1)
-	if p.counters != nil {
-		p.counters.Retries.Inc()
-	}
-	op.attempt++
-	var sends []outMsg
-	if aware && p.topUpLocked(op, -1, &sends) {
+	sends := getSends()
+	prev := op.o.currentID()
+	p.lapLocked(op, op.waitLap())
+	var repicked bool
+	var err error
+	*sends, repicked, err = op.o.expire(*sends)
+	var failed *PendingOp
+	switch {
+	case err != nil:
+		failed = p.failLocked(op, op.unavailable(), sends)
+	case repicked:
+		p.retriedLocked()
+		p.refannedLocked(op, prev)
+	default:
+		p.retriedLocked()
+		p.countTopUps(len(*sends))
 		p.armTimerLocked(op)
-	} else {
-		sends = sends[:0]
-		p.reissueLocked(op, &sends)
 	}
 	p.mu.Unlock()
-	p.dispatch(sends)
+	p.dispatch(*sends)
+	putSends(sends)
+	if failed != nil {
+		p.signal(failed)
+	}
 }
 
 // errSilent is the cause recorded for a server suspected because it stayed
 // silent past an operation deadline.
 var errSilent = errors.New("register: no reply within the operation deadline")
 
-// writing reports whether op's current phase is a write session: a write, or
-// an atomic read in its write-back.
-func (op *PendingOp) writing() bool { return op.kind == opWrite || op.wback }
-
-// phase returns the membership half of op's current-phase session and the
-// operation id its requests carry.
-func (op *PendingOp) phase() (*fanout, msg.OpID) {
-	if op.writing() {
-		return &op.ws.fanout, op.ws.Op
+// unavailable is the error of an operation whose retry budget ran out,
+// naming the last member loss it could not replace, if any.
+func (op *PendingOp) unavailable() error {
+	if op.err != nil {
+		return fmt.Errorf("%s reg %d: %w after %d attempts (last: %v)",
+			op.o.Desc(), op.o.reg, ErrQuorumUnavailable, op.o.attempts, op.err)
 	}
-	return &op.rs.fanout, op.rs.Op
+	return fmt.Errorf("%s reg %d: %w after %d attempts", op.o.Desc(), op.o.reg, ErrQuorumUnavailable, op.o.attempts)
+}
+
+// retriedLocked counts one attempt that spent retry budget.
+func (p *Pipeline) retriedLocked() {
+	p.retried.Add(1)
+	if p.counters != nil {
+		p.counters.Retries.Inc()
+	}
+}
+
+func (p *Pipeline) countTopUps(n int) {
+	if p.counters != nil && n > 0 {
+		p.counters.TopUps.Add(int64(n))
+	}
+}
+
+// refannedLocked follows a re-pick of op's current round: the abandoned
+// attempt's operation id, prev, leaves the in-flight map for the fresh one,
+// the pick is lapped, and the deadline restarts.
+func (p *Pipeline) refannedLocked(op *PendingOp, prev msg.OpID) {
+	delete(p.inflight, prev)
+	p.inflight[op.o.currentID()] = op
+	p.lapLocked(op, &op.pickDur)
+	p.armTimerLocked(op)
 }
 
 // suspect marks server suspected in the shared table, counting it if that is
@@ -831,104 +857,56 @@ func (p *Pipeline) heard(server int) {
 
 // memberLost is the transport saying that whatever was in flight to server
 // is lost (its connection died, or a request could not be handed to it).
-// The server is suspected, so picks avoid it until a reply — in practice a
-// probe's — clears the mark, and every operation still waiting on it
-// replaces it within its attempt: one extra round trip, no retry budget (a
-// crash signal is not a timeout), the deadline untouched. Each replacement is
-// drawn from the servers neither in the attempt nor suspected, and every loss
-// suspects one more server, so an attempt is topped up at most n−k times;
-// with no candidate left it falls back to the deadline. A replaced member
-// that was in fact alive answers into the void (Replace).
+// On a fault-aware engine the server is suspected, so picks avoid it until a
+// reply — in practice a probe's — clears the mark, and every operation still
+// waiting on it replaces it within its attempt (Operation.topUp): one extra
+// round trip, no retry budget (a crash signal is not a timeout), the
+// deadline untouched. Each replacement is drawn from the servers neither in
+// the attempt nor suspected, and every loss suspects one more server, so an
+// attempt is topped up at most n−k times. A replaced member that was in fact
+// alive answers into the void (Replace).
+//
+// An operation that cannot replace the member — the engine is not
+// fault-aware, or no candidate is left — waits for its deadline; without
+// one, it fails with the member's error.
 func (p *Pipeline) memberLost(server int, cause error) {
-	var sends []outMsg
+	sends := getSends()
+	var failed []*PendingOp
 	p.mu.Lock()
-	if p.closed || !p.engine.FaultAware() {
+	if p.closed {
 		p.mu.Unlock()
+		putSends(sends)
 		return
 	}
-	p.suspect(server, cause)
+	if p.engine.FaultAware() {
+		p.suspect(server, cause)
+	}
 	for id, op := range p.inflight {
 		// An atomic read in its write-back is in the map under both its
-		// sessions' ids; it is topped up once, under the current phase's.
-		if _, cur := op.phase(); cur == id {
-			p.topUpLocked(op, server, &sends)
-		}
-	}
-	p.mu.Unlock()
-	p.dispatch(sends)
-}
-
-// topUpLocked replaces the pending members of op's current phase that are
-// lost — server, or with server < 0 every pending member — capturing the
-// re-sent requests, and reports whether each of them found a replacement.
-func (p *Pipeline) topUpLocked(op *PendingOp, server int, sends *[]outMsg) bool {
-	f, _ := op.phase()
-	var req any
-	for i, srv := range f.Quorum {
-		if !f.Pending(i) || (server >= 0 && srv != server) {
+		// sessions' ids; it is topped up once, under the current round's.
+		if id != op.o.currentID() {
 			continue
 		}
-		repl, ok := p.engine.topUp(f, i)
-		if !ok {
-			return false
+		n := len(*sends)
+		var ok bool
+		if *sends, ok = op.o.topUp(server, *sends); ok {
+			p.countTopUps(len(*sends) - n)
+			continue
 		}
-		if req == nil {
-			// Boxed once per operation, like the first fan-out's.
-			if op.writing() {
-				req = op.ws.Request()
-			} else {
-				req = op.rs.Request()
-			}
-		}
-		*sends = append(*sends, outMsg{server: repl, req: req})
-		if p.counters != nil {
-			p.counters.TopUps.Inc()
+		op.err = fmt.Errorf("server %d: %w", server, cause)
+		if p.opTimeout <= 0 {
+			failed = append(failed, op)
 		}
 	}
-	return true
-}
-
-// reissueLocked re-fans an in-flight operation's current phase on a freshly
-// picked quorum (stamped with the engine's current epoch). It does not touch
-// the attempt counter — the caller decides whether the re-issue spends retry
-// budget (a timeout does; a stale-epoch reject does not, because
-// reconfiguration is not a fault).
-func (p *Pipeline) reissueLocked(op *PendingOp, sends *[]outMsg) {
-	if p.obsv != nil {
-		// The abandoned attempt's wait ends here; the re-pick below is a
-		// fresh pick lap.
-		now := time.Since(p.epoch)
-		if op.wback {
-			op.wbDur += now - op.phaseMark
-		} else {
-			op.waitDur += now - op.phaseMark
-		}
-		op.phaseMark = now
+	for _, op := range failed {
+		p.failLocked(op, fmt.Errorf("%s reg %d: %w", op.o.Desc(), op.o.reg, op.err), sends)
 	}
-	switch {
-	case op.writing():
-		// A write, or an atomic read stuck in its write-back: re-issue the
-		// same tag on a fresh quorum (replicas deduplicate by timestamp).
-		// The atomic read's read-phase op id stays in the in-flight map so
-		// its late replies keep draining as duplicates, not stale drops.
-		delete(p.inflight, op.ws.Op)
-		op.ws = p.engine.RetryWrite(op.ws)
-		p.inflight[op.ws.Op] = op
-		req := any(op.ws.Request())
-		for _, srv := range op.ws.Quorum {
-			*sends = append(*sends, outMsg{server: srv, req: req})
-		}
-	default:
-		delete(p.inflight, op.rs.Op)
-		op.rs = p.engine.RetryRead(op.rs)
-		p.inflight[op.rs.Op] = op
-		req := any(op.rs.Request())
-		for _, srv := range op.rs.Quorum {
-			*sends = append(*sends, outMsg{server: srv, req: req})
-		}
+	p.mu.Unlock()
+	p.dispatch(*sends)
+	putSends(sends)
+	for _, op := range failed {
+		p.signal(op)
 	}
-	p.lapPickLocked(op)
-	p.armTimerLocked(op)
 }
 
 // Deliver feeds one server's message into the pipeline. Replies are matched
@@ -950,88 +928,102 @@ func (p *Pipeline) Deliver(server int, payload any) {
 // boxed Deliver.
 func (p *Pipeline) ReadReply(server int, m msg.ReadReply) {
 	p.heard(server)
-	var sends []outMsg
+	var sends []Send
 	p.mu.Lock()
-	completed := p.readReplyLocked(server, m, &sends)
+	ended := p.readReplyLocked(server, m, &sends)
 	p.mu.Unlock()
-	p.dispatch(sends)
-	if completed != nil {
-		p.signal(completed)
-	}
-}
-
-// readReplyLocked applies one read reply under p.mu, returning the
-// operation it completed (nil when the reply was late, a duplicate, or
-// merely brought its quorum one step closer). At most one operation can
-// complete per reply — the one the reply's op id addresses.
-func (p *Pipeline) readReplyLocked(server int, m msg.ReadReply, sends *[]outMsg) *PendingOp {
-	op := p.inflight[m.Op]
-	if op == nil || op.rs == nil {
-		// Late reply to an abandoned or completed attempt: dropped by
-		// op-id, observable through StaleDrops.
-		if p.counters != nil {
-			p.counters.StaleDrops.Inc()
-		}
-		return nil
-	}
-	if op.wback {
-		// A slow-but-healthy replica answering the atomic read's own
-		// already-completed read phase: a harmless duplicate of the
-		// current attempt, not a stale drop.
-		return nil
-	}
-	if !op.rs.OnReply(server, m) {
-		return nil
-	}
-	switch {
-	case op.kind != opAtomicRead:
-		tag := p.engine.FinishRead(op.rs)
-		p.finishLocked(op, tag, nil)
-		p.advanceQueueLocked(op.reg, sends)
-		return op
-	default:
-		if tag, ok := p.engine.TryFinishReadFast(op.rs); ok {
-			op.fast = true
-			p.finishLocked(op, tag, nil)
-			p.advanceQueueLocked(op.reg, sends)
-			return op
-		}
-		p.beginWriteBackLocked(op, p.engine.FinishRead(op.rs), sends)
-		return nil
-	}
+	p.settle(sends, ended)
 }
 
 // WriteAck feeds one concrete write acknowledgement into the pipeline — a
 // leg of the boxed Deliver.
 func (p *Pipeline) WriteAck(server int, m msg.WriteAck) {
 	p.heard(server)
-	var sends []outMsg
+	var sends []Send
 	p.mu.Lock()
-	completed := p.writeAckLocked(server, m, &sends)
+	ended := p.writeAckLocked(server, m, &sends)
 	p.mu.Unlock()
+	p.settle(sends, ended)
+}
+
+// settle is the outside-the-lock half of a one-reply delivery: it hands the
+// reply's follow-up sends to the transport and signals the operation the
+// reply ended, if any.
+func (p *Pipeline) settle(sends []Send, ended *PendingOp) {
 	p.dispatch(sends)
-	if completed != nil {
-		p.signal(completed)
+	if ended != nil {
+		p.signal(ended)
 	}
+}
+
+// readReplyLocked applies one read reply under p.mu, returning the
+// operation it ended (nil when the reply was late, a duplicate, or merely
+// brought its quorum one step closer). At most one operation can end per
+// reply — the one the reply's op id addresses.
+func (p *Pipeline) readReplyLocked(server int, m msg.ReadReply, sends *[]Send) *PendingOp {
+	op := p.inflight[m.Op]
+	if op == nil {
+		// Late reply to an abandoned or completed attempt: dropped by
+		// op-id, observable through StaleDrops.
+		p.staleDrop()
+		return nil
+	}
+	// A read reply to an operation already in its second round is a
+	// slow-but-healthy replica answering the completed first round: a
+	// harmless duplicate the Operation ignores, not a stale drop.
+	first := !op.o.secondRound()
+	*sends = op.o.DeliverReadReply(server, m, *sends)
+	switch {
+	case op.o.Done():
+		// Any sends so far include a repaired read's fire-and-forget repairs.
+		return p.completeLocked(op, sends)
+	case op.o.Rejected():
+		// The masking vote count outvoted the attempt: draw a fresh quorum,
+		// spending budget like a deadline would.
+		prev := op.o.currentID()
+		p.lapLocked(op, op.waitLap())
+		var err error
+		if *sends, err = op.o.Retry(*sends); err != nil {
+			return p.failLocked(op, op.unavailable(), sends)
+		}
+		p.retriedLocked()
+		p.refannedLocked(op, prev)
+	case first && op.o.secondRound():
+		// The second round began (an atomic read's write-back, a
+		// multi-writer write's write phase). The first round's id stays in
+		// the map, so a slow replica's late read reply drains as a
+		// duplicate; a multi-writer write is traced, as a write, from here,
+		// and the deadline restarts.
+		p.lapLocked(op, &op.waitDur)
+		p.inflight[op.o.currentID()] = op
+		if op.o.kind == opWriteMulti {
+			p.traceWriteLocked(op)
+		}
+		p.armTimerLocked(op)
+	}
+	return nil
 }
 
 // writeAckLocked applies one write acknowledgement under p.mu, returning
 // the operation it completed (nil when the ack was late, a duplicate, or
 // merely brought its quorum one step closer).
-func (p *Pipeline) writeAckLocked(server int, m msg.WriteAck, sends *[]outMsg) *PendingOp {
+func (p *Pipeline) writeAckLocked(server int, m msg.WriteAck, sends *[]Send) *PendingOp {
 	op := p.inflight[m.Op]
-	if op == nil || op.ws == nil {
-		if p.counters != nil {
-			p.counters.StaleDrops.Inc()
-		}
+	if op == nil {
+		p.staleDrop()
 		return nil
 	}
-	if !op.ws.OnAck(server, m) {
+	op.o.DeliverWriteAck(server, m)
+	if !op.o.Done() {
 		return nil
 	}
-	p.finishLocked(op, op.ws.Tag, nil)
-	p.advanceQueueLocked(op.reg, sends)
-	return op
+	return p.completeLocked(op, sends)
+}
+
+func (p *Pipeline) staleDrop() {
+	if p.counters != nil {
+		p.counters.StaleDrops.Inc()
+	}
 }
 
 // doneOpsPool recycles the completed-operation scratch ReplyBatch collects
@@ -1049,7 +1041,7 @@ var doneOpsPool = sync.Pool{New: func() any { s := make([]*PendingOp, 0, 16); re
 // element order, exactly as on the per-element path.
 func (p *Pipeline) ReplyBatch(server int, reads []msg.ReadReply, acks []msg.WriteAck) {
 	p.heard(server)
-	sends := outMsgPool.Get().(*[]outMsg)
+	sends := getSends()
 	done := doneOpsPool.Get().(*[]*PendingOp)
 	p.mu.Lock()
 	for _, m := range reads {
@@ -1068,35 +1060,35 @@ func (p *Pipeline) ReplyBatch(server int, reads []msg.ReadReply, acks []msg.Writ
 		p.signal(op)
 		(*done)[i] = nil
 	}
-	clear(*sends)
-	*sends = (*sends)[:0]
-	outMsgPool.Put(sends)
+	putSends(sends)
 	*done = (*done)[:0]
 	doneOpsPool.Put(done)
 }
 
 // StaleEpoch handles a replica's stale-epoch reject: adopt the newer view it
-// carries, then re-fan the rejected operation's current phase against a
+// carries, then re-fan the rejected operation's current round against a
 // quorum of the new view — without spending retry budget, so an arbitrarily
 // long reconfiguration cannot exhaust an operation. Rejects for attempts the
 // pipeline already abandoned drain as stale drops like any late reply.
 func (p *Pipeline) StaleEpoch(server int, m msg.StaleEpoch) {
 	p.heard(server)
-	var sends []outMsg
+	sends := getSends()
 	p.mu.Lock()
 	op := p.inflight[m.Op]
-	if op == nil || op.finished {
-		if p.counters != nil {
-			p.counters.StaleDrops.Inc()
-		}
+	if op == nil || !op.o.DeliverStaleEpoch(server, m) {
+		p.staleDrop()
 		p.mu.Unlock()
+		putSends(sends)
 		return
 	}
 	adopted := p.engine.AdoptView(m.View)
 	if adopted && p.counters != nil {
 		p.counters.ViewAdopts.Inc()
 	}
-	p.reissueLocked(op, &sends)
+	prev := op.o.currentID()
+	p.lapLocked(op, op.waitLap())
+	*sends = op.o.RetryView(*sends)
+	p.refannedLocked(op, prev)
 	p.mu.Unlock()
 	if adopted && p.tr != nil {
 		// Re-target the transport before the re-fanned requests go out: a
@@ -1105,76 +1097,57 @@ func (p *Pipeline) StaleEpoch(server int, m msg.StaleEpoch) {
 		// sharing one transport race benignly.
 		_, _ = transport.Update(p.tr, m.View)
 	}
-	p.dispatch(sends)
+	p.dispatch(*sends)
+	putSends(sends)
 }
 
-// beginWriteBackLocked transitions an atomic read whose quorum disagreed
-// into its awaited write-back phase: the result is installed on a freshly
-// picked quorum before the operation completes (ABD). The read phase's op id
-// stays in the in-flight map so a slow replica's late read reply drains as a
-// duplicate instead of a stale drop.
-func (p *Pipeline) beginWriteBackLocked(op *PendingOp, tag msg.Tagged, sends *[]outMsg) {
-	op.wback = true
-	if p.obsv != nil {
-		// The read phase's wait ends at the transition; from here on the
-		// clock accumulates into the WriteBack lap.
-		now := time.Since(p.epoch)
-		op.waitDur += now - op.phaseMark
-		op.phaseMark = now
-	}
-	op.ws = p.engine.BeginWriteWithTS(op.reg, tag)
-	p.inflight[op.ws.Op] = op
-	req := any(op.ws.Request())
-	for _, srv := range op.ws.Quorum {
-		*sends = append(*sends, outMsg{server: srv, req: req})
-	}
-	// Restart the attempt deadline for the new phase (Reset reschedules the
-	// pooled timer); a read-phase expiry already dispatched and blocked on
-	// the lock retries the write-back on a fresh quorum, which is benign.
-	p.armTimerLocked(op)
+// completeLocked ends op successfully and starts the next operation on its
+// register; the caller signals the returned op after unlocking.
+func (p *Pipeline) completeLocked(op *PendingOp, sends *[]Send) *PendingOp {
+	p.finishLocked(op, op.o.result, nil)
+	p.advanceQueueLocked(op.o.reg, sends)
+	return op
+}
+
+// failLocked ends op with err and starts the next operation on its
+// register; the caller signals the returned op after unlocking.
+func (p *Pipeline) failLocked(op *PendingOp, err error, sends *[]Send) *PendingOp {
+	p.finishLocked(op, msg.Tagged{}, err)
+	p.advanceQueueLocked(op.o.reg, sends)
+	return op
 }
 
 // finishLocked records the operation's terminal state and removes it from
-// the in-flight map. The caller signals the operation after unlocking.
+// the in-flight map.
 func (p *Pipeline) finishLocked(op *PendingOp, tag msg.Tagged, err error) {
 	op.finished = true
-	op.tag, op.err = tag, err
+	op.o.result, op.err = tag, err
 	p.releaseTimerLocked(op)
-	if p.obsv != nil && err == nil && op.started > 0 {
-		now := time.Since(p.epoch)
-		if op.wback {
-			op.wbDur += now - op.phaseMark
-		} else {
-			op.waitDur += now - op.phaseMark
-		}
-		op.opsDur = now - op.started
+	if err == nil {
+		p.lapLocked(op, op.waitLap())
 	}
 	// With the in-flight entries gone no reply can reach the sessions again,
 	// so their storage goes back to the engine for the next Begin* to reuse.
-	if op.rs != nil {
-		delete(p.inflight, op.rs.Op)
-		p.engine.ReleaseRead(op.rs)
-		op.rs = nil
+	if rs := op.o.rs; rs != nil {
+		delete(p.inflight, rs.Op)
+		p.engine.ReleaseRead(rs)
+		op.o.rs = nil
 	}
-	if op.ws != nil {
-		delete(p.inflight, op.ws.Op)
-		p.engine.ReleaseWrite(op.ws)
-		op.ws = nil
+	if ws := op.o.ws; ws != nil {
+		delete(p.inflight, ws.Op)
+		p.engine.ReleaseWrite(ws)
+		op.o.ws = nil
 	}
-	if p.log != nil {
+	if p.log != nil && err == nil {
 		respond := p.clock()
-		switch op.kind {
+		switch op.o.kind {
 		case opRead, opAtomicRead:
-			if err == nil {
-				p.log.Record(trace.Op{
-					Kind: trace.KindRead, Proc: p.proc, Reg: op.reg,
-					Invoke: op.invoke, Respond: respond, Tag: tag,
-				})
-			}
-		case opWrite:
-			if err == nil {
-				p.log.Complete(op.wsHandle, respond)
-			}
+			p.log.Record(trace.Op{
+				Kind: trace.KindRead, Proc: p.proc, Reg: op.o.reg,
+				Invoke: op.invoke, Respond: respond, Tag: tag,
+			})
+		default:
+			p.log.Complete(op.wsHandle, respond)
 		}
 	}
 	if p.gauge != nil {
@@ -1185,7 +1158,7 @@ func (p *Pipeline) finishLocked(op *PendingOp, tag msg.Tagged, err error) {
 // advanceQueueLocked pops the completed head of a register's FIFO queue and
 // starts the next waiting operation, preserving per-client per-register
 // order.
-func (p *Pipeline) advanceQueueLocked(reg msg.RegisterID, sends *[]outMsg) {
+func (p *Pipeline) advanceQueueLocked(reg msg.RegisterID, sends *[]Send) {
 	q := p.queues[reg]
 	if q == nil || q.head >= len(q.ops) {
 		return
@@ -1200,7 +1173,7 @@ func (p *Pipeline) advanceQueueLocked(reg msg.RegisterID, sends *[]outMsg) {
 	p.startLocked(q.ops[q.head], sends)
 }
 
-func (p *Pipeline) dispatch(sends []outMsg) {
+func (p *Pipeline) dispatch(sends []Send) {
 	if p.obsv != nil && len(sends) > 0 && p.fanSeq.Add(1)&7 == 0 {
 		// FanOut times the hand-off to the transport, sampled one dispatch
 		// in eight: the hand-off span's distribution is what matters (a
@@ -1209,13 +1182,13 @@ func (p *Pipeline) dispatch(sends []outMsg) {
 		// It overlaps the operations' QuorumWait rather than preceding it.
 		start := time.Since(p.epoch)
 		for _, s := range sends {
-			p.send(s.server, s.req)
+			p.send(s.Server, s.Req)
 		}
 		p.obsv.FanOut.Observe(time.Since(p.epoch) - start)
 		return
 	}
 	for _, s := range sends {
-		p.send(s.server, s.req)
+		p.send(s.Server, s.Req)
 	}
 }
 
@@ -1225,28 +1198,27 @@ func (p *Pipeline) dispatch(sends []outMsg) {
 // the lock) by finishLocked.
 func (p *Pipeline) signal(op *PendingOp) {
 	if p.obsv != nil && op.err == nil {
-		if op.fast {
+		if op.o.fast {
 			p.obsv.FastReads.Inc()
 		}
-		if op.opsDur > 0 {
+		if op.started > 0 {
 			// Observed here, not in finishLocked: the pipeline lock is the
 			// throughput bottleneck under load, so the histogram updates
 			// happen after it is released. Each phase entry is a
-			// per-operation total (retries fold into it), so Pick +
-			// QuorumWait telescopes to Ops exactly for single-phase
-			// operations; an atomic read's write-back round lands in its own
-			// WriteBack entry on top.
+			// per-operation total (retries fold into it), and the laps
+			// are contiguous from start of service to completion, so
+			// Pick + QuorumWait + WriteBack is Ops exactly.
 			p.obsv.Pick.Observe(op.pickDur)
 			p.obsv.QuorumWait.Observe(op.waitDur)
 			if op.wbDur > 0 {
 				p.obsv.WriteBack.Observe(op.wbDur)
 			}
-			p.obsv.Ops.Observe(op.opsDur)
+			p.obsv.Ops.Observe(op.pickDur + op.waitDur + op.wbDur)
 		}
 	}
 	op.complete()
 	if op.callback != nil {
-		op.callback(op.tag, op.err)
+		op.callback(op.o.result, op.err)
 	}
 }
 
@@ -1270,7 +1242,7 @@ func (p *Pipeline) Close(err error) {
 		for _, op := range q.ops[q.head:] {
 			if !op.finished {
 				op.finished = true
-				op.tag, op.err = msg.Tagged{}, err
+				op.o.result, op.err = msg.Tagged{}, err
 				p.releaseTimerLocked(op)
 				if p.gauge != nil {
 					p.gauge.Dec()

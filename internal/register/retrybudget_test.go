@@ -1,10 +1,10 @@
 package register_test
 
-// TestRetryBudgetArithmetic pins the retry-budget arithmetic identically
-// across the three drivers of the Operation state machine: retries caps the
-// total attempts at retries+1, and 0 means unlimited. The pipeline's timeout
-// path once drifted an attempt short of the other two; this table keeps the
-// three from diverging again.
+// TestRetryBudgetArithmetic pins the retry-budget arithmetic of the one
+// operation engine: retries caps the total attempts at retries+1, and 0
+// means unlimited. The operation rows drive the Operation state machine by
+// hand, as the simulator does; the client and pipeline rows run the same
+// Operation under the Pipeline's deadline, at depth one and directly.
 
 import (
 	"errors"
@@ -53,16 +53,34 @@ func TestRetryBudgetArithmetic(t *testing.T) {
 	const n = 3
 	sys := func() quorum.System { return quorum.NewAll(n) }
 
+	// The engine's two drivers over a transport: a blocking Client (a
+	// depth-one Pipeline) and a Pipeline. Each reads register 0 once.
+	drivers := []struct {
+		name string
+		read func(e *register.Engine, tr transport.Transport, opts ...register.PipelineOption) error
+	}{
+		{"client", func(e *register.Engine, tr transport.Transport, opts ...register.PipelineOption) error {
+			_, err := register.NewClient(e, tr, opts...).Read(0)
+			return err
+		}},
+		{"pipeline", func(e *register.Engine, tr transport.Transport, opts ...register.PipelineOption) error {
+			p := register.NewPipelineOver(e, tr, opts...)
+			defer p.Close(nil)
+			_, err := p.Read(0)
+			return err
+		}},
+	}
+
 	for _, retries := range []int{1, 2, 3} {
 		wantAttempts := int64(retries + 1)
 
 		t.Run(fmt.Sprintf("operation/retries=%d", retries), func(t *testing.T) {
 			e := register.NewEngine(1, sys(), rand.New(rand.NewPCG(1, 2)))
 			op := e.NewReadOp(0, retries)
-			op.Start()
+			op.Start(nil)
 			attempts := int64(1)
 			for {
-				if _, err := op.Retry(); err != nil {
+				if _, err := op.Retry(nil); err != nil {
 					if !errors.Is(err, register.ErrQuorumUnavailable) {
 						t.Fatalf("Retry error = %v, want ErrQuorumUnavailable", err)
 					}
@@ -78,76 +96,42 @@ func TestRetryBudgetArithmetic(t *testing.T) {
 			}
 		})
 
-		t.Run(fmt.Sprintf("client/retries=%d", retries), func(t *testing.T) {
-			tr := newBlackhole(n, 0)
-			e := register.NewEngine(1, sys(), rng.Derive(1, "budget.client"))
-			tc := &metrics.TransportCounters{}
-			cl := register.NewClient(e, tr,
-				register.WithOpTimeout(5*time.Millisecond),
-				register.WithRetries(retries),
-				register.WithTransportCounters(tc))
-			if _, err := cl.Read(0); !errors.Is(err, register.ErrQuorumUnavailable) {
-				t.Fatalf("Read error = %v, want ErrQuorumUnavailable", err)
-			}
-			// Each attempt fans out to the full n-member quorum exactly once.
-			if got := tr.sent.Load(); got != wantAttempts*n {
-				t.Fatalf("client sent %d requests = %v attempts, want %d attempts",
-					got, float64(got)/n, wantAttempts)
-			}
-			if got := tc.Retries.Value(); got != int64(retries) {
-				t.Fatalf("Retries counter = %d, want %d", got, retries)
-			}
-		})
-
-		t.Run(fmt.Sprintf("pipeline/retries=%d", retries), func(t *testing.T) {
-			tr := newBlackhole(n, 0)
-			e := register.NewEngine(1, sys(), rng.Derive(1, "budget.pipeline"))
-			p := register.NewPipelineOver(e, tr,
-				register.PipeTimeout(5*time.Millisecond, retries))
-			defer p.Close(nil)
-			if _, err := p.Read(0); !errors.Is(err, register.ErrQuorumUnavailable) {
-				t.Fatalf("Read error = %v, want ErrQuorumUnavailable", err)
-			}
-			if got := tr.sent.Load(); got != wantAttempts*n {
-				t.Fatalf("pipeline sent %d requests = %v attempts, want %d attempts",
-					got, float64(got)/n, wantAttempts)
-			}
-			if got := p.Retries(); got != int64(retries) {
-				t.Fatalf("Retries() = %d, want %d", got, retries)
-			}
-		})
+		for _, d := range drivers {
+			t.Run(fmt.Sprintf("%s/retries=%d", d.name, retries), func(t *testing.T) {
+				tr := newBlackhole(n, 0)
+				e := register.NewEngine(1, sys(), rng.Derive(1, "budget."+d.name))
+				tc := &metrics.TransportCounters{}
+				err := d.read(e, tr, register.PipeTimeout(5*time.Millisecond, retries), register.PipeCounters(tc))
+				if !errors.Is(err, register.ErrQuorumUnavailable) {
+					t.Fatalf("Read error = %v, want ErrQuorumUnavailable", err)
+				}
+				// Each attempt fans out to the full n-member quorum exactly once.
+				if got := tr.sent.Load(); got != wantAttempts*n {
+					t.Fatalf("%s sent %d requests = %v attempts, want %d attempts",
+						d.name, got, float64(got)/n, wantAttempts)
+				}
+				if got := tc.Retries.Value(); got != int64(retries) {
+					t.Fatalf("Retries counter = %d, want %d", got, retries)
+				}
+			})
+		}
 	}
 
 	// retries = 0 is unlimited: with the first two attempts swallowed, a
-	// capped driver with budget "1" would fail, but both clients must ride
+	// capped driver with budget "1" would fail, but both drivers must ride
 	// through to the third attempt and succeed.
 	const revive = 2 * n
-	t.Run("client/retries=0-unlimited", func(t *testing.T) {
-		tr := newBlackhole(n, revive)
-		e := register.NewEngine(1, sys(), rng.Derive(1, "budget.client0"))
-		tc := &metrics.TransportCounters{}
-		cl := register.NewClient(e, tr,
-			register.WithOpTimeout(5*time.Millisecond),
-			register.WithRetries(0),
-			register.WithTransportCounters(tc))
-		if _, err := cl.Read(0); err != nil {
-			t.Fatalf("unlimited budget still failed: %v", err)
-		}
-		if got := tc.Retries.Value(); got != 2 {
-			t.Fatalf("Retries counter = %d, want 2 (two swallowed attempts)", got)
-		}
-	})
-	t.Run("pipeline/retries=0-unlimited", func(t *testing.T) {
-		tr := newBlackhole(n, revive)
-		e := register.NewEngine(1, sys(), rng.Derive(1, "budget.pipeline0"))
-		p := register.NewPipelineOver(e, tr,
-			register.PipeTimeout(5*time.Millisecond, 0))
-		defer p.Close(nil)
-		if _, err := p.Read(0); err != nil {
-			t.Fatalf("unlimited budget still failed: %v", err)
-		}
-		if got := p.Retries(); got != 2 {
-			t.Fatalf("Retries() = %d, want 2 (two swallowed attempts)", got)
-		}
-	})
+	for _, d := range drivers {
+		t.Run(d.name+"/retries=0-unlimited", func(t *testing.T) {
+			tr := newBlackhole(n, revive)
+			e := register.NewEngine(1, sys(), rng.Derive(1, "budget."+d.name+"0"))
+			tc := &metrics.TransportCounters{}
+			if err := d.read(e, tr, register.PipeTimeout(5*time.Millisecond, 0), register.PipeCounters(tc)); err != nil {
+				t.Fatalf("unlimited budget still failed: %v", err)
+			}
+			if got := tc.Retries.Value(); got != 2 {
+				t.Fatalf("Retries counter = %d, want 2 (two swallowed attempts)", got)
+			}
+		})
+	}
 }

@@ -10,28 +10,21 @@ import (
 
 // Settings is the transport-independent register-client configuration that
 // every adapter shares. The tcp and cluster packages' With* options are thin
-// wrappers that fill one of these in; Apply (serial) and ApplyPipeline
-// (pipelined) translate it into this package's option lists, so the three
-// transports can no longer drift apart on option semantics.
+// wrappers that fill one of these in, and ApplyPipeline is the one
+// translation into this package's PipelineOptions, so the three transports
+// cannot drift apart on option semantics.
 //
-// The zero value is valid: strict mode (no deadline), unlimited retries, no
-// backoff, and no instrumentation.
+// The zero value is valid: no deadline, unlimited retries, and no
+// instrumentation.
 type Settings struct {
-	// OpTimeout bounds one attempt's wait for replies; 0 means strict mode
-	// for the serial client (pipelined adapters substitute their own default
-	// deadline instead).
+	// OpTimeout bounds one attempt's wait for replies; 0 arms no deadline
+	// (see PipeTimeout for what that means).
 	OpTimeout time.Duration
-	// Retries caps attempts per operation (serial: retries+1 attempts;
-	// 0 = unlimited).
+	// Retries caps attempts per operation at Retries+1 (0 = unlimited).
 	Retries int
-	// RetryBackoff and RetryBackoffMax pace serial-client retries: backoff
-	// starts at RetryBackoff, doubles per attempt, and is capped at
-	// RetryBackoffMax. Zero RetryBackoff disables backoff.
-	RetryBackoff    time.Duration
-	RetryBackoffMax time.Duration
-	// Counters receives fault-path events (retries, timeouts, reconnects,
-	// stale drops) and — when the adapter instruments its transport — logical
-	// message counts.
+	// Counters receives fault-path events (retries, timeouts, top-ups,
+	// reconnects, stale drops) and — when the adapter instruments its
+	// transport — logical message counts.
 	Counters *metrics.TransportCounters
 	// Trace records completed operations into a linearizability log under
 	// process identity Proc.
@@ -39,45 +32,14 @@ type Settings struct {
 	Proc  msg.NodeID
 	// Clock overrides the logical clock stamping trace records.
 	Clock func() int64
-	// Latency records end-to-end operation durations (serial client only).
-	Latency *metrics.LatencyHist
 	// Observer records phase-level operation timings (see Observer).
 	Observer *Observer
-	// Gauge tracks in-flight operations (pipelined clients only).
+	// Gauge tracks in-flight operations.
 	Gauge *metrics.Gauge
 }
 
-// Apply translates s into the serial Client's option list. This is the
-// single shared mapping the transport adapters build on.
-func Apply(s Settings) []ClientOption {
-	opts := []ClientOption{
-		WithOpTimeout(s.OpTimeout),
-		WithRetries(s.Retries),
-	}
-	if s.RetryBackoff > 0 {
-		opts = append(opts, WithRetryBackoff(s.RetryBackoff, s.RetryBackoffMax))
-	}
-	if s.Counters != nil {
-		opts = append(opts, WithTransportCounters(s.Counters))
-	}
-	if s.Trace != nil {
-		opts = append(opts, WithTrace(s.Trace, s.Proc))
-	}
-	if s.Clock != nil {
-		opts = append(opts, WithClock(s.Clock))
-	}
-	if s.Latency != nil {
-		opts = append(opts, WithLatency(s.Latency))
-	}
-	if s.Observer != nil {
-		opts = append(opts, WithObserver(s.Observer))
-	}
-	return opts
-}
-
-// ApplyPipeline translates s into the Pipeline's option list. Latency,
-// RetryBackoff and RetryBackoffMax do not apply to pipelined clients and are
-// ignored.
+// ApplyPipeline translates s into the PipelineOptions a Client, Pipeline or
+// Keyspace is built with.
 func ApplyPipeline(s Settings) []PipelineOption {
 	opts := []PipelineOption{PipeTimeout(s.OpTimeout, s.Retries)}
 	if s.Counters != nil {

@@ -15,30 +15,23 @@ import (
 )
 
 // tcpTransport implements transport.Transport over one persistent framed
-// connection per replica server. It carries no protocol logic: the
-// transport-agnostic register client (or pipeline) above it owns quorums,
-// deadlines, and retries; this layer owns dialing, framing, reconnect
-// backoff, and the fault counters.
+// connection per replica server. It carries no protocol logic: the register
+// pipeline above it owns quorums, deadlines, and retries; this layer owns
+// dialing, framing, reconnect backoff, and the fault counters.
 //
-// Two send modes share the connection machinery:
-//
-//   - Serial (async=false): Send encodes the request inline and arms a read
-//     deadline; each reply decrements the connection's outstanding count.
-//     Encode and decode failures surface as per-server error deliveries, the
-//     prompt crash signal the strict (no-timeout) client relies on.
-//   - Pipelined (async=true): Send enqueues without blocking (overflow is a
-//     failed hand-off, returned as an error) and a writer goroutine coalesces
-//     the queue into batch frames of up to maxBatch requests, amortizing
-//     encode and syscall cost. A burst the writer cannot put on the wire — the
-//     re-dial failed, the write failed — surfaces as one per-server error
-//     delivery, like a connection death seen by the reader: no lost send is
-//     silent, so the client replaces the member instead of waiting it out.
+// Every client sends the same way. Send enqueues without blocking (overflow
+// is a failed hand-off, returned as an error) and a per-connection writer
+// goroutine coalesces the queue into batch frames of up to maxBatch
+// requests, amortizing encode and syscall cost. A burst the writer cannot put
+// on the wire — the re-dial failed, the write failed — surfaces as one
+// per-server error delivery, like a connection death seen by the reader: no
+// lost send is silent, so the client replaces the member instead of waiting
+// it out.
 type tcpTransport struct {
 	// Per-connection configuration, fixed at construction and shared by
 	// connections dialed later by Update.
 	timeout  time.Duration
 	counters *metrics.TransportCounters
-	async    bool
 	maxBatch int
 	hist     *metrics.IntHistogram
 
@@ -65,11 +58,10 @@ type tcpTransport struct {
 }
 
 func newTCPTransport(addrs []string, timeout time.Duration, counters *metrics.TransportCounters,
-	async bool, maxBatch int, hist *metrics.IntHistogram) *tcpTransport {
+	maxBatch int, hist *metrics.IntHistogram) *tcpTransport {
 	t := &tcpTransport{
 		timeout:  timeout,
 		counters: counters,
-		async:    async,
 		maxBatch: maxBatch,
 		hist:     hist,
 	}
@@ -107,15 +99,12 @@ func (t *tcpTransport) newConn(srv int, addr string) *netConn {
 		addr:     addr,
 		timeout:  t.timeout,
 		counters: t.counters,
-		async:    t.async,
 		maxBatch: t.maxBatch,
 		hist:     t.hist,
+		notify:   make(chan struct{}, 1),
+		stop:     make(chan struct{}),
 	}
 	nc.server.Store(int32(srv))
-	if t.async {
-		nc.notify = make(chan struct{}, 1)
-		nc.stop = make(chan struct{})
-	}
 	return nc
 }
 
@@ -130,10 +119,7 @@ func (t *tcpTransport) start() error {
 			_ = t.Close()
 			return fmt.Errorf("tcp dial %s: %w", nc.addr, err)
 		}
-		if nc.async {
-			nc.wg.Add(1)
-			go nc.writeLoop()
-		}
+		nc.startWriter()
 	}
 	return nil
 }
@@ -167,11 +153,7 @@ func (t *tcpTransport) Send(server int, req any) error {
 		// the operation's deadline re-issues against the current view.
 		return transport.ErrNotInView
 	}
-	nc := conns[server]
-	if nc.async {
-		return nc.enqueue(req)
-	}
-	return nc.send(req)
+	return conns[server].enqueue(req)
 }
 
 // Update re-targets the transport at the view's members (transport.Updater):
@@ -235,10 +217,7 @@ func (t *tcpTransport) Update(v quorum.View) error {
 	t.conns.Store(&next)
 	t.epoch = v.Epoch
 	for _, nc := range fresh {
-		if nc.async {
-			nc.wg.Add(1)
-			go nc.writeLoop()
-		}
+		nc.startWriter()
 	}
 	for _, nc := range reuse {
 		nc.detached.Store(true)
@@ -286,12 +265,11 @@ type netConn struct {
 	timeout  time.Duration
 	counters *metrics.TransportCounters
 
-	async    bool
 	maxBatch int
 	hist     *metrics.IntHistogram
-	stop     chan struct{} // async mode: stops the writer goroutine
+	stop     chan struct{} // stops the writer goroutine
 
-	// The async-mode send queue. Send appends to queue under qmu — the slice
+	// The send queue. Send appends to queue under qmu — the slice
 	// grows with the traffic and refuses at pipeOutBuffer pending requests —
 	// and signals notify (capacity 1: "something is pending") when it turns
 	// the queue non-empty; the writer goroutine swaps the whole slice out per
@@ -319,14 +297,10 @@ type netConn struct {
 	// gen is the connection generation; a reader only kills (and reports)
 	// its own connection, so a re-dialed successor is never collateral
 	// damage of a stale reader's death.
-	gen int
-	// outstanding counts sent-but-unanswered requests (serial mode); the
-	// read deadline stays armed while it is positive, so a silent peer
-	// costs at most the operation timeout instead of wedging the client.
-	outstanding int
-	redialWait  time.Duration
-	nextDial    time.Time
-	closed      bool
+	gen        int
+	redialWait time.Duration
+	nextDial   time.Time
+	closed     bool
 }
 
 // emit labels a delivery with the connection's server index — the position
@@ -370,45 +344,13 @@ func (nc *netConn) indexForEpoch(e quorum.Epoch) (int, bool) {
 	return int(idx), true
 }
 
-// send encodes one request inline (serial mode) and arms the read deadline
-// for its reply.
-func (nc *netConn) send(req any) error {
-	nc.mu.Lock()
-	defer nc.mu.Unlock()
-	if nc.closed {
-		return ErrClientClosed
-	}
-	if err := nc.ensureLocked(); err != nil {
-		return err
-	}
-	if nc.timeout > 0 {
-		_ = nc.conn.SetWriteDeadline(time.Now().Add(nc.timeout))
-	}
-	buf := msg.GetEncodeBuf()
-	defer msg.PutEncodeBuf(buf)
-	out, err := msg.AppendMessage((*buf)[:0], req)
-	if err == nil {
-		*buf = out[:0]
-		_, err = nc.conn.Write(out)
-	}
-	if err != nil {
-		nc.dropLocked(err)
-		return fmt.Errorf("send: %w", err)
-	}
-	nc.outstanding++
-	if nc.timeout > 0 {
-		_ = nc.conn.SetReadDeadline(time.Now().Add(nc.timeout))
-	}
-	return nil
-}
-
 // errSendQueueFull is Send's error for a connection whose writer has fallen a
 // whole queue behind: the peer is not draining, and the request was not
 // handed off.
 var errSendQueueFull = errors.New("tcp: send queue full")
 
-// enqueue queues one request for the writer goroutine (async mode). A full
-// queue refuses the request instead of blocking the pipeline.
+// enqueue queues one request for the writer goroutine. A full queue refuses
+// the request instead of blocking the pipeline.
 func (nc *netConn) enqueue(req any) error {
 	nc.qmu.Lock()
 	if nc.qclosed {
@@ -443,10 +385,16 @@ func (nc *netConn) sendDropped() {
 // pool's recycling cap so burst buffers return to the pool.
 const clientCoalesceBytes = 256 << 10
 
-// writeLoop is the async-mode writer: each wake swaps the whole pending
+// startWriter starts the connection's writer goroutine.
+func (nc *netConn) startWriter() {
+	nc.wg.Add(1)
+	go nc.writeLoop()
+}
+
+// writeLoop is the connection's writer: each wake swaps the whole pending
 // queue out — the requests accumulate in one slice while the writer encodes
-// and writes the other — and puts it on the wire. Frames are encoded outside every lock into a pooled buffer
-// owned by this goroutine.
+// and writes the other — and puts it on the wire. Frames are encoded outside
+// every lock into a pooled buffer owned by this goroutine.
 func (nc *netConn) writeLoop() {
 	defer nc.wg.Done()
 	buf := msg.GetEncodeBuf()
@@ -582,7 +530,6 @@ func (nc *netConn) ensureLocked() error {
 	}
 	nc.conn = conn
 	nc.gen++
-	nc.outstanding = 0
 	nc.redialWait = 0
 	nc.nextDial = time.Time{}
 	if nc.gen > 1 && nc.counters != nil {
@@ -593,15 +540,14 @@ func (nc *netConn) ensureLocked() error {
 	return nil
 }
 
-// dropLocked discards the current connection after an error: write errors
-// and non-timeout read errors mean the connection is genuinely broken.
-// Callers hold mu.
+// dropLocked discards the current connection after an error: a write or
+// read error means the connection is genuinely broken. A write that hit its
+// deadline counts as a timeout. Callers hold mu.
 func (nc *netConn) dropLocked(err error) {
 	if nc.conn != nil {
 		_ = nc.conn.Close()
 		nc.conn = nil
 	}
-	nc.outstanding = 0
 	var nerr net.Error
 	if nc.counters != nil && errors.As(err, &nerr) && nerr.Timeout() {
 		nc.counters.Timeouts.Inc()
@@ -613,45 +559,20 @@ func (nc *netConn) dropLocked(err error) {
 // frame's payload is inspected in place (decodeRaw): batch frames walk
 // straight into the bound ReplySink with concrete types — the client-side
 // mirror of the server's batch walk — and anything else is boxed through the
-// Sink.
-//
-// A read-deadline timeout is survivable: frames are self-delimiting and the
-// FrameReader holds its stream position across the error, so the reader
-// counts the timeout, clears the deadline, and keeps reading — the late
-// reply, when it arrives, is dropped by op-id upstairs (StaleDrops) and the
-// connection never burns. Everything else — connection closed by a crashed
-// server, corrupt frame — kills the connection and surfaces as one
-// per-server error delivery.
+// Sink. No read deadline is ever armed (a silent server is for the
+// pipeline's per-operation deadline to notice), so any read error, such as
+// a connection closed by a crashed server or a corrupt frame, kills the
+// connection and surfaces as one per-server error delivery.
 func (nc *netConn) readLoop(conn net.Conn, gen int) {
 	defer nc.wg.Done()
 	fr := msg.NewFrameReader(conn)
 	for {
 		var m any
-		var acked int
 		payload, err := fr.NextRaw()
 		if err == nil {
-			m, acked, err = nc.decodeRaw(payload)
+			m, err = nc.decodeRaw(payload)
 		}
 		if err != nil {
-			var nerr net.Error
-			if errors.As(err, &nerr) && nerr.Timeout() {
-				nc.mu.Lock()
-				if nc.gen == gen && nc.conn == conn && !nc.closed {
-					if nc.counters != nil {
-						nc.counters.Timeouts.Inc()
-					}
-					// The abandoned replies may still arrive later; nothing
-					// is owed on this stream right now, so disarm the
-					// deadline until the next send arms a fresh one.
-					nc.outstanding = 0
-					_ = conn.SetReadDeadline(time.Time{})
-					nc.mu.Unlock()
-					continue
-				}
-				nc.mu.Unlock()
-				_ = conn.Close()
-				return
-			}
 			nc.mu.Lock()
 			stale := nc.gen != gen || nc.closed
 			if !stale && nc.conn == conn {
@@ -664,23 +585,6 @@ func (nc *netConn) readLoop(conn net.Conn, gen int) {
 			}
 			return
 		}
-		if !nc.async && acked > 0 {
-			// Serial-mode bookkeeping only: async sends never arm per-reply
-			// read deadlines, so the reply hot path skips the lock entirely.
-			// One frame may carry several replies now that servers coalesce,
-			// so the count decrements by replies delivered, not frames read.
-			nc.mu.Lock()
-			if nc.gen == gen && nc.conn == conn {
-				nc.outstanding -= acked
-				if nc.outstanding < 0 {
-					nc.outstanding = 0
-				}
-				if nc.outstanding == 0 && nc.timeout > 0 {
-					_ = conn.SetReadDeadline(time.Time{})
-				}
-			}
-			nc.mu.Unlock()
-		}
 		if m != nil {
 			nc.emit(m, nil)
 		}
@@ -691,16 +595,13 @@ func (nc *netConn) readLoop(conn net.Conn, gen int) {
 // serve loop coalesces replies into — is delivered concretely
 // (decodeRawBatched) and yields a nil message. Anything else is the cold
 // path — snapshot replies, a lone reply frame from a peer that does not
-// coalesce — and decodes boxed, returned for delivery through the Sink.
-// acked counts the replies the frame carried (for the serial reader's
-// outstanding bookkeeping). A decode error is fatal to the connection.
-func (nc *netConn) decodeRaw(payload []byte) (any, int, error) {
+// coalesce — and decodes boxed, returned for delivery through the Sink. A
+// decode error is fatal to the connection.
+func (nc *netConn) decodeRaw(payload []byte) (any, error) {
 	if msg.IsBatchPayload(payload) {
-		acked, err := nc.decodeRawBatched(payload, *nc.t.rsink.Load())
-		return nil, acked, err
+		return nil, nc.decodeRawBatched(payload, *nc.t.rsink.Load())
 	}
-	m, err := msg.DecodePayload(payload)
-	return m, 1, err
+	return msg.DecodePayload(payload)
 }
 
 // decodeRawBatched walks one batch frame and hands its reply elements to
@@ -715,11 +616,10 @@ func (nc *netConn) decodeRaw(payload []byte) (any, int, error) {
 // decodes frames; ReplyBatch's contract says the sink must not retain them.
 // A connection detached from the view delivers nothing: a leaver's late
 // replies are not news.
-func (nc *netConn) decodeRawBatched(payload []byte, rs transport.ReplySink) (int, error) {
+func (nc *netConn) decodeRawBatched(payload []byte, rs transport.ReplySink) error {
 	if nc.detached.Load() {
-		return 0, nil
+		return nil
 	}
-	acked := 0
 	idx := -1 // server index of the run being accumulated
 	flush := func() {
 		if len(nc.brReads)+len(nc.brAcks) == 0 {
@@ -733,7 +633,6 @@ func (nc *netConn) decodeRawBatched(payload []byte, rs transport.ReplySink) (int
 	}
 	_, err := msg.VisitBatchPayload(payload, msg.BatchVisitor{
 		ReadReply: func(m msg.ReadReply) bool {
-			acked++
 			if i, ok := nc.indexForEpoch(m.Epoch); ok {
 				if i != idx {
 					flush()
@@ -744,7 +643,6 @@ func (nc *netConn) decodeRawBatched(payload []byte, rs transport.ReplySink) (int
 			return true
 		},
 		WriteAck: func(m msg.WriteAck) bool {
-			acked++
 			if i, ok := nc.indexForEpoch(m.Epoch); ok {
 				if i != idx {
 					flush()
@@ -755,7 +653,6 @@ func (nc *netConn) decodeRawBatched(payload []byte, rs transport.ReplySink) (int
 			return true
 		},
 		StaleEpoch: func(m msg.StaleEpoch) bool {
-			acked++
 			if i, ok := nc.indexForEpoch(m.Epoch); ok {
 				flush()
 				rs.StaleEpoch(i, m)
@@ -766,7 +663,7 @@ func (nc *netConn) decodeRawBatched(payload []byte, rs transport.ReplySink) (int
 		// nil callbacks drop them like any junk element.
 	})
 	flush()
-	return acked, err
+	return err
 }
 
 func (nc *netConn) close() {
@@ -777,9 +674,7 @@ func (nc *netConn) close() {
 		return
 	}
 	nc.closed = true
-	if nc.stop != nil {
-		close(nc.stop)
-	}
+	close(nc.stop)
 	if nc.conn != nil {
 		_ = nc.conn.Close()
 		nc.conn = nil

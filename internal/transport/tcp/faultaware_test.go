@@ -283,7 +283,7 @@ func TestPartitionCostsOneDeadline(t *testing.T) {
 func TestSendQueueFullIsAnError(t *testing.T) {
 	var tc metrics.TransportCounters
 	// Never started: no writer drains the queue, nothing is dialed.
-	tr := newTCPTransport([]string{"127.0.0.1:1"}, time.Second, &tc, true, defaultMaxBatch, nil)
+	tr := newTCPTransport([]string{"127.0.0.1:1"}, time.Second, &tc, defaultMaxBatch, nil)
 	for i := 0; i < pipeOutBuffer; i++ {
 		if err := tr.Send(0, msg.ReadReq{}); err != nil {
 			t.Fatalf("send %d into an empty queue: %v", i, err)

@@ -33,8 +33,8 @@ type KeyspaceClient struct {
 
 // DialKeyspace connects to every replica server address and returns a
 // sharded keyspace client with the given client-side shard count (rounded
-// up to a power of two; <= 0 selects DefaultKeyspaceShards). The pipelined
-// client's options apply; the per-operation deadline defaults to 2s.
+// up to a power of two; <= 0 selects DefaultKeyspaceShards). Dial's options
+// apply.
 func DialKeyspace(addrs []string, sys quorum.System, shards int, opts ...ClientOption) (*KeyspaceClient, error) {
 	if shards <= 0 {
 		shards = DefaultKeyspaceShards
@@ -42,7 +42,7 @@ func DialKeyspace(addrs []string, sys quorum.System, shards int, opts ...ClientO
 	for shards&(shards-1) != 0 {
 		shards++
 	}
-	d, err := dial(addrs, sys, opts, "keyspace", true, shards)
+	d, err := dial(addrs, sys, opts, "keyspace", shards)
 	if err != nil {
 		return nil, err
 	}

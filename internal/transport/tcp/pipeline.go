@@ -14,16 +14,15 @@ import (
 	"probquorum/internal/transport"
 )
 
-// ErrClientClosed is returned by operations pending in a pipelined client
-// when it is closed.
-var ErrClientClosed = errors.New("tcp: pipelined client closed")
+// ErrClientClosed is returned by operations pending in a client when it is
+// closed.
+var ErrClientClosed = errors.New("tcp: client closed")
 
-// defaultPipelineTimeout is the per-operation deadline a pipelined client
-// runs with when the caller sets none. The serial client can run strict
-// (no deadline) because its request/reply pairing turns a closed connection
-// into an immediate per-call error; a multiplexed stream has no such per-
-// operation failure signal, so the pipelined client always keeps a deadline.
-const defaultPipelineTimeout = 2 * time.Second
+// defaultOpTimeout is the per-operation deadline every client runs with when
+// the caller sets none. A multiplexed stream turns a closed connection into
+// a per-server error but a silent server into nothing at all, so a TCP
+// client always keeps a deadline.
+const defaultOpTimeout = 2 * time.Second
 
 // defaultMaxBatch bounds how many queued requests one frame coalesces.
 const defaultMaxBatch = 16
@@ -33,10 +32,10 @@ const defaultMaxBatch = 16
 // so a stalled connection can never block the pipeline.
 const pipeOutBuffer = 4096
 
-// WithMaxBatch caps how many queued requests the pipelined client coalesces
-// into one frame per server (default 16). 1 disables coalescing while
-// keeping the multiplexed in-flight machinery — the ablation point the
-// batching benchmarks compare against.
+// WithMaxBatch caps how many queued requests a client coalesces into one
+// frame per server (default 16). 1 disables coalescing while keeping the
+// multiplexed in-flight machinery — the ablation point the batching
+// benchmarks compare against.
 func WithMaxBatch(n int) ClientOption {
 	return func(o *clientOpts) { o.maxBatch = n }
 }
@@ -67,12 +66,11 @@ func WithClock(clock func() int64) ClientOption {
 
 // PipelinedClient is a register client that keeps many operations in flight
 // over one TCP connection per replica server: a thin adapter binding a
-// transport-agnostic register.Pipeline to a tcpTransport in its batching
-// (async) mode. Outgoing requests queued for a server are coalesced into
-// batch frames (one frame carrying several requests, amortizing encode and
-// syscall cost), and replies are matched to operations by
-// operation id rather than request/reply pairing, so the connection carries
-// any number of interleaved exchanges at once.
+// transport-agnostic register.Pipeline to a tcpTransport. Outgoing requests
+// queued for a server are coalesced into batch frames (one frame carrying
+// several requests, amortizing encode and syscall cost), and replies are
+// matched to operations by operation id rather than request/reply pairing,
+// so the connection carries any number of interleaved exchanges at once.
 //
 // Ordering guarantees are the Pipeline's: operations on different registers
 // proceed concurrently; same-register operations are FIFO per client, which
@@ -99,12 +97,10 @@ type PipelinedClient struct {
 }
 
 // DialPipelined connects to every replica server address and returns a
-// pipelined client. The quorum system's N must match the address count.
-// In addition to the serial client's options, WithMaxBatch, WithTrace,
-// WithBatchHistogram, and WithInFlightGauge apply; WithOpTimeout defaults
-// to 2s (a pipelined client never runs without a deadline, see above).
+// pipelined client. The quorum system's N must match the address count, and
+// Dial's options apply.
 func DialPipelined(addrs []string, sys quorum.System, opts ...ClientOption) (*PipelinedClient, error) {
-	d, err := dial(addrs, sys, opts, "pipeclient", true, 0)
+	d, err := dial(addrs, sys, opts, "pipeclient", 0)
 	if err != nil {
 		return nil, err
 	}

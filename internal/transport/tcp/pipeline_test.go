@@ -12,6 +12,7 @@ import (
 	"probquorum/internal/quorum"
 	"probquorum/internal/register"
 	"probquorum/internal/replica"
+	"probquorum/internal/rng"
 	"probquorum/internal/trace"
 )
 
@@ -151,7 +152,7 @@ func TestPipeConnCoalesces(t *testing.T) {
 	defer server.Close()
 
 	hist := metrics.NewIntHistogram()
-	tr := newTCPTransport([]string{"pipe"}, 0, nil, true, 16, hist)
+	tr := newTCPTransport([]string{"pipe"}, 0, nil, 16, hist)
 	pc := (*tr.conns.Load())[0]
 	pc.conn = client
 	pc.gen = 1
@@ -294,5 +295,78 @@ func TestPipelinedClientRetriesExhausted(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatalf("bounded retries did not surface within 10s")
+	}
+}
+
+// TestEngineVariantsOverTCP is the TCP leg of the conformance table's
+// pipelined-masking and pipelined-repair rows, which the adapter's options
+// cannot express: the same engine variants run as a register.Pipeline over
+// this package's transport. Six registers are written with all writes in
+// flight and read back the same way. Under masking, replica 0 holds a
+// fabricated tag far newer than any write for every register, and k = 4 of
+// 5 keeps two honest votes for the written value in every read quorum; under
+// repair, reads push the value back to the members that missed the write.
+func TestEngineVariantsOverTCP(t *testing.T) {
+	const regs = 6
+	fabricated := msg.Tagged{TS: msg.Timestamp{Seq: 1 << 40, Writer: 99}, Val: "fabricated"}
+	for _, tc := range []struct {
+		name   string
+		sys    quorum.System
+		opt    register.Option
+		masked bool
+	}{
+		{"masking", quorum.NewProbabilistic(5, 4), register.WithMasking(1), true},
+		{"repair", quorum.NewMajority(5), register.WithReadRepair(), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			initial := map[msg.RegisterID]msg.Value{}
+			for r := 0; r < regs; r++ {
+				initial[msg.RegisterID(r)] = 0.0
+			}
+			addrs, servers := pipeCluster(t, 5, initial)
+			if tc.masked {
+				for r := 0; r < regs; r++ {
+					servers[0].Store().Apply(msg.WriteReq{Reg: msg.RegisterID(r), Op: 1, Tag: fabricated})
+				}
+			}
+			tr := newTCPTransport(addrs, defaultOpTimeout, &metrics.TransportCounters{}, defaultMaxBatch, nil)
+			if err := tr.start(); err != nil {
+				t.Fatal(err)
+			}
+			defer tr.Close()
+			e := register.NewEngine(1, tc.sys, rng.Derive(1, "tcp.variants."+tc.name), tc.opt)
+			log := &trace.Log{}
+			pl := register.NewPipelineOver(e, tr, register.PipeTimeout(defaultOpTimeout, 0), register.PipeTrace(log, 1))
+			ops := make([]*register.PendingOp, regs)
+			for r := range ops {
+				ops[r] = pl.WriteAsync(msg.RegisterID(r), float64(r+1))
+			}
+			for _, op := range ops {
+				if _, err := op.Wait(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for r := range ops {
+				ops[r] = pl.ReadAsync(msg.RegisterID(r))
+			}
+			for r, op := range ops {
+				tag, err := op.Wait()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tag.Val != float64(r+1) {
+					t.Fatalf("read reg %d = %v, want %v", r, tag.Val, float64(r+1))
+				}
+			}
+			if err := trace.CheckPipelinedWellFormed(log.Ops()); err != nil {
+				t.Fatal(err)
+			}
+			if err := trace.CheckReadsFrom(log.Ops()); err != nil {
+				t.Fatal(err)
+			}
+			if !tc.masked && e.Repairs() == 0 {
+				t.Fatal("no repair message was issued: every read quorum held the write")
+			}
+		})
 	}
 }

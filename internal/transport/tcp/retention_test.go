@@ -31,6 +31,7 @@ func TestClosedClientIsCollectable(t *testing.T) {
 		name string
 		dial func(...ClientOption) (client, error)
 	}{
+		{"Client", func(opts ...ClientOption) (client, error) { return Dial(addrs, sys, opts...) }},
 		{"PipelinedClient", func(opts ...ClientOption) (client, error) { return DialPipelined(addrs, sys, opts...) }},
 		{"KeyspaceClient", func(opts ...ClientOption) (client, error) { return DialKeyspace(addrs, sys, 4, opts...) }},
 	}
@@ -64,7 +65,7 @@ func TestClosedClientIsCollectable(t *testing.T) {
 			// still far short of when the timers would have let go.
 			select {
 			case <-freed:
-			case <-time.After(defaultPipelineTimeout / 4):
+			case <-time.After(defaultOpTimeout / 4):
 				t.Fatalf("pipelines still reachable %v after Close and a collection",
 					time.Since(start).Round(time.Millisecond))
 			}
@@ -72,7 +73,7 @@ func TestClosedClientIsCollectable(t *testing.T) {
 	}
 }
 
-// client is what the two pipelined clients share, as far as this test goes.
+// client is what the three clients share, as far as this test goes.
 type client interface {
 	Write(msg.RegisterID, msg.Value) error
 	Read(msg.RegisterID) (msg.Tagged, error)

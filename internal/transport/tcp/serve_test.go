@@ -157,14 +157,14 @@ func TestServeAllocGate(t *testing.T) {
 // ablation arm of the client-decode gate below.
 type sealedTransport struct{ transport.Transport }
 
-// dialSerialGateClient mirrors Dial's construction with the pieces the gate
-// needs: a serial register.Client over a tcpTransport, optionally sealed to
-// force boxed reply delivery.
-func dialSerialGateClient(t *testing.T, addrs []string, writer int32, sealed bool) *register.Client {
+// dialGateClient mirrors Dial's construction with the pieces the gate needs:
+// a blocking register.Client over a tcpTransport, optionally sealed to force
+// boxed reply delivery.
+func dialGateClient(t *testing.T, addrs []string, writer int32, sealed bool) *register.Client {
 	t.Helper()
 	engine := register.NewEngine(writer, quorum.NewMajority(len(addrs)),
 		rng.Derive(1, fmt.Sprintf("serve_test.gate.%d", writer)))
-	tr := newTCPTransport(addrs, 0, &metrics.TransportCounters{}, false, 0, nil)
+	tr := newTCPTransport(addrs, defaultOpTimeout, &metrics.TransportCounters{}, defaultMaxBatch, nil)
 	if err := tr.start(); err != nil {
 		t.Fatal(err)
 	}
@@ -173,10 +173,10 @@ func dialSerialGateClient(t *testing.T, addrs []string, writer int32, sealed boo
 	if sealed {
 		rt = sealedTransport{tr}
 	}
-	return register.NewClient(engine, rt)
+	return register.NewClient(engine, rt, register.PipeTimeout(defaultOpTimeout, 0))
 }
 
-// TestClientDecodeAllocGate pins the serial client's de-boxed reply decode
+// TestClientDecodeAllocGate pins the blocking client's de-boxed reply decode
 // (transport.ReplySink all the way into the Operation) at no more
 // allocations than the boxed any path it replaces.
 func TestClientDecodeAllocGate(t *testing.T) {
@@ -184,8 +184,8 @@ func TestClientDecodeAllocGate(t *testing.T) {
 		t.Skip("allocation counts differ under the race detector")
 	}
 	addrs := startCluster(t, 3, map[msg.RegisterID]msg.Value{0: nil})
-	boxed := dialSerialGateClient(t, addrs, 1, true)
-	unboxed := dialSerialGateClient(t, addrs, 2, false)
+	boxed := dialGateClient(t, addrs, 1, true)
+	unboxed := dialGateClient(t, addrs, 2, false)
 
 	opPair := func(c *register.Client) func() {
 		return func() {
@@ -207,7 +207,7 @@ func TestClientDecodeAllocGate(t *testing.T) {
 		t.Errorf("de-boxed reply decode allocates %.1f/op-pair, boxed path %.1f — de-boxing added allocations",
 			unboxedAllocs, boxedAllocs)
 	}
-	t.Logf("serial client allocs per write+read pair: boxed %.1f, de-boxed %.1f",
+	t.Logf("blocking client allocs per write+read pair: boxed %.1f, de-boxed %.1f",
 		boxedAllocs, unboxedAllocs)
 }
 

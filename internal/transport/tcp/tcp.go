@@ -9,45 +9,43 @@
 // encoding both sides speak, with no negotiation.
 //
 // Each client holds one persistent connection per replica server, and every
-// operation travels the same route: requests are framed (one at a time by
-// the serial Client, coalesced into batch frames by the pipelined and
-// keyspace clients' per-server writer goroutines), the server's serve loop —
-// one goroutine per connection — applies them and writes the replies to
-// every frame of one read as one batch frame, and the client's reader walks
-// each batch frame straight into the register layer (transport.ReplySink). A
-// quorum operation fans out across the quorum's connections, so it still
-// costs one round-trip; replies are matched to operations by operation id,
-// so a connection carries any number of interleaved exchanges.
+// operation travels the same route: requests are coalesced into batch frames
+// by each connection's writer goroutine, the server's serve loop — one
+// goroutine per connection — applies them and writes the replies to every
+// frame of one read as one batch frame, and the client's reader walks each
+// batch frame straight into the register pipeline (transport.ReplySink). The
+// blocking Client, the PipelinedClient and the KeyspaceClient differ only in
+// how many operations they keep in flight: one, many, and many over sharded
+// engines. A quorum operation fans out across the quorum's connections, so
+// it costs one round-trip; replies are matched to operations by operation
+// id, so a connection carries any number of interleaved exchanges.
 //
 // # Fault model
 //
 // Replica servers may crash (Store.Crash) and later recover; connections
-// may break. The client survives both through three mechanisms, enabled by
-// WithOpTimeout:
+// may break. Every client survives both through the register pipeline's
+// mechanisms:
 //
-//   - Deadlines: every per-member exchange carries a read/write deadline,
-//     so a silent peer costs at most the operation timeout instead of
-//     wedging the client forever. Frames are self-delimiting, so a read
-//     timeout resyncs on the next frame instead of costing a reconnect.
-//   - Retry with a fresh quorum: an operation whose fan-out fails abandons
-//     its session and re-picks a new random quorum from the engine — the
-//     paper's availability mechanism (Section 4): a probabilistic quorum
-//     client depends on no particular quorum, so it simply draws another.
-//     Attempts are paced by capped exponential backoff and bounded by
-//     WithRetries; exhaustion surfaces register.ErrQuorumUnavailable.
-//   - Fault-aware fan-out (pipelined and keyspace clients, majority and
-//     k-of-n systems): a member the transport reports lost — its connection
-//     died, a burst could not be written to it — is replaced within the
-//     attempt, which keeps its replies and costs one extra round trip; a
-//     silent member is replaced at the deadline. Lost servers are suspected
-//     and picked around until a probe sees them answer (PipelinedClient
-//     documents it; DESIGN.md "Fault-aware fan-out" argues it).
+//   - Deadlines: every operation attempt carries a deadline (WithOpTimeout,
+//     2s by default), so a silent peer costs at most that instead of
+//     wedging the client forever. A reply that arrives after its attempt was
+//     abandoned is dropped by operation id; the connection stays.
+//   - Fault-aware fan-out (majority and k-of-n systems): a member the
+//     transport reports lost — its connection died, a burst could not be
+//     written to it — is replaced within the attempt, which keeps its replies
+//     and costs one extra round trip; a silent member is replaced at the
+//     deadline. Lost servers are suspected and picked around until a probe
+//     sees them answer (PipelinedClient documents it; DESIGN.md "Fault-aware
+//     fan-out" argues it).
+//   - Retry with a fresh quorum: an attempt whose deadline passes with a
+//     member it cannot replace re-picks a new random quorum from the engine
+//     — the paper's availability mechanism (Section 4): a probabilistic
+//     quorum client depends on no particular quorum, so it simply draws
+//     another. Attempts are bounded by WithRetries; exhaustion surfaces
+//     register.ErrQuorumUnavailable.
 //   - Reconnect: a connection that errored is marked dead and transparently
 //     re-dialed (with its own capped backoff) on next use, so a recovered
 //     replica rejoins without restarting the client.
-//
-// Without WithOpTimeout the client keeps the strict one-shot behaviour:
-// any member failure fails the operation immediately.
 package tcp
 
 import (
@@ -362,13 +360,13 @@ const (
 	redialBackoffMax = time.Second
 )
 
-// Client is a register client over TCP connections to the replica servers:
-// a thin adapter binding a transport-agnostic register.Client to a
-// tcpTransport. It is safe for one goroutine at a time (one pending
-// operation per process, as the register model requires).
+// Client is a blocking register client over TCP connections to the replica
+// servers: a thin adapter binding a register.Client — a depth-one
+// register.Pipeline — to a tcpTransport. Each call waits for its operation,
+// so a caller issuing from one goroutine keeps one pending operation per
+// process, as the register model requires.
 type Client struct {
 	rc       *register.Client
-	engine   *register.Engine
 	tr       *tcpTransport
 	counters *metrics.TransportCounters
 }
@@ -379,7 +377,7 @@ type ClientOption func(*clientOpts)
 // clientOpts embeds the shared register.Settings — the transport-independent
 // client configuration — plus the knobs only the TCP transport has. Every
 // With* option is a thin wrapper writing one field; the Dial* constructors
-// hand the Settings to register.Apply / register.ApplyPipeline.
+// hand the Settings to register.ApplyPipeline.
 type clientOpts struct {
 	register.Settings
 
@@ -391,7 +389,6 @@ type clientOpts struct {
 	view       quorum.View
 	hasView    bool
 
-	// Pipelined-client options (see DialPipelined).
 	maxBatch  int
 	batchHist *metrics.IntHistogram
 }
@@ -419,26 +416,18 @@ func WithSeed(seed uint64) ClientOption {
 	return func(o *clientOpts) { o.seed = seed }
 }
 
-// WithOpTimeout bounds every per-member exchange by d and makes operations
-// whose fan-out fails retry on a freshly picked quorum instead of failing —
-// required to ride out crashed or silent replicas. Zero (the default) keeps
-// the strict one-shot behaviour.
+// WithOpTimeout bounds every operation attempt by d (default 2s): an
+// attempt not complete by then has its silent members replaced, or is
+// retried on a freshly picked quorum.
 func WithOpTimeout(d time.Duration) ClientOption {
 	return func(o *clientOpts) { o.OpTimeout = d }
 }
 
-// WithRetries caps the attempts per operation when WithOpTimeout is set; an
-// operation that exhausts the budget returns register.ErrQuorumUnavailable.
-// Zero (the default) means unlimited retries.
+// WithRetries caps the attempts per operation; an operation that exhausts
+// the budget returns register.ErrQuorumUnavailable. Zero (the default) means
+// unlimited retries.
 func WithRetries(n int) ClientOption {
 	return func(o *clientOpts) { o.Retries = n }
-}
-
-// WithRetryBackoff sets the pacing between an operation's retry attempts:
-// the first retry waits base, each further retry doubles the wait, capped
-// at max. Defaults are 2ms and 100ms.
-func WithRetryBackoff(base, max time.Duration) ClientOption {
-	return func(o *clientOpts) { o.RetryBackoff = base; o.RetryBackoffMax = max }
 }
 
 // WithTransportCounters makes the client record its retries, timeouts, and
@@ -474,17 +463,12 @@ type dialed struct {
 // dial is the construction path shared by Dial, DialPipelined and
 // DialKeyspace: options → view → engines → started transport → optional
 // counting shim. kind names the client flavour in the engines' rng.Derive
-// labels, so seeded runs reproduce per flavour. pipelined selects the
-// transport's batching mode and its defaults — a 2s per-operation deadline
-// (defaultPipelineTimeout) and frames of up to 16 requests — where the
-// serial client instead defaults to no deadline and 2ms–100ms retry backoff.
-// shards > 0 builds that many op-id-strided engines (a keyspace); 0 builds
-// the one engine of a single-pipeline client.
-func dial(addrs []string, sys quorum.System, opts []ClientOption, kind string, pipelined bool, shards int) (*dialed, error) {
+// labels, so seeded runs reproduce per flavour. Every flavour has the same
+// defaults: a 2s per-operation deadline (defaultOpTimeout) and frames of up
+// to 16 requests. shards > 0 builds that many op-id-strided engines (a
+// keyspace); 0 builds the one engine of a single-pipeline client.
+func dial(addrs []string, sys quorum.System, opts []ClientOption, kind string, shards int) (*dialed, error) {
 	d := &dialed{clientOpts: clientOpts{seed: 1, maxBatch: defaultMaxBatch}}
-	if !pipelined {
-		d.RetryBackoff, d.RetryBackoffMax = 2*time.Millisecond, 100*time.Millisecond
-	}
 	for _, opt := range opts {
 		opt(&d.clientOpts)
 	}
@@ -502,8 +486,8 @@ func dial(addrs []string, sys quorum.System, opts []ClientOption, kind string, p
 	if !counted {
 		d.Counters = &metrics.TransportCounters{}
 	}
-	if pipelined && d.OpTimeout <= 0 {
-		d.OpTimeout = defaultPipelineTimeout
+	if d.OpTimeout <= 0 {
+		d.OpTimeout = defaultOpTimeout
 	}
 	if d.maxBatch < 1 {
 		d.maxBatch = 1
@@ -535,7 +519,7 @@ func dial(addrs []string, sys quorum.System, opts []ClientOption, kind string, p
 			rng.Derive(d.seed, fmt.Sprintf("%s.%d", label, i)), sopts...))
 	}
 
-	d.tr = newTCPTransport(addrs, d.OpTimeout, d.Counters, pipelined, d.maxBatch, d.batchHist)
+	d.tr = newTCPTransport(addrs, d.OpTimeout, d.Counters, d.maxBatch, d.batchHist)
 	if d.hasView {
 		d.tr.epoch = d.view.Epoch
 	}
@@ -575,30 +559,30 @@ func rejectWrite(reg msg.RegisterID, err error, fn func(msg.Tagged, error)) *reg
 	return p.WriteAsyncFunc(reg, nil, fn)
 }
 
-// Dial connects to every replica server address. The quorum system's N must
-// match the address count.
+// Dial connects to every replica server address and returns a blocking
+// client. The quorum system's N must match the address count.
 func Dial(addrs []string, sys quorum.System, opts ...ClientOption) (*Client, error) {
-	d, err := dial(addrs, sys, opts, "client", false, 0)
+	d, err := dial(addrs, sys, opts, "client", 0)
 	if err != nil {
 		return nil, err
 	}
-	rc := register.NewClient(d.engines[0], d.rt, register.Apply(d.Settings)...)
-	return &Client{rc: rc, engine: d.engines[0], tr: d.tr, counters: d.Counters}, nil
+	rc := register.NewClient(d.engines[0], d.rt, register.ApplyPipeline(d.Settings)...)
+	return &Client{rc: rc, tr: d.tr, counters: d.Counters}, nil
 }
 
-// Close closes every server connection.
+// Close closes every server connection and fails any pending operation with
+// ErrClientClosed.
 func (c *Client) Close() {
 	_ = c.tr.Close()
 }
 
 // Engine exposes the client's register engine.
-func (c *Client) Engine() *register.Engine { return c.engine }
+func (c *Client) Engine() *register.Engine { return c.rc.Engine() }
 
 // Counters exposes the client's transport fault counters.
 func (c *Client) Counters() *metrics.TransportCounters { return c.counters }
 
-// Read performs one quorum read of reg, retrying on fresh quorums when an
-// operation timeout is configured.
+// Read performs one quorum read of reg.
 func (c *Client) Read(reg msg.RegisterID) (msg.Tagged, error) {
 	return c.rc.Read(reg)
 }
@@ -610,8 +594,7 @@ func (c *Client) ReadAtomic(reg msg.RegisterID) (msg.Tagged, error) {
 	return c.rc.ReadAtomic(reg)
 }
 
-// Write performs one quorum write of val to reg, retrying on fresh quorums
-// when an operation timeout is configured. A retried write keeps its
+// Write performs one quorum write of val to reg. A retried write keeps its
 // timestamp (replicas deduplicate installations by timestamp), so partial
 // fan-outs of abandoned attempts are harmless.
 func (c *Client) Write(reg msg.RegisterID, val msg.Value) error {
