@@ -32,22 +32,23 @@
 //
 // # Client constructors
 //
-// Three client shapes ride over three runtimes, and all three are one
-// operation engine — register.Operation's transition table driven by a
-// register.Pipeline — at different depths: a blocking client is a pipeline
-// of depth one (the paper's one pending operation per process), a pipelined
-// client keeps many registers in flight, and a keyspace shards pipelines
-// across keys. One blessed constructor per cell:
+// Each runtime has one client type, and every client is one operation
+// engine — register.Operation's transition table driven by a
+// register.Pipeline — over a register.Keyspace: one shard is a single
+// pipeline, more shards stripe pipelines across keys. A blocking call is an
+// asynchronous one waited on at once, so a caller issuing blocking calls
+// from one goroutine keeps the paper's one pending operation per process,
+// and asynchronous calls keep many registers in flight. One blessed
+// constructor per cell:
 //
-//	            cluster (goroutines)         tcp (sockets)        register cores (sim, custom)
-//	depth 1     (*cluster.Cluster).NewClient   tcp.Dial             register.NewClient
-//	pipelined   (*cluster.Cluster).NewPipeline tcp.DialPipelined    register.NewPipeline(Over)
-//	keyspace    (*cluster.Cluster).NewKeyspace tcp.DialKeyspace     register.NewKeyspace(Over)
+//	            cluster (goroutines)           tcp (sockets)      register cores (sim, custom)
+//	one shard   (*cluster.Cluster).NewClient   tcp.Dial           register.NewPipeline(Over)
+//	sharded     (*cluster.Cluster).NewKeyspace tcp.DialKeyspace   register.NewKeyspace(Over)
 //
 // The third column is what the first two are built from: the protocol cores
 // take a raw send function (or a transport.Transport via the ...Over
-// variants and NewClient), which is how the discrete-event simulator and the
-// tests drive them. Every cell is configured through the same surface —
+// variants), which is how the discrete-event simulator and the tests drive
+// them. Every cell is configured through the same surface —
 // register.Settings, translated by register.ApplyPipeline into the one
 // PipelineOption list; the tcp and cluster With* options are thin wrappers
 // over register.Settings, so option semantics cannot drift between
@@ -56,7 +57,7 @@
 // are gone, as is cluster's combined timeout-and-retries shim (use
 // WithOpTimeout plus WithRetries).
 //
-// The three tcp constructors share one construction path, one default
+// The two tcp constructors share one construction path, one default
 // deadline (2s) and one data path: requests coalesced into batch frames by a
 // writer goroutine per connection, one server loop per connection coalescing
 // its replies, and replies delivered a whole frame at a time

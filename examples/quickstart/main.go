@@ -87,7 +87,7 @@ func run() error {
 		fmt.Printf("  v%-2d -> %-8v / %-8v%s\n", v, p.Val, m.Val, marker)
 	}
 	fmt.Printf("plain regressions: %d, monotone cache hits: %d\n\n",
-		plainRegressions, monoReader.Engine().CacheHits())
+		plainRegressions, monoReader.Keyspace().CacheHits())
 
 	// 4. Crash four servers. Quorums of 3 keep succeeding after retries:
 	// the probabilistic system stays available until fewer than k servers

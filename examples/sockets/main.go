@@ -117,7 +117,7 @@ func run() error {
 		}
 		fmt.Printf("wrote %v  ->  read %v (timestamp %v)\n", row, tag.Val, tag.TS)
 	}
-	fmt.Printf("\nmonotone cache hits over TCP: %d\n", reader.Engine().CacheHits())
+	fmt.Printf("\nmonotone cache hits over TCP: %d\n", reader.Keyspace().CacheHits())
 
 	// And a full iterative computation over sockets: the paper's APSP
 	// application, with three workers sharing rows over their own TCP

@@ -9,7 +9,6 @@ import (
 	"probquorum/internal/metrics"
 	"probquorum/internal/msg"
 	"probquorum/internal/quorum"
-	"probquorum/internal/register"
 	"probquorum/internal/rng"
 	"probquorum/internal/trace"
 )
@@ -48,12 +47,13 @@ type ConcurrentConfig struct {
 	// Masking, when positive, enables b-masking reads with b = Masking,
 	// defending the workers against Byzantine servers injected via Faults.
 	Masking int
-	// Pipelined runs each worker through a pipelined client: the m reads
-	// of an iteration are submitted at once and overlap their quorum
-	// round-trips, as do the writes of the owned components.
+	// Pipelined submits the m reads of an iteration at once, so their
+	// quorum round-trips overlap, as do the writes of the owned components.
+	// Without it each operation is waited on before the next is submitted:
+	// one pending operation per process, the paper's model.
 	Pipelined bool
-	// Gauge, if non-nil, tracks the pipelined workers' in-flight operation
-	// count; its high-watermark is how tests assert genuine overlap.
+	// Gauge, if non-nil, tracks the workers' in-flight operation count; its
+	// high-watermark is how tests assert genuine overlap.
 	Gauge *metrics.Gauge
 	// Trace optionally records every register operation.
 	Trace *trace.Log
@@ -199,7 +199,6 @@ func RunConcurrent(cfg ConcurrentConfig) (ConcurrentResult, error) {
 	defer c.Close()
 
 	clients := make([]*cluster.Client, procs)
-	pipeClients := make([]*cluster.PipeClient, procs)
 	for pi := 0; pi < procs; pi++ {
 		opts := []cluster.ClientOption{}
 		if cfg.Monotone {
@@ -214,22 +213,14 @@ func RunConcurrent(cfg ConcurrentConfig) (ConcurrentResult, error) {
 		if cfg.Masking > 0 {
 			opts = append(opts, cluster.WithMasking(cfg.Masking))
 		}
-		if cfg.Pipelined {
-			if cfg.Gauge != nil {
-				opts = append(opts, cluster.WithInFlightGauge(cfg.Gauge))
-			}
-			pc, err := c.NewPipeline(cfg.System, opts...)
-			if err != nil {
-				return ConcurrentResult{}, err
-			}
-			defer pc.Close()
-			pipeClients[pi] = pc
-			continue
+		if cfg.Gauge != nil {
+			opts = append(opts, cluster.WithInFlightGauge(cfg.Gauge))
 		}
 		cl, err := c.NewClient(cfg.System, opts...)
 		if err != nil {
 			return ConcurrentResult{}, err
 		}
+		defer cl.Close()
 		clients[pi] = cl
 	}
 	if cfg.Faults != nil {
@@ -246,70 +237,18 @@ func RunConcurrent(cfg ConcurrentConfig) (ConcurrentResult, error) {
 		wg.Add(1)
 		go func(pi int) {
 			defer wg.Done()
-			owned := part.Owned(pi)
-			view := make([]msg.Value, m)
-			newVals := make([]msg.Value, len(owned))
-			readOps := make([]*register.PendingOp, m)
-			writeOps := make([]*register.PendingOp, len(owned))
+			w := newWorker(clients[pi], cfg.Pipelined, m, part.Owned(pi))
 			for iter := 0; iter < maxIters && !tracker.isDone(); iter++ {
-				if cfg.Pipelined {
-					// Submit all m reads at once; their quorum round-trips
-					// overlap inside the pipeline.
-					pc := pipeClients[pi]
-					for j := 0; j < m; j++ {
-						readOps[j] = pc.ReadAsync(msg.RegisterID(j))
-					}
-					for j, rop := range readOps {
-						tag, err := rop.Wait()
-						if err != nil {
-							errs[pi] = err
-							tracker.fail(fmt.Errorf("worker %d: %w", pi, err))
-							return
-						}
-						view[j] = tag.Val
-					}
-					for li, comp := range owned {
-						newVals[li] = op.Apply(comp, view)
-						writeOps[li] = pc.WriteAsync(msg.RegisterID(comp), newVals[li])
-					}
-					for _, wop := range writeOps {
-						if _, err := wop.Wait(); err != nil {
-							errs[pi] = err
-							tracker.fail(fmt.Errorf("worker %d: %w", pi, err))
-							return
-						}
-					}
-				} else {
-					cl := clients[pi]
-					for j := 0; j < m; j++ {
-						tag, err := cl.Read(msg.RegisterID(j))
-						if err != nil {
-							errs[pi] = err
-							tracker.fail(fmt.Errorf("worker %d: %w", pi, err))
-							return
-						}
-						view[j] = tag.Val
-					}
-					for li, comp := range owned {
-						newVals[li] = op.Apply(comp, view)
-						if err := cl.Write(msg.RegisterID(comp), newVals[li]); err != nil {
-							errs[pi] = err
-							tracker.fail(fmt.Errorf("worker %d: %w", pi, err))
-							return
-						}
-					}
+				if err := w.iterate(op); err != nil {
+					errs[pi] = err
+					tracker.fail(fmt.Errorf("worker %d: %w", pi, err))
+					return
 				}
 				var correct bool
 				if cfg.Correct != nil {
-					correct = cfg.Correct(owned, newVals, view)
+					correct = cfg.Correct(w.owned, w.next, w.view)
 				} else {
-					correct = true
-					for li, comp := range owned {
-						if !op.Equal(comp, newVals[li], target[comp]) {
-							correct = false
-							break
-						}
-					}
+					correct = w.atTarget(op, target)
 				}
 				iters[pi]++
 				tracker.report(pi, correct)
@@ -327,11 +266,7 @@ func RunConcurrent(cfg ConcurrentConfig) (ConcurrentResult, error) {
 	var total, hits int64
 	for pi, n := range iters {
 		total += n
-		if cfg.Pipelined {
-			hits += pipeClients[pi].Engine().CacheHits()
-		} else {
-			hits += clients[pi].Engine().CacheHits()
-		}
+		hits += clients[pi].Keyspace().CacheHits()
 	}
 	final := make([]msg.Value, m)
 	for i := 0; i < m; i++ {

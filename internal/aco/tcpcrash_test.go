@@ -14,9 +14,9 @@ import (
 
 // TestRunTCPConvergesThroughCrashAndRecovery is the end-to-end availability
 // test over real sockets: a replica crashes right at the start and recovers
-// mid-run; workers ride out the outage by replacing the member whose
-// connection the crashed store closes, and the iteration still reaches the
-// fixed point.
+// once worker 0 has completed two iterations; workers ride out the outage by
+// replacing the member whose connection the crashed store closes, and the
+// iteration still reaches the fixed point.
 func TestRunTCPConvergesThroughCrashAndRecovery(t *testing.T) {
 	g := graph.Chain(6)
 	op := semiring.NewAPSP(g)
@@ -33,7 +33,7 @@ func TestRunTCPConvergesThroughCrashAndRecovery(t *testing.T) {
 		DriverConfig:  aco.DriverConfig{OpTimeout: 100 * time.Millisecond},
 		Crashes: []aco.CrashEvent{
 			{At: 0, Server: 1},
-			{At: 150 * time.Millisecond, Server: 1, Recover: true},
+			{AfterIteration: 2, Server: 1, Recover: true},
 		},
 	})
 	if err != nil {

@@ -50,26 +50,26 @@ type TCPConfig struct {
 	// virtual time) — or, with CrashEvent.AfterIteration, on worker 0's
 	// progress.
 	Crashes []CrashEvent
-	// Pipelined dials pipelined clients (tcp.DialPipelined): the m reads
-	// of an iteration are submitted at once and overlap their quorum
-	// round-trips over multiplexed, batch-framed connections.
+	// Pipelined submits the m reads of an iteration at once (then the
+	// owned writes), so they overlap their quorum round-trips over the
+	// multiplexed, batch-framed connections. Without it each operation is
+	// waited on before the next is submitted: one pending operation per
+	// process, the paper's model.
 	Pipelined bool
-	// MaxBatch caps how many queued requests a pipelined client coalesces
-	// into one frame per server (0 = transport default). 1 disables
-	// coalescing — the ablation the batching benchmarks compare against.
+	// MaxBatch caps how many queued requests a client coalesces into one
+	// frame per server (0 = transport default). 1 disables coalescing — the
+	// ablation the batching benchmarks compare against.
 	MaxBatch int
 	// Trace optionally records every register operation.
 	Trace *trace.Log
-	// Gauge, if non-nil, tracks the pipelined workers' in-flight operation
-	// count (pipelined mode only).
+	// Gauge, if non-nil, tracks the workers' in-flight operation count.
 	Gauge *metrics.Gauge
-	// BatchHist, if non-nil, records the size of every flushed batch frame
-	// (pipelined mode only).
+	// BatchHist, if non-nil, records the size of every flushed batch frame.
 	BatchHist *metrics.IntHistogram
 	// Obs, if non-nil, makes the run self-reporting: the fault counters, a
 	// per-phase operation observer, a per-server access tally, per-server
-	// health probes, and (pipelined mode) the in-flight gauge and batch-size
-	// histogram all register into it under "tcp.*" names. Pair with
+	// health probes, the in-flight gauge and the batch-size histogram all
+	// register into it under "tcp.*" names. Pair with
 	// obs.Serve to watch a long fault run live; the result carries a final
 	// Snapshot.
 	Obs *obs.Registry
@@ -155,19 +155,16 @@ func RunTCP(cfg TCPConfig) (TCPResult, error) {
 		counters.Register("tcp.client", cfg.Obs)
 		observer = new(register.Observer).Register("tcp.client", cfg.Obs)
 		tally = metrics.NewAccessTally(cfg.Servers).Register("tcp.client.access", cfg.Obs)
-		if cfg.Pipelined {
-			if cfg.Gauge == nil {
-				cfg.Gauge = &metrics.Gauge{}
-			}
-			cfg.Gauge.Register("tcp.client.inflight", cfg.Obs)
-			if cfg.BatchHist == nil {
-				cfg.BatchHist = metrics.NewIntHistogram()
-			}
-			cfg.BatchHist.Register("tcp.client.batch_size", cfg.Obs)
+		if cfg.Gauge == nil {
+			cfg.Gauge = &metrics.Gauge{}
 		}
+		cfg.Gauge.Register("tcp.client.inflight", cfg.Obs)
+		if cfg.BatchHist == nil {
+			cfg.BatchHist = metrics.NewIntHistogram()
+		}
+		cfg.BatchHist.Register("tcp.client.batch_size", cfg.Obs)
 	}
 	clients := make([]*tcp.Client, procs)
-	pipeClients := make([]*tcp.PipelinedClient, procs)
 	for pi := 0; pi < procs; pi++ {
 		opts := []tcp.ClientOption{
 			tcp.WithWriter(int32(pi + 1)),
@@ -189,23 +186,14 @@ func RunTCP(cfg TCPConfig) (TCPResult, error) {
 		if observer != nil {
 			opts = append(opts, tcp.WithObserver(observer), tcp.WithTally(tally))
 		}
-		if cfg.Pipelined {
-			if cfg.MaxBatch > 0 {
-				opts = append(opts, tcp.WithMaxBatch(cfg.MaxBatch))
-			}
-			if cfg.Gauge != nil {
-				opts = append(opts, tcp.WithInFlightGauge(cfg.Gauge))
-			}
-			if cfg.BatchHist != nil {
-				opts = append(opts, tcp.WithBatchHistogram(cfg.BatchHist))
-			}
-			pc, err := tcp.DialPipelined(addrs, cfg.System, opts...)
-			if err != nil {
-				return TCPResult{}, err
-			}
-			defer pc.Close()
-			pipeClients[pi] = pc
-			continue
+		if cfg.MaxBatch > 0 {
+			opts = append(opts, tcp.WithMaxBatch(cfg.MaxBatch))
+		}
+		if cfg.Gauge != nil {
+			opts = append(opts, tcp.WithInFlightGauge(cfg.Gauge))
+		}
+		if cfg.BatchHist != nil {
+			opts = append(opts, tcp.WithBatchHistogram(cfg.BatchHist))
 		}
 		cl, err := tcp.Dial(addrs, cfg.System, opts...)
 		if err != nil {
@@ -256,67 +244,12 @@ func RunTCP(cfg TCPConfig) (TCPResult, error) {
 		wg.Add(1)
 		go func(pi int) {
 			defer wg.Done()
-			owned := part.Owned(pi)
-			view := make([]msg.Value, m)
-			readOps := make([]*register.PendingOp, m)
-			writeOps := make([]*register.PendingOp, 0, len(owned))
-			nextVals := make([]msg.Value, len(owned))
+			w := newWorker(clients[pi], cfg.Pipelined, m, part.Owned(pi))
 			for iter := 0; iter < maxIters && !tracker.isDone(); iter++ {
-				correct := true
-				if cfg.Pipelined {
-					// Submit all m reads at once: the quorum round-trips
-					// overlap and the per-server requests coalesce into
-					// batch frames.
-					pc := pipeClients[pi]
-					for j := 0; j < m; j++ {
-						readOps[j] = pc.ReadAsync(msg.RegisterID(j))
-					}
-					for j, rop := range readOps {
-						tag, err := rop.Wait()
-						if err != nil {
-							errs[pi] = err
-							tracker.fail(fmt.Errorf("tcp worker %d: %w", pi, err))
-							return
-						}
-						view[j] = tag.Val
-					}
-					writeOps = writeOps[:0]
-					for li, comp := range owned {
-						nextVals[li] = op.Apply(comp, view)
-						writeOps = append(writeOps, pc.WriteAsync(msg.RegisterID(comp), nextVals[li]))
-						if !op.Equal(comp, nextVals[li], target[comp]) {
-							correct = false
-						}
-					}
-					for _, wop := range writeOps {
-						if _, err := wop.Wait(); err != nil {
-							errs[pi] = err
-							tracker.fail(fmt.Errorf("tcp worker %d: %w", pi, err))
-							return
-						}
-					}
-				} else {
-					cl := clients[pi]
-					for j := 0; j < m; j++ {
-						tag, err := cl.Read(msg.RegisterID(j))
-						if err != nil {
-							errs[pi] = err
-							tracker.fail(fmt.Errorf("tcp worker %d: %w", pi, err))
-							return
-						}
-						view[j] = tag.Val
-					}
-					for _, comp := range owned {
-						next := op.Apply(comp, view)
-						if err := cl.Write(msg.RegisterID(comp), next); err != nil {
-							errs[pi] = err
-							tracker.fail(fmt.Errorf("tcp worker %d: %w", pi, err))
-							return
-						}
-						if !op.Equal(comp, next, target[comp]) {
-							correct = false
-						}
-					}
+				if err := w.iterate(op); err != nil {
+					errs[pi] = err
+					tracker.fail(fmt.Errorf("tcp worker %d: %w", pi, err))
+					return
 				}
 				iters[pi]++
 				if pi == 0 {
@@ -326,7 +259,7 @@ func RunTCP(cfg TCPConfig) (TCPResult, error) {
 						}
 					}
 				}
-				tracker.report(pi, correct)
+				tracker.report(pi, w.atTarget(op, target))
 			}
 		}(pi)
 	}

@@ -5,10 +5,11 @@
 // is what makes the spec-level tests meaningful for both.
 //
 // Topology: n replica-server goroutines, each owning a replica.Store, plus
-// any number of client handles. A client performs blocking Read/Write
-// operations; each operation fans a request out to a quorum and waits for
-// every member's reply, retrying with a fresh quorum on timeout (the paper's
-// failure-free model never needs the retry; crash experiments do).
+// any number of client handles. A client performs Read/Write operations,
+// blocking or asynchronous; each operation fans a request out to a quorum and
+// waits for every member's reply, retrying with a fresh quorum on timeout
+// (the paper's failure-free model never needs the retry; crash experiments
+// do).
 package cluster
 
 import (
@@ -445,12 +446,19 @@ func (t *clusterTransport) Close() error {
 	return nil
 }
 
-// Client is one application process's blocking register interface: a thin
-// adapter binding a register.Client — a depth-one register.Pipeline — to
-// this cluster.
+// DefaultKeyspaceShards is the client-side shard count NewKeyspace uses
+// when the caller passes shards <= 0.
+const DefaultKeyspaceShards = 16
+
+// Client is one application process's register client attached to the
+// cluster: a register.Keyspace over the process's inbox, one pipeline and
+// engine per client-side shard, replies routed to shards by op-id residue.
+// NewClient builds the one-shard case — a single pipeline — and NewKeyspace
+// the sharded one. A blocking call is an asynchronous one waited on at once.
+// All of its methods are safe for concurrent use.
 type Client struct {
 	id msg.NodeID
-	rc *register.Client
+	ks *register.Keyspace
 	tr *clusterTransport
 }
 
@@ -468,7 +476,6 @@ type clientConfig struct {
 	readRepair bool
 	maskB      int
 	masking    bool
-	noFastRead bool
 	tally      *metrics.AccessTally
 	view       quorum.View
 	hasView    bool
@@ -508,9 +515,9 @@ type attached struct {
 	rt transport.Transport
 }
 
-// attach is the construction path shared by NewClient, NewPipeline and
-// NewKeyspace: options → system check → process id and inbox → transport
-// (re-targeted at the client's view) → optional counting shim.
+// attach is NewKeyspace's construction path: options → system check →
+// process id and inbox → transport (re-targeted at the client's view) →
+// optional counting shim.
 func (c *Cluster) attach(sys quorum.System, opts []ClientOption) (*attached, error) {
 	a := &attached{c: c}
 	for _, o := range opts {
@@ -557,9 +564,6 @@ func (a *attached) engine(sys quorum.System, label string, extra ...register.Opt
 	if a.masking {
 		opts = append(opts, register.WithMasking(a.maskB))
 	}
-	if a.noFastRead {
-		opts = append(opts, register.WithoutFastRead())
-	}
 	if a.tally != nil {
 		opts = append(opts, register.WithTally(a.tally))
 	}
@@ -567,13 +571,6 @@ func (a *attached) engine(sys quorum.System, label string, extra ...register.Opt
 		opts = append(opts, register.WithView(a.view))
 	}
 	return register.NewEngine(int32(a.id), sys, rng.Derive(a.c.seed, label), opts...)
-}
-
-// WithoutFastRead disables the atomic read's one-round-trip fast path for
-// this client (see register.WithoutFastRead) — the ablation knob for the
-// paired fast-path benchmark.
-func WithoutFastRead() ClientOption {
-	return func(c *clientConfig) { c.noFastRead = true }
 }
 
 // WithMonotone enables the monotone register variant for this client.
@@ -633,16 +630,41 @@ func WithObserver(obs *register.Observer) ClientOption {
 	return func(c *clientConfig) { c.Observer = obs }
 }
 
-// NewClient registers a new client process using the given quorum system.
+// WithInFlightGauge tracks the client's submitted-but-incomplete operation
+// count (and its high-watermark) in g.
+func WithInFlightGauge(g *metrics.Gauge) ClientOption {
+	return func(c *clientConfig) { c.Gauge = g }
+}
+
+// NewClient registers a new one-shard client process using the given quorum
+// system: NewKeyspace with one shard.
 func (c *Cluster) NewClient(sys quorum.System, opts ...ClientOption) (*Client, error) {
+	return c.NewKeyspace(sys, 1, opts...)
+}
+
+// NewKeyspace registers a client process using the given quorum system and
+// client-side shard count (rounded up to a power of two; <= 0 selects
+// DefaultKeyspaceShards). With crashes in play set WithOpTimeout so stalled
+// operations re-issue on fresh quorums.
+func (c *Cluster) NewKeyspace(sys quorum.System, shards int, opts ...ClientOption) (*Client, error) {
+	if shards <= 0 {
+		shards = DefaultKeyspaceShards
+	}
+	for shards&(shards-1) != 0 {
+		shards++
+	}
 	a, err := c.attach(sys, opts)
 	if err != nil {
 		return nil, err
 	}
-	engine := a.engine(sys, fmt.Sprintf("cluster.client.%d", a.id))
+	engines := make([]*register.Engine, shards)
+	for i := range engines {
+		engines[i] = a.engine(sys, fmt.Sprintf("cluster.client.%d.%d", a.id, i),
+			register.WithOpStride(uint64(i), uint64(shards)))
+	}
 	return &Client{
 		id: a.id,
-		rc: register.NewClient(engine, a.rt, register.ApplyPipeline(a.Settings)...),
+		ks: register.NewKeyspaceOver(engines, a.rt, register.ApplyPipeline(a.Settings)...),
 		tr: a.tr,
 	}, nil
 }
@@ -650,33 +672,28 @@ func (c *Cluster) NewClient(sys quorum.System, opts ...ClientOption) (*Client, e
 // ID returns the client's node identifier.
 func (cl *Client) ID() msg.NodeID { return cl.id }
 
-// Detach unregisters the client from the cluster: subsequent deliveries to
-// it are dropped. The client must not be used afterwards.
-func (cl *Client) Detach() {
-	cl.tr.Close()
-}
-
-// Engine exposes the client's register engine (tests inspect cache hits).
-func (cl *Client) Engine() *register.Engine { return cl.rc.Engine() }
+// Keyspace exposes the underlying keyspace: its shards' pipelines and
+// engines, and the aggregate retry, in-flight, cache-hit, fast-read, epoch
+// and health accessors.
+func (cl *Client) Keyspace() *register.Keyspace { return cl.ks }
 
 // Read performs one read of reg and returns the tagged value.
 func (cl *Client) Read(reg msg.RegisterID) (msg.Tagged, error) {
-	return cl.rc.Read(reg)
+	return cl.ks.Read(reg)
 }
 
-// ReadAtomic performs an ABD-style atomic read: a quorum read followed by a
-// write-back of the observed value to a full (write-)quorum, awaited before
-// returning. Over a strict quorum system this yields single-writer
-// atomicity; over a probabilistic system atomicity holds with high
-// probability (see register.Client.ReadAtomic).
+// ReadAtomic performs an ABD-style atomic read: a quorum read followed, when
+// the quorum's replies disagree, by a write-back of the observed value to a
+// full (write-)quorum, awaited before returning. Over a strict quorum system
+// this yields single-writer atomicity; over a probabilistic system atomicity
+// holds with high probability.
 func (cl *Client) ReadAtomic(reg msg.RegisterID) (msg.Tagged, error) {
-	return cl.rc.ReadAtomic(reg)
+	return cl.ks.ReadAtomic(reg)
 }
 
 // Write performs one single-writer write of val to reg.
 func (cl *Client) Write(reg msg.RegisterID, val msg.Value) error {
-	_, err := cl.rc.Write(reg, val)
-	return err
+	return cl.ks.Write(reg, val)
 }
 
 // WriteMulti performs a multi-writer write: it first reads the register to
@@ -684,5 +701,28 @@ func (cl *Client) Write(reg msg.RegisterID, val msg.Value) error {
 // (the paper's Section 8 extension built from known register algorithms).
 // It returns the timestamp the write carried.
 func (cl *Client) WriteMulti(reg msg.RegisterID, val msg.Value) (msg.Timestamp, error) {
-	return cl.rc.WriteMulti(reg, val)
+	return cl.ks.WriteMulti(reg, val)
+}
+
+// ReadAsync submits a read and returns immediately.
+func (cl *Client) ReadAsync(reg msg.RegisterID) *register.PendingOp {
+	return cl.ks.ReadAsync(reg)
+}
+
+// ReadAtomicAsync submits an ABD atomic read and returns immediately.
+func (cl *Client) ReadAtomicAsync(reg msg.RegisterID) *register.PendingOp {
+	return cl.ks.ReadAtomicAsync(reg)
+}
+
+// WriteAsync submits a write and returns immediately.
+func (cl *Client) WriteAsync(reg msg.RegisterID, val msg.Value) *register.PendingOp {
+	return cl.ks.WriteAsync(reg, val)
+}
+
+// Close detaches the client from the cluster — deliveries to it are dropped
+// from then on — and fails all pending operations with ErrClosed. It is
+// idempotent.
+func (cl *Client) Close() {
+	cl.tr.Close()
+	cl.ks.Close(ErrClosed)
 }

@@ -329,7 +329,7 @@ func TestWithObserverRecordsOps(t *testing.T) {
 	}
 }
 
-func TestDetachStopsDeliveries(t *testing.T) {
+func TestCloseStopsDeliveries(t *testing.T) {
 	c := newTestCluster(t, 3, nil)
 	cl, err := c.NewClient(quorum.NewAll(3))
 	if err != nil {
@@ -338,8 +338,12 @@ func TestDetachStopsDeliveries(t *testing.T) {
 	if _, err := cl.Read(0); err != nil {
 		t.Fatal(err)
 	}
-	cl.Detach()
-	// A fresh client still works; the cluster only dropped the detached one.
+	cl.Close()
+	cl.Close() // idempotent
+	if _, err := cl.Read(0); !errors.Is(err, ErrClosed) {
+		t.Fatalf("read on a closed client: err = %v, want ErrClosed", err)
+	}
+	// A fresh client still works; the cluster only dropped the closed one.
 	fresh, err := c.NewClient(quorum.NewAll(3))
 	if err != nil {
 		t.Fatal(err)
@@ -397,5 +401,41 @@ func TestCloseLeavesNoGoroutines(t *testing.T) {
 	}
 	if after := runtime.NumGoroutine(); after > before+2 {
 		t.Fatalf("goroutines leaked: %d before, %d after close", before, after)
+	}
+}
+
+// TestCloseFailsPendingRead pins that closing a client releases an
+// operation waiting with no deadline: a read over all three servers with
+// server 0 crashed can never complete on its own, and Close must fail it
+// with ErrClosed rather than leave it waiting for ever.
+func TestCloseFailsPendingRead(t *testing.T) {
+	c := newTestCluster(t, 3, nil)
+	cl, err := c.NewClient(quorum.NewAll(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Server(0).Crash()
+	done := make(chan error, 1)
+	go func() {
+		_, err := cl.Read(0)
+		done <- err
+	}()
+	deadline := time.After(time.Second)
+	for cl.Keyspace().InFlight() == 0 { // close under the read, not before it
+		select {
+		case <-deadline:
+			t.Fatal("read never went in flight")
+		default:
+			runtime.Gosched()
+		}
+	}
+	cl.Close()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrClosed) {
+			t.Fatalf("pending read after Close: err = %v, want ErrClosed", err)
+		}
+	case <-deadline:
+		t.Fatal("pending read still waiting 1s after Close")
 	}
 }

@@ -124,8 +124,8 @@ func TestReadRepairInCluster(t *testing.T) {
 	if _, err := r.Read(0); err != nil {
 		t.Fatal(err)
 	}
-	if r.Engine().Repairs() != 4 {
-		t.Fatalf("repairs = %d, want 4", r.Engine().Repairs())
+	if r.Keyspace().Shard(0).Engine().Repairs() != 4 {
+		t.Fatalf("repairs = %d, want 4", r.Keyspace().Shard(0).Engine().Repairs())
 	}
 	// Give the fire-and-forget repairs a moment to land, then verify every
 	// replica holds the value.

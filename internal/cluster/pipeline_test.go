@@ -31,10 +31,10 @@ func pipeTestCluster(t *testing.T, n int, delay rng.Dist) *cluster.Cluster {
 }
 
 // TestPipeClientTracedRandomSchedule is the cluster leg of the trace-checked
-// concurrency harness: several pipelined clients, random per-goroutine
-// schedules over shared registers, message delays shuffling delivery order —
-// and every execution must pass the pipelined structural check, [R2], [R4],
-// and prove genuine overlap.
+// concurrency harness: several clients mixing blocking and async calls,
+// random per-goroutine schedules over shared registers, message delays
+// shuffling delivery order — and every execution must pass the pipelined
+// structural check, [R2], [R4], and prove genuine overlap.
 func TestPipeClientTracedRandomSchedule(t *testing.T) {
 	c := pipeTestCluster(t, 5, rng.Exponential{MeanD: 100 * time.Microsecond})
 	sys := quorum.NewMajority(5)
@@ -42,9 +42,9 @@ func TestPipeClientTracedRandomSchedule(t *testing.T) {
 	log := &trace.Log{}
 	gauge := &metrics.Gauge{}
 	const clients = 3
-	pcs := make([]*cluster.PipeClient, clients)
+	pcs := make([]*cluster.Client, clients)
 	for i := range pcs {
-		pc, err := c.NewPipeline(sys,
+		pc, err := c.NewClient(sys,
 			cluster.WithMonotone(), cluster.WithTrace(log), cluster.WithInFlightGauge(gauge))
 		if err != nil {
 			t.Fatal(err)
@@ -115,13 +115,13 @@ func TestPipeClientTracedRandomSchedule(t *testing.T) {
 	}
 }
 
-// TestPipeClientRidesOutCrash crashes replicas under a pipelined client with
+// TestPipeClientRidesOutCrash crashes replicas under a client with
 // retry deadlines; the workload must complete and the trace must stay valid.
 func TestPipeClientRidesOutCrash(t *testing.T) {
 	c := pipeTestCluster(t, 5, rng.Exponential{MeanD: 50 * time.Microsecond})
 	sys := quorum.NewMajority(5)
 	log := &trace.Log{}
-	pc, err := c.NewPipeline(sys,
+	pc, err := c.NewClient(sys,
 		cluster.WithMonotone(), cluster.WithTrace(log),
 		cluster.WithOpTimeout(20*time.Millisecond), cluster.WithRetries(0))
 	if err != nil {
@@ -159,13 +159,12 @@ func TestPipeClientRidesOutCrash(t *testing.T) {
 	}
 }
 
-// TestPipeClientSupportsMaskingAndRepair: a pipelined client runs the same
-// Operation as a blocking one, so masked reads defeat a Byzantine replica
-// and repaired reads push the freshest value back, with operations in
-// flight at once.
+// TestPipeClientSupportsMaskingAndRepair: with operations in flight at once,
+// masked reads defeat a Byzantine replica and repaired reads push the
+// freshest value back.
 func TestPipeClientSupportsMaskingAndRepair(t *testing.T) {
 	c := pipeTestCluster(t, 5, nil)
-	w, err := c.NewPipeline(quorum.NewSingleton(5, 0))
+	w, err := c.NewClient(quorum.NewSingleton(5, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +174,7 @@ func TestPipeClientSupportsMaskingAndRepair(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	repair, err := c.NewPipeline(quorum.NewAll(5), cluster.WithReadRepair())
+	repair, err := c.NewClient(quorum.NewAll(5), cluster.WithReadRepair())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +182,7 @@ func TestPipeClientSupportsMaskingAndRepair(t *testing.T) {
 	if err := waitAll(repair.ReadAsync, 4); err != nil {
 		t.Fatal(err)
 	}
-	if got := repair.Engine().Repairs(); got != 16 {
+	if got := repair.Keyspace().Shard(0).Engine().Repairs(); got != 16 {
 		t.Fatalf("repairs = %d, want 16 (four stale members on each of four registers)", got)
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -199,7 +198,7 @@ func TestPipeClientSupportsMaskingAndRepair(t *testing.T) {
 	}
 
 	c.SetByzantine(4, "EVIL")
-	masked, err := c.NewPipeline(quorum.NewAll(5), cluster.WithMasking(1))
+	masked, err := c.NewClient(quorum.NewAll(5), cluster.WithMasking(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,12 +227,12 @@ func waitAll(submit func(msg.RegisterID) *register.PendingOp, n int) error {
 	return nil
 }
 
-// TestPipeClientCloseFailsPending verifies closing a pipelined client
-// releases blocked waiters with ErrClosed.
+// TestPipeClientCloseFailsPending verifies closing a client releases the
+// waiters of its asynchronous operations.
 func TestPipeClientCloseFailsPending(t *testing.T) {
 	c := pipeTestCluster(t, 5, nil)
 	sys := quorum.NewMajority(5)
-	pc, err := c.NewPipeline(sys)
+	pc, err := c.NewClient(sys)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ import (
 
 // Target is the asynchronous client seam the driver issues against: the
 // sharded keyspace's callback API, implemented by *register.Keyspace
-// in-process and *tcp.KeyspaceClient over the wire. The callback style is
+// in-process and *tcp.Client over the wire. The callback style is
 // what keeps the harness open-loop — one goroutine submits at the paced
 // instants and completions land on the client's delivery goroutines.
 type Target interface {

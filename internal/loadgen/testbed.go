@@ -55,7 +55,7 @@ type Testbed struct {
 	epoch   quorum.Epoch
 	view    quorum.View
 
-	clients []*tcp.KeyspaceClient
+	clients []*tcp.Client
 }
 
 // NewTestbed starts the servers, their link proxies, and the clients.
@@ -172,7 +172,7 @@ func (tb *Testbed) Targets() []Target {
 }
 
 // Clients exposes the raw keyspace clients (epoch polling in tests).
-func (tb *Testbed) Clients() []*tcp.KeyspaceClient { return tb.clients }
+func (tb *Testbed) Clients() []*tcp.Client { return tb.clients }
 
 // Epoch returns the current view epoch.
 func (tb *Testbed) Epoch() quorum.Epoch {

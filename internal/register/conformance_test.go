@@ -461,13 +461,12 @@ func runConfScript(cl confClient, script []confStep) error {
 	return nil
 }
 
-// asyncClient is the pipelined surface shared by cluster.PipeClient and
-// tcp.PipelinedClient.
+// asyncClient is the asynchronous surface of cluster.Client and tcp.Client.
 type asyncClient interface {
 	ReadAsync(msg.RegisterID) *register.PendingOp
 	ReadAtomicAsync(msg.RegisterID) *register.PendingOp
 	WriteAsync(msg.RegisterID, msg.Value) *register.PendingOp
-	Pipeline() *register.Pipeline
+	Keyspace() *register.Keyspace
 }
 
 // runPipelinedFlow writes regs distinct registers with all writes in flight
@@ -482,7 +481,7 @@ func runPipelinedFlowOf(pc asyncClient, regs int, multi bool) error {
 	pend := make([]*register.PendingOp, 0, regs)
 	for r := 0; r < regs; r++ {
 		if multi {
-			pend = append(pend, pc.Pipeline().WriteMultiAsyncFunc(msg.RegisterID(r), float64(r+1), nil))
+			pend = append(pend, pc.Keyspace().WriteMultiAsyncFunc(msg.RegisterID(r), float64(r+1), nil))
 		} else {
 			pend = append(pend, pc.WriteAsync(msg.RegisterID(r), float64(r+1)))
 		}
@@ -582,7 +581,7 @@ func runClusterScenario(t *testing.T, sc confScenario) confResult {
 		if sc.repair {
 			opts = append(opts, cluster.WithReadRepair())
 		}
-		pc, err := c.NewPipeline(sys, opts...)
+		pc, err := c.NewClient(sys, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -593,12 +592,13 @@ func runClusterScenario(t *testing.T, sc confScenario) confResult {
 		} else {
 			ferr = runPipelinedFlowOf(pc, sc.regs, sc.multiWriter)
 		}
-		return confResult{ops: log.Ops(), fastReads: pc.Engine().FastReads(),
+		ks := pc.Keyspace()
+		return confResult{ops: log.Ops(), fastReads: ks.FastReads(),
 			writeBacks: pobs.WriteBack.Count(), gaugeMax: g.Max(), errs: []error{ferr},
-			topUps: tc.TopUps.Value(), retries: pc.Pipeline().Retries(), repairs: pc.Engine().Repairs()}
+			topUps: tc.TopUps.Value(), retries: ks.Retries(), repairs: ks.Shard(0).Engine().Repairs()}
 	}
 	clients := make([]confClient, len(sc.scripts))
-	engines := make([]*register.Engine, len(sc.scripts))
+	keyspaces := make([]*register.Keyspace, len(sc.scripts))
 	for pi := range sc.scripts {
 		opts := []cluster.ClientOption{cluster.WithTrace(log), cluster.WithObserver(pobs)}
 		if sc.monotone {
@@ -611,14 +611,15 @@ func runClusterScenario(t *testing.T, sc confScenario) confResult {
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer cl.Close()
 		clients[pi] = cl
-		engines[pi] = cl.Engine()
+		keyspaces[pi] = cl.Keyspace()
 	}
 	errs := runConfScripts(clients, sc.scripts)
 	var hits, fast int64
-	for _, e := range engines {
-		hits += e.CacheHits()
-		fast += e.FastReads()
+	for _, ks := range keyspaces {
+		hits += ks.CacheHits()
+		fast += ks.FastReads()
 	}
 	return confResult{ops: log.Ops(), cacheHits: hits, fastReads: fast,
 		writeBacks: pobs.WriteBack.Count(), errs: errs}
@@ -649,7 +650,7 @@ func runTCPScenario(t *testing.T, sc confScenario) confResult {
 			opts = append(opts, tcp.WithOpTimeout(sc.timeout), tcp.WithRetries(sc.retries),
 				tcp.WithTransportCounters(&tc))
 		}
-		pc, err := tcp.DialPipelined(addrs, sys, opts...)
+		pc, err := tcp.Dial(addrs, sys, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -666,12 +667,12 @@ func runTCPScenario(t *testing.T, sc confScenario) confResult {
 		} else {
 			ferr = runPipelinedFlowOf(pc, sc.regs, sc.multiWriter)
 		}
-		return confResult{ops: log.Ops(), fastReads: pc.Engine().FastReads(),
+		return confResult{ops: log.Ops(), fastReads: pc.Keyspace().FastReads(),
 			writeBacks: pobs.WriteBack.Count(), gaugeMax: g.Max(), errs: []error{ferr},
-			topUps: tc.TopUps.Value(), retries: pc.Pipeline().Retries(), signalsCrash: true}
+			topUps: tc.TopUps.Value(), retries: pc.Keyspace().Retries(), signalsCrash: true}
 	}
 	clients := make([]confClient, len(sc.scripts))
-	engines := make([]*register.Engine, len(sc.scripts))
+	keyspaces := make([]*register.Keyspace, len(sc.scripts))
 	for pi := range sc.scripts {
 		opts := []tcp.ClientOption{
 			tcp.WithTrace(log),
@@ -691,7 +692,7 @@ func runTCPScenario(t *testing.T, sc confScenario) confResult {
 		}
 		defer cl.Close()
 		clients[pi] = cl
-		engines[pi] = cl.Engine()
+		keyspaces[pi] = cl.Keyspace()
 	}
 	// Crash after dialing: the eager dial needs live listeners, and a
 	// crashed store then closes connections on the next request — the same
@@ -703,9 +704,9 @@ func runTCPScenario(t *testing.T, sc confScenario) confResult {
 	}
 	errs := runConfScripts(clients, sc.scripts)
 	var hits, fast int64
-	for _, e := range engines {
-		hits += e.CacheHits()
-		fast += e.FastReads()
+	for _, ks := range keyspaces {
+		hits += ks.CacheHits()
+		fast += ks.FastReads()
 	}
 	return confResult{ops: log.Ops(), cacheHits: hits, fastReads: fast,
 		writeBacks: pobs.WriteBack.Count(), errs: errs}
@@ -1154,7 +1155,7 @@ func TestConformanceObservability(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(c.Close)
-			pc, err := c.NewPipeline(confMajority(servers),
+			pc, err := c.NewClient(confMajority(servers),
 				cluster.WithTransportCounters(counters),
 				cluster.WithObserver(observer),
 				cluster.WithInFlightGauge(g))
@@ -1174,7 +1175,7 @@ func TestConformanceObservability(t *testing.T) {
 				t.Cleanup(srv.Close)
 				addrs[i] = srv.Addr()
 			}
-			pc, err := tcp.DialPipelined(addrs, confMajority(servers),
+			pc, err := tcp.Dial(addrs, confMajority(servers),
 				tcp.WithTransportCounters(counters),
 				tcp.WithObserver(observer),
 				tcp.WithInFlightGauge(g))
@@ -1519,7 +1520,7 @@ func runKsClusterScenario(t *testing.T, row ksConfRow) ksConfResult {
 	log := &trace.Log{}
 	var g metrics.Gauge
 	sys := confMajority(ksConfServers)
-	clients := make([]*cluster.KeyspaceClient, 2)
+	clients := make([]*cluster.Client, 2)
 	for i := range clients {
 		opts := []cluster.ClientOption{cluster.WithTrace(log), cluster.WithInFlightGauge(&g)}
 		if row.monotone {
@@ -1557,7 +1558,7 @@ func runKsTCPScenario(t *testing.T, row ksConfRow) ksConfResult {
 	log := &trace.Log{}
 	var g metrics.Gauge
 	sys := confMajority(ksConfServers)
-	clients := make([]*tcp.KeyspaceClient, 2)
+	clients := make([]*tcp.Client, 2)
 	for i := range clients {
 		opts := []tcp.ClientOption{
 			tcp.WithTrace(log), tcp.WithInFlightGauge(&g),

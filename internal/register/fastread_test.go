@@ -15,10 +15,10 @@ import (
 	"probquorum/internal/rng"
 )
 
-func allClient(n int, opts ...register.PipelineOption) (*register.Client, *loopback) {
+func allClient(n int, opts ...register.PipelineOption) (*register.Pipeline, *loopback) {
 	tr := newLoopback(n)
 	e := register.NewEngine(1, quorum.NewAll(n), rng.Derive(1, "fastread.test"))
-	return register.NewClient(e, tr, opts...), tr
+	return register.NewPipelineOver(e, tr, opts...), tr
 }
 
 // TestAtomicReadFastPathUnanimous pins the elision: after a write reached
@@ -26,7 +26,7 @@ func allClient(n int, opts ...register.PipelineOption) (*register.Client, *loopb
 // and completes without a write-back phase.
 func TestAtomicReadFastPathUnanimous(t *testing.T) {
 	cl, _ := allClient(4)
-	if _, err := cl.Write(0, 2.5); err != nil {
+	if err := cl.Write(0, 2.5); err != nil {
 		t.Fatal(err)
 	}
 	tag, err := cl.ReadAtomic(0)
@@ -47,7 +47,7 @@ func TestAtomicReadFastPathUnanimous(t *testing.T) {
 // replica before the read returns.
 func TestAtomicReadSlowPathOnDisagreement(t *testing.T) {
 	cl, tr := allClient(5)
-	if _, err := cl.Write(0, 1.0); err != nil {
+	if err := cl.Write(0, 1.0); err != nil {
 		t.Fatal(err)
 	}
 	// Replica 0 alone learns a fresher value, as if a concurrent writer's
@@ -80,8 +80,8 @@ func TestAtomicReadSlowPathOnDisagreement(t *testing.T) {
 func TestAtomicReadSlowPathWhenCacheFresher(t *testing.T) {
 	tr := newLoopback(3)
 	e := register.NewEngine(1, quorum.NewAll(3), rng.Derive(1, "fastread.cache"), register.Monotone())
-	cl := register.NewClient(e, tr)
-	if _, err := cl.Write(0, 1.0); err != nil {
+	cl := register.NewPipelineOver(e, tr)
+	if err := cl.Write(0, 1.0); err != nil {
 		t.Fatal(err)
 	}
 	// The client observed a fresher value than any replica holds (e.g. its
@@ -112,8 +112,8 @@ func TestAtomicReadSlowPathWhenCacheFresher(t *testing.T) {
 func TestMaskingNeverFast(t *testing.T) {
 	tr := newLoopback(4)
 	e := register.NewEngine(1, quorum.NewAll(4), rng.Derive(1, "fastread.mask"), register.WithMasking(1))
-	cl := register.NewClient(e, tr)
-	if _, err := cl.Write(0, 6.0); err != nil {
+	cl := register.NewPipelineOver(e, tr)
+	if err := cl.Write(0, 6.0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := cl.ReadAtomic(0); err != nil {
@@ -129,8 +129,8 @@ func TestMaskingNeverFast(t *testing.T) {
 func TestWithoutFastRead(t *testing.T) {
 	tr := newLoopback(4)
 	e := register.NewEngine(1, quorum.NewAll(4), rng.Derive(1, "fastread.off"), register.WithoutFastRead())
-	cl := register.NewClient(e, tr)
-	if _, err := cl.Write(0, 3.0); err != nil {
+	cl := register.NewPipelineOver(e, tr)
+	if err := cl.Write(0, 3.0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := cl.ReadAtomic(0); err != nil {
@@ -175,8 +175,8 @@ func TestStaleDropsZeroOnLateReadReply(t *testing.T) {
 	tr := &dupLoopback{loopback: newLoopback(3)}
 	e := register.NewEngine(1, quorum.NewAll(3), rng.Derive(1, "fastread.stale"))
 	tc := &metrics.TransportCounters{}
-	cl := register.NewClient(e, tr, register.PipeCounters(tc))
-	if _, err := cl.Write(0, 1.0); err != nil {
+	cl := register.NewPipelineOver(e, tr, register.PipeCounters(tc))
+	if err := cl.Write(0, 1.0); err != nil {
 		t.Fatal(err)
 	}
 	// Disagreeing replies force the write-back path, so the duplicate of the
@@ -234,7 +234,7 @@ func TestFastReadAllocGate(t *testing.T) {
 		t.Skip("allocation counts differ under the race detector")
 	}
 	cl, _ := allClient(4)
-	if _, err := cl.Write(0, 1.0); err != nil {
+	if err := cl.Write(0, 1.0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := cl.ReadAtomic(0); err != nil { // warm up the recycled sessions

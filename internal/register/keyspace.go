@@ -9,13 +9,17 @@ import (
 	"probquorum/internal/transport"
 )
 
-// Keyspace is a sharded multi-register client: one client process
-// multiplexing operations on thousands of independent keys over a single
-// transport. A lone Pipeline already overlaps round-trips across registers,
-// but every submission, reply, and completion serializes on its one mutex
-// (and its one Engine) — with many cores driving many hot keys, that lock is
-// the ceiling. A Keyspace stripes the key space across a power-of-two number
-// of Pipelines, each wrapping its own Engine, so clients on different shards
+// Keyspace is the register client every adapter binds: one client process
+// multiplexing operations on any number of independent keys over a single
+// transport. With one shard it is a single Pipeline; a blocking call is an
+// asynchronous one waited on at once, which at depth one is the paper's
+// model of one pending operation per process.
+//
+// A lone Pipeline already overlaps round-trips across registers, but every
+// submission, reply, and completion serializes on its one mutex (and its one
+// Engine) — with many cores driving many hot keys, that lock is the ceiling.
+// A Keyspace stripes the key space across a power-of-two number of
+// Pipelines, each wrapping its own Engine, so clients on different shards
 // never share a lock, a session map, or a monotone cache.
 //
 // The shards share the transport, and the transport carries op-id-matched
@@ -88,8 +92,14 @@ func NewKeyspaceOver(engines []*Engine, tr transport.Transport, opts ...Pipeline
 	}
 	deliverTo(tr, k)
 	// Concrete-typed delivery: batch replies walk straight into the issuing
-	// shard without boxing (the Sink keeps carrying errors).
-	transport.BindReplies(tr, k)
+	// shard without boxing (the Sink keeps carrying errors). With one shard
+	// there is nothing to demultiplex, so frames go to it directly and never
+	// touch ReplyBatch's pooled scratch.
+	var rs transport.ReplySink = k
+	if len(k.shards) == 1 {
+		rs = k.shards[0]
+	}
+	transport.BindReplies(tr, rs)
 	return k
 }
 
@@ -164,6 +174,20 @@ func (k *Keyspace) WriteAsyncFunc(key msg.RegisterID, val msg.Value, fn func(msg
 // invokes fn.
 func (k *Keyspace) ReadAtomicAsyncFunc(key msg.RegisterID, fn func(msg.Tagged, error)) *PendingOp {
 	return k.shards[k.ShardFor(key)].ReadAtomicAsyncFunc(key, fn)
+}
+
+// WriteMultiAsyncFunc submits a multi-writer write of key (see
+// Pipeline.WriteMultiAsyncFunc) whose completion invokes fn.
+func (k *Keyspace) WriteMultiAsyncFunc(key msg.RegisterID, val msg.Value, fn func(msg.Tagged, error)) *PendingOp {
+	return k.shards[k.ShardFor(key)].WriteMultiAsyncFunc(key, val, fn)
+}
+
+// WriteMulti performs one multi-writer write of key — a read round
+// discovers the current maximum timestamp, and the write round installs val
+// one past it, tie-broken by writer id — and returns the timestamp written.
+func (k *Keyspace) WriteMulti(key msg.RegisterID, val msg.Value) (msg.Timestamp, error) {
+	tag, err := k.WriteMultiAsyncFunc(key, val, nil).Wait()
+	return tag.TS, err
 }
 
 // Deliver feeds one server's message into the keyspace, routing it to the

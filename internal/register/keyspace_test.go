@@ -19,6 +19,7 @@ import (
 	"probquorum/internal/register"
 	"probquorum/internal/replica"
 	"probquorum/internal/rng"
+	"probquorum/internal/transport"
 )
 
 // loopbackKeyspace builds a keyspace whose sends apply synchronously to
@@ -308,6 +309,63 @@ func TestKeyspaceAllocGate(t *testing.T) {
 	}
 	t.Logf("allocs per write+read pair: pipeline %.1f, keyspace %.1f, keyspace-unboxed %.1f",
 		plAllocs, ksAllocs, unboxedAllocs)
+
+	// One shard, the shape of every tcp.Dial client: a coalesced reply frame
+	// goes straight to the shard's pipeline and must complete its operations
+	// without a single allocation — no demux scratch, pooled or not. Only the
+	// flush is measured, so the count is taken by hand; like AllocsPerRun it
+	// runs on one P and judges the mean per frame, so a stray allocation by
+	// another goroutine cannot fail the gate but one per frame does.
+	ft := &frameTransport{loopback: *newLoopback(1)}
+	one := register.NewKeyspaceOver([]*register.Engine{
+		register.NewEngine(1, quorum.NewAll(1), rng.Derive(7, "allocgate.oneshard")),
+	}, ft)
+	if _, direct := ft.rs.(*register.Pipeline); !direct {
+		t.Errorf("one-shard keyspace bound %T for frames, want its pipeline: nothing to demultiplex", ft.rs)
+	}
+	const frame, frames = 8, 200
+	var frameAllocs uint64
+	var ms runtime.MemStats
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for round := 0; round < 64+frames; round++ {
+		for k := msg.RegisterID(0); k < frame; k++ {
+			one.ReadAsync(k)
+		}
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		ft.flush()
+		runtime.ReadMemStats(&ms)
+		if round >= 64 { // past warm-up: queues, sessions and pools recycled
+			frameAllocs += ms.Mallocs - before
+		}
+	}
+	if frameAllocs/frames != 0 || one.InFlight() != 0 {
+		t.Errorf("one-shard keyspace: %d allocations over %d frames of %d replies (in flight after: %d), want 0 per frame",
+			frameAllocs, frames, frame, one.InFlight())
+	}
+}
+
+// frameTransport is a loopback that holds every read reply back until flush,
+// which hands them all to the bound ReplySink as one frame — a server's
+// coalesced reply batch.
+type frameTransport struct {
+	loopback
+	rs    transport.ReplySink
+	reads []msg.ReadReply
+}
+
+func (f *frameTransport) BindReplies(rs transport.ReplySink) bool { f.rs = rs; return true }
+
+func (f *frameTransport) Send(server int, req any) error {
+	if reply, ok := f.stores[server].Apply(req); ok {
+		f.reads = append(f.reads, reply.(msg.ReadReply))
+	}
+	return nil
+}
+
+func (f *frameTransport) flush() {
+	f.rs.ReplyBatch(0, f.reads, nil)
+	f.reads = f.reads[:0]
 }
 
 // TestKeyspaceIdleKeyBytes bounds the memory a key costs after it has gone

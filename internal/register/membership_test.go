@@ -62,8 +62,8 @@ func waitEpoch(t *testing.T, what string, want quorum.Epoch, fn func() quorum.Ep
 	t.Fatalf("%s: epoch stuck at %d, want >= %d", what, fn(), want)
 }
 
-// memBlockingClient is the surface the load generators need; cluster and tcp
-// pipelined clients and keyspace clients all satisfy it.
+// memBlockingClient is the surface the load generators need; the cluster
+// and tcp clients satisfy it.
 type memBlockingClient interface {
 	Write(msg.RegisterID, msg.Value) error
 	ReadAtomic(msg.RegisterID) (msg.Tagged, error)
@@ -142,7 +142,7 @@ func memRollTCP(t *testing.T) {
 		addrs[i] = srv.Addr()
 	}
 	log := &trace.Log{}
-	cl, err := tcp.DialPipelined(addrs, quorum.NewMajority(rollServers),
+	cl, err := tcp.Dial(addrs, quorum.NewMajority(rollServers),
 		tcp.WithMonotone(), tcp.WithTrace(log),
 		tcp.WithOpTimeout(100*time.Millisecond))
 	if err != nil {
@@ -193,7 +193,7 @@ func TestMembershipRollingRestart(t *testing.T) {
 		}
 		defer c.Close()
 		log := &trace.Log{}
-		cl, err := c.NewPipeline(quorum.NewMajority(rollServers),
+		cl, err := c.NewClient(quorum.NewMajority(rollServers),
 			cluster.WithMonotone(), cluster.WithTrace(log),
 			cluster.WithOpTimeout(100*time.Millisecond))
 		if err != nil {
@@ -314,13 +314,13 @@ func TestMembershipGrowShrinkCluster(t *testing.T) {
 
 	log := &trace.Log{}
 	var tc metrics.TransportCounters
-	writer, err := c.NewPipeline(v1.System(), cluster.WithView(v1), cluster.WithTrace(log),
+	writer, err := c.NewClient(v1.System(), cluster.WithView(v1), cluster.WithTrace(log),
 		cluster.WithOpTimeout(100*time.Millisecond), cluster.WithTransportCounters(&tc))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer writer.Close()
-	reader, err := c.NewPipeline(v1.System(), cluster.WithView(v1), cluster.WithTrace(log),
+	reader, err := c.NewClient(v1.System(), cluster.WithView(v1), cluster.WithTrace(log),
 		cluster.WithOpTimeout(100*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
@@ -371,8 +371,8 @@ func TestMembershipGrowShrinkCluster(t *testing.T) {
 	if err := c.InstallView(v2); err != nil {
 		t.Fatal(err)
 	}
-	waitEpoch(t, "writer grow", 2, writer.Pipeline().Epoch)
-	waitEpoch(t, "reader grow", 2, reader.Pipeline().Epoch)
+	waitEpoch(t, "writer grow", 2, writer.Keyspace().Epoch)
+	waitEpoch(t, "reader grow", 2, reader.Keyspace().Epoch)
 	time.Sleep(150 * time.Millisecond) // load genuinely spans the 34-server view
 
 	// Shrink back to the original five. The survivors must merge a read
@@ -396,8 +396,8 @@ func TestMembershipGrowShrinkCluster(t *testing.T) {
 	if err := c.InstallView(v3); err != nil {
 		t.Fatal(err)
 	}
-	waitEpoch(t, "writer shrink", 3, writer.Pipeline().Epoch)
-	waitEpoch(t, "reader shrink", 3, reader.Pipeline().Epoch)
+	waitEpoch(t, "writer shrink", 3, writer.Keyspace().Epoch)
+	waitEpoch(t, "reader shrink", 3, reader.Keyspace().Epoch)
 	time.Sleep(100 * time.Millisecond)
 
 	close(stop)
@@ -463,7 +463,7 @@ func TestMembershipGrowShrinkTCP(t *testing.T) {
 
 	log := &trace.Log{}
 	var tc metrics.TransportCounters
-	writer, err := tcp.DialPipelined(nil, v1.System(), tcp.WithView(v1),
+	writer, err := tcp.Dial(nil, v1.System(), tcp.WithView(v1),
 		tcp.WithTrace(log), tcp.WithOpTimeout(100*time.Millisecond),
 		tcp.WithTransportCounters(&tc))
 	if err != nil {
@@ -517,7 +517,7 @@ func TestMembershipGrowShrinkTCP(t *testing.T) {
 	for _, st := range stores {
 		st.SetView(v2)
 	}
-	waitEpoch(t, "writer grow", 2, writer.Pipeline().Epoch)
+	waitEpoch(t, "writer grow", 2, writer.Keyspace().Epoch)
 	waitEpoch(t, "reader grow", 2, reader.Keyspace().Epoch)
 	time.Sleep(150 * time.Millisecond)
 
@@ -538,7 +538,7 @@ func TestMembershipGrowShrinkTCP(t *testing.T) {
 	for _, st := range stores {
 		st.SetView(v3)
 	}
-	waitEpoch(t, "writer shrink", 3, writer.Pipeline().Epoch)
+	waitEpoch(t, "writer shrink", 3, writer.Keyspace().Epoch)
 	waitEpoch(t, "reader shrink", 3, reader.Keyspace().Epoch)
 	time.Sleep(100 * time.Millisecond)
 
@@ -792,7 +792,7 @@ func TestMembershipCrashJoinRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	log := &trace.Log{}
-	cl, err := c.NewPipeline(v1.System(), cluster.WithView(v1), cluster.WithTrace(log),
+	cl, err := c.NewClient(v1.System(), cluster.WithView(v1), cluster.WithTrace(log),
 		cluster.WithOpTimeout(100*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
@@ -819,7 +819,7 @@ func TestMembershipCrashJoinRace(t *testing.T) {
 	if err := c.InstallView(v2); err != nil {
 		t.Fatal(err)
 	}
-	waitEpoch(t, "crash-join", 2, cl.Pipeline().Epoch)
+	waitEpoch(t, "crash-join", 2, cl.Keyspace().Epoch)
 	time.Sleep(150 * time.Millisecond)
 
 	close(stop)
@@ -883,7 +883,7 @@ func TestMembershipViewChangeMidBatch(t *testing.T) {
 	}
 
 	log := &trace.Log{}
-	cl, err := tcp.DialPipelined(nil, v1.System(), tcp.WithView(v1),
+	cl, err := tcp.Dial(nil, v1.System(), tcp.WithView(v1),
 		tcp.WithTrace(log), tcp.WithOpTimeout(100*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
@@ -904,7 +904,7 @@ func TestMembershipViewChangeMidBatch(t *testing.T) {
 			t.Fatalf("server %d rejected v2", i)
 		}
 	}
-	waitEpoch(t, "writer", 2, cl.Pipeline().Epoch)
+	waitEpoch(t, "writer", 2, cl.Keyspace().Epoch)
 	time.Sleep(100 * time.Millisecond) // keep load flowing on the new epoch
 	close(stop)
 	if err := <-loadErr; err != nil {

@@ -39,10 +39,10 @@ func (l *loopback) Send(server int, req any) error {
 	return nil
 }
 
-func loopbackClient(n, k int, opts ...register.PipelineOption) *register.Client {
+func loopbackClient(n, k int, opts ...register.PipelineOption) *register.Pipeline {
 	tr := newLoopback(n)
 	e := register.NewEngine(1, quorum.NewProbabilistic(n, k), rng.Derive(1, "observer.test"))
-	return register.NewClient(e, tr, opts...)
+	return register.NewPipelineOver(e, tr, opts...)
 }
 
 // TestObserverPhaseAccounting drives writes, reads, and atomic reads through
@@ -56,7 +56,7 @@ func TestObserverPhaseAccounting(t *testing.T) {
 
 	const writes, reads, atomics = 40, 40, 20
 	for i := 0; i < writes; i++ {
-		if _, err := cl.Write(0, float64(i)); err != nil {
+		if err := cl.Write(0, float64(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -113,7 +113,7 @@ func TestObserverPhaseAccounting(t *testing.T) {
 func TestObserverNilIsInert(t *testing.T) {
 	obs := new(register.Observer)
 	cl := loopbackClient(4, 2) // no observer attached
-	if _, err := cl.Write(0, 1.0); err != nil {
+	if err := cl.Write(0, 1.0); err != nil {
 		t.Fatal(err)
 	}
 	if obs.Ops.Count() != 0 || obs.Pick.Count() != 0 {
@@ -134,11 +134,11 @@ func TestObserverAllocGate(t *testing.T) {
 	}
 	measure := func(opts ...register.PipelineOption) float64 {
 		cl := loopbackClient(6, 3, opts...)
-		if _, err := cl.Write(0, 1.0); err != nil { // warm up timestamp path
+		if err := cl.Write(0, 1.0); err != nil { // warm up timestamp path
 			t.Fatal(err)
 		}
 		return testing.AllocsPerRun(200, func() {
-			if _, err := cl.Write(0, 2.0); err != nil {
+			if err := cl.Write(0, 2.0); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := cl.Read(0); err != nil {

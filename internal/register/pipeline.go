@@ -31,7 +31,8 @@ type SendFunc func(server int, req any)
 // serializes every quorum round-trip; the Pipeline relaxes exactly the part
 // of that discipline that latency-bound deployments cannot afford while
 // preserving the guarantees the algorithm's correctness actually rests on
-// (a Client is the Pipeline used at depth one, which is the paper's model):
+// (used at depth one — each operation waited on before the next — it is the
+// paper's model):
 //
 //   - Operations on different registers proceed fully concurrently — reads of
 //     m registers overlap their quorum round-trips instead of paying m
@@ -113,7 +114,7 @@ var globalClock atomic.Int64
 
 func nextGlobalTick() int64 { return globalClock.Add(1) }
 
-// PipelineOption configures a Pipeline (and so a Client or a Keyspace).
+// PipelineOption configures a Pipeline (and so a Keyspace).
 type PipelineOption func(*Pipeline)
 
 // PipeTrace records every completed operation into log under process

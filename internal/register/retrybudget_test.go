@@ -53,14 +53,17 @@ func TestRetryBudgetArithmetic(t *testing.T) {
 	const n = 3
 	sys := func() quorum.System { return quorum.NewAll(n) }
 
-	// The engine's two drivers over a transport: a blocking Client (a
-	// depth-one Pipeline) and a Pipeline. Each reads register 0 once.
+	// The engine's two drivers over a transport: the one-shard Keyspace every
+	// cluster and tcp client is, and a bare Pipeline. Each reads register 0
+	// once.
 	drivers := []struct {
 		name string
 		read func(e *register.Engine, tr transport.Transport, opts ...register.PipelineOption) error
 	}{
 		{"client", func(e *register.Engine, tr transport.Transport, opts ...register.PipelineOption) error {
-			_, err := register.NewClient(e, tr, opts...).Read(0)
+			ks := register.NewKeyspaceOver([]*register.Engine{e}, tr, opts...)
+			defer ks.Close(nil)
+			_, err := ks.Read(0)
 			return err
 		}},
 		{"pipeline", func(e *register.Engine, tr transport.Transport, opts ...register.PipelineOption) error {

@@ -38,8 +38,8 @@ type Settings struct {
 	Gauge *metrics.Gauge
 }
 
-// ApplyPipeline translates s into the PipelineOptions a Client, Pipeline or
-// Keyspace is built with.
+// ApplyPipeline translates s into the PipelineOptions a Pipeline or Keyspace
+// is built with.
 func ApplyPipeline(s Settings) []PipelineOption {
 	opts := []PipelineOption{PipeTimeout(s.OpTimeout, s.Retries)}
 	if s.Counters != nil {

@@ -41,7 +41,7 @@ type faultLoad struct {
 	wg   sync.WaitGroup
 }
 
-func startFaultLoad(t *testing.T, c *PipelinedClient, workers int) *faultLoad {
+func startFaultLoad(t *testing.T, c *Client, workers int) *faultLoad {
 	l := &faultLoad{stop: make(chan struct{})}
 	for w := 0; w < workers; w++ {
 		l.wg.Add(1)
@@ -127,10 +127,10 @@ func checkAtomicTrace(t *testing.T, log *trace.Log) {
 	}
 }
 
-func faultClient(t *testing.T, addrs []string) (*PipelinedClient, *trace.Log, *metrics.TransportCounters) {
+func faultClient(t *testing.T, addrs []string) (*Client, *trace.Log, *metrics.TransportCounters) {
 	t.Helper()
 	log, tc := &trace.Log{}, &metrics.TransportCounters{}
-	c, err := DialPipelined(addrs, quorum.NewMajority(len(addrs)),
+	c, err := Dial(addrs, quorum.NewMajority(len(addrs)),
 		WithOpTimeout(faultOpTimeout), WithTrace(log), WithTransportCounters(tc))
 	if err != nil {
 		t.Fatal(err)
@@ -155,7 +155,7 @@ func TestCrashCostsOneRoundTrip(t *testing.T) {
 	servers[1].Store().Crash()
 	suspected := waitFor(t, 2*time.Second, "first error event", func() bool { return tc.Suspicions.Value() > 0 })
 	time.Sleep(200 * time.Millisecond)
-	h := c.Health()[1]
+	h := c.Keyspace().Health()[1]
 	if !h.Suspected || h.Since.Before(crashed) || h.Since.After(suspected) || h.LastErr == nil {
 		t.Errorf("health of the crashed server = %+v, want suspected between %v and %v with an error", h, crashed, suspected)
 	}
@@ -171,7 +171,7 @@ func TestCrashCostsOneRoundTrip(t *testing.T) {
 	if raceEnabled {
 		limit *= 3
 	}
-	cleared := waitFor(t, 2*time.Second, "un-suspecting the recovered server", func() bool { return !c.Health()[1].Suspected })
+	cleared := waitFor(t, 2*time.Second, "un-suspecting the recovered server", func() bool { return !c.Keyspace().Health()[1].Suspected })
 	if d := cleared.Sub(recovered); d > limit {
 		t.Errorf("recovered server un-suspected after %v, want within %v", d, limit)
 	}
@@ -187,7 +187,7 @@ func TestCrashCostsOneRoundTrip(t *testing.T) {
 	if worst, n := slowest(recs, suspected); n == 0 || worst > fastOp {
 		t.Errorf("slowest of %d operations issued after the first error event: %v, want ≤ %v", n, worst, fastOp)
 	}
-	if got := c.Pipeline().Retries(); got != 0 {
+	if got := c.Keyspace().Retries(); got != 0 {
 		t.Errorf("Retries = %d, want 0: the crash signal must not cost a deadline", got)
 	}
 	if tc.TopUps.Value() == 0 || tc.Probes.Value() == 0 {
@@ -210,7 +210,7 @@ func TestKilledListenerIsNotSilent(t *testing.T) {
 	suspected := waitFor(t, 2*time.Second, "first error event", func() bool { return tc.Suspicions.Value() > 0 })
 	// The probes' refused re-dials must surface as send errors.
 	waitFor(t, 2*time.Second, "a refused re-dial reported as an error", func() bool {
-		err := c.Health()[1].LastErr
+		err := c.Keyspace().Health()[1].LastErr
 		return err != nil && strings.HasPrefix(err.Error(), "send:") && tc.SendDrops.Value() > 0
 	})
 	time.Sleep(100 * time.Millisecond)
@@ -222,10 +222,10 @@ func TestKilledListenerIsNotSilent(t *testing.T) {
 	if worst, n := slowest(recs, suspected); n == 0 || worst > fastOp {
 		t.Errorf("slowest of %d operations issued after the first error event: %v, want ≤ %v", n, worst, fastOp)
 	}
-	if got := c.Pipeline().Retries(); got != 0 {
+	if got := c.Keyspace().Retries(); got != 0 {
 		t.Errorf("Retries = %d, want 0", got)
 	}
-	if !c.Health()[1].Suspected {
+	if !c.Keyspace().Health()[1].Suspected {
 		t.Error("the dead server is no longer suspected")
 	}
 	checkAtomicTrace(t, log)
@@ -255,7 +255,7 @@ func TestPartitionCostsOneDeadline(t *testing.T) {
 	suspected := waitFor(t, 2*faultOpTimeout+time.Second, "first expired deadline", func() bool { return tc.Suspicions.Value() > 0 })
 	time.Sleep(300 * time.Millisecond)
 	links[1].SetBlocked(false)
-	waitFor(t, 2*time.Second, "un-suspecting the healed server", func() bool { return !c.Health()[1].Suspected })
+	waitFor(t, 2*time.Second, "un-suspecting the healed server", func() bool { return !c.Keyspace().Health()[1].Suspected })
 
 	recs := load.finish()
 	if t.Failed() {
@@ -269,7 +269,7 @@ func TestPartitionCostsOneDeadline(t *testing.T) {
 	}
 	// Only operations already in flight when the server went silent pay, one
 	// deadline each: at most one per worker.
-	if got := c.Pipeline().Retries(); got < 1 || got > 4 {
+	if got := c.Keyspace().Retries(); got < 1 || got > 4 {
 		t.Errorf("Retries = %d, want between 1 and the 4 operations in flight", got)
 	}
 	if tc.Timeouts.Value() == 0 || tc.TopUps.Value() == 0 {

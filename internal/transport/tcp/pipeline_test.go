@@ -37,7 +37,7 @@ func pipeCluster(t *testing.T, n int, initial map[msg.RegisterID]msg.Value) ([]s
 func TestPipelinedClientReadWrite(t *testing.T) {
 	initial := map[msg.RegisterID]msg.Value{0: 0.0, 1: 0.0}
 	addrs, _ := pipeCluster(t, 5, initial)
-	c, err := DialPipelined(addrs, quorum.NewMajority(5), WithMonotone())
+	c, err := Dial(addrs, quorum.NewMajority(5), WithMonotone())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestPipelinedClientConcurrencyTraced(t *testing.T) {
 	log := &trace.Log{}
 	gauge := &metrics.Gauge{}
 	hist := metrics.NewIntHistogram()
-	c, err := DialPipelined(addrs, quorum.NewMajority(5),
+	c, err := Dial(addrs, quorum.NewMajority(5),
 		WithMonotone(), WithTrace(log), WithInFlightGauge(gauge), WithBatchHistogram(hist))
 	if err != nil {
 		t.Fatal(err)
@@ -246,7 +246,7 @@ func TestBatchMalformedFrameSurvives(t *testing.T) {
 func TestPipelinedClientRidesOutCrash(t *testing.T) {
 	initial := map[msg.RegisterID]msg.Value{0: 0.0, 1: 0.0}
 	addrs, servers := pipeCluster(t, 5, initial)
-	c, err := DialPipelined(addrs, quorum.NewMajority(5),
+	c, err := Dial(addrs, quorum.NewMajority(5),
 		WithMonotone(), WithOpTimeout(100*time.Millisecond), WithRetries(0))
 	if err != nil {
 		t.Fatal(err)
@@ -277,7 +277,7 @@ func TestPipelinedClientRidesOutCrash(t *testing.T) {
 func TestPipelinedClientRetriesExhausted(t *testing.T) {
 	initial := map[msg.RegisterID]msg.Value{0: 0.0}
 	addrs, servers := pipeCluster(t, 3, initial)
-	c, err := DialPipelined(addrs, quorum.NewAll(3),
+	c, err := Dial(addrs, quorum.NewAll(3),
 		WithOpTimeout(50*time.Millisecond), WithRetries(3))
 	if err != nil {
 		t.Fatal(err)

@@ -27,13 +27,16 @@ func TestClosedClientIsCollectable(t *testing.T) {
 	addrs, _ := pipeCluster(t, 3, initial)
 	sys := quorum.NewMajority(3)
 
+	// The client at one shard with blocking calls, at one shard with
+	// asynchronous calls, and sharded.
 	arms := []struct {
-		name string
-		dial func(...ClientOption) (client, error)
+		name   string
+		shards int
+		async  bool
 	}{
-		{"Client", func(opts ...ClientOption) (client, error) { return Dial(addrs, sys, opts...) }},
-		{"PipelinedClient", func(opts ...ClientOption) (client, error) { return DialPipelined(addrs, sys, opts...) }},
-		{"KeyspaceClient", func(opts ...ClientOption) (client, error) { return DialKeyspace(addrs, sys, 4, opts...) }},
+		{"Client", 1, false},
+		{"PipelinedClient", 1, true},
+		{"KeyspaceClient", 4, false},
 	}
 	for _, arm := range arms {
 		t.Run(arm.name, func(t *testing.T) {
@@ -42,16 +45,21 @@ func TestClosedClientIsCollectable(t *testing.T) {
 			func() {
 				witness := &metrics.Gauge{}
 				runtime.SetFinalizer(witness, func(*metrics.Gauge) { close(freed) })
-				c, err := arm.dial(WithInFlightGauge(witness))
+				c, err := DialKeyspace(addrs, sys, arm.shards, WithInFlightGauge(witness))
 				if err != nil {
 					t.Fatal(err)
 				}
 				for key := msg.RegisterID(0); key < 64; key++ { // every shard arms its timer
-					if err := c.Write(key, float64(key)); err != nil {
-						t.Fatalf("write %d: %v", key, err)
+					var werr, rerr error
+					if arm.async {
+						_, werr = c.WriteAsync(key, float64(key)).Wait()
+						_, rerr = c.ReadAsync(key).Wait()
+					} else {
+						werr = c.Write(key, float64(key))
+						_, rerr = c.Read(key)
 					}
-					if _, err := c.Read(key); err != nil {
-						t.Fatalf("read %d: %v", key, err)
+					if werr != nil || rerr != nil {
+						t.Fatalf("key %d: write %v, read %v", key, werr, rerr)
 					}
 				}
 				if witness.Max() == 0 {
@@ -71,11 +79,4 @@ func TestClosedClientIsCollectable(t *testing.T) {
 			}
 		})
 	}
-}
-
-// client is what the three clients share, as far as this test goes.
-type client interface {
-	Write(msg.RegisterID, msg.Value) error
-	Read(msg.RegisterID) (msg.Tagged, error)
-	Close()
 }

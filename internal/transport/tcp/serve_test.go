@@ -153,14 +153,14 @@ func TestServeAllocGate(t *testing.T) {
 }
 
 // sealedTransport hides the ReplyBinder seam of the transport it wraps, so
-// a register.Client built over it takes the boxed delivery path — the
+// a register.Keyspace built over it takes the boxed delivery path — the
 // ablation arm of the client-decode gate below.
 type sealedTransport struct{ transport.Transport }
 
 // dialGateClient mirrors Dial's construction with the pieces the gate needs:
-// a blocking register.Client over a tcpTransport, optionally sealed to force
-// boxed reply delivery.
-func dialGateClient(t *testing.T, addrs []string, writer int32, sealed bool) *register.Client {
+// a one-shard register.Keyspace over a tcpTransport, optionally sealed to
+// force boxed reply delivery.
+func dialGateClient(t *testing.T, addrs []string, writer int32, sealed bool) *register.Keyspace {
 	t.Helper()
 	engine := register.NewEngine(writer, quorum.NewMajority(len(addrs)),
 		rng.Derive(1, fmt.Sprintf("serve_test.gate.%d", writer)))
@@ -173,10 +173,10 @@ func dialGateClient(t *testing.T, addrs []string, writer int32, sealed bool) *re
 	if sealed {
 		rt = sealedTransport{tr}
 	}
-	return register.NewClient(engine, rt, register.PipeTimeout(defaultOpTimeout, 0))
+	return register.NewKeyspaceOver([]*register.Engine{engine}, rt, register.PipeTimeout(defaultOpTimeout, 0))
 }
 
-// TestClientDecodeAllocGate pins the blocking client's de-boxed reply decode
+// TestClientDecodeAllocGate pins the one-shard client's de-boxed reply decode
 // (transport.ReplySink all the way into the Operation) at no more
 // allocations than the boxed any path it replaces.
 func TestClientDecodeAllocGate(t *testing.T) {
@@ -187,9 +187,9 @@ func TestClientDecodeAllocGate(t *testing.T) {
 	boxed := dialGateClient(t, addrs, 1, true)
 	unboxed := dialGateClient(t, addrs, 2, false)
 
-	opPair := func(c *register.Client) func() {
+	opPair := func(c *register.Keyspace) func() {
 		return func() {
-			if _, err := c.Write(0, nil); err != nil {
+			if err := c.Write(0, nil); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := c.Read(0); err != nil {

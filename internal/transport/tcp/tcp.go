@@ -13,12 +13,13 @@
 // by each connection's writer goroutine, the server's serve loop — one
 // goroutine per connection — applies them and writes the replies to every
 // frame of one read as one batch frame, and the client's reader walks each
-// batch frame straight into the register pipeline (transport.ReplySink). The
-// blocking Client, the PipelinedClient and the KeyspaceClient differ only in
-// how many operations they keep in flight: one, many, and many over sharded
-// engines. A quorum operation fans out across the quorum's connections, so
-// it costs one round-trip; replies are matched to operations by operation
-// id, so a connection carries any number of interleaved exchanges.
+// batch frame straight into the register pipeline (transport.ReplySink).
+// There is one client type: Dial builds it over one pipeline and DialKeyspace
+// over sharded ones, and a caller keeps one operation in flight with
+// blocking calls or many with asynchronous ones. A quorum operation fans out
+// across the quorum's connections, so it costs one round-trip; replies are
+// matched to operations by operation id, so a connection carries any number
+// of interleaved exchanges.
 //
 // # Fault model
 //
@@ -35,8 +36,8 @@
 //     written to it — is replaced within the attempt, which keeps its replies
 //     and costs one extra round trip; a silent member is replaced at the
 //     deadline. Lost servers are suspected and picked around until a probe
-//     sees them answer (PipelinedClient documents it; DESIGN.md "Fault-aware
-//     fan-out" argues it).
+//     sees them answer (Client documents it; DESIGN.md "Fault-aware fan-out"
+//     argues it).
 //   - Retry with a fresh quorum: an attempt whose deadline passes with a
 //     member it cannot replace re-picks a new random quorum from the engine
 //     — the paper's availability mechanism (Section 4): a probabilistic
@@ -49,6 +50,7 @@
 package tcp
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -60,8 +62,7 @@ import (
 	"probquorum/internal/quorum"
 	"probquorum/internal/register"
 	"probquorum/internal/replica"
-	"probquorum/internal/rng"
-	"probquorum/internal/transport"
+	"probquorum/internal/trace"
 )
 
 // Server serves one replica store over a listener.
@@ -360,34 +361,40 @@ const (
 	redialBackoffMax = time.Second
 )
 
-// Client is a blocking register client over TCP connections to the replica
-// servers: a thin adapter binding a register.Client — a depth-one
-// register.Pipeline — to a tcpTransport. Each call waits for its operation,
-// so a caller issuing from one goroutine keeps one pending operation per
-// process, as the register model requires.
-type Client struct {
-	rc       *register.Client
-	tr       *tcpTransport
-	counters *metrics.TransportCounters
-}
+// ErrClientClosed is returned by operations pending in a client when it is
+// closed.
+var ErrClientClosed = errors.New("tcp: client closed")
+
+// defaultOpTimeout is the per-operation deadline every client runs with when
+// the caller sets none. A multiplexed stream turns a closed connection into
+// a per-server error but a silent server into nothing at all, so a TCP
+// client always keeps a deadline.
+const defaultOpTimeout = 2 * time.Second
+
+// defaultMaxBatch bounds how many queued requests one frame coalesces.
+const defaultMaxBatch = 16
+
+// pipeOutBuffer is each server connection's send-queue capacity. Overflow
+// refuses the request — Send fails, and the operation replaces that member —
+// so a stalled connection can never block the pipeline.
+const pipeOutBuffer = 4096
 
 // ClientOption configures a TCP client.
 type ClientOption func(*clientOpts)
 
 // clientOpts embeds the shared register.Settings — the transport-independent
 // client configuration — plus the knobs only the TCP transport has. Every
-// With* option is a thin wrapper writing one field; the Dial* constructors
-// hand the Settings to register.ApplyPipeline.
+// With* option is a thin wrapper writing one field; DialKeyspace hands the
+// Settings to register.ApplyPipeline.
 type clientOpts struct {
 	register.Settings
 
-	monotone   bool
-	noFastRead bool
-	writer     int32
-	seed       uint64
-	tally      *metrics.AccessTally
-	view       quorum.View
-	hasView    bool
+	monotone bool
+	writer   int32
+	seed     uint64
+	tally    *metrics.AccessTally
+	view     quorum.View
+	hasView  bool
 
 	maxBatch  int
 	batchHist *metrics.IntHistogram
@@ -396,13 +403,6 @@ type clientOpts struct {
 // WithMonotone enables the monotone register variant.
 func WithMonotone() ClientOption {
 	return func(o *clientOpts) { o.monotone = true }
-}
-
-// WithoutFastRead disables the atomic read's one-round-trip fast path for
-// this client (see register.WithoutFastRead) — the ablation knob for the
-// paired fast-path benchmark.
-func WithoutFastRead() ClientOption {
-	return func(o *clientOpts) { o.noFastRead = true }
 }
 
 // WithWriter sets the client's writer identity (default 0); distinct
@@ -450,87 +450,31 @@ func WithTally(t *metrics.AccessTally) ClientOption {
 	return func(o *clientOpts) { o.tally = t }
 }
 
-// dialed is what the one construction path hands each Dial* constructor:
-// the applied options, the engines, and the started transport — rt is tr
-// behind the message-counting shim when the caller passed counters.
-type dialed struct {
-	clientOpts
-	engines []*register.Engine
-	tr      *tcpTransport
-	rt      transport.Transport
+// WithMaxBatch caps how many queued requests a client coalesces into one
+// frame per server (default 16). 1 disables coalescing while keeping the
+// multiplexed in-flight machinery — the ablation point the batching
+// benchmarks compare against.
+func WithMaxBatch(n int) ClientOption {
+	return func(o *clientOpts) { o.maxBatch = n }
 }
 
-// dial is the construction path shared by Dial, DialPipelined and
-// DialKeyspace: options → view → engines → started transport → optional
-// counting shim. kind names the client flavour in the engines' rng.Derive
-// labels, so seeded runs reproduce per flavour. Every flavour has the same
-// defaults: a 2s per-operation deadline (defaultOpTimeout) and frames of up
-// to 16 requests. shards > 0 builds that many op-id-strided engines (a
-// keyspace); 0 builds the one engine of a single-pipeline client.
-func dial(addrs []string, sys quorum.System, opts []ClientOption, kind string, shards int) (*dialed, error) {
-	d := &dialed{clientOpts: clientOpts{seed: 1, maxBatch: defaultMaxBatch}}
-	for _, opt := range opts {
-		opt(&d.clientOpts)
-	}
-	addrs, err := applyView(&d.clientOpts, addrs)
-	if err != nil {
-		return nil, err
-	}
-	if sys.N() != len(addrs) {
-		return nil, fmt.Errorf("tcp: quorum system covers %d servers, got %d addresses",
-			sys.N(), len(addrs))
-	}
-	// Message counting costs two contended atomics per message, so the
-	// transport is only instrumented when the caller asked for counters.
-	counted := d.Counters != nil
-	if !counted {
-		d.Counters = &metrics.TransportCounters{}
-	}
-	if d.OpTimeout <= 0 {
-		d.OpTimeout = defaultOpTimeout
-	}
-	if d.maxBatch < 1 {
-		d.maxBatch = 1
-	}
-	d.Proc = msg.NodeID(d.writer)
+// WithBatchHistogram records the size of every flushed batch frame into h.
+func WithBatchHistogram(h *metrics.IntHistogram) ClientOption {
+	return func(o *clientOpts) { o.batchHist = h }
+}
 
-	var eopts []register.Option
-	if d.monotone {
-		eopts = append(eopts, register.Monotone())
-	}
-	if d.noFastRead {
-		eopts = append(eopts, register.WithoutFastRead())
-	}
-	if d.tally != nil {
-		eopts = append(eopts, register.WithTally(d.tally))
-	}
-	if d.hasView {
-		eopts = append(eopts, register.WithView(d.view))
-	}
-	label := fmt.Sprintf("tcp.%s.%d", kind, d.writer)
-	if shards == 0 {
-		d.engines = append(d.engines, register.NewEngine(d.writer, sys, rng.Derive(d.seed, label), eopts...))
-	}
-	for i := 0; i < shards; i++ {
-		sopts := append([]register.Option{
-			register.WithOpStride(uint64(i), uint64(shards)),
-		}, eopts...)
-		d.engines = append(d.engines, register.NewEngine(d.writer, sys,
-			rng.Derive(d.seed, fmt.Sprintf("%s.%d", label, i)), sopts...))
-	}
+// WithInFlightGauge tracks the client's submitted-but-incomplete operation
+// count (and its high-watermark) in g.
+func WithInFlightGauge(g *metrics.Gauge) ClientOption {
+	return func(o *clientOpts) { o.Gauge = g }
+}
 
-	d.tr = newTCPTransport(addrs, d.OpTimeout, d.Counters, d.maxBatch, d.batchHist)
-	if d.hasView {
-		d.tr.epoch = d.view.Epoch
-	}
-	if err := d.tr.start(); err != nil {
-		return nil, err
-	}
-	d.rt = d.tr
-	if counted {
-		d.rt = transport.Instrument(d.tr, d.Counters)
-	}
-	return d, nil
+// WithTrace records the client's completed operations into log, under the
+// client's writer id as the process identity. All clients of one process
+// share a logical clock, so one log can absorb several clients' records
+// consistently.
+func WithTrace(log *trace.Log) ClientOption {
+	return func(o *clientOpts) { o.Trace = log }
 }
 
 // checkValue rejects a register value the wire codec cannot carry
@@ -557,50 +501,4 @@ func rejectWrite(reg msg.RegisterID, err error, fn func(msg.Tagged, error)) *reg
 	p := register.NewPipeline(nil, nil)
 	p.Close(err)
 	return p.WriteAsyncFunc(reg, nil, fn)
-}
-
-// Dial connects to every replica server address and returns a blocking
-// client. The quorum system's N must match the address count.
-func Dial(addrs []string, sys quorum.System, opts ...ClientOption) (*Client, error) {
-	d, err := dial(addrs, sys, opts, "client", 0)
-	if err != nil {
-		return nil, err
-	}
-	rc := register.NewClient(d.engines[0], d.rt, register.ApplyPipeline(d.Settings)...)
-	return &Client{rc: rc, tr: d.tr, counters: d.Counters}, nil
-}
-
-// Close closes every server connection and fails any pending operation with
-// ErrClientClosed.
-func (c *Client) Close() {
-	_ = c.tr.Close()
-}
-
-// Engine exposes the client's register engine.
-func (c *Client) Engine() *register.Engine { return c.rc.Engine() }
-
-// Counters exposes the client's transport fault counters.
-func (c *Client) Counters() *metrics.TransportCounters { return c.counters }
-
-// Read performs one quorum read of reg.
-func (c *Client) Read(reg msg.RegisterID) (msg.Tagged, error) {
-	return c.rc.Read(reg)
-}
-
-// ReadAtomic performs an ABD-style atomic read over TCP: a quorum read
-// followed by an awaited write-back of the observed value to a fresh
-// quorum. Over a strict quorum system this gives single-writer atomicity.
-func (c *Client) ReadAtomic(reg msg.RegisterID) (msg.Tagged, error) {
-	return c.rc.ReadAtomic(reg)
-}
-
-// Write performs one quorum write of val to reg. A retried write keeps its
-// timestamp (replicas deduplicate installations by timestamp), so partial
-// fan-outs of abandoned attempts are harmless.
-func (c *Client) Write(reg msg.RegisterID, val msg.Value) error {
-	if err := checkValue(val); err != nil {
-		return err
-	}
-	_, err := c.rc.Write(reg, val)
-	return err
 }

@@ -145,7 +145,7 @@ func TestMonotoneOverTCP(t *testing.T) {
 		}
 		last = tag.TS
 	}
-	if r.Engine().CacheHits() == 0 {
+	if r.Keyspace().CacheHits() == 0 {
 		t.Fatal("k=1 monotone client never used its cache")
 	}
 }
@@ -263,11 +263,6 @@ func TestUnsupportedValueFailsFast(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer serial.Close()
-	pipe, err := DialPipelined(addrs, sys, WithWriter(2), WithRetries(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pipe.Close()
 	ks, err := DialKeyspace(addrs, sys, 2, WithWriter(3), WithRetries(2))
 	if err != nil {
 		t.Fatal(err)
@@ -281,8 +276,8 @@ func TestUnsupportedValueFailsFast(t *testing.T) {
 		counters *metrics.TransportCounters
 	}{
 		{"Client.Write", func(v msg.Value) error { return serial.Write(0, v) }, serial.Counters()},
-		{"PipelinedClient.Write", func(v msg.Value) error { return pipe.Write(0, v) }, pipe.Counters()},
-		{"PipelinedClient.WriteAsync", func(v msg.Value) error { return wait(pipe.WriteAsync(0, v)) }, pipe.Counters()},
+		{"Client.WriteMulti", func(v msg.Value) error { _, err := serial.WriteMulti(0, v); return err }, serial.Counters()},
+		{"Client.WriteAsync", func(v msg.Value) error { return wait(serial.WriteAsync(0, v)) }, serial.Counters()},
 		{"KeyspaceClient.Write", func(v msg.Value) error { return ks.Write(0, v) }, ks.Counters()},
 		{"KeyspaceClient.WriteAsync", func(v msg.Value) error { return wait(ks.WriteAsync(0, v)) }, ks.Counters()},
 		{"KeyspaceClient.WriteAsyncFunc", func(v msg.Value) error {

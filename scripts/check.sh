@@ -37,13 +37,15 @@ echo "== allocation gates =="
 # The testing.AllocsPerRun pins run as ordinary tests (and self-skip under
 # -race, where the instrumentation inflates counts); naming them here keeps
 # hot-path allocation regressions loud even if the full suite's output
-# scrolls past. The observer and fast-read gates measure the blocking
-# register.Client — a depth-one pipeline whose phase marks live in the
-# operation's PendingOp — so attaching an observer, or eliding a write-back,
-# must add no allocation there. The two retention gates ride along: a closed
-# client (blocking, pipelined or keyspace) is collectable at once, and a
-# whole APSP job over TCP leaves (and allocates) what its traffic cost, not
-# what 136 worst-case connections would. So do the store's memory gates:
+# scrolls past. The observer and fast-read gates measure a pipeline driven
+# one blocking call at a time — phase marks live in the operation's
+# PendingOp — so attaching an observer, or eliding a write-back, must add no
+# allocation there; the keyspace gate holds the shard hop to the pipeline's
+# cost and a one-shard client's reply frames to none. The two retention
+# gates ride along: a closed tcp.Client (one shard with blocking or async
+# calls, or sharded) is collectable at once, and a whole APSP job over TCP
+# leaves (and allocates) what its traffic cost, not what 136 worst-case
+# connections would. So do the store's memory gates:
 # bytes of live heap per stored register, and the stripe layout that keeps
 # neighbouring locks off one cache line.
 go test $race -run 'TestWireAllocGates|TestPickIntoAllocs|TestObserverAllocGate|TestFastReadAllocGate|TestKeyspaceAllocGate|TestKeyspaceIdleKeyBytes|TestServeAllocGate|TestClientDecodeAllocGate|TestClosedClientIsCollectable|TestRunTCPLeavesLittleReachable|TestStoreBytesPerKey|TestStoreLayout' \
@@ -65,12 +67,13 @@ echo "== fault-aware fan-out and the serve loop under the race detector =="
 # keyspace's shard locks, the deadline timer and the probe path all meet in a
 # top-up, and they meet on goroutines the healthy path never crosses. A loss
 # without a deadline that no member can replace must fail the operation, not
-# hang it. The serve-loop tests ride along: when the one goroutine per
-# connection writes, a reader that never drains (a loop parked in Write), and
-# Server.Close unblocking it without leaking a goroutine.
+# hang it, and neither may closing the client under it. The serve-loop tests
+# ride along: when the one goroutine per connection writes, a reader that
+# never drains (a loop parked in Write), and Server.Close unblocking it
+# without leaking a goroutine.
 go test -race -cpu 2,8 \
-    -run 'TestFlappingServerNoLivelock|TestSilentServerCostsOneDeadline|TestLossWithoutDeadline|TestConformance/crash-topup|TestHealth|TestCrashCostsOneRoundTrip|TestKilledListenerIsNotSilent|TestPartitionCostsOneDeadline|TestServeWritesOncePerRead|TestSlowReaderStallsOnlyItself|TestServerCloseNoGoroutineLeak' \
-    ./internal/register ./internal/transport ./internal/transport/tcp
+    -run 'TestFlappingServerNoLivelock|TestSilentServerCostsOneDeadline|TestLossWithoutDeadline|TestCloseFailsPendingRead|TestConformance/crash-topup|TestHealth|TestCrashCostsOneRoundTrip|TestKilledListenerIsNotSilent|TestPartitionCostsOneDeadline|TestServeWritesOncePerRead|TestSlowReaderStallsOnlyItself|TestServerCloseNoGoroutineLeak' \
+    ./internal/register ./internal/cluster ./internal/transport ./internal/transport/tcp
 
 echo "== load harness smoke soak =="
 # A 30-second open-loop soak against an in-process TCP server set, always
@@ -115,12 +118,16 @@ fi
 # the per-element reply leg were deleted with the options that selected them.
 # One operation engine drives every client: the serial client's option list
 # and translator, its phase timer, retry backoff and latency option went
-# with its event queue.
-retired_uses="$(grep -rnE 'WireGob|WithWire|WithInlineReplies|RegisterValueType|BatchReplySink|WithRetryBackoff|WithLatency|register\.Apply\(|register\.ClientOption|phaseTimer' \
-    --include='*.go' . || true)"
+# with its event queue. Each transport binds one client type over a
+# keyspace: the blocking and pipelined facades, register.Client, Detach and
+# the unused clock option went with them. The facade names match as whole
+# identifiers only: tests that checked the facades kept their names, and
+# the retention gate keeps the row named after the pipelined one.
+retired_uses="$(grep -rnE 'WireGob|WithWire|WithInlineReplies|RegisterValueType|BatchReplySink|WithRetryBackoff|WithLatency|register\.Apply\(|register\.ClientOption|phaseTimer|\bDialPipelined\b|\bPipelinedClient\b|\bPipeClient\b|register\.NewClient|\.Detach\(|\bWithClock\b' \
+    --include='*.go' . | grep -v '"PipelinedClient"' || true)"
 gob_imports="$(grep -rn '"encoding/gob"' --include='*.go' --exclude='*_test.go' . || true)"
 if [ -n "$retired_uses$gob_imports" ]; then
-    echo "check.sh: retired identifiers reappeared (gob wire, inline replies, per-element reply sink, serial-client options):" >&2
+    echo "check.sh: retired identifiers reappeared (gob wire, inline replies, per-element reply sink, serial-client options, client facades):" >&2
     echo "$retired_uses$gob_imports" >&2
     hygiene_fail=1
 fi
