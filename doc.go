@@ -34,7 +34,8 @@
 //
 // Each runtime has one client type, and every client is one operation
 // engine — register.Operation's transition table driven by a
-// register.Pipeline — over a register.Keyspace: one shard is a single
+// register.Pipeline, its one driver on every runtime, the simulator
+// included — over a register.Keyspace: one shard is a single
 // pipeline, more shards stripe pipelines across keys. A blocking call is an
 // asynchronous one waited on at once, so a caller issuing blocking calls
 // from one goroutine keeps the paper's one pending operation per process,
@@ -48,7 +49,8 @@
 // The third column is what the first two are built from: the protocol cores
 // take a raw send function (or a transport.Transport via the ...Over
 // variants), which is how the discrete-event simulator and the tests drive
-// them. Every cell is configured through the same surface —
+// them; the simulator also passes PipeClock(sim.Clock), so deadlines run on
+// virtual time. Every cell is configured through the same surface —
 // register.Settings, translated by register.ApplyPipeline into the one
 // PipelineOption list; the tcp and cluster With* options are thin wrappers
 // over register.Settings, so option semantics cannot drift between

@@ -1,6 +1,8 @@
 package aco_test
 
 import (
+	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -10,6 +12,7 @@ import (
 	"probquorum/internal/graph"
 	"probquorum/internal/metrics"
 	"probquorum/internal/quorum"
+	"probquorum/internal/register"
 	"probquorum/internal/rng"
 	"probquorum/internal/trace"
 )
@@ -143,7 +146,11 @@ func TestRunSimPipelinedCutsVirtualTime(t *testing.T) {
 	}
 }
 
-func TestRunSimPipelinedValidation(t *testing.T) {
+// TestRunSimPipelinedCrashAndRepair: the pipelined sim runs the engine's
+// whole fault path on virtual time. Through a crash schedule the deadlines
+// fire (Retries > 0) and re-issue stalled operations on fresh quorums until
+// the run converges; read repair rides the same engine.
+func TestRunSimPipelinedCrashAndRepair(t *testing.T) {
 	g := graph.Chain(3)
 	base := aco.SimConfig{
 		Op:        semiring.NewAPSP(g),
@@ -152,17 +159,85 @@ func TestRunSimPipelinedValidation(t *testing.T) {
 		Pipelined: true,
 		Delay:     rng.Constant{D: time.Millisecond},
 	}
-	withTimeout := base
-	withTimeout.OpTimeout = time.Second
-	withTimeout.Crashes = []aco.CrashEvent{{At: time.Millisecond, Server: 0}}
-	if _, err := aco.RunSim(withTimeout); err == nil {
-		t.Fatal("pipelined sim accepted a crash schedule")
+	crashed := base
+	crashed.Servers, crashed.System = 5, quorum.NewProbabilistic(5, 3)
+	crashed.OpTimeout = 10 * time.Millisecond
+	crashed.Crashes = []aco.CrashEvent{
+		{At: time.Millisecond, Server: 0},
+		{At: 30 * time.Millisecond, Server: 0, Recover: true},
 	}
-	// Read repair rides the one engine: a pipelined run with it converges.
+	res, err := aco.RunSim(crashed)
+	if err != nil || !res.Converged {
+		t.Fatalf("pipelined sim through a crash: converged=%v, err=%v", res.Converged, err)
+	}
+	if res.Retries == 0 {
+		t.Fatal("no deadline fired: the crash schedule was not exercised")
+	}
 	withRepair := base
 	withRepair.ReadRepair = true
 	if res, err := aco.RunSim(withRepair); err != nil || !res.Converged {
 		t.Fatalf("pipelined sim with read repair: converged=%v, err=%v", res.Converged, err)
+	}
+}
+
+// TestRunSimReturnsExhaustedBudget: with every replica crashed, an
+// operation burns its whole retry budget on virtual-time deadlines and the
+// run fails with ErrQuorumUnavailable — in both modes, not as a silent
+// "not converged".
+func TestRunSimReturnsExhaustedBudget(t *testing.T) {
+	for _, pipelined := range []bool{false, true} {
+		g := graph.Chain(3)
+		cfg := aco.SimConfig{
+			Op:           semiring.NewAPSP(g),
+			Servers:      3,
+			System:       quorum.NewMajority(3),
+			Pipelined:    pipelined,
+			Delay:        rng.Constant{D: time.Millisecond},
+			DriverConfig: aco.DriverConfig{OpTimeout: 10 * time.Millisecond, Retries: 2},
+		}
+		for srv := 0; srv < cfg.Servers; srv++ {
+			cfg.Crashes = append(cfg.Crashes, aco.CrashEvent{Server: srv})
+		}
+		_, err := aco.RunSim(cfg)
+		if !errors.Is(err, register.ErrQuorumUnavailable) {
+			t.Fatalf("pipelined=%v: RunSim error = %v, want ErrQuorumUnavailable", pipelined, err)
+		}
+	}
+}
+
+// TestRunSimDeterministicUnderFaults: the same seed replays the same run —
+// result and trace — with crashes and deadlines in play, in both modes. A
+// wall-clock read anywhere on the sim path (a deadline, a trace stamp)
+// would break it.
+func TestRunSimDeterministicUnderFaults(t *testing.T) {
+	for _, pipelined := range []bool{false, true} {
+		run := func() (aco.SimResult, []trace.Op) {
+			cfg := crashConfig(8, 3, 9)
+			cfg.Pipelined = pipelined
+			cfg.Retries = 8
+			cfg.Crashes = []aco.CrashEvent{
+				{At: 2 * time.Millisecond, Server: 0},
+				{At: 2 * time.Millisecond, Server: 5},
+				{At: 25 * time.Millisecond, Server: 0, Recover: true},
+			}
+			cfg.Trace = &trace.Log{}
+			res, err := aco.RunSim(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res, cfg.Trace.Ops()
+		}
+		resA, opsA := run()
+		resB, opsB := run()
+		if resA.Retries == 0 {
+			t.Fatalf("pipelined=%v: no deadline fired; the faults were not exercised", pipelined)
+		}
+		if !reflect.DeepEqual(resA, resB) {
+			t.Fatalf("pipelined=%v: results differ:\n a=%+v\n b=%+v", pipelined, resA, resB)
+		}
+		if !reflect.DeepEqual(opsA, opsB) {
+			t.Fatalf("pipelined=%v: traces differ (%d vs %d ops)", pipelined, len(opsA), len(opsB))
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package aco
 
 import (
 	"fmt"
-	"time"
 
 	"probquorum/internal/metrics"
 	"probquorum/internal/msg"
@@ -40,14 +39,12 @@ type SimConfig struct {
 	// stale quorum members after every read (an ablation extension; not
 	// part of the paper's algorithm).
 	ReadRepair bool
-	// Pipelined runs each process's register operations through a
-	// register.Pipeline: the m reads of an iteration overlap their quorum
-	// round-trips, as do the writes of the owned components. Only
-	// failure-free executions are supported in the simulator (the
-	// Pipeline's retry deadlines are wall-clock timers, which have no
-	// meaning on virtual time): OpTimeout and Crashes are rejected. Crash
-	// injection against pipelined clients runs on the cluster and TCP
-	// runtimes instead.
+	// Pipelined overlaps each process's register operations: the m reads of
+	// an iteration are in flight at once, as are the writes of the owned
+	// components. Otherwise a process waits for each operation before it
+	// submits the next — one pending operation per process, the paper's
+	// model. Both run on the same register.Pipeline, deadlines and crash
+	// schedule included.
 	Pipelined bool
 	// Gauge, if non-nil, tracks the pipelined processes' in-flight
 	// operation count; its high-watermark is how tests assert that
@@ -69,9 +66,8 @@ type SimConfig struct {
 	MaxRounds int
 	// DriverConfig carries the per-operation deadline and retry budget
 	// shared with the cluster and TCP runners. Deadlines are virtual-time
-	// events here. A process
-	// whose operation exhausts a non-zero Retries budget aborts the run
-	// with register.ErrQuorumUnavailable.
+	// events here. A process whose operation exhausts a non-zero Retries
+	// budget aborts the run: RunSim returns its register.ErrQuorumUnavailable.
 	DriverConfig
 	// Crashes schedules replica crash/recovery events at virtual times,
 	// exercising the availability story end-to-end.
@@ -110,8 +106,8 @@ type SimResult struct {
 	Messages int64
 	// CacheHits counts monotone reads served from the client cache.
 	CacheHits int64
-	// Retries counts operations reissued after timing out (only with
-	// OpTimeout set).
+	// Retries counts operation deadlines that expired and re-issued the
+	// attempt on a fresh quorum (only with OpTimeout set).
 	Retries int64
 	// VirtualTime is the simulated time at which the run ended.
 	VirtualTime sim.Time
@@ -188,202 +184,6 @@ func (mo *monitor) iterationDone(ctx *sim.Context, proc int, start sim.Time, cor
 	}
 }
 
-// procNode is one application process of Alg. 1 as a simulator state
-// machine: read all m registers (sequentially), apply F to the view,
-// write the owned registers, check convergence, repeat. The register
-// protocol itself — quorum sessions, retry on a fresh quorum, repair
-// dispatch — lives in register.Operation; this node only carries the
-// iteration structure and pushes the Operation's fan-outs into the
-// simulator's message layer.
-type procNode struct {
-	idx     int
-	engine  *register.Engine
-	op      Operator
-	owned   []int
-	m       int
-	target  []msg.Value
-	correct func(owned []int, newVals, view []msg.Value) bool
-	mon     *monitor
-	tr      *trace.Log
-	self    msg.NodeID
-	view    []msg.Value
-	newVals []msg.Value // recomputed owned values, parallel to owned
-
-	reading   bool // current phase: reading the view vs writing owned
-	cursor    int
-	cur       *register.Operation
-	sends     []register.Send // fan-out buffer, handed to the simulator per event
-	iterStart sim.Time
-	opInvoke  sim.Time
-	wsHandle  int // trace handle of the in-flight write, if tr != nil
-
-	timeout time.Duration
-	budget  int    // per-operation attempt cap (0 = unlimited)
-	attempt uint64 // increments per (re)issued fan-out; stale timers no-op
-	retries int64
-	err     error // first quorum-unavailability failure; aborts the run
-}
-
-var _ sim.Handler = (*procNode)(nil)
-
-func (p *procNode) Init(ctx *sim.Context) {
-	p.view = make([]msg.Value, p.m)
-	p.newVals = make([]msg.Value, len(p.owned))
-	p.startIteration(ctx)
-}
-
-func (p *procNode) startIteration(ctx *sim.Context) {
-	p.iterStart = ctx.Now()
-	p.reading = true
-	p.cursor = 0
-	p.beginRead(ctx)
-}
-
-func (p *procNode) armTimeout(ctx *sim.Context) {
-	if p.timeout > 0 {
-		p.attempt++
-		ctx.After(p.timeout, 1, p.attempt)
-	}
-}
-
-// dispatch hands the buffered fan-out to the simulator and empties the
-// buffer.
-func (p *procNode) dispatch(ctx *sim.Context) {
-	for _, s := range p.sends {
-		ctx.Send(msg.NodeID(s.Server), s.Req)
-	}
-	clear(p.sends)
-	p.sends = p.sends[:0]
-}
-
-func (p *procNode) beginRead(ctx *sim.Context) {
-	p.cur = p.engine.NewReadOp(msg.RegisterID(p.cursor), p.budget)
-	p.opInvoke = ctx.Now()
-	p.sends = p.cur.Start(p.sends)
-	p.dispatch(ctx)
-	p.armTimeout(ctx)
-}
-
-func (p *procNode) beginWrite(ctx *sim.Context) {
-	comp := p.owned[p.cursor]
-	p.cur = p.engine.NewWriteOp(msg.RegisterID(comp), p.newVals[p.cursor], p.budget)
-	p.opInvoke = ctx.Now()
-	p.sends = p.cur.Start(p.sends)
-	if p.tr != nil {
-		// Writes are logged at invocation so that reads observing a write
-		// still in flight when the run stops can be validated against it.
-		p.wsHandle = p.tr.Begin(trace.Op{
-			Kind: trace.KindWrite, Proc: p.self, Reg: p.cur.Reg(),
-			Invoke: int64(p.opInvoke), Tag: p.cur.PendingTag(),
-		})
-	}
-	p.dispatch(ctx)
-	p.armTimeout(ctx)
-}
-
-// retryOp reissues the current operation on a freshly picked quorum (writes
-// keep their timestamp). An exhausted retry budget aborts the whole run:
-// under the configured fault load no quorum answered this process in time.
-func (p *procNode) retryOp(ctx *sim.Context) {
-	var err error
-	p.sends, err = p.cur.Retry(p.sends)
-	if err != nil {
-		p.err = fmt.Errorf("aco: proc %d: %s reg %d: %w after %d attempts",
-			p.idx, p.cur.Desc(), p.cur.Reg(), err, p.cur.Attempts())
-		ctx.Stop()
-		return
-	}
-	p.retries++
-	p.dispatch(ctx)
-	p.armTimeout(ctx)
-}
-
-// Timer implements sim.TimerHandler: a per-operation retry deadline. If the
-// operation that armed this timer is still incomplete, it is reissued on a
-// fresh quorum — reads anew, writes with their original timestamp.
-func (p *procNode) Timer(ctx *sim.Context, _ int, payload any) {
-	att, ok := payload.(uint64)
-	if !ok || att != p.attempt || ctx.Stopped() {
-		return // a newer operation superseded this deadline
-	}
-	if p.cur == nil || p.cur.Done() || p.err != nil {
-		return
-	}
-	p.retryOp(ctx)
-}
-
-func (p *procNode) Recv(ctx *sim.Context, from msg.NodeID, m any) {
-	if p.cur == nil || p.cur.Done() || p.err != nil {
-		return // stale reply from a completed operation
-	}
-	// Repair write-backs ride along in the returned fan-out: fire-and-forget,
-	// replicas drop stale installs and stray acks are filtered by op id.
-	p.sends = p.cur.Deliver(int(from), m, p.sends)
-	p.dispatch(ctx)
-	if p.cur.Rejected() {
-		p.retryOp(ctx) // masked read outvoted; draw a fresh quorum now
-		return
-	}
-	if !p.cur.Done() {
-		return
-	}
-	if p.reading {
-		tag := p.cur.Result()
-		if p.tr != nil {
-			p.tr.Record(trace.Op{
-				Kind: trace.KindRead, Proc: p.self, Reg: p.cur.Reg(),
-				Invoke: int64(p.opInvoke), Respond: int64(ctx.Now()), Tag: tag,
-			})
-		}
-		p.view[p.cursor] = tag.Val
-		p.cursor++
-		if p.cursor < p.m {
-			p.beginRead(ctx)
-			return
-		}
-		p.computePhase(ctx)
-		return
-	}
-	if p.tr != nil {
-		p.tr.Complete(p.wsHandle, int64(ctx.Now()))
-	}
-	p.cursor++
-	if p.cursor < len(p.owned) {
-		p.beginWrite(ctx)
-		return
-	}
-	p.finishIteration(ctx)
-}
-
-func (p *procNode) computePhase(ctx *sim.Context) {
-	for li, comp := range p.owned {
-		p.newVals[li] = p.op.Apply(comp, p.view)
-	}
-	p.reading = false
-	p.cursor = 0
-	p.beginWrite(ctx)
-}
-
-func (p *procNode) finishIteration(ctx *sim.Context) {
-	var correct bool
-	if p.correct != nil {
-		correct = p.correct(p.owned, p.newVals, p.view)
-	} else {
-		correct = true
-		for li, comp := range p.owned {
-			if !p.op.Equal(comp, p.newVals[li], p.target[comp]) {
-				correct = false
-				break
-			}
-		}
-	}
-	p.mon.iterationDone(ctx, p.idx, p.iterStart, correct)
-	if ctx.Stopped() {
-		return
-	}
-	p.startIteration(ctx)
-}
-
 // RunSim executes Alg. 1 once under the configuration and returns the
 // measured result.
 func RunSim(cfg SimConfig) (SimResult, error) {
@@ -432,11 +232,6 @@ func RunSim(cfg SimConfig) (SimResult, error) {
 	if err := validateCrashes(cfg.Crashes, cfg.Servers, cfg.OpTimeout, false); err != nil {
 		return SimResult{}, err
 	}
-	if cfg.Pipelined {
-		if cfg.OpTimeout > 0 || len(cfg.Crashes) > 0 {
-			return SimResult{}, fmt.Errorf("aco: pipelined simulation is failure-free: OpTimeout and Crashes are not supported (use the cluster or TCP runtime for pipelined crash injection)")
-		}
-	}
 
 	model := cfg.DelayModel
 	if model == nil {
@@ -465,8 +260,7 @@ func RunSim(cfg SimConfig) (SimResult, error) {
 	}
 
 	mon := newMonitor(procs, maxRounds)
-	engines := make([]*register.Engine, procs)
-	nodes := make([]*procNode, procs)
+	nodes := make([]*pipeProcNode, procs)
 	for pi := 0; pi < procs; pi++ {
 		var opts []register.Option
 		if cfg.Monotone {
@@ -481,65 +275,44 @@ func RunSim(cfg SimConfig) (SimResult, error) {
 		if cfg.ReadRepair {
 			opts = append(opts, register.WithReadRepair())
 		}
-		engines[pi] = register.NewEngine(int32(pi), cfg.System,
+		engine := register.NewEngine(int32(pi), cfg.System,
 			rng.Derive(cfg.Seed, fmt.Sprintf("aco.engine.%d", pi)), opts...)
-		if cfg.Pipelined {
-			node := &pipeProcNode{
-				idx:     pi,
-				op:      op,
-				owned:   part.Owned(pi),
-				m:       m,
-				target:  target,
-				correct: cfg.Correct,
-				mon:     mon,
-				self:    msg.NodeID(cfg.Servers + pi),
-			}
-			send := func(server int, req any) { node.ctx.Send(msg.NodeID(server), req) }
-			plOpts := []register.PipelineOption{
-				register.PipeClock(func() int64 { return int64(node.ctx.Now()) }),
-			}
-			if cfg.Trace != nil {
-				plOpts = append(plOpts, register.PipeTrace(cfg.Trace, node.self))
-			}
-			if cfg.Gauge != nil {
-				plOpts = append(plOpts, register.PipeGauge(cfg.Gauge))
-			}
-			node.pl = register.NewPipeline(engines[pi], send, plOpts...)
-			s.Add(node.self, node)
-			continue
-		}
-		node := &procNode{
+		self := msg.NodeID(cfg.Servers + pi)
+		node := &pipeProcNode{
 			idx:     pi,
-			engine:  engines[pi],
+			serial:  !cfg.Pipelined,
 			op:      op,
 			owned:   part.Owned(pi),
 			m:       m,
 			target:  target,
 			correct: cfg.Correct,
 			mon:     mon,
-			tr:      cfg.Trace,
-			self:    msg.NodeID(cfg.Servers + pi),
-			timeout: cfg.OpTimeout,
-			budget:  cfg.Retries,
 		}
+		send := func(server int, req any) { node.ctx.Send(msg.NodeID(server), req) }
+		plOpts := []register.PipelineOption{
+			register.PipeClock(s.Clock(self)),
+			register.PipeTimeout(cfg.OpTimeout, cfg.Retries),
+		}
+		if cfg.Trace != nil {
+			plOpts = append(plOpts, register.PipeTrace(cfg.Trace, self))
+		}
+		if cfg.Gauge != nil {
+			plOpts = append(plOpts, register.PipeGauge(cfg.Gauge))
+		}
+		node.pl = register.NewPipeline(engine, send, plOpts...)
 		nodes[pi] = node
-		s.Add(node.self, node)
+		s.Add(self, node)
 	}
 
 	s.Run()
 
 	var cacheHits, retries int64
-	for _, e := range engines {
-		cacheHits += e.CacheHits()
-	}
 	for _, node := range nodes {
-		if node == nil {
-			continue
-		}
 		if node.err != nil {
 			return SimResult{}, node.err
 		}
-		retries += node.retries
+		cacheHits += node.pl.Engine().CacheHits()
+		retries += node.pl.Retries()
 	}
 	rounds := mon.roundsConv
 	if !mon.converged {

@@ -69,8 +69,7 @@ type Cluster struct {
 	clients map[msg.NodeID]chan envelope
 	nextID  msg.NodeID
 
-	clock atomic.Int64 // logical time for trace records
-	seed  uint64
+	seed uint64
 
 	// partition maps node id -> partition group; messages between
 	// different groups are dropped. Nil means fully connected. Guarded by
@@ -150,9 +149,6 @@ func (c *Cluster) ClearByzantine(i int) {
 	defer c.mu.Unlock()
 	c.appliers[i] = c.servers[i]
 }
-
-// tick advances the cluster's logical clock, used to order trace records.
-func (c *Cluster) tick() int64 { return c.clock.Add(1) }
 
 // Messages returns the number of messages sent so far (requests + replies).
 func (c *Cluster) Messages() int64 { return c.msgSent.Value() }
@@ -543,7 +539,6 @@ func (c *Cluster) attach(sys quorum.System, opts []ClientOption) (*attached, err
 		}
 	}
 	a.Proc = a.id
-	a.Clock = c.tick
 	a.rt = a.tr
 	if a.Counters != nil {
 		a.rt = transport.Instrument(a.tr, a.Counters)

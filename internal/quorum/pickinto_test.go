@@ -50,11 +50,14 @@ func TestPickIntoValid(t *testing.T) {
 	}
 }
 
-// TestPickIntoMatchesPick pins that for systems whose Pick delegates to
-// PickInto, both consume the random stream identically — a seeded
-// experiment replays the same quorum sequence through either entry point.
+// TestPickIntoMatchesPick pins that Pick and PickInto consume the random
+// stream identically — a seeded experiment replays the same quorum sequence
+// through either entry point, so an engine's picks do not depend on whether
+// it had a recycled session to pick into.
 func TestPickIntoMatchesPick(t *testing.T) {
 	for _, sys := range []System{
+		NewProbabilistic(25, 7),
+		NewMajority(9),
 		NewSingleton(5, 3),
 		NewAll(6),
 		NewGrid(4, 5),
@@ -75,7 +78,8 @@ func TestPickIntoMatchesPick(t *testing.T) {
 }
 
 // TestRandomSubsetIntoUniformMembership mirrors the RandomSubset uniformity
-// test for Floyd's sampler: every element should appear with frequency k/n.
+// test for the in-place sampler: every element should appear with frequency
+// k/n.
 func TestRandomSubsetIntoUniformMembership(t *testing.T) {
 	const (
 		n, k   = 20, 6

@@ -180,13 +180,9 @@ func (p *Probabilistic) Strict() bool { return 2*p.k > p.n }
 func (p *Probabilistic) Name() string { return fmt.Sprintf("probabilistic(n=%d,k=%d)", p.n, p.k) }
 
 // Pick returns a uniformly random k-subset of the servers.
-func (p *Probabilistic) Pick(r *rand.Rand) []int {
-	return RandomSubset(r, p.n, p.k)
-}
+func (p *Probabilistic) Pick(r *rand.Rand) []int { return RandomSubset(r, p.n, p.k) }
 
-// PickInto implements IntoPicker. It samples with Floyd's algorithm, which
-// consumes a different part of the stream than Pick's Fisher–Yates — both
-// are uniform over k-subsets, but seeded replays must not mix the two.
+// PickInto implements IntoPicker.
 func (p *Probabilistic) PickInto(dst []int, r *rand.Rand) []int {
 	return RandomSubsetInto(dst, r, p.n, p.k)
 }
@@ -225,12 +221,9 @@ func (m *Majority) Strict() bool { return true }
 func (m *Majority) Name() string { return fmt.Sprintf("majority(n=%d)", m.n) }
 
 // Pick returns a uniformly random majority.
-func (m *Majority) Pick(r *rand.Rand) []int {
-	return RandomSubset(r, m.n, m.Size())
-}
+func (m *Majority) Pick(r *rand.Rand) []int { return RandomSubset(r, m.n, m.Size()) }
 
-// PickInto implements IntoPicker; see Probabilistic.PickInto for the
-// stream-compatibility caveat.
+// PickInto implements IntoPicker.
 func (m *Majority) PickInto(dst []int, r *rand.Rand) []int {
 	return RandomSubsetInto(dst, r, m.n, m.Size())
 }
@@ -319,15 +312,31 @@ func (a *All) PickInto(dst []int, _ *rand.Rand) []int {
 	return dst
 }
 
-// RandomSubset returns a uniformly random k-subset of {0, ..., n-1} using a
-// partial Fisher–Yates shuffle, costing O(n) setup amortized away by reusing
-// no state: the straightforward O(n) version keeps the code obviously
-// correct and n is small (tens to hundreds of servers) in every experiment.
+// RandomSubset returns a uniformly random k-subset of {0, ..., n-1}; see
+// RandomSubsetInto.
 func RandomSubset(r *rand.Rand, n, k int) []int {
+	return RandomSubsetInto(make([]int, 0, k), r, n, k)
+}
+
+// RandomSubsetInto fills dst (truncated first) with a uniformly random
+// k-subset of {0, ..., n-1}: the first k positions of a partial Fisher–Yates
+// shuffle of the identity permutation. The permutation lives in a stack
+// array for n <= 64 — every system in the experiments — so it allocates
+// nothing when cap(dst) >= k; past that it takes one heap slice. Every
+// sampler in the package draws through here, so a seeded run picks the same
+// quorums whichever entry point (Pick, PickInto, PickAvoiding) an engine
+// takes.
+func RandomSubsetInto(dst []int, r *rand.Rand, n, k int) []int {
 	if k > n {
 		panic(fmt.Sprintf("quorum: subset size %d exceeds universe %d", k, n))
 	}
-	perm := make([]int, n)
+	var stack [64]int
+	var perm []int
+	if n <= len(stack) {
+		perm = stack[:n]
+	} else {
+		perm = make([]int, n)
+	}
 	for i := range perm {
 		perm[i] = i
 	}
@@ -335,38 +344,7 @@ func RandomSubset(r *rand.Rand, n, k int) []int {
 		j := i + r.IntN(n-i)
 		perm[i], perm[j] = perm[j], perm[i]
 	}
-	return perm[:k:k]
-}
-
-// RandomSubsetInto fills dst (truncated first) with a uniformly random
-// k-subset of {0, ..., n-1} using Floyd's sampling algorithm: for each
-// j in [n-k, n) pick t uniformly from [0, j]; take t unless already taken,
-// else take j. It allocates nothing when cap(dst) >= k. The duplicate check
-// is a linear scan — O(k²) worst case, but k is tens at most in every
-// experiment and the scan beats a map or bitset allocation. Note the
-// resulting stream differs from RandomSubset's Fisher–Yates: both are
-// uniform, but a seeded replay must use one or the other consistently.
-func RandomSubsetInto(dst []int, r *rand.Rand, n, k int) []int {
-	if k > n {
-		panic(fmt.Sprintf("quorum: subset size %d exceeds universe %d", k, n))
-	}
-	dst = dst[:0]
-	for j := n - k; j < n; j++ {
-		t := r.IntN(j + 1)
-		taken := false
-		for _, v := range dst {
-			if v == t {
-				taken = true
-				break
-			}
-		}
-		if taken {
-			dst = append(dst, j)
-		} else {
-			dst = append(dst, t)
-		}
-	}
-	return dst
+	return append(dst[:0], perm[:k]...)
 }
 
 // Overlaps reports whether the two quorums share at least one server.

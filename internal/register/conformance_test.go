@@ -44,7 +44,7 @@ type confResult struct {
 	ops        []trace.Op
 	cacheHits  int64
 	fastReads  int64 // atomic reads that elided their write-back (engine count)
-	writeBacks int64 // write-back rounds actually run (observer laps; op count on sim)
+	writeBacks int64 // write-back rounds actually run (observer laps)
 	gaugeMax   int64
 	errs       []error // one slot per script: first operation error, or nil
 	// Fault-path accounting of the pipelined crash rows: members replaced
@@ -60,13 +60,17 @@ type confResult struct {
 // one script per client process; the pipelined scenario instead runs the
 // fixed async write-then-read flow of runPipelinedFlow.
 type confScenario struct {
-	name       string
-	servers    int
-	regs       int
-	sys        func(n int) quorum.System
-	monotone   bool
-	crashAll   bool          // crash every replica before the scripts run
-	crashOne   bool          // crash replica 0 before the scripts run
+	name     string
+	servers  int
+	regs     int
+	sys      func(n int) quorum.System
+	monotone bool
+	crashAll bool // crash every replica before the scripts run
+	crashOne bool // crash replica 0 before the scripts run
+	// silent keeps the crash from being signalled: the lost member is found
+	// only by a deadline. The sim and cluster harnesses run such a row; a
+	// crashed tcp store closes its connections, which is a signal.
+	silent     bool
 	timeout    time.Duration // per-attempt deadline (0 = strict mode)
 	retries    int           // attempt budget passed with the deadline
 	pipelined  bool
@@ -99,6 +103,9 @@ func plantFabricated(st *replica.Store, regs int) {
 // engineOnlyVariant reports whether the row needs an engine variant the tcp
 // adapter exposes no option for.
 func (sc confScenario) engineOnlyVariant() bool { return sc.masked || sc.repair }
+
+// tcpSkips reports whether the tcp harness cannot run the row.
+func (sc confScenario) tcpSkips() bool { return sc.engineOnlyVariant() || sc.silent }
 
 func confMajority(n int) quorum.System { return quorum.NewMajority(n) }
 
@@ -350,6 +357,28 @@ var confScenarios = []confScenario{
 		timeout:   40 * time.Millisecond,
 		pipelined: true,
 		check:     checkCrashTopUp,
+	},
+	{
+		// A silent crash: nothing tells the client that replica 0 is gone,
+		// so the first operation waiting on it runs out its deadline, which
+		// suspects the replica and replaces it within the attempt; later
+		// operations pick around it. At least one deadline must fire, and
+		// the trace stays atomic.
+		name:       "crash-topup-silent",
+		servers:    5,
+		regs:       6,
+		sys:        confMajority,
+		crashOne:   true,
+		silent:     true,
+		timeout:    40 * time.Millisecond,
+		pipelined:  true,
+		atomicFlow: true,
+		check: func(t *testing.T, r confResult) {
+			checkCrashTopUp(t, r)
+			if r.retries == 0 {
+				t.Fatal("no deadline fired: the silent replica was never waited on")
+			}
+		},
 	},
 	{
 		// b-masking on the pipelined engine: replica 0 fabricates a tag far
@@ -712,133 +741,71 @@ func runTCPScenario(t *testing.T, sc confScenario) confResult {
 		writeBacks: pobs.WriteBack.Count(), errs: errs}
 }
 
-// confSimNode drives one script's register.Operations inside the simulator —
-// the same state-machine pattern as the aco runner's procNode, reduced to a
-// scripted operation list. Timers pace retries on virtual time; the attempt
-// counter filters deadlines armed for superseded attempts.
-type confSimNode struct {
-	engine  *register.Engine
-	script  []confStep
-	self    msg.NodeID
-	tr      *trace.Log
-	timeout time.Duration
-	budget  int
-
-	idx      int
-	cur      *register.Operation
-	sends    []register.Send
-	invoke   sim.Time
-	wsHandle int
-	attempt  uint64
-	wbacks   int64 // atomic reads that ran the write-back round
+// simScript runs one script on a register.Pipeline inside the simulator,
+// callback-chained: each step's completion submits the next, so the script
+// is a depth-1 pipeline — what a blocking call is on every other runtime.
+// Deadlines are simulator events on the node's virtual clock, and
+// stale-epoch rejects adopt newer views inside the pipeline.
+type simScript struct {
+	pl       *register.Pipeline
+	script   []confStep
+	ctx      *sim.Context
+	idx      int // the step in flight, or len(script) once finished
 	finished bool
 	err      error
 }
 
-var _ sim.Handler = (*confSimNode)(nil)
+// addSimScript wires a script node for engine into s as node self.
+func addSimScript(s *sim.Sim, self msg.NodeID, engine *register.Engine, script []confStep,
+	opts ...register.PipelineOption) *simScript {
+	n := &simScript{script: script}
+	send := func(server int, req any) { n.ctx.Send(msg.NodeID(server), req) }
+	n.pl = register.NewPipeline(engine, send, append(opts, register.PipeClock(s.Clock(self)))...)
+	s.Add(self, n)
+	return n
+}
 
-func (n *confSimNode) Init(ctx *sim.Context) { n.next(ctx) }
+func (n *simScript) Init(ctx *sim.Context) {
+	n.ctx = ctx
+	n.submit()
+}
 
-func (n *confSimNode) next(ctx *sim.Context) {
-	if n.idx >= len(n.script) {
+func (n *simScript) Recv(_ *sim.Context, from msg.NodeID, m any) { n.pl.Deliver(int(from), m) }
+
+func (n *simScript) submit() {
+	if n.idx == len(n.script) {
 		n.finished = true
-		n.cur = nil
 		return
 	}
-	st := n.script[n.idx]
-	switch st.kind {
+	switch st := n.script[n.idx]; st.kind {
 	case 'r':
-		n.cur = n.engine.NewReadOp(st.reg, n.budget)
+		n.pl.ReadAsyncFunc(st.reg, n.done)
 	case 'a':
-		n.cur = n.engine.NewAtomicReadOp(st.reg, n.budget)
+		n.pl.ReadAtomicAsyncFunc(st.reg, n.done)
 	default:
-		n.cur = n.engine.NewWriteOp(st.reg, st.val, n.budget)
-	}
-	n.invoke = ctx.Now()
-	n.sends = n.cur.Start(n.sends)
-	if st.kind == 'w' && n.tr != nil {
-		n.wsHandle = n.tr.Begin(trace.Op{
-			Kind: trace.KindWrite, Proc: n.self, Reg: st.reg,
-			Invoke: int64(n.invoke), Tag: n.cur.PendingTag(),
-		})
-	}
-	n.dispatch(ctx)
-	n.arm(ctx)
-}
-
-func (n *confSimNode) dispatch(ctx *sim.Context) {
-	for _, sd := range n.sends {
-		ctx.Send(msg.NodeID(sd.Server), sd.Req)
-	}
-	n.sends = n.sends[:0]
-}
-
-func (n *confSimNode) arm(ctx *sim.Context) {
-	if n.timeout > 0 {
-		n.attempt++
-		ctx.After(n.timeout, 1, n.attempt)
+		n.pl.WriteAsyncFunc(st.reg, st.val, n.done)
 	}
 }
 
-func (n *confSimNode) retry(ctx *sim.Context) {
-	var err error
-	if n.sends, err = n.cur.Retry(n.sends); err != nil {
-		n.err = fmt.Errorf("sim proc %d: %s reg %d after %d attempts: %w",
-			int(n.self), n.cur.Desc(), n.cur.Reg(), n.cur.Attempts(), err)
-		n.cur = nil
+func (n *simScript) done(_ msg.Tagged, err error) {
+	if err != nil {
+		n.err = fmt.Errorf("sim script step %d: %w", n.idx, err)
 		return
-	}
-	n.dispatch(ctx)
-	n.arm(ctx)
-}
-
-func (n *confSimNode) Timer(ctx *sim.Context, _ int, payload any) {
-	att, ok := payload.(uint64)
-	if !ok || att != n.attempt {
-		return // a newer attempt superseded this deadline
-	}
-	if n.cur == nil || n.cur.Done() {
-		return
-	}
-	n.retry(ctx)
-}
-
-func (n *confSimNode) Recv(ctx *sim.Context, from msg.NodeID, m any) {
-	if n.cur == nil || n.cur.Done() {
-		return // stale reply from a completed operation
-	}
-	n.sends = n.cur.Deliver(int(from), m, n.sends)
-	n.dispatch(ctx)
-	if n.cur.Rejected() {
-		n.retry(ctx)
-		return
-	}
-	if !n.cur.Done() {
-		return
-	}
-	switch st := n.script[n.idx]; {
-	case st.kind == 'w':
-		if n.tr != nil {
-			n.tr.Complete(n.wsHandle, int64(ctx.Now()))
-		}
-	default:
-		if st.kind == 'a' && !n.cur.FastPath() {
-			n.wbacks++
-		}
-		if n.tr != nil {
-			n.tr.Record(trace.Op{
-				Kind: trace.KindRead, Proc: n.self, Reg: n.cur.Reg(),
-				Invoke: int64(n.invoke), Respond: int64(ctx.Now()), Tag: n.cur.Result(),
-			})
-		}
 	}
 	n.idx++
-	n.next(ctx)
+	n.submit()
 }
 
-// confPipeNode drives the pipelined flow inside the simulator. Completion
-// callbacks run synchronously inside Deliver, so ctx is refreshed on every
-// entry point before the pipeline can emit sends through it.
+// stalled reports why the script neither finished nor failed, or "".
+func (n *simScript) stalled() string {
+	if n.err != nil || n.finished {
+		return ""
+	}
+	return fmt.Sprintf("stalled at step %d of %d", n.idx, len(n.script))
+}
+
+// confPipeNode drives the pipelined flow inside the simulator; completion
+// callbacks run synchronously inside Deliver.
 type confPipeNode struct {
 	pl      *register.Pipeline
 	tr      *simTransport
@@ -923,14 +890,10 @@ func (n *confPipeNode) readAtomic(r int, tag msg.Tagged, err error) {
 	}
 }
 
-func (n *confPipeNode) Recv(ctx *sim.Context, from msg.NodeID, m any) {
-	n.ctx = ctx
-	n.pl.Deliver(int(from), m)
-}
+func (n *confPipeNode) Recv(_ *sim.Context, from msg.NodeID, m any) { n.pl.Deliver(int(from), m) }
 
 // Timer delivers a crashed server's connection reset (simTransport.Send).
-func (n *confPipeNode) Timer(ctx *sim.Context, _ int, payload any) {
-	n.ctx = ctx
+func (n *confPipeNode) Timer(_ *sim.Context, _ int, payload any) {
 	n.tr.sink(payload.(int), nil, errSimReset)
 }
 
@@ -1003,11 +966,12 @@ func runSimScenario(t *testing.T, sc confScenario) confResult {
 		self := msg.NodeID(sc.servers)
 		node := &confPipeNode{regs: sc.regs, atomic: sc.atomicFlow, multi: sc.multiWriter}
 		var tc metrics.TransportCounters
-		// No deadline: wall-clock timers have no meaning on virtual time,
-		// and in the crash rows the error signal must be enough on its own.
-		node.tr = &simTransport{node: node, n: sc.servers, crashed: map[int]bool{0: sc.crashOne}}
+		// A crashed replica is silent; unless the row says so, the transport
+		// also signals the loss, like a TCP peer's closed connection.
+		node.tr = &simTransport{node: node, n: sc.servers, crashed: map[int]bool{0: sc.crashOne && !sc.silent}}
 		node.pl = register.NewPipelineOver(engine, node.tr,
-			register.PipeClock(func() int64 { return int64(node.ctx.Now()) }),
+			register.PipeClock(s.Clock(self)),
+			register.PipeTimeout(sc.timeout, sc.retries),
 			register.PipeTrace(log, self),
 			register.PipeGauge(&g),
 			register.PipeObserver(pobs),
@@ -1019,37 +983,32 @@ func runSimScenario(t *testing.T, sc confScenario) confResult {
 		}
 		return confResult{ops: log.Ops(), fastReads: engine.FastReads(),
 			writeBacks: pobs.WriteBack.Count(), gaugeMax: g.Max(), errs: []error{node.err},
-			topUps: tc.TopUps.Value(), retries: node.pl.Retries(), signalsCrash: true,
+			topUps: tc.TopUps.Value(), retries: node.pl.Retries(), signalsCrash: !sc.silent,
 			repairs: engine.Repairs()}
 	}
+	pobs := new(register.Observer) // WriteBack laps pin the fast-path rows
 	engines := make([]*register.Engine, len(sc.scripts))
-	nodes := make([]*confSimNode, len(sc.scripts))
+	nodes := make([]*simScript, len(sc.scripts))
 	for pi, script := range sc.scripts {
 		engines[pi] = newEngine(pi)
-		nodes[pi] = &confSimNode{
-			engine:  engines[pi],
-			script:  script,
-			self:    msg.NodeID(sc.servers + pi),
-			tr:      log,
-			timeout: sc.timeout,
-			budget:  sc.retries,
-		}
-		s.Add(nodes[pi].self, nodes[pi])
+		nodes[pi] = addSimScript(s, msg.NodeID(sc.servers+pi), engines[pi], script,
+			register.PipeTimeout(sc.timeout, sc.retries),
+			register.PipeTrace(log, msg.NodeID(sc.servers+pi)),
+			register.PipeObserver(pobs))
 	}
 	s.Run()
 	errs := make([]error, len(nodes))
-	var hits, fast, wbacks int64
+	var hits, fast int64
 	for pi, node := range nodes {
-		if node.err == nil && !node.finished {
-			t.Fatalf("sim script %d stalled at step %d", pi, node.idx)
+		if why := node.stalled(); why != "" {
+			t.Fatalf("sim script %d %s", pi, why)
 		}
 		errs[pi] = node.err
 		hits += engines[pi].CacheHits()
 		fast += engines[pi].FastReads()
-		wbacks += node.wbacks
 	}
 	return confResult{ops: log.Ops(), cacheHits: hits, fastReads: fast,
-		writeBacks: wbacks, errs: errs}
+		writeBacks: pobs.WriteBack.Count(), errs: errs}
 }
 
 // TestConformance runs every scenario against every transport.
@@ -1066,8 +1025,8 @@ func TestConformance(t *testing.T) {
 		sc := sc
 		for _, h := range harnesses {
 			h := h
-			if h.name == "tcp" && sc.engineOnlyVariant() {
-				continue // see confScenario.masked
+			if h.name == "tcp" && sc.tcpSkips() {
+				continue // see confScenario.masked and .silent
 			}
 			t.Run(sc.name+"/"+h.name, func(t *testing.T) {
 				t.Parallel()
@@ -1584,8 +1543,7 @@ func runKsTCPScenario(t *testing.T, row ksConfRow) ksConfResult {
 	return ksResult(flows, log, &g)
 }
 
-// ksSimNode hosts one keyspace client flow inside the simulator, refreshing
-// the context on every entry point before the keyspace can emit sends.
+// ksSimNode hosts one keyspace client flow inside the simulator.
 type ksSimNode struct {
 	flow *ksFlow
 	ctx  *sim.Context
@@ -1596,10 +1554,7 @@ func (n *ksSimNode) Init(ctx *sim.Context) {
 	n.flow.start()
 }
 
-func (n *ksSimNode) Recv(ctx *sim.Context, from msg.NodeID, m any) {
-	n.ctx = ctx
-	n.flow.ks.Deliver(int(from), m)
-}
+func (n *ksSimNode) Recv(_ *sim.Context, from msg.NodeID, m any) { n.flow.ks.Deliver(int(from), m) }
 
 func runKsSimScenario(t *testing.T, row ksConfRow) ksConfResult {
 	t.Helper()
@@ -1627,7 +1582,7 @@ func runKsSimScenario(t *testing.T, row ksConfRow) ksConfResult {
 		self := msg.NodeID(ksConfServers + pi)
 		keyspaces[pi] = register.NewKeyspace(engines,
 			func(server int, req any) { node.ctx.Send(msg.NodeID(server), req) },
-			register.PipeClock(func() int64 { return int64(node.ctx.Now()) }),
+			register.PipeClock(s.Clock(self)),
 			register.PipeTrace(log, self),
 			register.PipeGauge(&g))
 		s.Add(self, node)

@@ -274,39 +274,17 @@ func (e *Engine) FaultAware() bool {
 	return e.health != nil && e.maskB < 0 && quorum.IsKSubsets(e.sys) && quorum.IsKSubsets(e.writeSys)
 }
 
-// pickAvoiding draws a quorum from the servers the table does not suspect.
-// It is reached only while something is suspected, which only clients of
-// FaultAware engines ever cause.
-func (e *Engine) pickAvoiding(sys quorum.System, dst []int) []int {
-	e.mask = e.health.MaskInto(e.mask)
-	return quorum.PickAvoiding(sys, dst, e.rnd, e.mask)
-}
-
-func (e *Engine) pick(sys quorum.System) []int {
+// pick draws a quorum of sys into dst — a recycled or abandoned session's
+// quorum slice, or nil for a fresh one — and accounts for it. Every system
+// draws the same stream into dst as into a fresh slice, so a seeded engine's
+// quorums do not depend on its session pool. While the suspicion table holds
+// a suspect (only clients of FaultAware engines ever cause one), the quorum
+// is drawn from the servers it does not suspect.
+func (e *Engine) pick(sys quorum.System, dst []int) []int {
 	var q []int
 	if e.health.Any() {
-		q = e.pickAvoiding(sys, nil)
-	} else {
-		q = sys.Pick(e.rnd)
-	}
-	if e.tally != nil {
-		e.tally.Touch(q)
-	}
-	if e.messages != nil {
-		e.messages.Add(2 * int64(len(q)))
-	}
-	return q
-}
-
-// pickInto is pick for the retry path: it refills the abandoned attempt's
-// quorum slice in place instead of allocating a fresh one. Note the
-// probabilistic and majority systems sample through a different (equally
-// uniform) algorithm here than in pick, so seeded runs draw retry quorums
-// from a different stream than first attempts — deterministic either way.
-func (e *Engine) pickInto(sys quorum.System, dst []int) []int {
-	var q []int
-	if e.health.Any() {
-		q = e.pickAvoiding(sys, dst)
+		e.mask = e.health.MaskInto(e.mask)
+		q = quorum.PickAvoiding(sys, dst, e.rnd, e.mask)
 	} else {
 		q = quorum.PickInto(sys, dst, e.rnd)
 	}
@@ -325,28 +303,23 @@ func (e *Engine) BeginRead(reg msg.RegisterID) *ReadSession {
 	e.guard.enter()
 	defer e.guard.leave()
 	e.nextOp += e.opStride
+	var s *ReadSession
 	if n := len(e.rfree); n > 0 {
-		s := e.rfree[n-1]
+		s = e.rfree[n-1]
 		e.rfree[n-1] = nil
 		e.rfree = e.rfree[:n-1]
-		q := e.pickInto(e.sys, s.Quorum)
-		*s = ReadSession{
-			Reg:       reg,
-			Op:        e.nextOp,
-			fanout:    fanout{Quorum: q, Epoch: e.epoch},
-			tags:      sizeTags(s.tags, len(q)),
-			unanimous: true,
-		}
-		return s
+	} else {
+		s = new(ReadSession)
 	}
-	q := e.pick(e.sys)
-	return &ReadSession{
+	q := e.pick(e.sys, s.Quorum)
+	*s = ReadSession{
 		Reg:       reg,
 		Op:        e.nextOp,
 		fanout:    fanout{Quorum: q, Epoch: e.epoch},
-		tags:      sizeTags(nil, len(q)),
+		tags:      sizeTags(s.tags, len(q)),
 		unanimous: true,
 	}
+	return s
 }
 
 // sizeTags returns a zeroed tag buffer of length n, reusing buf's storage
@@ -397,7 +370,7 @@ func (e *Engine) RetryRead(s *ReadSession) *ReadSession {
 	// The abandoned session's storage is dead the moment its op id is
 	// retired, so the retry recycles its quorum and tag slices — a client
 	// riding out an outage stops allocating per attempt.
-	q := e.pickInto(e.sys, s.Quorum)
+	q := e.pick(e.sys, s.Quorum)
 	return &ReadSession{
 		Reg:       s.Reg,
 		Op:        e.nextOp,
@@ -422,7 +395,7 @@ func (e *Engine) RetryWrite(s *WriteSession) *WriteSession {
 		Reg:    s.Reg,
 		Op:     e.nextOp,
 		Tag:    s.Tag,
-		fanout: fanout{Quorum: checkQuorumCap(e.pickInto(e.writeSys, s.Quorum)), Epoch: e.epoch},
+		fanout: fanout{Quorum: checkQuorumCap(e.pick(e.writeSys, s.Quorum)), Epoch: e.epoch},
 	}
 }
 
@@ -597,24 +570,21 @@ func (e *Engine) BeginWrite(reg msg.RegisterID, val msg.Value) *WriteSession {
 // newWriteSessionLocked builds a write session around tag, recycling a
 // released session's storage when one is free.
 func (e *Engine) newWriteSessionLocked(reg msg.RegisterID, tag msg.Tagged) *WriteSession {
+	var s *WriteSession
 	if n := len(e.wfree); n > 0 {
-		s := e.wfree[n-1]
+		s = e.wfree[n-1]
 		e.wfree[n-1] = nil
 		e.wfree = e.wfree[:n-1]
-		*s = WriteSession{
-			Reg:    reg,
-			Op:     e.nextOp,
-			Tag:    tag,
-			fanout: fanout{Quorum: checkQuorumCap(e.pickInto(e.writeSys, s.Quorum)), Epoch: e.epoch},
-		}
-		return s
+	} else {
+		s = new(WriteSession)
 	}
-	return &WriteSession{
+	*s = WriteSession{
 		Reg:    reg,
 		Op:     e.nextOp,
 		Tag:    tag,
-		fanout: fanout{Quorum: checkQuorumCap(e.pick(e.writeSys)), Epoch: e.epoch},
+		fanout: fanout{Quorum: checkQuorumCap(e.pick(e.writeSys, s.Quorum)), Epoch: e.epoch},
 	}
+	return s
 }
 
 // ReleaseWrite is ReleaseRead for write sessions: the caller vouches that

@@ -2,10 +2,9 @@ package register_test
 
 // Tests of the atomic read's one-round-trip fast path (write-back elision on
 // a unanimous quorum) and of the fault-path accounting around it: the
-// late-read-reply StaleDrops regression and the PendingTag contract.
+// late-read-reply StaleDrops regression.
 
 import (
-	"math/rand/v2"
 	"testing"
 
 	"probquorum/internal/metrics"
@@ -259,26 +258,5 @@ func TestFastReadAllocGate(t *testing.T) {
 	}
 	if fast != plain {
 		t.Errorf("fast-path atomic read = %v allocs/op, plain read = %v; elision must add none", fast, plain)
-	}
-}
-
-// TestPendingTagContract pins the guard: PendingTag is the zero Tagged until
-// a write phase exists — a tracer may call it on an atomic read before the
-// phase transition without panicking — and the pending write's tag once one
-// does.
-func TestPendingTagContract(t *testing.T) {
-	e := register.NewEngine(1, quorum.NewAll(3), rand.New(rand.NewPCG(1, 2)))
-	ro := e.NewAtomicReadOp(0, 0)
-	if got := ro.PendingTag(); got != (msg.Tagged{}) {
-		t.Fatalf("PendingTag before Start = %+v, want zero", got)
-	}
-	ro.Start(nil)
-	if got := ro.PendingTag(); got != (msg.Tagged{}) {
-		t.Fatalf("PendingTag during the read phase = %+v, want zero", got)
-	}
-	wo := e.NewWriteOp(0, 4.0, 0)
-	wo.Start(nil)
-	if got := wo.PendingTag(); got.Val != 4.0 || got.TS.IsZero() {
-		t.Fatalf("PendingTag of a started write = %+v, want tag carrying 4.0", got)
 	}
 }

@@ -248,8 +248,8 @@ func (c *memChurnNode) Timer(ctx *sim.Context, _ int, _ any) {
 }
 
 // memRollSim is the rolling restart on virtual time: the scripted serial
-// client re-picks via its (virtual) deadline timers while the churn node
-// cycles every store through a crash.
+// client re-picks on its (virtual) deadlines while the churn node cycles
+// every store through a crash.
 func memRollSim(t *testing.T) {
 	s := sim.New(41, sim.DistDelay{Dist: rng.Exponential{MeanD: time.Millisecond}})
 	stores := make([]*replica.Store, rollServers)
@@ -267,22 +267,18 @@ func memRollSim(t *testing.T) {
 			confStep{kind: 'w', reg: msg.RegisterID(i % rollRegs), val: float64(i)},
 			confStep{kind: 'a', reg: msg.RegisterID(i % rollRegs)})
 	}
-	node := &confSimNode{
-		engine: register.NewEngine(1, quorum.NewMajority(rollServers),
-			rng.Derive(43, "membership.roll.sim"), register.Monotone()),
-		script:  script,
-		self:    msg.NodeID(rollServers),
-		tr:      log,
-		timeout: 15 * time.Millisecond,
-		budget:  0, // unlimited: a rolling restart must never exhaust a client
-	}
-	s.Add(node.self, node)
+	self := msg.NodeID(rollServers)
+	node := addSimScript(s, self, register.NewEngine(1, quorum.NewMajority(rollServers),
+		rng.Derive(43, "membership.roll.sim"), register.Monotone()), script,
+		// Unlimited retries: a rolling restart must never exhaust a client.
+		register.PipeTimeout(15*time.Millisecond, 0),
+		register.PipeTrace(log, self))
 	s.Run()
 	if node.err != nil {
 		t.Fatalf("sim client saw an error during the rolling restart: %v", node.err)
 	}
-	if !node.finished {
-		t.Fatalf("sim client stalled at step %d", node.idx)
+	if why := node.stalled(); why != "" {
+		t.Fatalf("sim client %s", why)
 	}
 	ops := log.Ops()
 	memCheckTrace(t, ops)
@@ -569,129 +565,6 @@ func TestMembershipGrowShrinkTCP(t *testing.T) {
 	}
 }
 
-// memSimNode drives a script of serial operations on virtual time, adopting
-// newer views delivered through StaleEpoch rejects: the sim-side mirror of
-// the pipelined client's view handling (adopt, re-fan without spending
-// budget), over the same register.Operation surface.
-type memSimNode struct {
-	engine  *register.Engine
-	script  []confStep
-	self    msg.NodeID
-	tr      *trace.Log
-	timeout time.Duration
-
-	idx      int
-	cur      *register.Operation
-	sends    []register.Send
-	invoke   sim.Time
-	wsHandle int
-	attempt  uint64
-	adopted  int
-	finished bool
-	err      error
-}
-
-func (n *memSimNode) Init(ctx *sim.Context) { n.next(ctx) }
-
-func (n *memSimNode) next(ctx *sim.Context) {
-	if n.idx >= len(n.script) {
-		n.finished = true
-		n.cur = nil
-		return
-	}
-	st := n.script[n.idx]
-	switch st.kind {
-	case 'a':
-		n.cur = n.engine.NewAtomicReadOp(st.reg, 0)
-	case 'r':
-		n.cur = n.engine.NewReadOp(st.reg, 0)
-	default:
-		n.cur = n.engine.NewWriteOp(st.reg, st.val, 0)
-	}
-	n.invoke = ctx.Now()
-	n.sends = n.cur.Start(n.sends)
-	if st.kind == 'w' && n.tr != nil {
-		n.wsHandle = n.tr.Begin(trace.Op{
-			Kind: trace.KindWrite, Proc: n.self, Reg: st.reg,
-			Invoke: int64(n.invoke), Tag: n.cur.PendingTag(),
-		})
-	}
-	n.dispatch(ctx)
-	n.arm(ctx)
-}
-
-func (n *memSimNode) dispatch(ctx *sim.Context) {
-	defer func() { n.sends = n.sends[:0] }()
-	for _, sd := range n.sends {
-		// Identity views (members i at position i) keep the position == node
-		// id equality the simulator's addressing relies on.
-		ctx.Send(msg.NodeID(sd.Server), sd.Req)
-	}
-}
-
-func (n *memSimNode) arm(ctx *sim.Context) {
-	n.attempt++
-	ctx.After(n.timeout, 1, n.attempt)
-}
-
-func (n *memSimNode) Timer(ctx *sim.Context, _ int, payload any) {
-	if att, ok := payload.(uint64); !ok || att != n.attempt {
-		return
-	}
-	if n.cur == nil || n.cur.Done() {
-		return
-	}
-	var err error
-	if n.sends, err = n.cur.Retry(n.sends); err != nil {
-		n.err = fmt.Errorf("sim proc %d: %w", int(n.self), err)
-		n.cur = nil
-		return
-	}
-	n.dispatch(ctx)
-	n.arm(ctx)
-}
-
-func (n *memSimNode) Recv(ctx *sim.Context, from msg.NodeID, m any) {
-	if n.cur == nil || n.cur.Done() {
-		return
-	}
-	if rej, ok := m.(msg.StaleEpoch); ok {
-		if n.cur.DeliverStaleEpoch(int(from), rej) {
-			// Adopt and re-fan against the new view — no budget spent,
-			// exactly like Pipeline.StaleEpoch: a reconfiguration is not a
-			// fault.
-			if n.engine.AdoptView(rej.View) {
-				n.adopted++
-			}
-			n.sends = n.cur.RetryView(n.sends)
-			n.dispatch(ctx)
-			n.arm(ctx)
-		}
-		return
-	}
-	n.sends = n.cur.Deliver(int(from), m, n.sends)
-	n.dispatch(ctx)
-	if n.cur.Rejected() {
-		n.Timer(ctx, 1, n.attempt) // same path as a deadline: fresh quorum
-		return
-	}
-	if !n.cur.Done() {
-		return
-	}
-	if st := n.script[n.idx]; st.kind == 'w' {
-		if n.tr != nil {
-			n.tr.Complete(n.wsHandle, int64(ctx.Now()))
-		}
-	} else if n.tr != nil {
-		n.tr.Record(trace.Op{
-			Kind: trace.KindRead, Proc: n.self, Reg: n.cur.Reg(),
-			Invoke: int64(n.invoke), Respond: int64(ctx.Now()), Tag: n.cur.Result(),
-		})
-	}
-	n.idx++
-	n.next(ctx)
-}
-
 // memViewSwitchNode installs prepared views on every store at scheduled
 // virtual times — the simulator's reconfiguration controller.
 type memViewSwitchNode struct {
@@ -738,16 +611,15 @@ func TestMembershipGrowShrinkSim(t *testing.T) {
 	})
 
 	log := &trace.Log{}
-	newNode := func(pi int, script []confStep) *memSimNode {
-		return &memSimNode{
-			engine: register.NewEngine(int32(pi+1), v1.System(),
-				rng.Derive(59, fmt.Sprintf("membership.grow.sim.%d", pi)),
-				register.WithView(v1)),
-			script:  script,
-			self:    msg.NodeID(grown + pi),
-			tr:      log,
-			timeout: 15 * time.Millisecond,
-		}
+	var adopts metrics.TransportCounters
+	newNode := func(pi int, script []confStep) *simScript {
+		self := msg.NodeID(grown + pi)
+		return addSimScript(s, self, register.NewEngine(int32(pi+1), v1.System(),
+			rng.Derive(59, fmt.Sprintf("membership.grow.sim.%d", pi)),
+			register.WithView(v1)), script,
+			register.PipeTimeout(15*time.Millisecond, 0),
+			register.PipeTrace(log, self),
+			register.PipeCounters(&adopts))
 	}
 	var wscript []confStep
 	for i := 1; i <= 80; i++ {
@@ -757,19 +629,17 @@ func TestMembershipGrowShrinkSim(t *testing.T) {
 	}
 	writer := newNode(0, wscript)
 	reader := newNode(1, repeatSteps('a', 0, 120))
-	s.Add(writer.self, writer)
-	s.Add(reader.self, reader)
 	s.Run()
 
-	for _, n := range []*memSimNode{writer, reader} {
+	for pi, n := range []*simScript{writer, reader} {
 		if n.err != nil {
-			t.Fatalf("sim proc %d saw an error across the reconfiguration: %v", int(n.self), n.err)
+			t.Fatalf("sim proc %d saw an error across the reconfiguration: %v", pi, n.err)
 		}
-		if !n.finished {
-			t.Fatalf("sim proc %d stalled at step %d (epoch %d)", int(n.self), n.idx, n.engine.Epoch())
+		if why := n.stalled(); why != "" {
+			t.Fatalf("sim proc %d %s (epoch %d)", pi, why, n.pl.Epoch())
 		}
 	}
-	if writer.adopted == 0 && reader.adopted == 0 {
+	if adopts.ViewAdopts.Value() == 0 {
 		t.Fatal("neither client ever adopted a view; the switches cannot have happened mid-stream")
 	}
 	memCheckTrace(t, log.Ops())

@@ -4,13 +4,13 @@ import (
 	"probquorum/internal/msg"
 )
 
-// Send is one outbound fan-out request: hand Req to server Server. The
-// transport-agnostic Operation below appends these to a buffer its caller
-// owns instead of touching a network; the caller (the Pipeline, or a
-// simulator node) pushes them through whatever carrier it runs over.
-type Send struct {
-	Server int
-	Req    any
+// send is one outbound fan-out request: hand req to server. The
+// transport-agnostic Operation below appends these to a buffer the Pipeline
+// owns instead of touching a network; the Pipeline pushes them through its
+// SendFunc.
+type send struct {
+	server int
+	req    any
 }
 
 // opKind is what an operation does.
@@ -40,12 +40,12 @@ const (
 )
 
 // Operation is the full state machine of one register operation, decoupled
-// from any transport: the caller starts it, feeds it inbound payloads, and
-// fans out whatever Sends it appends. It owns the protocol — quorum
+// from any transport: the Pipeline starts it, feeds it inbound payloads, and
+// fans out whatever sends it appends. It owns the protocol — quorum
 // sessions, the two-round phase transitions (ABD write-back, multi-writer
 // write), b-masking acceptance, read-repair dispatch, member top-up and the
-// fresh-quorum retry budget — so every driver (the Pipeline, the simulator's
-// nodes) runs the identical transition table.
+// fresh-quorum retry budget — and the Pipeline is its one driver on every
+// runtime, the simulator included.
 //
 // Every method that fans out appends to the out slice it is given and
 // returns the extended slice, one request boxing per fan-out; the caller
@@ -64,7 +64,7 @@ type Operation struct {
 	done  bool
 	// rejected marks a completed read whose vote count failed the b-masking
 	// threshold: the attempt is over but the operation is not done, and the
-	// caller should Retry on a fresh quorum.
+	// caller should retry on a fresh quorum.
 	rejected bool
 	// fast marks an atomic read that completed without a write-back phase.
 	fast bool
@@ -75,29 +75,10 @@ type Operation struct {
 	result   msg.Tagged
 }
 
-// NewReadOp prepares a read of reg with the given retry budget.
-func (e *Engine) NewReadOp(reg msg.RegisterID, retries int) *Operation {
-	return &Operation{e: e, kind: opRead, reg: reg, retries: int32(retries)}
-}
-
-// NewAtomicReadOp prepares an ABD atomic read of reg: a read phase followed,
-// when the quorum's replies disagree, by an awaited write-back of the result
-// (Attiya–Bar-Noy–Dolev), giving atomicity on top of strict quorums. When
-// every reply carries the same timestamp the write-back is elided and the
-// read completes in a single round trip (FastPath reports which happened).
-func (e *Engine) NewAtomicReadOp(reg msg.RegisterID, retries int) *Operation {
-	return &Operation{e: e, kind: opAtomicRead, reg: reg, retries: int32(retries)}
-}
-
-// NewWriteOp prepares a single-writer write of val to reg.
-func (e *Engine) NewWriteOp(reg msg.RegisterID, val msg.Value, retries int) *Operation {
-	return &Operation{e: e, kind: opWrite, reg: reg, val: val, retries: int32(retries)}
-}
-
 // fanOut appends one send per quorum member, all sharing req boxed once.
-func fanOut(out []Send, quorum []int, req any) []Send {
+func fanOut(out []send, quorum []int, req any) []send {
 	for _, srv := range quorum {
-		out = append(out, Send{Server: srv, Req: req})
+		out = append(out, send{server: srv, req: req})
 	}
 	return out
 }
@@ -111,12 +92,12 @@ func (o *Operation) request() any {
 }
 
 // refan appends the current phase's fan-out to out.
-func (o *Operation) refan(out []Send) []Send {
+func (o *Operation) refan(out []send) []send {
 	return fanOut(out, o.current().Quorum, o.request())
 }
 
-// Start begins the first attempt and appends its fan-out to out.
-func (o *Operation) Start(out []Send) []Send {
+// start begins the first attempt and appends its fan-out to out.
+func (o *Operation) start(out []send) []send {
 	o.attempts = 1
 	if o.kind == opWrite {
 		o.phase = opPhaseWrite
@@ -128,28 +109,14 @@ func (o *Operation) Start(out []Send) []Send {
 	return o.refan(out)
 }
 
-// Deliver feeds one server's reply into the current attempt and appends
-// whatever it triggers to out: the second round of an atomic read whose
-// quorum replies disagreed or of a multi-writer write (awaited — keep
-// delivering), or the fire-and-forget repair messages of a completed
-// repaired read (Done is already true; send them without awaiting
-// anything). Irrelevant payloads — stale sessions, non-members, duplicate
-// replies, foreign types — are ignored; stale-epoch rejects go to
-// DeliverStaleEpoch.
-func (o *Operation) Deliver(server int, payload any, out []Send) []Send {
-	switch m := payload.(type) {
-	case msg.ReadReply:
-		return o.DeliverReadReply(server, m, out)
-	case msg.WriteAck:
-		o.DeliverWriteAck(server, m)
-	}
-	return out
-}
-
-// DeliverReadReply is Deliver for a concretely typed read reply — the
-// de-boxed hot path a transport.ReplySink driver feeds directly, with the
-// same contract as Deliver.
-func (o *Operation) DeliverReadReply(server int, m msg.ReadReply, out []Send) []Send {
+// deliverReadReply feeds one server's read reply into the current attempt
+// and appends whatever it triggers to out: the second round of an atomic
+// read whose quorum replies disagreed or of a multi-writer write (awaited —
+// keep delivering), or the fire-and-forget repair messages of a completed
+// repaired read (done is already set; send them without awaiting
+// anything). Irrelevant replies — stale sessions, non-members, duplicates —
+// are ignored.
+func (o *Operation) deliverReadReply(server int, m msg.ReadReply, out []send) []send {
 	if o.done || o.rejected || o.phase != opPhaseRead || !o.rs.OnReply(server, m) {
 		return out
 	}
@@ -192,14 +159,15 @@ func (o *Operation) DeliverReadReply(server int, m msg.ReadReply, out []Send) []
 
 // beginWrite opens the second round: tag goes to a freshly picked write
 // quorum under its own operation id.
-func (o *Operation) beginWrite(tag msg.Tagged, out []Send) []Send {
+func (o *Operation) beginWrite(tag msg.Tagged, out []send) []send {
 	o.phase = opPhaseWrite
 	o.ws = o.e.BeginWriteWithTS(o.reg, tag)
 	return o.refan(out)
 }
 
-// DeliverWriteAck is Deliver for a concretely typed write acknowledgment.
-func (o *Operation) DeliverWriteAck(server int, m msg.WriteAck) {
+// deliverWriteAck feeds one server's write acknowledgment into the current
+// attempt.
+func (o *Operation) deliverWriteAck(server int, m msg.WriteAck) {
 	if o.done || o.rejected || o.phase != opPhaseWrite || !o.ws.OnAck(server, m) {
 		return
 	}
@@ -209,14 +177,14 @@ func (o *Operation) DeliverWriteAck(server int, m msg.WriteAck) {
 	o.done = true
 }
 
-// DeliverStaleEpoch takes a stale-epoch reject: a replica on a newer view
+// deliverStaleEpoch takes a stale-epoch reject: a replica on a newer view
 // refused this attempt. It reports whether the reject addresses the current
 // attempt (of either round) and carries a view newer than the one the
 // attempt was picked under; the driver then adopts m.View — Engine.AdoptView
-// plus transport.Update — and re-fans with RetryView. Rejects addressed to
+// plus transport.Update — and re-fans with retryView. Rejects addressed to
 // abandoned attempts, or carrying a view the attempt already runs under,
 // concern nobody.
-func (o *Operation) DeliverStaleEpoch(_ int, m msg.StaleEpoch) bool {
+func (o *Operation) deliverStaleEpoch(m msg.StaleEpoch) bool {
 	if o.done || o.rejected || o.phase == 0 || m.Reg != o.reg {
 		return false
 	}
@@ -226,20 +194,20 @@ func (o *Operation) DeliverStaleEpoch(_ int, m msg.StaleEpoch) bool {
 	return m.View.Newer(o.current().Epoch)
 }
 
-// RetryView abandons the current attempt and re-fans it against the
+// retryView abandons the current attempt and re-fans it against the
 // engine's (freshly adopted) view, appending the fan-out to out. Unlike
-// Retry it does not consume the retry budget: a reconfiguration is not a
+// retry it does not consume the retry budget: a reconfiguration is not a
 // fault, and a client riding through a long rolling restart must not run
-// out of attempts because of it. The phase is preserved, as in Retry.
-func (o *Operation) RetryView(out []Send) []Send { return o.repick(out) }
+// out of attempts because of it. The phase is preserved, as in retry.
+func (o *Operation) retryView(out []send) []send { return o.repick(out) }
 
-// Retry abandons the current attempt — quorum members crashed, timed out, or
-// (under masking) outvoted the honest replicas — and starts a fresh one on a
-// freshly picked quorum, appending its fan-out to out. When the budget is
-// exhausted it returns ErrQuorumUnavailable instead. A two-round operation
-// retries the round it is in: a failed write-back re-fans the same tag, it
-// does not restart the read.
-func (o *Operation) Retry(out []Send) ([]Send, error) {
+// retry abandons the current attempt — (under masking) the vote count
+// outvoted the honest replicas — and starts a fresh one on a freshly picked
+// quorum, appending its fan-out to out. When the budget is exhausted it
+// returns ErrQuorumUnavailable instead. A two-round operation retries the
+// round it is in: a failed write-back re-fans the same tag, it does not
+// restart the read.
+func (o *Operation) retry(out []send) ([]send, error) {
 	if err := o.spend(); err != nil {
 		return out, err
 	}
@@ -247,13 +215,13 @@ func (o *Operation) Retry(out []Send) ([]Send, error) {
 }
 
 // expire is the current attempt's deadline passing with members still
-// silent. It spends one unit of retry budget like Retry, and then replaces
+// silent. It spends one unit of retry budget like retry, and then replaces
 // the silent members within the attempt when every one of them finds a
 // replacement (topUp) — replies already collected stay — or re-issues the
 // attempt on a fresh quorum otherwise; repicked reports which. The caller
 // suspects the silent members first, so none is drawn as another's
 // replacement.
-func (o *Operation) expire(out []Send) (sends []Send, repicked bool, err error) {
+func (o *Operation) expire(out []send) (sends []send, repicked bool, err error) {
 	if err := o.spend(); err != nil {
 		return out, false, err
 	}
@@ -271,7 +239,7 @@ func (o *Operation) spend() error {
 	return nil
 }
 
-func (o *Operation) repick(out []Send) []Send {
+func (o *Operation) repick(out []send) []send {
 	o.rejected = false
 	if o.phase == opPhaseRead {
 		o.rs = o.e.RetryRead(o.rs)
@@ -288,7 +256,7 @@ func (o *Operation) repick(out []Send) []Send {
 // when a lost member found no replacement: the engine is not FaultAware, or
 // no candidate is left. A server that is not a pending member needs
 // nothing, and reports ok.
-func (o *Operation) topUp(server int, out []Send) ([]Send, bool) {
+func (o *Operation) topUp(server int, out []send) ([]send, bool) {
 	f := o.current()
 	if o.done || o.rejected || f == nil {
 		return out, true
@@ -305,39 +273,17 @@ func (o *Operation) topUp(server int, out []Send) ([]Send, bool) {
 		if req == nil {
 			req = o.request() // boxed once, like the first fan-out's
 		}
-		out = append(out, Send{Server: repl, Req: req})
+		out = append(out, send{server: repl, req: req})
 	}
 	return out, true
 }
 
-// Done reports whether the operation has completed successfully.
-func (o *Operation) Done() bool { return o.done }
-
-// FastPath reports whether the operation was an atomic read that completed
-// in one round trip — a unanimous quorum let it skip the write-back phase.
-// Only meaningful once Done reports true.
-func (o *Operation) FastPath() bool { return o.fast }
-
-// Rejected reports whether the current attempt completed but was rejected by
-// the b-masking vote count; the caller should Retry.
-func (o *Operation) Rejected() bool { return o.rejected }
-
-// Result returns the operation's tagged value: the value read, or the tag
-// the write installed. Only meaningful once Done reports true.
-func (o *Operation) Result() msg.Tagged { return o.result }
-
-// Reg returns the register the operation targets.
-func (o *Operation) Reg() msg.RegisterID { return o.reg }
-
-// Attempts returns how many attempts have been started.
-func (o *Operation) Attempts() int { return int(o.attempts) }
-
-// PendingTag returns the tag of the in-flight write phase — what a trace
+// pendingTag returns the tag of the in-flight write phase — what a trace
 // records at invocation time, before any acknowledgment arrives. Only
 // meaningful while a write phase is active: before one exists (a plain read,
 // or an atomic read still in its read phase) it returns the zero Tagged
 // instead of panicking, so tracers may call it unconditionally.
-func (o *Operation) PendingTag() msg.Tagged {
+func (o *Operation) pendingTag() msg.Tagged {
 	if o.ws == nil {
 		return msg.Tagged{}
 	}
@@ -369,21 +315,21 @@ func (o *Operation) currentID() msg.OpID {
 // write's write phase.
 func (o *Operation) secondRound() bool { return o.phase == opPhaseWrite && o.kind != opWrite }
 
-// Probe returns the shadow request to send alongside a read-phase attempt
+// probe returns the shadow request to send alongside a read-phase attempt
 // when a suspected server is due a probe (Engine.ProbeRead).
-func (o *Operation) Probe() (Send, bool) {
+func (o *Operation) probe() (send, bool) {
 	if o.phase != opPhaseRead {
-		return Send{}, false
+		return send{}, false
 	}
 	srv, ok := o.e.ProbeRead(o.rs)
 	if !ok {
-		return Send{}, false
+		return send{}, false
 	}
-	return Send{Server: srv, Req: o.rs.Request()}, true
+	return send{server: srv, req: o.rs.Request()}, true
 }
 
-// Desc names the operation for error messages.
-func (o *Operation) Desc() string {
+// desc names the operation for error messages.
+func (o *Operation) desc() string {
 	switch o.kind {
 	case opAtomicRead:
 		if o.phase == opPhaseWrite {

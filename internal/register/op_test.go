@@ -1,10 +1,8 @@
-package register_test
+package register
 
-// TestRetryBudgetArithmetic pins the retry-budget arithmetic of the one
-// operation engine: retries caps the total attempts at retries+1, and 0
-// means unlimited. The operation rows drive the Operation state machine by
-// hand, as the simulator does; the client and pipeline rows run the same
-// Operation under the Pipeline's deadline, at depth one and directly.
+// In-package tests of the Operation state machine's contracts: the retry
+// budget's arithmetic, driven on the bare Operation and through the
+// Pipeline, and the pending-tag guard a tracer relies on.
 
 import (
 	"errors"
@@ -15,8 +13,9 @@ import (
 	"time"
 
 	"probquorum/internal/metrics"
+	"probquorum/internal/msg"
 	"probquorum/internal/quorum"
-	"probquorum/internal/register"
+	"probquorum/internal/replica"
 	"probquorum/internal/rng"
 	"probquorum/internal/transport"
 )
@@ -27,28 +26,38 @@ import (
 // replica stores, which is how the unlimited-budget rows prove the client
 // keeps retrying past any would-be cap.
 type blackhole struct {
-	n           int
+	stores      []*replica.Store
 	sink        transport.Sink
 	sent        atomic.Int64
 	reviveAfter int64
-	serve       *loopback
 }
 
 func newBlackhole(n int, reviveAfter int64) *blackhole {
-	return &blackhole{n: n, reviveAfter: reviveAfter, serve: newLoopback(n)}
+	b := &blackhole{stores: make([]*replica.Store, n), reviveAfter: reviveAfter}
+	for i := range b.stores {
+		b.stores[i] = replica.New(msg.NodeID(i), nil)
+	}
+	return b
 }
 
-func (b *blackhole) N() int                   { return b.n }
-func (b *blackhole) Bind(sink transport.Sink) { b.sink = sink; b.serve.Bind(sink) }
+func (b *blackhole) N() int                   { return len(b.stores) }
+func (b *blackhole) Bind(sink transport.Sink) { b.sink = sink }
 func (b *blackhole) Close() error             { return nil }
 
 func (b *blackhole) Send(server int, req any) error {
 	if n := b.sent.Add(1); b.reviveAfter > 0 && n > b.reviveAfter {
-		return b.serve.Send(server, req)
+		if reply, ok := b.stores[server].Apply(req); ok {
+			b.sink(server, reply, nil)
+		}
 	}
 	return nil
 }
 
+// TestRetryBudgetArithmetic pins the retry-budget arithmetic of the one
+// operation engine: retries caps the total attempts at retries+1, and 0
+// means unlimited. The operation rows spend the budget on the bare
+// Operation; the client and pipeline rows run the same Operation under the
+// Pipeline's deadline, in a one-shard Keyspace and directly.
 func TestRetryBudgetArithmetic(t *testing.T) {
 	const n = 3
 	sys := func() quorum.System { return quorum.NewAll(n) }
@@ -58,16 +67,16 @@ func TestRetryBudgetArithmetic(t *testing.T) {
 	// once.
 	drivers := []struct {
 		name string
-		read func(e *register.Engine, tr transport.Transport, opts ...register.PipelineOption) error
+		read func(e *Engine, tr transport.Transport, opts ...PipelineOption) error
 	}{
-		{"client", func(e *register.Engine, tr transport.Transport, opts ...register.PipelineOption) error {
-			ks := register.NewKeyspaceOver([]*register.Engine{e}, tr, opts...)
+		{"client", func(e *Engine, tr transport.Transport, opts ...PipelineOption) error {
+			ks := NewKeyspaceOver([]*Engine{e}, tr, opts...)
 			defer ks.Close(nil)
 			_, err := ks.Read(0)
 			return err
 		}},
-		{"pipeline", func(e *register.Engine, tr transport.Transport, opts ...register.PipelineOption) error {
-			p := register.NewPipelineOver(e, tr, opts...)
+		{"pipeline", func(e *Engine, tr transport.Transport, opts ...PipelineOption) error {
+			p := NewPipelineOver(e, tr, opts...)
 			defer p.Close(nil)
 			_, err := p.Read(0)
 			return err
@@ -78,14 +87,14 @@ func TestRetryBudgetArithmetic(t *testing.T) {
 		wantAttempts := int64(retries + 1)
 
 		t.Run(fmt.Sprintf("operation/retries=%d", retries), func(t *testing.T) {
-			e := register.NewEngine(1, sys(), rand.New(rand.NewPCG(1, 2)))
-			op := e.NewReadOp(0, retries)
-			op.Start(nil)
+			e := NewEngine(1, sys(), rand.New(rand.NewPCG(1, 2)))
+			op := &Operation{e: e, kind: opRead, reg: 0, retries: int32(retries)}
+			op.start(nil)
 			attempts := int64(1)
 			for {
-				if _, err := op.Retry(nil); err != nil {
-					if !errors.Is(err, register.ErrQuorumUnavailable) {
-						t.Fatalf("Retry error = %v, want ErrQuorumUnavailable", err)
+				if _, err := op.retry(nil); err != nil {
+					if !errors.Is(err, ErrQuorumUnavailable) {
+						t.Fatalf("retry error = %v, want ErrQuorumUnavailable", err)
 					}
 					break
 				}
@@ -102,10 +111,10 @@ func TestRetryBudgetArithmetic(t *testing.T) {
 		for _, d := range drivers {
 			t.Run(fmt.Sprintf("%s/retries=%d", d.name, retries), func(t *testing.T) {
 				tr := newBlackhole(n, 0)
-				e := register.NewEngine(1, sys(), rng.Derive(1, "budget."+d.name))
+				e := NewEngine(1, sys(), rng.Derive(1, "budget."+d.name))
 				tc := &metrics.TransportCounters{}
-				err := d.read(e, tr, register.PipeTimeout(5*time.Millisecond, retries), register.PipeCounters(tc))
-				if !errors.Is(err, register.ErrQuorumUnavailable) {
+				err := d.read(e, tr, PipeTimeout(5*time.Millisecond, retries), PipeCounters(tc))
+				if !errors.Is(err, ErrQuorumUnavailable) {
 					t.Fatalf("Read error = %v, want ErrQuorumUnavailable", err)
 				}
 				// Each attempt fans out to the full n-member quorum exactly once.
@@ -127,14 +136,35 @@ func TestRetryBudgetArithmetic(t *testing.T) {
 	for _, d := range drivers {
 		t.Run(d.name+"/retries=0-unlimited", func(t *testing.T) {
 			tr := newBlackhole(n, revive)
-			e := register.NewEngine(1, sys(), rng.Derive(1, "budget."+d.name+"0"))
+			e := NewEngine(1, sys(), rng.Derive(1, "budget."+d.name+"0"))
 			tc := &metrics.TransportCounters{}
-			if err := d.read(e, tr, register.PipeTimeout(5*time.Millisecond, 0), register.PipeCounters(tc)); err != nil {
+			if err := d.read(e, tr, PipeTimeout(5*time.Millisecond, 0), PipeCounters(tc)); err != nil {
 				t.Fatalf("unlimited budget still failed: %v", err)
 			}
 			if got := tc.Retries.Value(); got != 2 {
 				t.Fatalf("Retries counter = %d, want 2 (two swallowed attempts)", got)
 			}
 		})
+	}
+}
+
+// TestPendingTagContract pins the guard: pendingTag is the zero Tagged until
+// a write phase exists — a tracer may call it on an atomic read before the
+// phase transition without panicking — and the pending write's tag once one
+// does.
+func TestPendingTagContract(t *testing.T) {
+	e := NewEngine(1, quorum.NewAll(3), rand.New(rand.NewPCG(1, 2)))
+	ro := &Operation{e: e, kind: opAtomicRead, reg: 0}
+	if got := ro.pendingTag(); got != (msg.Tagged{}) {
+		t.Fatalf("pendingTag before start = %+v, want zero", got)
+	}
+	ro.start(nil)
+	if got := ro.pendingTag(); got != (msg.Tagged{}) {
+		t.Fatalf("pendingTag during the read phase = %+v, want zero", got)
+	}
+	wo := &Operation{e: e, kind: opWrite, reg: 0, val: 4.0}
+	wo.start(nil)
+	if got := wo.pendingTag(); got.Val != 4.0 || got.TS.IsZero() {
+		t.Fatalf("pendingTag of a started write = %+v, want tag carrying 4.0", got)
 	}
 }

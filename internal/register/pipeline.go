@@ -71,13 +71,12 @@ type Pipeline struct {
 	// leaves every fault to the deadline's restart-and-re-pick.
 	health *transport.Health
 
-	clock    func() int64
+	clock    Clock
 	log      *trace.Log
 	proc     msg.NodeID
 	gauge    *metrics.Gauge
 	counters *metrics.TransportCounters
 	obsv     *Observer
-	epoch    time.Time // monotonic base for the observer's phase marks
 
 	opTimeout time.Duration
 	retries   int
@@ -93,7 +92,7 @@ type Pipeline struct {
 	// releases never touch the timer, so a wake may find nothing expired
 	// and simply re-arm for the new head.
 	thead, ttail *pipeTimer
-	expiry       *time.Timer
+	expiry       Timer
 	expiryArmed  bool
 	// live is how expiry's callback finds the pipeline. The runtime keeps a
 	// stopped timer, callback included, until its original expiry comes
@@ -107,12 +106,38 @@ type Pipeline struct {
 	fanSeq   atomic.Uint32 // dispatch counter for FanOut sampling
 }
 
-// globalClock is the default logical clock for trace records: one atomic
-// counter shared by every Pipeline in the process, so the records of
-// concurrent clients interleave consistently.
-var globalClock atomic.Int64
+// Clock is the time a Pipeline runs on. Now stamps trace records and the
+// observer's phase marks and dates the deadline list, and AfterFunc arms the
+// list's one runtime timer. The default is the process's monotonic clock
+// with time.AfterFunc; the simulator passes a node's virtual clock
+// (sim.Clock), on which a deadline is a simulator event.
+type Clock interface {
+	Now() time.Duration
+	AfterFunc(d time.Duration, f func()) Timer
+}
 
-func nextGlobalTick() int64 { return globalClock.Add(1) }
+// Timer is the handle Clock.AfterFunc returns; *time.Timer is one. It is an
+// alias of an unnamed interface, so a clock declared in another package
+// (sim.Clock) implements Clock without importing this one.
+type Timer = interface {
+	Reset(d time.Duration) bool
+	Stop() bool
+}
+
+// wallClock is the default Clock. Now is measured from one process-wide
+// base, so the trace stamps of every pipeline in the process are comparable:
+// they only increase over real time, and a read returning a write's value
+// responds at least one message hop after that write was invoked. Reading
+// the monotonic clock alone (time.Since) is nearly twice as cheap as
+// time.Now, and deadlines never fire early or starve across a wall-clock
+// step.
+type wallClock struct{}
+
+var processStart = time.Now()
+
+func (wallClock) Now() time.Duration { return time.Since(processStart) }
+
+func (wallClock) AfterFunc(d time.Duration, f func()) Timer { return time.AfterFunc(d, f) }
 
 // PipelineOption configures a Pipeline (and so a Keyspace).
 type PipelineOption func(*Pipeline)
@@ -126,10 +151,9 @@ func PipeTrace(log *trace.Log, proc msg.NodeID) PipelineOption {
 	return func(p *Pipeline) { p.log = log; p.proc = proc }
 }
 
-// PipeClock overrides the logical clock used for trace timestamps. The
-// default is a process-wide atomic counter; the simulator passes its virtual
-// clock, the cluster runtime its tick counter.
-func PipeClock(clock func() int64) PipelineOption {
+// PipeClock runs the pipeline — deadlines, trace stamps and phase marks — on
+// clock instead of the process's monotonic clock.
+func PipeClock(clock Clock) PipelineOption {
 	return func(p *Pipeline) { p.clock = clock }
 }
 
@@ -161,8 +185,8 @@ func PipeCounters(tc *metrics.TransportCounters) PipelineOption {
 // for its replies, and a member the transport reports lost that it cannot
 // replace fails it with that member's error.
 //
-// Deadlines use wall-clock timers; do not set one on a virtual-time runtime
-// (the simulator runs the Pipeline without deadlines instead).
+// Deadlines run on the pipeline's Clock: wall-clock timers by default,
+// simulator events under PipeClock(sim.Clock).
 func PipeTimeout(d time.Duration, retries int) PipelineOption {
 	return func(p *Pipeline) { p.opTimeout = d; p.retries = retries }
 }
@@ -180,21 +204,13 @@ func NewPipeline(engine *Engine, send SendFunc, opts ...PipelineOption) *Pipelin
 	p := &Pipeline{
 		engine:   engine,
 		send:     send,
-		clock:    nextGlobalTick,
+		clock:    wallClock{},
 		inflight: make(map[msg.OpID]*PendingOp),
 		queues:   make(map[msg.RegisterID]*regQueue),
 	}
 	for _, o := range opts {
 		o(p)
 	}
-	// Phase marks and deadline-list entries are monotonic offsets from this
-	// epoch rather than time.Time values: reading the monotonic clock alone
-	// (time.Since) is nearly twice as cheap as time.Now, and the observer
-	// reads the clock three times per operation. The deadline list needs the
-	// monotonic reading unconditionally — a zero epoch would fall back to
-	// wall-clock arithmetic, and a clock step would then fire (or starve)
-	// operation timeouts.
-	p.epoch = time.Now()
 	return p
 }
 
@@ -370,7 +386,7 @@ func (p *Pipeline) putQueueLocked(q *regQueue) {
 type pipeTimer struct {
 	op         *PendingOp
 	attempt    int32
-	deadline   time.Duration // since p.epoch
+	deadline   time.Duration // on p.clock
 	prev, next *pipeTimer
 }
 
@@ -382,11 +398,11 @@ const tfreeMax = 512
 // per-pipeline buffer). Each holds a handful of sends, and the call rate is
 // the pipeline's throughput — exactly the sync.Pool shape. Buffers are
 // cleared before returning so no request outlives its dispatch.
-var sendsPool = sync.Pool{New: func() any { s := make([]Send, 0, 16); return &s }}
+var sendsPool = sync.Pool{New: func() any { s := make([]send, 0, 16); return &s }}
 
-func getSends() *[]Send { return sendsPool.Get().(*[]Send) }
+func getSends() *[]send { return sendsPool.Get().(*[]send) }
 
-func putSends(s *[]Send) {
+func putSends(s *[]send) {
 	clear(*s)
 	*s = (*s)[:0]
 	sendsPool.Put(s)
@@ -401,13 +417,12 @@ type PendingOp struct {
 	wsHandle int
 	timer    *pipeTimer
 
-	// started/phaseMark are clock marks for the pipeline's observer,
-	// expressed as monotonic offsets from the pipeline's epoch; all stay
-	// zero (and cost nothing) when no observer is attached. The phase
-	// durations accumulate under the pipeline lock but are observed into
-	// the histograms by signal, outside it — the observer must not
-	// lengthen the pipeline's critical section.
-	started   time.Duration
+	// phaseMark is the pipeline clock's reading at the start of the current
+	// observer phase; it and the phase durations stay zero (and cost
+	// nothing) when no observer is attached. The phase durations accumulate
+	// under the pipeline lock but are observed into the histograms by
+	// signal, outside it — the observer must not lengthen the pipeline's
+	// critical section.
 	phaseMark time.Duration
 	pickDur   time.Duration
 	waitDur   time.Duration
@@ -575,24 +590,20 @@ func (p *Pipeline) submit(kind opKind, reg msg.RegisterID, val msg.Value, fn fun
 // same-register timestamps are assigned in client FIFO order), the id joins
 // the in-flight map, and the quorum fan-out — plus a probe of a suspected
 // server, when one is due — is captured.
-func (p *Pipeline) startLocked(op *PendingOp, sends *[]Send) {
+func (p *Pipeline) startLocked(op *PendingOp, sends *[]send) {
 	if p.obsv != nil {
-		op.started = time.Since(p.epoch)
-		op.phaseMark = op.started
+		op.phaseMark = p.clock.Now()
 	}
 	if p.log != nil {
-		// invoke is only ever read back under p.log != nil, and the default
-		// clock is a process-wide atomic — skip the contended Add when no
-		// trace is attached.
-		op.invoke = p.clock()
+		op.invoke = int64(p.clock.Now())
 	}
-	*sends = op.o.Start(*sends)
+	*sends = op.o.start(*sends)
 	p.inflight[op.o.currentID()] = op
 	if op.o.kind == opWrite {
 		p.traceWriteLocked(op)
 	}
 	if p.health.Any() {
-		if probe, ok := op.o.Probe(); ok {
+		if probe, ok := op.o.probe(); ok {
 			*sends = append(*sends, probe)
 			if p.counters != nil {
 				p.counters.Probes.Inc()
@@ -608,7 +619,7 @@ func (p *Pipeline) traceWriteLocked(op *PendingOp) {
 	if p.log != nil {
 		op.wsHandle = p.log.Begin(trace.Op{
 			Kind: trace.KindWrite, Proc: p.proc, Reg: op.o.reg,
-			Invoke: op.invoke, Tag: op.o.PendingTag(),
+			Invoke: op.invoke, Tag: op.o.pendingTag(),
 		})
 	}
 }
@@ -619,7 +630,7 @@ func (p *Pipeline) lapLocked(op *PendingOp, into *time.Duration) {
 	if p.obsv == nil {
 		return
 	}
-	now := time.Since(p.epoch)
+	now := p.clock.Now()
 	*into += now - op.phaseMark
 	op.phaseMark = now
 }
@@ -654,7 +665,7 @@ func (p *Pipeline) armTimerLocked(op *PendingOp) {
 	}
 	pt.op = op
 	pt.attempt = op.o.attempts
-	pt.deadline = time.Since(p.epoch) + p.opTimeout
+	pt.deadline = p.clock.Now() + p.opTimeout
 	pt.prev = p.ttail
 	if p.ttail != nil {
 		p.ttail.next = pt
@@ -668,7 +679,7 @@ func (p *Pipeline) armTimerLocked(op *PendingOp) {
 			live := new(atomic.Pointer[Pipeline])
 			live.Store(p)
 			p.live = live
-			p.expiry = time.AfterFunc(p.opTimeout, func() {
+			p.expiry = p.clock.AfterFunc(p.opTimeout, func() {
 				if p := live.Load(); p != nil {
 					p.expire()
 				}
@@ -724,7 +735,7 @@ func (p *Pipeline) releaseTimerLocked(op *PendingOp) {
 // entry — so a completion racing the wake degrades to a no-op, exactly like
 // the old per-operation timer's stale fire.
 func (p *Pipeline) expire() {
-	now := time.Since(p.epoch)
+	now := p.clock.Now()
 	var ops []*PendingOp
 	var attempts []int32
 	p.mu.Lock()
@@ -811,9 +822,9 @@ var errSilent = errors.New("register: no reply within the operation deadline")
 func (op *PendingOp) unavailable() error {
 	if op.err != nil {
 		return fmt.Errorf("%s reg %d: %w after %d attempts (last: %v)",
-			op.o.Desc(), op.o.reg, ErrQuorumUnavailable, op.o.attempts, op.err)
+			op.o.desc(), op.o.reg, ErrQuorumUnavailable, op.o.attempts, op.err)
 	}
-	return fmt.Errorf("%s reg %d: %w after %d attempts", op.o.Desc(), op.o.reg, ErrQuorumUnavailable, op.o.attempts)
+	return fmt.Errorf("%s reg %d: %w after %d attempts", op.o.desc(), op.o.reg, ErrQuorumUnavailable, op.o.attempts)
 }
 
 // retriedLocked counts one attempt that spent retry budget.
@@ -900,7 +911,7 @@ func (p *Pipeline) memberLost(server int, cause error) {
 		}
 	}
 	for _, op := range failed {
-		p.failLocked(op, fmt.Errorf("%s reg %d: %w", op.o.Desc(), op.o.reg, op.err), sends)
+		p.failLocked(op, fmt.Errorf("%s reg %d: %w", op.o.desc(), op.o.reg, op.err), sends)
 	}
 	p.mu.Unlock()
 	p.dispatch(*sends)
@@ -929,7 +940,7 @@ func (p *Pipeline) Deliver(server int, payload any) {
 // boxed Deliver.
 func (p *Pipeline) ReadReply(server int, m msg.ReadReply) {
 	p.heard(server)
-	var sends []Send
+	var sends []send
 	p.mu.Lock()
 	ended := p.readReplyLocked(server, m, &sends)
 	p.mu.Unlock()
@@ -940,7 +951,7 @@ func (p *Pipeline) ReadReply(server int, m msg.ReadReply) {
 // leg of the boxed Deliver.
 func (p *Pipeline) WriteAck(server int, m msg.WriteAck) {
 	p.heard(server)
-	var sends []Send
+	var sends []send
 	p.mu.Lock()
 	ended := p.writeAckLocked(server, m, &sends)
 	p.mu.Unlock()
@@ -950,7 +961,7 @@ func (p *Pipeline) WriteAck(server int, m msg.WriteAck) {
 // settle is the outside-the-lock half of a one-reply delivery: it hands the
 // reply's follow-up sends to the transport and signals the operation the
 // reply ended, if any.
-func (p *Pipeline) settle(sends []Send, ended *PendingOp) {
+func (p *Pipeline) settle(sends []send, ended *PendingOp) {
 	p.dispatch(sends)
 	if ended != nil {
 		p.signal(ended)
@@ -961,7 +972,7 @@ func (p *Pipeline) settle(sends []Send, ended *PendingOp) {
 // operation it ended (nil when the reply was late, a duplicate, or merely
 // brought its quorum one step closer). At most one operation can end per
 // reply — the one the reply's op id addresses.
-func (p *Pipeline) readReplyLocked(server int, m msg.ReadReply, sends *[]Send) *PendingOp {
+func (p *Pipeline) readReplyLocked(server int, m msg.ReadReply, sends *[]send) *PendingOp {
 	op := p.inflight[m.Op]
 	if op == nil {
 		// Late reply to an abandoned or completed attempt: dropped by
@@ -973,18 +984,18 @@ func (p *Pipeline) readReplyLocked(server int, m msg.ReadReply, sends *[]Send) *
 	// slow-but-healthy replica answering the completed first round: a
 	// harmless duplicate the Operation ignores, not a stale drop.
 	first := !op.o.secondRound()
-	*sends = op.o.DeliverReadReply(server, m, *sends)
+	*sends = op.o.deliverReadReply(server, m, *sends)
 	switch {
-	case op.o.Done():
+	case op.o.done:
 		// Any sends so far include a repaired read's fire-and-forget repairs.
 		return p.completeLocked(op, sends)
-	case op.o.Rejected():
+	case op.o.rejected:
 		// The masking vote count outvoted the attempt: draw a fresh quorum,
 		// spending budget like a deadline would.
 		prev := op.o.currentID()
 		p.lapLocked(op, op.waitLap())
 		var err error
-		if *sends, err = op.o.Retry(*sends); err != nil {
+		if *sends, err = op.o.retry(*sends); err != nil {
 			return p.failLocked(op, op.unavailable(), sends)
 		}
 		p.retriedLocked()
@@ -1008,14 +1019,14 @@ func (p *Pipeline) readReplyLocked(server int, m msg.ReadReply, sends *[]Send) *
 // writeAckLocked applies one write acknowledgement under p.mu, returning
 // the operation it completed (nil when the ack was late, a duplicate, or
 // merely brought its quorum one step closer).
-func (p *Pipeline) writeAckLocked(server int, m msg.WriteAck, sends *[]Send) *PendingOp {
+func (p *Pipeline) writeAckLocked(server int, m msg.WriteAck, sends *[]send) *PendingOp {
 	op := p.inflight[m.Op]
 	if op == nil {
 		p.staleDrop()
 		return nil
 	}
-	op.o.DeliverWriteAck(server, m)
-	if !op.o.Done() {
+	op.o.deliverWriteAck(server, m)
+	if !op.o.done {
 		return nil
 	}
 	return p.completeLocked(op, sends)
@@ -1076,7 +1087,7 @@ func (p *Pipeline) StaleEpoch(server int, m msg.StaleEpoch) {
 	sends := getSends()
 	p.mu.Lock()
 	op := p.inflight[m.Op]
-	if op == nil || !op.o.DeliverStaleEpoch(server, m) {
+	if op == nil || !op.o.deliverStaleEpoch(m) {
 		p.staleDrop()
 		p.mu.Unlock()
 		putSends(sends)
@@ -1088,7 +1099,7 @@ func (p *Pipeline) StaleEpoch(server int, m msg.StaleEpoch) {
 	}
 	prev := op.o.currentID()
 	p.lapLocked(op, op.waitLap())
-	*sends = op.o.RetryView(*sends)
+	*sends = op.o.retryView(*sends)
 	p.refannedLocked(op, prev)
 	p.mu.Unlock()
 	if adopted && p.tr != nil {
@@ -1104,7 +1115,7 @@ func (p *Pipeline) StaleEpoch(server int, m msg.StaleEpoch) {
 
 // completeLocked ends op successfully and starts the next operation on its
 // register; the caller signals the returned op after unlocking.
-func (p *Pipeline) completeLocked(op *PendingOp, sends *[]Send) *PendingOp {
+func (p *Pipeline) completeLocked(op *PendingOp, sends *[]send) *PendingOp {
 	p.finishLocked(op, op.o.result, nil)
 	p.advanceQueueLocked(op.o.reg, sends)
 	return op
@@ -1112,7 +1123,7 @@ func (p *Pipeline) completeLocked(op *PendingOp, sends *[]Send) *PendingOp {
 
 // failLocked ends op with err and starts the next operation on its
 // register; the caller signals the returned op after unlocking.
-func (p *Pipeline) failLocked(op *PendingOp, err error, sends *[]Send) *PendingOp {
+func (p *Pipeline) failLocked(op *PendingOp, err error, sends *[]send) *PendingOp {
 	p.finishLocked(op, msg.Tagged{}, err)
 	p.advanceQueueLocked(op.o.reg, sends)
 	return op
@@ -1140,7 +1151,7 @@ func (p *Pipeline) finishLocked(op *PendingOp, tag msg.Tagged, err error) {
 		op.o.ws = nil
 	}
 	if p.log != nil && err == nil {
-		respond := p.clock()
+		respond := int64(p.clock.Now())
 		switch op.o.kind {
 		case opRead, opAtomicRead:
 			p.log.Record(trace.Op{
@@ -1159,7 +1170,7 @@ func (p *Pipeline) finishLocked(op *PendingOp, tag msg.Tagged, err error) {
 // advanceQueueLocked pops the completed head of a register's FIFO queue and
 // starts the next waiting operation, preserving per-client per-register
 // order.
-func (p *Pipeline) advanceQueueLocked(reg msg.RegisterID, sends *[]Send) {
+func (p *Pipeline) advanceQueueLocked(reg msg.RegisterID, sends *[]send) {
 	q := p.queues[reg]
 	if q == nil || q.head >= len(q.ops) {
 		return
@@ -1174,22 +1185,22 @@ func (p *Pipeline) advanceQueueLocked(reg msg.RegisterID, sends *[]Send) {
 	p.startLocked(q.ops[q.head], sends)
 }
 
-func (p *Pipeline) dispatch(sends []Send) {
+func (p *Pipeline) dispatch(sends []send) {
 	if p.obsv != nil && len(sends) > 0 && p.fanSeq.Add(1)&7 == 0 {
 		// FanOut times the hand-off to the transport, sampled one dispatch
 		// in eight: the hand-off span's distribution is what matters (a
 		// stalling transport shows up within a few dispatches either way),
 		// and sampling keeps two clock reads off the per-operation path.
 		// It overlaps the operations' QuorumWait rather than preceding it.
-		start := time.Since(p.epoch)
+		start := p.clock.Now()
 		for _, s := range sends {
-			p.send(s.Server, s.Req)
+			p.send(s.server, s.req)
 		}
-		p.obsv.FanOut.Observe(time.Since(p.epoch) - start)
+		p.obsv.FanOut.Observe(p.clock.Now() - start)
 		return
 	}
 	for _, s := range sends {
-		p.send(s.Server, s.Req)
+		p.send(s.server, s.req)
 	}
 }
 
@@ -1202,20 +1213,18 @@ func (p *Pipeline) signal(op *PendingOp) {
 		if op.o.fast {
 			p.obsv.FastReads.Inc()
 		}
-		if op.started > 0 {
-			// Observed here, not in finishLocked: the pipeline lock is the
-			// throughput bottleneck under load, so the histogram updates
-			// happen after it is released. Each phase entry is a
-			// per-operation total (retries fold into it), and the laps
-			// are contiguous from start of service to completion, so
-			// Pick + QuorumWait + WriteBack is Ops exactly.
-			p.obsv.Pick.Observe(op.pickDur)
-			p.obsv.QuorumWait.Observe(op.waitDur)
-			if op.wbDur > 0 {
-				p.obsv.WriteBack.Observe(op.wbDur)
-			}
-			p.obsv.Ops.Observe(op.pickDur + op.waitDur + op.wbDur)
+		// Observed here, not in finishLocked: the pipeline lock is the
+		// throughput bottleneck under load, so the histogram updates happen
+		// after it is released. Each phase entry is a per-operation total
+		// (retries fold into it), and the laps are contiguous from start of
+		// service to completion, so Pick + QuorumWait + WriteBack is Ops
+		// exactly.
+		p.obsv.Pick.Observe(op.pickDur)
+		p.obsv.QuorumWait.Observe(op.waitDur)
+		if op.wbDur > 0 {
+			p.obsv.WriteBack.Observe(op.wbDur)
 		}
+		p.obsv.Ops.Observe(op.pickDur + op.waitDur + op.wbDur)
 	}
 	op.complete()
 	if op.callback != nil {

@@ -35,8 +35,8 @@ type fanout struct {
 	// the per-reply bookkeeping a couple of register ops where server-keyed
 	// maps cost a hash insert per reply — the membership scan already finds
 	// the position for free. The mask caps quorums at 64 members, far above
-	// what the paper's O(sqrt(n) log n) constructions pick; Engine.pickInto
-	// enforces the cap loudly.
+	// what the paper's O(sqrt(n) log n) constructions pick; the engine
+	// enforces the cap loudly when it builds a session.
 	replied uint64
 	nrep    int
 }

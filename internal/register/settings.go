@@ -30,8 +30,6 @@ type Settings struct {
 	// process identity Proc.
 	Trace *trace.Log
 	Proc  msg.NodeID
-	// Clock overrides the logical clock stamping trace records.
-	Clock func() int64
 	// Observer records phase-level operation timings (see Observer).
 	Observer *Observer
 	// Gauge tracks in-flight operations.
@@ -47,9 +45,6 @@ func ApplyPipeline(s Settings) []PipelineOption {
 	}
 	if s.Trace != nil {
 		opts = append(opts, PipeTrace(s.Trace, s.Proc))
-	}
-	if s.Clock != nil {
-		opts = append(opts, PipeClock(s.Clock))
 	}
 	if s.Gauge != nil {
 		opts = append(opts, PipeGauge(s.Gauge))

@@ -21,7 +21,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand/v2"
 	"time"
@@ -74,6 +73,7 @@ func (d DistDelay) Delay(_, _ msg.NodeID, _ any, r *rand.Rand) time.Duration {
 const (
 	evMessage = iota + 1
 	evTimer
+	evFunc // a Clock.AfterFunc wake; payload is the *funcTimer
 )
 
 type event struct {
@@ -86,24 +86,68 @@ type event struct {
 	timer   int
 }
 
-type eventHeap []*event
+// eventHeap is a binary min-heap of events by (at, seq), kept by value so
+// scheduling an event allocates nothing once the heap has grown. Sequence
+// numbers are unique, so the pop order — and with it the run — is fully
+// determined. Sifts move a hole rather than swapping, one event copy per
+// level.
+type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before orders events by time, then by scheduling order.
+func (e *event) before(o *event) bool {
+	if e.at != o.at {
+		return e.at < o.at
 	}
-	return h[i].seq < h[j].seq
+	return e.seq < o.seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+
+func (h *eventHeap) push(e event) {
+	q := append(*h, e)
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.before(&q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = e
+	*h = q
+}
+
+func (h *eventHeap) pop() event {
+	q := *h
+	top, n := q[0], len(q)-1
+	last := q[n]
+	q[n] = event{} // drop the payload reference
+	q = q[:n]
+	if n > 0 {
+		i := 0
+		for {
+			m := 2*i + 1
+			if m >= n {
+				break
+			}
+			if r := m + 1; r < n && q[r].before(&q[m]) {
+				m = r
+			}
+			if !q[m].before(&last) {
+				break
+			}
+			q[i] = q[m]
+			i = m
+		}
+		q[i] = last
+	}
+	*h = q
+	return top
+}
+
+// node is one registered handler and the Context its steps run under.
+type node struct {
+	h   Handler
+	ctx Context
 }
 
 // Sim is one simulated execution.
@@ -111,8 +155,7 @@ type Sim struct {
 	now     Time
 	seq     uint64
 	events  eventHeap
-	nodes   map[msg.NodeID]Handler
-	streams map[msg.NodeID]*rand.Rand
+	nodes   map[msg.NodeID]*node
 	seed    uint64
 	delays  DelayModel
 	netRnd  *rand.Rand
@@ -127,8 +170,7 @@ type Sim struct {
 // the given model.
 func New(seed uint64, delays DelayModel) *Sim {
 	return &Sim{
-		nodes:     make(map[msg.NodeID]Handler),
-		streams:   make(map[msg.NodeID]*rand.Rand),
+		nodes:     make(map[msg.NodeID]*node),
 		seed:      seed,
 		delays:    delays,
 		netRnd:    rng.Derive(seed, "sim.network"),
@@ -148,8 +190,7 @@ func (s *Sim) Add(id msg.NodeID, h Handler) {
 	if _, dup := s.nodes[id]; dup {
 		panic(fmt.Sprintf("sim: duplicate node %d", id))
 	}
-	s.nodes[id] = h
-	s.streams[id] = rng.Derive(s.seed, fmt.Sprintf("sim.node.%d", id))
+	s.nodes[id] = &node{h: h, ctx: Context{sim: s, self: id, rnd: rng.Derive(s.seed, fmt.Sprintf("sim.node.%d", id))}}
 }
 
 // Now returns the current virtual time.
@@ -167,14 +208,12 @@ func (s *Sim) Stop() { s.stopped = true }
 // Stopped reports whether Stop was called.
 func (s *Sim) Stopped() bool { return s.stopped }
 
-func (s *Sim) push(e *event) {
+// push schedules e, returning the sequence number that identifies it.
+func (s *Sim) push(e event) uint64 {
 	s.seq++
 	e.seq = s.seq
-	heap.Push(&s.events, e)
-}
-
-func (s *Sim) ctx(id msg.NodeID) *Context {
-	return &Context{sim: s, self: id}
+	s.events.push(e)
+	return e.seq
 }
 
 // Run initializes every node and processes events until the queue drains,
@@ -194,32 +233,42 @@ func (s *Sim) Run() int64 {
 		}
 	}
 	for _, id := range ids {
-		s.nodes[id].Init(s.ctx(id))
+		n := s.nodes[id]
+		n.h.Init(&n.ctx)
 	}
 	for len(s.events) > 0 && !s.stopped && s.delivered < s.maxEvents {
-		e := heap.Pop(&s.events).(*event)
+		e := s.events.pop()
+		if e.kind == evFunc && e.payload.(*funcTimer).seq != e.seq {
+			continue // a stopped or reset AfterFunc wake
+		}
 		s.now = e.at
 		s.delivered++
-		node, ok := s.nodes[e.to]
+		n, ok := s.nodes[e.to]
 		if !ok {
-			continue // message to a removed node is dropped
+			continue // message to an unregistered node is dropped
 		}
 		switch e.kind {
 		case evMessage:
-			node.Recv(s.ctx(e.to), e.from, e.payload)
+			n.h.Recv(&n.ctx, e.from, e.payload)
 		case evTimer:
-			if th, ok := node.(TimerHandler); ok {
-				th.Timer(s.ctx(e.to), e.timer, e.payload)
+			if th, ok := n.h.(TimerHandler); ok {
+				th.Timer(&n.ctx, e.timer, e.payload)
 			}
+		case evFunc:
+			t := e.payload.(*funcTimer)
+			t.seq = 0
+			t.f()
 		}
 	}
 	return s.delivered
 }
 
-// Context is a node's window onto the simulator during one of its steps.
+// Context is a node's window onto the simulator. Each node has one for the
+// whole run, so a handler may keep the Context its Init received.
 type Context struct {
 	sim  *Sim
 	self msg.NodeID
+	rnd  *rand.Rand
 }
 
 // Self returns the node's identifier.
@@ -230,7 +279,7 @@ func (c *Context) Now() Time { return c.sim.now }
 
 // Rand returns the node's private randomness stream (derived from the
 // simulation seed and the node id, so executions replay exactly).
-func (c *Context) Rand() *rand.Rand { return c.sim.streams[c.self] }
+func (c *Context) Rand() *rand.Rand { return c.rnd }
 
 // Send schedules delivery of m to the destination after a delay drawn from
 // the delay model. Delivery is reliable and the payload is delivered as-is;
@@ -242,13 +291,13 @@ func (c *Context) Send(to msg.NodeID, m any) {
 	if d < 0 {
 		d = 0
 	}
-	s.push(&event{at: s.now + durationToTime(d), kind: evMessage, from: c.self, to: to, payload: m})
+	s.push(event{at: s.now + durationToTime(d), kind: evMessage, from: c.self, to: to, payload: m})
 }
 
 // After schedules a timer for the node itself.
 func (c *Context) After(d time.Duration, kind int, payload any) {
 	s := c.sim
-	s.push(&event{at: s.now + durationToTime(d), kind: evTimer, from: c.self, to: c.self, timer: kind, payload: payload})
+	s.push(event{at: s.now + durationToTime(d), kind: evTimer, from: c.self, to: c.self, timer: kind, payload: payload})
 }
 
 // Stop ends the simulation after the current event.
@@ -257,3 +306,60 @@ func (c *Context) Stop() { c.sim.Stop() }
 // Stopped reports whether the simulation has been stopped; handlers check it
 // to avoid scheduling work that would never be delivered.
 func (c *Context) Stopped() bool { return c.sim.stopped }
+
+// Clock is one node's view of virtual time, in the shape of a wall clock:
+// Now is the simulated time since the start of the run, and AfterFunc runs f
+// as an event of the node d later. It is how code written against real time
+// — a register.Pipeline's deadlines — runs on the simulator. The value is
+// the same for the whole run; it never goes stale between events.
+type Clock struct {
+	sim  *Sim
+	self msg.NodeID
+}
+
+// Clock returns node id's virtual clock.
+func (s *Sim) Clock(id msg.NodeID) Clock { return Clock{sim: s, self: id} }
+
+// Now returns the current virtual time as an offset from the start.
+func (c Clock) Now() time.Duration { return time.Duration(c.sim.now) }
+
+// Timer is the handle AfterFunc returns, with *time.Timer's Reset and Stop.
+// It is an alias of an unnamed interface, so Clock satisfies interfaces
+// declared elsewhere (register.Clock) without either package importing the
+// other.
+type Timer = interface {
+	Reset(d time.Duration) bool
+	Stop() bool
+}
+
+// AfterFunc schedules f to run d from now, as an event of the clock's node.
+// Like every event it counts toward the run's event cap.
+func (c Clock) AfterFunc(d time.Duration, f func()) Timer {
+	t := &funcTimer{clock: c, f: f}
+	t.Reset(d)
+	return t
+}
+
+// funcTimer is a pending AfterFunc call: seq identifies its scheduled wake,
+// 0 once the wake ran or the timer was stopped. A stopped or superseded wake
+// stays in the event heap, and Run skips it without counting it.
+type funcTimer struct {
+	clock Clock
+	f     func()
+	seq   uint64
+}
+
+// Reset reschedules the call d from now, reporting whether it was pending.
+func (t *funcTimer) Reset(d time.Duration) bool {
+	pending := t.Stop()
+	s := t.clock.sim
+	t.seq = s.push(event{at: s.now + durationToTime(max(d, 0)), kind: evFunc, from: t.clock.self, to: t.clock.self, payload: t})
+	return pending
+}
+
+// Stop cancels the call, reporting whether it was pending.
+func (t *funcTimer) Stop() bool {
+	pending := t.seq != 0
+	t.seq = 0
+	return pending
+}

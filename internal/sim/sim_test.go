@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -203,8 +204,8 @@ func TestPerNodeRandStable(t *testing.T) {
 	s2 := New(5, DistDelay{Dist: rng.Constant{D: 0}})
 	s1.Add(3, &echoNode{})
 	s2.Add(3, &echoNode{})
-	a := s1.ctx(3).Rand().Uint64()
-	b := s2.ctx(3).Rand().Uint64()
+	a := s1.nodes[3].ctx.Rand().Uint64()
+	b := s2.nodes[3].ctx.Rand().Uint64()
 	if a != b {
 		t.Fatal("per-node stream not derived deterministically from seed")
 	}
@@ -236,4 +237,48 @@ type recorder struct{ order *[]string }
 func (recorder) Init(*Context) {}
 func (r recorder) Recv(_ *Context, _ msg.NodeID, m any) {
 	*r.order = append(*r.order, m.(string))
+}
+
+// clockNode arms AfterFunc calls on its virtual clock from Init.
+type clockNode struct {
+	clock Clock
+	fired []time.Duration
+}
+
+func (n *clockNode) Init(*Context) {
+	n.clock.AfterFunc(3*time.Millisecond, func() { n.fired = append(n.fired, n.clock.Now()) })
+	stopped := n.clock.AfterFunc(time.Millisecond, func() { n.fired = append(n.fired, -1) })
+	if !stopped.Stop() || stopped.Stop() {
+		panic("Stop of a pending call must report true once, then false")
+	}
+	var reset Timer
+	reset = n.clock.AfterFunc(2*time.Millisecond, func() {
+		n.fired = append(n.fired, n.clock.Now())
+		if len(n.fired) < 3 && reset.Reset(5*time.Millisecond) {
+			panic("Reset of a call that already ran must report false")
+		}
+	})
+	if !reset.Reset(4 * time.Millisecond) {
+		panic("Reset of a pending call must report true")
+	}
+}
+
+func (n *clockNode) Recv(*Context, msg.NodeID, any) {}
+
+// TestClockAfterFunc pins the virtual clock's timer semantics: calls run at
+// their virtual deadline, a stopped call never runs, a reset call runs once
+// at its new deadline and can be re-armed from inside itself, and a stopped
+// or superseded wake is not counted as a delivered event.
+func TestClockAfterFunc(t *testing.T) {
+	s := New(1, DistDelay{Dist: rng.Constant{D: 0}})
+	n := &clockNode{clock: s.Clock(0)}
+	s.Add(0, n)
+	delivered := s.Run()
+	want := []time.Duration{3 * time.Millisecond, 4 * time.Millisecond, 9 * time.Millisecond}
+	if !reflect.DeepEqual(n.fired, want) {
+		t.Fatalf("calls ran at %v, want %v", n.fired, want)
+	}
+	if delivered != 3 {
+		t.Fatalf("delivered %d events, want 3 (the stopped and the superseded wake are not events)", delivered)
+	}
 }

@@ -33,6 +33,27 @@ go build ./...
 echo "== go test =="
 go test $race ./...
 
+echo "== paper fidelity =="
+# Every committed paper number regenerates byte for byte: the simulator and
+# analytic experiments are deterministic in their seed, so a cell of
+# docs/csv that moves is a behaviour change to decide on (regenerate the
+# file and say why), never a drift to discover later. E16 runs on real
+# sockets and has no committed CSV.
+fidelity="$(mktemp -d)"
+trap 'rm -rf "$fidelity"' EXIT
+go run ./cmd/reproduce -o "$fidelity" > "$fidelity/report.txt"
+fidelity_fail=0
+for f in docs/csv/*.csv; do
+    if ! cmp -s "$f" "$fidelity/$(basename "$f")"; then
+        echo "check.sh: $f does not regenerate:" >&2
+        diff "$f" "$fidelity/$(basename "$f")" >&2 || true
+        fidelity_fail=1
+    fi
+done
+if [ "$fidelity_fail" -ne 0 ]; then
+    exit 1
+fi
+
 echo "== allocation gates =="
 # The testing.AllocsPerRun pins run as ordinary tests (and self-skip under
 # -race, where the instrumentation inflates counts); naming them here keeps
@@ -122,12 +143,14 @@ fi
 # keyspace: the blocking and pipelined facades, register.Client, Detach and
 # the unused clock option went with them. The facade names match as whole
 # identifiers only: tests that checked the facades kept their names, and
-# the retention gate keeps the row named after the pipelined one.
-retired_uses="$(grep -rnE 'WireGob|WithWire|WithInlineReplies|RegisterValueType|BatchReplySink|WithRetryBackoff|WithLatency|register\.Apply\(|register\.ClientOption|phaseTimer|\bDialPipelined\b|\bPipelinedClient\b|\bPipeClient\b|register\.NewClient|\.Detach\(|\bWithClock\b' \
+# the retention gate keeps the row named after the pipelined one. The
+# Pipeline is the Operation's only driver, the simulator included: the
+# exported operation constructors and the hand-driven sim nodes are gone.
+retired_uses="$(grep -rnE 'WireGob|WithWire|WithInlineReplies|RegisterValueType|BatchReplySink|WithRetryBackoff|WithLatency|register\.Apply\(|register\.ClientOption|phaseTimer|\bDialPipelined\b|\bPipelinedClient\b|\bPipeClient\b|register\.NewClient|\.Detach\(|\bWithClock\b|\bNew(Atomic)?(Read|Write)Op\b|\bprocNode\b|confSimNode|memSimNode' \
     --include='*.go' . | grep -v '"PipelinedClient"' || true)"
 gob_imports="$(grep -rn '"encoding/gob"' --include='*.go' --exclude='*_test.go' . || true)"
 if [ -n "$retired_uses$gob_imports" ]; then
-    echo "check.sh: retired identifiers reappeared (gob wire, inline replies, per-element reply sink, serial-client options, client facades):" >&2
+    echo "check.sh: retired identifiers reappeared (gob wire, inline replies, per-element reply sink, serial-client options, client facades, hand-driven operations):" >&2
     echo "$retired_uses$gob_imports" >&2
     hygiene_fail=1
 fi
