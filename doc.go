@@ -42,9 +42,17 @@
 // and asynchronous calls keep many registers in flight. One blessed
 // constructor per cell:
 //
-//	            cluster (goroutines)           tcp (sockets)      register cores (sim, custom)
-//	one shard   (*cluster.Cluster).NewClient   tcp.Dial           register.NewPipeline(Over)
-//	sharded     (*cluster.Cluster).NewKeyspace tcp.DialKeyspace   register.NewKeyspace(Over)
+//	              cluster (goroutines)           tcp (sockets)      register cores (sim, custom)
+//	one shard     (*cluster.Cluster).NewClient   tcp.Dial           register.NewPipeline(Over)
+//	sharded       (*cluster.Cluster).NewKeyspace tcp.DialKeyspace   register.NewKeyspace(Over)
+//	many engines                                 tcp.DialSet        register.NewKeyspacesOver
+//
+// The last row is several processes sharing one connection set: each engine
+// keeps its own writer identity, pick stream, monotone cache and retry
+// budget, while the sockets, the op-id-residue reply demultiplexing and the
+// suspicion table are the set's (aco.RunTCP runs a job's workers so, one
+// socket per server whatever the worker count). tcp.Dial and
+// tcp.DialKeyspace are a set with one engine, closed with it.
 //
 // The third column is what the first two are built from: the protocol cores
 // take a raw send function (or a transport.Transport via the ...Over
@@ -59,7 +67,7 @@
 // are gone, as is cluster's combined timeout-and-retries shim (use
 // WithOpTimeout plus WithRetries).
 //
-// The two tcp constructors share one construction path, one default
+// The three tcp constructors share one construction path, one default
 // deadline (2s) and one data path: requests coalesced into batch frames by a
 // writer goroutine per connection, one server loop per connection coalescing
 // its replies, and replies delivered a whole frame at a time

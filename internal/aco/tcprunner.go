@@ -28,8 +28,10 @@ type TCPConfig struct {
 	// Servers is the number of replica servers, each on its own loopback
 	// listener.
 	Servers int
-	// Procs is the number of worker goroutines, each with its own TCP
-	// connections; defaults to Op.M().
+	// Procs is the number of worker goroutines; defaults to Op.M(). Each is
+	// an engine of its own (writer identity, pick stream, monotone cache) on
+	// the job's one connection set, so a job holds one socket per server
+	// whatever the worker count.
 	Procs int
 	// System is the quorum system for every worker.
 	System quorum.System
@@ -164,44 +166,46 @@ func RunTCP(cfg TCPConfig) (TCPResult, error) {
 		}
 		cfg.BatchHist.Register("tcp.client.batch_size", cfg.Obs)
 	}
-	clients := make([]*tcp.Client, procs)
-	for pi := 0; pi < procs; pi++ {
-		opts := []tcp.ClientOption{
+	opts := []tcp.ClientOption{tcp.WithTransportCounters(counters)}
+	if cfg.Monotone {
+		opts = append(opts, tcp.WithMonotone())
+	}
+	if cfg.OpTimeout > 0 {
+		opts = append(opts, tcp.WithOpTimeout(cfg.OpTimeout), tcp.WithRetries(cfg.Retries))
+	}
+	if cfg.Trace != nil {
+		opts = append(opts, tcp.WithTrace(cfg.Trace))
+	}
+	if observer != nil {
+		opts = append(opts, tcp.WithObserver(observer), tcp.WithTally(tally))
+	}
+	if cfg.MaxBatch > 0 {
+		opts = append(opts, tcp.WithMaxBatch(cfg.MaxBatch))
+	}
+	if cfg.Gauge != nil {
+		opts = append(opts, tcp.WithInFlightGauge(cfg.Gauge))
+	}
+	if cfg.BatchHist != nil {
+		opts = append(opts, tcp.WithBatchHistogram(cfg.BatchHist))
+	}
+	// One connection set for the job, one engine on it per worker: the
+	// workers are the paper's processes, each with its own writer identity,
+	// pick stream and monotone cache, sharing one socket per replica.
+	engines := make([][]tcp.ClientOption, procs)
+	for pi := range engines {
+		engines[pi] = []tcp.ClientOption{
 			tcp.WithWriter(int32(pi + 1)),
 			// Labeled derivation keeps the per-proc streams independent
 			// even across nearby base seeds (a linear "seed + pi*const"
 			// collides: base 1 proc 1 equals base 132 proc 0).
 			tcp.WithSeed(rng.Derive(cfg.Seed, fmt.Sprintf("tcp.proc.%d", pi)).Uint64()),
-			tcp.WithTransportCounters(counters),
 		}
-		if cfg.Monotone {
-			opts = append(opts, tcp.WithMonotone())
-		}
-		if cfg.OpTimeout > 0 {
-			opts = append(opts, tcp.WithOpTimeout(cfg.OpTimeout), tcp.WithRetries(cfg.Retries))
-		}
-		if cfg.Trace != nil {
-			opts = append(opts, tcp.WithTrace(cfg.Trace))
-		}
-		if observer != nil {
-			opts = append(opts, tcp.WithObserver(observer), tcp.WithTally(tally))
-		}
-		if cfg.MaxBatch > 0 {
-			opts = append(opts, tcp.WithMaxBatch(cfg.MaxBatch))
-		}
-		if cfg.Gauge != nil {
-			opts = append(opts, tcp.WithInFlightGauge(cfg.Gauge))
-		}
-		if cfg.BatchHist != nil {
-			opts = append(opts, tcp.WithBatchHistogram(cfg.BatchHist))
-		}
-		cl, err := tcp.Dial(addrs, cfg.System, opts...)
-		if err != nil {
-			return TCPResult{}, err
-		}
-		defer cl.Close()
-		clients[pi] = cl
 	}
+	set, err := tcp.DialSet(addrs, cfg.System, 1, engines, opts...)
+	if err != nil {
+		return TCPResult{}, err
+	}
+	defer set.Close()
 
 	tracker := newConvergenceTracker(procs)
 	iters := make([]int64, procs)
@@ -244,7 +248,7 @@ func RunTCP(cfg TCPConfig) (TCPResult, error) {
 		wg.Add(1)
 		go func(pi int) {
 			defer wg.Done()
-			w := newWorker(clients[pi], cfg.Pipelined, m, part.Owned(pi))
+			w := newWorker(set.Engine(pi), cfg.Pipelined, m, part.Owned(pi))
 			for iter := 0; iter < maxIters && !tracker.isDone(); iter++ {
 				if err := w.iterate(op); err != nil {
 					errs[pi] = err

@@ -1,12 +1,14 @@
 package aco_test
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
 	"probquorum/internal/aco"
 	"probquorum/internal/apps/semiring"
 	"probquorum/internal/graph"
+	"probquorum/internal/obs"
 	"probquorum/internal/quorum"
 )
 
@@ -56,14 +58,40 @@ func TestRunTCPClosureStrict(t *testing.T) {
 	}
 }
 
+// TestRunTCPOneSocketPerServer: the paper's configuration — chain(34), one
+// worker per row, k = 6 of n = 34 — runs its 34 workers as engines on the
+// job's one connection set, so every server holds exactly one client
+// connection: 34 sockets for the job, not one set per worker.
+func TestRunTCPOneSocketPerServer(t *testing.T) {
+	g := graph.Chain(34)
+	op := semiring.NewAPSP(g)
+	res, err := aco.RunTCP(aco.TCPConfig{
+		Op: op, Target: semiring.APSPTarget(g),
+		Servers: 34, System: quorum.NewProbabilistic(34, 6),
+		Monotone: true, Pipelined: true,
+		Seed: 1, Obs: obs.NewRegistry(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Converged || !aco.VectorsEqual(op, res.Final, semiring.APSPTarget(g)) {
+		t.Fatal("job did not converge on the APSP fixed point")
+	}
+	for i := 0; i < 34; i++ {
+		if h := res.Snapshot.Health[fmt.Sprintf("tcp.server.%d", i)]; h.Sessions != 1 {
+			t.Errorf("server %d holds %d client connections, want 1", i, h.Sessions)
+		}
+	}
+}
+
 // TestRunTCPLeavesLittleReachable is the per-job cost gate for the paper's
 // own application at its own scale — APSP on chain(34) over k = 6 of n = 34,
-// two workers, so 68 client and 68 server connections per job. Connections
-// cost what their traffic costs (send queues and read windows grow on
-// demand) and Close releases (no timer keeps a closed client reachable), so
-// a finished job leaves well under 1.5 MB behind and allocates under 5 MB;
-// pre-sized for the worst case, the same job left 5.2 MB and allocated
-// 15.7 MB.
+// two workers on one connection set, so 34 client and 34 server connections
+// per job. Connections cost what their traffic costs (send queues and read
+// windows grow on demand) and Close releases (no timer keeps a closed client
+// reachable), so a finished job leaves well under 1.5 MB behind and
+// allocates under 5 MB; pre-sized for the worst case, the same job left
+// 5.2 MB and allocated 15.7 MB.
 func TestRunTCPLeavesLittleReachable(t *testing.T) {
 	if raceEnabled {
 		t.Skip("memory accounting differs under the race detector")

@@ -28,7 +28,9 @@ import (
 // ≡ i (mod shards), and Deliver routes a reply to its shard from the id's
 // low bits alone, no shared routing table. Requests from all shards funnel
 // into the same per-server transport queues, so frame coalescing happens
-// across keys and shards, not per key.
+// across keys and shards, not per key. Several clients — one process's
+// engines — share a transport the same way (NewKeyspacesOver): each holds a
+// block of residues, and one root keyspace over all of them is the demux.
 //
 // Per-key guarantees are the Pipeline's, unchanged: operations on one key
 // are FIFO per client ([R4]-preserving), operations on different keys
@@ -51,27 +53,36 @@ type Keyspace struct {
 
 // NewKeyspace builds a keyspace over per-shard engines; engines[i] must
 // have been constructed with WithOpStride(i, len(engines)) so reply routing
-// by op-id residue works, and len(engines) must be a power of two. All
-// engines should share the writer identity and quorum system but must not
-// share rand streams or any other state. The pipeline options are applied
+// by op-id residue works, and len(engines) must be a power of two. The
+// shards are one client: their engines share its writer identity and quorum
+// system but must not share rand streams or any other state (independent
+// clients share a transport through NewKeyspacesOver, each keeping its own
+// writer identity and shards). The pipeline options are applied
 // to every shard; pointer-valued options (trace log, gauge, counters,
 // observer) aggregate naturally across shards because the shards share the
 // target. Prefer the transport adapters (tcp.DialKeyspace,
 // cluster.NewKeyspace) unless you are wiring a custom runtime.
 func NewKeyspace(engines []*Engine, send SendFunc, opts ...PipelineOption) *Keyspace {
-	n := len(engines)
+	k := newKeyspace(len(engines))
+	for i, e := range engines {
+		k.shards[i] = newShard(e, i, len(engines), send, opts)
+	}
+	return k
+}
+
+func newKeyspace(n int) *Keyspace {
 	if n == 0 || n&(n-1) != 0 {
 		panic(fmt.Sprintf("register: keyspace shard count %d is not a power of two", n))
 	}
-	k := &Keyspace{shards: make([]*Pipeline, n), mask: msg.OpID(n - 1), batchPool: new(sync.Pool)}
-	for i, e := range engines {
-		if e.opStride != msg.OpID(n) || e.nextOp&k.mask != msg.OpID(i) {
-			panic(fmt.Sprintf(
-				"register: keyspace shard %d engine not built with WithOpStride(%d, %d)", i, i, n))
-		}
-		k.shards[i] = NewPipeline(e, send, opts...)
+	return &Keyspace{shards: make([]*Pipeline, n), mask: msg.OpID(n - 1), batchPool: new(sync.Pool)}
+}
+
+// newShard wraps the engine serving op-id residue r of stride.
+func newShard(e *Engine, r, stride int, send SendFunc, opts []PipelineOption) *Pipeline {
+	if e.opStride != msg.OpID(stride) || e.nextOp&msg.OpID(stride-1) != msg.OpID(r) {
+		panic(fmt.Sprintf("register: keyspace shard %d engine not built with WithOpStride(%d, %d)", r, r, stride))
 	}
-	return k
+	return NewPipeline(e, send, opts...)
 }
 
 // NewKeyspaceOver builds a Keyspace running over a Transport, binding its
@@ -79,28 +90,68 @@ func NewKeyspace(engines []*Engine, send SendFunc, opts ...PipelineOption) *Keys
 // transport-wide fatal error closes the keyspace, and a per-server error or
 // failed Send marks the server suspected — in the one suspicion table every
 // shard's picks consult — and tops up the operations of every shard that
-// were waiting on it.
+// were waiting on it. It is NewKeyspacesOver with one client.
 func NewKeyspaceOver(engines []*Engine, tr transport.Transport, opts ...PipelineOption) *Keyspace {
-	var k *Keyspace
-	k = NewKeyspace(engines, sendOver(tr, func(server int, err error) { k.memberLost(server, err) }), opts...)
-	h := transport.NewHealth(tr.N())
-	for _, s := range k.shards {
-		// Each shard adopts views independently (whichever shard is rejected
-		// first re-targets the shared transport; Update is idempotent by
-		// epoch, so the rest are no-ops).
-		s.bind(tr, h)
+	return NewKeyspacesOver(tr, [][]*Engine{engines}, [][]PipelineOption{opts})[0]
+}
+
+// NewKeyspacesOver runs several independent register clients — the engines
+// of one process — over one transport, and returns one Keyspace per client.
+// groups[i] holds client i's shard engines and opts[i] the options its
+// pipelines run with, so each client keeps its own writer identity, pick
+// streams, monotone cache, timestamps, retry budget and instruments. Every
+// client has the same power-of-two shard count s; with g the client count
+// rounded up to a power of two, client i's shard j must be built with
+// WithOpStride(i·s+j, g·s).
+//
+// The transport's traffic is demultiplexed once for all clients, by op-id
+// residue (a residue no client holds drops what it receives), and the
+// clients share one suspicion table: a server the transport reports lost is
+// suspected once, the operations of every client that were waiting on it
+// are topped up, and every client's picks avoid it. Closing a returned
+// keyspace fails its own operations only; a transport-wide fatal error
+// closes them all. Closing the transport stays the caller's.
+func NewKeyspacesOver(tr transport.Transport, groups [][]*Engine, opts [][]PipelineOption) []*Keyspace {
+	s, g := len(groups[0]), 1
+	for g < len(groups) {
+		g *= 2
 	}
-	deliverTo(tr, k)
+	root := newKeyspace(g * s)
+	send := sendOver(tr, func(server int, err error) { root.memberLost(server, err) })
+	h := transport.NewHealth(tr.N())
+	clients := make([]*Keyspace, len(groups))
+	for i, engines := range groups {
+		if len(engines) != s {
+			panic(fmt.Sprintf("register: client %d has %d shards, client 0 has %d", i, len(engines), s))
+		}
+		c := &Keyspace{shards: root.shards[i*s : (i+1)*s : (i+1)*s], mask: msg.OpID(s - 1), batchPool: new(sync.Pool)}
+		for j, e := range engines {
+			c.shards[j] = newShard(e, i*s+j, g*s, send, opts[i])
+			// Each shard adopts views independently (whichever shard is
+			// rejected first re-targets the shared transport; Update is
+			// idempotent by epoch, so the rest are no-ops).
+			c.shards[j].bind(tr, h)
+		}
+		clients[i] = c
+	}
+	if len(groups) < g {
+		idle := NewPipeline(nil, nil)
+		idle.Close(nil)
+		for r := len(groups) * s; r < g*s; r++ {
+			root.shards[r] = idle
+		}
+	}
+	deliverTo(tr, root)
 	// Concrete-typed delivery: batch replies walk straight into the issuing
 	// shard without boxing (the Sink keeps carrying errors). With one shard
 	// there is nothing to demultiplex, so frames go to it directly and never
 	// touch ReplyBatch's pooled scratch.
-	var rs transport.ReplySink = k
-	if len(k.shards) == 1 {
-		rs = k.shards[0]
+	var rs transport.ReplySink = root
+	if len(root.shards) == 1 {
+		rs = root.shards[0]
 	}
 	transport.BindReplies(tr, rs)
-	return k
+	return clients
 }
 
 // memberLost hands a per-server loss to every shard: the shards share the

@@ -368,6 +368,54 @@ func (f *frameTransport) flush() {
 	f.reads = f.reads[:0]
 }
 
+// TestKeyspacesShareOneDemux: three clients, two shards each, over one
+// transport. Residues tile 4 blocks of 2 — one block nobody holds — and one
+// frame carrying every client's replies, plus a reply addressed to the empty
+// block, is bucketed once: each client's operations complete, and the
+// stray reply is dropped without reaching any client.
+func TestKeyspacesShareOneDemux(t *testing.T) {
+	ft := &frameTransport{loopback: *newLoopback(1)}
+	var tc metrics.TransportCounters
+	groups := make([][]*register.Engine, 3)
+	opts := make([][]register.PipelineOption, 3)
+	for i := range groups {
+		for j := 0; j < 2; j++ {
+			groups[i] = append(groups[i], register.NewEngine(int32(i+1), quorum.NewAll(1),
+				rng.Derive(7, fmt.Sprintf("shared.%d.%d", i, j)), register.WithOpStride(uint64(2*i+j), 8)))
+		}
+		opts[i] = []register.PipelineOption{register.PipeCounters(&tc)}
+	}
+	clients := register.NewKeyspacesOver(ft, groups, opts)
+	var ops []*register.PendingOp
+	for _, c := range clients {
+		for k := msg.RegisterID(0); k < 8; k++ {
+			ops = append(ops, c.ReadAsync(k))
+		}
+	}
+	ft.reads = append(ft.reads, msg.ReadReply{Op: 6}, msg.ReadReply{Op: 7})
+	ft.flush()
+	for _, op := range ops {
+		if _, err := op.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := tc.StaleDrops.Value(); n != 0 {
+		t.Errorf("stale drops = %d, want 0: the stray replies must not reach a client", n)
+	}
+	for i, c := range clients {
+		if c.Shards() != 2 || c.InFlight() != 0 {
+			t.Errorf("client %d: %d shards, %d in flight; want 2 and 0", i, c.Shards(), c.InFlight())
+		}
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Error("clients of unequal shard counts: expected panic")
+		}
+	}()
+	register.NewKeyspacesOver(ft, [][]*register.Engine{groups[0], groups[1][:1]}, opts[:2])
+}
+
 // TestKeyspaceIdleKeyBytes bounds the memory a key costs after it has gone
 // idle, at one million keys: once its operations drain, a key holds no
 // queue entry, no session, no in-flight slot — only the writer's timestamp

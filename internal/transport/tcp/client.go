@@ -19,8 +19,8 @@ import (
 const DefaultKeyspaceShards = 16
 
 // Client is the register client over TCP: a register.Keyspace (one pipeline
-// per client-side shard, reply routing by op-id residue) bound to a single
-// batching tcpTransport, so requests from every shard coalesce into the same
+// per client-side shard, reply routing by op-id residue) over its Set's
+// batching connections, so requests from every shard coalesce into the same
 // per-server frames. Dial builds the one-shard case — a single pipeline —
 // and DialKeyspace the sharded one; see register.Keyspace for the sharding
 // and ordering contract. A blocking call is an asynchronous one waited on at
@@ -42,14 +42,25 @@ const DefaultKeyspaceShards = 16
 // Client is safe for concurrent use by any number of goroutines; goroutines
 // working distinct keys on distinct shards contend on no client lock at all.
 type Client struct {
-	ks       *register.Keyspace
-	tr       *tcpTransport
-	counters *metrics.TransportCounters
+	ks  *register.Keyspace
+	set *Set
+	own bool // dialed alone: Close closes the set too
 }
 
 // KeyspaceClient is Client's former name, kept as an alias for the benchmark
 // harness, which names it; it retires with the next benchmark change.
 type KeyspaceClient = Client
+
+// Set is one process's connection set: one connection per replica server,
+// shared by the engines opened on it. Each engine is a Client of its own
+// (writer identity, pick stream, monotone cache, retry budget, op-id
+// residue); the set owns the sockets, the reply demultiplexer, the
+// suspicion table and the transport counters, so a lost server is suspected
+// once and every engine tops up around it.
+type Set struct {
+	tr      *tcpTransport
+	engines []*Client
+}
 
 // Dial connects to every replica server address and returns a one-shard
 // client: DialKeyspace with one shard. The quorum system's N must match the
@@ -60,15 +71,37 @@ func Dial(addrs []string, sys quorum.System, opts ...ClientOption) (*Client, err
 
 // DialKeyspace connects to every replica server address and returns a client
 // with the given client-side shard count (rounded up to a power of two; <= 0
-// selects DefaultKeyspaceShards). The quorum system's N must match the
-// address count. Every client has the same defaults: a 2s per-operation
-// deadline (defaultOpTimeout) and frames of up to 16 requests.
+// selects DefaultKeyspaceShards): a Set with that one engine, closed with
+// it. The quorum system's N must match the address count. Every client has
+// the same defaults: a 2s per-operation deadline (defaultOpTimeout) and
+// frames of up to 16 requests.
 func DialKeyspace(addrs []string, sys quorum.System, shards int, opts ...ClientOption) (*Client, error) {
+	s, err := DialSet(addrs, sys, shards, [][]ClientOption{nil}, opts...)
+	if err != nil {
+		return nil, err
+	}
+	s.engines[0].own = true
+	return s.engines[0], nil
+}
+
+// DialSet connects to every replica server address once and opens on the
+// connections one engine per entry of engines, each with the given shard
+// count (as DialKeyspace's) and configured by opts and then engines[i]
+// (typically WithWriter and WithSeed). The connections' settings — view,
+// batching, transport counters, write deadline — come from opts alone.
+func DialSet(addrs []string, sys quorum.System, shards int, engines [][]ClientOption, opts ...ClientOption) (*Set, error) {
+	if len(engines) == 0 {
+		return nil, fmt.Errorf("tcp: a connection set needs at least one engine")
+	}
 	if shards <= 0 {
 		shards = DefaultKeyspaceShards
 	}
 	for shards&(shards-1) != 0 {
 		shards++
+	}
+	stride := shards
+	for stride < shards*len(engines) {
+		stride *= 2
 	}
 	o := clientOpts{seed: 1, maxBatch: defaultMaxBatch}
 	for _, opt := range opts {
@@ -94,23 +127,32 @@ func DialKeyspace(addrs []string, sys quorum.System, shards int, opts ...ClientO
 	if o.maxBatch < 1 {
 		o.maxBatch = 1
 	}
-	o.Proc = msg.NodeID(o.writer)
 
-	var eopts []register.Option
-	if o.monotone {
-		eopts = append(eopts, register.Monotone())
-	}
-	if o.tally != nil {
-		eopts = append(eopts, register.WithTally(o.tally))
-	}
-	if o.hasView {
-		eopts = append(eopts, register.WithView(o.view))
-	}
-	engines := make([]*register.Engine, shards)
-	for i := range engines {
-		sopts := append([]register.Option{register.WithOpStride(uint64(i), uint64(shards))}, eopts...)
-		engines[i] = register.NewEngine(o.writer, sys,
-			rng.Derive(o.seed, fmt.Sprintf("tcp.client.%d.%d", o.writer, i)), sopts...)
+	groups := make([][]*register.Engine, len(engines))
+	popts := make([][]register.PipelineOption, len(engines))
+	for i, eopts := range engines {
+		e := o
+		for _, opt := range eopts {
+			opt(&e)
+		}
+		e.Proc = msg.NodeID(e.writer)
+		var ropts []register.Option
+		if e.monotone {
+			ropts = append(ropts, register.Monotone())
+		}
+		if e.tally != nil {
+			ropts = append(ropts, register.WithTally(e.tally))
+		}
+		if o.hasView {
+			ropts = append(ropts, register.WithView(o.view))
+		}
+		groups[i] = make([]*register.Engine, shards)
+		for j := range groups[i] {
+			sopts := append([]register.Option{register.WithOpStride(uint64(i*shards+j), uint64(stride))}, ropts...)
+			groups[i][j] = register.NewEngine(e.writer, sys,
+				rng.Derive(e.seed, fmt.Sprintf("tcp.client.%d.%d", e.writer, j)), sopts...)
+		}
+		popts[i] = register.ApplyPipeline(e.Settings)
 	}
 
 	tr := newTCPTransport(addrs, o.OpTimeout, o.Counters, o.maxBatch, o.batchHist)
@@ -124,10 +166,19 @@ func DialKeyspace(addrs []string, sys quorum.System, shards int, opts ...ClientO
 	if counted {
 		rt = transport.Instrument(tr, o.Counters)
 	}
-	c := &Client{tr: tr, counters: o.Counters}
-	c.ks = register.NewKeyspaceOver(engines, rt, register.ApplyPipeline(o.Settings)...)
-	return c, nil
+	s := &Set{tr: tr}
+	for _, ks := range register.NewKeyspacesOver(rt, groups, popts) {
+		s.engines = append(s.engines, &Client{ks: ks, set: s})
+	}
+	return s, nil
 }
+
+// Engine returns the set's engine i.
+func (s *Set) Engine(i int) *Client { return s.engines[i] }
+
+// Close tears down every connection and fails the pending operations of
+// every engine with ErrClientClosed. It is idempotent.
+func (s *Set) Close() { _ = s.tr.Close() }
 
 // Read performs one quorum read of key, blocking until it completes.
 func (c *Client) Read(key msg.RegisterID) (msg.Tagged, error) {
@@ -200,15 +251,15 @@ func (c *Client) WriteAsyncFunc(key msg.RegisterID, val msg.Value, fn func(msg.T
 // and health accessors.
 func (c *Client) Keyspace() *register.Keyspace { return c.ks }
 
-// Counters exposes the client's transport fault counters.
-func (c *Client) Counters() *metrics.TransportCounters { return c.counters }
+// Counters exposes the client's transport fault counters (its set's).
+func (c *Client) Counters() *metrics.TransportCounters { return c.set.tr.counters }
 
 // RegisterHealth attaches one health probe per server to reg, named
 // "<name>.<index>", so /healthz shows this client's suspicions next to the
 // servers' own liveness (Server.RegisterHealth): live means not suspected.
 // The probes cover the servers of the view at the time of the call.
 func (c *Client) RegisterHealth(reg *obs.Registry, name string) {
-	for i, nc := range *c.tr.conns.Load() {
+	for i, nc := range *c.set.tr.conns.Load() {
 		i, addr := i, nc.addr
 		reg.RegisterHealth(fmt.Sprintf("%s.%d", name, i), func() obs.Health {
 			h := obs.Health{Live: true, Addr: addr}
@@ -226,9 +277,13 @@ func (c *Client) RegisterHealth(reg *obs.Registry, name string) {
 	}
 }
 
-// Close tears down every connection and fails all pending operations with
-// ErrClientClosed. It is idempotent.
+// Close fails all pending operations with ErrClientClosed and, for a client
+// dialed alone (Dial, DialKeyspace), tears down its connections; an engine
+// of a Set leaves them to the set's other engines. It is idempotent.
 func (c *Client) Close() {
-	_ = c.tr.Close()
+	if c.own {
+		c.set.Close()
+		return
+	}
 	c.ks.Close(ErrClientClosed)
 }

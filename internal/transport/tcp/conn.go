@@ -15,11 +15,12 @@ import (
 )
 
 // tcpTransport implements transport.Transport over one persistent framed
-// connection per replica server. It carries no protocol logic: the register
-// pipeline above it owns quorums, deadlines, and retries; this layer owns
-// dialing, framing, reconnect backoff, and the fault counters.
+// connection per replica server: a Set's sockets. It carries no protocol
+// logic: the register pipelines above it own quorums, deadlines, and
+// retries; this layer owns dialing, framing, reconnect backoff, and the
+// fault counters.
 //
-// Every client sends the same way. Send enqueues without blocking (overflow
+// Every set sends the same way. Send enqueues without blocking (overflow
 // is a failed hand-off, returned as an error) and a per-connection writer
 // goroutine coalesces the queue into batch frames of up to maxBatch
 // requests, amortizing encode and syscall cost. A burst the writer cannot put
@@ -59,12 +60,7 @@ type tcpTransport struct {
 
 func newTCPTransport(addrs []string, timeout time.Duration, counters *metrics.TransportCounters,
 	maxBatch int, hist *metrics.IntHistogram) *tcpTransport {
-	t := &tcpTransport{
-		timeout:  timeout,
-		counters: counters,
-		maxBatch: maxBatch,
-		hist:     hist,
-	}
+	t := &tcpTransport{timeout: timeout, counters: counters, maxBatch: maxBatch, hist: hist}
 	conns := make([]*netConn, len(addrs))
 	for srv, addr := range addrs {
 		conns[srv] = t.newConn(srv, addr)
@@ -92,18 +88,9 @@ func (b boxedReplies) ReplyBatch(server int, reads []msg.ReadReply, acks []msg.W
 func (b boxedReplies) StaleEpoch(server int, m msg.StaleEpoch) { b.t.emit(server, m, nil) }
 
 // newConn builds (but does not dial) one connection slot for server index
-// srv at addr, carrying the transport's fixed per-connection configuration.
+// srv at addr; its configuration is the transport's.
 func (t *tcpTransport) newConn(srv int, addr string) *netConn {
-	nc := &netConn{
-		t:        t,
-		addr:     addr,
-		timeout:  t.timeout,
-		counters: t.counters,
-		maxBatch: t.maxBatch,
-		hist:     t.hist,
-		notify:   make(chan struct{}, 1),
-		stop:     make(chan struct{}),
-	}
+	nc := &netConn{t: t, addr: addr, notify: make(chan struct{}, 1), stop: make(chan struct{})}
 	nc.server.Store(int32(srv))
 	return nc
 }
@@ -262,11 +249,6 @@ type netConn struct {
 	// with only dial-time numbering there is nothing to translate.
 	epochIdx atomic.Pointer[map[quorum.Epoch]int32]
 	addr     string
-	timeout  time.Duration
-	counters *metrics.TransportCounters
-
-	maxBatch int
-	hist     *metrics.IntHistogram
 	stop     chan struct{} // stops the writer goroutine
 
 	// The send queue. Send appends to queue under qmu — the slice
@@ -375,8 +357,8 @@ func (nc *netConn) enqueue(req any) error {
 }
 
 func (nc *netConn) sendDropped() {
-	if nc.counters != nil {
-		nc.counters.SendDrops.Inc()
+	if nc.t.counters != nil {
+		nc.t.counters.SendDrops.Inc()
 	}
 }
 
@@ -411,8 +393,8 @@ func (nc *netConn) writeLoop() {
 		nc.queue = spare
 		nc.held = len(pend)
 		nc.qmu.Unlock()
-		if nc.counters != nil {
-			nc.counters.SendQueueMax.Set(int64(len(pend)))
+		if nc.t.counters != nil {
+			nc.t.counters.SendQueueMax.Set(int64(len(pend)))
 		}
 		nc.writeBurst(buf, pend)
 		clear(pend)
@@ -428,7 +410,7 @@ func (nc *netConn) writeBurst(buf *[]byte, pend []any) {
 	out := (*buf)[:0]
 	inOut := 0 // requests encoded into out
 	for len(pend) > 0 {
-		batch := pend[:min(len(pend), nc.maxBatch)]
+		batch := pend[:min(len(pend), nc.t.maxBatch)]
 		pend = pend[len(batch):]
 		next, err := msg.AppendMessage(out, msg.Batch{Msgs: batch})
 		if err != nil {
@@ -446,8 +428,8 @@ func (nc *netConn) writeBurst(buf *[]byte, pend []any) {
 		}
 		out = next
 		inOut += len(batch)
-		if nc.hist != nil {
-			nc.hist.Observe(len(batch))
+		if nc.t.hist != nil {
+			nc.t.hist.Observe(len(batch))
 		}
 		if len(out) >= clientCoalesceBytes {
 			nc.writeFrames(out)
@@ -494,8 +476,8 @@ func (nc *netConn) writeFramesLocked(out []byte) error {
 	if err := nc.ensureLocked(); err != nil {
 		return err
 	}
-	if nc.timeout > 0 {
-		_ = nc.conn.SetWriteDeadline(time.Now().Add(nc.timeout))
+	if nc.t.timeout > 0 {
+		_ = nc.conn.SetWriteDeadline(time.Now().Add(nc.t.timeout))
 	}
 	_, err := nc.conn.Write(out)
 	if err != nil {
@@ -514,7 +496,7 @@ func (nc *netConn) ensureLocked() error {
 		return fmt.Errorf("reconnect %s: backed off for %v", nc.addr,
 			nc.nextDial.Sub(now).Round(time.Millisecond))
 	}
-	d := net.Dialer{Timeout: nc.timeout}
+	d := net.Dialer{Timeout: nc.t.timeout}
 	conn, err := d.Dial("tcp", nc.addr)
 	if err != nil {
 		if nc.redialWait == 0 {
@@ -532,8 +514,8 @@ func (nc *netConn) ensureLocked() error {
 	nc.gen++
 	nc.redialWait = 0
 	nc.nextDial = time.Time{}
-	if nc.gen > 1 && nc.counters != nil {
-		nc.counters.Reconnects.Inc()
+	if nc.gen > 1 && nc.t.counters != nil {
+		nc.t.counters.Reconnects.Inc()
 	}
 	nc.wg.Add(1)
 	go nc.readLoop(conn, nc.gen)
@@ -549,8 +531,8 @@ func (nc *netConn) dropLocked(err error) {
 		nc.conn = nil
 	}
 	var nerr net.Error
-	if nc.counters != nil && errors.As(err, &nerr) && nerr.Timeout() {
-		nc.counters.Timeouts.Inc()
+	if nc.t.counters != nil && errors.As(err, &nerr) && nerr.Timeout() {
+		nc.t.counters.Timeouts.Inc()
 	}
 }
 

@@ -8,14 +8,16 @@
 // (internal/msg/wire.go, see the DESIGN.md "Wire format" section) — the one
 // encoding both sides speak, with no negotiation.
 //
-// Each client holds one persistent connection per replica server, and every
-// operation travels the same route: requests are coalesced into batch frames
-// by each connection's writer goroutine, the server's serve loop — one
-// goroutine per connection — applies them and writes the replies to every
-// frame of one read as one batch frame, and the client's reader walks each
-// batch frame straight into the register pipeline (transport.ReplySink).
-// There is one client type: Dial builds it over one pipeline and DialKeyspace
-// over sharded ones, and a caller keeps one operation in flight with
+// Each connection set (Set; Dial and DialKeyspace dial one per client) holds
+// one persistent connection per replica server, and every operation travels
+// the same route: requests are coalesced into batch frames by each
+// connection's writer goroutine, the server's serve loop — one goroutine per
+// connection — applies them and writes the replies to every frame of one
+// read as one batch frame, and the client's reader walks each batch frame
+// straight into the register pipeline (transport.ReplySink). There is one
+// client type: Dial builds it over one pipeline, DialKeyspace over sharded
+// ones and DialSet as several engines on one connection set, and a caller
+// keeps one operation in flight with
 // blocking calls or many with asynchronous ones. A quorum operation fans out
 // across the quorum's connections, so it costs one round-trip; replies are
 // matched to operations by operation id, so a connection carries any number

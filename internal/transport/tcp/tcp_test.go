@@ -190,6 +190,9 @@ func TestDialValidation(t *testing.T) {
 	if _, err := Dial([]string{"127.0.0.1:1"}, quorum.NewSingleton(1, 0)); err == nil {
 		t.Fatal("dead address accepted")
 	}
+	if _, err := DialSet(addrs, quorum.NewMajority(3), 1, nil); err == nil {
+		t.Fatal("connection set without engines accepted")
+	}
 }
 
 func TestReadAfterServerClose(t *testing.T) {

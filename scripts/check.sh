@@ -65,7 +65,7 @@ echo "== allocation gates =="
 # cost and a one-shard client's reply frames to none. The two retention
 # gates ride along: a closed tcp.Client (one shard with blocking or async
 # calls, or sharded) is collectable at once, and a whole APSP job over TCP
-# leaves (and allocates) what its traffic cost, not what 136 worst-case
+# leaves (and allocates) what its traffic cost, not what worst-case
 # connections would. So do the store's memory gates:
 # bytes of live heap per stored register, and the stripe layout that keeps
 # neighbouring locks off one cache line.
@@ -91,9 +91,12 @@ echo "== fault-aware fan-out and the serve loop under the race detector =="
 # hang it, and neither may closing the client under it. The serve-loop tests
 # ride along: when the one goroutine per connection writes, a reader that
 # never drains (a loop parked in Write), and Server.Close unblocking it
-# without leaking a goroutine.
+# without leaking a goroutine. So do the connection-set rows, where several
+# engines share those sockets: separate caches and retry budgets, replies
+# demultiplexed to the engine that issued them, an engine closed under the
+# others, and a crash suspected once for the set.
 go test -race -cpu 2,8 \
-    -run 'TestFlappingServerNoLivelock|TestSilentServerCostsOneDeadline|TestLossWithoutDeadline|TestCloseFailsPendingRead|TestConformance/crash-topup|TestHealth|TestCrashCostsOneRoundTrip|TestKilledListenerIsNotSilent|TestPartitionCostsOneDeadline|TestServeWritesOncePerRead|TestSlowReaderStallsOnlyItself|TestServerCloseNoGoroutineLeak' \
+    -run 'TestFlappingServerNoLivelock|TestSilentServerCostsOneDeadline|TestLossWithoutDeadline|TestCloseFailsPendingRead|TestConformance/crash-topup|TestHealth|TestCrashCostsOneRoundTrip|TestKilledListenerIsNotSilent|TestPartitionCostsOneDeadline|TestServeWritesOncePerRead|TestSlowReaderStallsOnlyItself|TestServerCloseNoGoroutineLeak|TestConnSet' \
     ./internal/register ./internal/cluster ./internal/transport ./internal/transport/tcp
 
 echo "== load harness smoke soak =="
