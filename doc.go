@@ -58,14 +58,17 @@
 // take a raw send function (or a transport.Transport via the ...Over
 // variants), which is how the discrete-event simulator and the tests drive
 // them; the simulator also passes PipeClock(sim.Clock), so deadlines run on
-// virtual time. Every cell is configured through the same surface —
-// register.Settings, translated by register.ApplyPipeline into the one
-// PipelineOption list; the tcp and cluster With* options are thin wrappers
-// over register.Settings, so option semantics cannot drift between
-// transports. Quorum exhaustion is register.ErrQuorumUnavailable everywhere
-// — the former per-transport error aliases in the tcp and cluster packages
-// are gone, as is cluster's combined timeout-and-retries shim (use
-// WithOpTimeout plus WithRetries).
+// virtual time. Every cell is configured by one struct, register.Settings:
+// the register class (monotone, read repair, b-masking, a membership view,
+// an asymmetric write system), the deadline and retry budget, and the
+// instruments. Register alone reads it — Settings.Engine validates it and
+// builds the engine, register.ApplyPipeline the pipeline option — so no
+// adapter translates its fields and a bad setting is refused with the same
+// error everywhere. The cluster runtime and the simulator runner take a
+// Settings value; each tcp With* option sets one of its fields (tcp keeps
+// setters because DialSet layers a set's options under each engine's, and
+// adds only the writer, seed and batch histogram of its own). Quorum
+// exhaustion is register.ErrQuorumUnavailable everywhere.
 //
 // The three tcp constructors share one construction path, one default
 // deadline (2s) and one data path: requests coalesced into batch frames by a

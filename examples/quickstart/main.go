@@ -15,6 +15,7 @@ import (
 	"probquorum/internal/cluster"
 	"probquorum/internal/msg"
 	"probquorum/internal/quorum"
+	"probquorum/internal/register"
 )
 
 func main() {
@@ -44,15 +45,15 @@ func run() error {
 	// write's quorum about half the time and staleness is visible.
 	sys := quorum.NewProbabilistic(servers, 3)
 	readSys := quorum.NewProbabilistic(servers, 2)
-	writer, err := c.NewClient(sys)
+	writer, err := c.NewClient(sys, register.Settings{})
 	if err != nil {
 		return err
 	}
-	plainReader, err := c.NewClient(readSys)
+	plainReader, err := c.NewClient(readSys, register.Settings{})
 	if err != nil {
 		return err
 	}
-	monoReader, err := c.NewClient(readSys, cluster.WithMonotone())
+	monoReader, err := c.NewClient(readSys, register.Settings{Monotone: true})
 	if err != nil {
 		return err
 	}
@@ -96,8 +97,7 @@ func run() error {
 		c.Server(i).Crash()
 	}
 	fmt.Println("crashed servers 0..3; writing and reading with retries:")
-	robust, err := c.NewClient(sys, cluster.WithMonotone(),
-		cluster.WithOpTimeout(5*time.Millisecond), cluster.WithRetries(100))
+	robust, err := c.NewClient(sys, register.Settings{Monotone: true, OpTimeout: 5 * time.Millisecond, Retries: 100})
 	if err != nil {
 		return err
 	}

@@ -9,6 +9,7 @@ import (
 	"probquorum/internal/metrics"
 	"probquorum/internal/msg"
 	"probquorum/internal/quorum"
+	"probquorum/internal/register"
 	"probquorum/internal/rng"
 	"probquorum/internal/trace"
 )
@@ -198,25 +199,13 @@ func RunConcurrent(cfg ConcurrentConfig) (ConcurrentResult, error) {
 	}
 	defer c.Close()
 
+	settings := register.Settings{
+		OpTimeout: cfg.OpTimeout, Retries: cfg.Retries, Trace: cfg.Trace, Gauge: cfg.Gauge,
+		Monotone: cfg.Monotone, Masking: cfg.Masking,
+	}
 	clients := make([]*cluster.Client, procs)
 	for pi := 0; pi < procs; pi++ {
-		opts := []cluster.ClientOption{}
-		if cfg.Monotone {
-			opts = append(opts, cluster.WithMonotone())
-		}
-		if cfg.Trace != nil {
-			opts = append(opts, cluster.WithTrace(cfg.Trace))
-		}
-		if cfg.OpTimeout > 0 {
-			opts = append(opts, cluster.WithOpTimeout(cfg.OpTimeout), cluster.WithRetries(cfg.Retries))
-		}
-		if cfg.Masking > 0 {
-			opts = append(opts, cluster.WithMasking(cfg.Masking))
-		}
-		if cfg.Gauge != nil {
-			opts = append(opts, cluster.WithInFlightGauge(cfg.Gauge))
-		}
-		cl, err := c.NewClient(cfg.System, opts...)
+		cl, err := c.NewClient(cfg.System, settings)
 		if err != nil {
 			return ConcurrentResult{}, err
 		}

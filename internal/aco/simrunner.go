@@ -203,10 +203,6 @@ func RunSim(cfg SimConfig) (SimResult, error) {
 		return SimResult{}, fmt.Errorf("aco: quorum system covers %d servers, cluster has %d",
 			cfg.System.N(), cfg.Servers)
 	}
-	if cfg.WriteSystem != nil && cfg.WriteSystem.N() != cfg.Servers {
-		return SimResult{}, fmt.Errorf("aco: write quorum system covers %d servers, cluster has %d",
-			cfg.WriteSystem.N(), cfg.Servers)
-	}
 	if cfg.Delay == nil && cfg.DelayModel == nil {
 		return SimResult{}, fmt.Errorf("aco: missing delay distribution")
 	}
@@ -260,23 +256,16 @@ func RunSim(cfg SimConfig) (SimResult, error) {
 	}
 
 	mon := newMonitor(procs, maxRounds)
+	settings := register.Settings{
+		OpTimeout: cfg.OpTimeout, Retries: cfg.Retries, Trace: cfg.Trace, Gauge: cfg.Gauge,
+		Monotone: cfg.Monotone, ReadRepair: cfg.ReadRepair, Tally: cfg.Tally, WriteSystem: cfg.WriteSystem,
+	}
 	nodes := make([]*pipeProcNode, procs)
 	for pi := 0; pi < procs; pi++ {
-		var opts []register.Option
-		if cfg.Monotone {
-			opts = append(opts, register.Monotone())
+		engine, err := settings.Engine(int32(pi), cfg.System, rng.Derive(cfg.Seed, fmt.Sprintf("aco.engine.%d", pi)))
+		if err != nil {
+			return SimResult{}, err
 		}
-		if cfg.Tally != nil {
-			opts = append(opts, register.WithTally(cfg.Tally))
-		}
-		if cfg.WriteSystem != nil {
-			opts = append(opts, register.WithWriteSystem(cfg.WriteSystem))
-		}
-		if cfg.ReadRepair {
-			opts = append(opts, register.WithReadRepair())
-		}
-		engine := register.NewEngine(int32(pi), cfg.System,
-			rng.Derive(cfg.Seed, fmt.Sprintf("aco.engine.%d", pi)), opts...)
 		self := msg.NodeID(cfg.Servers + pi)
 		node := &pipeProcNode{
 			idx:     pi,
@@ -289,17 +278,8 @@ func RunSim(cfg SimConfig) (SimResult, error) {
 			mon:     mon,
 		}
 		send := func(server int, req any) { node.ctx.Send(msg.NodeID(server), req) }
-		plOpts := []register.PipelineOption{
-			register.PipeClock(s.Clock(self)),
-			register.PipeTimeout(cfg.OpTimeout, cfg.Retries),
-		}
-		if cfg.Trace != nil {
-			plOpts = append(plOpts, register.PipeTrace(cfg.Trace, self))
-		}
-		if cfg.Gauge != nil {
-			plOpts = append(plOpts, register.PipeGauge(cfg.Gauge))
-		}
-		node.pl = register.NewPipeline(engine, send, plOpts...)
+		settings.Proc = self
+		node.pl = register.NewPipeline(engine, send, register.ApplyPipeline(settings), register.PipeClock(s.Clock(self)))
 		nodes[pi] = node
 		s.Add(self, node)
 	}

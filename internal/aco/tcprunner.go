@@ -58,10 +58,6 @@ type TCPConfig struct {
 	// waited on before the next is submitted: one pending operation per
 	// process, the paper's model.
 	Pipelined bool
-	// MaxBatch caps how many queued requests a client coalesces into one
-	// frame per server (0 = transport default). 1 disables coalescing — the
-	// ablation the batching benchmarks compare against.
-	MaxBatch int
 	// Trace optionally records every register operation.
 	Trace *trace.Log
 	// Gauge, if non-nil, tracks the workers' in-flight operation count.
@@ -166,27 +162,15 @@ func RunTCP(cfg TCPConfig) (TCPResult, error) {
 		}
 		cfg.BatchHist.Register("tcp.client.batch_size", cfg.Obs)
 	}
-	opts := []tcp.ClientOption{tcp.WithTransportCounters(counters)}
+	// Unset instruments are nil and a zero OpTimeout keeps the transport's
+	// default deadline, so every setter can be passed unconditionally.
+	opts := []tcp.ClientOption{
+		tcp.WithTransportCounters(counters), tcp.WithOpTimeout(cfg.OpTimeout), tcp.WithRetries(cfg.Retries),
+		tcp.WithTrace(cfg.Trace), tcp.WithObserver(observer), tcp.WithTally(tally),
+		tcp.WithInFlightGauge(cfg.Gauge), tcp.WithBatchHistogram(cfg.BatchHist),
+	}
 	if cfg.Monotone {
 		opts = append(opts, tcp.WithMonotone())
-	}
-	if cfg.OpTimeout > 0 {
-		opts = append(opts, tcp.WithOpTimeout(cfg.OpTimeout), tcp.WithRetries(cfg.Retries))
-	}
-	if cfg.Trace != nil {
-		opts = append(opts, tcp.WithTrace(cfg.Trace))
-	}
-	if observer != nil {
-		opts = append(opts, tcp.WithObserver(observer), tcp.WithTally(tally))
-	}
-	if cfg.MaxBatch > 0 {
-		opts = append(opts, tcp.WithMaxBatch(cfg.MaxBatch))
-	}
-	if cfg.Gauge != nil {
-		opts = append(opts, tcp.WithInFlightGauge(cfg.Gauge))
-	}
-	if cfg.BatchHist != nil {
-		opts = append(opts, tcp.WithBatchHistogram(cfg.BatchHist))
 	}
 	// One connection set for the job, one engine on it per worker: the
 	// workers are the paper's processes, each with its own writer identity,

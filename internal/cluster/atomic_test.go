@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"probquorum/internal/quorum"
+	"probquorum/internal/register"
 	"probquorum/internal/trace"
 )
 
@@ -15,7 +16,7 @@ func TestReadAtomicSatisfiesAtomicity(t *testing.T) {
 	c := newTestCluster(t, 5, nil)
 	log := &trace.Log{}
 	sys := quorum.NewMajority(5)
-	w, err := c.NewClient(sys, WithTrace(log))
+	w, err := c.NewClient(sys, register.Settings{Trace: log})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +33,7 @@ func TestReadAtomicSatisfiesAtomicity(t *testing.T) {
 		}
 	}()
 	for r := 0; r < 3; r++ {
-		cl, err := c.NewClient(sys, WithTrace(log))
+		cl, err := c.NewClient(sys, register.Settings{Trace: log})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,11 +70,11 @@ func TestReadAtomicSatisfiesAtomicity(t *testing.T) {
 func TestPlainReadsViolateAtomicity(t *testing.T) {
 	c := newTestCluster(t, 8, nil)
 	log := &trace.Log{}
-	w, err := c.NewClient(quorum.NewProbabilistic(8, 2), WithTrace(log))
+	w, err := c.NewClient(quorum.NewProbabilistic(8, 2), register.Settings{Trace: log})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := c.NewClient(quorum.NewProbabilistic(8, 1), WithTrace(log))
+	r1, err := c.NewClient(quorum.NewProbabilistic(8, 1), register.Settings{Trace: log})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,14 +97,14 @@ func TestPlainReadsViolateAtomicity(t *testing.T) {
 // atomic read, a full quorum holds the returned value.
 func TestReadAtomicSpreadsValues(t *testing.T) {
 	c := newTestCluster(t, 5, nil)
-	w, err := c.NewClient(quorum.NewSingleton(5, 0))
+	w, err := c.NewClient(quorum.NewSingleton(5, 0), register.Settings{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Write(0, "spread"); err != nil {
 		t.Fatal(err)
 	}
-	r, err := c.NewClient(quorum.NewAll(5))
+	r, err := c.NewClient(quorum.NewAll(5), register.Settings{})
 	if err != nil {
 		t.Fatal(err)
 	}

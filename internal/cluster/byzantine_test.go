@@ -6,11 +6,12 @@ import (
 
 	"probquorum/internal/msg"
 	"probquorum/internal/quorum"
+	"probquorum/internal/register"
 )
 
 func TestByzantineHijacksUnmaskedClient(t *testing.T) {
 	c := newTestCluster(t, 5, nil)
-	w, err := c.NewClient(quorum.NewAll(5))
+	w, err := c.NewClient(quorum.NewAll(5), register.Settings{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -18,7 +19,7 @@ func TestByzantineHijacksUnmaskedClient(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.SetByzantine(4, "EVIL")
-	r, err := c.NewClient(quorum.NewAll(5))
+	r, err := c.NewClient(quorum.NewAll(5), register.Settings{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +34,7 @@ func TestByzantineHijacksUnmaskedClient(t *testing.T) {
 
 func TestMaskedClientSurvivesByzantineServer(t *testing.T) {
 	c := newTestCluster(t, 5, nil)
-	w, err := c.NewClient(quorum.NewAll(5))
+	w, err := c.NewClient(quorum.NewAll(5), register.Settings{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,8 +42,7 @@ func TestMaskedClientSurvivesByzantineServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.SetByzantine(4, "EVIL")
-	r, err := c.NewClient(quorum.NewProbabilistic(5, 3),
-		WithMasking(1), WithOpTimeout(5*time.Millisecond), WithRetries(200))
+	r, err := c.NewClient(quorum.NewProbabilistic(5, 3), register.Settings{Masking: 1, OpTimeout: 5 * time.Millisecond, Retries: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestMaskedClientSurvivesByzantineServer(t *testing.T) {
 func TestByzantineWritesAreSwallowed(t *testing.T) {
 	c := newTestCluster(t, 3, nil)
 	c.SetByzantine(1, "EVIL")
-	cl, err := c.NewClient(quorum.NewAll(3))
+	cl, err := c.NewClient(quorum.NewAll(3), register.Settings{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestClearByzantineRestoresHonesty(t *testing.T) {
 	c := newTestCluster(t, 3, nil)
 	c.SetByzantine(0, "EVIL")
 	c.ClearByzantine(0)
-	cl, err := c.NewClient(quorum.NewSingleton(3, 0))
+	cl, err := c.NewClient(quorum.NewSingleton(3, 0), register.Settings{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,12 +101,11 @@ func TestWriterKeepsWorkingDespiteByzantineMinority(t *testing.T) {
 	// Byzantine of 7; reads track writes and never regress or fabricate.
 	c := newTestCluster(t, 7, nil)
 	c.SetByzantine(6, "EVIL")
-	w, err := c.NewClient(quorum.NewProbabilistic(7, 3))
+	w, err := c.NewClient(quorum.NewProbabilistic(7, 3), register.Settings{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := c.NewClient(quorum.NewProbabilistic(7, 3),
-		WithMasking(1), WithMonotone(), WithOpTimeout(5*time.Millisecond), WithRetries(500))
+	r, err := c.NewClient(quorum.NewProbabilistic(7, 3), register.Settings{Masking: 1, Monotone: true, OpTimeout: 5 * time.Millisecond, Retries: 500})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,6 @@ import (
 	"probquorum/internal/register"
 	"probquorum/internal/replica"
 	"probquorum/internal/rng"
-	"probquorum/internal/trace"
 	"probquorum/internal/transport"
 )
 
@@ -135,7 +134,7 @@ func (c *Cluster) serve(idx int, id msg.NodeID, ch chan envelope) {
 
 // SetByzantine makes server i exhibit arbitrary failures: fabricated read
 // replies with an enormous timestamp, swallowed writes. Clients defend with
-// WithMasking.
+// Settings.Masking.
 func (c *Cluster) SetByzantine(i int, poison msg.Value) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -458,210 +457,63 @@ type Client struct {
 	tr *clusterTransport
 }
 
-// ClientOption configures a client.
-type ClientOption func(*clientConfig)
-
-// clientConfig embeds the shared register.Settings — the transport-
-// independent client configuration — plus the engine variants only this
-// runtime exposes. Every With* option is a thin wrapper writing one field;
-// the constructors hand the Settings to register.ApplyPipeline.
-type clientConfig struct {
-	register.Settings
-
-	monotone   bool
-	readRepair bool
-	maskB      int
-	masking    bool
-	tally      *metrics.AccessTally
-	view       quorum.View
-	hasView    bool
-}
-
-// checkSys validates the constructor's quorum system against the cluster (or
-// the client's view, which supersedes the cluster's static extent).
-func (c *Cluster) checkSys(sys quorum.System, cc *clientConfig) error {
-	if cc.hasView {
-		if err := cc.view.Validate(); err != nil {
-			return fmt.Errorf("cluster: %w", err)
-		}
-		if sys.N() != cc.view.N() {
-			return fmt.Errorf("cluster: quorum system covers %d servers, view has %d",
-				sys.N(), cc.view.N())
-		}
-		return nil
-	}
-	c.mu.Lock()
-	n := len(c.servers)
-	c.mu.Unlock()
-	if sys.N() != n {
-		return fmt.Errorf("cluster: quorum system covers %d servers, cluster has %d",
-			sys.N(), n)
-	}
-	return nil
-}
-
-// attached is one registered client process: its applied options, node
-// identity, and transport — rt is tr behind the message-counting shim when
-// the caller passed counters.
-type attached struct {
-	clientConfig
-	c  *Cluster
-	id msg.NodeID
-	tr *clusterTransport
-	rt transport.Transport
-}
-
-// attach is NewKeyspace's construction path: options → system check →
-// process id and inbox → transport (re-targeted at the client's view) →
-// optional counting shim.
-func (c *Cluster) attach(sys quorum.System, opts []ClientOption) (*attached, error) {
-	a := &attached{c: c}
-	for _, o := range opts {
-		o(&a.clientConfig)
-	}
-	if err := c.checkSys(sys, &a.clientConfig); err != nil {
-		return nil, err
-	}
-	if c.closed.Load() {
-		return nil, ErrClosed
-	}
-	c.mu.Lock()
-	a.id = c.nextID
-	c.nextID++
-	inbox := make(chan envelope, 16*len(c.servers))
-	c.clients[a.id] = inbox
-	c.mu.Unlock()
-	a.tr = &clusterTransport{c: c, id: a.id, inbox: inbox, done: make(chan struct{})}
-	if a.hasView {
-		if err := a.tr.Update(a.view); err != nil {
-			a.tr.Close()
-			return nil, err
-		}
-	}
-	a.Proc = a.id
-	a.rt = a.tr
-	if a.Counters != nil {
-		a.rt = transport.Instrument(a.tr, a.Counters)
-	}
-	return a, nil
-}
-
-// engine builds one of the process's engines over sys with the client's
-// variants, its randomness derived from the cluster seed under label.
-func (a *attached) engine(sys quorum.System, label string, extra ...register.Option) *register.Engine {
-	opts := extra
-	if a.monotone {
-		opts = append(opts, register.Monotone())
-	}
-	if a.readRepair {
-		opts = append(opts, register.WithReadRepair())
-	}
-	if a.masking {
-		opts = append(opts, register.WithMasking(a.maskB))
-	}
-	if a.tally != nil {
-		opts = append(opts, register.WithTally(a.tally))
-	}
-	if a.hasView {
-		opts = append(opts, register.WithView(a.view))
-	}
-	return register.NewEngine(int32(a.id), sys, rng.Derive(a.c.seed, label), opts...)
-}
-
-// WithMonotone enables the monotone register variant for this client.
-func WithMonotone() ClientOption {
-	return func(c *clientConfig) { c.monotone = true }
-}
-
-// WithReadRepair makes the client push the freshest value it reads back to
-// the quorum members that replied with older timestamps (write-back).
-func WithReadRepair() ClientOption {
-	return func(c *clientConfig) { c.readRepair = true }
-}
-
-// WithMasking enables b-masking reads: only values vouched for identically
-// by more than b quorum members are accepted, defeating up to b Byzantine
-// servers per quorum; reads without enough votes retry with a fresh quorum.
-func WithMasking(b int) ClientOption {
-	return func(c *clientConfig) { c.masking = true; c.maskB = b }
-}
-
-// WithOpTimeout makes operations retry with a fresh quorum if a quorum
-// member does not answer within d (needed when servers may crash). Combine
-// with WithRetries to bound the attempts; this matches the tcp and register
-// packages' option naming.
-func WithOpTimeout(d time.Duration) ClientOption {
-	return func(c *clientConfig) { c.OpTimeout = d }
-}
-
-// WithRetries caps the attempts per operation (0 = unlimited); exhaustion
-// surfaces register.ErrQuorumUnavailable.
-func WithRetries(n int) ClientOption {
-	return func(c *clientConfig) { c.Retries = n }
-}
-
-// WithTrace records the client's completed operations into log.
-func WithTrace(log *trace.Log) ClientOption {
-	return func(c *clientConfig) { c.Trace = log }
-}
-
-// WithTally records the client's quorum picks into t.
-func WithTally(t *metrics.AccessTally) ClientOption {
-	return func(c *clientConfig) { c.tally = t }
-}
-
-// WithTransportCounters shares tc with the client: fault-path events, plus
-// the logical message counts (one MsgsSent per request handed to the
-// cluster, one MsgsRecv per reply delivered back) for cross-transport
-// message-complexity comparisons.
-func WithTransportCounters(tc *metrics.TransportCounters) ClientOption {
-	return func(c *clientConfig) { c.Counters = tc }
-}
-
-// WithObserver records phase-level operation timings (pick, fan-out,
-// quorum-wait, write-back, end-to-end) into obs; register the observer into
-// an obs.Registry to watch the quantiles live.
-func WithObserver(obs *register.Observer) ClientOption {
-	return func(c *clientConfig) { c.Observer = obs }
-}
-
-// WithInFlightGauge tracks the client's submitted-but-incomplete operation
-// count (and its high-watermark) in g.
-func WithInFlightGauge(g *metrics.Gauge) ClientOption {
-	return func(c *clientConfig) { c.Gauge = g }
-}
-
 // NewClient registers a new one-shard client process using the given quorum
 // system: NewKeyspace with one shard.
-func (c *Cluster) NewClient(sys quorum.System, opts ...ClientOption) (*Client, error) {
-	return c.NewKeyspace(sys, 1, opts...)
+func (c *Cluster) NewClient(sys quorum.System, s register.Settings) (*Client, error) {
+	return c.NewKeyspace(sys, 1, s)
 }
 
-// NewKeyspace registers a client process using the given quorum system and
+// NewKeyspace registers a client process using the given quorum system,
 // client-side shard count (rounded up to a power of two; <= 0 selects
-// DefaultKeyspaceShards). With crashes in play set WithOpTimeout so stalled
-// operations re-issue on fresh quorums.
-func (c *Cluster) NewKeyspace(sys quorum.System, shards int, opts ...ClientOption) (*Client, error) {
+// DefaultKeyspaceShards) and settings. Counters also receive the logical
+// message counts: one MsgsSent per request handed to the cluster, one
+// MsgsRecv per reply delivered back. With crashes in play set OpTimeout so
+// stalled operations re-issue on fresh quorums; with a View the client's
+// transport maps server indices through the view's members, and the client
+// adopts newer views when a replica rejects one of its operations.
+func (c *Cluster) NewKeyspace(sys quorum.System, shards int, s register.Settings) (*Client, error) {
 	if shards <= 0 {
 		shards = DefaultKeyspaceShards
 	}
 	for shards&(shards-1) != 0 {
 		shards++
 	}
-	a, err := c.attach(sys, opts)
-	if err != nil {
+	if err := s.Validate(sys); err != nil {
 		return nil, err
 	}
+	if c.closed.Load() {
+		return nil, ErrClosed
+	}
+	c.mu.Lock()
+	n := len(c.servers)
+	if s.View == nil && sys.N() != n {
+		c.mu.Unlock()
+		return nil, fmt.Errorf("cluster: quorum system covers %d servers, cluster has %d", sys.N(), n)
+	}
+	id := c.nextID
+	c.nextID++
+	inbox := make(chan envelope, 16*n)
+	c.clients[id] = inbox
+	c.mu.Unlock()
+	tr := &clusterTransport{c: c, id: id, inbox: inbox, done: make(chan struct{})}
+	if s.View != nil {
+		if err := tr.Update(*s.View); err != nil {
+			tr.Close()
+			return nil, err
+		}
+	}
+	var rt transport.Transport = tr
+	if s.Counters != nil {
+		rt = transport.Instrument(tr, s.Counters)
+	}
+	s.Proc = id
 	engines := make([]*register.Engine, shards)
 	for i := range engines {
-		engines[i] = a.engine(sys, fmt.Sprintf("cluster.client.%d.%d", a.id, i),
+		// s was validated above, so the builder cannot fail.
+		engines[i], _ = s.Engine(int32(id), sys, rng.Derive(c.seed, fmt.Sprintf("cluster.client.%d.%d", id, i)),
 			register.WithOpStride(uint64(i), uint64(shards)))
 	}
-	return &Client{
-		id: a.id,
-		ks: register.NewKeyspaceOver(engines, a.rt, register.ApplyPipeline(a.Settings)...),
-		tr: a.tr,
-	}, nil
+	return &Client{id: id, ks: register.NewKeyspaceOver(engines, rt, register.ApplyPipeline(s)), tr: tr}, nil
 }
 
 // ID returns the client's node identifier.

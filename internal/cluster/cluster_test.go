@@ -32,7 +32,7 @@ func newTestCluster(t *testing.T, n int, delay rng.Dist) *Cluster {
 
 func TestReadInitial(t *testing.T) {
 	c := newTestCluster(t, 5, nil)
-	cl, err := c.NewClient(quorum.NewMajority(5))
+	cl, err := c.NewClient(quorum.NewMajority(5), register.Settings{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,11 +47,11 @@ func TestReadInitial(t *testing.T) {
 
 func TestWriteReadRoundTripStrict(t *testing.T) {
 	c := newTestCluster(t, 5, nil)
-	w, err := c.NewClient(quorum.NewMajority(5))
+	w, err := c.NewClient(quorum.NewMajority(5), register.Settings{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := c.NewClient(quorum.NewMajority(5))
+	r, err := c.NewClient(quorum.NewMajority(5), register.Settings{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,8 +72,8 @@ func TestWriteReadRoundTripStrict(t *testing.T) {
 
 func TestReadWriteWithDelays(t *testing.T) {
 	c := newTestCluster(t, 5, rng.Exponential{MeanD: 200 * time.Microsecond})
-	w, _ := c.NewClient(quorum.NewMajority(5))
-	r, _ := c.NewClient(quorum.NewMajority(5))
+	w, _ := c.NewClient(quorum.NewMajority(5), register.Settings{})
+	r, _ := c.NewClient(quorum.NewMajority(5), register.Settings{})
 	for i := 1; i <= 5; i++ {
 		if err := w.Write(0, i); err != nil {
 			t.Fatal(err)
@@ -92,8 +92,8 @@ func TestProbabilisticEventuallyPropagates(t *testing.T) {
 	// With k=3 of n=9 (below strict), repeated monotone reads must
 	// eventually observe a completed write.
 	c := newTestCluster(t, 9, nil)
-	w, _ := c.NewClient(quorum.NewProbabilistic(9, 3))
-	r, _ := c.NewClient(quorum.NewProbabilistic(9, 3), WithMonotone())
+	w, _ := c.NewClient(quorum.NewProbabilistic(9, 3), register.Settings{})
+	r, _ := c.NewClient(quorum.NewProbabilistic(9, 3), register.Settings{Monotone: true})
 	if err := w.Write(0, "target"); err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestConcurrentClients(t *testing.T) {
 	var wg sync.WaitGroup
 	errCh := make(chan error, clients)
 	for i := 0; i < clients; i++ {
-		cl, err := c.NewClient(quorum.NewMajority(7))
+		cl, err := c.NewClient(quorum.NewMajority(7), register.Settings{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,8 +147,7 @@ func TestCrashedMinorityToleratedWithRetries(t *testing.T) {
 	// probabilistic quorums eventually land on live servers.
 	c.Server(0).Crash()
 	c.Server(1).Crash()
-	cl, err := c.NewClient(quorum.NewProbabilistic(5, 2),
-		WithOpTimeout(5*time.Millisecond), WithRetries(200))
+	cl, err := c.NewClient(quorum.NewProbabilistic(5, 2), register.Settings{OpTimeout: 5 * time.Millisecond, Retries: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,8 +168,7 @@ func TestRetriesExhausted(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		c.Server(i).Crash()
 	}
-	cl, err := c.NewClient(quorum.NewProbabilistic(3, 1),
-		WithOpTimeout(time.Millisecond), WithRetries(3))
+	cl, err := c.NewClient(quorum.NewProbabilistic(3, 1), register.Settings{OpTimeout: time.Millisecond, Retries: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +179,7 @@ func TestRetriesExhausted(t *testing.T) {
 
 func TestRecoveryAfterCrash(t *testing.T) {
 	c := newTestCluster(t, 3, nil)
-	cl, _ := c.NewClient(quorum.NewAll(3), WithOpTimeout(2*time.Millisecond), WithRetries(50))
+	cl, _ := c.NewClient(quorum.NewAll(3), register.Settings{OpTimeout: 2 * time.Millisecond, Retries: 50})
 	if err := cl.Write(0, "before"); err != nil {
 		t.Fatal(err)
 	}
@@ -198,8 +196,8 @@ func TestRecoveryAfterCrash(t *testing.T) {
 
 func TestWriteMulti(t *testing.T) {
 	c := newTestCluster(t, 5, nil)
-	a, _ := c.NewClient(quorum.NewMajority(5))
-	b, _ := c.NewClient(quorum.NewMajority(5))
+	a, _ := c.NewClient(quorum.NewMajority(5), register.Settings{})
+	b, _ := c.NewClient(quorum.NewMajority(5), register.Settings{})
 	ts1, err := a.WriteMulti(0, "from-a")
 	if err != nil {
 		t.Fatal(err)
@@ -230,8 +228,8 @@ func TestWriteMulti(t *testing.T) {
 func TestTraceRecordingAndProperties(t *testing.T) {
 	log := &trace.Log{}
 	c := newTestCluster(t, 6, nil)
-	w, _ := c.NewClient(quorum.NewProbabilistic(6, 2), WithTrace(log))
-	r, _ := c.NewClient(quorum.NewProbabilistic(6, 2), WithTrace(log), WithMonotone())
+	w, _ := c.NewClient(quorum.NewProbabilistic(6, 2), register.Settings{Trace: log})
+	r, _ := c.NewClient(quorum.NewProbabilistic(6, 2), register.Settings{Trace: log, Monotone: true})
 	for i := 0; i < 100; i++ {
 		if err := w.Write(0, i); err != nil {
 			t.Fatal(err)
@@ -257,14 +255,14 @@ func TestTraceRecordingAndProperties(t *testing.T) {
 
 func TestMismatchedQuorumSystemRejected(t *testing.T) {
 	c := newTestCluster(t, 5, nil)
-	if _, err := c.NewClient(quorum.NewMajority(7)); err == nil {
+	if _, err := c.NewClient(quorum.NewMajority(7), register.Settings{}); err == nil {
 		t.Fatal("mismatched system accepted")
 	}
 }
 
 func TestOperationsAfterCloseFail(t *testing.T) {
 	c := newTestCluster(t, 3, nil)
-	cl, err := c.NewClient(quorum.NewAll(3))
+	cl, err := c.NewClient(quorum.NewAll(3), register.Settings{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +270,7 @@ func TestOperationsAfterCloseFail(t *testing.T) {
 	if _, err := cl.Read(0); !errors.Is(err, ErrClosed) {
 		t.Fatalf("read after close: %v", err)
 	}
-	if _, err := c.NewClient(quorum.NewAll(3)); !errors.Is(err, ErrClosed) {
+	if _, err := c.NewClient(quorum.NewAll(3), register.Settings{}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("new client after close: %v", err)
 	}
 }
@@ -285,7 +283,7 @@ func TestCloseIdempotent(t *testing.T) {
 
 func TestMessageCounter(t *testing.T) {
 	c := newTestCluster(t, 4, nil)
-	cl, _ := c.NewClient(quorum.NewAll(4))
+	cl, _ := c.NewClient(quorum.NewAll(4), register.Settings{})
 	if err := cl.Write(0, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +307,7 @@ func TestInvalidServerCount(t *testing.T) {
 func TestWithObserverRecordsOps(t *testing.T) {
 	c := newTestCluster(t, 4, nil)
 	obs := new(register.Observer)
-	cl, err := c.NewClient(quorum.NewMajority(4), WithObserver(obs))
+	cl, err := c.NewClient(quorum.NewMajority(4), register.Settings{Observer: obs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +329,7 @@ func TestWithObserverRecordsOps(t *testing.T) {
 
 func TestCloseStopsDeliveries(t *testing.T) {
 	c := newTestCluster(t, 3, nil)
-	cl, err := c.NewClient(quorum.NewAll(3))
+	cl, err := c.NewClient(quorum.NewAll(3), register.Settings{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +342,7 @@ func TestCloseStopsDeliveries(t *testing.T) {
 		t.Fatalf("read on a closed client: err = %v, want ErrClosed", err)
 	}
 	// A fresh client still works; the cluster only dropped the closed one.
-	fresh, err := c.NewClient(quorum.NewAll(3))
+	fresh, err := c.NewClient(quorum.NewAll(3), register.Settings{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +354,7 @@ func TestCloseStopsDeliveries(t *testing.T) {
 func TestWithTallyRecordsQuorums(t *testing.T) {
 	c := newTestCluster(t, 5, nil)
 	tally := metrics.NewAccessTally(5)
-	cl, err := c.NewClient(quorum.NewProbabilistic(5, 2), WithTally(tally))
+	cl, err := c.NewClient(quorum.NewProbabilistic(5, 2), register.Settings{Tally: tally})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +379,7 @@ func TestCloseLeavesNoGoroutines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := c.NewClient(quorum.NewMajority(8))
+	cl, err := c.NewClient(quorum.NewMajority(8), register.Settings{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +408,7 @@ func TestCloseLeavesNoGoroutines(t *testing.T) {
 // with ErrClosed rather than leave it waiting for ever.
 func TestCloseFailsPendingRead(t *testing.T) {
 	c := newTestCluster(t, 3, nil)
-	cl, err := c.NewClient(quorum.NewAll(3))
+	cl, err := c.NewClient(quorum.NewAll(3), register.Settings{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"probquorum/internal/cluster"
 	"probquorum/internal/msg"
 	"probquorum/internal/quorum"
+	"probquorum/internal/register"
 )
 
 // A minimal deployment: five replica servers, a writer, and a monotone
@@ -22,12 +23,12 @@ func Example() {
 	}
 	defer c.Close()
 
-	writer, err := c.NewClient(quorum.NewMajority(5))
+	writer, err := c.NewClient(quorum.NewMajority(5), register.Settings{})
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	reader, err := c.NewClient(quorum.NewMajority(5), cluster.WithMonotone())
+	reader, err := c.NewClient(quorum.NewMajority(5), register.Settings{Monotone: true})
 	if err != nil {
 		fmt.Println(err)
 		return
@@ -60,10 +61,10 @@ func ExampleClient_ReadAtomic() {
 	}
 	defer c.Close()
 
-	w, _ := c.NewClient(quorum.NewSingleton(3, 0)) // writes land on server 0 only
+	w, _ := c.NewClient(quorum.NewSingleton(3, 0), register.Settings{}) // writes land on server 0 only
 	_ = w.Write(0, "v")
 
-	r, _ := c.NewClient(quorum.NewAll(3))
+	r, _ := c.NewClient(quorum.NewAll(3), register.Settings{})
 	tag, err := r.ReadAtomic(0) // reads and writes back to all replicas
 	if err != nil {
 		fmt.Println(err)

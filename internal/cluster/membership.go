@@ -160,13 +160,3 @@ func (c *Cluster) SyncFromQuorum(old quorum.View, targets []int) error {
 	}
 	return nil
 }
-
-// WithView attaches the client to a membership view: its engine picks
-// quorums against the view's parameters and stamps operations with its
-// epoch, and its transport maps server indices through the view's members.
-// The quorum system passed to the constructor is superseded by the view's
-// (it must still cover the same n; pass v.System()). The client adopts newer
-// views automatically when a replica rejects one of its operations.
-func WithView(v quorum.View) ClientOption {
-	return func(c *clientConfig) { c.view = v; c.hasView = true }
-}

@@ -6,6 +6,7 @@ import (
 
 	"probquorum/internal/msg"
 	"probquorum/internal/quorum"
+	"probquorum/internal/register"
 )
 
 // TestMultiWriterConcurrentConvergence hammers one register with several
@@ -22,7 +23,7 @@ func TestMultiWriterConcurrentConvergence(t *testing.T) {
 	errCh := make(chan error, writers)
 	clients := make([]*Client, writers)
 	for w := 0; w < writers; w++ {
-		cl, err := c.NewClient(sys)
+		cl, err := c.NewClient(sys, register.Settings{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,7 +86,7 @@ func TestMultiWriterTimestampsAreUnique(t *testing.T) {
 	var wg sync.WaitGroup
 	errCh := make(chan error, writers)
 	for w := 0; w < writers; w++ {
-		cl, err := c.NewClient(sys)
+		cl, err := c.NewClient(sys, register.Settings{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,8 +12,7 @@ import (
 
 func TestPartitionedMinoritySideStalls(t *testing.T) {
 	c := newTestCluster(t, 6, nil)
-	cl, err := c.NewClient(quorum.NewProbabilistic(6, 3),
-		WithOpTimeout(2*time.Millisecond), WithRetries(3))
+	cl, err := c.NewClient(quorum.NewProbabilistic(6, 3), register.Settings{OpTimeout: 2 * time.Millisecond, Retries: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,8 +25,7 @@ func TestPartitionedMinoritySideStalls(t *testing.T) {
 
 func TestPartitionedMajoritySideOperates(t *testing.T) {
 	c := newTestCluster(t, 6, nil)
-	cl, err := c.NewClient(quorum.NewProbabilistic(6, 3),
-		WithOpTimeout(2*time.Millisecond), WithRetries(500))
+	cl, err := c.NewClient(quorum.NewProbabilistic(6, 3), register.Settings{OpTimeout: 2 * time.Millisecond, Retries: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +46,7 @@ func TestPartitionedMajoritySideOperates(t *testing.T) {
 
 func TestHealRestoresFullConnectivity(t *testing.T) {
 	c := newTestCluster(t, 4, nil)
-	cl, err := c.NewClient(quorum.NewAll(4), WithOpTimeout(2*time.Millisecond), WithRetries(2))
+	cl, err := c.NewClient(quorum.NewAll(4), register.Settings{OpTimeout: 2 * time.Millisecond, Retries: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,12 +65,11 @@ func TestPartitionStaleReadsAcrossCut(t *testing.T) {
 	// seeing the old value — the paper's staleness made concrete — until
 	// the partition heals and fresh quorums become reachable.
 	c := newTestCluster(t, 6, nil)
-	w, err := c.NewClient(quorum.NewProbabilistic(6, 2), WithOpTimeout(2*time.Millisecond), WithRetries(500))
+	w, err := c.NewClient(quorum.NewProbabilistic(6, 2), register.Settings{OpTimeout: 2 * time.Millisecond, Retries: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := c.NewClient(quorum.NewProbabilistic(6, 2),
-		WithMonotone(), WithOpTimeout(2*time.Millisecond), WithRetries(500))
+	r, err := c.NewClient(quorum.NewProbabilistic(6, 2), register.Settings{Monotone: true, OpTimeout: 2 * time.Millisecond, Retries: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,14 +107,14 @@ func TestPartitionStaleReadsAcrossCut(t *testing.T) {
 
 func TestReadRepairInCluster(t *testing.T) {
 	c := newTestCluster(t, 5, nil)
-	w, err := c.NewClient(quorum.NewSingleton(5, 0))
+	w, err := c.NewClient(quorum.NewSingleton(5, 0), register.Settings{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Write(0, "seed"); err != nil {
 		t.Fatal(err)
 	}
-	r, err := c.NewClient(quorum.NewAll(5), WithReadRepair())
+	r, err := c.NewClient(quorum.NewAll(5), register.Settings{ReadRepair: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,8 +44,7 @@ func TestPipeClientTracedRandomSchedule(t *testing.T) {
 	const clients = 3
 	pcs := make([]*cluster.Client, clients)
 	for i := range pcs {
-		pc, err := c.NewClient(sys,
-			cluster.WithMonotone(), cluster.WithTrace(log), cluster.WithInFlightGauge(gauge))
+		pc, err := c.NewClient(sys, register.Settings{Monotone: true, Trace: log, Gauge: gauge})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,9 +120,7 @@ func TestPipeClientRidesOutCrash(t *testing.T) {
 	c := pipeTestCluster(t, 5, rng.Exponential{MeanD: 50 * time.Microsecond})
 	sys := quorum.NewMajority(5)
 	log := &trace.Log{}
-	pc, err := c.NewClient(sys,
-		cluster.WithMonotone(), cluster.WithTrace(log),
-		cluster.WithOpTimeout(20*time.Millisecond), cluster.WithRetries(0))
+	pc, err := c.NewClient(sys, register.Settings{Monotone: true, Trace: log, OpTimeout: 20 * time.Millisecond, Retries: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +161,7 @@ func TestPipeClientRidesOutCrash(t *testing.T) {
 // freshest value back.
 func TestPipeClientSupportsMaskingAndRepair(t *testing.T) {
 	c := pipeTestCluster(t, 5, nil)
-	w, err := c.NewClient(quorum.NewSingleton(5, 0))
+	w, err := c.NewClient(quorum.NewSingleton(5, 0), register.Settings{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +171,7 @@ func TestPipeClientSupportsMaskingAndRepair(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	repair, err := c.NewClient(quorum.NewAll(5), cluster.WithReadRepair())
+	repair, err := c.NewClient(quorum.NewAll(5), register.Settings{ReadRepair: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +195,7 @@ func TestPipeClientSupportsMaskingAndRepair(t *testing.T) {
 	}
 
 	c.SetByzantine(4, "EVIL")
-	masked, err := c.NewClient(quorum.NewAll(5), cluster.WithMasking(1))
+	masked, err := c.NewClient(quorum.NewAll(5), register.Settings{Masking: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +229,7 @@ func waitAll(submit func(msg.RegisterID) *register.PendingOp, n int) error {
 func TestPipeClientCloseFailsPending(t *testing.T) {
 	c := pipeTestCluster(t, 5, nil)
 	sys := quorum.NewMajority(5)
-	pc, err := c.NewClient(sys)
+	pc, err := c.NewClient(sys, register.Settings{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,6 +91,10 @@ func RunByzantine(cfg ByzConfig) (ByzResult, error) {
 	if cfg.F >= cfg.N {
 		return ByzResult{}, fmt.Errorf("byzantine: f=%d must be below n=%d", cfg.F, cfg.N)
 	}
+	masked := register.Settings{Masking: cfg.B}
+	if err := masked.Validate(quorum.NewAll(cfg.N)); err != nil {
+		return ByzResult{}, err
+	}
 	res := ByzResult{Config: cfg}
 	const poison = "FABRICATED"
 	for _, k := range cfg.Ks {
@@ -118,8 +122,8 @@ func RunByzantine(cfg ByzConfig) (ByzResult, error) {
 					ws.OnAck(srv, rep.(msg.WriteAck))
 				}
 			}
-			read := func(opts ...register.Option) (msg.Tagged, bool) {
-				e := register.NewEngine(1, sys, seedR, opts...)
+			read := func(settings register.Settings) (msg.Tagged, bool) {
+				e, _ := settings.Engine(1, sys, seedR) // validated above
 				s := e.BeginRead(0)
 				for _, srv := range s.Quorum {
 					if rep, ok := appliers[srv].Apply(s.Request()); ok {
@@ -128,10 +132,10 @@ func RunByzantine(cfg ByzConfig) (ByzResult, error) {
 				}
 				return e.FinishReadMasked(s)
 			}
-			if tag, _ := read(); tag.Val == poison {
+			if tag, _ := read(register.Settings{}); tag.Val == poison {
 				unmaskedFab++
 			}
-			tag, ok := read(register.WithMasking(cfg.B))
+			tag, ok := read(masked)
 			switch {
 			case !ok:
 				maskedFail++

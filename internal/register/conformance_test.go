@@ -80,9 +80,6 @@ type confScenario struct {
 	// every register (a Byzantine fabricator); repair pushes each read's
 	// result back to stale members; multiWriter writes through the
 	// multi-writer write (a read round, then a tag-carrying write round).
-	// The tcp adapter has no masking or read-repair option, so those two
-	// variants run on the cluster and sim harnesses here and over the TCP
-	// transport in the tcp package's TestEngineVariantsOverTCP.
 	masked, repair, multiWriter bool
 	scripts                     [][]confStep
 	check                       func(t *testing.T, r confResult)
@@ -100,12 +97,15 @@ func plantFabricated(st *replica.Store, regs int) {
 	}
 }
 
-// engineOnlyVariant reports whether the row needs an engine variant the tcp
-// adapter exposes no option for.
-func (sc confScenario) engineOnlyVariant() bool { return sc.masked || sc.repair }
-
-// tcpSkips reports whether the tcp harness cannot run the row.
-func (sc confScenario) tcpSkips() bool { return sc.engineOnlyVariant() || sc.silent }
+// settings is the row's register class: what every harness hands its
+// transport's client constructor or the register builder.
+func (sc confScenario) settings() register.Settings {
+	s := register.Settings{Monotone: sc.monotone, ReadRepair: sc.repair}
+	if sc.masked {
+		s.Masking = 1
+	}
+	return s
+}
 
 func confMajority(n int) quorum.System { return quorum.NewMajority(n) }
 
@@ -599,18 +599,12 @@ func runClusterScenario(t *testing.T, sc confScenario) confResult {
 	if sc.pipelined {
 		var g metrics.Gauge
 		var tc metrics.TransportCounters
-		opts := []cluster.ClientOption{cluster.WithTrace(log), cluster.WithInFlightGauge(&g), cluster.WithObserver(pobs)}
+		s := sc.settings()
+		s.Trace, s.Gauge, s.Observer = log, &g, pobs
 		if sc.crashOne {
-			opts = append(opts, cluster.WithOpTimeout(sc.timeout), cluster.WithRetries(sc.retries),
-				cluster.WithTransportCounters(&tc))
+			s.OpTimeout, s.Retries, s.Counters = sc.timeout, sc.retries, &tc
 		}
-		if sc.masked {
-			opts = append(opts, cluster.WithMasking(1))
-		}
-		if sc.repair {
-			opts = append(opts, cluster.WithReadRepair())
-		}
-		pc, err := c.NewClient(sys, opts...)
+		pc, err := c.NewClient(sys, s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -629,14 +623,9 @@ func runClusterScenario(t *testing.T, sc confScenario) confResult {
 	clients := make([]confClient, len(sc.scripts))
 	keyspaces := make([]*register.Keyspace, len(sc.scripts))
 	for pi := range sc.scripts {
-		opts := []cluster.ClientOption{cluster.WithTrace(log), cluster.WithObserver(pobs)}
-		if sc.monotone {
-			opts = append(opts, cluster.WithMonotone())
-		}
-		if sc.timeout > 0 {
-			opts = append(opts, cluster.WithOpTimeout(sc.timeout), cluster.WithRetries(sc.retries))
-		}
-		cl, err := c.NewClient(sys, opts...)
+		s := sc.settings()
+		s.Trace, s.Observer, s.OpTimeout, s.Retries = log, pobs, sc.timeout, sc.retries
+		cl, err := c.NewClient(sys, s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -668,6 +657,9 @@ func runTCPScenario(t *testing.T, sc confScenario) confResult {
 		t.Cleanup(srv.Close)
 		addrs[i] = srv.Addr()
 	}
+	if sc.masked {
+		plantFabricated(stores[0], sc.regs)
+	}
 	log := &trace.Log{}
 	sys := sc.sys(sc.servers)
 	pobs := new(register.Observer) // WriteBack laps pin the fast-path rows
@@ -678,6 +670,12 @@ func runTCPScenario(t *testing.T, sc confScenario) confResult {
 		if sc.crashOne {
 			opts = append(opts, tcp.WithOpTimeout(sc.timeout), tcp.WithRetries(sc.retries),
 				tcp.WithTransportCounters(&tc))
+		}
+		if sc.masked {
+			opts = append(opts, tcp.WithMasking(1))
+		}
+		if sc.repair {
+			opts = append(opts, tcp.WithReadRepair())
 		}
 		pc, err := tcp.Dial(addrs, sys, opts...)
 		if err != nil {
@@ -696,9 +694,11 @@ func runTCPScenario(t *testing.T, sc confScenario) confResult {
 		} else {
 			ferr = runPipelinedFlowOf(pc, sc.regs, sc.multiWriter)
 		}
-		return confResult{ops: log.Ops(), fastReads: pc.Keyspace().FastReads(),
+		ks := pc.Keyspace()
+		return confResult{ops: log.Ops(), fastReads: ks.FastReads(),
 			writeBacks: pobs.WriteBack.Count(), gaugeMax: g.Max(), errs: []error{ferr},
-			topUps: tc.TopUps.Value(), retries: pc.Keyspace().Retries(), signalsCrash: true}
+			topUps: tc.TopUps.Value(), retries: ks.Retries(), signalsCrash: true,
+			repairs: ks.Shard(0).Engine().Repairs()}
 	}
 	clients := make([]confClient, len(sc.scripts))
 	keyspaces := make([]*register.Keyspace, len(sc.scripts))
@@ -946,18 +946,7 @@ func runSimScenario(t *testing.T, sc confScenario) confResult {
 	log := &trace.Log{}
 	sys := sc.sys(sc.servers)
 	newEngine := func(pi int) *register.Engine {
-		var eopts []register.Option
-		if sc.monotone {
-			eopts = append(eopts, register.Monotone())
-		}
-		if sc.masked {
-			eopts = append(eopts, register.WithMasking(1))
-		}
-		if sc.repair {
-			eopts = append(eopts, register.WithReadRepair())
-		}
-		return register.NewEngine(int32(pi+1), sys,
-			rng.Derive(17, fmt.Sprintf("conf.sim.%d", pi)), eopts...)
+		return register.MustEngine(sc.settings(), int32(pi+1), sys, rng.Derive(17, fmt.Sprintf("conf.sim.%d", pi)))
 	}
 	if sc.pipelined {
 		var g metrics.Gauge
@@ -971,11 +960,8 @@ func runSimScenario(t *testing.T, sc confScenario) confResult {
 		node.tr = &simTransport{node: node, n: sc.servers, crashed: map[int]bool{0: sc.crashOne && !sc.silent}}
 		node.pl = register.NewPipelineOver(engine, node.tr,
 			register.PipeClock(s.Clock(self)),
-			register.PipeTimeout(sc.timeout, sc.retries),
-			register.PipeTrace(log, self),
-			register.PipeGauge(&g),
-			register.PipeObserver(pobs),
-			register.PipeCounters(&tc))
+			register.ApplyPipeline(register.Settings{OpTimeout: sc.timeout, Retries: sc.retries,
+				Trace: log, Proc: self, Gauge: &g, Observer: pobs, Counters: &tc}))
 		s.Add(self, node)
 		s.Run()
 		if node.err == nil && !node.done {
@@ -992,9 +978,8 @@ func runSimScenario(t *testing.T, sc confScenario) confResult {
 	for pi, script := range sc.scripts {
 		engines[pi] = newEngine(pi)
 		nodes[pi] = addSimScript(s, msg.NodeID(sc.servers+pi), engines[pi], script,
-			register.PipeTimeout(sc.timeout, sc.retries),
-			register.PipeTrace(log, msg.NodeID(sc.servers+pi)),
-			register.PipeObserver(pobs))
+			register.ApplyPipeline(register.Settings{OpTimeout: sc.timeout, Retries: sc.retries,
+				Trace: log, Proc: msg.NodeID(sc.servers + pi), Observer: pobs}))
 	}
 	s.Run()
 	errs := make([]error, len(nodes))
@@ -1025,8 +1010,8 @@ func TestConformance(t *testing.T) {
 		sc := sc
 		for _, h := range harnesses {
 			h := h
-			if h.name == "tcp" && sc.tcpSkips() {
-				continue // see confScenario.masked and .silent
+			if h.name == "tcp" && sc.silent {
+				continue // see confScenario.silent
 			}
 			t.Run(sc.name+"/"+h.name, func(t *testing.T) {
 				t.Parallel()
@@ -1056,7 +1041,7 @@ func TestTransportMessageCountersAlign(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	ccl, err := c.NewClient(quorum.NewAll(servers), cluster.WithTransportCounters(&ctc))
+	ccl, err := c.NewClient(quorum.NewAll(servers), register.Settings{Counters: &ctc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1114,10 +1099,7 @@ func TestConformanceObservability(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(c.Close)
-			pc, err := c.NewClient(confMajority(servers),
-				cluster.WithTransportCounters(counters),
-				cluster.WithObserver(observer),
-				cluster.WithInFlightGauge(g))
+			pc, err := c.NewClient(confMajority(servers), register.Settings{Counters: counters, Observer: observer, Gauge: g})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -1481,11 +1463,7 @@ func runKsClusterScenario(t *testing.T, row ksConfRow) ksConfResult {
 	sys := confMajority(ksConfServers)
 	clients := make([]*cluster.Client, 2)
 	for i := range clients {
-		opts := []cluster.ClientOption{cluster.WithTrace(log), cluster.WithInFlightGauge(&g)}
-		if row.monotone {
-			opts = append(opts, cluster.WithMonotone())
-		}
-		kc, err := c.NewKeyspace(sys, ksConfShards, opts...)
+		kc, err := c.NewKeyspace(sys, ksConfShards, register.Settings{Trace: log, Gauge: &g, Monotone: row.monotone})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -1572,19 +1550,14 @@ func runKsSimScenario(t *testing.T, row ksConfRow) ksConfResult {
 		nodes[pi] = node
 		engines := make([]*register.Engine, ksConfShards)
 		for i := range engines {
-			eopts := []register.Option{register.WithOpStride(uint64(i), ksConfShards)}
-			if row.monotone {
-				eopts = append(eopts, register.Monotone())
-			}
-			engines[i] = register.NewEngine(int32(pi+1), sys,
-				rng.Derive(17, fmt.Sprintf("conf.ks.sim.%d.%d", pi, i)), eopts...)
+			engines[i] = register.MustEngine(register.Settings{Monotone: row.monotone}, int32(pi+1), sys,
+				rng.Derive(17, fmt.Sprintf("conf.ks.sim.%d.%d", pi, i)), register.WithOpStride(uint64(i), ksConfShards))
 		}
 		self := msg.NodeID(ksConfServers + pi)
 		keyspaces[pi] = register.NewKeyspace(engines,
 			func(server int, req any) { node.ctx.Send(msg.NodeID(server), req) },
 			register.PipeClock(s.Clock(self)),
-			register.PipeTrace(log, self),
-			register.PipeGauge(&g))
+			register.ApplyPipeline(register.Settings{Trace: log, Proc: self, Gauge: &g}))
 		s.Add(self, node)
 	}
 	flows := ksFlows(row, keyspaces[0], keyspaces[1])

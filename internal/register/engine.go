@@ -27,7 +27,7 @@ type Engine struct {
 
 	writer   int32
 	sys      quorum.System
-	writeSys quorum.System // defaults to sys; see WithWriteSystem
+	writeSys quorum.System // defaults to sys; see Settings.WriteSystem
 	rnd      *rand.Rand
 	monotone bool
 
@@ -45,9 +45,7 @@ type Engine struct {
 	repairs    int64
 	maskB      int // b-masking parameter; -1 disables
 
-	// fastRead enables the atomic read's one-round-trip path (on by
-	// default); fastReads counts how often it fired.
-	fastRead  bool
+	// fastReads counts atomic reads that took the one-round-trip path.
 	fastReads int64
 
 	tally    *metrics.AccessTally
@@ -80,42 +78,10 @@ const sessionFreeMax = 512
 // Option configures an Engine.
 type Option func(*Engine)
 
-// Monotone enables the monotone cache of Section 6.2: a read whose quorum
-// returns only timestamps older than the freshest value this client has seen
-// returns the cached value instead, guaranteeing condition [R4].
-func Monotone() Option {
-	return func(e *Engine) { e.monotone = true }
-}
-
-// WithTally records every picked quorum into t, feeding the load
-// experiments.
-func WithTally(t *metrics.AccessTally) Option {
-	return func(e *Engine) { e.tally = t }
-}
-
 // WithMessageCounter adds 2·|quorum| to c for every operation (requests plus
 // replies), feeding the message-complexity experiments.
 func WithMessageCounter(c *metrics.Counter) Option {
 	return func(e *Engine) { e.messages = c }
-}
-
-// WithReadRepair makes every completed read push the freshest observed
-// value back to the quorum members that replied with older timestamps
-// ("write-back", as in the read phase of classic replicated-data
-// protocols). Repair costs up to |quorum| extra one-way messages per read
-// but spreads fresh values without the writer's help — an ablation knob for
-// the freshness/message trade-off. Drivers query RepairTargets after
-// FinishRead and send the returned requests without awaiting replies.
-func WithReadRepair() Option {
-	return func(e *Engine) { e.readRepair = true }
-}
-
-// WithoutFastRead disables the atomic read's one-round-trip fast path, so
-// every atomic read pays the full read + awaited write-back even when the
-// quorum replied unanimously. This is the ablation knob the fast path was
-// measured against; production configurations have no reason to set it.
-func WithoutFastRead() Option {
-	return func(e *Engine) { e.fastRead = false }
 }
 
 // WithOpStride confines every operation id this engine issues to the residue
@@ -138,36 +104,9 @@ func WithOpStride(offset, stride uint64) Option {
 	}
 }
 
-// WithWriteSystem makes writes pick quorums from a different system than
-// reads — the asymmetric configuration of Malkhi–Reiter–Wright, where the
-// intersection probability depends on both sizes: reads in an iterative
-// algorithm far outnumber writes (m reads per write in Alg. 1 with one
-// owned component), so shifting quorum mass from reads to writes can buy
-// the same freshness for fewer messages. Both systems must cover the same
-// servers.
-func WithWriteSystem(sys quorum.System) Option {
-	return func(e *Engine) { e.writeSys = sys }
-}
-
-// WithView starts the engine on an epoch-stamped membership view instead of
-// a bare quorum system: the read and write systems are both constructed from
-// the view, and every request the engine issues is stamped with the view's
-// epoch so replicas on a newer view can reject it with the replacement. The
-// sys argument of NewEngine is ignored when this option is present.
-func WithView(v quorum.View) Option {
-	if err := v.Validate(); err != nil {
-		panic("register: " + err.Error())
-	}
-	return func(e *Engine) {
-		e.view = v.Clone()
-		e.epoch = v.Epoch
-		e.sys = e.view.System()
-		e.writeSys = nil // recomputed from the view after options run
-	}
-}
-
-// NewEngine returns a register engine for the given writer identity, quorum
-// system, and randomness stream.
+// NewEngine returns a plain register engine — the random register, in static
+// mode — for the given writer identity, quorum system, and randomness
+// stream. Settings.Engine builds the other register classes.
 func NewEngine(writer int32, sys quorum.System, rnd *rand.Rand, opts ...Option) *Engine {
 	e := &Engine{
 		writer:   writer,
@@ -176,7 +115,6 @@ func NewEngine(writer int32, sys quorum.System, rnd *rand.Rand, opts ...Option) 
 		wts:      make(map[msg.RegisterID]uint64),
 		cache:    make(map[msg.RegisterID]msg.Tagged),
 		maskB:    -1,
-		fastRead: true,
 		opStride: 1,
 	}
 	for _, o := range opts {
@@ -184,10 +122,6 @@ func NewEngine(writer int32, sys quorum.System, rnd *rand.Rand, opts ...Option) 
 	}
 	if e.writeSys == nil {
 		e.writeSys = e.sys
-	}
-	if e.writeSys.N() != e.sys.N() {
-		panic(fmt.Sprintf("register: write system covers %d servers, read system %d",
-			e.writeSys.N(), e.sys.N()))
 	}
 	return e
 }
@@ -241,7 +175,7 @@ func (e *Engine) Repairs() int64 { return e.repairs }
 func (e *Engine) FastReads() int64 { return e.fastReads }
 
 // RepairTargets returns the write-back requests a completed read should
-// fan out (empty unless WithReadRepair is set): one WriteReq carrying the
+// fan out (empty unless Settings.ReadRepair is set): one WriteReq carrying the
 // read's result to each quorum member that returned an older timestamp.
 // Replicas ignore stale repairs by timestamp, so repairs are idempotent
 // and need no acknowledgment.
@@ -504,13 +438,13 @@ func (e *Engine) FinishRead(s *ReadSession) msg.Tagged {
 // tag it does not actually store would count toward unanimity here.
 //
 // On success it returns the read's result (through the same monotone filter
-// as FinishRead) and true; on any disagreement, cache override, masking, or
-// with the fast path disabled, it returns false and the caller proceeds
+// as FinishRead) and true; on any disagreement, cache override, or masking,
+// it returns false and the caller proceeds
 // with the ordinary two-phase transition.
 func (e *Engine) TryFinishReadFast(s *ReadSession) (msg.Tagged, bool) {
 	e.guard.enter()
 	defer e.guard.leave()
-	if !e.fastRead || e.maskB >= 0 || !s.Unanimous() {
+	if e.maskB >= 0 || !s.Unanimous() {
 		return msg.Tagged{}, false
 	}
 	if e.monotone {

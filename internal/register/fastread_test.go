@@ -78,7 +78,7 @@ func TestAtomicReadSlowPathOnDisagreement(t *testing.T) {
 // spreading write-back must still run.
 func TestAtomicReadSlowPathWhenCacheFresher(t *testing.T) {
 	tr := newLoopback(3)
-	e := register.NewEngine(1, quorum.NewAll(3), rng.Derive(1, "fastread.cache"), register.Monotone())
+	e := register.MustEngine(register.Settings{Monotone: true}, 1, quorum.NewAll(3), rng.Derive(1, "fastread.cache"))
 	cl := register.NewPipelineOver(e, tr)
 	if err := cl.Write(0, 1.0); err != nil {
 		t.Fatal(err)
@@ -110,7 +110,7 @@ func TestAtomicReadSlowPathWhenCacheFresher(t *testing.T) {
 // provides, and a faulty replica can claim a tag it does not store.
 func TestMaskingNeverFast(t *testing.T) {
 	tr := newLoopback(4)
-	e := register.NewEngine(1, quorum.NewAll(4), rng.Derive(1, "fastread.mask"), register.WithMasking(1))
+	e := register.MustEngine(register.Settings{Masking: 1}, 1, quorum.NewAll(4), rng.Derive(1, "fastread.mask"))
 	cl := register.NewPipelineOver(e, tr)
 	if err := cl.Write(0, 6.0); err != nil {
 		t.Fatal(err)
@@ -120,23 +120,6 @@ func TestMaskingNeverFast(t *testing.T) {
 	}
 	if got := e.FastReads(); got != 0 {
 		t.Fatalf("FastReads = %d, want 0: masking engines must always write back", got)
-	}
-}
-
-// TestWithoutFastRead pins the ablation knob: with the fast path disabled a
-// unanimous quorum still pays the full write-back.
-func TestWithoutFastRead(t *testing.T) {
-	tr := newLoopback(4)
-	e := register.NewEngine(1, quorum.NewAll(4), rng.Derive(1, "fastread.off"), register.WithoutFastRead())
-	cl := register.NewPipelineOver(e, tr)
-	if err := cl.Write(0, 3.0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.ReadAtomic(0); err != nil {
-		t.Fatal(err)
-	}
-	if got := e.FastReads(); got != 0 {
-		t.Fatalf("FastReads = %d, want 0 with WithoutFastRead", got)
 	}
 }
 
@@ -174,7 +157,7 @@ func TestStaleDropsZeroOnLateReadReply(t *testing.T) {
 	tr := &dupLoopback{loopback: newLoopback(3)}
 	e := register.NewEngine(1, quorum.NewAll(3), rng.Derive(1, "fastread.stale"))
 	tc := &metrics.TransportCounters{}
-	cl := register.NewPipelineOver(e, tr, register.PipeCounters(tc))
+	cl := register.NewPipelineOver(e, tr, register.ApplyPipeline(register.Settings{Counters: tc}))
 	if err := cl.Write(0, 1.0); err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +185,7 @@ func TestPipelineStaleDropsZeroOnLateReadReply(t *testing.T) {
 	tr := &dupLoopback{loopback: newLoopback(3)}
 	e := register.NewEngine(1, quorum.NewAll(3), rng.Derive(1, "fastread.pipestale"))
 	tc := &metrics.TransportCounters{}
-	p := register.NewPipelineOver(e, tr, register.PipeCounters(tc))
+	p := register.NewPipelineOver(e, tr, register.ApplyPipeline(register.Settings{Counters: tc}))
 	defer p.Close(nil)
 	if err := p.Write(0, 1.0); err != nil {
 		t.Fatal(err)

@@ -57,7 +57,7 @@ func TestFlappingServerNoLivelock(t *testing.T) {
 	var tc metrics.TransportCounters
 	pl := register.NewPipelineOver(
 		register.NewEngine(1, quorum.NewMajority(n), rng.Derive(1, "flappy.test")), tr,
-		register.PipeTimeout(40*time.Millisecond, 3), register.PipeCounters(&tc))
+		register.ApplyPipeline(register.Settings{OpTimeout: 40 * time.Millisecond, Retries: 3, Counters: &tc}))
 	defer pl.Close(nil)
 
 	var ops, failed, unavailable atomic.Int64
@@ -150,7 +150,7 @@ func TestSilentServerCostsOneDeadline(t *testing.T) {
 	// server 0, so the first operation below meets it within a few draws.
 	pl := register.NewPipelineOver(
 		register.NewEngine(1, quorum.NewProbabilistic(5, 4), rng.Derive(2, "mute.test")), tr,
-		register.PipeTimeout(deadline, 0), register.PipeCounters(&tc))
+		register.ApplyPipeline(register.Settings{OpTimeout: deadline, Counters: &tc}))
 	defer pl.Close(nil)
 	if err := pl.Write(0, "v"); err != nil {
 		t.Fatal(err)

@@ -38,7 +38,7 @@ func TestEngineGuardPanicsOnConcurrentEntry(t *testing.T) {
 // without tripping it.
 func TestEngineGuardReleasedOnNormalUse(t *testing.T) {
 	sys := quorum.NewMajority(5)
-	e := NewEngine(1, sys, rng.Derive(4, "guard.serial"), Monotone())
+	e := NewEngine(1, sys, rng.Derive(4, "guard.serial"), Settings{Monotone: true}.variants)
 	for i := 0; i < 10; i++ {
 		rs := e.BeginRead(msg.RegisterID(i % 2))
 		rs = e.RetryRead(rs)

@@ -25,7 +25,7 @@ import (
 // loopbackKeyspace builds a keyspace whose sends apply synchronously to
 // fresh replica stores. Engines are strided per the keyspace contract.
 func loopbackKeyspace(t testing.TB, servers, shards int, sys quorum.System,
-	eopts []register.Option, popts ...register.PipelineOption) (*register.Keyspace, []*replica.Store) {
+	s register.Settings) (*register.Keyspace, []*replica.Store) {
 	t.Helper()
 	stores := make([]*replica.Store, servers)
 	for i := range stores {
@@ -39,13 +39,10 @@ func loopbackKeyspace(t testing.TB, servers, shards int, sys quorum.System,
 	}
 	engines := make([]*register.Engine, shards)
 	for i := range engines {
-		opts := append([]register.Option{
-			register.WithOpStride(uint64(i), uint64(shards)),
-		}, eopts...)
-		engines[i] = register.NewEngine(1, sys,
-			rng.Derive(7, fmt.Sprintf("keyspace_test.%d", i)), opts...)
+		engines[i] = register.MustEngine(s, 1, sys,
+			rng.Derive(7, fmt.Sprintf("keyspace_test.%d", i)), register.WithOpStride(uint64(i), uint64(shards)))
 	}
-	ks = register.NewKeyspace(engines, send, popts...)
+	ks = register.NewKeyspace(engines, send, register.ApplyPipeline(s))
 	return ks, stores
 }
 
@@ -54,8 +51,7 @@ func loopbackKeyspace(t testing.TB, servers, shards int, sys quorum.System,
 // with zero stale drops, i.e. every reply reached the shard that issued it.
 func TestKeyspaceRoutesAcrossShards(t *testing.T) {
 	var tc metrics.TransportCounters
-	ks, _ := loopbackKeyspace(t, 5, 8, quorum.NewMajority(5), nil,
-		register.PipeCounters(&tc))
+	ks, _ := loopbackKeyspace(t, 5, 8, quorum.NewMajority(5), register.Settings{Counters: &tc})
 	const keys = 200
 	used := make(map[int]bool)
 	for k := 0; k < keys; k++ {
@@ -87,7 +83,7 @@ func TestKeyspaceRoutesAcrossShards(t *testing.T) {
 // TestKeyspaceUnknownKeyReadsZero pins the documented lazy-key semantics:
 // a key never written reads as the zero msg.Tagged on every path.
 func TestKeyspaceUnknownKeyReadsZero(t *testing.T) {
-	ks, _ := loopbackKeyspace(t, 5, 4, quorum.NewMajority(5), nil)
+	ks, _ := loopbackKeyspace(t, 5, 4, quorum.NewMajority(5), register.Settings{})
 	for _, key := range []msg.RegisterID{0, 7, 1 << 20} {
 		got, err := ks.Read(key)
 		if err != nil {
@@ -154,8 +150,7 @@ func TestKeyspaceRejectsMisconfiguredEngines(t *testing.T) {
 // on disjoint key ranges — the parallelism claim the striping exists for,
 // and a race-detector target for the shared-transport delivery path.
 func TestKeyspaceConcurrentDistinctKeys(t *testing.T) {
-	ks, stores := loopbackKeyspace(t, 5, 8, quorum.NewMajority(5),
-		[]register.Option{register.Monotone()})
+	ks, stores := loopbackKeyspace(t, 5, 8, quorum.NewMajority(5), register.Settings{Monotone: true})
 	const goroutines, opsEach = 8, 200
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -215,7 +210,7 @@ func TestKeyspaceAllocGate(t *testing.T) {
 	pl = register.NewPipeline(
 		register.NewEngine(1, sys, rng.Derive(3, "allocgate.pipeline")), plSend)
 
-	ks, _ := loopbackKeyspace(t, 5, 8, sys, nil)
+	ks, _ := loopbackKeyspace(t, 5, 8, sys, register.Settings{})
 
 	const key = msg.RegisterID(42)
 	// Warm both paths: first ops allocate session maps, queue entries, and
@@ -383,7 +378,7 @@ func TestKeyspacesShareOneDemux(t *testing.T) {
 			groups[i] = append(groups[i], register.NewEngine(int32(i+1), quorum.NewAll(1),
 				rng.Derive(7, fmt.Sprintf("shared.%d.%d", i, j)), register.WithOpStride(uint64(2*i+j), 8)))
 		}
-		opts[i] = []register.PipelineOption{register.PipeCounters(&tc)}
+		opts[i] = []register.PipelineOption{register.ApplyPipeline(register.Settings{Counters: &tc})}
 	}
 	clients := register.NewKeyspacesOver(ft, groups, opts)
 	var ops []*register.PendingOp
@@ -432,7 +427,7 @@ func TestKeyspaceIdleKeyBytes(t *testing.T) {
 	var before runtime.MemStats
 	runtime.ReadMemStats(&before)
 
-	ks, stores := loopbackKeyspace(t, 1, 16, quorum.NewAll(1), nil)
+	ks, stores := loopbackKeyspace(t, 1, 16, quorum.NewAll(1), register.Settings{})
 	for k := 0; k < keys; k++ {
 		if err := ks.Write(msg.RegisterID(k), nil); err != nil {
 			t.Fatalf("write key %d: %v", k, err)

@@ -17,15 +17,9 @@ import (
 // fabricated value, a read can fail (no pair has enough votes) — the
 // Las-Vegas flavor the paper's related work contrasts with Monte-Carlo
 // behaviour. Drivers retry failed masked reads with a fresh quorum.
-
-// WithMasking enables b-masking on an engine's reads: FinishReadMasked
-// accepts only values reported identically by at least b+1 quorum members.
-// The quorum size must exceed b for reads to ever succeed; sizes of at
-// least 2b+1 keep the success probability high when at most b servers in
-// the whole system are Byzantine.
-func WithMasking(b int) Option {
-	return func(e *Engine) { e.maskB = b }
-}
+// Settings.Masking turns it on. The quorum size must exceed b for reads to
+// ever succeed; sizes of at least 2b+1 keep the success probability high
+// when at most b servers in the whole system are Byzantine.
 
 // MaskingEnabled reports whether the engine masks reads.
 func (e *Engine) MaskingEnabled() bool { return e.maskB >= 0 }

@@ -81,7 +81,7 @@ func TestMaskedReadDefeatsByzantine(t *testing.T) {
 	c := newByzCluster(4, map[int]bool{3: true}, map[msg.RegisterID]msg.Value{0: nil})
 	w := NewEngine(0, quorum.NewAll(4), rng.New(1))
 	c.write(w, 0, "honest")
-	r := NewEngine(1, quorum.NewAll(4), rng.New(2), WithMasking(1))
+	r := NewEngine(1, quorum.NewAll(4), rng.New(2), Settings{Masking: 1}.variants)
 	tag, ok := c.readMasked(r, 0)
 	if !ok {
 		t.Fatal("masked read failed with 3 honest votes available")
@@ -97,7 +97,7 @@ func TestMaskedReadFailsWithoutEnoughVotes(t *testing.T) {
 	c := newByzCluster(2, map[int]bool{1: true}, map[msg.RegisterID]msg.Value{0: nil})
 	w := NewEngine(0, quorum.NewSingleton(2, 0), rng.New(1))
 	c.write(w, 0, "honest")
-	r := NewEngine(1, quorum.NewAll(2), rng.New(2), WithMasking(1))
+	r := NewEngine(1, quorum.NewAll(2), rng.New(2), Settings{Masking: 1}.variants)
 	if _, ok := c.readMasked(r, 0); ok {
 		t.Fatal("masked read succeeded with only one honest vote")
 	}
@@ -106,7 +106,7 @@ func TestMaskedReadFailsWithoutEnoughVotes(t *testing.T) {
 func TestMaskedReadPicksNewestQualifiedValue(t *testing.T) {
 	// Hand-rolled replies: two votes for ts 2, two for ts 5, one byzantine
 	// giant. With b=1, ts 5 qualifies and wins.
-	e := NewEngine(0, quorum.NewAll(5), rng.New(1), WithMasking(1))
+	e := NewEngine(0, quorum.NewAll(5), rng.New(1), Settings{Masking: 1}.variants)
 	s := e.BeginRead(0)
 	reply := func(srv int, seq uint64, val msg.Value) {
 		s.OnReply(srv, msg.ReadReply{Reg: 0, Op: s.Op,
@@ -126,7 +126,7 @@ func TestMaskedReadPicksNewestQualifiedValue(t *testing.T) {
 func TestMaskedReadRequiresIdenticalValues(t *testing.T) {
 	// Same timestamp but different values (a Byzantine server mimicking a
 	// legitimate timestamp) must not pool votes.
-	e := NewEngine(0, quorum.NewAll(3), rng.New(1), WithMasking(1))
+	e := NewEngine(0, quorum.NewAll(3), rng.New(1), Settings{Masking: 1}.variants)
 	s := e.BeginRead(0)
 	s.OnReply(0, msg.ReadReply{Reg: 0, Op: s.Op, Tag: msg.Tagged{TS: msg.Timestamp{Seq: 3}, Val: "real"}})
 	s.OnReply(1, msg.ReadReply{Reg: 0, Op: s.Op, Tag: msg.Tagged{TS: msg.Timestamp{Seq: 3}, Val: "forged"}})
@@ -142,7 +142,7 @@ func TestMaskedMonotoneCacheInteraction(t *testing.T) {
 	c := newByzCluster(4, nil, map[msg.RegisterID]msg.Value{0: nil})
 	w := NewEngine(0, quorum.NewAll(4), rng.New(1))
 	c.write(w, 0, "v1")
-	r := NewEngine(1, quorum.NewAll(4), rng.New(2), WithMasking(1), Monotone())
+	r := NewEngine(1, quorum.NewAll(4), rng.New(2), Settings{Masking: 1, Monotone: true}.variants)
 	tag, ok := c.readMasked(r, 0)
 	if !ok || tag.Val != "v1" {
 		t.Fatalf("first masked read = %v, %v", tag.Val, ok)
@@ -170,7 +170,7 @@ func TestPipelineMaskingRejectionRetries(t *testing.T) {
 			pl.Deliver(server, reply)
 		}
 	}
-	e := NewEngine(1, quorum.NewProbabilistic(3, 2), rng.Derive(5, "masking.pipeline"), WithMasking(1))
+	e := NewEngine(1, quorum.NewProbabilistic(3, 2), rng.Derive(5, "masking.pipeline"), Settings{Masking: 1}.variants)
 	pl = NewPipeline(e, send)
 	for i := 0; i < 30; i++ {
 		tag, err := pl.Read(0)

@@ -193,9 +193,7 @@ func TestMembershipRollingRestart(t *testing.T) {
 		}
 		defer c.Close()
 		log := &trace.Log{}
-		cl, err := c.NewClient(quorum.NewMajority(rollServers),
-			cluster.WithMonotone(), cluster.WithTrace(log),
-			cluster.WithOpTimeout(100*time.Millisecond))
+		cl, err := c.NewClient(quorum.NewMajority(rollServers), register.Settings{Monotone: true, Trace: log, OpTimeout: 100 * time.Millisecond})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -268,11 +266,10 @@ func memRollSim(t *testing.T) {
 			confStep{kind: 'a', reg: msg.RegisterID(i % rollRegs)})
 	}
 	self := msg.NodeID(rollServers)
-	node := addSimScript(s, self, register.NewEngine(1, quorum.NewMajority(rollServers),
-		rng.Derive(43, "membership.roll.sim"), register.Monotone()), script,
+	node := addSimScript(s, self, register.MustEngine(register.Settings{Monotone: true}, 1,
+		quorum.NewMajority(rollServers), rng.Derive(43, "membership.roll.sim")), script,
 		// Unlimited retries: a rolling restart must never exhaust a client.
-		register.PipeTimeout(15*time.Millisecond, 0),
-		register.PipeTrace(log, self))
+		register.ApplyPipeline(register.Settings{OpTimeout: 15 * time.Millisecond, Trace: log, Proc: self}))
 	s.Run()
 	if node.err != nil {
 		t.Fatalf("sim client saw an error during the rolling restart: %v", node.err)
@@ -310,14 +307,12 @@ func TestMembershipGrowShrinkCluster(t *testing.T) {
 
 	log := &trace.Log{}
 	var tc metrics.TransportCounters
-	writer, err := c.NewClient(v1.System(), cluster.WithView(v1), cluster.WithTrace(log),
-		cluster.WithOpTimeout(100*time.Millisecond), cluster.WithTransportCounters(&tc))
+	writer, err := c.NewClient(v1.System(), register.Settings{View: &v1, Trace: log, OpTimeout: 100 * time.Millisecond, Counters: &tc})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer writer.Close()
-	reader, err := c.NewClient(v1.System(), cluster.WithView(v1), cluster.WithTrace(log),
-		cluster.WithOpTimeout(100*time.Millisecond))
+	reader, err := c.NewClient(v1.System(), register.Settings{View: &v1, Trace: log, OpTimeout: 100 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +352,7 @@ func TestMembershipGrowShrinkCluster(t *testing.T) {
 	if err := c.SyncFromQuorum(v1, joiners); err != nil {
 		t.Fatal(err)
 	}
-	admin, err := c.NewClient(v1.System(), cluster.WithView(v1))
+	admin, err := c.NewClient(v1.System(), register.Settings{View: &v1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -614,12 +609,10 @@ func TestMembershipGrowShrinkSim(t *testing.T) {
 	var adopts metrics.TransportCounters
 	newNode := func(pi int, script []confStep) *simScript {
 		self := msg.NodeID(grown + pi)
-		return addSimScript(s, self, register.NewEngine(int32(pi+1), v1.System(),
-			rng.Derive(59, fmt.Sprintf("membership.grow.sim.%d", pi)),
-			register.WithView(v1)), script,
-			register.PipeTimeout(15*time.Millisecond, 0),
-			register.PipeTrace(log, self),
-			register.PipeCounters(&adopts))
+		return addSimScript(s, self, register.MustEngine(register.Settings{View: &v1}, int32(pi+1), v1.System(),
+			rng.Derive(59, fmt.Sprintf("membership.grow.sim.%d", pi))), script,
+			register.ApplyPipeline(register.Settings{OpTimeout: 15 * time.Millisecond, Trace: log, Proc: self,
+				Counters: &adopts}))
 	}
 	var wscript []confStep
 	for i := 1; i <= 80; i++ {
@@ -662,8 +655,7 @@ func TestMembershipCrashJoinRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	log := &trace.Log{}
-	cl, err := c.NewClient(v1.System(), cluster.WithView(v1), cluster.WithTrace(log),
-		cluster.WithOpTimeout(100*time.Millisecond))
+	cl, err := c.NewClient(v1.System(), register.Settings{View: &v1, Trace: log, OpTimeout: 100 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,9 +39,9 @@ func runModelSchedule(t *testing.T, seed uint64) {
 	c := newCluster(n, initial)
 	sys := quorum.NewProbabilistic(n, k)
 
-	writer := NewEngine(0, sys, rng.Derive(seed, "model.writer"), Monotone())
+	writer := NewEngine(0, sys, rng.Derive(seed, "model.writer"), Settings{Monotone: true}.variants)
 	plain := NewEngine(1, sys, rng.Derive(seed, "model.plain"))
-	mono := NewEngine(2, sys, rng.Derive(seed, "model.mono"), Monotone())
+	mono := NewEngine(2, sys, rng.Derive(seed, "model.mono"), Settings{Monotone: true}.variants)
 
 	// The model: every timestamp ever written, and the newest, per register.
 	written := make(map[msg.RegisterID]map[msg.Timestamp]int)

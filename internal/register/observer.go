@@ -23,8 +23,8 @@ import (
 // window — so Pick + QuorumWait + WriteBack = Ops exactly. Only successful
 // operations are recorded.
 //
-// A zero Observer is ready to use; attach one with PipeObserver (or a
-// transport adapter's WithObserver), and export it with Register. A nil
+// A zero Observer is ready to use; attach one through Settings.Observer (tcp:
+// WithObserver), and export it with Register. A nil
 // Observer — the default — keeps the operation path free of clock reads and
 // allocations.
 type Observer struct {

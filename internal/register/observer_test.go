@@ -52,7 +52,7 @@ func loopbackClient(n, k int, opts ...register.PipelineOption) *register.Pipelin
 // completion.
 func TestObserverPhaseAccounting(t *testing.T) {
 	obs := new(register.Observer)
-	cl := loopbackClient(6, 3, register.PipeObserver(obs))
+	cl := loopbackClient(6, 3, register.ApplyPipeline(register.Settings{Observer: obs}))
 
 	const writes, reads, atomics = 40, 40, 20
 	for i := 0; i < writes; i++ {
@@ -108,7 +108,7 @@ func TestObserverPhaseAccounting(t *testing.T) {
 	}
 }
 
-// TestObserverNilIsInert pins that a client without PipeObserver records
+// TestObserverNilIsInert pins that a client without an Observer records
 // nothing and that a zero Observer is ready to use.
 func TestObserverNilIsInert(t *testing.T) {
 	obs := new(register.Observer)
@@ -147,7 +147,7 @@ func TestObserverAllocGate(t *testing.T) {
 		})
 	}
 	off := measure()
-	on := measure(register.PipeObserver(new(register.Observer)))
+	on := measure(register.ApplyPipeline(register.Settings{Observer: new(register.Observer)}))
 	if on != off {
 		t.Errorf("allocs/op with observer = %v, without = %v; want identical", on, off)
 	}

@@ -113,7 +113,7 @@ func TestRetryBudgetArithmetic(t *testing.T) {
 				tr := newBlackhole(n, 0)
 				e := NewEngine(1, sys(), rng.Derive(1, "budget."+d.name))
 				tc := &metrics.TransportCounters{}
-				err := d.read(e, tr, PipeTimeout(5*time.Millisecond, retries), PipeCounters(tc))
+				err := d.read(e, tr, ApplyPipeline(Settings{OpTimeout: 5 * time.Millisecond, Retries: retries, Counters: tc}))
 				if !errors.Is(err, ErrQuorumUnavailable) {
 					t.Fatalf("Read error = %v, want ErrQuorumUnavailable", err)
 				}
@@ -138,7 +138,7 @@ func TestRetryBudgetArithmetic(t *testing.T) {
 			tr := newBlackhole(n, revive)
 			e := NewEngine(1, sys(), rng.Derive(1, "budget."+d.name+"0"))
 			tc := &metrics.TransportCounters{}
-			if err := d.read(e, tr, PipeTimeout(5*time.Millisecond, 0), PipeCounters(tc)); err != nil {
+			if err := d.read(e, tr, ApplyPipeline(Settings{OpTimeout: 5 * time.Millisecond, Counters: tc})); err != nil {
 				t.Fatalf("unlimited budget still failed: %v", err)
 			}
 			if got := tc.Retries.Value(); got != 2 {

@@ -142,36 +142,10 @@ func (wallClock) AfterFunc(d time.Duration, f func()) Timer { return time.AfterF
 // PipelineOption configures a Pipeline (and so a Keyspace).
 type PipelineOption func(*Pipeline)
 
-// PipeTrace records every completed operation into log under process
-// identity proc. Reads are recorded at completion; writes are recorded at
-// the start of their write round (pending) and completed when acknowledged,
-// so a run that stops with writes in flight still validates reads against
-// them.
-func PipeTrace(log *trace.Log, proc msg.NodeID) PipelineOption {
-	return func(p *Pipeline) { p.log = log; p.proc = proc }
-}
-
 // PipeClock runs the pipeline — deadlines, trace stamps and phase marks — on
 // clock instead of the process's monotonic clock.
 func PipeClock(clock Clock) PipelineOption {
 	return func(p *Pipeline) { p.clock = clock }
-}
-
-// PipeGauge tracks the number of submitted-but-incomplete operations in g;
-// its high-watermark is how tests assert that operations genuinely
-// overlapped.
-func PipeGauge(g *metrics.Gauge) PipelineOption {
-	return func(p *Pipeline) { p.gauge = g }
-}
-
-// PipeCounters records fault-path events into tc: deadline expiries and
-// masking rejections that spent retry budget (Retries) and the members still
-// silent at a deadline (Timeouts), replaced members (TopUps), newly
-// suspected servers (Suspicions), shadow probes (Probes), adopted views
-// (ViewAdopts), and replies that arrived after their operation was abandoned
-// or completed (StaleDrops).
-func PipeCounters(tc *metrics.TransportCounters) PipelineOption {
-	return func(p *Pipeline) { p.counters = tc }
 }
 
 // PipeTimeout arms a per-operation deadline: an operation not complete
@@ -189,12 +163,6 @@ func PipeCounters(tc *metrics.TransportCounters) PipelineOption {
 // simulator events under PipeClock(sim.Clock).
 func PipeTimeout(d time.Duration, retries int) PipelineOption {
 	return func(p *Pipeline) { p.opTimeout = d; p.retries = retries }
-}
-
-// PipeObserver records phase-level timings of every operation into o; see
-// Observer for the phase semantics.
-func PipeObserver(o *Observer) PipelineOption {
-	return func(p *Pipeline) { p.obsv = o }
 }
 
 // NewPipeline wraps engine for concurrent use, sending requests through

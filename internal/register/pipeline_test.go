@@ -84,7 +84,7 @@ func pipeFixture(t *testing.T, n int, auto bool, opts ...PipelineOption) (*Pipel
 	initial := map[msg.RegisterID]msg.Value{0: 0.0, 1: 0.0, 2: 0.0, 3: 0.0}
 	net := newPipeNet(n, initial, auto)
 	sys := quorum.NewMajority(n)
-	e := NewEngine(1, sys, rng.Derive(7, "pipeline.test"), Monotone())
+	e := NewEngine(1, sys, rng.Derive(7, "pipeline.test"), Settings{Monotone: true}.variants)
 	pl := NewPipeline(e, net.send, opts...)
 	net.pl = pl
 	return pl, net
@@ -95,7 +95,7 @@ func pipeFixture(t *testing.T, n int, auto bool, opts ...PipelineOption) (*Pipel
 // once — the tentpole behaviour the serial Engine cannot exhibit.
 func TestPipelineOverlapsDistinctRegisters(t *testing.T) {
 	g := &metrics.Gauge{}
-	pl, net := pipeFixture(t, 5, false, PipeGauge(g))
+	pl, net := pipeFixture(t, 5, false, ApplyPipeline(Settings{Gauge: g}))
 
 	r0 := pl.ReadAsync(0)
 	r1 := pl.ReadAsync(1)
@@ -168,7 +168,7 @@ func TestPipelineFIFOPerRegister(t *testing.T) {
 // [R4], and a genuine overlap witness.
 func TestPipelineTraceInvariants(t *testing.T) {
 	log := &trace.Log{}
-	pl, net := pipeFixture(t, 5, false, PipeTrace(log, 9))
+	pl, net := pipeFixture(t, 5, false, ApplyPipeline(Settings{Trace: log, Proc: 9}))
 
 	var ops []*PendingOp
 	for round := 0; round < 5; round++ {
@@ -366,7 +366,7 @@ func BenchmarkPipelineLoopbackSubmit(b *testing.B) {
 	initial := map[msg.RegisterID]msg.Value{0: 0.0}
 	net := newPipeNet(5, initial, true)
 	sys := quorum.NewMajority(5)
-	e := NewEngine(1, sys, rng.Derive(7, "pipeline.bench"), Monotone())
+	e := NewEngine(1, sys, rng.Derive(7, "pipeline.bench"), Settings{Monotone: true}.variants)
 	pl := NewPipeline(e, net.send)
 	net.pl = pl
 	b.ResetTimer()

@@ -136,7 +136,7 @@ func TestMonotoneCacheServesNewerValue(t *testing.T) {
 	c := newCluster(2, map[msg.RegisterID]msg.Value{0: "init"})
 	writerToBoth := NewEngine(0, quorum.NewAll(2), rng.New(1))
 	writerTo0 := NewEngine(0, quorum.NewSingleton(2, 0), rng.New(1))
-	readerFrom1 := NewEngine(1, quorum.NewSingleton(2, 1), rng.New(1), Monotone())
+	readerFrom1 := NewEngine(1, quorum.NewSingleton(2, 1), rng.New(1), Settings{Monotone: true}.variants)
 
 	// Write "fresh" to both servers; reader sees it.
 	c.write(writerToBoth, 0, "fresh")
@@ -167,7 +167,7 @@ func TestMonotoneNeverRegresses(t *testing.T) {
 	sys := quorum.NewProbabilistic(n, 1)
 	c := newCluster(n, map[msg.RegisterID]msg.Value{0: nil})
 	w := NewEngine(0, sys, rng.New(10))
-	mono := NewEngine(1, sys, rng.New(11), Monotone())
+	mono := NewEngine(1, sys, rng.New(11), Settings{Monotone: true}.variants)
 	plain := NewEngine(2, sys, rng.New(12))
 
 	var lastMono msg.Timestamp
@@ -199,11 +199,11 @@ func TestObserveOwnWrite(t *testing.T) {
 	// even when its read quorum misses its write quorum.
 	c := newCluster(4, map[msg.RegisterID]msg.Value{0: nil})
 	// Writes go to servers {0,1}; reads come from servers {2,3}.
-	w := NewEngine(0, quorum.NewGrid(2, 2), rng.New(1), Monotone())
+	w := NewEngine(0, quorum.NewGrid(2, 2), rng.New(1), Settings{Monotone: true}.variants)
 	// Hand-roll: write via grid (covers a row+column = 3 servers); then read
 	// via singleton on the untouched server.
 	tag := c.write(w, 0, "mine")
-	reader := NewEngine(0, quorum.NewSingleton(4, untouched(tag, 4, c)), rng.New(1), Monotone())
+	reader := NewEngine(0, quorum.NewSingleton(4, untouched(tag, 4, c)), rng.New(1), Settings{Monotone: true}.variants)
 	reader.ObserveOwnWrite(0, tag)
 	got := c.read(reader, 0)
 	if got.Val != "mine" {
@@ -267,7 +267,7 @@ func TestEngineTallyAndMessageCounter(t *testing.T) {
 	var msgs metrics.Counter
 	tally := metrics.NewAccessTally(6)
 	e := NewEngine(0, quorum.NewProbabilistic(6, 2), rng.New(5),
-		WithTally(tally), WithMessageCounter(&msgs))
+		Settings{Tally: tally}.variants, WithMessageCounter(&msgs))
 	c := newCluster(6, map[msg.RegisterID]msg.Value{0: nil})
 	c.write(e, 0, 1)
 	c.read(e, 0)

@@ -66,7 +66,7 @@ func TestReadRepairSpreadsValue(t *testing.T) {
 	w := NewEngine(0, quorum.NewSingleton(4, 0), rng.New(1))
 	c.write(w, 0, "spread-me")
 
-	r := NewEngine(1, quorum.NewAll(4), rng.New(2), WithReadRepair())
+	r := NewEngine(1, quorum.NewAll(4), rng.New(2), Settings{ReadRepair: true}.variants)
 	got := c.readWithRepair(r, 0)
 	if got.Val != "spread-me" {
 		t.Fatalf("read = %v", got.Val)
@@ -85,7 +85,7 @@ func TestReadRepairSkipsInitialValue(t *testing.T) {
 	// Reading a register that was never written must not issue repairs:
 	// the zero timestamp is everywhere already.
 	c := newCluster(3, map[msg.RegisterID]msg.Value{0: "init"})
-	r := NewEngine(0, quorum.NewAll(3), rng.New(1), WithReadRepair())
+	r := NewEngine(0, quorum.NewAll(3), rng.New(1), Settings{ReadRepair: true}.variants)
 	got := c.readWithRepair(r, 0)
 	if got.Val != "init" {
 		t.Fatalf("read = %v", got.Val)
@@ -102,7 +102,7 @@ func TestReadRepairCannotRegressReplicas(t *testing.T) {
 	w := NewEngine(0, quorum.NewSingleton(3, 0), rng.New(1))
 	c.write(w, 0, "old")
 
-	r := NewEngine(1, quorum.NewAll(3), rng.New(2), WithReadRepair())
+	r := NewEngine(1, quorum.NewAll(3), rng.New(2), Settings{ReadRepair: true}.variants)
 	s := r.BeginRead(0)
 	for _, srv := range s.Quorum {
 		rep, _ := c.servers[srv].Apply(s.Request())

@@ -172,11 +172,11 @@ func TestTopUpOnlyWhereSound(t *testing.T) {
 		{"majority", faultAwareEngine(quorum.NewMajority(5)), true},
 		{"probabilistic", faultAwareEngine(quorum.NewProbabilistic(9, 3)), true},
 		{"asymmetric probabilistic", faultAwareEngine(quorum.NewProbabilistic(9, 2),
-			WithWriteSystem(quorum.NewProbabilistic(9, 5))), true},
+			Settings{WriteSystem: quorum.NewProbabilistic(9, 5)}.variants), true},
 		{"grid", faultAwareEngine(quorum.NewGrid(3, 3)), false},
 		{"all", faultAwareEngine(quorum.NewAll(3)), false},
 		{"singleton", faultAwareEngine(quorum.NewSingleton(3, 1)), false},
-		{"masking", faultAwareEngine(quorum.NewMajority(5), WithMasking(1)), false},
+		{"masking", faultAwareEngine(quorum.NewMajority(5), Settings{Masking: 1}.variants), false},
 		{"no table", NewEngine(1, quorum.NewMajority(5), rng.New(3)), false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -198,7 +198,7 @@ func TestTopUpOnlyWhereSound(t *testing.T) {
 		})
 	}
 
-	e := NewEngine(1, nil, rng.New(3), WithView(quorum.View{Epoch: 1, Members: []int32{0, 1, 2, 3, 4}}))
+	e := NewEngine(1, nil, rng.New(3), Settings{View: &quorum.View{Epoch: 1, Members: []int32{0, 1, 2, 3, 4}}}.variants)
 	e.health = transport.NewHealth(5)
 	s := e.BeginRead(0)
 	e.health.Suspect(s.Quorum[0], errors.New("lost"))

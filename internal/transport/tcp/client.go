@@ -74,7 +74,7 @@ func Dial(addrs []string, sys quorum.System, opts ...ClientOption) (*Client, err
 // selects DefaultKeyspaceShards): a Set with that one engine, closed with
 // it. The quorum system's N must match the address count. Every client has
 // the same defaults: a 2s per-operation deadline (defaultOpTimeout) and
-// frames of up to 16 requests.
+// frames of up to 16 requests (defaultMaxBatch).
 func DialKeyspace(addrs []string, sys quorum.System, shards int, opts ...ClientOption) (*Client, error) {
 	s, err := DialSet(addrs, sys, shards, [][]ClientOption{nil}, opts...)
 	if err != nil {
@@ -87,8 +87,10 @@ func DialKeyspace(addrs []string, sys quorum.System, shards int, opts ...ClientO
 // DialSet connects to every replica server address once and opens on the
 // connections one engine per entry of engines, each with the given shard
 // count (as DialKeyspace's) and configured by opts and then engines[i]
-// (typically WithWriter and WithSeed). The connections' settings — view,
-// batching, transport counters, write deadline — come from opts alone.
+// (typically WithWriter and WithSeed). The view and the batch histogram
+// belong to the connections, so they come from opts alone: an engine that
+// sets one is refused. Defaults apply after each engine's options, so every
+// engine keeps a deadline.
 func DialSet(addrs []string, sys quorum.System, shards int, engines [][]ClientOption, opts ...ClientOption) (*Set, error) {
 	if len(engines) == 0 {
 		return nil, fmt.Errorf("tcp: a connection set needs at least one engine")
@@ -103,11 +105,14 @@ func DialSet(addrs []string, sys quorum.System, shards int, engines [][]ClientOp
 	for stride < shards*len(engines) {
 		stride *= 2
 	}
-	o := clientOpts{seed: 1, maxBatch: defaultMaxBatch}
+	o := clientOpts{seed: 1}
 	for _, opt := range opts {
 		opt(&o)
 	}
-	addrs, err := applyView(&o, addrs)
+	if err := o.Validate(sys); err != nil {
+		return nil, err
+	}
+	addrs, err := viewAddrs(o.View, addrs)
 	if err != nil {
 		return nil, err
 	}
@@ -121,43 +126,40 @@ func DialSet(addrs []string, sys quorum.System, shards int, engines [][]ClientOp
 	if !counted {
 		o.Counters = &metrics.TransportCounters{}
 	}
-	if o.OpTimeout <= 0 {
-		o.OpTimeout = defaultOpTimeout
-	}
-	if o.maxBatch < 1 {
-		o.maxBatch = 1
-	}
 
 	groups := make([][]*register.Engine, len(engines))
 	popts := make([][]register.PipelineOption, len(engines))
 	for i, eopts := range engines {
+		var own clientOpts
 		e := o
 		for _, opt := range eopts {
+			opt(&own)
 			opt(&e)
 		}
+		if own.View != nil || own.batchHist != nil {
+			return nil, fmt.Errorf("tcp: engine %d sets a view or batch histogram, which belong to the connection set", i)
+		}
+		if e.OpTimeout <= 0 {
+			e.OpTimeout = defaultOpTimeout
+		}
 		e.Proc = msg.NodeID(e.writer)
-		var ropts []register.Option
-		if e.monotone {
-			ropts = append(ropts, register.Monotone())
-		}
-		if e.tally != nil {
-			ropts = append(ropts, register.WithTally(e.tally))
-		}
-		if o.hasView {
-			ropts = append(ropts, register.WithView(o.view))
-		}
 		groups[i] = make([]*register.Engine, shards)
 		for j := range groups[i] {
-			sopts := append([]register.Option{register.WithOpStride(uint64(i*shards+j), uint64(stride))}, ropts...)
-			groups[i][j] = register.NewEngine(e.writer, sys,
-				rng.Derive(e.seed, fmt.Sprintf("tcp.client.%d.%d", e.writer, j)), sopts...)
+			groups[i][j], err = e.Engine(e.writer, sys, rng.Derive(e.seed, fmt.Sprintf("tcp.client.%d.%d", e.writer, j)),
+				register.WithOpStride(uint64(i*shards+j), uint64(stride)))
+			if err != nil {
+				return nil, err
+			}
 		}
-		popts[i] = register.ApplyPipeline(e.Settings)
+		popts[i] = []register.PipelineOption{register.ApplyPipeline(e.Settings)}
 	}
 
-	tr := newTCPTransport(addrs, o.OpTimeout, o.Counters, o.maxBatch, o.batchHist)
-	if o.hasView {
-		tr.epoch = o.view.Epoch
+	if o.OpTimeout <= 0 {
+		o.OpTimeout = defaultOpTimeout
+	}
+	tr := newTCPTransport(addrs, o.OpTimeout, o.Counters, o.batchHist)
+	if o.View != nil {
+		tr.epoch = o.View.Epoch
 	}
 	if err := tr.start(); err != nil {
 		return nil, err

@@ -22,7 +22,7 @@ import (
 //
 // Every set sends the same way. Send enqueues without blocking (overflow
 // is a failed hand-off, returned as an error) and a per-connection writer
-// goroutine coalesces the queue into batch frames of up to maxBatch
+// goroutine coalesces the queue into batch frames of up to defaultMaxBatch
 // requests, amortizing encode and syscall cost. A burst the writer cannot put
 // on the wire — the re-dial failed, the write failed — surfaces as one
 // per-server error delivery, like a connection death seen by the reader: no
@@ -33,7 +33,6 @@ type tcpTransport struct {
 	// connections dialed later by Update.
 	timeout  time.Duration
 	counters *metrics.TransportCounters
-	maxBatch int
 	hist     *metrics.IntHistogram
 
 	// conns is the current server-index -> connection mapping. It is an
@@ -59,8 +58,8 @@ type tcpTransport struct {
 }
 
 func newTCPTransport(addrs []string, timeout time.Duration, counters *metrics.TransportCounters,
-	maxBatch int, hist *metrics.IntHistogram) *tcpTransport {
-	t := &tcpTransport{timeout: timeout, counters: counters, maxBatch: maxBatch, hist: hist}
+	hist *metrics.IntHistogram) *tcpTransport {
+	t := &tcpTransport{timeout: timeout, counters: counters, hist: hist}
 	conns := make([]*netConn, len(addrs))
 	for srv, addr := range addrs {
 		conns[srv] = t.newConn(srv, addr)
@@ -402,15 +401,15 @@ func (nc *netConn) writeLoop() {
 	}
 }
 
-// writeBurst encodes pend into batch frames and writes them. maxBatch caps
-// elements per frame — the receiver's decode/fairness unit — not frames per
-// write, so a deep burst costs one conn.Write per clientCoalesceBytes of
+// writeBurst encodes pend into batch frames and writes them. defaultMaxBatch
+// caps elements per frame — the receiver's decode/fairness unit — not frames
+// per write, so a deep burst costs one conn.Write per clientCoalesceBytes of
 // frames instead of one per frame.
 func (nc *netConn) writeBurst(buf *[]byte, pend []any) {
 	out := (*buf)[:0]
 	inOut := 0 // requests encoded into out
 	for len(pend) > 0 {
-		batch := pend[:min(len(pend), nc.t.maxBatch)]
+		batch := pend[:min(len(pend), defaultMaxBatch)]
 		pend = pend[len(batch):]
 		next, err := msg.AppendMessage(out, msg.Batch{Msgs: batch})
 		if err != nil {

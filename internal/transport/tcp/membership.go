@@ -30,27 +30,25 @@ import (
 // implicitly). The quorum system passed to the dial call is superseded by
 // the view's; pass v.System().
 func WithView(v quorum.View) ClientOption {
-	return func(o *clientOpts) { o.view = v; o.hasView = true }
+	return func(o *clientOpts) { o.View = &v }
 }
 
-// applyView validates the view-mode dial arguments and returns the address
-// list to dial (the view's own, when the caller passed nil).
-func applyView(o *clientOpts, addrs []string) ([]string, error) {
-	if !o.hasView {
+// viewAddrs returns the address list to dial for a view client (the view's
+// own, when the caller passed nil); register.Settings.Validate has already
+// checked the view itself.
+func viewAddrs(v *quorum.View, addrs []string) ([]string, error) {
+	if v == nil {
 		return addrs, nil
 	}
-	if err := o.view.Validate(); err != nil {
-		return nil, fmt.Errorf("tcp: %w", err)
-	}
-	if len(o.view.Addrs) != len(o.view.Members) {
-		return nil, fmt.Errorf("tcp: view epoch %d carries no addresses", o.view.Epoch)
+	if len(v.Addrs) != len(v.Members) {
+		return nil, fmt.Errorf("tcp: view epoch %d carries no addresses", v.Epoch)
 	}
 	if addrs == nil {
-		return o.view.Addrs, nil
+		return v.Addrs, nil
 	}
-	if len(addrs) != len(o.view.Addrs) {
+	if len(addrs) != len(v.Addrs) {
 		return nil, fmt.Errorf("tcp: %d dial addresses for a view of %d members",
-			len(addrs), len(o.view.Addrs))
+			len(addrs), len(v.Addrs))
 	}
 	return addrs, nil
 }

@@ -33,7 +33,7 @@ func pipeConn(t *testing.T, tc *metrics.TransportCounters, hist *metrics.IntHist
 	t.Helper()
 	client, server := net.Pipe()
 	t.Cleanup(func() { client.Close(); server.Close() })
-	tr := newTCPTransport([]string{"pipe"}, 0, tc, defaultMaxBatch, hist)
+	tr := newTCPTransport([]string{"pipe"}, 0, tc, hist)
 	nc := (*tr.conns.Load())[0]
 	rec := &writeRecorder{Conn: client}
 	nc.conn = rec
@@ -229,7 +229,7 @@ func TestSendQueueBoundCountsWriterShare(t *testing.T) {
 // TestClosedConnRefusesAndReleases: close drops what was queued, and a
 // hand-off after it is refused rather than parked where nothing drains it.
 func TestClosedConnRefusesAndReleases(t *testing.T) {
-	tr := newTCPTransport([]string{"127.0.0.1:1"}, 0, nil, defaultMaxBatch, nil)
+	tr := newTCPTransport([]string{"127.0.0.1:1"}, 0, nil, nil)
 	nc := (*tr.conns.Load())[0]
 	for i := 0; i < 10; i++ {
 		if err := tr.Send(0, msg.ReadReq{Op: msg.OpID(i)}); err != nil {

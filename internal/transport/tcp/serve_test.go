@@ -164,7 +164,7 @@ func dialGateClient(t *testing.T, addrs []string, writer int32, sealed bool) *re
 	t.Helper()
 	engine := register.NewEngine(writer, quorum.NewMajority(len(addrs)),
 		rng.Derive(1, fmt.Sprintf("serve_test.gate.%d", writer)))
-	tr := newTCPTransport(addrs, defaultOpTimeout, &metrics.TransportCounters{}, defaultMaxBatch, nil)
+	tr := newTCPTransport(addrs, defaultOpTimeout, &metrics.TransportCounters{}, nil)
 	if err := tr.start(); err != nil {
 		t.Fatal(err)
 	}

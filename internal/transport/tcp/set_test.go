@@ -231,3 +231,39 @@ func TestConnSetCrashSuspectedOnce(t *testing.T) {
 		t.Error("the crashed server is not suspected by both engines")
 	}
 }
+
+// TestConnSetEngineOptions: the view and the batch histogram belong to the
+// connections, so an engine that sets one is refused instead of silently
+// running without it; and defaults apply after each engine's options, so an
+// engine's WithOpTimeout(0) leaves it the default deadline — a silent server
+// costs its operations one deadline, not a wait for ever.
+func TestConnSetEngineOptions(t *testing.T) {
+	t.Parallel()
+	addrs, _, links := linkedCluster(t, 3)
+	sys := quorum.NewMajority(3)
+	v := quorum.View{Epoch: 1, Members: []int32{0, 1, 2}, Addrs: addrs}
+	for name, opt := range map[string]ClientOption{
+		"view":            WithView(v),
+		"batch histogram": WithBatchHistogram(metrics.NewIntHistogram()),
+	} {
+		if s, err := DialSet(addrs, sys, 1, [][]ClientOption{nil, {opt}}); err == nil {
+			s.Close()
+			t.Errorf("an engine's own %s was accepted", name)
+		}
+	}
+	_, a, _ := dialTwo(t, addrs, sys, []ClientOption{WithOpTimeout(0)}, nil, WithOpTimeout(faultOpTimeout))
+	links[0].SetBlocked(true)
+	var ops []*register.PendingOp
+	for reg := msg.RegisterID(0); reg < 8; reg++ {
+		ops = append(ops, a.WriteAsync(reg, 1.0))
+	}
+	expired := time.After(defaultOpTimeout + time.Second)
+	for _, op := range ops {
+		select {
+		case <-op.Done():
+		case <-expired:
+			t.Fatalf("write of reg %d still waits on the silent server: the engine runs without a deadline", op.Reg())
+		}
+	}
+	links[0].SetBlocked(false)
+}

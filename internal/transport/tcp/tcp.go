@@ -61,7 +61,6 @@ import (
 	"probquorum/internal/metrics"
 	"probquorum/internal/msg"
 	"probquorum/internal/obs"
-	"probquorum/internal/quorum"
 	"probquorum/internal/register"
 	"probquorum/internal/replica"
 	"probquorum/internal/trace"
@@ -384,27 +383,33 @@ const pipeOutBuffer = 4096
 // ClientOption configures a TCP client.
 type ClientOption func(*clientOpts)
 
-// clientOpts embeds the shared register.Settings — the transport-independent
-// client configuration — plus the knobs only the TCP transport has. Every
-// With* option is a thin wrapper writing one field; DialKeyspace hands the
-// Settings to register.ApplyPipeline.
+// clientOpts is the shared register.Settings — the one client configuration,
+// which register alone reads — plus the knobs only the TCP transport has.
+// Every With* option sets one field.
 type clientOpts struct {
 	register.Settings
 
-	monotone bool
-	writer   int32
-	seed     uint64
-	tally    *metrics.AccessTally
-	view     quorum.View
-	hasView  bool
-
-	maxBatch  int
+	writer    int32
+	seed      uint64
 	batchHist *metrics.IntHistogram
 }
 
 // WithMonotone enables the monotone register variant.
 func WithMonotone() ClientOption {
-	return func(o *clientOpts) { o.monotone = true }
+	return func(o *clientOpts) { o.Monotone = true }
+}
+
+// WithReadRepair makes the client push the freshest value it reads back to
+// the quorum members that replied with older timestamps (write-back).
+func WithReadRepair() ClientOption {
+	return func(o *clientOpts) { o.ReadRepair = true }
+}
+
+// WithMasking enables b-masking reads: only values vouched for identically
+// by more than b quorum members are accepted, defeating up to b Byzantine
+// servers per quorum; reads without enough votes retry with a fresh quorum.
+func WithMasking(b int) ClientOption {
+	return func(o *clientOpts) { o.Masking = b }
 }
 
 // WithWriter sets the client's writer identity (default 0); distinct
@@ -418,9 +423,9 @@ func WithSeed(seed uint64) ClientOption {
 	return func(o *clientOpts) { o.seed = seed }
 }
 
-// WithOpTimeout bounds every operation attempt by d (default 2s): an
-// attempt not complete by then has its silent members replaced, or is
-// retried on a freshly picked quorum.
+// WithOpTimeout bounds every operation attempt by d (default 2s, also when
+// d <= 0): an attempt not complete by then has its silent members replaced,
+// or is retried on a freshly picked quorum.
 func WithOpTimeout(d time.Duration) ClientOption {
 	return func(o *clientOpts) { o.OpTimeout = d }
 }
@@ -432,9 +437,9 @@ func WithRetries(n int) ClientOption {
 	return func(o *clientOpts) { o.Retries = n }
 }
 
-// WithTransportCounters makes the client record its retries, timeouts, and
-// reconnects into tc, which may be shared across clients to aggregate a
-// deployment's fault activity.
+// WithTransportCounters makes the connection set record its retries,
+// timeouts, and reconnects into tc, which may be shared across sets to
+// aggregate a deployment's fault activity.
 func WithTransportCounters(tc *metrics.TransportCounters) ClientOption {
 	return func(o *clientOpts) { o.Counters = tc }
 }
@@ -449,15 +454,7 @@ func WithObserver(obs *register.Observer) ClientOption {
 // WithTally counts every quorum access per server into t, the paper's
 // per-server load measurement, live instead of post-mortem.
 func WithTally(t *metrics.AccessTally) ClientOption {
-	return func(o *clientOpts) { o.tally = t }
-}
-
-// WithMaxBatch caps how many queued requests a client coalesces into one
-// frame per server (default 16). 1 disables coalescing while keeping the
-// multiplexed in-flight machinery — the ablation point the batching
-// benchmarks compare against.
-func WithMaxBatch(n int) ClientOption {
-	return func(o *clientOpts) { o.maxBatch = n }
+	return func(o *clientOpts) { o.Tally = t }
 }
 
 // WithBatchHistogram records the size of every flushed batch frame into h.

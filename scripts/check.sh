@@ -122,8 +122,9 @@ go test $race -run 'Fuzz' ./internal/msg ./internal/replica
 echo "== API hygiene =="
 # The deprecated aliases (tcp.ErrQuorumUnavailable, cluster.ErrTooManyRetries,
 # cluster.WithTimeout) were deleted outright; the blessed surface is
-# register.ErrQuorumUnavailable + register.Settings/With* everywhere. No
-# exemptions: a definition reappearing anywhere fails this gate too.
+# register.ErrQuorumUnavailable + register.Settings everywhere (tcp's With*
+# options each set one of its fields). No exemptions: a definition
+# reappearing anywhere fails this gate too.
 hygiene_fail=0
 deprecated_uses="$(grep -rn \
     -e 'tcp\.ErrQuorumUnavailable' \
@@ -149,7 +150,10 @@ fi
 # the retention gate keeps the row named after the pipelined one. The
 # Pipeline is the Operation's only driver, the simulator included: the
 # exported operation constructors and the hand-driven sim nodes are gone.
-retired_uses="$(grep -rnE 'WireGob|WithWire|WithInlineReplies|RegisterValueType|BatchReplySink|WithRetryBackoff|WithLatency|register\.Apply\(|register\.ClientOption|phaseTimer|\bDialPipelined\b|\bPipelinedClient\b|\bPipeClient\b|register\.NewClient|\.Detach\(|\bWithClock\b|\bNew(Atomic)?(Read|Write)Op\b|\bprocNode\b|confSimNode|memSimNode' \
+# register.Settings is the one client configuration: cluster's option twins,
+# register's variant and instrument options, and the batch-size and
+# fast-read ablation knobs went with the translations between them.
+retired_uses="$(grep -rnE 'WireGob|WithWire|WithInlineReplies|RegisterValueType|BatchReplySink|WithRetryBackoff|WithLatency|register\.Apply\(|register\.ClientOption|phaseTimer|\bDialPipelined\b|\bPipelinedClient\b|\bPipeClient\b|register\.NewClient|\.Detach\(|\bWithClock\b|\bNew(Atomic)?(Read|Write)Op\b|\bprocNode\b|confSimNode|memSimNode|cluster\.With|cluster\.ClientOption|WithMaxBatch|WithoutFastRead|register\.Monotone\(|register\.(With(Tally|ReadRepair|Masking|View|WriteSystem)|Pipe(Trace|Gauge|Counters|Observer))\(' \
     --include='*.go' . | grep -v '"PipelinedClient"' || true)"
 gob_imports="$(grep -rn '"encoding/gob"' --include='*.go' --exclude='*_test.go' . || true)"
 if [ -n "$retired_uses$gob_imports" ]; then
@@ -157,15 +161,24 @@ if [ -n "$retired_uses$gob_imports" ]; then
     echo "$retired_uses$gob_imports" >&2
     hygiene_fail=1
 fi
-# Every exported With* option must carry a doc comment: the unified options
-# API is the public surface, and an undocumented option is an unreviewed one.
+# Every exported With*/Pipe* option must carry a doc comment: the options
+# are the public surface, and an undocumented option is an unreviewed one.
 undocumented="$(find . -name '*.go' ! -name '*_test.go' -not -path './related/*' -exec awk '
-    /^func With[A-Z]/ { if (prev !~ /^\/\//) print FILENAME ":" FNR ": " $0 }
+    /^func (With|Pipe)[A-Z]/ { if (prev !~ /^\/\//) print FILENAME ":" FNR ": " $0 }
     { prev = $0 }
 ' {} +)"
 if [ -n "$undocumented" ]; then
-    echo "check.sh: exported With* options missing doc comments:" >&2
+    echo "check.sh: exported With*/Pipe* options missing doc comments:" >&2
     echo "$undocumented" >&2
+    hygiene_fail=1
+fi
+# The option count only goes down: a new setting is a Settings field, not
+# another option function.
+max_options=19
+options="$(grep -rE '^func (With|Pipe)[A-Z]' internal | wc -l)"
+if [ "$options" -gt "$max_options" ]; then
+    echo "check.sh: $options exported With*/Pipe* option functions in internal/, the gate is $max_options:" >&2
+    grep -rnE '^func (With|Pipe)[A-Z]' internal >&2
     hygiene_fail=1
 fi
 if [ "$hygiene_fail" -ne 0 ]; then

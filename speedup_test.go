@@ -230,7 +230,7 @@ func TestKeyspaceSpeedupTCP(t *testing.T) {
 func TestKeyspaceBatchCoalescing(t *testing.T) {
 	hist := metrics.NewIntHistogram()
 	kc, err := tcp.DialKeyspace(startGateServers(t, nil), quorum.NewMajority(gateServers),
-		tcp.DefaultKeyspaceShards, tcp.WithMaxBatch(16), tcp.WithBatchHistogram(hist))
+		tcp.DefaultKeyspaceShards, tcp.WithBatchHistogram(hist))
 	if err != nil {
 		t.Fatal(err)
 	}
