@@ -32,7 +32,7 @@ import (
 )
 
 // confStep is one scripted client operation: 'r' read, 'a' atomic read,
-// 'w' write.
+// 'w' write, 'm' multi-writer write.
 type confStep struct {
 	kind byte
 	reg  msg.RegisterID
@@ -425,6 +425,45 @@ var confScenarios = []confScenario{
 		multiWriter: true,
 		check:       checkPipelinedFlow,
 	},
+	{
+		// A plain write after multi-writer writes of the same register by
+		// the same client: the multi-writer rounds stamped the register past
+		// anything the client's own write counter had issued, and the plain
+		// write must stamp past them in turn — not under them, where the
+		// replicas acknowledge it and keep the older value, and not beside
+		// them, one timestamp carrying two values.
+		name:    "write-after-multi",
+		servers: 3,
+		regs:    1,
+		sys:     confMajority,
+		scripts: [][]confStep{{
+			{kind: 'm', reg: 0, val: 1.0},
+			{kind: 'm', reg: 0, val: 2.0},
+			{kind: 'm', reg: 0, val: 3.0},
+			{kind: 'w', reg: 0, val: 4.0},
+			{kind: 'r', reg: 0},
+		}},
+		check: func(t *testing.T, r confResult) {
+			noErrs(t, r)
+			if err := trace.CheckReadsFrom(r.ops); err != nil {
+				t.Fatal(err)
+			}
+			vals := make(map[msg.Timestamp]msg.Value)
+			for _, op := range r.ops {
+				if op.Kind != trace.KindWrite {
+					continue
+				}
+				if v, dup := vals[op.Tag.TS]; dup {
+					t.Fatalf("timestamp %v carries %v and %v", op.Tag.TS, v, op.Tag.Val)
+				}
+				vals[op.Tag.TS] = op.Tag.Val
+			}
+			last := r.ops[len(r.ops)-1]
+			if last.Kind != trace.KindRead || last.Tag.Val != 4.0 {
+				t.Fatalf("read after the write returned %v (%v), want 4", last.Tag.Val, last.Tag.TS)
+			}
+		},
+	},
 }
 
 // checkPipelinedFlow is the pipelined rows' common verdict: no errors, a
@@ -470,6 +509,7 @@ type confClient interface {
 	Read(msg.RegisterID) (msg.Tagged, error)
 	ReadAtomic(msg.RegisterID) (msg.Tagged, error)
 	Write(msg.RegisterID, msg.Value) error
+	WriteMulti(msg.RegisterID, msg.Value) (msg.Timestamp, error)
 }
 
 func runConfScript(cl confClient, script []confStep) error {
@@ -480,6 +520,8 @@ func runConfScript(cl confClient, script []confStep) error {
 			_, err = cl.Read(st.reg)
 		case 'a':
 			_, err = cl.ReadAtomic(st.reg)
+		case 'm':
+			_, err = cl.WriteMulti(st.reg, st.val)
 		default:
 			err = cl.Write(st.reg, st.val)
 		}
@@ -782,6 +824,8 @@ func (n *simScript) submit() {
 		n.pl.ReadAsyncFunc(st.reg, n.done)
 	case 'a':
 		n.pl.ReadAtomicAsyncFunc(st.reg, n.done)
+	case 'm':
+		n.pl.WriteMultiAsyncFunc(st.reg, st.val, n.done)
 	default:
 		n.pl.WriteAsyncFunc(st.reg, st.val, n.done)
 	}

@@ -11,8 +11,8 @@ import (
 )
 
 // Engine holds one client process's register-subsystem state: the quorum
-// selection strategy, the operation and write-timestamp counters, and — for
-// the monotone variant — the freshest tagged value returned so far for each
+// selection strategy, the operation and write counters, and — for the
+// monotone variant — the freshest tagged value returned so far for each
 // register (paper, Section 6.2).
 //
 // An Engine belongs to a single client process and is not safe for
@@ -39,7 +39,7 @@ type Engine struct {
 
 	nextOp     msg.OpID
 	opStride   msg.OpID
-	wts        map[msg.RegisterID]uint64
+	wseq       uint64 // the largest Seq stamped under this writer id; see BeginWrite
 	cache      map[msg.RegisterID]msg.Tagged
 	readRepair bool
 	repairs    int64
@@ -112,7 +112,6 @@ func NewEngine(writer int32, sys quorum.System, rnd *rand.Rand, opts ...Option) 
 		writer:   writer,
 		sys:      sys,
 		rnd:      rnd,
-		wts:      make(map[msg.RegisterID]uint64),
 		cache:    make(map[msg.RegisterID]msg.Tagged),
 		maskB:    -1,
 		opStride: 1,
@@ -160,9 +159,6 @@ func (e *Engine) AdoptView(v quorum.View) bool {
 	e.health.Reset(v.Epoch, v.N())
 	return true
 }
-
-// IsMonotone reports whether the monotone cache is enabled.
-func (e *Engine) IsMonotone() bool { return e.monotone }
 
 // CacheHits returns how many reads were answered from the monotone cache.
 func (e *Engine) CacheHits() int64 { return e.cacheHits }
@@ -469,16 +465,10 @@ func (e *Engine) finishRead(s *ReadSession) msg.Tagged {
 	return best
 }
 
-// ObserveOwnWrite folds a value this client itself wrote into the monotone
+// observeOwnWrite folds a value this client itself wrote into the monotone
 // cache, so a writer never reads a value older than its own latest write.
 // The paper's single-writer model has the writer of a register also reading
 // it in Alg. 1; without this the cache would be one write behind.
-func (e *Engine) ObserveOwnWrite(reg msg.RegisterID, tag msg.Tagged) {
-	e.guard.enter()
-	defer e.guard.leave()
-	e.observeOwnWrite(reg, tag)
-}
-
 func (e *Engine) observeOwnWrite(reg msg.RegisterID, tag msg.Tagged) {
 	if !e.monotone {
 		return
@@ -488,15 +478,17 @@ func (e *Engine) observeOwnWrite(reg msg.RegisterID, tag msg.Tagged) {
 	}
 }
 
-// BeginWrite starts a single-writer write of val to reg: it advances the
-// register's write timestamp, picks the quorum, and returns the session the
-// driver must complete by delivering every member's acknowledgment.
+// BeginWrite starts a single-writer write of val to reg: it stamps it with
+// the engine's next write count, picks the quorum, and returns the session
+// the driver must complete by delivering every member's acknowledgment.
+// Timestamps need only be unique and increasing per (register, writer), so
+// one counter serves every register and Seq counts all the engine's writes.
 func (e *Engine) BeginWrite(reg msg.RegisterID, val msg.Value) *WriteSession {
 	e.guard.enter()
 	defer e.guard.leave()
 	e.nextOp += e.opStride
-	e.wts[reg]++
-	tag := msg.Tagged{TS: msg.Timestamp{Seq: e.wts[reg], Writer: e.writer}, Val: val}
+	e.wseq++
+	tag := msg.Tagged{TS: msg.Timestamp{Seq: e.wseq, Writer: e.writer}, Val: val}
 	e.observeOwnWrite(reg, tag)
 	return e.newWriteSessionLocked(reg, tag)
 }
@@ -532,20 +524,23 @@ func (e *Engine) ReleaseWrite(s *WriteSession) {
 	e.wfree = append(e.wfree, s)
 }
 
-// BeginWriteWithTS starts a write carrying an explicit timestamp. The
-// multi-writer extension uses it after a read phase has discovered the
-// current maximum timestamp; single-writer callers should use BeginWrite.
+// BeginWriteWithTS starts a write carrying an explicit timestamp: a
+// multi-writer write's, or an atomic read's write-back. A tag of this
+// writer raises the write counter, so a later BeginWrite stamps past it.
 func (e *Engine) BeginWriteWithTS(reg msg.RegisterID, tag msg.Tagged) *WriteSession {
 	e.guard.enter()
 	defer e.guard.leave()
 	e.nextOp += e.opStride
+	if tag.TS.Writer == e.writer {
+		e.wseq = max(e.wseq, tag.TS.Seq)
+	}
 	e.observeOwnWrite(reg, tag)
 	return e.newWriteSessionLocked(reg, tag)
 }
 
 // NextMultiWriterTS returns the timestamp a multi-writer write should carry
-// after observing maxSeen as the largest timestamp in its read phase:
-// sequence one past the maximum, tie-broken by this engine's writer id.
+// after observing maxSeen as the largest timestamp in its read phase: one
+// past it and past this engine's own writes, tie-broken by its writer id.
 func (e *Engine) NextMultiWriterTS(maxSeen msg.Timestamp) msg.Timestamp {
-	return msg.Timestamp{Seq: maxSeen.Seq + 1, Writer: e.writer}
+	return msg.Timestamp{Seq: max(maxSeen.Seq, e.wseq) + 1, Writer: e.writer}
 }

@@ -83,10 +83,10 @@ func TestAtomicReadSlowPathWhenCacheFresher(t *testing.T) {
 	if err := cl.Write(0, 1.0); err != nil {
 		t.Fatal(err)
 	}
-	// The client observed a fresher value than any replica holds (e.g. its
-	// own multi-writer write whose quorum this read's members are not in).
+	// The client observed a fresher value than any replica holds: its own
+	// multi-writer write, begun but not yet sent to any member.
 	cached := msg.Tagged{TS: msg.Timestamp{Seq: 8, Writer: 1}, Val: 8.0}
-	e.ObserveOwnWrite(0, cached)
+	e.BeginWriteWithTS(0, cached)
 	tag, err := cl.ReadAtomic(0)
 	if err != nil {
 		t.Fatal(err)

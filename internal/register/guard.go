@@ -6,7 +6,7 @@ import "sync/atomic"
 // caller at a time: every state-mutating Engine method claims the guard on
 // entry and releases it on return, and a second goroutine entering while the
 // first is inside panics immediately instead of corrupting the operation
-// counter, the write-timestamp map, or the monotone cache silently.
+// counter, the write counter, or the monotone cache silently.
 //
 // The check costs one compare-and-swap and one store per operation — noise
 // next to a quorum pick — so it is always on rather than behind a build tag.

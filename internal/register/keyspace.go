@@ -36,9 +36,10 @@ import (
 // are FIFO per client ([R4]-preserving), operations on different keys
 // proceed fully concurrently. Keys never written read as the zero
 // msg.Tagged. Idle keys cost nothing in the pipelines (queue entries are
-// recycled, session maps are per-operation); only state the algorithm
-// actually needs survives per touched key — the writer's timestamp counter,
-// and the monotone cache where enabled.
+// recycled, session maps are per-operation); client-side only the monotone
+// cache, where enabled, survives per touched key. Write timestamps come from
+// one counter per shard engine: ShardFor fixes each key to one shard, so
+// they stay unique and increasing per (register, writer).
 type Keyspace struct {
 	shards []*Pipeline
 	mask   msg.OpID

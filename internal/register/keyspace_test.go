@@ -413,8 +413,9 @@ func TestKeyspacesShareOneDemux(t *testing.T) {
 
 // TestKeyspaceIdleKeyBytes bounds the memory a key costs after it has gone
 // idle, at one million keys: once its operations drain, a key holds no
-// queue entry, no session, no in-flight slot — only the writer's timestamp
-// counter client-side and the installed value server-side survive.
+// queue entry, no session, no in-flight slot, and without the monotone cache
+// no client-side state at all — only the installed value server-side
+// survives.
 func TestKeyspaceIdleKeyBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("memory accounting differs under the race detector")
@@ -442,14 +443,16 @@ func TestKeyspaceIdleKeyBytes(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perKey := float64(after.HeapAlloc-before.HeapAlloc) / keys
 	t.Logf("idle-key cost: %.1f B/key across client and server (%d keys)", perKey, keys)
-	// Budget: ~35 B client-side (the engine's write-timestamp map entry, the
-	// one per-key map left) plus ~33 B server-side (a 25 B table slot at the
-	// occupancy the store's growth rule allows; a nil value needs no more).
-	// 100 B catches a store that went back to a map of boxed values (+60 B)
-	// as well as any regression that retains per-key queues, sessions, or
+	// Budget: ~33 B server-side (a 25 B table slot at the occupancy the
+	// store's growth rule allows; a nil value needs no more) and nothing
+	// client-side: the engine's write counter is one per engine, not per key.
+	// With no client map left the bound does not depend on the Go version's
+	// map layout. 45 B catches any per-key client state coming back (a map
+	// entry is ~35 B), a store that went back to a map of boxed values
+	// (+60 B), and any regression that retains per-key queues, sessions, or
 	// in-flight entries (each would add hundreds of bytes per key).
-	if perKey > 100 {
-		t.Errorf("idle key costs %.1f B, want <= 100 B", perKey)
+	if perKey > 45 {
+		t.Errorf("idle key costs %.1f B, want <= 45 B", perKey)
 	}
 	if got := stores[0].Keys(); got != keys {
 		t.Errorf("server materialized %d keys, want %d", got, keys)

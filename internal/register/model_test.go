@@ -17,7 +17,7 @@ import (
 //   - returned timestamps never exceed the newest completed write;
 //   - [R4]: a monotone client's timestamps never decrease;
 //   - a writer reading its own register never sees anything older than its
-//     last write (ObserveOwnWrite).
+//     last write (observeOwnWrite).
 func TestModelBasedRandomSchedules(t *testing.T) {
 	for seed := uint64(1); seed <= 30; seed++ {
 		runModelSchedule(t, seed)

@@ -41,7 +41,7 @@ type SendFunc func(server int, req any)
 //     operation starts only after the previous same-register operation by
 //     this client completed. This is what keeps the monotone variant's [R4]
 //     (per-process read monotonicity) and write-timestamp ordering intact —
-//     the Engine's monotone cache and timestamp counter are only touched in
+//     the Engine's monotone cache and write counter are only touched in
 //     per-register program order.
 //   - All Engine and Operation calls are serialized under one mutex, so the
 //     Engine's single-caller assertion (opGuard) never trips: session

@@ -1,6 +1,7 @@
 package register
 
 import (
+	"fmt"
 	"testing"
 
 	"probquorum/internal/metrics"
@@ -42,6 +43,12 @@ func (c *cluster) read(e *Engine, reg msg.RegisterID) msg.Tagged {
 
 func (c *cluster) write(e *Engine, reg msg.RegisterID, val msg.Value) msg.Tagged {
 	s := e.BeginWrite(reg, val)
+	c.complete(s)
+	return s.Tag
+}
+
+// complete delivers every quorum member's acknowledgment of s.
+func (c *cluster) complete(s *WriteSession) {
 	for _, srv := range s.Quorum {
 		rep, ok := c.servers[srv].Apply(s.Request())
 		if !ok {
@@ -52,7 +59,6 @@ func (c *cluster) write(e *Engine, reg msg.RegisterID, val msg.Value) msg.Tagged
 	if !s.Done() {
 		panic("write session incomplete")
 	}
-	return s.Tag
 }
 
 func fullOverlap(n int) quorum.System { return quorum.NewAll(n) }
@@ -75,17 +81,118 @@ func TestReadReturnsLatestWriteUnderFullOverlap(t *testing.T) {
 	}
 }
 
-func TestWriteTimestampsPerRegister(t *testing.T) {
-	c := newCluster(3, map[msg.RegisterID]msg.Value{0: nil, 1: nil})
-	e := NewEngine(0, fullOverlap(3), rng.New(1))
-	t1 := c.write(e, 0, "a")
-	t2 := c.write(e, 0, "b")
-	t3 := c.write(e, 1, "c")
-	if t1.TS.Seq != 1 || t2.TS.Seq != 2 {
-		t.Fatalf("register 0 sequence: %v, %v", t1.TS, t2.TS)
+// writeMulti is a multi-writer write: a read round for the register's
+// current timestamp, then a write round one past it.
+func (c *cluster) writeMulti(e *Engine, reg msg.RegisterID, val msg.Value) msg.Tagged {
+	cur := c.read(e, reg)
+	s := e.BeginWriteWithTS(reg, msg.Tagged{TS: e.NextMultiWriterTS(cur.TS), Val: val})
+	c.complete(s)
+	return s.Tag
+}
+
+// spendWrites advances e's write counter by n with writes to register reg.
+func (c *cluster) spendWrites(e *Engine, reg msg.RegisterID, n int) {
+	for i := 0; i < n; i++ {
+		c.write(e, reg, nil)
 	}
-	if t3.TS.Seq != 1 {
-		t.Fatalf("register 1 must have its own counter: %v", t3.TS)
+}
+
+// TestWriteTimestampProperties interleaves one writer's writes to several
+// registers — plain, multi-writer, retried, and atomic-read write-backs,
+// among another client's multi-writer writes — and checks the timestamp rule
+// the replicas rely on: per (register, writer), a new write's timestamp
+// strictly exceeds the writer's earlier ones, one timestamp never carries two
+// values, and no acknowledged write is lost under an older timestamp of its
+// own writer.
+func TestWriteTimestampProperties(t *testing.T) {
+	// Steps: 'w' write, 'm' multi-writer write, 'r' write retried after its
+	// first attempt reached one member, 'a' atomic read with write-back, 'x'
+	// multi-writer write whose read round runs before a plain write to the
+	// register and whose write round after it, 'o' the other client's
+	// multi-writer write.
+	tests := []struct {
+		name  string
+		steps string
+		regs  string // register of each step
+	}{
+		{"plain across registers", "wwwwww", "010210"},
+		{"plain after multi", "mmmwwmw", "0000111"},
+		{"one multi then plain", "mw", "00"},
+		{"retried", "wrrwr", "00110"},
+		{"write-backs", "oawaoaw", "0000111"},
+		{"multi round around a plain write", "xwx", "000"},
+		{"mixed", "mwraomwxwrao", "010101012021"},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			if len(tt.steps) != len(tt.regs) {
+				t.Fatalf("steps %q and regs %q differ in length", tt.steps, tt.regs)
+			}
+			c := newCluster(3, map[msg.RegisterID]msg.Value{0: nil, 1: nil, 2: nil})
+			e := NewEngine(1, fullOverlap(3), rng.New(1))
+			other := NewEngine(2, fullOverlap(3), rng.New(2))
+
+			type key struct {
+				reg    msg.RegisterID
+				writer int32
+			}
+			last := make(map[key]msg.Timestamp)
+			vals := make(map[msg.RegisterID]map[msg.Timestamp]msg.Value)
+			install := func(reg msg.RegisterID, tag msg.Tagged, fresh bool) {
+				k := key{reg, tag.TS.Writer}
+				if fresh {
+					if prev, ok := last[k]; ok && !prev.Less(tag.TS) {
+						t.Fatalf("writer %d stamped reg %d %v after %v", k.writer, reg, tag.TS, prev)
+					}
+					last[k] = tag.TS
+				}
+				if vals[reg] == nil {
+					vals[reg] = make(map[msg.Timestamp]msg.Value)
+				}
+				if v, ok := vals[reg][tag.TS]; ok && v != tag.Val {
+					t.Fatalf("reg %d: timestamp %v carries %v and %v", reg, tag.TS, v, tag.Val)
+				}
+				vals[reg][tag.TS] = tag.Val
+				if got := c.read(NewEngine(9, fullOverlap(3), rng.New(9)), reg); got.TS.Writer == tag.TS.Writer && got != tag {
+					t.Fatalf("reg %d: acknowledged write %v lost to %v", reg, tag, got)
+				}
+			}
+			for i, step := range tt.steps {
+				reg := msg.RegisterID(tt.regs[i] - '0')
+				val := fmt.Sprintf("%c%d", step, i)
+				switch step {
+				case 'w':
+					install(reg, c.write(e, reg, val), true)
+				case 'm':
+					install(reg, c.writeMulti(e, reg, val), true)
+				case 'o':
+					install(reg, c.writeMulti(other, reg, val), true)
+				case 'r':
+					s := e.BeginWrite(reg, val)
+					rep, _ := c.servers[s.Quorum[0]].Apply(s.Request())
+					s.OnAck(s.Quorum[0], rep.(msg.WriteAck))
+					retry := e.RetryWrite(s)
+					if retry.Tag != s.Tag {
+						t.Fatalf("retry re-stamped %v as %v", s.Tag, retry.Tag)
+					}
+					c.complete(retry)
+					install(reg, retry.Tag, true)
+				case 'a':
+					got := c.read(e, reg)
+					s := e.BeginWriteWithTS(reg, got)
+					c.complete(s)
+					install(reg, s.Tag, false)
+				case 'x':
+					cur := c.read(e, reg)
+					install(reg, c.write(e, reg, val+"-plain"), true)
+					s := e.BeginWriteWithTS(reg, msg.Tagged{TS: e.NextMultiWriterTS(cur.TS), Val: val})
+					c.complete(s)
+					install(reg, s.Tag, true)
+				default:
+					t.Fatalf("unknown step %q", step)
+				}
+			}
+		})
 	}
 }
 
@@ -147,7 +254,7 @@ func TestMonotoneCacheServesNewerValue(t *testing.T) {
 	// still holds the old one; non-monotone would return "fresh" again —
 	// fine — but now wipe server 1 back by crashing? Instead check the
 	// reverse: reader must never go back before "fresh".
-	writerTo0.wts[0] = 5 // jump the writer's clock so ts exceeds everything
+	c.spendWrites(writerTo0, 1, 4) // jump the writer's clock so ts exceeds everything
 	c.write(writerTo0, 0, "newest")
 	got := c.read(readerFrom1, 0)
 	if got.Val != "fresh" {
@@ -204,7 +311,7 @@ func TestObserveOwnWrite(t *testing.T) {
 	// via singleton on the untouched server.
 	tag := c.write(w, 0, "mine")
 	reader := NewEngine(0, quorum.NewSingleton(4, untouched(tag, 4, c)), rng.New(1), Settings{Monotone: true}.variants)
-	reader.ObserveOwnWrite(0, tag)
+	reader.observeOwnWrite(0, tag)
 	got := c.read(reader, 0)
 	if got.Val != "mine" {
 		t.Fatalf("own write not observed: %v", got.Val)
@@ -227,11 +334,11 @@ func untouched(tag msg.Tagged, n int, c *cluster) int {
 
 func TestNonMonotoneHasNoCache(t *testing.T) {
 	e := NewEngine(0, quorum.NewAll(2), rng.New(1))
-	e.ObserveOwnWrite(0, msg.Tagged{TS: msg.Timestamp{Seq: 9}, Val: "x"})
+	e.observeOwnWrite(0, msg.Tagged{TS: msg.Timestamp{Seq: 9}, Val: "x"})
 	if len(e.cache) != 0 {
 		t.Fatal("non-monotone engine must not populate a cache")
 	}
-	if e.IsMonotone() {
+	if e.monotone {
 		t.Fatal("engine reports monotone")
 	}
 }

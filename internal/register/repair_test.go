@@ -113,7 +113,7 @@ func TestReadRepairCannotRegressReplicas(t *testing.T) {
 
 	// Before the repair lands, a newer write reaches every replica.
 	wAll := NewEngine(0, quorum.NewAll(3), rng.New(3))
-	wAll.wts[0] = 5
+	c.spendWrites(wAll, 1, 4)
 	c.write(wAll, 0, "newer")
 
 	for _, srv := range servers {

@@ -10,10 +10,11 @@
 // "monotone probabilistic quorum algorithm".
 //
 // Sessions carry the per-operation state; Engine carries the per-client
-// state (operation counter, write timestamps, monotone cache, quorum
-// strategy). Drivers — the discrete-event simulator, the goroutine runtime,
-// and the TCP transport — shuttle messages between sessions and replica
-// servers without duplicating any protocol logic.
+// state (operation counter, one write counter — timestamps are unique and
+// increasing per (register, writer) — monotone cache, quorum strategy).
+// Drivers — the discrete-event simulator, the goroutine runtime, and the TCP
+// transport — shuttle messages between sessions and replica servers without
+// duplicating any protocol logic.
 package register
 
 import (

@@ -152,13 +152,23 @@ fi
 # exported operation constructors and the hand-driven sim nodes are gone.
 # register.Settings is the one client configuration: cluster's option twins,
 # register's variant and instrument options, and the batch-size and
-# fast-read ablation knobs went with the translations between them.
-retired_uses="$(grep -rnE 'WireGob|WithWire|WithInlineReplies|RegisterValueType|BatchReplySink|WithRetryBackoff|WithLatency|register\.Apply\(|register\.ClientOption|phaseTimer|\bDialPipelined\b|\bPipelinedClient\b|\bPipeClient\b|register\.NewClient|\.Detach\(|\bWithClock\b|\bNew(Atomic)?(Read|Write)Op\b|\bprocNode\b|confSimNode|memSimNode|cluster\.With|cluster\.ClientOption|WithMaxBatch|WithoutFastRead|register\.Monotone\(|register\.(With(Tally|ReadRepair|Masking|View|WriteSystem)|Pipe(Trace|Gauge|Counters|Observer))\(' \
+# fast-read ablation knobs went with the translations between them. Write
+# timestamps come from one counter per engine: the per-register map went.
+retired_uses="$(grep -rnE '\.wts\b|WireGob|WithWire|WithInlineReplies|RegisterValueType|BatchReplySink|WithRetryBackoff|WithLatency|register\.Apply\(|register\.ClientOption|phaseTimer|\bDialPipelined\b|\bPipelinedClient\b|\bPipeClient\b|register\.NewClient|\.Detach\(|\bWithClock\b|\bNew(Atomic)?(Read|Write)Op\b|\bprocNode\b|confSimNode|memSimNode|cluster\.With|cluster\.ClientOption|WithMaxBatch|WithoutFastRead|register\.Monotone\(|register\.(With(Tally|ReadRepair|Masking|View|WriteSystem)|Pipe(Trace|Gauge|Counters|Observer))\(' \
     --include='*.go' . | grep -v '"PipelinedClient"' || true)"
 gob_imports="$(grep -rn '"encoding/gob"' --include='*.go' --exclude='*_test.go' . || true)"
 if [ -n "$retired_uses$gob_imports" ]; then
     echo "check.sh: retired identifiers reappeared (gob wire, inline replies, per-element reply sink, serial-client options, client facades, hand-driven operations):" >&2
     echo "$retired_uses$gob_imports" >&2
+    hygiene_fail=1
+fi
+# Client per-key state: the engine may hold one map keyed by register, the
+# monotone cache (which only the monotone variant fills). Anything else the
+# engine keeps per register costs every client a map entry per key written.
+regmaps="$(grep -nE '^[[:space:]]+[A-Za-z_][A-Za-z0-9_]*[[:space:]]+map\[msg\.RegisterID\]' internal/register/engine.go || true)"
+if [ "$(echo "$regmaps" | sed 's/^[0-9]*:[[:space:]]*//; s/[[:space:]].*//')" != "cache" ]; then
+    echo "check.sh: client per-key state: internal/register/engine.go must declare exactly one map[msg.RegisterID] field, the monotone cache:" >&2
+    echo "$regmaps" >&2
     hygiene_fail=1
 fi
 # Every exported With*/Pipe* option must carry a doc comment: the options
