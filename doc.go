@@ -20,7 +20,6 @@
 //	replica     the timestamped replica server state machine
 //	register    the client protocol cores (read/write sessions, monotone cache)
 //	sim         a deterministic discrete-event simulator (the paper's testbed)
-//	cluster     a goroutine/channel runtime for the same protocol
 //	transport   the protocol over real TCP sockets
 //	aco         the Üresin–Dubois framework and the Alg. 1 runners
 //	apps        APSP, transitive closure, widest paths, Bellman–Ford,
@@ -42,10 +41,10 @@
 // and asynchronous calls keep many registers in flight. One blessed
 // constructor per cell:
 //
-//	              cluster (goroutines)           tcp (sockets)      register cores (sim, custom)
-//	one shard     (*cluster.Cluster).NewClient   tcp.Dial           register.NewPipeline(Over)
-//	sharded       (*cluster.Cluster).NewKeyspace tcp.DialKeyspace   register.NewKeyspace(Over)
-//	many engines                                 tcp.DialSet        register.NewKeyspacesOver
+//	              tcp (sockets)      register cores (sim, custom)
+//	one shard     tcp.Dial           register.NewPipeline(Over)
+//	sharded       tcp.DialKeyspace   register.NewKeyspace(Over)
+//	many engines  tcp.DialSet        register.NewKeyspacesOver
 //
 // The last row is several processes sharing one connection set: each engine
 // keeps its own writer identity, pick stream, monotone cache and retry
@@ -54,7 +53,7 @@
 // socket per server whatever the worker count). tcp.Dial and
 // tcp.DialKeyspace are a set with one engine, closed with it.
 //
-// The third column is what the first two are built from: the protocol cores
+// The second column is what the first is built from: the protocol cores
 // take a raw send function (or a transport.Transport via the ...Over
 // variants), which is how the discrete-event simulator and the tests drive
 // them; the simulator also passes PipeClock(sim.Clock), so deadlines run on
@@ -64,11 +63,11 @@
 // instruments. Register alone reads it — Settings.Engine validates it and
 // builds the engine, register.ApplyPipeline the pipeline option — so no
 // adapter translates its fields and a bad setting is refused with the same
-// error everywhere. The cluster runtime and the simulator runner take a
-// Settings value; each tcp With* option sets one of its fields (tcp keeps
-// setters because DialSet layers a set's options under each engine's, and
-// adds only the writer, seed and batch histogram of its own). Quorum
-// exhaustion is register.ErrQuorumUnavailable everywhere.
+// error everywhere. The simulator runner takes a Settings value; each tcp
+// With* option sets one of its fields (tcp keeps setters because DialSet
+// layers a set's options under each engine's, and adds only the writer,
+// seed and batch histogram of its own). Quorum exhaustion is
+// register.ErrQuorumUnavailable everywhere.
 //
 // The three tcp constructors share one construction path, one default
 // deadline (2s) and one data path: requests coalesced into batch frames by a

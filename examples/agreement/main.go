@@ -36,7 +36,7 @@ func run() error {
 	fmt.Printf("inputs: %v\n", inputs)
 	fmt.Printf("target: all values within %v of each other, inside [%v, %v]\n\n", eps, lo, hi)
 
-	res, err := aco.RunConcurrent(aco.ConcurrentConfig{
+	res, err := aco.RunTCP(aco.TCPConfig{
 		Op:       op,
 		Servers:  len(inputs),
 		System:   quorum.NewProbabilistic(len(inputs), 3),
@@ -49,6 +49,9 @@ func run() error {
 	}
 	fmt.Printf("converged=%v in %d iterations, %d messages\n\n",
 		res.Converged, res.Iterations, res.Messages)
+	if !res.Converged {
+		return fmt.Errorf("no ε-agreement after %d iterations", res.Iterations)
+	}
 
 	fmt.Println("decided values:")
 	for i, v := range res.Final {

@@ -2,8 +2,8 @@
 // processes cooperatively compute all-pairs shortest paths on a chain, each
 // owning one row of the distance matrix, sharing rows through monotone
 // random registers replicated over 34 servers — first on the deterministic
-// simulator (reporting rounds, like Figure 2), then for real on the
-// goroutine runtime.
+// simulator (reporting rounds, like Figure 2), then for real over loopback
+// TCP sockets.
 //
 // Run with:
 //
@@ -62,9 +62,12 @@ func run() error {
 	}
 	fmt.Printf("simulator: converged=%v in %d rounds, %d iterations, %d messages, %d cache hits\n",
 		simRes.Converged, simRes.Rounds, simRes.Iterations, simRes.Messages, simRes.CacheHits)
+	if !simRes.Converged {
+		return fmt.Errorf("simulated run did not converge in %d rounds", simRes.Rounds)
+	}
 
-	// Concurrent execution: real goroutines and channels.
-	conRes, err := aco.RunConcurrent(aco.ConcurrentConfig{
+	// Real execution over loopback sockets, one worker goroutine per process.
+	tcpRes, err := aco.RunTCP(aco.TCPConfig{
 		Op:       op,
 		Target:   target,
 		Servers:  *n,
@@ -75,13 +78,16 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("concurrent: converged=%v in %d iterations, %d messages, %v wall time\n\n",
-		conRes.Converged, conRes.Iterations, conRes.Messages, conRes.Elapsed.Round(time.Millisecond))
+	fmt.Printf("tcp: converged=%v in %d iterations, %d messages, %v wall time\n\n",
+		tcpRes.Converged, tcpRes.Iterations, tcpRes.Messages, tcpRes.Elapsed.Round(time.Millisecond))
+	if !tcpRes.Converged || !aco.VectorsEqual(op, tcpRes.Final, target) {
+		return fmt.Errorf("TCP run did not reach the fixed point in %d iterations", tcpRes.Iterations)
+	}
 
 	// Show a slice of the final distance matrix read back from the
 	// replicas.
 	fmt.Printf("distances from vertex %d (register contents after the run):\n  ", *n-1)
-	row := conRes.Final[*n-1].([]float64)
+	row := tcpRes.Final[*n-1].([]float64)
 	for j, d := range row {
 		fmt.Printf("d(%d)=%.0f ", j, d)
 		if (j+1)%8 == 0 {

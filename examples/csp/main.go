@@ -48,10 +48,10 @@ func run() error {
 		vars, slots-1, maxStep, first, last)
 	fmt.Println("initial domains:")
 	for i, d := range op.Initial() {
-		fmt.Printf("  task %d: %v\n", i, d.(csp.Domain).Values())
+		fmt.Printf("  task %d: %v\n", i, csp.Domain(d.(uint64)).Values())
 	}
 
-	res, err := aco.RunConcurrent(aco.ConcurrentConfig{
+	res, err := aco.RunTCP(aco.TCPConfig{
 		Op:       op,
 		Servers:  vars,
 		System:   quorum.NewProbabilistic(vars, 3),
@@ -63,9 +63,12 @@ func run() error {
 	}
 	fmt.Printf("\nconverged=%v in %d iterations, %d messages\n\n",
 		res.Converged, res.Iterations, res.Messages)
+	if !res.Converged {
+		return fmt.Errorf("domains did not reach arc consistency in %d iterations", res.Iterations)
+	}
 	fmt.Println("arc-consistent domains:")
 	for i, d := range res.Final {
-		fmt.Printf("  task %d: %v\n", i, d.(csp.Domain).Values())
+		fmt.Printf("  task %d: %v\n", i, csp.Domain(d.(uint64)).Values())
 	}
 	return nil
 }

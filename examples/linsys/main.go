@@ -3,7 +3,7 @@
 // system A·x = b and repeatedly re-solves its equation against possibly
 // stale estimates of the other unknowns read through probabilistic quorums
 // — chaotic relaxation in the sense of Chazan–Miranker, running as real
-// goroutines.
+// goroutines against replicas behind loopback sockets.
 //
 // Run with:
 //
@@ -20,7 +20,6 @@ import (
 	"probquorum/internal/aco"
 	"probquorum/internal/apps/linsys"
 	"probquorum/internal/quorum"
-	"probquorum/internal/rng"
 )
 
 func main() {
@@ -51,13 +50,12 @@ func run() error {
 	}
 
 	fmt.Printf("solving a random strictly diagonally dominant %dx%d system\n", *n, *n)
-	res, err := aco.RunConcurrent(aco.ConcurrentConfig{
+	res, err := aco.RunTCP(aco.TCPConfig{
 		Op:       op,
 		Target:   target,
 		Servers:  *n,
 		System:   quorum.NewProbabilistic(*n, *k),
 		Monotone: true,
-		Delay:    rng.Exponential{MeanD: 100 * time.Microsecond},
 		Seed:     3,
 	})
 	if err != nil {
@@ -65,6 +63,9 @@ func run() error {
 	}
 	fmt.Printf("converged=%v in %d iterations, %d messages, %v\n\n",
 		res.Converged, res.Iterations, res.Messages, res.Elapsed.Round(time.Millisecond))
+	if !res.Converged {
+		return fmt.Errorf("Jacobi iteration did not converge in %d iterations", res.Iterations)
+	}
 
 	fmt.Println("  i   iterative x_i     exact x_i        |error|")
 	var worst float64

@@ -52,7 +52,7 @@ func run() error {
 		return err
 	}
 
-	res, err := aco.RunConcurrent(aco.ConcurrentConfig{
+	res, err := aco.RunTCP(aco.TCPConfig{
 		Op:       op,
 		Target:   exact,
 		Servers:  10,
@@ -65,6 +65,9 @@ func run() error {
 	}
 	fmt.Printf("converged=%v in %d iterations, %d messages\n\n",
 		res.Converged, res.Iterations, res.Messages)
+	if !res.Converged {
+		return fmt.Errorf("PageRank did not converge in %d iterations", res.Iterations)
+	}
 
 	type ranked struct {
 		page  int

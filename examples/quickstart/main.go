@@ -1,6 +1,6 @@
-// Quickstart: replicate a register over n in-process servers, access it
-// through probabilistic quorums, and watch the monotone variant hide the
-// staleness that tiny quorums cause.
+// Quickstart: replicate a register over n replica servers on loopback TCP,
+// access it through probabilistic quorums, and watch the monotone variant
+// hide the staleness that tiny quorums cause.
 //
 // Run with:
 //
@@ -12,10 +12,10 @@ import (
 	"log"
 	"time"
 
-	"probquorum/internal/cluster"
 	"probquorum/internal/msg"
 	"probquorum/internal/quorum"
-	"probquorum/internal/register"
+	"probquorum/internal/replica"
+	"probquorum/internal/transport/tcp"
 )
 
 func main() {
@@ -29,34 +29,40 @@ func run() error {
 		servers = 10
 		reg     = msg.RegisterID(0)
 	)
-	// 1. Start ten replica servers holding one register.
-	c, err := cluster.New(cluster.Config{
-		Servers: servers,
-		Initial: map[msg.RegisterID]msg.Value{reg: "initial"},
-		Seed:    1,
-	})
-	if err != nil {
-		return err
+	// 1. Start ten replica servers holding one register, each on a
+	// kernel-assigned loopback port.
+	stores := make([]*replica.Store, servers)
+	addrs := make([]string, servers)
+	for i := range stores {
+		stores[i] = replica.New(msg.NodeID(i), map[msg.RegisterID]msg.Value{reg: "initial"})
+		srv, err := tcp.Listen(stores[i], "127.0.0.1:0")
+		if err != nil {
+			return err
+		}
+		defer srv.Close()
+		addrs[i] = srv.Addr()
 	}
-	defer c.Close()
 
 	// 2. A writer on quorums of size 3 and two readers on quorums of size
 	// 2 — far below the strict threshold of 6, so a read misses the last
 	// write's quorum about half the time and staleness is visible.
 	sys := quorum.NewProbabilistic(servers, 3)
 	readSys := quorum.NewProbabilistic(servers, 2)
-	writer, err := c.NewClient(sys, register.Settings{})
+	writer, err := tcp.Dial(addrs, sys, tcp.WithWriter(1), tcp.WithSeed(1))
 	if err != nil {
 		return err
 	}
-	plainReader, err := c.NewClient(readSys, register.Settings{})
+	defer writer.Close()
+	plainReader, err := tcp.Dial(addrs, readSys, tcp.WithSeed(2))
 	if err != nil {
 		return err
 	}
-	monoReader, err := c.NewClient(readSys, register.Settings{Monotone: true})
+	defer plainReader.Close()
+	monoReader, err := tcp.Dial(addrs, readSys, tcp.WithMonotone(), tcp.WithSeed(3))
 	if err != nil {
 		return err
 	}
+	defer monoReader.Close()
 
 	// 3. Write a sequence of versions and read after each write. The plain
 	// reader may regress to older versions when its quorum misses recent
@@ -90,17 +96,19 @@ func run() error {
 	fmt.Printf("plain regressions: %d, monotone cache hits: %d\n\n",
 		plainRegressions, monoReader.Keyspace().CacheHits())
 
-	// 4. Crash four servers. Quorums of 3 keep succeeding after retries:
-	// the probabilistic system stays available until fewer than k servers
-	// remain (availability n-k+1 = 8 failures).
+	// 4. Crash four servers. Quorums of 3 keep succeeding — the client
+	// replaces each crashed member with a live server — until fewer than k
+	// servers remain (availability n-k+1 = 8 failures).
 	for i := 0; i < 4; i++ {
-		c.Server(i).Crash()
+		stores[i].Crash()
 	}
 	fmt.Println("crashed servers 0..3; writing and reading with retries:")
-	robust, err := c.NewClient(sys, register.Settings{Monotone: true, OpTimeout: 5 * time.Millisecond, Retries: 100})
+	robust, err := tcp.Dial(addrs, sys, tcp.WithWriter(2), tcp.WithSeed(4), tcp.WithMonotone(),
+		tcp.WithOpTimeout(100*time.Millisecond), tcp.WithRetries(100))
 	if err != nil {
 		return err
 	}
+	defer robust.Close()
 	// The register already has writes from the original writer, so the new
 	// client must enter the timestamp order above them: WriteMulti reads
 	// the current maximum timestamp first and writes past it (the paper's

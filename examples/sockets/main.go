@@ -124,9 +124,10 @@ func run() error {
 	// connections to a fresh replica set.
 	fmt.Println("\nrunning APSP with 3 workers over TCP:")
 	g := graph.Chain(6)
+	op, target := semiring.NewAPSP(g), semiring.APSPTarget(g)
 	res, err := aco.RunTCP(aco.TCPConfig{
-		Op:       semiring.NewAPSP(g),
-		Target:   semiring.APSPTarget(g),
+		Op:       op,
+		Target:   target,
 		Servers:  6,
 		Procs:    3,
 		System:   quorum.NewProbabilistic(6, 3),
@@ -140,6 +141,9 @@ func run() error {
 	fmt.Printf("converged=%v in %d iterations (%v); d(5,0) = %.0f\n",
 		res.Converged, res.Iterations, res.Elapsed.Round(time.Millisecond),
 		res.Final[5].([]float64)[0])
+	if !res.Converged || !aco.VectorsEqual(op, res.Final, target) {
+		return fmt.Errorf("APSP over TCP did not reach the fixed point in %d iterations", res.Iterations)
+	}
 
 	// With -obs, keep a slow read/write loop running so the endpoint stays
 	// interesting: scrape it while this ticks along.

@@ -1,8 +1,8 @@
 package probquorum
 
-// Cross-module integration tests: the same iterative computation run on all
-// three deployments of the protocol (discrete-event simulator, goroutine
-// runtime, TCP sockets) must reach the same fixed point.
+// Cross-module integration tests: the same iterative computation run on both
+// deployments of the protocol (the discrete-event simulator and TCP sockets)
+// must reach the same fixed point.
 
 import (
 	"sync"
@@ -32,21 +32,21 @@ func TestSimAndConcurrentAgreeOnFixedPoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conRes, err := aco.RunConcurrent(aco.ConcurrentConfig{
+	tcpRes, err := aco.RunTCP(aco.TCPConfig{
 		Op: op, Target: target, Servers: 10,
 		System: quorum.NewProbabilistic(10, 4), Monotone: true, Seed: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !simRes.Converged || !conRes.Converged {
+	if !simRes.Converged || !tcpRes.Converged {
 		t.Fatal("one runtime did not converge")
 	}
 	if !aco.VectorsEqual(op, simRes.Final, target) {
 		t.Fatal("simulator final vector differs from the fixed point")
 	}
-	if !aco.VectorsEqual(op, conRes.Final, target) {
-		t.Fatal("concurrent final vector differs from the fixed point")
+	if !aco.VectorsEqual(op, tcpRes.Final, target) {
+		t.Fatal("TCP final vector differs from the fixed point")
 	}
 }
 

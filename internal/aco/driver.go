@@ -5,13 +5,14 @@ import (
 
 	"probquorum/internal/msg"
 	"probquorum/internal/register"
+	"probquorum/internal/transport/tcp"
 )
 
 // DriverConfig is the transport-facing half of a runner configuration,
-// shared verbatim by the simulator, cluster, and TCP drivers: how long one
-// register operation attempt may run, and how many attempts it gets.
-// Embedding it keeps the three runner configs aligned — an experiment moved
-// between runtimes carries these knobs unchanged.
+// shared verbatim by the simulator and TCP drivers: how long one register
+// operation attempt may run, and how many attempts it gets. Embedding it
+// keeps the two runner configs aligned — an experiment moved between
+// runtimes carries these knobs unchanged.
 type DriverConfig struct {
 	// OpTimeout, when positive, bounds each operation attempt; an attempt
 	// that misses the deadline is reissued on a freshly picked quorum.
@@ -22,17 +23,10 @@ type DriverConfig struct {
 	Retries int
 }
 
-// client is the register surface Alg. 1's wall-clock workers drive:
-// tcp.Client and cluster.Client both provide it.
-type client interface {
-	ReadAsync(msg.RegisterID) *register.PendingOp
-	WriteAsync(msg.RegisterID, msg.Value) *register.PendingOp
-}
-
-// worker is one process of Alg. 1 on a wall-clock runtime: its register
-// client and the per-iteration buffers its loop reuses.
+// worker is one process of Alg. 1 over TCP: its register client and the
+// per-iteration buffers its loop reuses.
 type worker struct {
-	cl        client
+	cl        *tcp.Client
 	pipelined bool
 	owned     []int
 	view      []msg.Value // the m components read this iteration
@@ -41,7 +35,7 @@ type worker struct {
 	writes    []*register.PendingOp
 }
 
-func newWorker(cl client, pipelined bool, m int, owned []int) *worker {
+func newWorker(cl *tcp.Client, pipelined bool, m int, owned []int) *worker {
 	return &worker{
 		cl: cl, pipelined: pipelined, owned: owned,
 		view: make([]msg.Value, m), next: make([]msg.Value, len(owned)),

@@ -8,7 +8,6 @@ import (
 
 	"probquorum/internal/aco"
 	"probquorum/internal/apps/semiring"
-	"probquorum/internal/cluster"
 	"probquorum/internal/graph"
 	"probquorum/internal/metrics"
 	"probquorum/internal/quorum"
@@ -238,70 +237,6 @@ func TestRunSimDeterministicUnderFaults(t *testing.T) {
 		if !reflect.DeepEqual(opsA, opsB) {
 			t.Fatalf("pipelined=%v: traces differ (%d vs %d ops)", pipelined, len(opsA), len(opsB))
 		}
-	}
-}
-
-// TestRunConcurrentPipelined: the goroutine runtime with pipelined workers
-// still converges, and its trace passes the pipelined battery.
-func TestRunConcurrentPipelined(t *testing.T) {
-	g := graph.Chain(6)
-	op := semiring.NewAPSP(g)
-	target := semiring.APSPTarget(g)
-	log := &trace.Log{}
-	gauge := &metrics.Gauge{}
-	res, err := aco.RunConcurrent(aco.ConcurrentConfig{
-		Op:        op,
-		Target:    target,
-		Servers:   6,
-		Procs:     3,
-		System:    quorum.NewProbabilistic(6, 2),
-		Monotone:  true,
-		Pipelined: true,
-		Delay:     rng.Exponential{MeanD: 50 * time.Microsecond},
-		Seed:      2,
-		Trace:     log,
-		Gauge:     gauge,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Fatal("pipelined concurrent run did not converge")
-	}
-	checkPipelinedTrace(t, log, true)
-	if gauge.Max() < 2 {
-		t.Fatalf("in-flight gauge high-watermark = %d, want >= 2", gauge.Max())
-	}
-}
-
-// TestRunConcurrentPipelinedMasking: pipelined workers mask reads like
-// blocking ones — the same Operation drives both — and converge to the exact
-// fixed point past a Byzantine server.
-func TestRunConcurrentPipelinedMasking(t *testing.T) {
-	g := graph.Chain(5)
-	op := semiring.NewAPSP(g)
-	target := semiring.APSPTarget(g)
-	res, err := aco.RunConcurrent(aco.ConcurrentConfig{
-		Op:        op,
-		Target:    target,
-		Servers:   5,
-		System:    quorum.NewProbabilistic(5, 3),
-		Monotone:  true,
-		Pipelined: true,
-		Seed:      12,
-		Masking:   1,
-		Faults: func(c *cluster.Cluster) {
-			c.SetByzantine(4, "POISON")
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Fatal("masked pipelined workers did not converge past the Byzantine server")
-	}
-	if !aco.VectorsEqual(op, res.Final, target) {
-		t.Fatal("final vector corrupted despite masking")
 	}
 }
 

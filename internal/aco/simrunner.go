@@ -65,9 +65,9 @@ type SimConfig struct {
 	// 10000.
 	MaxRounds int
 	// DriverConfig carries the per-operation deadline and retry budget
-	// shared with the cluster and TCP runners. Deadlines are virtual-time
-	// events here. A process whose operation exhausts a non-zero Retries
-	// budget aborts the run: RunSim returns its register.ErrQuorumUnavailable.
+	// shared with the TCP runner. Deadlines are virtual-time events here.
+	// A process whose operation exhausts a non-zero Retries budget aborts
+	// the run: RunSim returns its register.ErrQuorumUnavailable.
 	DriverConfig
 	// Crashes schedules replica crash/recovery events at virtual times,
 	// exercising the availability story end-to-end.

@@ -17,13 +17,13 @@ import (
 )
 
 // TCPConfig configures an execution of Alg. 1 over real TCP loopback
-// sockets: the third deployment of the same protocol (after the simulator
-// and the goroutine runtime), demonstrating that nothing in the iterative
-// algorithm or the register layer depends on an in-process transport.
+// sockets: real concurrency, where the simulator gives virtual time, rounds
+// and exact replay.
 type TCPConfig struct {
 	// Op is the iterative algorithm to run.
 	Op Operator
-	// Target is the precomputed fixed point; nil computes it synchronously.
+	// Target is the precomputed fixed point; nil computes it synchronously,
+	// unless Correct is set.
 	Target []msg.Value
 	// Servers is the number of replica servers, each on its own loopback
 	// listener.
@@ -42,7 +42,7 @@ type TCPConfig struct {
 	// MaxIterations caps each worker's loop; 0 means 10000.
 	MaxIterations int
 	// DriverConfig carries the per-operation deadline and retry budget
-	// shared with the simulator and cluster runners. OpTimeout is required
+	// shared with the simulator runner. OpTimeout is required
 	// when Crashes is non-empty: a crashed server can only be waited out or
 	// replaced. Exhausting Retries surfaces register.ErrQuorumUnavailable.
 	DriverConfig
@@ -71,6 +71,10 @@ type TCPConfig struct {
 	// obs.Serve to watch a long fault run live; the result carries a final
 	// Snapshot.
 	Obs *obs.Registry
+	// Correct, if non-nil, replaces the fixed-point comparison as the
+	// per-worker convergence test (see SimConfig.Correct). Target may then
+	// be nil.
+	Correct func(owned []int, newVals, view []msg.Value) bool
 }
 
 // TCPResult reports a TCP execution's outcome.
@@ -80,6 +84,11 @@ type TCPResult struct {
 	Converged bool
 	// Iterations is the total worker loop iterations.
 	Iterations int64
+	// Messages is the total message count: requests sent plus replies
+	// received, batch frames counted per element.
+	Messages int64
+	// CacheHits counts monotone reads served from the workers' caches.
+	CacheHits int64
 	// Elapsed is the wall-clock duration.
 	Elapsed time.Duration
 	// Final is the register contents read back from the replicas.
@@ -99,6 +108,81 @@ type TCPResult struct {
 	Snapshot *obs.Snapshot
 }
 
+// convergenceTracker coordinates the workers' stopping condition: the run is
+// done when every worker's most recent iteration produced correct values —
+// or when any worker fails, which releases the others promptly instead of
+// letting them spin to their iteration cap.
+type convergenceTracker struct {
+	mu      sync.Mutex
+	correct []bool
+	n       int
+	done    chan struct{}
+	closed  bool
+	failure error
+}
+
+func newConvergenceTracker(p int) *convergenceTracker {
+	return &convergenceTracker{correct: make([]bool, p), done: make(chan struct{})}
+}
+
+func (t *convergenceTracker) report(proc int, correct bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.closed {
+		return
+	}
+	if correct != t.correct[proc] {
+		t.correct[proc] = correct
+		if correct {
+			t.n++
+		} else {
+			t.n--
+		}
+	}
+	if t.n == len(t.correct) {
+		t.closed = true
+		close(t.done)
+	}
+}
+
+// fail aborts the run: it records the first worker failure and closes the
+// done channel so every other worker's loop condition stops it on its next
+// iteration. Later failures are dropped (first error wins).
+func (t *convergenceTracker) fail(err error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.closed {
+		return
+	}
+	t.closed = true
+	t.failure = err
+	close(t.done)
+}
+
+// err returns the failure that aborted the run, if any.
+func (t *convergenceTracker) err() error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.failure
+}
+
+// converged reports whether the run completed because every worker was
+// simultaneously correct (as opposed to a failure or an iteration cap).
+func (t *convergenceTracker) converged() bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.closed && t.failure == nil
+}
+
+func (t *convergenceTracker) isDone() bool {
+	select {
+	case <-t.done:
+		return true
+	default:
+		return false
+	}
+}
+
 // RunTCP executes Alg. 1 with workers talking to replica servers over TCP.
 func RunTCP(cfg TCPConfig) (TCPResult, error) {
 	op := cfg.Op
@@ -111,7 +195,7 @@ func RunTCP(cfg TCPConfig) (TCPResult, error) {
 		return TCPResult{}, err
 	}
 	target := cfg.Target
-	if target == nil {
+	if target == nil && cfg.Correct == nil {
 		fp, _, err := FixedPoint(op, 0)
 		if err != nil {
 			return TCPResult{}, fmt.Errorf("computing fixed point: %w", err)
@@ -213,7 +297,6 @@ func RunTCP(cfg TCPConfig) (TCPResult, error) {
 		if ev.AfterIteration > 0 {
 			continue
 		}
-		ev := ev
 		faultWG.Add(1)
 		go func() {
 			defer faultWG.Done()
@@ -247,7 +330,11 @@ func RunTCP(cfg TCPConfig) (TCPResult, error) {
 						}
 					}
 				}
-				tracker.report(pi, w.atTarget(op, target))
+				if cfg.Correct != nil {
+					tracker.report(pi, cfg.Correct(w.owned, w.next, w.view))
+				} else {
+					tracker.report(pi, w.atTarget(op, target))
+				}
 			}
 		}(pi)
 	}
@@ -260,9 +347,10 @@ func RunTCP(cfg TCPConfig) (TCPResult, error) {
 			return TCPResult{}, fmt.Errorf("tcp worker %d: %w", pi, err)
 		}
 	}
-	var total int64
-	for _, n := range iters {
+	var total, hits int64
+	for pi, n := range iters {
 		total += n
+		hits += set.Engine(pi).Keyspace().CacheHits()
 	}
 	final := make([]msg.Value, m)
 	for i := 0; i < m; i++ {
@@ -273,9 +361,12 @@ func RunTCP(cfg TCPConfig) (TCPResult, error) {
 		final[i] = best.Val
 	}
 	retries, timeouts, reconnects := counters.Snapshot()
+	sent, recv := counters.Messages()
 	res := TCPResult{
 		Converged:  tracker.converged(),
 		Iterations: total,
+		Messages:   sent + recv,
+		CacheHits:  hits,
 		Elapsed:    elapsed,
 		Final:      final,
 		Retries:    retries,

@@ -4,12 +4,14 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"time"
 
 	"probquorum/internal/aco"
 	"probquorum/internal/apps/semiring"
 	"probquorum/internal/graph"
 	"probquorum/internal/obs"
 	"probquorum/internal/quorum"
+	"probquorum/internal/trace"
 )
 
 func TestRunTCPAPSP(t *testing.T) {
@@ -124,5 +126,138 @@ func TestRunTCPLeavesLittleReachable(t *testing.T) {
 	}
 	if allocated > 5 {
 		t.Errorf("a job allocates %.2f MB, want < 5 MB", allocated)
+	}
+}
+
+func TestRunTCPAPSPStrict(t *testing.T) {
+	g := graph.Chain(6)
+	res, err := aco.RunTCP(aco.TCPConfig{
+		Op:      semiring.NewAPSP(g),
+		Target:  semiring.APSPTarget(g),
+		Servers: 6,
+		System:  quorum.NewMajority(6),
+		Seed:    1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Converged {
+		t.Fatal("strict TCP run did not converge")
+	}
+	if res.Iterations == 0 || res.Messages == 0 {
+		t.Fatalf("counters empty: %+v", res)
+	}
+}
+
+func TestRunTCPAPSPProbabilisticMonotone(t *testing.T) {
+	g := graph.Chain(6)
+	res, err := aco.RunTCP(aco.TCPConfig{
+		Op:       semiring.NewAPSP(g),
+		Target:   semiring.APSPTarget(g),
+		Servers:  6,
+		System:   quorum.NewProbabilistic(6, 2),
+		Monotone: true,
+		Seed:     2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Converged {
+		t.Fatal("probabilistic monotone TCP run did not converge")
+	}
+}
+
+func TestRunTCPClosure(t *testing.T) {
+	g := graph.Ring(5)
+	res, err := aco.RunTCP(aco.TCPConfig{
+		Op:       semiring.NewClosure(g),
+		Target:   semiring.ClosureTarget(g),
+		Servers:  5,
+		System:   quorum.NewProbabilistic(5, 3), // 2k>n: strict by pigeonhole
+		Monotone: true,
+		Seed:     3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Converged {
+		t.Fatal("closure did not converge")
+	}
+}
+
+func TestRunTCPTraceSatisfiesRegisterSpec(t *testing.T) {
+	g := graph.Chain(5)
+	log := &trace.Log{}
+	res, err := aco.RunTCP(aco.TCPConfig{
+		Op:       semiring.NewAPSP(g),
+		Target:   semiring.APSPTarget(g),
+		Servers:  5,
+		System:   quorum.NewProbabilistic(5, 2),
+		Monotone: true,
+		Seed:     4,
+		Trace:    log,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Converged {
+		t.Fatal("run did not converge")
+	}
+	ops := log.Ops()
+	if len(ops) == 0 {
+		t.Fatal("no operations recorded")
+	}
+	if err := trace.CheckWellFormed(ops); err != nil {
+		t.Fatal(err)
+	}
+	if err := trace.CheckReadsFrom(ops); err != nil {
+		t.Fatal(err)
+	}
+	if err := trace.CheckMonotone(ops); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestRunTCPFewerProcs(t *testing.T) {
+	g := graph.Chain(8)
+	res, err := aco.RunTCP(aco.TCPConfig{
+		Op:      semiring.NewAPSP(g),
+		Target:  semiring.APSPTarget(g),
+		Servers: 8,
+		Procs:   2,
+		System:  quorum.NewMajority(8),
+		Seed:    5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Converged {
+		t.Fatal("2-process run did not converge")
+	}
+}
+
+// TestRunTCPWithCrashedServers: two of six replicas are down for the whole
+// run; k = 2 quorums replace each lost member within the attempt, and the
+// job still reaches the fixed point.
+func TestRunTCPWithCrashedServers(t *testing.T) {
+	g := graph.Chain(6)
+	res, err := aco.RunTCP(aco.TCPConfig{
+		Op:           semiring.NewAPSP(g),
+		Target:       semiring.APSPTarget(g),
+		Servers:      6,
+		System:       quorum.NewProbabilistic(6, 2),
+		Monotone:     true,
+		Seed:         11,
+		DriverConfig: aco.DriverConfig{OpTimeout: 100 * time.Millisecond},
+		Crashes:      []aco.CrashEvent{{At: 0, Server: 0}, {At: 0, Server: 1}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Converged {
+		t.Fatal("TCP run did not converge with 2 of 6 servers crashed")
+	}
+	if res.TopUps == 0 {
+		t.Fatal("no member was replaced; the crashes were not exercised")
 	}
 }

@@ -97,7 +97,7 @@ func TestAgreementConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := aco.RunConcurrent(aco.ConcurrentConfig{
+	res, err := aco.RunTCP(aco.TCPConfig{
 		Op:       op,
 		Servers:  4,
 		System:   quorum.NewMajority(4),

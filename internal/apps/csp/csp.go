@@ -1,8 +1,9 @@
 // Package csp implements distributed arc consistency for binary constraint
 // satisfaction problems as an ACO — "constraint satisfaction" from the
 // paper's headline application list. Component i is variable i's domain,
-// represented as a 64-bit set; the operator removes values that have no
-// support in some neighbor's (possibly stale) domain. Domains only shrink,
+// represented as a 64-bit set and carried in its register as a plain uint64,
+// which the wire encodes; the operator removes values that have no support
+// in some neighbor's (possibly stale) domain. Domains only shrink,
 // so the iteration is contracting on the finite lattice of domain vectors
 // and its fixed point is the largest arc-consistent domain assignment.
 package csp
@@ -145,7 +146,7 @@ func (o *Operator) Name() string { return fmt.Sprintf("csp(n=%d)", len(o.doms)) 
 func (o *Operator) Initial() []msg.Value {
 	out := make([]msg.Value, len(o.doms))
 	for i, d := range o.doms {
-		out[i] = d
+		out[i] = uint64(d)
 	}
 	return out
 }
@@ -153,16 +154,9 @@ func (o *Operator) Initial() []msg.Value {
 // Apply implements aco.Operator: keep the values of variable i's current
 // domain that have support in every neighboring domain.
 func (o *Operator) Apply(i int, view []msg.Value) msg.Value {
-	di, ok := view[i].(Domain)
-	if !ok {
-		panic(fmt.Sprintf("csp: component has type %T, want Domain", view[i]))
-	}
-	out := di
+	out := Domain(view[i].(uint64))
 	for _, a := range o.arcsFor[i] {
-		dj, ok := view[a.to].(Domain)
-		if !ok {
-			panic(fmt.Sprintf("csp: component has type %T, want Domain", view[a.to]))
-		}
+		dj := Domain(view[a.to].(uint64))
 		var kept Domain
 		for v := 0; v < MaxDomain; v++ {
 			if out.Has(v) && a.support[v]&dj != 0 {
@@ -171,11 +165,11 @@ func (o *Operator) Apply(i int, view []msg.Value) msg.Value {
 		}
 		out = kept
 	}
-	return out
+	return uint64(out)
 }
 
 // Equal implements aco.Operator.
-func (o *Operator) Equal(_ int, a, b msg.Value) bool { return a.(Domain) == b.(Domain) }
+func (o *Operator) Equal(_ int, a, b msg.Value) bool { return a.(uint64) == b.(uint64) }
 
 // Target returns the arc-consistent fixed point by synchronous iteration.
 func (o *Operator) Target() ([]msg.Value, error) {

@@ -5,9 +5,13 @@ import (
 	"time"
 
 	"probquorum/internal/aco"
+	"probquorum/internal/msg"
 	"probquorum/internal/quorum"
 	"probquorum/internal/rng"
 )
+
+// domainOf reads a component's register value as a Domain.
+func domainOf(v msg.Value) Domain { return Domain(v.(uint64)) }
 
 func TestDomainBasics(t *testing.T) {
 	d := FullDomain(5)
@@ -51,7 +55,7 @@ func TestInequalityChainFixedPoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		dom := fp[i].(Domain)
+		dom := domainOf(fp[i])
 		for v := 0; v < d; v++ {
 			want := v >= i && v <= d-n+i
 			if dom.Has(v) != want {
@@ -74,8 +78,8 @@ func TestInfeasibleChainEmptiesDomains(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, v := range fp {
-		if v.(Domain) != 0 {
-			t.Fatalf("var %d domain %v, want empty", i, v.(Domain).Values())
+		if domainOf(v) != 0 {
+			t.Fatalf("var %d domain %v, want empty", i, domainOf(v).Values())
 		}
 	}
 }
@@ -92,8 +96,8 @@ func TestAllDifferentRingIsAlreadyConsistent(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, v := range fp {
-		if v.(Domain) != FullDomain(3) {
-			t.Fatalf("var %d pruned to %v", i, v.(Domain).Values())
+		if domainOf(v) != FullDomain(3) {
+			t.Fatalf("var %d pruned to %v", i, domainOf(v).Values())
 		}
 	}
 }
@@ -111,10 +115,10 @@ func TestDistanceChainPropagation(t *testing.T) {
 	}
 	// Interior variable 1: within 2 of 0 => {0,1,2}; must also reach 6 in
 	// two more hops of <= 2 each => >= 2. So {2}.
-	if got := fp[1].(Domain).Values(); len(got) != 1 || got[0] != 2 {
+	if got := domainOf(fp[1]).Values(); len(got) != 1 || got[0] != 2 {
 		t.Fatalf("var 1 domain = %v, want [2]", got)
 	}
-	if got := fp[2].(Domain).Values(); len(got) != 1 || got[0] != 4 {
+	if got := domainOf(fp[2]).Values(); len(got) != 1 || got[0] != 4 {
 		t.Fatalf("var 2 domain = %v, want [4]", got)
 	}
 }
@@ -154,8 +158,8 @@ func TestApplyOnlyShrinks(t *testing.T) {
 	}
 	view := op.Initial()
 	for i := 0; i < op.M(); i++ {
-		before := view[i].(Domain)
-		after := op.Apply(i, view).(Domain)
+		before := domainOf(view[i])
+		after := domainOf(op.Apply(i, view))
 		if after&^before != 0 {
 			t.Fatalf("Apply added values to variable %d", i)
 		}
@@ -188,9 +192,9 @@ func TestCSPOverRandomRegisters(t *testing.T) {
 		t.Fatal("distributed arc consistency did not converge")
 	}
 	for i := range target {
-		if res.Final[i].(Domain) != target[i].(Domain) {
+		if domainOf(res.Final[i]) != domainOf(target[i]) {
 			t.Fatalf("final[%d] = %v, want %v", i,
-				res.Final[i].(Domain).Values(), target[i].(Domain).Values())
+				domainOf(res.Final[i]).Values(), domainOf(target[i]).Values())
 		}
 	}
 }
@@ -201,7 +205,7 @@ func TestCSPConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := aco.RunConcurrent(aco.ConcurrentConfig{
+	res, err := aco.RunTCP(aco.TCPConfig{
 		Op:       op,
 		Servers:  5,
 		System:   quorum.NewMajority(5),
@@ -239,7 +243,7 @@ func TestRandomProblemDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range fpA {
-		if fpA[i].(Domain) != fpB[i].(Domain) {
+		if domainOf(fpA[i]) != domainOf(fpB[i]) {
 			t.Fatal("same seed produced different fixed points")
 		}
 	}
@@ -266,9 +270,9 @@ func TestRandomProblemFixedPointScheduleIndependent(t *testing.T) {
 			hist := aco.Iterate(op, s, 400)
 			last := hist[len(hist)-1]
 			for i := range fp {
-				if last[i].(Domain) != fp[i].(Domain) {
+				if domainOf(last[i]) != domainOf(fp[i]) {
 					t.Fatalf("seed %d, %s: variable %d converged to %v, want %v",
-						seed, name, i, last[i].(Domain).Values(), fp[i].(Domain).Values())
+						seed, name, i, domainOf(last[i]).Values(), domainOf(fp[i]).Values())
 				}
 			}
 		}

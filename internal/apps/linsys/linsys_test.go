@@ -156,7 +156,7 @@ func TestJacobiConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := aco.RunConcurrent(aco.ConcurrentConfig{
+	res, err := aco.RunTCP(aco.TCPConfig{
 		Op:       op,
 		Target:   target,
 		Servers:  6,

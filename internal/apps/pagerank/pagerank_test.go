@@ -172,7 +172,7 @@ func TestPageRankConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := aco.RunConcurrent(aco.ConcurrentConfig{
+	res, err := aco.RunTCP(aco.TCPConfig{
 		Op:       op,
 		Servers:  8,
 		System:   quorum.NewProbabilistic(8, 3),

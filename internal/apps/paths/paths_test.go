@@ -134,7 +134,7 @@ func TestSSSPConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := aco.RunConcurrent(aco.ConcurrentConfig{
+	res, err := aco.RunTCP(aco.TCPConfig{
 		Op:       op,
 		Target:   Target(g, 0),
 		Servers:  8,

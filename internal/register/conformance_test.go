@@ -1,12 +1,11 @@
 package register_test
 
 // Cross-transport conformance suite: one table of register-semantics
-// scenarios executed against all three runtimes — the goroutine cluster, a
-// loopback TCP cluster, and the discrete-event simulator. Every runtime is a
-// thin adapter over the same transport-agnostic client stack, so the
-// observable properties ([R2] reads-from, [R4] monotonicity, ABD atomicity,
-// retry-budget exhaustion, pipelined well-formedness) must hold identically
-// on each. A scenario that passes on one transport and fails on another is a
+// scenarios executed against both runtimes — a loopback TCP cluster and the
+// discrete-event simulator. Every runtime is a thin adapter over the same
+// transport-agnostic client stack, so the observable properties ([R2]
+// reads-from, [R4] monotonicity, ABD atomicity, retry-budget exhaustion,
+// pipelined well-formedness) must hold identically on each. A scenario that passes on one transport and fails on another is a
 // seam bug in that adapter, not a protocol bug.
 
 import (
@@ -17,7 +16,7 @@ import (
 	"testing"
 	"time"
 
-	"probquorum/internal/cluster"
+	"probquorum/internal/faults"
 	"probquorum/internal/metrics"
 	"probquorum/internal/msg"
 	"probquorum/internal/obs"
@@ -68,9 +67,15 @@ type confScenario struct {
 	crashAll bool // crash every replica before the scripts run
 	crashOne bool // crash replica 0 before the scripts run
 	// silent keeps the crash from being signalled: the lost member is found
-	// only by a deadline. The sim and cluster harnesses run such a row; a
-	// crashed tcp store closes its connections, which is a signal.
-	silent     bool
+	// only by a deadline. A crashed tcp store closes its connections, which
+	// is a signal, so the tcp harness makes replica 0 silent by blocking the
+	// link in front of it instead.
+	silent bool
+	// slow puts replica 0 behind a slow network path: on tcp a link that
+	// delays every chunk, on the sim a delay model that stretches every
+	// message to or from it. Writes then reach replica 0 long after the
+	// other members of their quorum.
+	slow       bool
 	timeout    time.Duration // per-attempt deadline (0 = strict mode)
 	retries    int           // attempt budget passed with the deadline
 	pipelined  bool
@@ -203,29 +208,22 @@ var confScenarios = []confScenario{
 		servers: 5,
 		regs:    1,
 		sys:     confMajority,
-		scripts: [][]confStep{
-			func() []confStep {
-				var steps []confStep
-				for i := 1; i <= 8; i++ {
-					steps = append(steps, confStep{kind: 'w', reg: 0, val: float64(i)})
-				}
-				return steps
-			}(),
-			repeatSteps('a', 0, 10),
-			repeatSteps('a', 0, 10),
-		},
-		check: func(t *testing.T, r confResult) {
-			noErrs(t, r)
-			if err := trace.CheckWellFormed(r.ops); err != nil {
-				t.Fatal(err)
-			}
-			if err := trace.CheckReadsFrom(r.ops); err != nil {
-				t.Fatal(err)
-			}
-			if err := trace.CheckAtomic(r.ops); err != nil {
-				t.Fatalf("ABD reads violated atomicity: %v", err)
-			}
-		},
+		scripts: atomicRace,
+		check:   checkAtomicRace,
+	},
+	{
+		// ABD against a slow replica: every write that includes replica 0
+		// stays in flight long after the rest of its quorum holds it, so
+		// readers keep meeting quorums that disagree, and a read that
+		// returned the new value without writing it back would let a later
+		// read miss it.
+		name:    "atomic-read-slow-replica",
+		servers: 5,
+		regs:    1,
+		sys:     confMajority,
+		slow:    true,
+		scripts: atomicRace,
+		check:   checkAtomicRace,
 	},
 	{
 		// Fast path: on a contention-free schedule over all-server quorums,
@@ -466,6 +464,35 @@ var confScenarios = []confScenario{
 	},
 }
 
+// atomicRace is a writer of eight ascending values racing two readers of ten
+// atomic reads each.
+var atomicRace = [][]confStep{
+	func() []confStep {
+		var steps []confStep
+		for i := 1; i <= 8; i++ {
+			steps = append(steps, confStep{kind: 'w', reg: 0, val: float64(i)})
+		}
+		return steps
+	}(),
+	repeatSteps('a', 0, 10),
+	repeatSteps('a', 0, 10),
+}
+
+// checkAtomicRace is the atomic-read rows' verdict: a well-formed trace whose
+// reads return written values with no new-old inversion.
+func checkAtomicRace(t *testing.T, r confResult) {
+	noErrs(t, r)
+	if err := trace.CheckWellFormed(r.ops); err != nil {
+		t.Fatal(err)
+	}
+	if err := trace.CheckReadsFrom(r.ops); err != nil {
+		t.Fatal(err)
+	}
+	if err := trace.CheckAtomic(r.ops); err != nil {
+		t.Fatalf("ABD reads violated atomicity: %v", err)
+	}
+}
+
 // checkPipelinedFlow is the pipelined rows' common verdict: no errors, a
 // pipelined-well-formed trace, and reads that return written values.
 func checkPipelinedFlow(t *testing.T, r confResult) {
@@ -503,16 +530,7 @@ func checkCrashTopUp(t *testing.T, r confResult) {
 	}
 }
 
-// confClient is the operation surface the script runner needs; the cluster
-// and TCP adapter clients both satisfy it directly.
-type confClient interface {
-	Read(msg.RegisterID) (msg.Tagged, error)
-	ReadAtomic(msg.RegisterID) (msg.Tagged, error)
-	Write(msg.RegisterID, msg.Value) error
-	WriteMulti(msg.RegisterID, msg.Value) (msg.Timestamp, error)
-}
-
-func runConfScript(cl confClient, script []confStep) error {
+func runConfScript(cl *tcp.Client, script []confStep) error {
 	for _, st := range script {
 		var err error
 		switch st.kind {
@@ -532,23 +550,15 @@ func runConfScript(cl confClient, script []confStep) error {
 	return nil
 }
 
-// asyncClient is the asynchronous surface of cluster.Client and tcp.Client.
-type asyncClient interface {
-	ReadAsync(msg.RegisterID) *register.PendingOp
-	ReadAtomicAsync(msg.RegisterID) *register.PendingOp
-	WriteAsync(msg.RegisterID, msg.Value) *register.PendingOp
-	Keyspace() *register.Keyspace
-}
-
 // runPipelinedFlow writes regs distinct registers with all writes in flight
 // at once, then reads them all back the same way, checking the values.
-func runPipelinedFlow(pc asyncClient, regs int) error {
+func runPipelinedFlow(pc *tcp.Client, regs int) error {
 	return runPipelinedFlowOf(pc, regs, false)
 }
 
 // runPipelinedFlowOf is runPipelinedFlow, its writes multi-writer writes
 // when multi is set.
-func runPipelinedFlowOf(pc asyncClient, regs int, multi bool) error {
+func runPipelinedFlowOf(pc *tcp.Client, regs int, multi bool) error {
 	pend := make([]*register.PendingOp, 0, regs)
 	for r := 0; r < regs; r++ {
 		if multi {
@@ -581,7 +591,7 @@ func runPipelinedFlowOf(pc asyncClient, regs int, multi bool) error {
 // runPipelinedAtomicFlow extends runPipelinedFlow with a third round: an
 // atomic read of every register, all in flight at once, checking the values
 // the write round installed.
-func runPipelinedAtomicFlow(pc asyncClient, regs int) error {
+func runPipelinedAtomicFlow(pc *tcp.Client, regs int) error {
 	if err := runPipelinedFlow(pc, regs); err != nil {
 		return err
 	}
@@ -603,7 +613,7 @@ func runPipelinedAtomicFlow(pc asyncClient, regs int) error {
 
 // runConfScripts runs one goroutine per script against its client and
 // collects each script's first error.
-func runConfScripts(clients []confClient, scripts [][]confStep) []error {
+func runConfScripts(clients []*tcp.Client, scripts [][]confStep) []error {
 	errs := make([]error, len(scripts))
 	var wg sync.WaitGroup
 	for pi := range scripts {
@@ -615,74 +625,6 @@ func runConfScripts(clients []confClient, scripts [][]confStep) []error {
 	}
 	wg.Wait()
 	return errs
-}
-
-func runClusterScenario(t *testing.T, sc confScenario) confResult {
-	t.Helper()
-	c, err := cluster.New(cluster.Config{Servers: sc.servers, Initial: confInitial(sc.regs), Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	log := &trace.Log{}
-	sys := sc.sys(sc.servers)
-	if sc.crashAll {
-		for i := 0; i < sc.servers; i++ {
-			c.Server(i).Crash()
-		}
-	}
-	if sc.crashOne {
-		c.Server(0).Crash()
-	}
-	if sc.masked {
-		plantFabricated(c.Server(0), sc.regs)
-	}
-	pobs := new(register.Observer) // WriteBack laps pin the fast-path rows
-	if sc.pipelined {
-		var g metrics.Gauge
-		var tc metrics.TransportCounters
-		s := sc.settings()
-		s.Trace, s.Gauge, s.Observer = log, &g, pobs
-		if sc.crashOne {
-			s.OpTimeout, s.Retries, s.Counters = sc.timeout, sc.retries, &tc
-		}
-		pc, err := c.NewClient(sys, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer pc.Close()
-		var ferr error
-		if sc.atomicFlow {
-			ferr = runPipelinedAtomicFlow(pc, sc.regs)
-		} else {
-			ferr = runPipelinedFlowOf(pc, sc.regs, sc.multiWriter)
-		}
-		ks := pc.Keyspace()
-		return confResult{ops: log.Ops(), fastReads: ks.FastReads(),
-			writeBacks: pobs.WriteBack.Count(), gaugeMax: g.Max(), errs: []error{ferr},
-			topUps: tc.TopUps.Value(), retries: ks.Retries(), repairs: ks.Shard(0).Engine().Repairs()}
-	}
-	clients := make([]confClient, len(sc.scripts))
-	keyspaces := make([]*register.Keyspace, len(sc.scripts))
-	for pi := range sc.scripts {
-		s := sc.settings()
-		s.Trace, s.Observer, s.OpTimeout, s.Retries = log, pobs, sc.timeout, sc.retries
-		cl, err := c.NewClient(sys, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer cl.Close()
-		clients[pi] = cl
-		keyspaces[pi] = cl.Keyspace()
-	}
-	errs := runConfScripts(clients, sc.scripts)
-	var hits, fast int64
-	for _, ks := range keyspaces {
-		hits += ks.CacheHits()
-		fast += ks.FastReads()
-	}
-	return confResult{ops: log.Ops(), cacheHits: hits, fastReads: fast,
-		writeBacks: pobs.WriteBack.Count(), errs: errs}
 }
 
 func runTCPScenario(t *testing.T, sc confScenario) confResult {
@@ -701,6 +643,20 @@ func runTCPScenario(t *testing.T, sc confScenario) confResult {
 	}
 	if sc.masked {
 		plantFabricated(stores[0], sc.regs)
+	}
+	// A silent row reaches replica 0 through a link that is blocked once
+	// the client has dialed: its requests stall and no connection closes.
+	var link *faults.Link
+	if sc.silent || sc.slow {
+		var err error
+		if link, err = faults.NewLink(addrs[0]); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(link.Close)
+		addrs[0] = link.Addr()
+		if sc.slow {
+			link.SetDelay(2 * time.Millisecond)
+		}
 	}
 	log := &trace.Log{}
 	sys := sc.sys(sc.servers)
@@ -724,7 +680,10 @@ func runTCPScenario(t *testing.T, sc confScenario) confResult {
 			t.Fatal(err)
 		}
 		defer pc.Close()
-		if sc.crashOne {
+		switch {
+		case sc.silent:
+			link.SetBlocked(true)
+		case sc.crashOne:
 			// After dialing, like crashAll below: the crashed store closes
 			// the connection on its next request, which the client's reader
 			// reports as a per-server error.
@@ -739,10 +698,10 @@ func runTCPScenario(t *testing.T, sc confScenario) confResult {
 		ks := pc.Keyspace()
 		return confResult{ops: log.Ops(), fastReads: ks.FastReads(),
 			writeBacks: pobs.WriteBack.Count(), gaugeMax: g.Max(), errs: []error{ferr},
-			topUps: tc.TopUps.Value(), retries: ks.Retries(), signalsCrash: true,
+			topUps: tc.TopUps.Value(), retries: ks.Retries(), signalsCrash: !sc.silent,
 			repairs: ks.Shard(0).Engine().Repairs()}
 	}
-	clients := make([]confClient, len(sc.scripts))
+	clients := make([]*tcp.Client, len(sc.scripts))
 	keyspaces := make([]*register.Keyspace, len(sc.scripts))
 	for pi := range sc.scripts {
 		opts := []tcp.ClientOption{
@@ -766,8 +725,7 @@ func runTCPScenario(t *testing.T, sc confScenario) confResult {
 		keyspaces[pi] = cl.Keyspace()
 	}
 	// Crash after dialing: the eager dial needs live listeners, and a
-	// crashed store then closes connections on the next request — the same
-	// observable silence the other transports inject.
+	// crashed store then closes connections on the next request.
 	if sc.crashAll {
 		for _, st := range stores {
 			st.Crash()
@@ -945,7 +903,7 @@ var errSimReset = errors.New("sim: connection reset by crashed server")
 
 // simTransport carries a pipeline's requests over the simulator as a
 // transport.Transport, so the pipelined rows run the same NewPipelineOver
-// binding the socket and goroutine runtimes do. Replies reach the pipeline through
+// binding the socket runtime does. Replies reach the pipeline through
 // confPipeNode.Recv. A request to a crashed server is lost, and — like a TCP
 // peer whose connection the crashed store closes — the sender learns of it
 // one network delay later as a per-server error.
@@ -970,7 +928,11 @@ func (s *simTransport) Send(server int, req any) error {
 
 func runSimScenario(t *testing.T, sc confScenario) confResult {
 	t.Helper()
-	s := sim.New(13, sim.DistDelay{Dist: rng.Exponential{MeanD: time.Millisecond}})
+	var delay sim.DelayModel = sim.DistDelay{Dist: rng.Exponential{MeanD: time.Millisecond}}
+	if sc.slow {
+		delay = sim.SlowNodes{Base: delay, Victims: map[msg.NodeID]bool{0: true}, Factor: 20}
+	}
+	s := sim.New(13, delay)
 	stores := make([]*replica.Store, sc.servers)
 	for srv := 0; srv < sc.servers; srv++ {
 		stores[srv] = replica.New(msg.NodeID(srv), confInitial(sc.regs))
@@ -1046,7 +1008,6 @@ func TestConformance(t *testing.T) {
 		name string
 		run  func(t *testing.T, sc confScenario) confResult
 	}{
-		{"cluster", runClusterScenario},
 		{"tcp", runTCPScenario},
 		{"sim", runSimScenario},
 	}
@@ -1054,9 +1015,6 @@ func TestConformance(t *testing.T) {
 		sc := sc
 		for _, h := range harnesses {
 			h := h
-			if h.name == "tcp" && sc.silent {
-				continue // see confScenario.silent
-			}
 			t.Run(sc.name+"/"+h.name, func(t *testing.T) {
 				t.Parallel()
 				sc.check(t, h.run(t, sc))
@@ -1065,10 +1023,13 @@ func TestConformance(t *testing.T) {
 	}
 }
 
-// TestTransportMessageCountersAlign pins the message-counting seam: the
-// cluster and TCP transports instrument at the same layer, so an identical
-// deterministic script over all-server quorums must report identical
-// MsgsSent/MsgsRecv on both (batch frames count per element, not per frame).
+// TestTransportMessageCountersAlign pins the message-counting seam at its
+// closed form: the transport counts each request and each reply once,
+// batch frames per element. Over all-server quorums of three, a write is
+// 3 requests and 3 acks, a read 3 and 3, and an atomic read whose quorum
+// replies unanimously is one read round with its write-back elided. The
+// script w, r, w, r, a is five one-round operations: 5 × 3 = 15 sent and
+// 15 received.
 func TestTransportMessageCountersAlign(t *testing.T) {
 	script := []confStep{
 		{kind: 'w', reg: 0, val: 1.0},
@@ -1078,22 +1039,7 @@ func TestTransportMessageCountersAlign(t *testing.T) {
 		{kind: 'a', reg: 0},
 	}
 	const servers = 3
-
-	var ctc metrics.TransportCounters
-	c, err := cluster.New(cluster.Config{Servers: servers, Initial: confInitial(1), Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	ccl, err := c.NewClient(quorum.NewAll(servers), register.Settings{Counters: &ctc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := runConfScript(ccl, script); err != nil {
-		t.Fatalf("cluster script: %v", err)
-	}
-
-	var ttc metrics.TransportCounters
+	var tc metrics.TransportCounters
 	addrs := make([]string, servers)
 	for i := range addrs {
 		srv, err := tcp.Listen(replica.New(msg.NodeID(i), confInitial(1)), "127.0.0.1:0")
@@ -1103,28 +1049,21 @@ func TestTransportMessageCountersAlign(t *testing.T) {
 		t.Cleanup(srv.Close)
 		addrs[i] = srv.Addr()
 	}
-	tcl, err := tcp.Dial(addrs, quorum.NewAll(servers), tcp.WithTransportCounters(&ttc))
+	cl, err := tcp.Dial(addrs, quorum.NewAll(servers), tcp.WithTransportCounters(&tc))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tcl.Close()
-	if err := runConfScript(tcl, script); err != nil {
+	defer cl.Close()
+	if err := runConfScript(cl, script); err != nil {
 		t.Fatalf("tcp script: %v", err)
 	}
-
-	csent, crecv := ctc.Messages()
-	tsent, trecv := ttc.Messages()
-	if csent == 0 || crecv == 0 {
-		t.Fatalf("cluster counters empty: sent=%d recv=%d", csent, crecv)
-	}
-	if csent != tsent || crecv != trecv {
-		t.Fatalf("message counts diverge: cluster sent=%d recv=%d, tcp sent=%d recv=%d",
-			csent, crecv, tsent, trecv)
+	if sent, recv := tc.Messages(); sent != 15 || recv != 15 {
+		t.Fatalf("messages sent=%d recv=%d, want 15/15", sent, recv)
 	}
 }
 
 // TestConformanceObservability attaches a full obs.Registry to a pipelined
-// client on each real transport, scrapes it concurrently while the load
+// client over TCP, scrapes it concurrently while the load
 // runs (the race detector checks the snapshot locking), and then pins the
 // pipelined phase accounting: Pick and QuorumWait telescope over exactly the
 // operation's service window, so their sums must equal the Ops sum, and the
@@ -1132,110 +1071,82 @@ func TestTransportMessageCountersAlign(t *testing.T) {
 func TestConformanceObservability(t *testing.T) {
 	const servers, regs, rounds = 5, 8, 25
 
-	type pipeHarness struct {
-		name string
-		dial func(t *testing.T, counters *metrics.TransportCounters, observer *register.Observer, g *metrics.Gauge) asyncClient
-	}
-	harnesses := []pipeHarness{
-		{"cluster", func(t *testing.T, counters *metrics.TransportCounters, observer *register.Observer, g *metrics.Gauge) asyncClient {
-			c, err := cluster.New(cluster.Config{Servers: servers, Initial: confInitial(regs), Seed: 29})
+	// The subtest keeps the transport's name, like the conformance rows.
+	t.Run("tcp", func(t *testing.T) {
+		reg := obs.NewRegistry()
+		counters := &metrics.TransportCounters{}
+		counters.Register("client", reg)
+		observer := new(register.Observer).Register("client", reg)
+		var g metrics.Gauge
+		g.Register("client.inflight", reg)
+		addrs := make([]string, servers)
+		for i := range addrs {
+			srv, err := tcp.Listen(replica.New(msg.NodeID(i), confInitial(regs)), "127.0.0.1:0")
 			if err != nil {
 				t.Fatal(err)
 			}
-			t.Cleanup(c.Close)
-			pc, err := c.NewClient(confMajority(servers), register.Settings{Counters: counters, Observer: observer, Gauge: g})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(pc.Close)
-			return pc
-		}},
-		{"tcp", func(t *testing.T, counters *metrics.TransportCounters, observer *register.Observer, g *metrics.Gauge) asyncClient {
-			addrs := make([]string, servers)
-			for i := range addrs {
-				srv, err := tcp.Listen(replica.New(msg.NodeID(i), confInitial(regs)), "127.0.0.1:0")
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(srv.Close)
-				addrs[i] = srv.Addr()
-			}
-			pc, err := tcp.Dial(addrs, confMajority(servers),
-				tcp.WithTransportCounters(counters),
-				tcp.WithObserver(observer),
-				tcp.WithInFlightGauge(g))
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(pc.Close)
-			return pc
-		}},
-	}
-	for _, h := range harnesses {
-		h := h
-		t.Run(h.name, func(t *testing.T) {
-			t.Parallel()
-			reg := obs.NewRegistry()
-			counters := &metrics.TransportCounters{}
-			counters.Register("client", reg)
-			observer := new(register.Observer).Register("client", reg)
-			var g metrics.Gauge
-			g.Register("client.inflight", reg)
-			pc := h.dial(t, counters, observer, &g)
+			t.Cleanup(srv.Close)
+			addrs[i] = srv.Addr()
+		}
+		pc, err := tcp.Dial(addrs, confMajority(servers),
+			tcp.WithTransportCounters(counters), tcp.WithObserver(observer), tcp.WithInFlightGauge(&g))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(pc.Close)
 
-			done := make(chan struct{})
-			var scrapes int
-			go func() {
-				defer close(done)
-				for i := 0; i < rounds; i++ {
-					if err := runPipelinedFlow(pc, regs); err != nil {
-						t.Errorf("round %d: %v", i, err)
-						return
-					}
+		done := make(chan struct{})
+		var scrapes int
+		go func() {
+			defer close(done)
+			for i := 0; i < rounds; i++ {
+				if err := runPipelinedFlow(pc, regs); err != nil {
+					t.Errorf("round %d: %v", i, err)
+					return
 				}
-			}()
-			for {
-				select {
-				case <-done:
-				default:
-					snap := reg.Snapshot()
-					var b strings.Builder
-					snap.WritePrometheus(&b)
-					scrapes++
-					continue
-				}
-				break
 			}
-			if scrapes == 0 {
-				t.Fatal("no concurrent scrapes happened")
+		}()
+		for {
+			select {
+			case <-done:
+			default:
+				snap := reg.Snapshot()
+				var b strings.Builder
+				snap.WritePrometheus(&b)
+				scrapes++
+				continue
 			}
+			break
+		}
+		if scrapes == 0 {
+			t.Fatal("no concurrent scrapes happened")
+		}
 
-			snap := reg.Snapshot()
-			ops := snap.Latencies["client.ops"]
-			if want := int64(rounds * regs * 2); ops.Count != want {
-				t.Errorf("ops count = %d, want %d", ops.Count, want)
+		snap := reg.Snapshot()
+		ops := snap.Latencies["client.ops"]
+		if want := int64(rounds * regs * 2); ops.Count != want {
+			t.Errorf("ops count = %d, want %d", ops.Count, want)
+		}
+		pick, wait := snap.Latencies["client.phase.pick"], snap.Latencies["client.phase.quorum_wait"]
+		if phaseSum := pick.Sum + wait.Sum; phaseSum != ops.Sum {
+			t.Errorf("pipelined Pick (%v) + QuorumWait (%v) = %v, want exactly Ops sum %v",
+				pick.Sum, wait.Sum, phaseSum, ops.Sum)
+		}
+		if snap.Counters["client.msgs_sent"] == 0 || snap.Counters["client.msgs_recv"] == 0 {
+			t.Error("transport counters did not register")
+		}
+		if gv := snap.Gauges["client.inflight"]; gv.Max == 0 {
+			t.Error("in-flight gauge never rose above zero")
+		}
+		var b strings.Builder
+		snap.WritePrometheus(&b)
+		out := b.String()
+		for _, want := range []string{"client_ops_count", "client_phase_pick_count", "client_msgs_sent", "client_inflight_max"} {
+			if !strings.Contains(out, want) {
+				t.Errorf("Prometheus output missing %q", want)
 			}
-			pick, wait := snap.Latencies["client.phase.pick"], snap.Latencies["client.phase.quorum_wait"]
-			if phaseSum := pick.Sum + wait.Sum; phaseSum != ops.Sum {
-				t.Errorf("pipelined Pick (%v) + QuorumWait (%v) = %v, want exactly Ops sum %v",
-					pick.Sum, wait.Sum, phaseSum, ops.Sum)
-			}
-			if snap.Counters["client.msgs_sent"] == 0 || snap.Counters["client.msgs_recv"] == 0 {
-				t.Error("transport counters did not register")
-			}
-			if gv := snap.Gauges["client.inflight"]; gv.Max == 0 {
-				t.Error("in-flight gauge never rose above zero")
-			}
-			var b strings.Builder
-			snap.WritePrometheus(&b)
-			out := b.String()
-			for _, want := range []string{"client_ops_count", "client_phase_pick_count", "client_msgs_sent", "client_inflight_max"} {
-				if !strings.Contains(out, want) {
-					t.Errorf("Prometheus output missing %q", want)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // ---------------------------------------------------------------------------
@@ -1244,7 +1155,7 @@ func TestConformanceObservability(t *testing.T) {
 // machinery changes nothing about any single register's semantics — per-key
 // linearizability must be checked, not assumed (Hadzilacos–Hu–Toueg). The
 // rows below drive mixed-key pipelined load (16 keys, two clients, with
-// concurrent writers on an 8-key subset) through a Keyspace on all four
+// concurrent writers on an 8-key subset) through a Keyspace on both
 // harnesses and then run the single-register checkers key by key, plus a
 // cross-key isolation check: a value written to key A must never surface in
 // key B's trace.
@@ -1495,35 +1406,6 @@ func r2conf(r ksConfResult) confResult { return confResult{errs: r.errs} }
 
 const ksConfServers = 5
 
-func runKsClusterScenario(t *testing.T, row ksConfRow) ksConfResult {
-	t.Helper()
-	c, err := cluster.New(cluster.Config{Servers: ksConfServers, Initial: confInitial(ksConfKeys), Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	log := &trace.Log{}
-	var g metrics.Gauge
-	sys := confMajority(ksConfServers)
-	clients := make([]*cluster.Client, 2)
-	for i := range clients {
-		kc, err := c.NewKeyspace(sys, ksConfShards, register.Settings{Trace: log, Gauge: &g, Monotone: row.monotone})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer kc.Close()
-		clients[i] = kc
-	}
-	flows := ksFlows(row, clients[0].Keyspace(), clients[1].Keyspace())
-	for _, f := range flows {
-		f.start()
-	}
-	for _, f := range flows {
-		<-f.done
-	}
-	return ksResult(flows, log, &g)
-}
-
 func runKsTCPScenario(t *testing.T, row ksConfRow) ksConfResult {
 	t.Helper()
 	initial := confInitial(ksConfKeys)
@@ -1624,7 +1506,6 @@ func TestKeyspaceConformance(t *testing.T) {
 		name string
 		run  func(t *testing.T, row ksConfRow) ksConfResult
 	}{
-		{"cluster", runKsClusterScenario},
 		{"tcp", runKsTCPScenario},
 		{"sim", runKsSimScenario},
 	}

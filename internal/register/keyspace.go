@@ -61,8 +61,8 @@ type Keyspace struct {
 // writer identity and shards). The pipeline options are applied
 // to every shard; pointer-valued options (trace log, gauge, counters,
 // observer) aggregate naturally across shards because the shards share the
-// target. Prefer the transport adapters (tcp.DialKeyspace,
-// cluster.NewKeyspace) unless you are wiring a custom runtime.
+// target. Prefer the transport adapter (tcp.DialKeyspace) unless you are
+// wiring a custom runtime.
 func NewKeyspace(engines []*Engine, send SendFunc, opts ...PipelineOption) *Keyspace {
 	k := newKeyspace(len(engines))
 	for i, e := range engines {

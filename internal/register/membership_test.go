@@ -1,13 +1,13 @@
 package register_test
 
-// Membership conformance: epoch-based dynamic membership exercised on every
-// runtime. Three properties are pinned across transports:
+// Membership conformance: epoch-based dynamic membership exercised on both
+// runtimes. Three properties are pinned across transports:
 //
 //   - Rolling restart: cycling a crash/recover through every replica under
 //     sustained pipelined load produces zero client-visible errors — the
 //     deadline machinery re-picks around each downed server, and no epoch
 //     machinery is even needed (the view does not change).
-//   - Grow/shrink: a run that reconfigures mid-stream (5 → many → 5 servers,
+//   - Grow/shrink: a run that reconfigures mid-stream (5 → more → 5 servers,
 //     three epochs) completes with zero client-visible errors, and the
 //     combined trace still passes the single-register checkers — atomicity
 //     and [R2] hold ACROSS epoch boundaries, because the register semantics
@@ -25,7 +25,6 @@ import (
 	"testing"
 	"time"
 
-	"probquorum/internal/cluster"
 	"probquorum/internal/metrics"
 	"probquorum/internal/msg"
 	"probquorum/internal/quorum"
@@ -38,7 +37,7 @@ import (
 )
 
 // memView builds a view over server indices 0..n-1 (identity members), with
-// the given addresses for dialing transports (nil for in-process runtimes).
+// the given addresses for dialing transports (nil for the simulator).
 func memView(epoch quorum.Epoch, n int, addrs []string) quorum.View {
 	members := make([]int32, n)
 	for i := range members {
@@ -62,16 +61,9 @@ func waitEpoch(t *testing.T, what string, want quorum.Epoch, fn func() quorum.Ep
 	t.Fatalf("%s: epoch stuck at %d, want >= %d", what, fn(), want)
 }
 
-// memBlockingClient is the surface the load generators need; the cluster
-// and tcp clients satisfy it.
-type memBlockingClient interface {
-	Write(msg.RegisterID, msg.Value) error
-	ReadAtomic(msg.RegisterID) (msg.Tagged, error)
-}
-
 // memWriterLoad runs single-writer load — ascending writes, each followed by
 // an atomic read-back — until stop closes, reporting the first error.
-func memWriterLoad(cl memBlockingClient, regs int, stop <-chan struct{}) error {
+func memWriterLoad(cl *tcp.Client, regs int, stop <-chan struct{}) error {
 	for i := 1; ; i++ {
 		select {
 		case <-stop:
@@ -89,7 +81,7 @@ func memWriterLoad(cl memBlockingClient, regs int, stop <-chan struct{}) error {
 }
 
 // memReaderLoad runs atomic reads across the registers until stop closes.
-func memReaderLoad(cl memBlockingClient, regs int, stop <-chan struct{}) error {
+func memReaderLoad(cl *tcp.Client, regs int, stop <-chan struct{}) error {
 	for i := 0; ; i++ {
 		select {
 		case <-stop:
@@ -149,25 +141,16 @@ func memRollTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	memRollingRestart(t, cl, log,
-		func(i int) { stores[i].Crash() },
-		func(i int) { stores[i].Recover() })
-}
 
-// memRollingRestart drives the load/churn choreography shared by the cluster
-// and TCP legs: pipelined load runs while each server in turn goes down for
-// ~100ms and comes back; the client must never surface an error.
-func memRollingRestart(t *testing.T, cl memBlockingClient, log *trace.Log,
-	crash, recover func(i int)) {
-	t.Helper()
+	// Pipelined load runs while each server in turn goes down for ~100ms
+	// and comes back; the client must never surface an error.
 	stop := make(chan struct{})
 	loadErr := make(chan error, 1)
 	go func() { loadErr <- memWriterLoad(cl, rollRegs, stop) }()
-
 	for i := 0; i < rollServers; i++ {
-		crash(i)
+		stores[i].Crash()
 		time.Sleep(100 * time.Millisecond)
-		recover(i)
+		stores[i].Recover()
 		time.Sleep(20 * time.Millisecond)
 	}
 	close(stop)
@@ -185,23 +168,6 @@ func memRollingRestart(t *testing.T, cl memBlockingClient, log *trace.Log,
 }
 
 func TestMembershipRollingRestart(t *testing.T) {
-	t.Run("cluster", func(t *testing.T) {
-		t.Parallel()
-		c, err := cluster.New(cluster.Config{Servers: rollServers, Initial: confInitial(rollRegs), Seed: 31})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		log := &trace.Log{}
-		cl, err := c.NewClient(quorum.NewMajority(rollServers), register.Settings{Monotone: true, Trace: log, OpTimeout: 100 * time.Millisecond})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer cl.Close()
-		memRollingRestart(t, cl, log,
-			func(i int) { c.Server(i).Crash() },
-			func(i int) { c.Server(i).Recover() })
-	})
 	t.Run("tcp", func(t *testing.T) {
 		t.Parallel()
 		memRollTCP(t)
@@ -286,150 +252,11 @@ func memRollSim(t *testing.T) {
 
 // ---------------------------------------------------------------------------
 // Grow/shrink: three epochs mid-stream, with the trace checked across all of
-// them. The cluster leg runs the full 5 -> 34 -> 5 of the roadmap claim; the
-// TCP leg keeps the socket count civil (5 -> 7 -> 5) and adds the real state
-// transfer (tcp.JoinQuorum); the sim leg replays the same choreography on
-// virtual time. Both legs follow the reconfiguration discipline: joiners —
-// and, when shrinking, the survivors — merge a read quorum of the outgoing
-// view before the next view activates.
-
-func TestMembershipGrowShrinkCluster(t *testing.T) {
-	const base, grown, regs = 5, 34, 3
-	c, err := cluster.New(cluster.Config{Servers: base, Initial: confInitial(regs), Seed: 47})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	v1 := memView(1, base, nil)
-	if err := c.InstallView(v1); err != nil {
-		t.Fatal(err)
-	}
-
-	log := &trace.Log{}
-	var tc metrics.TransportCounters
-	writer, err := c.NewClient(v1.System(), register.Settings{View: &v1, Trace: log, OpTimeout: 100 * time.Millisecond, Counters: &tc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer writer.Close()
-	reader, err := c.NewClient(v1.System(), register.Settings{View: &v1, Trace: log, OpTimeout: 100 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reader.Close()
-
-	stop := make(chan struct{})
-	errs := make(chan error, 2)
-	go func() { errs <- memWriterLoad(writer, regs, stop) }()
-	go func() { errs <- memReaderLoad(reader, regs, stop) }()
-
-	// Grow: spawn the joiners, state-transfer them from a read quorum of the
-	// old view (a single member would not do: a committed write only promises
-	// to sit on a write quorum, so joiners must merge a majority), then make
-	// the new view current — first through the reserved view register (the
-	// self-hosting path: an ordinary quorum write under the OLD view), then
-	// InstallView as the deterministic admin-side completion.
-	v2 := memView(2, grown, nil)
-	joiners := make([]int, 0, grown-base)
-	for i := base; i < grown; i++ {
-		idx, err := c.AddServer(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if idx != i {
-			t.Fatalf("AddServer returned index %d, want %d", idx, i)
-		}
-		joiners = append(joiners, idx)
-	}
-	// Seal the old members before the transfer: state captured by the sync
-	// must be final for epoch 1, or a write completing on an old-view quorum
-	// afterwards could be invisible to the 34-server view's quorums. The
-	// self-hosted view write below still goes through — the reserved view
-	// register is exempt — and its SetView side effect is what unseals.
-	for i := 0; i < base; i++ {
-		c.Server(i).Seal()
-	}
-	if err := c.SyncFromQuorum(v1, joiners); err != nil {
-		t.Fatal(err)
-	}
-	admin, err := c.NewClient(v1.System(), register.Settings{View: &v1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := admin.Write(msg.ViewKey, msg.EncodeView(v2)); err != nil {
-		t.Fatalf("self-hosted view write: %v", err)
-	}
-	if err := c.InstallView(v2); err != nil {
-		t.Fatal(err)
-	}
-	waitEpoch(t, "writer grow", 2, writer.Keyspace().Epoch)
-	waitEpoch(t, "reader grow", 2, reader.Keyspace().Epoch)
-	time.Sleep(150 * time.Millisecond) // load genuinely spans the 34-server view
-
-	// Shrink back to the original five. The survivors must merge a read
-	// quorum of the 34-server view before it is retired: a majority of the
-	// five can be disjoint from a 34-view write quorum, so without the sync a
-	// write committed on the big view could vanish from every new quorum.
-	v3 := memView(3, base, nil)
-	survivors := make([]int, base)
-	for i := range survivors {
-		survivors[i] = i
-	}
-	// Same discipline on the way down: seal the whole 34-server view before
-	// the survivors merge it, so nothing commits on big-view quorums after
-	// the merge; InstallView(v3) unseals.
-	for i := 0; i < grown; i++ {
-		c.Server(i).Seal()
-	}
-	if err := c.SyncFromQuorum(v2, survivors); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.InstallView(v3); err != nil {
-		t.Fatal(err)
-	}
-	waitEpoch(t, "writer shrink", 3, writer.Keyspace().Epoch)
-	waitEpoch(t, "reader shrink", 3, reader.Keyspace().Epoch)
-	time.Sleep(100 * time.Millisecond)
-
-	close(stop)
-	for i := 0; i < 2; i++ {
-		if err := <-errs; err != nil {
-			t.Fatalf("client saw an error across the reconfiguration: %v", err)
-		}
-	}
-	memCheckTrace(t, log.Ops())
-	if tc.ViewAdopts.Value() < 2 {
-		t.Errorf("writer adopted %d views, want >= 2 (grow + shrink)", tc.ViewAdopts.Value())
-	}
-	joins, drains, _ := c.Server(0).ViewStats()
-	if joins < int64(grown) || drains < int64(grown-base) {
-		t.Errorf("server 0 ViewStats = %d joins/%d drains, want >= %d/%d",
-			joins, drains, grown, grown-base)
-	}
-	// The clients can only have learned the new epochs through stale-epoch
-	// rejects — but WHICH server issues them depends on quorum picks, so the
-	// count is only meaningful summed across the original members.
-	var stale int64
-	for i := 0; i < base; i++ {
-		_, _, s := c.Server(i).ViewStats()
-		stale += s
-	}
-	if stale == 0 {
-		t.Error("no server ever issued a stale-epoch reject; the clients cannot have migrated lazily")
-	}
-	// The self-hosted copy survives: the view register on server 0 decodes,
-	// and the store's installed view is the newest it has seen.
-	if got := c.Server(0).Get(msg.ViewKey); got.Val != nil {
-		if b, ok := got.Val.([]byte); ok {
-			if dv, err := msg.DecodeView(b); err != nil || dv.Epoch == 0 {
-				t.Errorf("view register holds undecodable view: %v", err)
-			}
-		}
-	}
-	if e := c.Server(0).Epoch(); e != 3 {
-		t.Errorf("server 0 epoch = %d, want 3", e)
-	}
-}
+// them. The sim leg runs the full 5 -> 34 -> 5 of the roadmap claim on
+// virtual time; the TCP leg keeps the socket count civil (5 -> 7 -> 5) and
+// adds the real state transfer (tcp.JoinQuorum), following the
+// reconfiguration discipline: joiners — and, when shrinking, the survivors —
+// merge a read quorum of the outgoing view before the next view activates.
 
 func TestMembershipGrowShrinkTCP(t *testing.T) {
 	const base, grown, regs = 5, 7, 3
@@ -583,15 +410,15 @@ func (c *memViewSwitchNode) Timer(ctx *sim.Context, _ int, _ any) {
 }
 
 // TestMembershipGrowShrinkSim replays the grow/shrink choreography on
-// virtual time: 5 -> 9 -> 5 over three epochs, a single writer and an atomic
+// virtual time: 5 -> 34 -> 5 over three epochs, a single writer and an atomic
 // reader riding through both switches on stale-epoch rejects alone.
 func TestMembershipGrowShrinkSim(t *testing.T) {
-	const base, grown, regs = 5, 9, 3
+	const base, grown, regs = 5, 34, 3
 	s := sim.New(53, sim.DistDelay{Dist: rng.Exponential{MeanD: time.Millisecond}})
 	stores := make([]*replica.Store, grown)
 	for srv := 0; srv < grown; srv++ {
 		// All nodes exist in the simulated network from the start; membership
-		// is what brings the last four into (and back out of) service.
+		// is what brings the last 29 into (and back out of) service.
 		stores[srv] = replica.New(msg.NodeID(srv), confInitial(regs))
 		s.Add(msg.NodeID(srv), &replica.SimNode{Store: stores[srv]})
 	}
@@ -632,10 +459,28 @@ func TestMembershipGrowShrinkSim(t *testing.T) {
 			t.Fatalf("sim proc %d %s (epoch %d)", pi, why, n.pl.Epoch())
 		}
 	}
-	if adopts.ViewAdopts.Value() == 0 {
-		t.Fatal("neither client ever adopted a view; the switches cannot have happened mid-stream")
+	if got := adopts.ViewAdopts.Value(); got < 2 {
+		t.Fatalf("the clients adopted %d views, want >= 2: the switches cannot both have happened mid-stream", got)
 	}
 	memCheckTrace(t, log.Ops())
+	for _, pi := range []*simScript{writer, reader} {
+		if e := pi.pl.Epoch(); e != 3 {
+			t.Errorf("a client finished on epoch %d, want 3", e)
+		}
+	}
+	// The clients can only have learned the new epochs through stale-epoch
+	// rejects, so some member must have issued one.
+	var stale int64
+	for _, st := range stores {
+		_, _, s := st.ViewStats()
+		stale += s
+	}
+	if stale == 0 {
+		t.Error("no server ever issued a stale-epoch reject; the clients cannot have migrated lazily")
+	}
+	if joins, drains, _ := stores[0].ViewStats(); joins < grown || drains < grown-base {
+		t.Errorf("server 0 ViewStats = %d joins/%d drains, want >= %d/%d", joins, drains, grown, grown-base)
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -645,17 +490,25 @@ func TestMembershipGrowShrinkSim(t *testing.T) {
 
 func TestMembershipCrashJoinRace(t *testing.T) {
 	const base, regs = 5, 3
-	c, err := cluster.New(cluster.Config{Servers: base, Initial: confInitial(regs), Seed: 61})
-	if err != nil {
-		t.Fatal(err)
+	initial := confInitial(regs)
+	addrs := make([]string, base)
+	stores := make([]*replica.Store, base)
+	for i := range stores {
+		stores[i] = replica.New(msg.NodeID(i), initial)
+		srv, err := tcp.Listen(stores[i], "127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("listen server %d: %v", i, err)
+		}
+		t.Cleanup(srv.Close)
+		addrs[i] = srv.Addr()
 	}
-	defer c.Close()
-	v1 := memView(1, base, nil)
-	if err := c.InstallView(v1); err != nil {
-		t.Fatal(err)
+	v1 := memView(1, base, addrs)
+	for _, st := range stores {
+		st.SetView(v1)
 	}
 	log := &trace.Log{}
-	cl, err := c.NewClient(v1.System(), register.Settings{View: &v1, Trace: log, OpTimeout: 100 * time.Millisecond})
+	cl, err := tcp.Dial(nil, v1.System(), tcp.WithView(v1), tcp.WithTrace(log),
+		tcp.WithOpTimeout(100*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -667,19 +520,23 @@ func TestMembershipCrashJoinRace(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 
 	// Server 0 dies. While it is down, a replacement joins by merging the
-	// surviving read quorum (the crashed member is skipped, like any silent
-	// server) and a view replaces the dead member with the joiner.
-	c.Server(0).Crash()
-	idx, err := c.AddServer(nil)
+	// surviving read quorum (the crashed member's pull fails and is skipped,
+	// like any silent server) and a view replaces the dead member with the
+	// joiner.
+	stores[0].Crash()
+	joiner := replica.New(msg.NodeID(base), nil)
+	if err := tcp.JoinQuorum(joiner, v1, 2*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := tcp.Listen(joiner, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.SyncFromQuorum(v1, []int{idx}); err != nil {
-		t.Fatal(err)
-	}
-	v2 := quorum.View{Epoch: 2, Members: []int32{int32(idx), 1, 2, 3, 4}}
-	if err := c.InstallView(v2); err != nil {
-		t.Fatal(err)
+	t.Cleanup(srv.Close)
+	v2 := quorum.View{Epoch: 2, Members: []int32{int32(base), 1, 2, 3, 4},
+		Addrs: append([]string{srv.Addr()}, addrs[1:]...)}
+	for _, st := range append(stores[1:], joiner) {
+		st.SetView(v2)
 	}
 	waitEpoch(t, "crash-join", 2, cl.Keyspace().Epoch)
 	time.Sleep(150 * time.Millisecond)
@@ -689,20 +546,18 @@ func TestMembershipCrashJoinRace(t *testing.T) {
 		t.Fatalf("client saw an error across the crash-join: %v", err)
 	}
 	memCheckTrace(t, log.Ops())
-	if err := trace.CheckMonotone(log.Ops()); err == nil {
-		// Monotone not configured on this client; CheckMonotone still must
-		// not fail on a single-writer trace.
-	} else {
+	// Monotone is not configured on this client; CheckMonotone still must
+	// not fail on a single-writer trace.
+	if err := trace.CheckMonotone(log.Ops()); err != nil {
 		t.Errorf("[R4]: %v", err)
 	}
 	// The late recovery is harmless: the recovered server is outside the
 	// view and clients no longer address it.
-	c.Server(0).Recover()
+	stores[0].Recover()
 	if got, err := cl.ReadAtomic(0); err != nil || got.Val == nil {
 		t.Fatalf("read after recovery: %v (val %v)", err, got.Val)
 	}
-	joins, _, _ := c.Server(idx).ViewStats()
-	if joins == 0 {
+	if joins, _, _ := joiner.ViewStats(); joins == 0 {
 		t.Error("joiner installed no view")
 	}
 }

@@ -63,7 +63,7 @@ func TestRetryBudgetArithmetic(t *testing.T) {
 	sys := func() quorum.System { return quorum.NewAll(n) }
 
 	// The engine's two drivers over a transport: the one-shard Keyspace every
-	// cluster and tcp client is, and a bare Pipeline. Each reads register 0
+	// tcp client is, and a bare Pipeline. Each reads register 0
 	// once.
 	drivers := []struct {
 		name string
@@ -128,6 +128,24 @@ func TestRetryBudgetArithmetic(t *testing.T) {
 			})
 		}
 	}
+
+	// A re-fan after a stale-epoch reject is a reconfiguration, not a
+	// fault: however many an operation rides through, its whole retry
+	// budget is left.
+	t.Run("operation/view-refans-are-free", func(t *testing.T) {
+		e := NewEngine(1, sys(), rand.New(rand.NewPCG(3, 4)))
+		op := &Operation{e: e, kind: opRead, reg: 0, retries: 1}
+		op.start(nil)
+		for i := 0; i < 5; i++ {
+			op.retryView(nil)
+		}
+		if _, err := op.retry(nil); err != nil {
+			t.Fatalf("first retry after view re-fans: %v, want the budget intact", err)
+		}
+		if _, err := op.retry(nil); !errors.Is(err, ErrQuorumUnavailable) {
+			t.Fatalf("second retry: err = %v, want ErrQuorumUnavailable", err)
+		}
+	})
 
 	// retries = 0 is unlimited: with the first two attempts swallowed, a
 	// capped driver with budget "1" would fail, but both drivers must ride

@@ -13,8 +13,8 @@ import (
 
 // Settings is the one register-client configuration: which register class a
 // client runs and how it is bounded and instrumented. Every adapter holds
-// one — the cluster runtime takes it whole, the tcp package's With* options
-// each set one field of it, and the simulator runner fills one in — and this
+// one — the tcp package's With* options each set one field of it, and the
+// simulator runner fills one in — and this
 // package is the only place that reads it: Engine builds the engine, and
 // ApplyPipeline the pipeline option, so no layer translates its fields again.
 //

@@ -19,8 +19,8 @@ var ErrNotInView = errors.New("transport: server index not in current view")
 // Updater is implemented by transports that can re-target their endpoints at
 // runtime when the membership view changes. Update rebinds server index i to
 // the view's i-th member: the TCP adapter re-dials joiners and drains leavers
-// on the live writer path, the cluster adapter swaps its sink slices under
-// the generation lock, and the simulator reschedules nodes on virtual time.
+// on the live writer path, and the simulator reschedules nodes on virtual
+// time.
 // Updates are idempotent and ordered by epoch — an Update carrying an epoch
 // the transport has already adopted (or an older one) is a no-op.
 type Updater interface {

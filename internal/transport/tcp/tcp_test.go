@@ -348,3 +348,21 @@ func TestReadAtomicOverTCP(t *testing.T) {
 		}
 	}
 }
+
+func TestWithTallyRecordsQuorums(t *testing.T) {
+	addrs := startCluster(t, 5, map[msg.RegisterID]msg.Value{0: "init"})
+	tally := metrics.NewAccessTally(5)
+	cl, err := Dial(addrs, quorum.NewProbabilistic(5, 2), WithTally(tally))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	for i := 0; i < 7; i++ {
+		if _, err := cl.Read(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := tally.Total(); got != 7 {
+		t.Fatalf("tally ops = %d, want 7", got)
+	}
+}

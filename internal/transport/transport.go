@@ -1,6 +1,6 @@
 // Package transport defines the seam between the transport-agnostic register
-// client (internal/register) and the concrete message carriers: the
-// goroutine cluster, TCP sockets, and the discrete-event simulator.
+// client (internal/register) and the concrete message carriers: TCP sockets
+// and the discrete-event simulator.
 //
 // A Transport is a minimal fan-out primitive. It knows how to hand an opaque
 // request to one of N servers and how to deliver whatever comes back — it

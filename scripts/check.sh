@@ -97,7 +97,7 @@ echo "== fault-aware fan-out and the serve loop under the race detector =="
 # others, and a crash suspected once for the set.
 go test -race -cpu 2,8 \
     -run 'TestFlappingServerNoLivelock|TestSilentServerCostsOneDeadline|TestLossWithoutDeadline|TestCloseFailsPendingRead|TestConformance/crash-topup|TestHealth|TestCrashCostsOneRoundTrip|TestKilledListenerIsNotSilent|TestPartitionCostsOneDeadline|TestServeWritesOncePerRead|TestSlowReaderStallsOnlyItself|TestServerCloseNoGoroutineLeak|TestConnSet' \
-    ./internal/register ./internal/cluster ./internal/transport ./internal/transport/tcp
+    ./internal/register ./internal/transport ./internal/transport/tcp
 
 echo "== load harness smoke soak =="
 # A 30-second open-loop soak against an in-process TCP server set, always
@@ -154,11 +154,13 @@ fi
 # register's variant and instrument options, and the batch-size and
 # fast-read ablation knobs went with the translations between them. Write
 # timestamps come from one counter per engine: the per-register map went.
-retired_uses="$(grep -rnE '\.wts\b|WireGob|WithWire|WithInlineReplies|RegisterValueType|BatchReplySink|WithRetryBackoff|WithLatency|register\.Apply\(|register\.ClientOption|phaseTimer|\bDialPipelined\b|\bPipelinedClient\b|\bPipeClient\b|register\.NewClient|\.Detach\(|\bWithClock\b|\bNew(Atomic)?(Read|Write)Op\b|\bprocNode\b|confSimNode|memSimNode|cluster\.With|cluster\.ClientOption|WithMaxBatch|WithoutFastRead|register\.Monotone\(|register\.(With(Tally|ReadRepair|Masking|View|WriteSystem)|Pipe(Trace|Gauge|Counters|Observer))\(' \
+# Two harnesses run the protocol, the simulator and loopback TCP: the
+# in-memory goroutine runtime and the Alg. 1 runner over it went.
+retired_uses="$(grep -rnE 'internal/cluster|\bRunConcurrent\b|\bConcurrentConfig\b|\.wts\b|WireGob|WithWire|WithInlineReplies|RegisterValueType|BatchReplySink|WithRetryBackoff|WithLatency|register\.Apply\(|register\.ClientOption|phaseTimer|\bDialPipelined\b|\bPipelinedClient\b|\bPipeClient\b|register\.NewClient|\.Detach\(|\bWithClock\b|\bNew(Atomic)?(Read|Write)Op\b|\bprocNode\b|confSimNode|memSimNode|cluster\.With|cluster\.ClientOption|WithMaxBatch|WithoutFastRead|register\.Monotone\(|register\.(With(Tally|ReadRepair|Masking|View|WriteSystem)|Pipe(Trace|Gauge|Counters|Observer))\(' \
     --include='*.go' . | grep -v '"PipelinedClient"' || true)"
 gob_imports="$(grep -rn '"encoding/gob"' --include='*.go' --exclude='*_test.go' . || true)"
 if [ -n "$retired_uses$gob_imports" ]; then
-    echo "check.sh: retired identifiers reappeared (gob wire, inline replies, per-element reply sink, serial-client options, client facades, hand-driven operations):" >&2
+    echo "check.sh: retired identifiers reappeared (gob wire, inline replies, per-element reply sink, serial-client options, client facades, hand-driven operations, the goroutine runtime):" >&2
     echo "$retired_uses$gob_imports" >&2
     hygiene_fail=1
 fi
@@ -194,6 +196,18 @@ fi
 if [ "$hygiene_fail" -ne 0 ]; then
     exit 1
 fi
+
+echo "== examples =="
+# Every example is a program a reader runs first, so each must fail loudly:
+# the Alg. 1 examples exit non-zero when their run does not converge or
+# their own check of the result fails, and quickstart when its monotone
+# reader regresses.
+for ex in examples/*/; do
+    if ! go run "./$ex" > /dev/null; then
+        echo "check.sh: $ex failed" >&2
+        exit 1
+    fi
+done
 
 echo "== bench module =="
 # bench/ is a nested module, so the ./... patterns above never compile it; an
