@@ -279,6 +279,43 @@ func TestRunTCPPipelined(t *testing.T) {
 	}
 }
 
+// TestRunTCPPipelinedSmallQuorums: pipelined monotone workers still reach the
+// exact fixed point when every quorum is 2 of 6 servers, far below the strict
+// threshold, so reads routinely miss the latest write and only the monotone
+// cache and repetition carry the iteration.
+func TestRunTCPPipelinedSmallQuorums(t *testing.T) {
+	g := graph.Chain(6)
+	op := semiring.NewAPSP(g)
+	target := semiring.APSPTarget(g)
+	log := &trace.Log{}
+	gauge := &metrics.Gauge{}
+	res, err := aco.RunTCP(aco.TCPConfig{
+		Op:        op,
+		Target:    target,
+		Servers:   6,
+		Procs:     3,
+		System:    quorum.NewProbabilistic(6, 2),
+		Monotone:  true,
+		Seed:      2,
+		Pipelined: true,
+		Trace:     log,
+		Gauge:     gauge,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Converged {
+		t.Fatal("pipelined TCP run over 2-of-6 quorums did not converge")
+	}
+	if !aco.VectorsEqual(op, res.Final, target) {
+		t.Fatal("pipelined TCP final vector differs from the fixed point")
+	}
+	checkPipelinedTrace(t, log, true)
+	if gauge.Max() < 2 {
+		t.Fatalf("in-flight gauge high-watermark = %d, want >= 2", gauge.Max())
+	}
+}
+
 // TestRunTCPPipelinedThroughCrashAndRecovery: the availability story with
 // the pipelined client — a replica crashes at start and recovers mid-run;
 // per-operation deadlines re-issue stalled operations on fresh quorums and

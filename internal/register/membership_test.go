@@ -410,15 +410,23 @@ func (c *memViewSwitchNode) Timer(ctx *sim.Context, _ int, _ any) {
 }
 
 // TestMembershipGrowShrinkSim replays the grow/shrink choreography on
-// virtual time: 5 -> 34 -> 5 over three epochs, a single writer and an atomic
-// reader riding through both switches on stale-epoch rejects alone.
+// virtual time: 5 -> grown -> 5 over three epochs, a single writer and an
+// atomic reader riding through both switches on stale-epoch rejects alone.
+// The 34-server row is the paper's largest system; on virtual time it is as
+// cheap as the small one.
 func TestMembershipGrowShrinkSim(t *testing.T) {
-	const base, grown, regs = 5, 34, 3
+	for _, grown := range []int{9, 34} {
+		t.Run(fmt.Sprintf("5-%d-5", grown), func(t *testing.T) { memGrowShrinkSim(t, grown) })
+	}
+}
+
+func memGrowShrinkSim(t *testing.T, grown int) {
+	const base, regs = 5, 3
 	s := sim.New(53, sim.DistDelay{Dist: rng.Exponential{MeanD: time.Millisecond}})
 	stores := make([]*replica.Store, grown)
 	for srv := 0; srv < grown; srv++ {
 		// All nodes exist in the simulated network from the start; membership
-		// is what brings the last 29 into (and back out of) service.
+		// is what brings the last grown-base into (and back out of) service.
 		stores[srv] = replica.New(msg.NodeID(srv), confInitial(regs))
 		s.Add(msg.NodeID(srv), &replica.SimNode{Store: stores[srv]})
 	}
@@ -478,7 +486,7 @@ func TestMembershipGrowShrinkSim(t *testing.T) {
 	if stale == 0 {
 		t.Error("no server ever issued a stale-epoch reject; the clients cannot have migrated lazily")
 	}
-	if joins, drains, _ := stores[0].ViewStats(); joins < grown || drains < grown-base {
+	if joins, drains, _ := stores[0].ViewStats(); joins < int64(grown) || drains < int64(grown-base) {
 		t.Errorf("server 0 ViewStats = %d joins/%d drains, want >= %d/%d", joins, drains, grown, grown-base)
 	}
 }

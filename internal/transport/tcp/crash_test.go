@@ -435,3 +435,75 @@ func TestServerCloseDrainsUnderCrashLoad(t *testing.T) {
 		t.Fatal("client operation wedged after server close")
 	}
 }
+
+// TestCrashedMinorityToleratedWithRetries: with 2 of 5 replicas crashed,
+// 2-of-5 quorums still exist among the live three, and re-picked attempts
+// land on them: a write completes and a read by the same client, whose
+// quorum must meet the write's among three live servers, returns it.
+func TestCrashedMinorityToleratedWithRetries(t *testing.T) {
+	addrs, servers := pipeCluster(t, 5, map[msg.RegisterID]msg.Value{0: "init"})
+	servers[0].Store().Crash()
+	servers[1].Store().Crash()
+	cl := dialClient(t, addrs, quorum.NewProbabilistic(5, 2),
+		WithOpTimeout(5*time.Millisecond), WithRetries(200))
+	if err := watchdog(t, 10*time.Second, "write with a crashed minority", func() error {
+		return cl.Write(0, "survived")
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var tag msg.Tagged
+	if err := watchdog(t, 10*time.Second, "read with a crashed minority", func() error {
+		var err error
+		tag, err = cl.Read(0)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if tag.Val != "survived" {
+		t.Fatalf("read %v", tag.Val)
+	}
+}
+
+// TestProbabilisticRetriesExhausted: when every replica is crashed, no
+// re-pick of a 1-of-3 quorum can answer, and the retry budget surfaces
+// ErrQuorumUnavailable.
+func TestProbabilisticRetriesExhausted(t *testing.T) {
+	addrs, servers := pipeCluster(t, 3, map[msg.RegisterID]msg.Value{0: "init"})
+	for _, s := range servers {
+		s.Store().Crash()
+	}
+	cl := dialClient(t, addrs, quorum.NewProbabilistic(3, 1),
+		WithOpTimeout(5*time.Millisecond), WithRetries(3))
+	if err := watchdog(t, 5*time.Second, "read against crashed replicas", func() error {
+		_, err := cl.Read(0)
+		return err
+	}); !errors.Is(err, register.ErrQuorumUnavailable) {
+		t.Fatalf("err = %v, want ErrQuorumUnavailable", err)
+	}
+}
+
+// TestRecoveryAfterCrash: a replica keeps its state across a crash. While it
+// is down a read over all three servers cannot complete; once it recovers
+// the read returns the write from before the crash.
+func TestRecoveryAfterCrash(t *testing.T) {
+	addrs, servers := pipeCluster(t, 3, map[msg.RegisterID]msg.Value{0: "init"})
+	cl := dialClient(t, addrs, quorum.NewAll(3), WithOpTimeout(20*time.Millisecond), WithRetries(2))
+	if err := cl.Write(0, "before"); err != nil {
+		t.Fatal(err)
+	}
+	servers[1].Store().Crash()
+	if err := watchdog(t, 5*time.Second, "read with a crashed member", func() error {
+		_, err := cl.Read(0)
+		return err
+	}); !errors.Is(err, register.ErrQuorumUnavailable) {
+		t.Fatalf("read with a crashed member of NewAll(3): err = %v, want ErrQuorumUnavailable", err)
+	}
+	servers[1].Store().Recover()
+	tag, err := cl.Read(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tag.Val != "before" {
+		t.Fatalf("read %v after recovery; state lost across crash/recover", tag.Val)
+	}
+}

@@ -198,3 +198,55 @@ func TestCloseFailsPendingRead(t *testing.T) {
 		})
 	}
 }
+
+// TestCloseFailsPendingAsync: closing a client releases the waiter of an
+// asynchronous operation that no server can answer.
+func TestCloseFailsPendingAsync(t *testing.T) {
+	addrs, servers := pipeCluster(t, 5, map[msg.RegisterID]msg.Value{0: "init"})
+	cl, err := Dial(addrs, quorum.NewMajority(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range servers {
+		s.Store().Crash()
+	}
+	op := cl.ReadAsync(0)
+	cl.Close()
+	done := make(chan error, 1)
+	go func() { _, err := op.Wait(); done <- err }()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrClientClosed) {
+			t.Fatalf("pending async read after Close: err = %v, want ErrClientClosed", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("pending async read not released by Close")
+	}
+}
+
+// TestReadWriteWithDelays: every server sits behind links of a different
+// delay, so replies reach each client out of fan-out order; majority reads
+// still return each completed write.
+func TestReadWriteWithDelays(t *testing.T) {
+	addrs, _ := pipeCluster(t, 5, map[msg.RegisterID]msg.Value{0: "init"})
+	sys := quorum.NewMajority(5)
+	w, wl := linkedClient(t, addrs, sys, WithWriter(1), WithSeed(1))
+	r, rl := linkedClient(t, addrs, sys, WithWriter(2), WithSeed(2))
+	for s := range addrs {
+		d := time.Duration(s) * 100 * time.Microsecond
+		wl[s].SetDelay(d)
+		rl[s].SetDelay(d)
+	}
+	for i := 1; i <= 5; i++ {
+		if err := w.Write(0, i); err != nil {
+			t.Fatal(err)
+		}
+		tag, err := r.Read(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tag.Val != i {
+			t.Fatalf("read %v after write %d", tag.Val, i)
+		}
+	}
+}

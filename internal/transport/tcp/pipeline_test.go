@@ -2,6 +2,7 @@ package tcp
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"sync"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"probquorum/internal/quorum"
 	"probquorum/internal/register"
 	"probquorum/internal/replica"
+	"probquorum/internal/rng"
 	"probquorum/internal/trace"
 )
 
@@ -295,4 +297,183 @@ func TestPipelinedClientRetriesExhausted(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatalf("bounded retries did not surface within 10s")
 	}
+}
+
+// TestPipelinedClientsTracedRandomSchedule: three clients, each on
+// connections of its own, run random schedules of blocking reads and writes
+// over shared registers and end with an async burst; the shared trace must
+// pass the pipelined structural check, [R2] and [R4], and show overlap.
+func TestPipelinedClientsTracedRandomSchedule(t *testing.T) {
+	const regs = 4
+	initial := map[msg.RegisterID]msg.Value{}
+	for r := 0; r < regs; r++ {
+		initial[msg.RegisterID(r)] = 0.0
+	}
+	addrs, _ := pipeCluster(t, 5, initial)
+	log := &trace.Log{}
+	gauge := &metrics.Gauge{}
+	const clients = 3
+	pcs := make([]*Client, clients)
+	for i := range pcs {
+		pcs[i] = dialClient(t, addrs, quorum.NewMajority(5), WithWriter(int32(i+1)), WithSeed(uint64(i+1)),
+			WithMonotone(), WithTrace(log), WithInFlightGauge(gauge))
+	}
+
+	var wg sync.WaitGroup
+	for ci, pc := range pcs {
+		ci, pc := ci, pc
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r := rng.Derive(uint64(990+ci), "pipe.schedule")
+			for i := 0; i < 60; i++ {
+				reg := msg.RegisterID(r.IntN(regs))
+				if r.IntN(3) == 0 {
+					if err := pc.Write(reg, float64(ci*1000+i)); err != nil {
+						t.Errorf("client %d write: %v", ci, err)
+						return
+					}
+				} else if _, err := pc.Read(reg); err != nil {
+					t.Errorf("client %d read: %v", ci, err)
+					return
+				}
+			}
+			// A burst of async reads over all registers guarantees this
+			// client overlapped operations at least once.
+			pend := make([]*register.PendingOp, 0, regs)
+			for reg := msg.RegisterID(0); reg < regs; reg++ {
+				pend = append(pend, pc.ReadAsync(reg))
+			}
+			for _, op := range pend {
+				if _, err := op.Wait(); err != nil {
+					t.Errorf("client %d burst read: %v", ci, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	ops := log.Ops()
+	if err := trace.CheckPipelinedWellFormed(ops); err != nil {
+		t.Fatalf("pipelined well-formedness: %v", err)
+	}
+	if err := trace.CheckReadsFrom(ops); err != nil {
+		t.Fatalf("[R2]: %v", err)
+	}
+	if err := trace.CheckMonotone(ops); err != nil {
+		t.Fatalf("[R4]: %v", err)
+	}
+	if got := trace.MaxInFlight(ops); got < 2 {
+		t.Fatalf("MaxInFlight = %d, want >= 2", got)
+	}
+	if gauge.Max() < 2 {
+		t.Fatalf("in-flight gauge high-watermark = %d, want >= 2", gauge.Max())
+	}
+	if gauge.Value() != 0 {
+		t.Fatalf("in-flight gauge after quiescence = %d, want 0", gauge.Value())
+	}
+}
+
+// TestPipelinedClientRidesOutCrashTraced: a client with retry deadlines
+// keeps writing and reading four registers while a replica is crashed, and
+// the trace of the whole run, recovery included, stays valid.
+func TestPipelinedClientRidesOutCrashTraced(t *testing.T) {
+	initial := map[msg.RegisterID]msg.Value{0: 0.0, 1: 0.0, 2: 0.0, 3: 0.0}
+	addrs, servers := pipeCluster(t, 5, initial)
+	log := &trace.Log{}
+	c := dialClient(t, addrs, quorum.NewMajority(5),
+		WithMonotone(), WithTrace(log), WithOpTimeout(20*time.Millisecond), WithRetries(0))
+	if err := c.Write(0, 1.0); err != nil {
+		t.Fatalf("warm-up write: %v", err)
+	}
+	servers[0].Store().Crash()
+	for i := 0; i < 15; i++ {
+		reg := msg.RegisterID(i % 4)
+		if err := c.Write(reg, float64(i)); err != nil {
+			t.Fatalf("write %d with a crashed replica: %v", i, err)
+		}
+		if _, err := c.Read(reg); err != nil {
+			t.Fatalf("read %d with a crashed replica: %v", i, err)
+		}
+	}
+	servers[0].Store().Recover()
+	if _, err := c.Read(0); err != nil {
+		t.Fatalf("read after recovery: %v", err)
+	}
+
+	ops := log.Ops()
+	if err := trace.CheckPipelinedWellFormed(ops); err != nil {
+		t.Fatalf("pipelined well-formedness under crashes: %v", err)
+	}
+	if err := trace.CheckReadsFrom(ops); err != nil {
+		t.Fatalf("[R2] under crashes: %v", err)
+	}
+	if err := trace.CheckMonotone(ops); err != nil {
+		t.Fatalf("[R4] under crashes: %v", err)
+	}
+}
+
+// TestPipelinedMaskingAndRepair: with operations in flight at once, repaired
+// reads push the freshest value to every stale replica, and masked reads
+// then outvote a replica that holds a fabricated newer value.
+func TestPipelinedMaskingAndRepair(t *testing.T) {
+	const regs = 4
+	initial := map[msg.RegisterID]msg.Value{0: 0.0, 1: 0.0, 2: 0.0, 3: 0.0}
+	addrs, servers := pipeCluster(t, 5, initial)
+	w := dialClient(t, addrs, quorum.NewSingleton(5, 0), WithWriter(1))
+	for reg := msg.RegisterID(0); reg < regs; reg++ {
+		if err := w.Write(reg, "honest"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	repair := dialClient(t, addrs, quorum.NewAll(5), WithWriter(2), WithReadRepair())
+	if err := readAllHonest(repair, regs); err != nil {
+		t.Fatal(err)
+	}
+	if got := repair.Keyspace().Shard(0).Engine().Repairs(); got != 16 {
+		t.Fatalf("repairs = %d, want 16 (four stale members on each of four registers)", got)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for s, srv := range servers {
+		for reg := msg.RegisterID(0); reg < regs; reg++ {
+			for srv.Store().Get(reg).Val != "honest" { // the repairs are fire-and-forget
+				if time.Now().After(deadline) {
+					t.Fatalf("server %d register %d never repaired", s, reg)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
+	}
+
+	evil := msg.Tagged{TS: msg.Timestamp{Seq: 1 << 40, Writer: 99}, Val: "EVIL"}
+	for reg := msg.RegisterID(0); reg < regs; reg++ {
+		servers[4].Store().Apply(msg.WriteReq{Reg: reg, Op: 1, Tag: evil})
+	}
+	masked := dialClient(t, addrs, quorum.NewAll(5), WithWriter(3), WithMasking(1))
+	if err := readAllHonest(masked, regs); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// readAllHonest reads registers 0..n-1 all in flight at once and checks each
+// returns the honest value.
+func readAllHonest(c *Client, n int) error {
+	ops := make([]*register.PendingOp, n)
+	for reg := range ops {
+		ops[reg] = c.ReadAsync(msg.RegisterID(reg))
+	}
+	for reg, op := range ops {
+		tag, err := op.Wait()
+		if err != nil {
+			return err
+		}
+		if tag.Val != "honest" {
+			return fmt.Errorf("register %d read %v, want the honest value", reg, tag.Val)
+		}
+	}
+	return nil
 }

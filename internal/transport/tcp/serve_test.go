@@ -545,3 +545,35 @@ func TestServeCoalescedEpochEcho(t *testing.T) {
 		}
 	}
 }
+
+// TestCloseLeavesNoGoroutines: after a workload, closing the client and then
+// every server joins every goroutine either side started.
+func TestCloseLeavesNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	addrs := make([]string, 8)
+	servers := make([]*Server, 8)
+	for i := range servers {
+		srv, err := Listen(replica.New(msg.NodeID(i), map[msg.RegisterID]msg.Value{0: 0}), "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		servers[i], addrs[i] = srv, srv.Addr()
+	}
+	cl, err := Dial(addrs, quorum.NewMajority(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		if err := cl.Write(0, i); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cl.Read(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cl.Close()
+	for _, srv := range servers {
+		srv.Close()
+	}
+	waitGoroutines(t, before)
+}
