@@ -49,8 +49,8 @@
 // The last row is several processes sharing one connection set: each engine
 // keeps its own writer identity, pick stream, monotone cache and retry
 // budget, while the sockets, the op-id-residue reply demultiplexing and the
-// suspicion table are the set's (aco.RunTCP runs a job's workers so, one
-// socket per server whatever the worker count). tcp.Dial and
+// suspicion table are the set's (aco.RunTCP runs a job's processes so, one
+// socket per server whatever the process count). tcp.Dial and
 // tcp.DialKeyspace are a set with one engine, closed with it.
 //
 // The second column is what the first is built from: the protocol cores

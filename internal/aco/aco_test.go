@@ -365,45 +365,45 @@ func TestRunSimMaxRoundsCap(t *testing.T) {
 	}
 }
 
+// TestRunSimConfigValidation runs every malformed configuration against both
+// runners, which share one check: each must return an error, not panic.
 func TestRunSimConfigValidation(t *testing.T) {
 	good := chainConfig(6, 2, true, true, 1)
-
-	bad := good
-	bad.Servers = 0
-	if _, err := aco.RunSim(bad); err == nil {
-		t.Fatal("zero servers accepted")
+	cases := []struct {
+		name string
+		edit func(*aco.SimConfig)
+	}{
+		{"zero servers", func(c *aco.SimConfig) { c.Servers = 0 }},
+		{"missing quorum system", func(c *aco.SimConfig) { c.System = nil }},
+		{"mismatched system size", func(c *aco.SimConfig) { c.System = quorum.NewProbabilistic(99, 2) }},
+		{"short target", func(c *aco.SimConfig) { c.Target = []msg.Value{1} }},
+		{"diverging operator without target", func(c *aco.SimConfig) { c.Op, c.Target = diverging{}, nil }},
 	}
-
-	bad = good
-	bad.System = nil
-	if _, err := aco.RunSim(bad); err == nil {
-		t.Fatal("missing quorum system accepted")
+	for _, tc := range cases {
+		bad := good
+		tc.edit(&bad)
+		t.Run(tc.name+"/sim", func(t *testing.T) {
+			if _, err := aco.RunSim(bad); err == nil {
+				t.Fatal("accepted")
+			}
+		})
+		t.Run(tc.name+"/tcp", func(t *testing.T) {
+			_, err := aco.RunTCP(aco.TCPConfig{
+				Op: bad.Op, Target: bad.Target, Servers: bad.Servers, System: bad.System,
+				Monotone: bad.Monotone, Seed: bad.Seed,
+			})
+			if err == nil {
+				t.Fatal("accepted")
+			}
+		})
 	}
-
-	bad = good
-	bad.System = quorum.NewProbabilistic(99, 2)
-	if _, err := aco.RunSim(bad); err == nil {
-		t.Fatal("mismatched system size accepted")
-	}
-
-	bad = good
-	bad.Delay = nil
-	if _, err := aco.RunSim(bad); err == nil {
-		t.Fatal("missing delay accepted")
-	}
-
-	bad = good
-	bad.Target = []msg.Value{1}
-	if _, err := aco.RunSim(bad); err == nil {
-		t.Fatal("short target accepted")
-	}
-
-	bad = good
-	bad.Op = diverging{}
-	bad.Target = nil
-	if _, err := aco.RunSim(bad); err == nil {
-		t.Fatal("diverging operator without target accepted")
-	}
+	t.Run("missing delay/sim", func(t *testing.T) {
+		bad := good
+		bad.Delay = nil
+		if _, err := aco.RunSim(bad); err == nil {
+			t.Fatal("accepted")
+		}
+	})
 }
 
 func TestRunSimFewerProcsThanComponents(t *testing.T) {

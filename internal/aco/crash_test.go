@@ -1,6 +1,7 @@
 package aco_test
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -103,9 +104,40 @@ func TestCrashScheduleValidation(t *testing.T) {
 		t.Fatal("negative crash time accepted")
 	}
 	cfg = crashConfig(6, 2, 4)
-	cfg.Crashes = []aco.CrashEvent{{AfterIteration: 1, Server: 0}}
+	cfg.Crashes = []aco.CrashEvent{{AfterIteration: -1, Server: 0}}
 	if _, err := aco.RunSim(cfg); err == nil {
-		t.Fatal("progress trigger accepted by the simulator, which has none")
+		t.Fatal("negative progress trigger accepted")
+	}
+}
+
+// TestRunSimProgressCrashes: the simulator honours crashes keyed to process
+// 0's progress, as RunTCP does. Two of six replicas go silent after process
+// 0's first iteration and come back after its fifth; the deadlines they cost
+// show as retries, the run replays exactly, and it converges.
+func TestRunSimProgressCrashes(t *testing.T) {
+	cfg := crashConfig(6, 2, 4)
+	cfg.Crashes = []aco.CrashEvent{
+		{AfterIteration: 1, Server: 0},
+		{AfterIteration: 1, Server: 1},
+		{AfterIteration: 5, Server: 0, Recover: true},
+		{AfterIteration: 5, Server: 1, Recover: true},
+	}
+	a, err := aco.RunSim(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := aco.RunSim(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Retries == 0 {
+		t.Fatal("no retries recorded; the progress-keyed crashes did not fire")
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("same seed, different runs:\n%+v\n%+v", a, b)
+	}
+	if !a.Converged {
+		t.Fatal("did not converge through progress-keyed crashes")
 	}
 }
 

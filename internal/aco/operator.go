@@ -13,8 +13,9 @@
 //   - a synchronous fixed-point solver producing reference answers,
 //   - the update-sequence machinery (change/view schedules, conditions
 //     [A1]–[A3], pseudocycle detection) from the original framework,
-//   - Alg. 1 runners executing the iteration over shared random registers
-//     on the discrete-event simulator and on the concurrent runtime.
+//   - Alg. 1 over shared random registers: one process, which never blocks,
+//     and one convergence and round monitor, run by RunSim on the
+//     discrete-event simulator and by RunTCP over loopback sockets.
 package aco
 
 import (

@@ -326,17 +326,17 @@ func TestRunTCPPipelinedThroughCrashAndRecovery(t *testing.T) {
 	target := semiring.APSPTarget(g)
 	log := &trace.Log{}
 	res, err := aco.RunTCP(aco.TCPConfig{
-		Op:            op,
-		Target:        target,
-		Servers:       6,
-		Procs:         3,
-		System:        quorum.NewProbabilistic(6, 3),
-		Monotone:      true,
-		Seed:          1,
-		MaxIterations: 20000,
-		DriverConfig:  aco.DriverConfig{OpTimeout: 100 * time.Millisecond},
-		Pipelined:     true,
-		Trace:         log,
+		Op:           op,
+		Target:       target,
+		Servers:      6,
+		Procs:        3,
+		System:       quorum.NewProbabilistic(6, 3),
+		Monotone:     true,
+		Seed:         1,
+		MaxRounds:    20000,
+		DriverConfig: aco.DriverConfig{OpTimeout: 100 * time.Millisecond},
+		Pipelined:    true,
+		Trace:        log,
 		Crashes: []aco.CrashEvent{
 			{At: 0, Server: 1},
 			{At: 150 * time.Millisecond, Server: 1, Recover: true},

@@ -69,8 +69,8 @@ type SimConfig struct {
 	// A process whose operation exhausts a non-zero Retries budget aborts
 	// the run: RunSim returns its register.ErrQuorumUnavailable.
 	DriverConfig
-	// Crashes schedules replica crash/recovery events at virtual times,
-	// exercising the availability story end-to-end.
+	// Crashes schedules replica crash/recovery events at virtual times or
+	// on process 0's progress, exercising the availability story end-to-end.
 	Crashes []CrashEvent
 	// MaxEvents caps delivered simulator events (default 50 million): the
 	// backstop that terminates runs making no round progress at all, such
@@ -92,143 +92,39 @@ type SimConfig struct {
 
 // SimResult reports one execution's outcome.
 type SimResult struct {
-	// Converged reports whether every process's owned components matched
-	// the fixed point simultaneously before MaxRounds.
-	Converged bool
-	// Rounds is the number of rounds until convergence (counting a final
-	// partial round), or the cap if not converged — a lower bound, as in
-	// the paper's Figure 2 open squares.
-	Rounds int
-	// Iterations is the total number of completed loop iterations summed
-	// over all processes.
-	Iterations int64
-	// Messages is the total message count (requests and replies).
-	Messages int64
-	// CacheHits counts monotone reads served from the client cache.
-	CacheHits int64
-	// Retries counts operation deadlines that expired and re-issued the
-	// attempt on a fresh quorum (only with OpTimeout set).
-	Retries int64
+	Outcome
 	// VirtualTime is the simulated time at which the run ended.
 	VirtualTime sim.Time
-	// Final is the register contents at the end of the run: for each
-	// component, the maximum-timestamp value across all replicas.
-	Final []msg.Value
 }
 
-// monitor tracks convergence and round structure across all processes. A
-// round is the minimal contiguous window in which every process completes
-// at least one full iteration that started within the window (paper,
-// Sections 6.3 and 7).
-type monitor struct {
-	procs      int
-	correct    []bool
-	nCorrect   int
-	roundStart sim.Time
-	inRound    []bool
-	nInRound   int
-	rounds     int
-	maxRounds  int
-	converged  bool
-	roundsConv int
-	iterations int64
+// simProc runs a process as a simulator node: its pipeline's sends and
+// deadlines are simulator events, so the simulator needs no protocol driver
+// of its own.
+type simProc struct {
+	*process
+	pl  *register.Pipeline
+	ctx *sim.Context
 }
 
-func newMonitor(procs, maxRounds int) *monitor {
-	return &monitor{
-		procs:     procs,
-		correct:   make([]bool, procs),
-		inRound:   make([]bool, procs),
-		maxRounds: maxRounds,
-	}
+// Init keeps the node's context, which lasts the run, and starts it.
+func (n *simProc) Init(ctx *sim.Context) {
+	n.ctx = ctx
+	n.startIteration(0)
 }
 
-func (mo *monitor) iterationDone(ctx *sim.Context, proc int, start sim.Time, correct bool) {
-	if mo.converged {
-		return
-	}
-	mo.iterations++
-	if correct != mo.correct[proc] {
-		mo.correct[proc] = correct
-		if correct {
-			mo.nCorrect++
-		} else {
-			mo.nCorrect--
-		}
-	}
-	// Round bookkeeping first, so convergence detected on the iteration
-	// that closes a round is attributed to that round.
-	if start >= mo.roundStart && !mo.inRound[proc] {
-		mo.inRound[proc] = true
-		mo.nInRound++
-		if mo.nInRound == mo.procs {
-			mo.rounds++
-			mo.roundStart = ctx.Now()
-			for i := range mo.inRound {
-				mo.inRound[i] = false
-			}
-			mo.nInRound = 0
-		}
-	}
-	if mo.nCorrect == mo.procs {
-		mo.converged = true
-		mo.roundsConv = mo.rounds
-		if mo.nInRound > 0 {
-			mo.roundsConv++ // convergence mid-round: the partial round counts
-		}
-		ctx.Stop()
-		return
-	}
-	if mo.rounds >= mo.maxRounds {
-		ctx.Stop()
-	}
-}
+func (n *simProc) Recv(_ *sim.Context, from msg.NodeID, m any) { n.pl.Deliver(int(from), m) }
 
 // RunSim executes Alg. 1 once under the configuration and returns the
 // measured result.
 func RunSim(cfg SimConfig) (SimResult, error) {
-	op := cfg.Op
-	m := op.M()
-	procs := cfg.Procs
-	if procs == 0 {
-		procs = m
-	}
-	if cfg.Servers <= 0 {
-		return SimResult{}, fmt.Errorf("aco: invalid server count %d", cfg.Servers)
-	}
-	if cfg.System == nil {
-		return SimResult{}, fmt.Errorf("aco: missing quorum system")
-	}
-	if cfg.System.N() != cfg.Servers {
-		return SimResult{}, fmt.Errorf("aco: quorum system covers %d servers, cluster has %d",
-			cfg.System.N(), cfg.Servers)
-	}
 	if cfg.Delay == nil && cfg.DelayModel == nil {
 		return SimResult{}, fmt.Errorf("aco: missing delay distribution")
 	}
-	target := cfg.Target
-	if target == nil && cfg.Correct == nil {
-		fp, _, err := FixedPoint(op, 0)
-		if err != nil {
-			return SimResult{}, fmt.Errorf("computing fixed point: %w", err)
-		}
-		target = fp
-	}
-	if target != nil && len(target) != m {
-		return SimResult{}, fmt.Errorf("aco: target has %d components, operator has %d", len(target), m)
-	}
-	part := BlockPartition(m, procs)
-	if err := part.Validate(); err != nil {
+	j, err := newJob(cfg.Op, cfg.Target, cfg.Correct, cfg.Servers, cfg.Procs, cfg.MaxRounds,
+		cfg.System, cfg.Crashes, cfg.OpTimeout)
+	if err != nil {
 		return SimResult{}, err
 	}
-	maxRounds := cfg.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = 10000
-	}
-	if err := validateCrashes(cfg.Crashes, cfg.Servers, cfg.OpTimeout, false); err != nil {
-		return SimResult{}, err
-	}
-
 	model := cfg.DelayModel
 	if model == nil {
 		model = sim.DistDelay{Dist: cfg.Delay}
@@ -239,81 +135,45 @@ func RunSim(cfg SimConfig) (SimResult, error) {
 		maxEvents = 50_000_000
 	}
 	s.SetMaxEvents(maxEvents)
-
-	initial := op.Initial()
-	regInit := make(map[msg.RegisterID]msg.Value, m)
-	for i, v := range initial {
-		regInit[msg.RegisterID(i)] = v
+	for srv, st := range j.stores {
+		s.Add(msg.NodeID(srv), &replica.SimNode{Store: st})
 	}
-	stores := make([]*replica.Store, cfg.Servers)
-	for srv := 0; srv < cfg.Servers; srv++ {
-		stores[srv] = replica.New(msg.NodeID(srv), regInit)
-		s.Add(msg.NodeID(srv), &replica.SimNode{Store: stores[srv]})
-	}
-
+	procs := j.part.P()
+	crashID := msg.NodeID(cfg.Servers + procs)
+	j.mon.clock, j.mon.halt = s.Clock(crashID), s.Stop
 	if len(cfg.Crashes) > 0 {
-		s.Add(msg.NodeID(cfg.Servers+procs), &faultController{stores: stores, events: cfg.Crashes})
+		s.Add(crashID, crashNode{j.mon})
 	}
 
-	mon := newMonitor(procs, maxRounds)
 	settings := register.Settings{
 		OpTimeout: cfg.OpTimeout, Retries: cfg.Retries, Trace: cfg.Trace, Gauge: cfg.Gauge,
 		Monotone: cfg.Monotone, ReadRepair: cfg.ReadRepair, Tally: cfg.Tally, WriteSystem: cfg.WriteSystem,
 	}
-	nodes := make([]*pipeProcNode, procs)
-	for pi := 0; pi < procs; pi++ {
+	pls := make([]*register.Pipeline, procs)
+	for pi := range pls {
 		engine, err := settings.Engine(int32(pi), cfg.System, rng.Derive(cfg.Seed, fmt.Sprintf("aco.engine.%d", pi)))
 		if err != nil {
 			return SimResult{}, err
 		}
 		self := msg.NodeID(cfg.Servers + pi)
-		node := &pipeProcNode{
-			idx:     pi,
-			serial:  !cfg.Pipelined,
-			op:      op,
-			owned:   part.Owned(pi),
-			m:       m,
-			target:  target,
-			correct: cfg.Correct,
-			mon:     mon,
-		}
+		node := &simProc{}
 		send := func(server int, req any) { node.ctx.Send(msg.NodeID(server), req) }
 		settings.Proc = self
-		node.pl = register.NewPipeline(engine, send, register.ApplyPipeline(settings), register.PipeClock(s.Clock(self)))
-		nodes[pi] = node
+		pls[pi] = register.NewPipeline(engine, send, register.ApplyPipeline(settings), register.PipeClock(s.Clock(self)))
+		node.pl, node.process = pls[pi], j.process(pi, pls[pi], cfg.Pipelined)
 		s.Add(self, node)
 	}
 
 	s.Run()
 
-	var cacheHits, retries int64
-	for _, node := range nodes {
-		if node.err != nil {
-			return SimResult{}, node.err
-		}
-		cacheHits += node.pl.Engine().CacheHits()
-		retries += node.pl.Retries()
+	if j.mon.err != nil {
+		return SimResult{}, j.mon.err
 	}
-	rounds := mon.roundsConv
-	if !mon.converged {
-		rounds = mon.rounds
+	res := SimResult{Outcome: j.outcome(), VirtualTime: s.Now()}
+	res.Messages = s.Messages()
+	for _, pl := range pls {
+		res.CacheHits += pl.Engine().CacheHits()
+		res.Retries += pl.Retries()
 	}
-	final := make([]msg.Value, m)
-	for i := 0; i < m; i++ {
-		best := stores[0].Get(msg.RegisterID(i))
-		for _, st := range stores[1:] {
-			best = msg.MaxTagged(best, st.Get(msg.RegisterID(i)))
-		}
-		final[i] = best.Val
-	}
-	return SimResult{
-		Converged:   mon.converged,
-		Rounds:      rounds,
-		Iterations:  mon.iterations,
-		Messages:    s.Messages(),
-		CacheHits:   cacheHits,
-		Retries:     retries,
-		VirtualTime: s.Now(),
-		Final:       final,
-	}, nil
+	return res, nil
 }

@@ -14,7 +14,7 @@ import (
 
 // TestRunTCPConvergesThroughCrashAndRecovery is the end-to-end availability
 // test over real sockets: a replica crashes right at the start and recovers
-// once worker 0 has completed two iterations; workers ride out the outage by
+// once process 0 has completed two iterations; processes ride out the outage by
 // replacing the member whose connection the crashed store closes, and the
 // iteration still reaches the fixed point.
 func TestRunTCPConvergesThroughCrashAndRecovery(t *testing.T) {
@@ -22,15 +22,15 @@ func TestRunTCPConvergesThroughCrashAndRecovery(t *testing.T) {
 	op := semiring.NewAPSP(g)
 	target := semiring.APSPTarget(g)
 	res, err := aco.RunTCP(aco.TCPConfig{
-		Op:            op,
-		Target:        target,
-		Servers:       6,
-		Procs:         3,
-		System:        quorum.NewProbabilistic(6, 3),
-		Monotone:      true,
-		Seed:          1,
-		MaxIterations: 20000,
-		DriverConfig:  aco.DriverConfig{OpTimeout: 100 * time.Millisecond},
+		Op:           op,
+		Target:       target,
+		Servers:      6,
+		Procs:        3,
+		System:       quorum.NewProbabilistic(6, 3),
+		Monotone:     true,
+		Seed:         1,
+		MaxRounds:    20000,
+		DriverConfig: aco.DriverConfig{OpTimeout: 100 * time.Millisecond},
 		Crashes: []aco.CrashEvent{
 			{At: 0, Server: 1},
 			{AfterIteration: 2, Server: 1, Recover: true},
@@ -84,19 +84,19 @@ func TestRunTCPCrashScheduleRequiresTimeout(t *testing.T) {
 
 // TestRunTCPAllCrashedFailsFast: with every replica permanently crashed and
 // a finite retry budget, the run surfaces the typed quorum-unavailability
-// error promptly — workers stop on the first failure instead of spinning to
-// the (deliberately huge) iteration cap.
+// error promptly — processes stop on the first failure instead of spinning to
+// the (deliberately huge) round cap.
 func TestRunTCPAllCrashedFailsFast(t *testing.T) {
 	g := graph.Chain(4)
 	start := time.Now()
 	_, err := aco.RunTCP(aco.TCPConfig{
-		Op:            semiring.NewAPSP(g),
-		Target:        semiring.APSPTarget(g),
-		Servers:       4,
-		Procs:         2,
-		System:        quorum.NewProbabilistic(4, 2),
-		Seed:          3,
-		MaxIterations: 1_000_000,
+		Op:        semiring.NewAPSP(g),
+		Target:    semiring.APSPTarget(g),
+		Servers:   4,
+		Procs:     2,
+		System:    quorum.NewProbabilistic(4, 2),
+		Seed:      3,
+		MaxRounds: 1_000_000,
 		DriverConfig: aco.DriverConfig{
 			OpTimeout: 30 * time.Millisecond,
 			Retries:   3,
@@ -114,9 +114,9 @@ func TestRunTCPAllCrashedFailsFast(t *testing.T) {
 	if !errors.Is(err, register.ErrQuorumUnavailable) {
 		t.Fatalf("err = %v, want register.ErrQuorumUnavailable", err)
 	}
-	// OpTimeout×retries bounds each op; the first worker failure releases
-	// the rest. Far below what 10^6 iterations would cost.
+	// OpTimeout×retries bounds each op; the first failure stops
+	// the rest. Far below what 10^6 rounds would cost.
 	if elapsed := time.Since(start); elapsed > 30*time.Second {
-		t.Fatalf("failure took %v; workers did not stop promptly", elapsed)
+		t.Fatalf("failure took %v; processes did not stop promptly", elapsed)
 	}
 }

@@ -261,3 +261,51 @@ func TestRunTCPWithCrashedServers(t *testing.T) {
 		t.Fatal("no member was replaced; the crashes were not exercised")
 	}
 }
+
+// TestRunTCPRounds: rounds on sockets follow the simulator's definition. One
+// process closes a round with every iteration; with several, every round
+// takes an iteration of each, so rounds × processes never exceeds the
+// iterations.
+func TestRunTCPRounds(t *testing.T) {
+	g := graph.Chain(8)
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			res, err := aco.RunTCP(aco.TCPConfig{
+				Op: semiring.NewAPSP(g), Target: semiring.APSPTarget(g),
+				Servers: 8, Procs: procs, System: quorum.NewProbabilistic(8, 3),
+				Monotone: true, Seed: 6,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Converged {
+				t.Fatal("did not converge")
+			}
+			t.Logf("%d rounds, %d iterations", res.Rounds, res.Iterations)
+			if procs == 1 && int64(res.Rounds) != res.Iterations {
+				t.Fatalf("one process: %d rounds for %d iterations, want equal", res.Rounds, res.Iterations)
+			}
+			if res.Rounds <= 0 || int64(res.Rounds*procs) > res.Iterations {
+				t.Fatalf("%d rounds × %d processes against %d iterations", res.Rounds, procs, res.Iterations)
+			}
+		})
+	}
+}
+
+// TestRunTCPMaxRounds: a cap of one round stops a job that needs several
+// (one process iterating APSP on chain(8) over majorities: a Jacobi sweep a
+// round) and reports it as not converged.
+func TestRunTCPMaxRounds(t *testing.T) {
+	g := graph.Chain(8)
+	res, err := aco.RunTCP(aco.TCPConfig{
+		Op: semiring.NewAPSP(g), Target: semiring.APSPTarget(g),
+		Servers: 5, Procs: 1, System: quorum.NewMajority(5),
+		Seed: 7, MaxRounds: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Converged || res.Rounds != 1 || res.Iterations != 1 {
+		t.Fatalf("converged = %v after %d rounds, %d iterations; want false, 1, 1", res.Converged, res.Rounds, res.Iterations)
+	}
+}

@@ -14,8 +14,8 @@ import (
 
 // TCPFaultConfig parameterizes the TCP fault-tolerance demonstration (E16):
 // the APSP workload over real loopback sockets, once on a healthy cluster
-// and once with replicas crashing after worker 0's CrashAfter-th iteration
-// and recovering after its RecoverAfter-th. Workers survive the outage by
+// and once with replicas crashing after process 0's CrashAfter-th iteration
+// and recovering after its RecoverAfter-th. Processes survive the outage by
 // replacing the members whose connections the crashed stores close, through
 // per-operation deadlines and fresh-quorum retries, and transparent
 // reconnects — the paper's Section 4 availability mechanism realized over a
@@ -30,22 +30,22 @@ type TCPFaultConfig struct {
 	K int
 	// Vertices is the APSP chain length (default 8).
 	Vertices int
-	// Procs is the number of workers (default 4).
+	// Procs is the number of processes (default 4).
 	Procs int
 	// Crashed is how many replicas crash (default 2).
 	Crashed int
-	// CrashAfter is worker 0's iteration after which the replicas crash
+	// CrashAfter is process 0's iteration after which the replicas crash
 	// (default 1).
 	CrashAfter int
-	// RecoverAfter is worker 0's iteration after which they recover
+	// RecoverAfter is process 0's iteration after which they recover
 	// (default 3); a run that converges first ends with them still down.
 	RecoverAfter int
 	// OpTimeout is the per-operation deadline (default 100ms).
 	OpTimeout time.Duration
 	// Seed is the base seed.
 	Seed uint64
-	// MaxIterations caps each worker's loop (default 50000).
-	MaxIterations int
+	// MaxRounds caps each run (default 50000).
+	MaxRounds int
 	// Obs, if non-nil, attaches a live metrics registry to both scenarios'
 	// runners (see aco.TCPConfig.Obs); pair with obs.Serve to watch the
 	// fault run's retries, reconnects, and per-phase latencies as they
@@ -81,8 +81,8 @@ func (c *TCPFaultConfig) applyDefaults() {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.MaxIterations == 0 {
-		c.MaxIterations = 50000
+	if c.MaxRounds == 0 {
+		c.MaxRounds = 50000
 	}
 }
 
@@ -90,6 +90,7 @@ func (c *TCPFaultConfig) applyDefaults() {
 type TCPFaultRow struct {
 	Scenario   string
 	Converged  bool
+	Rounds     int
 	Iterations int64
 	Retries    int64
 	Timeouts   int64
@@ -138,17 +139,17 @@ func RunTCPFault(cfg TCPFaultConfig) (TCPFaultResult, error) {
 	res := TCPFaultResult{Config: cfg}
 	for _, sc := range scenarios {
 		r, err := aco.RunTCP(aco.TCPConfig{
-			Op:            op,
-			Target:        target,
-			Servers:       cfg.N,
-			Procs:         cfg.Procs,
-			System:        quorum.NewProbabilistic(cfg.N, cfg.K),
-			Monotone:      true,
-			Seed:          cfg.Seed,
-			MaxIterations: cfg.MaxIterations,
-			DriverConfig:  aco.DriverConfig{OpTimeout: cfg.OpTimeout},
-			Crashes:       sc.crashes,
-			Obs:           cfg.Obs,
+			Op:           op,
+			Target:       target,
+			Servers:      cfg.N,
+			Procs:        cfg.Procs,
+			System:       quorum.NewProbabilistic(cfg.N, cfg.K),
+			Monotone:     true,
+			Seed:         cfg.Seed,
+			MaxRounds:    cfg.MaxRounds,
+			DriverConfig: aco.DriverConfig{OpTimeout: cfg.OpTimeout},
+			Crashes:      sc.crashes,
+			Obs:          cfg.Obs,
 		})
 		if err != nil {
 			return TCPFaultResult{}, fmt.Errorf("tcpfault %s: %w", sc.name, err)
@@ -159,6 +160,7 @@ func RunTCPFault(cfg TCPFaultConfig) (TCPFaultResult, error) {
 		res.Rows = append(res.Rows, TCPFaultRow{
 			Scenario:   sc.name,
 			Converged:  r.Converged,
+			Rounds:     r.Rounds,
 			Iterations: r.Iterations,
 			Retries:    r.Retries,
 			Timeouts:   r.Timeouts,
@@ -173,18 +175,19 @@ func RunTCPFault(cfg TCPFaultConfig) (TCPFaultResult, error) {
 // Render writes the TCP fault-tolerance table.
 func (r TCPFaultResult) Render(w io.Writer) error {
 	if _, err := fmt.Fprintf(w,
-		"TCP fault tolerance: APSP chain m=%d over %d loopback replicas, k=%d, %d workers\n"+
-			"%d replicas crash after worker 0's iteration %d and recover after its iteration %d; per-operation deadline %v, unlimited retries\n\n",
+		"TCP fault tolerance: APSP chain m=%d over %d loopback replicas, k=%d, %d processes\n"+
+			"%d replicas crash after process 0's iteration %d and recover after its iteration %d; per-operation deadline %v, unlimited retries\n\n",
 		r.Config.Vertices, r.Config.N, r.Config.K, r.Config.Procs,
 		r.Config.Crashed, r.Config.CrashAfter, r.Config.RecoverAfter, r.Config.OpTimeout); err != nil {
 		return err
 	}
-	headers := []string{"scenario", "converged", "iterations", "retries", "timeouts", "reconnects", "top_ups", "elapsed"}
+	headers := []string{"scenario", "converged", "rounds", "iterations", "retries", "timeouts", "reconnects", "top_ups", "elapsed"}
 	var rows [][]string
 	for _, row := range r.Rows {
 		rows = append(rows, []string{
 			row.Scenario,
 			fmt.Sprintf("%v", row.Converged),
+			I(row.Rounds),
 			I64(row.Iterations),
 			I64(row.Retries),
 			I64(row.Timeouts),
@@ -198,12 +201,13 @@ func (r TCPFaultResult) Render(w io.Writer) error {
 
 // RenderCSV writes the scenario rows as CSV.
 func (r TCPFaultResult) RenderCSV(w io.Writer) error {
-	headers := []string{"scenario", "converged", "iterations", "retries", "timeouts", "reconnects", "top_ups", "elapsed_ms"}
+	headers := []string{"scenario", "converged", "rounds", "iterations", "retries", "timeouts", "reconnects", "top_ups", "elapsed_ms"}
 	var rows [][]string
 	for _, row := range r.Rows {
 		rows = append(rows, []string{
 			row.Scenario,
 			fmt.Sprintf("%v", row.Converged),
+			I(row.Rounds),
 			I64(row.Iterations),
 			I64(row.Retries),
 			I64(row.Timeouts),

@@ -22,8 +22,8 @@ func TestTCPFaultSmoke(t *testing.T) {
 		t.Fatalf("got %d rows, want 2", len(res.Rows))
 	}
 	for _, row := range res.Rows {
-		if !row.Converged {
-			t.Fatalf("scenario %q did not converge", row.Scenario)
+		if !row.Converged || row.Rounds <= 0 {
+			t.Fatalf("scenario %q: converged = %v in %d rounds", row.Scenario, row.Converged, row.Rounds)
 		}
 	}
 	if res.Rows[0].Retries != 0 {
@@ -36,14 +36,19 @@ func TestTCPFaultSmoke(t *testing.T) {
 	if err := res.Render(&tbl); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(tbl.String(), "reconnects") {
-		t.Fatalf("table lacks the reconnect column:\n%s", tbl.String())
+	for _, col := range []string{"rounds", "reconnects"} {
+		if !strings.Contains(tbl.String(), col) {
+			t.Fatalf("table lacks the %s column:\n%s", col, tbl.String())
+		}
 	}
 	if err := res.RenderCSV(&csv); err != nil {
 		t.Fatal(err)
 	}
 	if got := strings.Count(csv.String(), "\n"); got != 3 {
 		t.Fatalf("CSV has %d lines, want 3", got)
+	}
+	if !strings.HasPrefix(csv.String(), "scenario,converged,rounds,iterations,") {
+		t.Fatalf("CSV header lacks the rounds column:\n%s", csv.String())
 	}
 }
 
@@ -56,7 +61,7 @@ func TestTCPFaultValidation(t *testing.T) {
 	}
 }
 
-// TestTCPFaultObservedEveryRun is E16's non-vacuity gate: keyed to worker
+// TestTCPFaultObservedEveryRun is E16's non-vacuity gate: keyed to process
 // 0's progress, the crash lands inside the run on every run, so the crash
 // arm's fault counters are never all zero (RunTCPFault fails if they are)
 // and the healthy arm's always are.

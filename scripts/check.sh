@@ -94,10 +94,13 @@ echo "== fault-aware fan-out and the serve loop under the race detector =="
 # without leaking a goroutine. So do the connection-set rows, where several
 # engines share those sockets: separate caches and retry budgets, replies
 # demultiplexed to the engine that issued them, an engine closed under the
-# others, and a crash suspected once for the set.
+# others, and a crash suspected once for the set. So do the Alg. 1 runs over
+# sockets and the monitor they report to: a process's completions arrive on
+# the connections' reader goroutines and on deadline timers, and each one
+# reports to the one monitor.
 go test -race -cpu 2,8 \
-    -run 'TestFlappingServerNoLivelock|TestSilentServerCostsOneDeadline|TestLossWithoutDeadline|TestCloseFailsPendingRead|TestConformance/crash-topup|TestHealth|TestCrashCostsOneRoundTrip|TestKilledListenerIsNotSilent|TestPartitionCostsOneDeadline|TestServeWritesOncePerRead|TestSlowReaderStallsOnlyItself|TestServerCloseNoGoroutineLeak|TestConnSet' \
-    ./internal/register ./internal/transport ./internal/transport/tcp
+    -run 'TestFlappingServerNoLivelock|TestSilentServerCostsOneDeadline|TestLossWithoutDeadline|TestCloseFailsPendingRead|TestConformance/crash-topup|TestHealth|TestCrashCostsOneRoundTrip|TestKilledListenerIsNotSilent|TestPartitionCostsOneDeadline|TestServeWritesOncePerRead|TestSlowReaderStallsOnlyItself|TestServerCloseNoGoroutineLeak|TestConnSet|TestRunTCP|TestMonitor' \
+    ./internal/register ./internal/transport ./internal/transport/tcp ./internal/aco
 
 echo "== load harness smoke soak =="
 # A 30-second open-loop soak against an in-process TCP server set, always
@@ -155,12 +158,14 @@ fi
 # fast-read ablation knobs went with the translations between them. Write
 # timestamps come from one counter per engine: the per-register map went.
 # Two harnesses run the protocol, the simulator and loopback TCP: the
-# in-memory goroutine runtime and the Alg. 1 runner over it went.
-retired_uses="$(grep -rnE 'internal/cluster|\bRunConcurrent\b|\bConcurrentConfig\b|\.wts\b|WireGob|WithWire|WithInlineReplies|RegisterValueType|BatchReplySink|WithRetryBackoff|WithLatency|register\.Apply\(|register\.ClientOption|phaseTimer|\bDialPipelined\b|\bPipelinedClient\b|\bPipeClient\b|register\.NewClient|\.Detach\(|\bWithClock\b|\bNew(Atomic)?(Read|Write)Op\b|\bprocNode\b|confSimNode|memSimNode|cluster\.With|cluster\.ClientOption|WithMaxBatch|WithoutFastRead|register\.Monotone\(|register\.(With(Tally|ReadRepair|Masking|View|WriteSystem)|Pipe(Trace|Gauge|Counters|Observer))\(' \
+# in-memory goroutine runtime and the Alg. 1 runner over it went. Both run
+# one Alg. 1 process and one monitor: the blocking worker, its convergence
+# tracker and the iteration cap (MaxRounds replaced it) went.
+retired_uses="$(grep -rnE 'internal/cluster|\bRunConcurrent\b|convergenceTracker|\bnewWorker\b|\bMaxIterations\b|\bConcurrentConfig\b|\.wts\b|WireGob|WithWire|WithInlineReplies|RegisterValueType|BatchReplySink|WithRetryBackoff|WithLatency|register\.Apply\(|register\.ClientOption|phaseTimer|\bDialPipelined\b|\bPipelinedClient\b|\bPipeClient\b|register\.NewClient|\.Detach\(|\bWithClock\b|\bNew(Atomic)?(Read|Write)Op\b|\bprocNode\b|confSimNode|memSimNode|cluster\.With|cluster\.ClientOption|WithMaxBatch|WithoutFastRead|register\.Monotone\(|register\.(With(Tally|ReadRepair|Masking|View|WriteSystem)|Pipe(Trace|Gauge|Counters|Observer))\(' \
     --include='*.go' . | grep -v '"PipelinedClient"' || true)"
 gob_imports="$(grep -rn '"encoding/gob"' --include='*.go' --exclude='*_test.go' . || true)"
 if [ -n "$retired_uses$gob_imports" ]; then
-    echo "check.sh: retired identifiers reappeared (gob wire, inline replies, per-element reply sink, serial-client options, client facades, hand-driven operations, the goroutine runtime):" >&2
+    echo "check.sh: retired identifiers reappeared (gob wire, inline replies, per-element reply sink, serial-client options, client facades, hand-driven operations, the goroutine runtime, the blocking Alg. 1 worker):" >&2
     echo "$retired_uses$gob_imports" >&2
     hygiene_fail=1
 fi
