@@ -3,6 +3,7 @@ package aco
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"probquorum/internal/register"
@@ -18,13 +19,19 @@ import (
 // and a completion that arrives after the stop is ignored.
 type monitor struct {
 	// clock stamps iterations and round boundaries and arms the crash
-	// schedule: the simulator's virtual clock, or monotonic time since the
-	// processes started. halt stops the run: sim.Sim.Stop, or closing the
-	// channel RunTCP waits on. The runner sets both before it starts.
+	// schedule: virtual time, or monotonic time since the processes started.
+	// halt is called at the stop: sim.Sim.Stop, or a no-op over sockets,
+	// where RunTCP waits for busy to drain. The runner sets both first.
 	clock   register.Clock
 	halt    func()
 	stores  []*replica.Store
 	crashes []CrashEvent
+	// busy counts operations from submission until their completion
+	// returns. A process submits its next operation before that return and
+	// quits only after the stop, so busy is zero only once the job is quiet;
+	// settle then hands idle, if set, a token.
+	busy atomic.Int64
+	idle chan struct{}
 
 	mu         sync.Mutex
 	stopped    bool
@@ -39,6 +46,16 @@ type monitor struct {
 	converged  bool
 	iterations int64
 	progress   int // process 0's completed iterations, which AfterIteration counts
+}
+
+// settle ends an operation's completion.
+func (mo *monitor) settle() {
+	if mo.busy.Add(-1) == 0 && mo.idle != nil {
+		select {
+		case mo.idle <- struct{}{}:
+		default:
+		}
+	}
 }
 
 // ignore reports whether an operation's completion must be ignored: the run
@@ -109,8 +126,7 @@ func (mo *monitor) iterationDone(proc int, start time.Duration, correct bool) (n
 // schedule arms the crash events keyed to time on the monitor's clock; the
 // ones keyed to progress fire from iterationDone. An event that comes due
 // after the stop is dropped, so no store changes under the final read-back.
-func (mo *monitor) schedule() []register.Timer {
-	var timers []register.Timer
+func (mo *monitor) schedule() (timers []register.Timer) {
 	for _, ev := range mo.crashes {
 		if ev.AfterIteration == 0 {
 			timers = append(timers, mo.clock.AfterFunc(ev.At, func() {
@@ -123,4 +139,30 @@ func (mo *monitor) schedule() []register.Timer {
 		}
 	}
 	return timers
+}
+
+// CrashEvent schedules a replica crash or recovery, at a time or on the
+// run's progress. Both runners honour both forms: RunSim in virtual time,
+// RunTCP in wall-clock time since its processes started.
+type CrashEvent struct {
+	// At is the time of the event.
+	At time.Duration
+	// AfterIteration, if positive, fires the event when process 0 completes
+	// that many iterations, instead of at At. Over sockets a wall-clock
+	// offset races the run it is meant to interrupt — a job faster than the
+	// offset never sees the fault — so progress is the form that lands
+	// inside the run however fast the host is.
+	AfterIteration int
+	// Server is the replica index.
+	Server int
+	// Recover brings the server back instead of crashing it.
+	Recover bool
+}
+
+func (ev CrashEvent) apply(stores []*replica.Store) {
+	if ev.Recover {
+		stores[ev.Server].Recover()
+	} else {
+		stores[ev.Server].Crash()
+	}
 }

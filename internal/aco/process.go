@@ -29,19 +29,20 @@ type DriverConfig struct {
 type correctFunc = func(owned []int, newVals, view []msg.Value) bool
 
 // job is what both runners set up alike: the checked configuration, the
-// fixed point (unless a Correct test replaces it), the block partition, one
-// replica store per server seeded from op.Initial, and the monitor.
+// convergence test, the block partition, one replica store per server
+// seeded from op.Initial, and the monitor.
 type job struct {
 	op      Operator
-	target  []msg.Value
 	correct correctFunc
 	part    Partition
 	stores  []*replica.Store
 	mon     *monitor
 }
 
-// newJob checks a runner configuration and builds its job. The runner sets
-// the monitor's clock and halt before it starts the processes.
+// newJob makes the one check of a runner configuration and builds its job.
+// Without a Correct test, a process is correct when its owned components
+// equal the fixed point: target, or computed when nil. The runner sets the
+// monitor's clock and halt before it starts the processes.
 func newJob(op Operator, target []msg.Value, correct correctFunc, servers, procs, maxRounds int,
 	sys quorum.System, crashes []CrashEvent, opTimeout time.Duration) (*job, error) {
 	m := op.M()
@@ -54,16 +55,33 @@ func newJob(op Operator, target []msg.Value, correct correctFunc, servers, procs
 		return nil, fmt.Errorf("aco: quorum system covers %d servers, cluster has %d", sys.N(), servers)
 	case target != nil && len(target) != m:
 		return nil, fmt.Errorf("aco: target has %d components, operator has %d", len(target), m)
+	case len(crashes) > 0 && opTimeout <= 0:
+		// Crashed servers never reply: operations progress only by timing
+		// out and retrying on fresh quorums.
+		return nil, fmt.Errorf("aco: crash schedule requires OpTimeout > 0 (operations must retry)")
 	}
-	if err := validateCrashes(crashes, servers, opTimeout); err != nil {
-		return nil, err
-	}
-	if target == nil && correct == nil {
-		fp, _, err := FixedPoint(op, 0)
-		if err != nil {
-			return nil, fmt.Errorf("computing fixed point: %w", err)
+	for i, ev := range crashes {
+		if ev.Server < 0 || ev.Server >= servers || ev.At < 0 || ev.AfterIteration < 0 {
+			return nil, fmt.Errorf("aco: crash event %d (server %d of %d, At %v, AfterIteration %d) is out of range",
+				i, ev.Server, servers, ev.At, ev.AfterIteration)
 		}
-		target = fp
+	}
+	if correct == nil {
+		if target == nil {
+			fp, _, err := FixedPoint(op, 0)
+			if err != nil {
+				return nil, fmt.Errorf("computing fixed point: %w", err)
+			}
+			target = fp
+		}
+		correct = func(owned []int, newVals, _ []msg.Value) bool {
+			for li, comp := range owned {
+				if !op.Equal(comp, newVals[li], target[comp]) {
+					return false
+				}
+			}
+			return true
+		}
 	}
 	part := BlockPartition(m, cmp.Or(procs, m))
 	if err := part.Validate(); err != nil {
@@ -84,7 +102,7 @@ func newJob(op Operator, target []msg.Value, correct correctFunc, servers, procs
 		stores: stores, crashes: crashes, maxRounds: maxRounds,
 		correct: make([]bool, part.P()), inRound: make([]bool, part.P()),
 	}
-	return &job{op: op, target: target, correct: correct, part: part, stores: stores, mon: mon}, nil
+	return &job{op: op, correct: correct, part: part, stores: stores, mon: mon}, nil
 }
 
 // Outcome is what both runners report about a run.
@@ -177,6 +195,7 @@ func (j *job) process(pi int, cl asyncClient, pipelined bool) *process {
 	}
 	for r := range p.readDone {
 		p.readDone[r] = func(tag msg.Tagged, err error) {
+			defer p.mon.settle()
 			if p.mon.ignore(p.idx, err) {
 				return
 			}
@@ -191,6 +210,7 @@ func (j *job) process(pi int, cl asyncClient, pipelined bool) *process {
 	}
 	for li := range p.writeDone {
 		p.writeDone[li] = func(_ msg.Tagged, err error) {
+			defer p.mon.settle()
 			if p.mon.ignore(p.idx, err) {
 				return
 			}
@@ -215,6 +235,7 @@ func (p *process) startIteration(start time.Duration) {
 // reads of every register after it.
 func (p *process) read(j int) {
 	for ; j < len(p.view); j++ {
+		p.mon.busy.Add(1)
 		p.cl.ReadAsyncFunc(msg.RegisterID(j), p.readDone[j])
 		if p.serial {
 			return
@@ -226,6 +247,7 @@ func (p *process) read(j int) {
 // serial, the writes of every owned component after it.
 func (p *process) write(li int) {
 	for ; li < len(p.owned); li++ {
+		p.mon.busy.Add(1)
 		p.cl.WriteAsyncFunc(msg.RegisterID(p.owned[li]), p.newVals[li], p.writeDone[li])
 		if p.serial {
 			return
@@ -244,18 +266,7 @@ func (p *process) computePhase() {
 }
 
 func (p *process) finishIteration() {
-	var correct bool
-	if p.correct != nil {
-		correct = p.correct(p.owned, p.newVals, p.view)
-	} else {
-		correct = true
-		for li, comp := range p.owned {
-			if !p.op.Equal(comp, p.newVals[li], p.target[comp]) {
-				correct = false
-				break
-			}
-		}
-	}
+	correct := p.correct(p.owned, p.newVals, p.view)
 	if next, ok := p.mon.iterationDone(p.idx, p.iterStart, correct); ok {
 		p.startIteration(next)
 	}

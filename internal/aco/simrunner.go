@@ -114,6 +114,15 @@ func (n *simProc) Init(ctx *sim.Context) {
 
 func (n *simProc) Recv(_ *sim.Context, from msg.NodeID, m any) { n.pl.Deliver(int(from), m) }
 
+// crashNode is the simulator node that arms the crash schedule. Its id is
+// above every server's and process's, so its Init runs after each process
+// has submitted its first operation.
+type crashNode struct{ mon *monitor }
+
+func (c crashNode) Init(*sim.Context) { c.mon.schedule() }
+
+func (crashNode) Recv(*sim.Context, msg.NodeID, any) {}
+
 // RunSim executes Alg. 1 once under the configuration and returns the
 // measured result.
 func RunSim(cfg SimConfig) (SimResult, error) {

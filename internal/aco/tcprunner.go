@@ -142,27 +142,27 @@ func RunTCP(cfg TCPConfig) (TCPResult, error) {
 	if err != nil {
 		return TCPResult{}, err
 	}
+	defer set.Close()
 
-	// Every process runs on the completions of its own operations; the
-	// monitor closes done when the run stops.
-	done := make(chan struct{})
-	j.mon.clock, j.mon.halt = wallClock(time.Now()), func() { close(done) }
+	// Every process runs on the completions of its own operations and quits
+	// once the monitor stops the run. The run ends when the operations in
+	// flight at the stop have completed too, so the counters below describe
+	// a quiet job: every request counted belongs to an operation counted.
+	j.mon.clock, j.mon.halt, j.mon.idle = wallClock(time.Now()), func() {}, make(chan struct{}, 1)
 	for _, t := range j.mon.schedule() {
 		defer t.Stop()
 	}
 	for pi := range engines {
 		j.process(pi, set.Engine(pi), cfg.Pipelined).startIteration(0)
 	}
-	<-done
+	for j.mon.busy.Load() > 0 {
+		<-j.mon.idle
+	}
 	res := TCPResult{Elapsed: j.mon.clock.Now()}
 	if cfg.Obs != nil {
 		snap := cfg.Obs.Snapshot()
 		res.Snapshot = &snap
 	}
-	// Closing the set fails the operations still in flight, whose
-	// completions the stopped monitor ignores, and ends every engine's
-	// deliveries, so their counters can be read.
-	set.Close()
 	if j.mon.err != nil {
 		return TCPResult{}, j.mon.err
 	}

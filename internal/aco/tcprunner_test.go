@@ -309,3 +309,26 @@ func TestRunTCPMaxRounds(t *testing.T) {
 		t.Fatalf("converged = %v after %d rounds, %d iterations; want false, 1, 1", res.Converged, res.Rounds, res.Iterations)
 	}
 }
+
+// TestRunTCPEndsQuiet: RunTCP returns only once the operations in flight at
+// the stop have completed, so its counters describe a quiet job. On the
+// paper's configuration every operation is one round to k = 6 replicas with
+// no write-back, so the requests sent are exactly six per operation counted.
+func TestRunTCPEndsQuiet(t *testing.T) {
+	g := graph.Chain(34)
+	for seed := uint64(1); seed <= 5; seed++ {
+		res, err := aco.RunTCP(aco.TCPConfig{
+			Op: semiring.NewAPSP(g), Target: semiring.APSPTarget(g),
+			Servers: 34, Procs: 2, System: quorum.NewProbabilistic(34, 6),
+			Monotone: true, Pipelined: true,
+			Seed: seed, Obs: obs.NewRegistry(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sent, ops := res.Snapshot.Counters["tcp.client.msgs_sent"], res.Snapshot.Latencies["tcp.client.ops"].Count
+		if !res.Converged || ops == 0 || sent != 6*ops {
+			t.Fatalf("seed %d: converged = %v, %d requests for %d operations, want 6 each", seed, res.Converged, sent, ops)
+		}
+	}
+}
