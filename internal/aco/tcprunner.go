@@ -17,8 +17,8 @@ import (
 // TCPConfig configures an execution of Alg. 1 over real TCP loopback
 // sockets: real concurrency, where the simulator gives virtual time and
 // exact replay. Both runners run the same processes under the same monitor,
-// so every field the two configs share means what it means in SimConfig,
-// with wall-clock time measured from the start of the processes in place of
+// so each field TCPConfig shares with SimConfig means what SimConfig's doc
+// says, with wall-clock time from the start of the processes in place of
 // virtual time: a CrashEvent.At is real elapsed time here.
 type TCPConfig struct {
 	Op      Operator
