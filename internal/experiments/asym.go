@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"probquorum/internal/aco"
@@ -117,33 +116,13 @@ func RunAsymmetry(cfg AsymConfig) (AsymResult, error) {
 	return res, nil
 }
 
-// Render writes the ablation table.
-func (r AsymResult) Render(w io.Writer) error {
-	if _, err := fmt.Fprintf(w,
-		"Asymmetric quorums: APSP chain n=%d, fixed budget kr+kw=%d (monotone, synchronous)\n\n",
-		r.Config.Vertices, r.Config.Total); err != nil {
-		return err
-	}
-	headers := []string{"k_read", "k_write", "q(n,kw,kr)", "rounds", "total msgs", "conv"}
-	var rows [][]string
+// report prints the ablation.
+func (r AsymResult) report() Report {
+	t := Table{Cols: append(same("k_read", "k_write"), Col{"q(n,kw,kr)", "q", 4, 6}, Col{"rounds", "rounds", 2, 4},
+		Col{"total msgs", "messages", 0, 0}, Col{"conv", "converged", 0, 0})}
 	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			I(row.KRead), I(row.KWrite), F(row.Q, 4),
-			F(row.Rounds, 2), F(row.Messages, 0), fmt.Sprintf("%v", row.Converged),
-		})
+		t.Add(row.KRead, row.KWrite, row.Q, row.Rounds, row.Messages, row.Converged)
 	}
-	return Table(w, headers, rows)
-}
-
-// RenderCSV writes the ablation as CSV.
-func (r AsymResult) RenderCSV(w io.Writer) error {
-	headers := []string{"k_read", "k_write", "q", "rounds", "messages", "converged"}
-	var rows [][]string
-	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			I(row.KRead), I(row.KWrite), F(row.Q, 6),
-			F(row.Rounds, 4), F(row.Messages, 0), fmt.Sprintf("%v", row.Converged),
-		})
-	}
-	return CSV(w, headers, rows)
+	return titled(fmt.Sprintf("Asymmetric quorums: APSP chain n=%d, fixed budget kr+kw=%d (monotone, synchronous)",
+		r.Config.Vertices, r.Config.Total), t)
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"math"
 
 	"probquorum/internal/analysis"
@@ -70,36 +69,16 @@ func RunBounds(cfg BoundsConfig) BoundsResult {
 	return res
 }
 
-// Render writes the bound table.
-func (r BoundsResult) Render(w io.Writer) error {
-	if _, err := fmt.Fprintf(w,
-		"Corollary 7: expected rounds per pseudocycle, n=%d (total bound uses M=%d pseudocycles)\n\n",
-		r.Config.N, r.Config.Pseudocycles); err != nil {
-		return err
-	}
-	headers := []string{"k", "q(n,k)", "1/q (exact)", "Cor.7 bound", "total rounds bound"}
-	var rows [][]string
+// report prints the bound table and the c_n check.
+func (r BoundsResult) report() Report {
+	t := Table{Cols: []Col{{"k", "k", 0, 0}, {"q(n,k)", "q", 5, 8}, {"1/q (exact)", "exact_rounds", 3, 6},
+		{"Cor.7 bound", "cor7_rounds", 3, 6}, {"total rounds bound", "total_bound", 2, 4}}}
 	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			I(row.K), F(row.Q, 5), F(row.ExactRounds, 3), F(row.LooseRounds, 3), F(row.TotalBound, 2),
-		})
+		t.Add(row.K, row.Q, row.ExactRounds, row.LooseRounds, row.TotalBound)
 	}
-	if err := Table(w, headers, rows); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "\nAt k = ceil(sqrt(n)) = %d: c_n = %.4f (Section 6.4 needs 1 < c_n < 2)\n",
-		r.SqrtNK, r.CNAtSqrtN)
-	return err
-}
-
-// RenderCSV writes the bound table as CSV.
-func (r BoundsResult) RenderCSV(w io.Writer) error {
-	headers := []string{"k", "q", "exact_rounds", "cor7_rounds", "total_bound"}
-	var rows [][]string
-	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			I(row.K), F(row.Q, 8), F(row.ExactRounds, 6), F(row.LooseRounds, 6), F(row.TotalBound, 4),
-		})
-	}
-	return CSV(w, headers, rows)
+	rep := titled(fmt.Sprintf("Corollary 7: expected rounds per pseudocycle, n=%d (total bound uses M=%d pseudocycles)",
+		r.Config.N, r.Config.Pseudocycles), t)
+	rep.Text = append(rep.Text, Note(fmt.Sprintf("\nAt k = ceil(sqrt(n)) = %d: c_n = %.4f (Section 6.4 needs 1 < c_n < 2)\n",
+		r.SqrtNK, r.CNAtSqrtN)))
+	return rep
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"probquorum/internal/analysis"
 	"probquorum/internal/msg"
@@ -159,37 +158,15 @@ func RunByzantine(cfg ByzConfig) (ByzResult, error) {
 	return res, nil
 }
 
-// Render writes the masking table.
-func (r ByzResult) Render(w io.Writer) error {
-	if _, err := fmt.Fprintf(w,
-		"Byzantine masking: n=%d, f=%d fabricating replicas, b=%d (%d trials per k)\n\n",
-		r.Config.N, r.Config.F, r.Config.B, r.Config.Trials); err != nil {
-		return err
-	}
-	headers := []string{"k", "unmasked fab", "P(touch liar)", "masked fab",
-		"P(>b liars)", "masked fail", "masked correct"}
-	var rows [][]string
+// report prints the masking rows: percentages as text, fractions in the CSV.
+func (r ByzResult) report() Report {
+	t := Table{Cols: []Col{{"k", "k", 0, 0}, {"unmasked fab", "unmasked_fabricated", 0, 6},
+		{"P(touch liar)", "unmasked_bound", 0, 6}, {"masked fab", "masked_fabricated", 0, 6}, {"P(>b liars)", "masked_bound", 0, 6},
+		{"masked fail", "masked_failed", 0, 6}, {"masked correct", "masked_correct", 0, 6}}}
 	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			I(row.K), Pct(row.UnmaskedFabricated), Pct(row.UnmaskedBound),
-			Pct(row.MaskedFabricated), Pct(row.MaskedBound),
-			Pct(row.MaskedFailed), Pct(row.MaskedCorrect),
-		})
+		t.Add(row.K, Pct(row.UnmaskedFabricated), Pct(row.UnmaskedBound), Pct(row.MaskedFabricated),
+			Pct(row.MaskedBound), Pct(row.MaskedFailed), Pct(row.MaskedCorrect))
 	}
-	return Table(w, headers, rows)
-}
-
-// RenderCSV writes the masking rows as CSV.
-func (r ByzResult) RenderCSV(w io.Writer) error {
-	headers := []string{"k", "unmasked_fabricated", "unmasked_bound",
-		"masked_fabricated", "masked_bound", "masked_failed", "masked_correct"}
-	var rows [][]string
-	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			I(row.K), F(row.UnmaskedFabricated, 6), F(row.UnmaskedBound, 6),
-			F(row.MaskedFabricated, 6), F(row.MaskedBound, 6),
-			F(row.MaskedFailed, 6), F(row.MaskedCorrect, 6),
-		})
-	}
-	return CSV(w, headers, rows)
+	return titled(fmt.Sprintf("Byzantine masking: n=%d, f=%d fabricating replicas, b=%d (%d trials per k)",
+		r.Config.N, r.Config.F, r.Config.B, r.Config.Trials), t)
 }

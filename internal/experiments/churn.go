@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"time"
 
@@ -67,12 +66,9 @@ type ChurnRow struct {
 
 // ChurnResult is the full churn experiment.
 type ChurnResult struct {
-	Config ChurnResultConfig
+	Config ChurnConfig
 	Rows   []ChurnRow
 }
-
-// ChurnResultConfig echoes the effective configuration in the result.
-type ChurnResultConfig = ChurnConfig
 
 // RunChurn crashes one grid column mid-run under both systems.
 func RunChurn(cfg ChurnConfig) (ChurnResult, error) {
@@ -132,39 +128,18 @@ func RunChurn(cfg ChurnConfig) (ChurnResult, error) {
 	return res, nil
 }
 
-// Render writes the churn table.
-func (r ChurnResult) Render(w io.Writer) error {
+// report prints the churn rows.
+func (r ChurnResult) report() Report {
 	recover := "never recovers"
 	if r.Config.Recover > 0 {
 		recover = fmt.Sprintf("recovers at %v", r.Config.Recover)
 	}
-	if _, err := fmt.Fprintf(w,
-		"Availability in action: one full grid column crashes at %v (%s), APSP chain n=%d\n\n",
-		r.Config.CrashAt, recover, r.Config.N); err != nil {
-		return err
-	}
-	headers := []string{"system", "converged", "rounds", "retries"}
-	var rows [][]string
+	t := Table{Cols: []Col{{"system", "system", 0, 0}, {"converged", "", 0, 0}, {"", "converged", 0, 0},
+		{"", "runs", 0, 0}, {"rounds", "rounds", 1, 2}, {"retries", "retries", 0, 1}}}
 	for _, row := range r.Rows {
-		rounds := F(row.Rounds, 1)
-		if row.Converged < row.Runs {
-			rounds = ">=" + rounds
-		}
-		rows = append(rows, []string{
-			row.System, fmt.Sprintf("%d/%d", row.Converged, row.Runs), rounds, F(row.Retries, 0),
-		})
+		t.Add(row.System, fmt.Sprintf("%d/%d", row.Converged, row.Runs), row.Converged, row.Runs,
+			lowerBound(row.Rounds, row.Converged < row.Runs), row.Retries)
 	}
-	return Table(w, headers, rows)
-}
-
-// RenderCSV writes the churn rows as CSV.
-func (r ChurnResult) RenderCSV(w io.Writer) error {
-	headers := []string{"system", "converged", "runs", "rounds", "retries"}
-	var rows [][]string
-	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			row.System, I(row.Converged), I(row.Runs), F(row.Rounds, 2), F(row.Retries, 1),
-		})
-	}
-	return CSV(w, headers, rows)
+	return titled(fmt.Sprintf("Availability in action: one full grid column crashes at %v (%s), APSP chain n=%d",
+		r.Config.CrashAt, recover, r.Config.N), t)
 }

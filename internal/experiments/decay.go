@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"probquorum/internal/analysis"
 	"probquorum/internal/metrics"
@@ -122,37 +121,19 @@ func RunDecay(cfg DecayConfig) DecayResult {
 	return res
 }
 
-// Render writes the decay table (sampling every few l values to stay
-// readable; RenderCSV emits all of them).
-func (r DecayResult) Render(w io.Writer) error {
-	if _, err := fmt.Fprintf(w,
-		"Theorem 1: probability a write survives l subsequent writes (n=%d, %d trials)\n\n",
-		r.Config.N, r.Config.Trials); err != nil {
-		return err
-	}
-	headers := []string{"k", "l", "P(survives)", "P(read returns)", "bound k((n-k)/n)^l"}
-	var rows [][]string
+// report prints every point; the text view samples every fifth l past 10.
+func (r DecayResult) report() Report {
+	t := Table{Cols: []Col{{"k", "k", 0, 0}, {"l", "l", 0, 0}, {"P(survives)", "survival", 4, 6},
+		{"P(read returns)", "read_returns", 4, 6}, {"bound k((n-k)/n)^l", "bound", 4, 6}}}
 	for _, p := range r.Points {
 		if p.L > 10 && p.L%5 != 0 {
-			continue
+			t.AddCSVOnly(p.K, p.L, p.Survival, p.ReadReturns, p.Bound)
+		} else {
+			t.Add(p.K, p.L, p.Survival, p.ReadReturns, p.Bound)
 		}
-		rows = append(rows, []string{
-			I(p.K), I(p.L), F(p.Survival, 4), F(p.ReadReturns, 4), F(p.Bound, 4),
-		})
 	}
-	return Table(w, headers, rows)
-}
-
-// RenderCSV writes every point as CSV.
-func (r DecayResult) RenderCSV(w io.Writer) error {
-	headers := []string{"k", "l", "survival", "read_returns", "bound"}
-	var rows [][]string
-	for _, p := range r.Points {
-		rows = append(rows, []string{
-			I(p.K), I(p.L), F(p.Survival, 6), F(p.ReadReturns, 6), F(p.Bound, 6),
-		})
-	}
-	return CSV(w, headers, rows)
+	return titled(fmt.Sprintf("Theorem 1: probability a write survives l subsequent writes (n=%d, %d trials)",
+		r.Config.N, r.Config.Trials), t)
 }
 
 // FreshnessConfig parameterizes the [R5] experiment: the distribution of
@@ -263,54 +244,32 @@ func RunFreshness(cfg FreshnessConfig) FreshnessResult {
 	return res
 }
 
-// Render writes the freshness summary plus the head of each distribution
-// against the geometric bound.
-func (r FreshnessResult) Render(w io.Writer) error {
+// report prints the freshness summary and the head of each distribution
+// against the geometric bound; the CSV holds every observed outcome.
+func (r FreshnessResult) report() Report {
 	mode := "isolated write"
 	if r.Config.OngoingWrites {
 		mode = "with ongoing writes"
 	}
-	if _, err := fmt.Fprintf(w,
-		"[R5] read-freshness variable Y (n=%d, %s, %d trials)\n\n",
-		r.Config.N, mode, r.Config.Trials); err != nil {
-		return err
-	}
-	headers := []string{"k", "q", "E[Y] measured", "bound 1/q", "p50", "p99", "max"}
-	var rows [][]string
+	summary := Table{Cols: []Col{{"k", "", 0, 0}, {"q", "", 4, 0}, {"E[Y] measured", "", 3, 0},
+		{"bound 1/q", "", 3, 0}, {"p50", "", 0, 0}, {"p99", "", 0, 0}, {"max", "", 0, 0}}}
+	head := Table{Cols: []Col{{"k", "", 0, 0}, {"r", "", 0, 0},
+		{"P(Y=r) measured", "", 4, 0}, {"(1-q)^(r-1)q bound", "", 4, 0}}}
+	dist := Table{Cols: []Col{{"", "k", 0, 0}, {"", "y", 0, 0},
+		{"", "p_measured", 0, 6}, {"", "p_geometric_bound", 0, 6}}}
 	for _, s := range r.Series {
-		rows = append(rows, []string{
-			I(s.K), F(s.Q, 4), F(s.MeanY, 3), F(s.BoundMean, 3),
-			I(s.Hist.Quantile(0.5)), I(s.Hist.Quantile(0.99)), I(s.Hist.Max()),
-		})
-	}
-	if err := Table(w, headers, rows); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "\nPer-read distribution vs geometric bound (first 6 outcomes):\n\n"); err != nil {
-		return err
-	}
-	headers = []string{"k", "r", "P(Y=r) measured", "(1-q)^(r-1)q bound"}
-	rows = rows[:0]
-	for _, s := range r.Series {
+		summary.Add(s.K, s.Q, s.MeanY, s.BoundMean, s.Hist.Quantile(0.5), s.Hist.Quantile(0.99), s.Hist.Max())
 		for y := 1; y <= 6; y++ {
-			rows = append(rows, []string{
-				I(s.K), I(y), F(s.Hist.P(y), 4), F(rng.Geometric(s.Q, y), 4),
-			})
+			head.Add(s.K, y, s.Hist.P(y), rng.Geometric(s.Q, y))
 		}
-	}
-	return Table(w, headers, rows)
-}
-
-// RenderCSV writes every distribution point as CSV.
-func (r FreshnessResult) RenderCSV(w io.Writer) error {
-	headers := []string{"k", "y", "p_measured", "p_geometric_bound"}
-	var rows [][]string
-	for _, s := range r.Series {
 		for _, y := range s.Hist.Outcomes() {
-			rows = append(rows, []string{
-				I(s.K), I(y), F(s.Hist.P(y), 6), F(rng.Geometric(s.Q, y), 6),
-			})
+			dist.Add(s.K, y, s.Hist.P(y), rng.Geometric(s.Q, y))
 		}
 	}
-	return CSV(w, headers, rows)
+	return Report{CSV: dist, Text: []Part{
+		Note(fmt.Sprintf("[R5] read-freshness variable Y (n=%d, %s, %d trials)\n\n", r.Config.N, mode, r.Config.Trials)),
+		summary,
+		Note("\nPer-read distribution vs geometric bound (first 6 outcomes):\n\n"),
+		head,
+	}}
 }

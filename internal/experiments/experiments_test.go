@@ -10,64 +10,121 @@ import (
 	"probquorum/internal/analysis"
 )
 
-func TestParseIntList(t *testing.T) {
-	cases := []struct {
-		in   string
-		want []int
-	}{
-		{"1", []int{1}},
-		{"1,2,3", []int{1, 2, 3}},
-		{"4-7", []int{4, 5, 6, 7}},
-		{"1, 3-5 ,9", []int{1, 3, 4, 5, 9}},
+// views renders a report's text parts and its CSV table.
+func views(t *testing.T, rep Report) (text, csv string) {
+	t.Helper()
+	var tb, cb strings.Builder
+	if err := rep.WriteText(&tb); err != nil {
+		t.Fatal(err)
 	}
-	for _, c := range cases {
-		got, err := ParseIntList(c.in)
-		if err != nil {
-			t.Fatalf("%q: %v", c.in, err)
-		}
-		if len(got) != len(c.want) {
-			t.Fatalf("%q: got %v", c.in, got)
-		}
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Fatalf("%q: got %v, want %v", c.in, got, c.want)
-			}
-		}
+	if err := rep.CSV.WriteCSV(&cb); err != nil {
+		t.Fatal(err)
 	}
-	for _, bad := range []string{"", "x", "5-2", "1,a"} {
-		if _, err := ParseIntList(bad); err == nil {
-			t.Fatalf("%q accepted", bad)
-		}
-	}
+	return tb.String(), cb.String()
 }
 
 func TestTableAndCSV(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Table(&buf, []string{"a", "long-header"}, [][]string{{"1", "2"}, {"333", "4"}}); err != nil {
-		t.Fatal(err)
+	tests := []struct {
+		name      string
+		cols      []Col
+		rows      [][]any
+		csvOnly   [][]any
+		text, csv string
+	}{
+		{
+			name: "aligned, last column unpadded",
+			cols: []Col{{"a", "a", 0, 0}, {"long-header", "b", 0, 0}},
+			rows: [][]any{{1, 2}, {333, 4}},
+			text: "a    long-header\n---  -----------\n1    2\n333  4\n",
+			csv:  "a,b\n1,2\n333,4\n",
+		},
+		{
+			name: "decimals and headers per view",
+			cols: []Col{{"mean", "mean_rounds", 2, 4}},
+			rows: [][]any{{1.23456}},
+			text: "mean\n----\n1.23\n",
+			csv:  "mean_rounds\n1.2346\n",
+		},
+		{
+			name: "view-only columns and a prefix shown only as text",
+			cols: []Col{{"conv", "", 0, 0}, {"", "runs", 0, 0}, {"rounds", "rounds", 1, 2}},
+			rows: [][]any{{"2/3", 3, Prefixed{">=", 7.0}}},
+			text: "conv  rounds\n----  ------\n2/3   >=7.0\n",
+			csv:  "runs,rounds\n3,7.00\n",
+		},
+		{
+			name:    "row hidden from the text view",
+			cols:    []Col{{"l", "l", 0, 0}},
+			rows:    [][]any{{1}},
+			csvOnly: [][]any{{12345}},
+			text:    "l\n-\n1\n",
+			csv:     "l\n1\n12345\n",
+		},
+		{
+			name: "CSV quoting of commas, quotes and newlines",
+			cols: []Col{{"s", "s", 0, 0}},
+			rows: [][]any{{"x,y"}, {`say "hi"`}, {"two\nlines"}, {"plain"}},
+			text: "s\n---------\nx,y\nsay \"hi\"\ntwo\nlines\nplain\n",
+			csv:  "s\n\"x,y\"\n\"say \"\"hi\"\"\"\n\"two\nlines\"\nplain\n",
+		},
 	}
-	out := buf.String()
-	if !strings.Contains(out, "long-header") || !strings.Contains(out, "---") {
-		t.Fatalf("table output:\n%s", out)
-	}
-	buf.Reset()
-	if err := CSV(&buf, []string{"a", "b"}, [][]string{{"x,y", "plain"}}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "\"x,y\"") {
-		t.Fatalf("csv quoting failed: %s", buf.String())
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			tbl := Table{Cols: tt.cols}
+			for _, r := range tt.rows {
+				tbl.Add(r...)
+			}
+			for _, r := range tt.csvOnly {
+				tbl.AddCSVOnly(r...)
+			}
+			var text, csv strings.Builder
+			if err := tbl.WriteText(&text); err != nil {
+				t.Fatal(err)
+			}
+			if err := tbl.WriteCSV(&csv); err != nil {
+				t.Fatal(err)
+			}
+			if text.String() != tt.text {
+				t.Errorf("text view:\n%q\nwant\n%q", text.String(), tt.text)
+			}
+			if csv.String() != tt.csv {
+				t.Errorf("CSV view:\n%q\nwant\n%q", csv.String(), tt.csv)
+			}
+		})
 	}
 }
 
 func TestFormatHelpers(t *testing.T) {
-	if F(math.Inf(1), 2) != "inf" || F(math.Inf(-1), 2) != "-inf" {
-		t.Fatal("inf formatting wrong")
+	tests := []struct {
+		name      string
+		cell      any
+		decimals  int
+		text, csv string
+	}{
+		{"int", 7, 0, "7", "7"},
+		{"int64", int64(-9), 3, "-9", "-9"},
+		{"float 0 decimals", 2.7, 0, "3", "3"},
+		{"float 2 decimals", 1.234, 2, "1.23", "1.23"},
+		{"float 4 decimals", 0.123456, 4, "0.1235", "0.1235"},
+		{"float 6 decimals", 1.0 / 3, 6, "0.333333", "0.333333"},
+		{"+Inf", math.Inf(1), 2, "inf", "inf"},
+		{"-Inf", math.Inf(-1), 4, "-inf", "-inf"},
+		{"percentage", Pct(0.125), 6, "12.5%", "0.125000"},
+		{"percentage rounds to one decimal", Pct(1.0 / 3), 4, "33.3%", "0.3333"},
+		{"bool true", true, 0, "true", "true"},
+		{"bool false", false, 0, "false", "false"},
+		{"string", "majority(16)", 2, "majority(16)", "majority(16)"},
+		{"prefix", Prefixed{"±", 0.654}, 2, "±0.65", "0.65"},
 	}
-	if F(1.234, 1) != "1.2" || I(7) != "7" || I64(9) != "9" {
-		t.Fatal("number formatting wrong")
-	}
-	if Pct(0.125) != "12.5%" {
-		t.Fatalf("pct = %s", Pct(0.125))
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			if got := format(tt.cell, tt.decimals, true); got != tt.text {
+				t.Errorf("text = %q, want %q", got, tt.text)
+			}
+			if got := format(tt.cell, tt.decimals, false); got != tt.csv {
+				t.Errorf("CSV = %q, want %q", got, tt.csv)
+			}
+		})
 	}
 }
 
@@ -123,18 +180,11 @@ func TestRunFigure2Small(t *testing.T) {
 		t.Fatalf("strict sync rounds = %v, want %d", full.MeanRounds, res.Pseudocycles)
 	}
 
-	var buf bytes.Buffer
-	if err := res.Render(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "monotone/sync") {
+	text, csv := views(t, res.report())
+	if !strings.Contains(text, "monotone/sync") {
 		t.Fatal("render output missing variants")
 	}
-	buf.Reset()
-	if err := res.RenderCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if got := strings.Count(buf.String(), "\n"); got != 13 {
+	if got := strings.Count(csv, "\n"); got != 13 {
 		t.Fatalf("csv lines = %d, want 13", got)
 	}
 }
@@ -197,13 +247,7 @@ func TestRunMessageComplexitySmall(t *testing.T) {
 			t.Fatalf("n=%d: majority measured %v far above Eqn 2 %v", n, maj.Measured, maj.Predicted)
 		}
 	}
-	var buf bytes.Buffer
-	if err := res.Render(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := res.RenderCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
+	views(t, res.report())
 }
 
 func TestRunMessageComplexityRejectsNonSquare(t *testing.T) {
@@ -236,13 +280,7 @@ func TestRunDecayBoundHolds(t *testing.T) {
 	if last.ReadReturns > 0.02 {
 		t.Fatalf("l=%d read prob still %v", last.L, last.ReadReturns)
 	}
-	var buf bytes.Buffer
-	if err := res.Render(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := res.RenderCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
+	views(t, res.report())
 }
 
 func TestRunFreshnessMatchesGeometric(t *testing.T) {
@@ -270,13 +308,7 @@ func TestRunFreshnessOngoingWritesIsFaster(t *testing.T) {
 		t.Fatalf("ongoing writes E[Y]=%v not below isolated E[Y]=%v — the Theorem 4 analysis should be conservative",
 			ong.Series[0].MeanY, iso.Series[0].MeanY)
 	}
-	var buf bytes.Buffer
-	if err := ong.Render(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := ong.RenderCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
+	views(t, ong.report())
 }
 
 func TestRunLoadMatchesAnalytic(t *testing.T) {
@@ -307,13 +339,7 @@ func TestRunLoadMatchesAnalytic(t *testing.T) {
 			}
 		}
 	}
-	var buf bytes.Buffer
-	if err := res.Render(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := res.RenderCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
+	views(t, res.report())
 }
 
 func TestRunLoadRejectsNonSquare(t *testing.T) {
@@ -362,13 +388,7 @@ func TestRunAvailabilityCurves(t *testing.T) {
 	if gridSeries.Survival[8] > 0.5 {
 		t.Fatalf("grid survival at f=8 is %v", gridSeries.Survival[8])
 	}
-	var buf bytes.Buffer
-	if err := res.Render(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := res.RenderCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
+	views(t, res.report())
 }
 
 func TestRunBounds(t *testing.T) {
@@ -384,13 +404,7 @@ func TestRunBounds(t *testing.T) {
 	if res.CNAtSqrtN <= 1 || res.CNAtSqrtN >= 2 {
 		t.Fatalf("c_n at sqrt(n) = %v", res.CNAtSqrtN)
 	}
-	var buf bytes.Buffer
-	if err := res.Render(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := res.RenderCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
+	views(t, res.report())
 }
 
 func TestRunAsymmetry(t *testing.T) {
@@ -416,13 +430,7 @@ func TestRunAsymmetry(t *testing.T) {
 			t.Fatalf("kr=%d kw=%d did not converge", row.KRead, row.KWrite)
 		}
 	}
-	var buf bytes.Buffer
-	if err := res.Render(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := res.RenderCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
+	views(t, res.report())
 }
 
 func TestRunAsymmetryRejectsOversizedBudget(t *testing.T) {
@@ -450,13 +458,7 @@ func TestRunStaleness(t *testing.T) {
 	if small.Hist.Mean() <= large.Hist.Mean() {
 		t.Fatalf("k=1 mean staleness %v not above k=8's %v", small.Hist.Mean(), large.Hist.Mean())
 	}
-	var buf bytes.Buffer
-	if err := res.Render(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := res.RenderCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
+	views(t, res.report())
 }
 
 func TestRunStalenessMonotoneClipsStaleness(t *testing.T) {
@@ -502,14 +504,8 @@ func TestRunScheduleRate(t *testing.T) {
 		}
 		prev = cur
 	}
-	var buf bytes.Buffer
-	if err := res.Render(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := res.RenderCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "bounded-delay") {
+	text, csv := views(t, res.report())
+	if !strings.Contains(text+csv, "bounded-delay") {
 		t.Fatal("render missing schedules")
 	}
 }
@@ -545,13 +541,7 @@ func TestRunByzantine(t *testing.T) {
 	if last.MaskedCorrect < 0.95 {
 		t.Fatalf("k=%d masked correct rate %v", last.K, last.MaskedCorrect)
 	}
-	var buf bytes.Buffer
-	if err := res.Render(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := res.RenderCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
+	views(t, res.report())
 }
 
 func TestRunByzantineValidation(t *testing.T) {
@@ -589,13 +579,7 @@ func TestRunSystems(t *testing.T) {
 		t.Fatalf("probabilistic availability %d not above majority %d",
 			prob.Availability, majority.Availability)
 	}
-	var buf bytes.Buffer
-	if err := res.Render(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := res.RenderCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
+	views(t, res.report())
 }
 
 func TestRunSystemsRejectsNonSquare(t *testing.T) {
@@ -659,13 +643,7 @@ func TestRunChurn(t *testing.T) {
 	if grid.Retries == 0 {
 		t.Fatal("grid recorded no retries; the crash did not bite")
 	}
-	var buf bytes.Buffer
-	if err := res.Render(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := res.RenderCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
+	views(t, res.report())
 }
 
 func TestRunChurnWithRecovery(t *testing.T) {
@@ -691,10 +669,10 @@ func TestRunChurnRejectsNonSquare(t *testing.T) {
 
 func TestAsciiPlot(t *testing.T) {
 	var buf bytes.Buffer
-	err := AsciiPlot(&buf, "test", []PlotSeries{
+	err := Plot{Title: "test", Height: 10, Series: []PlotSeries{
 		{Name: "a", Marker: 'A', Points: map[int]float64{1: 10, 2: 100, 3: 1}},
 		{Name: "b", Marker: 'B', Points: map[int]float64{1: 50}},
-	}, 10)
+	}}.WriteText(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -708,7 +686,7 @@ func TestAsciiPlot(t *testing.T) {
 
 func TestAsciiPlotRejectsEmpty(t *testing.T) {
 	var buf bytes.Buffer
-	if err := AsciiPlot(&buf, "empty", nil, 5); err == nil {
+	if err := (Plot{Title: "empty", Height: 5}).WriteText(&buf); err == nil {
 		t.Fatal("empty plot accepted")
 	}
 }
@@ -723,8 +701,9 @@ func TestFigure2Plot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := res.report()
 	var buf bytes.Buffer
-	if err := res.Plot(&buf); err != nil {
+	if err := rep.Text[len(rep.Text)-1].WriteText(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"runtime"
 	"sync"
@@ -68,8 +67,6 @@ type Figure2Config struct {
 	MaxRounds int
 	// Variants lists the curves to produce; nil means all four.
 	Variants []Variant
-	// Parallelism bounds concurrent executions; 0 means GOMAXPROCS.
-	Parallelism int
 	// Workload selects the input graph: "chain" (the paper's, default),
 	// "ring", "grid" (Vertices must be a perfect square), or "random"
 	// (strongly connected sparse graph).
@@ -79,7 +76,7 @@ type Figure2Config struct {
 // buildWorkload constructs the configured graph.
 func (c Figure2Config) buildWorkload() (*graph.Graph, error) {
 	switch c.Workload {
-	case "", "chain":
+	case "chain":
 		return graph.Chain(c.Vertices), nil
 	case "ring":
 		return graph.Ring(c.Vertices), nil
@@ -100,6 +97,9 @@ func (c *Figure2Config) applyDefaults() {
 	if c.Vertices == 0 {
 		c.Vertices = 34
 	}
+	if c.Workload == "" {
+		c.Workload = "chain"
+	}
 	if len(c.QuorumSizes) == 0 {
 		for k := 1; k <= c.Vertices/2+1; k++ {
 			c.QuorumSizes = append(c.QuorumSizes, k)
@@ -116,9 +116,6 @@ func (c *Figure2Config) applyDefaults() {
 	}
 	if len(c.Variants) == 0 {
 		c.Variants = AllVariants()
-	}
-	if c.Parallelism <= 0 {
-		c.Parallelism = runtime.GOMAXPROCS(0)
 	}
 }
 
@@ -200,7 +197,7 @@ func RunFigure2(cfg Figure2Config) (Figure2Result, error) {
 		}
 	}
 	outcomes := make([]outcome, len(jobs))
-	sem := make(chan struct{}, cfg.Parallelism)
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	var wg sync.WaitGroup
 	for ji, j := range jobs {
 		wg.Add(1)
@@ -297,48 +294,39 @@ func variantSeed(v Variant) uint64 {
 	return s * 104729
 }
 
-// Render writes the result as an aligned table mirroring Figure 2's series.
-func (r Figure2Result) Render(w io.Writer) error {
-	headers := []string{"k", "variant", "rounds(mean)", "ci95", "min", "max",
-		"conv", "bound(Cor.7)", "msgs(mean)", "cache-hits"}
-	var rows [][]string
+// report prints the points as a table mirroring Figure 2's series, then
+// the ASCII chart: one marker per variant plus the Corollary 7 bound.
+func (r Figure2Result) report() Report {
+	t := Table{Cols: []Col{
+		{"k", "k", 0, 0}, {"variant", "variant", 0, 0}, {"rounds(mean)", "mean_rounds", 2, 4}, {"ci95", "", 2, 0},
+		{"min", "min", 0, 0}, {"max", "max", 0, 0}, {"", "stddev", 0, 4},
+		{"conv", "", 0, 0}, {"", "converged", 0, 0}, {"", "runs", 0, 0}, {"", "lower_bound", 0, 0},
+		{"bound(Cor.7)", "bound_cor7", 2, 4}, {"msgs(mean)", "mean_messages", 0, 0}, {"cache-hits", "mean_cache_hits", 0, 0},
+	}}
+	rounds := map[Variant]map[int]float64{}
 	for _, p := range r.Points {
-		mean := F(p.MeanRounds, 2)
-		if p.LowerBound {
-			mean = ">=" + mean
+		t.Add(p.K, p.Variant.Name(), lowerBound(p.MeanRounds, p.LowerBound), Prefixed{"±", p.CI95},
+			p.MinRounds, p.MaxRounds, p.Stddev, fmt.Sprintf("%d/%d", p.Converged, p.Runs), p.Converged, p.Runs,
+			p.LowerBound, r.Bounds[p.K], p.MeanMessages, p.MeanCacheHits)
+		if rounds[p.Variant] == nil {
+			rounds[p.Variant] = map[int]float64{}
 		}
-		rows = append(rows, []string{
-			I(p.K), p.Variant.Name(), mean, "±" + F(p.CI95, 2),
-			F(p.MinRounds, 0), F(p.MaxRounds, 0),
-			fmt.Sprintf("%d/%d", p.Converged, p.Runs),
-			F(r.Bounds[p.K], 2), F(p.MeanMessages, 0), F(p.MeanCacheHits, 0),
-		})
+		rounds[p.Variant][p.K] = p.MeanRounds
 	}
-	workload := r.Config.Workload
-	if workload == "" {
-		workload = "chain"
+	markers := map[Variant]byte{{true, true}: 'M', {true, false}: 'm', {false, true}: 'N', {false, false}: 'n'}
+	var series []PlotSeries
+	for _, v := range r.Config.Variants {
+		series = append(series, PlotSeries{Name: v.Name(), Marker: markers[v], Points: rounds[v]})
 	}
-	if _, err := fmt.Fprintf(w, "Figure 2: quorum size vs rounds to convergence (APSP on %d-vertex %s, %d pseudocycles)\n\n",
-		r.Config.Vertices, workload, r.Pseudocycles); err != nil {
-		return err
-	}
-	return Table(w, headers, rows)
-}
-
-// RenderCSV writes the points as CSV.
-func (r Figure2Result) RenderCSV(w io.Writer) error {
-	headers := []string{"k", "variant", "mean_rounds", "min", "max", "stddev",
-		"converged", "runs", "lower_bound", "bound_cor7", "mean_messages", "mean_cache_hits"}
-	var rows [][]string
-	for _, p := range r.Points {
-		rows = append(rows, []string{
-			I(p.K), p.Variant.Name(), F(p.MeanRounds, 4), F(p.MinRounds, 0),
-			F(p.MaxRounds, 0), F(p.Stddev, 4), I(p.Converged), I(p.Runs),
-			fmt.Sprintf("%v", p.LowerBound), F(r.Bounds[p.K], 4),
-			F(p.MeanMessages, 0), F(p.MeanCacheHits, 0),
-		})
-	}
-	return CSV(w, headers, rows)
+	series = append(series, PlotSeries{Name: "Corollary 7 bound", Marker: '*', Points: r.Bounds})
+	rep := titled(fmt.Sprintf("Figure 2: quorum size vs rounds to convergence (APSP on %d-vertex %s, %d pseudocycles)",
+		r.Config.Vertices, r.Config.Workload, r.Pseudocycles), t)
+	rep.Text = append(rep.Text, Plot{
+		Title:  fmt.Sprintf("Figure 2: rounds to convergence vs quorum size (n=%d)", r.Config.Vertices),
+		Series: series,
+		Height: 22,
+	})
+	return rep
 }
 
 // Point returns the point for a variant and quorum size, if present.

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"math"
 
 	"probquorum/internal/analysis"
@@ -102,34 +101,14 @@ func RunLoad(cfg LoadConfig) (LoadResult, error) {
 	return res, nil
 }
 
-// Render writes the load table.
-func (r LoadResult) Render(w io.Writer) error {
-	if _, err := fmt.Fprintf(w,
-		"Section 4: load of the busiest server (%d sampled ops per system)\n\n", r.Config.Ops); err != nil {
-		return err
-	}
-	headers := []string{"system", "n", "k", "load(meas)", "load(analytic)", "Naor-Wool bound", "imbalance"}
-	var rows [][]string
+// report prints the load rows.
+func (r LoadResult) report() Report {
+	t := Table{Cols: append(same("system", "n", "k"), Col{"load(meas)", "empirical", 4, 6},
+		Col{"load(analytic)", "analytic", 4, 6}, Col{"Naor-Wool bound", "naor_wool", 4, 6}, Col{"imbalance", "imbalance", 3, 4})}
 	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			row.System, I(row.N), I(row.K), F(row.Empirical, 4),
-			F(row.Analytic, 4), F(row.NaorWool, 4), F(row.Imbalance, 3),
-		})
+		t.Add(row.System, row.N, row.K, row.Empirical, row.Analytic, row.NaorWool, row.Imbalance)
 	}
-	return Table(w, headers, rows)
-}
-
-// RenderCSV writes the load rows as CSV.
-func (r LoadResult) RenderCSV(w io.Writer) error {
-	headers := []string{"system", "n", "k", "empirical", "analytic", "naor_wool", "imbalance"}
-	var rows [][]string
-	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			row.System, I(row.N), I(row.K), F(row.Empirical, 6),
-			F(row.Analytic, 6), F(row.NaorWool, 6), F(row.Imbalance, 4),
-		})
-	}
-	return CSV(w, headers, rows)
+	return titled(fmt.Sprintf("Section 4: load of the busiest server (%d sampled ops per system)", r.Config.Ops), t)
 }
 
 // AvailConfig parameterizes the Section 4 availability experiment: the
@@ -234,40 +213,19 @@ func RunAvailability(cfg AvailConfig) (AvailResult, error) {
 	return res, nil
 }
 
-// Render writes survival probabilities at a readable subset of failure
-// counts.
-func (r AvailResult) Render(w io.Writer) error {
-	if _, err := fmt.Fprintf(w,
-		"Section 4: availability under crash failures (%d trials per point)\n\n", r.Config.Trials); err != nil {
-		return err
-	}
-	headers := []string{"system", "n", "k", "threshold", "f", "P(live quorum)", "P(op succeeds)"}
-	var rows [][]string
+// report prints every survival point; the text view keeps f ≤ 12, every
+// fourth f beyond, and the two values around each threshold.
+func (r AvailResult) report() Report {
+	t := Table{Cols: append(same("system", "n", "k", "threshold", "f"),
+		Col{"P(live quorum)", "survival", 3, 6}, Col{"P(op succeeds)", "op_success", 3, 6})}
 	for _, s := range r.Series {
-		for f := 0; f < len(s.Survival); f++ {
+		for f := range s.Survival {
 			if f > 12 && f%4 != 0 && f != s.Threshold && f != s.Threshold-1 {
-				continue
+				t.AddCSVOnly(s.System, s.N, s.K, s.Threshold, f, s.Survival[f], s.OpSuccess[f])
+			} else {
+				t.Add(s.System, s.N, s.K, s.Threshold, f, s.Survival[f], s.OpSuccess[f])
 			}
-			rows = append(rows, []string{
-				s.System, I(s.N), I(s.K), I(s.Threshold), I(f),
-				F(s.Survival[f], 3), F(s.OpSuccess[f], 3),
-			})
 		}
 	}
-	return Table(w, headers, rows)
-}
-
-// RenderCSV writes every survival point as CSV.
-func (r AvailResult) RenderCSV(w io.Writer) error {
-	headers := []string{"system", "n", "k", "threshold", "f", "survival", "op_success"}
-	var rows [][]string
-	for _, s := range r.Series {
-		for f := 0; f < len(s.Survival); f++ {
-			rows = append(rows, []string{
-				s.System, I(s.N), I(s.K), I(s.Threshold), I(f),
-				F(s.Survival[f], 6), F(s.OpSuccess[f], 6),
-			})
-		}
-	}
-	return CSV(w, headers, rows)
+	return titled(fmt.Sprintf("Section 4: availability under crash failures (%d trials per point)", r.Config.Trials), t)
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"time"
 
@@ -144,36 +143,14 @@ func RunMessageComplexity(cfg MsgConfig) (MsgResult, error) {
 	return res, nil
 }
 
-// Render writes the comparison as a table.
-func (r MsgResult) Render(w io.Writer) error {
-	if _, err := fmt.Fprintf(w,
-		"Section 6.4: messages per pseudocycle, APSP chain with m = p = n (measured vs Eqn 1/2)\n\n"); err != nil {
-		return err
-	}
-	headers := []string{"n", "system", "k", "rounds", "pseudo", "c_n",
-		"msgs/pseudo (meas)", "msgs/pseudo (pred)", "conv"}
-	var rows [][]string
+// report prints the comparison.
+func (r MsgResult) report() Report {
+	t := Table{Cols: append(same("n", "system", "k"), Col{"", "strict", 0, 0}, Col{"rounds", "rounds", 1, 2},
+		Col{"pseudo", "pseudocycles", 0, 0}, Col{"c_n", "cn", 2, 4},
+		Col{"msgs/pseudo (meas)", "measured_msgs_per_pseudocycle", 0, 1},
+		Col{"msgs/pseudo (pred)", "predicted_msgs_per_pseudocycle", 0, 1}, Col{"conv", "converged", 0, 0})}
 	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			I(row.N), row.System, I(row.K), F(row.Rounds, 1), I(row.Pseudo),
-			F(row.CNRatio, 2), F(row.Measured, 0), F(row.Predicted, 0),
-			fmt.Sprintf("%v", row.Converged),
-		})
+		t.Add(row.N, row.System, row.K, row.Strict, row.Rounds, row.Pseudo, row.CNRatio, row.Measured, row.Predicted, row.Converged)
 	}
-	return Table(w, headers, rows)
-}
-
-// RenderCSV writes the comparison as CSV.
-func (r MsgResult) RenderCSV(w io.Writer) error {
-	headers := []string{"n", "system", "k", "strict", "rounds", "pseudocycles",
-		"cn", "measured_msgs_per_pseudocycle", "predicted_msgs_per_pseudocycle", "converged"}
-	var rows [][]string
-	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			I(row.N), row.System, I(row.K), fmt.Sprintf("%v", row.Strict),
-			F(row.Rounds, 2), I(row.Pseudo), F(row.CNRatio, 4),
-			F(row.Measured, 1), F(row.Predicted, 1), fmt.Sprintf("%v", row.Converged),
-		})
-	}
-	return CSV(w, headers, rows)
+	return titled("Section 6.4: messages per pseudocycle, APSP chain with m = p = n (measured vs Eqn 1/2)", t)
 }

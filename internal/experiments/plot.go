@@ -15,28 +15,29 @@ type PlotSeries struct {
 	Points map[int]float64
 }
 
-// AsciiPlot renders curves on a character grid with a log-scaled y axis —
-// enough to eyeball the shape of Figure 2 in a terminal. Points that share
-// a cell keep the first series' marker.
-func AsciiPlot(w io.Writer, title string, series []PlotSeries, height int) error {
+// Plot is a report part that draws curves on a character grid with a
+// log-scaled y axis — enough to eyeball the shape of Figure 2 in a
+// terminal. Points that share a cell keep the first series' marker.
+type Plot struct {
+	Title  string
+	Series []PlotSeries
+	// Height is the grid's row count (default 20).
+	Height int
+}
+
+// WriteText draws the plot; a plot without points is an error.
+func (p Plot) WriteText(w io.Writer) error {
+	height := p.Height
 	if height <= 0 {
 		height = 20
 	}
 	minX, maxX := math.MaxInt, math.MinInt
 	minY, maxY := math.Inf(1), math.Inf(-1)
-	for _, s := range series {
+	for _, s := range p.Series {
 		for x, y := range s.Points {
-			if x < minX {
-				minX = x
-			}
-			if x > maxX {
-				maxX = x
-			}
-			if y > 0 && y < minY {
-				minY = y
-			}
-			if y > maxY {
-				maxY = y
+			minX, maxX, maxY = min(minX, x), max(maxX, x), max(maxY, y)
+			if y > 0 {
+				minY = min(minY, y)
 			}
 		}
 	}
@@ -55,76 +56,24 @@ func AsciiPlot(w io.Writer, title string, series []PlotSeries, height int) error
 	for r := range grid {
 		grid[r] = []byte(strings.Repeat(" ", width))
 	}
-	row := func(y float64) int {
-		if y < minY {
-			y = minY
-		}
-		frac := (math.Log(y) - logMin) / (logMax - logMin)
-		r := int(math.Round(frac * float64(height-1)))
-		return height - 1 - r // row 0 is the top
-	}
-	for _, s := range series {
+	for _, s := range p.Series {
 		for x, y := range s.Points {
-			r := row(y)
-			c := x - minX
-			if grid[r][c] == ' ' {
+			frac := (math.Log(max(y, minY)) - logMin) / (logMax - logMin)
+			r := height - 1 - int(math.Round(frac*float64(height-1))) // row 0 is the top
+			if c := x - minX; grid[r][c] == ' ' {
 				grid[r][c] = s.Marker
 			}
 		}
 	}
-	if _, err := fmt.Fprintf(w, "%s\n(log-scale y: %.1f .. %.1f)\n\n", title, minY, maxY); err != nil {
-		return err
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "%s\n(log-scale y: %.1f .. %.1f)\n\n", p.Title, minY, maxY)
+	for _, line := range grid {
+		fmt.Fprintf(&sb, "  |%s\n", line)
 	}
-	for r := 0; r < height; r++ {
-		if _, err := fmt.Fprintf(w, "  |%s\n", string(grid[r])); err != nil {
-			return err
-		}
+	fmt.Fprintf(&sb, "  +%s\n   k=%d%sk=%d\n", strings.Repeat("-", width), minX, strings.Repeat(" ", max(1, width-6)), maxX)
+	for _, s := range p.Series {
+		fmt.Fprintf(&sb, "   %c = %s\n", s.Marker, s.Name)
 	}
-	if _, err := fmt.Fprintf(w, "  +%s\n   k=%d%sk=%d\n", strings.Repeat("-", width),
-		minX, strings.Repeat(" ", max(1, width-6)), maxX); err != nil {
-		return err
-	}
-	for _, s := range series {
-		if _, err := fmt.Fprintf(w, "   %c = %s\n", s.Marker, s.Name); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Plot renders the Figure 2 result as an ASCII chart: one marker per
-// variant plus the Corollary 7 bound.
-func (r Figure2Result) Plot(w io.Writer) error {
-	markers := map[string]byte{
-		"monotone/sync":      'M',
-		"monotone/async":     'm',
-		"non-monotone/sync":  'N',
-		"non-monotone/async": 'n',
-	}
-	pointsByVariant := make(map[string]map[int]float64)
-	var order []string
-	for _, p := range r.Points {
-		name := p.Variant.Name()
-		if pointsByVariant[name] == nil {
-			pointsByVariant[name] = map[int]float64{}
-			order = append(order, name)
-		}
-		pointsByVariant[name][p.K] = p.MeanRounds
-	}
-	var series []PlotSeries
-	for _, name := range order {
-		mk, ok := markers[name]
-		if !ok {
-			mk = '?'
-		}
-		series = append(series, PlotSeries{Name: name, Marker: mk, Points: pointsByVariant[name]})
-	}
-	bound := PlotSeries{Name: "Corollary 7 bound", Marker: '*', Points: map[int]float64{}}
-	for k, b := range r.Bounds {
-		bound.Points[k] = b
-	}
-	series = append(series, bound)
-	return AsciiPlot(w,
-		fmt.Sprintf("Figure 2: rounds to convergence vs quorum size (n=%d)", r.Config.Vertices),
-		series, 22)
+	_, err := io.WriteString(w, sb.String())
+	return err
 }

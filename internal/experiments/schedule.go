@@ -2,7 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"io"
+	"strconv"
 
 	"probquorum/internal/aco"
 	"probquorum/internal/apps/semiring"
@@ -99,38 +99,17 @@ func vectorsEqual(op aco.Operator, a, b []msg.Value) bool {
 	return true
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// Render writes the schedule-rate table.
-func (r ScheduleResult) Render(w io.Writer) error {
-	if _, err := fmt.Fprintf(w,
-		"Schedule-level convergence rate (APSP chain n=%d, no registers)\n\n",
-		r.Config.Vertices); err != nil {
-		return err
-	}
-	headers := []string{"schedule", "staleness bound", "steps to fixpoint", "pseudocycles"}
-	var rows [][]string
+// report prints the schedule rows; the text view shows a run that used up
+// its step budget as ">budget", the CSV view as -1.
+func (r ScheduleResult) report() Report {
+	t := Table{Cols: []Col{{"schedule", "schedule", 0, 0}, {"staleness bound", "delay", 0, 0},
+		{"steps to fixpoint", "", 0, 0}, {"", "steps", 0, 0}, {"pseudocycles", "pseudocycles", 0, 0}}}
 	for _, row := range r.Rows {
-		steps := I(row.Steps)
+		steps := strconv.Itoa(row.Steps)
 		if row.Steps < 0 {
-			steps = ">" + I(r.Config.StepBudget)
+			steps = ">" + strconv.Itoa(r.Config.StepBudget)
 		}
-		rows = append(rows, []string{row.Schedule, I(row.Delay), steps, I(row.Pseudocycles)})
+		t.Add(row.Schedule, row.Delay, steps, row.Steps, row.Pseudocycles)
 	}
-	return Table(w, headers, rows)
-}
-
-// RenderCSV writes the schedule-rate rows as CSV.
-func (r ScheduleResult) RenderCSV(w io.Writer) error {
-	headers := []string{"schedule", "delay", "steps", "pseudocycles"}
-	var rows [][]string
-	for _, row := range r.Rows {
-		rows = append(rows, []string{row.Schedule, I(row.Delay), I(row.Steps), I(row.Pseudocycles)})
-	}
-	return CSV(w, headers, rows)
+	return titled(fmt.Sprintf("Schedule-level convergence rate (APSP chain n=%d, no registers)", r.Config.Vertices), t)
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"probquorum/internal/aco"
@@ -119,8 +118,9 @@ func RunStaleness(cfg StaleConfig) (StaleResult, error) {
 	return res, nil
 }
 
-// Render writes the staleness summary table.
-func (r StaleResult) Render(w io.Writer) error {
+// report prints the staleness summary; the CSV holds the full
+// distributions.
+func (r StaleResult) report() Report {
 	variant := "non-monotone"
 	if r.Config.Monotone {
 		variant = "monotone"
@@ -128,31 +128,18 @@ func (r StaleResult) Render(w io.Writer) error {
 	if r.Config.ReadRepair {
 		variant += "+repair"
 	}
-	if _, err := fmt.Fprintf(w,
-		"Read staleness in writes lagged (APSP chain n=%d, %s, async)\n\n",
-		r.Config.Vertices, variant); err != nil {
-		return err
-	}
-	headers := []string{"k", "reads", "fresh", "mean staleness", "p50", "p99", "max", "conv"}
-	var rows [][]string
+	summary := Table{Cols: []Col{{"k", "", 0, 0}, {"reads", "", 0, 0}, {"fresh", "", 0, 0}, {"mean staleness", "", 2, 0},
+		{"p50", "", 0, 0}, {"p99", "", 0, 0}, {"max", "", 0, 0}, {"conv", "", 0, 0}}}
+	dist := Table{Cols: []Col{{"", "k", 0, 0}, {"", "staleness", 0, 0}, {"", "p", 0, 6}}}
 	for _, s := range r.Series {
-		rows = append(rows, []string{
-			I(s.K), I64(s.Reads), Pct(s.FreshFrac), F(s.Hist.Mean(), 2),
-			I(s.Hist.Quantile(0.5)), I(s.Hist.Quantile(0.99)), I(s.Hist.Max()),
-			fmt.Sprintf("%v", s.Converged),
-		})
-	}
-	return Table(w, headers, rows)
-}
-
-// RenderCSV writes the full distributions as CSV.
-func (r StaleResult) RenderCSV(w io.Writer) error {
-	headers := []string{"k", "staleness", "p"}
-	var rows [][]string
-	for _, s := range r.Series {
+		summary.Add(s.K, s.Reads, Pct(s.FreshFrac), s.Hist.Mean(),
+			s.Hist.Quantile(0.5), s.Hist.Quantile(0.99), s.Hist.Max(), s.Converged)
 		for _, v := range s.Hist.Outcomes() {
-			rows = append(rows, []string{I(s.K), I(v), F(s.Hist.P(v), 6)})
+			dist.Add(s.K, v, s.Hist.P(v))
 		}
 	}
-	return CSV(w, headers, rows)
+	return Report{CSV: dist, Text: []Part{
+		Note(fmt.Sprintf("Read staleness in writes lagged (APSP chain n=%d, %s, async)\n\n", r.Config.Vertices, variant)),
+		summary,
+	}}
 }

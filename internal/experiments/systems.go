@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"time"
 
@@ -132,36 +131,13 @@ func RunSystems(cfg SystemsConfig) (SystemsResult, error) {
 	return res, nil
 }
 
-// Render writes the comparison table.
-func (r SystemsResult) Render(w io.Writer) error {
-	if _, err := fmt.Fprintf(w,
-		"Quorum systems end-to-end: monotone registers, APSP chain per system size (mean of %d runs)\n\n",
-		r.Config.Runs); err != nil {
-		return err
-	}
-	headers := []string{"system", "n", "k", "strict", "load", "avail", "rounds", "messages", "conv"}
-	var rows [][]string
+// report prints the comparison.
+func (r SystemsResult) report() Report {
+	t := Table{Cols: append(same("system", "n", "k", "strict"), Col{"load", "load", 3, 6}, Col{"avail", "availability", 0, 0},
+		Col{"rounds", "rounds", 1, 3}, Col{"messages", "messages", 0, 0}, Col{"conv", "converged", 0, 0})}
 	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			row.System, I(row.N), I(row.QuorumSize), fmt.Sprintf("%v", row.Strict),
-			F(row.Load, 3), I(row.Availability), F(row.Rounds, 1), F(row.Messages, 0),
-			fmt.Sprintf("%v", row.Converged),
-		})
+		t.Add(row.System, row.N, row.QuorumSize, row.Strict, row.Load, row.Availability, row.Rounds, row.Messages, row.Converged)
 	}
-	return Table(w, headers, rows)
-}
-
-// RenderCSV writes the comparison as CSV.
-func (r SystemsResult) RenderCSV(w io.Writer) error {
-	headers := []string{"system", "n", "k", "strict", "load", "availability",
-		"rounds", "messages", "converged"}
-	var rows [][]string
-	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			row.System, I(row.N), I(row.QuorumSize), fmt.Sprintf("%v", row.Strict),
-			F(row.Load, 6), I(row.Availability), F(row.Rounds, 3), F(row.Messages, 0),
-			fmt.Sprintf("%v", row.Converged),
-		})
-	}
-	return CSV(w, headers, rows)
+	return titled(fmt.Sprintf("Quorum systems end-to-end: monotone registers, APSP chain per system size (mean of %d runs)",
+		r.Config.Runs), t)
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"probquorum/internal/aco"
@@ -101,12 +100,9 @@ type TCPFaultRow struct {
 
 // TCPFaultResult is the full E16 result.
 type TCPFaultResult struct {
-	Config TCPFaultResultConfig
+	Config TCPFaultConfig
 	Rows   []TCPFaultRow
 }
-
-// TCPFaultResultConfig echoes the effective configuration in the result.
-type TCPFaultResultConfig = TCPFaultConfig
 
 // RunTCPFault runs the healthy and crash/recover scenarios over sockets. A
 // crash arm that records no retry, timeout, reconnect or top-up is an error:
@@ -172,49 +168,18 @@ func RunTCPFault(cfg TCPFaultConfig) (TCPFaultResult, error) {
 	return res, nil
 }
 
-// Render writes the TCP fault-tolerance table.
-func (r TCPFaultResult) Render(w io.Writer) error {
-	if _, err := fmt.Fprintf(w,
-		"TCP fault tolerance: APSP chain m=%d over %d loopback replicas, k=%d, %d processes\n"+
-			"%d replicas crash after process 0's iteration %d and recover after its iteration %d; per-operation deadline %v, unlimited retries\n\n",
+// report prints the scenario rows. Elapsed time is the one wall-clock
+// column: the text view rounds it to the millisecond, the CSV view gives
+// milliseconds with one decimal.
+func (r TCPFaultResult) report() Report {
+	t := Table{Cols: append(same("scenario", "converged", "rounds", "iterations", "retries", "timeouts", "reconnects", "top_ups"),
+		Col{"elapsed", "", 0, 0}, Col{"", "elapsed_ms", 0, 1})}
+	for _, row := range r.Rows {
+		t.Add(row.Scenario, row.Converged, row.Rounds, row.Iterations, row.Retries, row.Timeouts, row.Reconnects, row.TopUps,
+			row.Elapsed.Round(time.Millisecond).String(), float64(row.Elapsed)/float64(time.Millisecond))
+	}
+	return titled(fmt.Sprintf("TCP fault tolerance: APSP chain m=%d over %d loopback replicas, k=%d, %d processes\n"+
+		"%d replicas crash after process 0's iteration %d and recover after its iteration %d; per-operation deadline %v, unlimited retries",
 		r.Config.Vertices, r.Config.N, r.Config.K, r.Config.Procs,
-		r.Config.Crashed, r.Config.CrashAfter, r.Config.RecoverAfter, r.Config.OpTimeout); err != nil {
-		return err
-	}
-	headers := []string{"scenario", "converged", "rounds", "iterations", "retries", "timeouts", "reconnects", "top_ups", "elapsed"}
-	var rows [][]string
-	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			row.Scenario,
-			fmt.Sprintf("%v", row.Converged),
-			I(row.Rounds),
-			I64(row.Iterations),
-			I64(row.Retries),
-			I64(row.Timeouts),
-			I64(row.Reconnects),
-			I64(row.TopUps),
-			row.Elapsed.Round(time.Millisecond).String(),
-		})
-	}
-	return Table(w, headers, rows)
-}
-
-// RenderCSV writes the scenario rows as CSV.
-func (r TCPFaultResult) RenderCSV(w io.Writer) error {
-	headers := []string{"scenario", "converged", "rounds", "iterations", "retries", "timeouts", "reconnects", "top_ups", "elapsed_ms"}
-	var rows [][]string
-	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			row.Scenario,
-			fmt.Sprintf("%v", row.Converged),
-			I(row.Rounds),
-			I64(row.Iterations),
-			I64(row.Retries),
-			I64(row.Timeouts),
-			I64(row.Reconnects),
-			I64(row.TopUps),
-			F(float64(row.Elapsed)/float64(time.Millisecond), 1),
-		})
-	}
-	return CSV(w, headers, rows)
+		r.Config.Crashed, r.Config.CrashAfter, r.Config.RecoverAfter, r.Config.OpTimeout), t)
 }

@@ -32,23 +32,17 @@ func TestTCPFaultSmoke(t *testing.T) {
 	if crash := res.Rows[1]; crash.Retries+crash.Timeouts+crash.Reconnects+crash.TopUps == 0 {
 		t.Fatal("crash scenario recorded no retry, timeout, reconnect or top-up")
 	}
-	var tbl, csv strings.Builder
-	if err := res.Render(&tbl); err != nil {
-		t.Fatal(err)
-	}
+	tbl, csv := views(t, res.report())
 	for _, col := range []string{"rounds", "reconnects"} {
-		if !strings.Contains(tbl.String(), col) {
-			t.Fatalf("table lacks the %s column:\n%s", col, tbl.String())
+		if !strings.Contains(tbl, col) {
+			t.Fatalf("table lacks the %s column:\n%s", col, tbl)
 		}
 	}
-	if err := res.RenderCSV(&csv); err != nil {
-		t.Fatal(err)
-	}
-	if got := strings.Count(csv.String(), "\n"); got != 3 {
+	if got := strings.Count(csv, "\n"); got != 3 {
 		t.Fatalf("CSV has %d lines, want 3", got)
 	}
-	if !strings.HasPrefix(csv.String(), "scenario,converged,rounds,iterations,") {
-		t.Fatalf("CSV header lacks the rounds column:\n%s", csv.String())
+	if !strings.HasPrefix(csv, "scenario,converged,rounds,iterations,") {
+		t.Fatalf("CSV header lacks the rounds column:\n%s", csv)
 	}
 }
 

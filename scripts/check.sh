@@ -50,6 +50,20 @@ for f in docs/csv/*.csv; do
         fidelity_fail=1
     fi
 done
+# -only runs a subset and writes only its CSVs: E7 has no quick form, so
+# -quick -only E7 writes exactly the committed E07-bounds.csv. An unknown ID
+# is an error, not an empty run.
+mkdir "$fidelity/e7"
+go run ./cmd/reproduce -quick -only E7 -o "$fidelity/e7" > /dev/null
+if [ "$(ls "$fidelity/e7")" != "E07-bounds.csv" ] || ! cmp -s docs/csv/E07-bounds.csv "$fidelity/e7/E07-bounds.csv"; then
+    echo "check.sh: -quick -only E7 did not write exactly docs/csv/E07-bounds.csv:" >&2
+    ls "$fidelity/e7" >&2
+    fidelity_fail=1
+fi
+if go run ./cmd/reproduce -only E99 > /dev/null 2>&1; then
+    echo "check.sh: -only E99 exited 0" >&2
+    fidelity_fail=1
+fi
 if [ "$fidelity_fail" -ne 0 ]; then
     exit 1
 fi
@@ -160,12 +174,15 @@ fi
 # Two harnesses run the protocol, the simulator and loopback TCP: the
 # in-memory goroutine runtime and the Alg. 1 runner over it went. Both run
 # one Alg. 1 process and one monitor: the blocking worker, its convergence
-# tracker and the iteration cap (MaxRounds replaced it) went.
-retired_uses="$(grep -rnE 'internal/cluster|\bRunConcurrent\b|convergenceTracker|\bnewWorker\b|\bMaxIterations\b|\bConcurrentConfig\b|\.wts\b|WireGob|WithWire|WithInlineReplies|RegisterValueType|BatchReplySink|WithRetryBackoff|WithLatency|register\.Apply\(|register\.ClientOption|phaseTimer|\bDialPipelined\b|\bPipelinedClient\b|\bPipeClient\b|register\.NewClient|\.Detach\(|\bWithClock\b|\bNew(Atomic)?(Read|Write)Op\b|\bprocNode\b|confSimNode|memSimNode|cluster\.With|cluster\.ClientOption|WithMaxBatch|WithoutFastRead|register\.Monotone\(|register\.(With(Tally|ReadRepair|Masking|View|WriteSystem)|Pipe(Trace|Gauge|Counters|Observer))\(' \
+# tracker and the iteration cap (MaxRounds replaced it) went. One command
+# reproduces the paper, a loop over one experiment registry: the five
+# per-experiment front ends, their list parser and the per-result CSV
+# renderers went.
+retired_uses="$(grep -rnE 'cmd/(figure2|msgtable|decay|loadavail|quorumtool)|\bParseIntList\b|csvRenderable|\.RenderCSV\(|internal/cluster|\bRunConcurrent\b|convergenceTracker|\bnewWorker\b|\bMaxIterations\b|\bConcurrentConfig\b|\.wts\b|WireGob|WithWire|WithInlineReplies|RegisterValueType|BatchReplySink|WithRetryBackoff|WithLatency|register\.Apply\(|register\.ClientOption|phaseTimer|\bDialPipelined\b|\bPipelinedClient\b|\bPipeClient\b|register\.NewClient|\.Detach\(|\bWithClock\b|\bNew(Atomic)?(Read|Write)Op\b|\bprocNode\b|confSimNode|memSimNode|cluster\.With|cluster\.ClientOption|WithMaxBatch|WithoutFastRead|register\.Monotone\(|register\.(With(Tally|ReadRepair|Masking|View|WriteSystem)|Pipe(Trace|Gauge|Counters|Observer))\(' \
     --include='*.go' . | grep -v '"PipelinedClient"' || true)"
 gob_imports="$(grep -rn '"encoding/gob"' --include='*.go' --exclude='*_test.go' . || true)"
 if [ -n "$retired_uses$gob_imports" ]; then
-    echo "check.sh: retired identifiers reappeared (gob wire, inline replies, per-element reply sink, serial-client options, client facades, hand-driven operations, the goroutine runtime, the blocking Alg. 1 worker):" >&2
+    echo "check.sh: retired identifiers reappeared (gob wire, inline replies, per-element reply sink, serial-client options, client facades, hand-driven operations, the goroutine runtime, the blocking Alg. 1 worker, the per-experiment front ends):" >&2
     echo "$retired_uses$gob_imports" >&2
     hygiene_fail=1
 fi
