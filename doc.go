@@ -42,8 +42,8 @@
 // constructor per cell:
 //
 //	              tcp (sockets)      register cores (sim, custom)
-//	one shard     tcp.Dial           register.NewPipeline(Over)
-//	sharded       tcp.DialKeyspace   register.NewKeyspace(Over)
+//	one shard     tcp.Dial           register.NewPipeline
+//	sharded       tcp.DialKeyspace   register.NewKeyspaceOver
 //	many engines  tcp.DialSet        register.NewKeyspacesOver
 //
 // The last row is several processes sharing one connection set: each engine
@@ -53,11 +53,14 @@
 // socket per server whatever the process count). tcp.Dial and
 // tcp.DialKeyspace are a set with one engine, closed with it.
 //
-// The second column is what the first is built from: the protocol cores
-// take a raw send function (or a transport.Transport via the ...Over
-// variants), which is how the discrete-event simulator and the tests drive
-// them; the simulator also passes PipeClock(sim.Clock), so deadlines run on
-// virtual time. Every cell is configured by one struct, register.Settings:
+// The second column is what the first is built from: a Pipeline takes a raw
+// send function, which is how the discrete-event simulator drives it, and a
+// Keyspace a transport.Transport; the simulator also passes
+// PipeClock(sim.Clock), so deadlines run on virtual time. Replies enter
+// either one way, through the typed calls of transport.ReplySink: the tcp
+// reader walks each frame into them, the simulator's process nodes
+// type-switch each message into them, and a keyspace dispatches the boxed
+// replies of a transport without a ReplyBinder into them. Every cell is configured by one struct, register.Settings:
 // the register class (monotone, read repair, b-masking, a membership view,
 // an asymmetric write system), the deadline and retry budget, and the
 // instruments. Register alone reads it — Settings.Engine validates it and

@@ -112,7 +112,19 @@ func (n *simProc) Init(ctx *sim.Context) {
 	n.startIteration(0)
 }
 
-func (n *simProc) Recv(_ *sim.Context, from msg.NodeID, m any) { n.pl.Deliver(int(from), m) }
+// Recv hands a replica's reply to the pipeline's typed calls, the ones a
+// TCP client's reader makes: the simulator carries messages boxed, and
+// nothing behind this switch sees the box.
+func (n *simProc) Recv(_ *sim.Context, from msg.NodeID, m any) {
+	switch m := m.(type) {
+	case msg.ReadReply:
+		n.pl.ReplyBatch(int(from), []msg.ReadReply{m}, nil)
+	case msg.WriteAck:
+		n.pl.ReplyBatch(int(from), nil, []msg.WriteAck{m})
+	case msg.StaleEpoch:
+		n.pl.StaleEpoch(int(from), m)
+	}
+}
 
 // crashNode is the simulator node that arms the crash schedule. Its id is
 // above every server's and process's, so its Init runs after each process

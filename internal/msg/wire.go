@@ -429,133 +429,43 @@ func appendValue(dst []byte, v Value) ([]byte, error) {
 }
 
 // DecodePayload decodes one frame payload (the bytes after the length
-// prefix). The input may be a transient buffer window: every decoded value
-// owns its memory (strings and slices are copied out).
+// prefix) into a boxed message — a Batch for a batch frame, without its
+// malformed or unrecognized elements. It boxes what the one decoder (visit)
+// hands a visitor, so it accepts exactly what VisitPayload and
+// VisitBatchPayload accept. The input may be a transient buffer window: every
+// decoded value owns its memory (strings and slices are copied out).
 func DecodePayload(p []byte) (any, error) {
-	return decodePayload(p, true)
-}
-
-func decodePayload(p []byte, allowBatch bool) (any, error) {
-	if len(p) == 0 {
-		return nil, errShortPayload
-	}
-	kind, p := p[0], p[1:]
-	switch kind {
-	case wireReadReq, wireWriteAck:
-		reg, op, rest, err := decodeRegOp(p)
-		if err != nil {
-			return nil, err
-		}
-		if kind == wireReadReq {
-			return ReadReq{Reg: reg, Op: op, Epoch: trailingEpoch(rest)}, nil
-		}
-		return WriteAck{Reg: reg, Op: op, Epoch: trailingEpoch(rest)}, nil
-	case wireReadReply, wireWriteReq:
-		reg, op, rest, err := decodeRegOp(p)
-		if err != nil {
-			return nil, err
-		}
-		tag, rest, err := decodeTagged(rest)
-		if err != nil {
-			return nil, err
-		}
-		if kind == wireReadReply {
-			return ReadReply{Reg: reg, Op: op, Tag: tag, Epoch: trailingEpoch(rest)}, nil
-		}
-		return WriteReq{Reg: reg, Op: op, Tag: tag, Epoch: trailingEpoch(rest)}, nil
-	case wireStaleEpoch:
-		reg, op, rest, err := decodeRegOp(p)
-		if err != nil {
-			return nil, err
-		}
-		v, rest, err := decodeView(rest)
-		if err != nil {
-			return nil, err
-		}
-		return StaleEpoch{Reg: reg, Op: op, View: v, Epoch: trailingEpoch(rest)}, nil
-	case wireSnapReq:
-		if len(p) < 8 {
-			return nil, errShortPayload
-		}
-		return SnapReq{Op: OpID(binary.BigEndian.Uint64(p))}, nil
-	case wireSnapReply:
-		if len(p) < 8 {
-			return nil, errShortPayload
-		}
-		op := OpID(binary.BigEndian.Uint64(p))
-		v, rest, err := decodeView(p[8:])
-		if err != nil {
-			return nil, err
-		}
-		if len(rest) < 4 {
-			return nil, errShortPayload
-		}
-		count := int64(binary.BigEndian.Uint32(rest))
-		rest = rest[4:]
-		// Every entry costs at least reg (4) + timestamp (12) + value tag (1).
-		if count > int64(len(rest)/17) {
-			return nil, fmt.Errorf("msg: snapshot claims %d entries in %d bytes", count, len(rest))
-		}
-		r := SnapReply{Op: op, View: v}
-		if count > 0 {
-			r.Entries = make([]SnapEntry, 0, count)
-		}
-		for i := int64(0); i < count; i++ {
-			if len(rest) < 4 {
-				return nil, errShortPayload
-			}
-			reg := RegisterID(int32(binary.BigEndian.Uint32(rest)))
-			tag, after, err := decodeTagged(rest[4:])
-			if err != nil {
-				return nil, err
-			}
-			r.Entries = append(r.Entries, SnapEntry{Reg: reg, Tag: tag})
-			rest = after
-		}
-		return r, nil
-	case wireBatch:
-		if !allowBatch {
-			return nil, errors.New("msg: nested Batch")
-		}
-		return decodeBatch(p)
-	default:
-		return nil, fmt.Errorf("msg: unknown wire kind %d", kind)
-	}
-}
-
-func decodeBatch(p []byte) (Batch, error) {
-	if len(p) < 4 {
-		return Batch{}, errShortPayload
-	}
-	count := int64(binary.BigEndian.Uint32(p))
-	p = p[4:]
-	if count == 0 {
-		return Batch{}, nil
-	}
-	// Every element costs at least its 4-byte length prefix, so a claimed
-	// count beyond that bound is a lie — reject it before allocating.
-	if count > int64(len(p)/4) {
-		return Batch{}, fmt.Errorf("msg: batch claims %d elements in %d bytes", count, len(p))
-	}
-	msgs := make([]any, 0, count)
-	for i := int64(0); i < count; i++ {
-		if len(p) < 4 {
-			return Batch{}, errShortPayload
-		}
-		elen := int64(binary.BigEndian.Uint32(p))
-		p = p[4:]
-		if elen > int64(len(p)) {
-			return Batch{}, errShortPayload
-		}
-		el := p[:elen]
-		p = p[elen:]
-		// A malformed element is dropped, not fatal: replies are matched by
-		// operation id, so skipping junk cannot desynchronize anything.
-		if m, err := decodePayload(el, false); err == nil {
-			msgs = append(msgs, m)
+	var out any
+	var b Batch
+	batch := IsBatchPayload(p)
+	add := func(m any) {
+		if batch {
+			b.Msgs = append(b.Msgs, m)
+		} else {
+			out = m
 		}
 	}
-	return Batch{Msgs: msgs}, nil
+	// Built here, not by a helper: closures a function returns escape, and
+	// each would cost every decode an allocation.
+	v := BatchVisitor{
+		ReadReq:    func(m ReadReq) bool { add(m); return true },
+		WriteReq:   func(m WriteReq) bool { add(m); return true },
+		ReadReply:  func(m ReadReply) bool { add(m); return true },
+		WriteAck:   func(m WriteAck) bool { add(m); return true },
+		StaleEpoch: func(m StaleEpoch) bool { add(m); return true },
+		SnapReq:    func(m SnapReq) bool { add(m); return true },
+		SnapReply:  func(m SnapReply) bool { add(m); return true },
+	}
+	if batch {
+		if _, err := VisitBatchPayload(p, v); err != nil {
+			return nil, err
+		}
+		return b, nil
+	}
+	if _, err := visit(p, &v); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // IsBatchPayload reports whether a raw frame payload (as returned by
@@ -565,25 +475,27 @@ func IsBatchPayload(p []byte) bool {
 	return len(p) > 0 && p[0] == wireBatch
 }
 
-// BatchVisitor receives the elements of a batch payload as concrete message
-// values — no interface boxing per element. A nil callback drops that kind,
-// matching the decoder's junk-tolerance contract. A callback returning false
-// stops the walk.
+// BatchVisitor receives decoded messages as concrete values — no interface
+// boxing per message. A nil callback leaves that kind unhandled: dropped
+// inside a batch, reported by VisitPayload for a lone frame. A callback
+// returning false stops the walk.
 type BatchVisitor struct {
 	ReadReq    func(ReadReq) bool
 	WriteReq   func(WriteReq) bool
 	ReadReply  func(ReadReply) bool
 	WriteAck   func(WriteAck) bool
 	StaleEpoch func(StaleEpoch) bool
+	SnapReq    func(SnapReq) bool
+	SnapReply  func(SnapReply) bool
 }
 
 // VisitBatchPayload walks a raw batch payload (kind byte included), invoking
 // the matching visitor callback for each well-formed element and silently
-// dropping malformed or unrecognized ones — the same element contract as
-// decodeBatch, without materializing a Batch or boxing elements. It returns
-// false if a callback stopped the walk early. The error is non-nil only for
-// a malformed batch envelope (bad kind byte, truncated count, or a count
-// that cannot fit in the payload), mirroring when decodeBatch fails.
+// dropping malformed or unrecognized ones: replies are matched by operation
+// id, so skipping junk cannot desynchronize anything. It returns false if a
+// callback stopped the walk early. The error is non-nil only for a malformed
+// batch envelope (bad kind byte, truncated count, or a count that cannot fit
+// in the payload).
 func VisitBatchPayload(p []byte, v BatchVisitor) (bool, error) {
 	if !IsBatchPayload(p) {
 		return false, errors.New("msg: not a batch payload")
@@ -594,6 +506,8 @@ func VisitBatchPayload(p []byte, v BatchVisitor) (bool, error) {
 	}
 	count := int64(binary.BigEndian.Uint32(p))
 	p = p[4:]
+	// Every element costs at least its 4-byte length prefix, so a claimed
+	// count beyond that bound is a lie.
 	if count > int64(len(p)/4) {
 		return false, fmt.Errorf("msg: batch claims %d elements in %d bytes", count, len(p))
 	}
@@ -608,89 +522,140 @@ func VisitBatchPayload(p []byte, v BatchVisitor) (bool, error) {
 		}
 		el := p[:elen]
 		p = p[elen:]
-		if !visitElement(el, v) {
+		if cont, err := visit(el, &v); err == nil && !cont {
 			return false, nil
 		}
 	}
 	return true, nil
 }
 
-// visitElement decodes one batch element straight into the visitor. Any
-// malformed element is dropped (returns true so the walk continues); only a
-// callback's own false stops the walk.
-func visitElement(el []byte, v BatchVisitor) bool {
-	_, cont := visitOne(el, v)
-	return cont
-}
-
 // VisitPayload routes a single non-batch frame payload (kind byte included)
 // to the matching visitor callback as a concrete value — the lone-frame
-// counterpart of VisitBatchPayload, so neither direction of the wire boxes
-// on the hot path even when frames arrive one at a time. handled reports
-// whether a callback consumed the payload; it is false for kinds outside
-// the visitor set (snapshots, batches), for kinds whose callback is nil,
-// and for malformed payloads — in all of which cases the caller should fall
-// back to the boxed DecodePayload path. cont passes through the callback's
-// return value and is true whenever handled is false.
+// counterpart of VisitBatchPayload. handled reports whether a callback
+// consumed the payload; it is false for a batch payload, for a kind whose
+// callback is nil, and for a malformed payload. cont passes through the
+// callback's return value and is true whenever handled is false.
 func VisitPayload(p []byte, v BatchVisitor) (handled, cont bool) {
-	if IsBatchPayload(p) {
-		return false, true
-	}
-	return visitOne(p, v)
+	cont, err := visit(p, &v)
+	return err == nil, cont || err != nil
 }
 
-// visitOne decodes one element (or lone payload) into the visitor. handled
-// is true only when a callback was invoked; cont carries the callback's
-// return value and is true otherwise.
-func visitOne(el []byte, v BatchVisitor) (handled, cont bool) {
-	if len(el) == 0 {
-		return false, true
+var (
+	errNestedBatch = errors.New("msg: batch where a message was expected")
+	errUnhandled   = errors.New("msg: no visitor callback for the message kind")
+)
+
+// visit decodes one non-batch payload and hands it to v's callback for its
+// kind, returning the callback's result. It is the one decoder of every wire
+// kind: the batch walk, VisitPayload and the boxing DecodePayload all call
+// it. The error is errUnhandled for a well-formed payload whose callback is
+// nil, and a decode error for a malformed payload, an unknown kind or a
+// batch.
+func visit(p []byte, v *BatchVisitor) (bool, error) {
+	if len(p) == 0 {
+		return false, errShortPayload
 	}
-	kind, el := el[0], el[1:]
+	kind, p := p[0], p[1:]
 	switch kind {
 	case wireReadReq, wireWriteAck:
-		reg, op, rest, err := decodeRegOp(el)
+		reg, op, rest, err := decodeRegOp(p)
 		if err != nil {
-			return false, true
+			return false, err
 		}
 		if kind == wireReadReq {
 			if v.ReadReq != nil {
-				return true, v.ReadReq(ReadReq{Reg: reg, Op: op, Epoch: trailingEpoch(rest)})
+				return v.ReadReq(ReadReq{Reg: reg, Op: op, Epoch: trailingEpoch(rest)}), nil
 			}
 		} else if v.WriteAck != nil {
-			return true, v.WriteAck(WriteAck{Reg: reg, Op: op, Epoch: trailingEpoch(rest)})
+			return v.WriteAck(WriteAck{Reg: reg, Op: op, Epoch: trailingEpoch(rest)}), nil
 		}
 	case wireReadReply, wireWriteReq:
-		reg, op, rest, err := decodeRegOp(el)
+		reg, op, rest, err := decodeRegOp(p)
 		if err != nil {
-			return false, true
+			return false, err
 		}
 		tag, rest, err := decodeTagged(rest)
 		if err != nil {
-			return false, true
+			return false, err
 		}
 		if kind == wireWriteReq {
 			if v.WriteReq != nil {
-				return true, v.WriteReq(WriteReq{Reg: reg, Op: op, Tag: tag, Epoch: trailingEpoch(rest)})
+				return v.WriteReq(WriteReq{Reg: reg, Op: op, Tag: tag, Epoch: trailingEpoch(rest)}), nil
 			}
 		} else if v.ReadReply != nil {
-			return true, v.ReadReply(ReadReply{Reg: reg, Op: op, Tag: tag, Epoch: trailingEpoch(rest)})
+			return v.ReadReply(ReadReply{Reg: reg, Op: op, Tag: tag, Epoch: trailingEpoch(rest)}), nil
 		}
 	case wireStaleEpoch:
-		reg, op, rest, err := decodeRegOp(el)
+		reg, op, rest, err := decodeRegOp(p)
 		if err != nil {
-			return false, true
+			return false, err
 		}
 		vw, rest, err := decodeView(rest)
 		if err != nil {
-			return false, true
+			return false, err
 		}
 		if v.StaleEpoch != nil {
-			return true, v.StaleEpoch(StaleEpoch{Reg: reg, Op: op, View: vw, Epoch: trailingEpoch(rest)})
+			return v.StaleEpoch(StaleEpoch{Reg: reg, Op: op, View: vw, Epoch: trailingEpoch(rest)}), nil
 		}
+	case wireSnapReq:
+		if len(p) < 8 {
+			return false, errShortPayload
+		}
+		if v.SnapReq != nil {
+			return v.SnapReq(SnapReq{Op: OpID(binary.BigEndian.Uint64(p))}), nil
+		}
+	case wireSnapReply:
+		r, err := decodeSnapReply(p)
+		if err != nil {
+			return false, err
+		}
+		if v.SnapReply != nil {
+			return v.SnapReply(r), nil
+		}
+	case wireBatch:
+		return false, errNestedBatch
+	default:
+		return false, fmt.Errorf("msg: unknown wire kind %d", kind)
 	}
-	// Unknown kinds (including nested batches) are junk: dropped, not fatal.
-	return false, true
+	return false, errUnhandled
+}
+
+// decodeSnapReply decodes a SnapReply body (the bytes after the kind byte).
+func decodeSnapReply(p []byte) (SnapReply, error) {
+	if len(p) < 8 {
+		return SnapReply{}, errShortPayload
+	}
+	op := OpID(binary.BigEndian.Uint64(p))
+	v, rest, err := decodeView(p[8:])
+	if err != nil {
+		return SnapReply{}, err
+	}
+	if len(rest) < 4 {
+		return SnapReply{}, errShortPayload
+	}
+	count := int64(binary.BigEndian.Uint32(rest))
+	rest = rest[4:]
+	// Every entry costs at least reg (4) + timestamp (12) + value tag (1).
+	if count > int64(len(rest)/17) {
+		return SnapReply{}, fmt.Errorf("msg: snapshot claims %d entries in %d bytes", count, len(rest))
+	}
+	r := SnapReply{Op: op, View: v}
+	if count > 0 {
+		r.Entries = make([]SnapEntry, 0, count)
+	}
+	for i := int64(0); i < count; i++ {
+		if len(rest) < 4 {
+			return SnapReply{}, errShortPayload
+		}
+		reg := RegisterID(int32(binary.BigEndian.Uint32(rest)))
+		tag, after, err := decodeTagged(rest[4:])
+		if err != nil {
+			return SnapReply{}, err
+		}
+		r.Entries = append(r.Entries, SnapEntry{Reg: reg, Tag: tag})
+		rest = after
+	}
+	return r, nil
 }
 
 // BatchWriter assembles one batch reply frame element by element, patching

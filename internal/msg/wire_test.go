@@ -708,10 +708,9 @@ func TestWireAllocGates(t *testing.T) {
 }
 
 // TestVisitPayloadLoneFrames pins the single-frame concrete visitor: every
-// visitor kind dispatches to its callback with the same value the boxed
-// decoder produces, batch and snapshot payloads report handled=false so
-// callers fall back to DecodePayload, and the callback's return value is
-// passed through as cont.
+// wire kind but the batch dispatches to its callback with the value that was
+// encoded, batch payloads and kinds without a callback report handled=false,
+// and the callback's return value is passed through as cont.
 func TestVisitPayloadLoneFrames(t *testing.T) {
 	tag := Tagged{TS: Timestamp{Seq: 7, Writer: 2}, Val: 1.25}
 	view := quorum.View{Epoch: 3, Members: []int32{0, 1, 2}}
@@ -721,6 +720,8 @@ func TestVisitPayloadLoneFrames(t *testing.T) {
 		ReadReply{Reg: 4, Op: 11, Tag: tag, Epoch: 3},
 		WriteAck{Reg: 4, Op: 12, Epoch: 3},
 		StaleEpoch{Reg: 4, Op: 13, View: view, Epoch: 1},
+		SnapReq{Op: 14},
+		SnapReply{Op: 14, View: view, Entries: []SnapEntry{{Reg: 4, Tag: tag}, {Reg: -2}}},
 	}
 	for _, in := range cases {
 		frame := encodeFrame(t, in)
@@ -731,6 +732,8 @@ func TestVisitPayloadLoneFrames(t *testing.T) {
 			ReadReply:  func(m ReadReply) bool { got = m; return true },
 			WriteAck:   func(m WriteAck) bool { got = m; return true },
 			StaleEpoch: func(m StaleEpoch) bool { got = m; return true },
+			SnapReq:    func(m SnapReq) bool { got = m; return true },
+			SnapReply:  func(m SnapReply) bool { got = m; return true },
 		}
 		handled, cont := VisitPayload(frame[4:], v)
 		if !handled || !cont {
@@ -750,8 +753,8 @@ func TestVisitPayloadLoneFrames(t *testing.T) {
 		t.Errorf("stop-requesting callback: handled %v, cont %v, want true, false", handled, cont)
 	}
 
-	// Kinds with no callback, batch frames, snapshots, and junk all report
-	// handled=false with cont=true.
+	// Kinds with no callback (a snapshot request among them), batch frames,
+	// and junk all report handled=false with cont=true.
 	unhandled := [][]byte{
 		encodeFrame(t, ReadReq{Reg: 1, Op: 2})[4:],
 		encodeFrame(t, Batch{Msgs: []any{ReadReq{Reg: 1, Op: 2}}})[4:],

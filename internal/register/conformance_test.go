@@ -770,7 +770,9 @@ func (n *simScript) Init(ctx *sim.Context) {
 	n.submit()
 }
 
-func (n *simScript) Recv(_ *sim.Context, from msg.NodeID, m any) { n.pl.Deliver(int(from), m) }
+func (n *simScript) Recv(_ *sim.Context, from msg.NodeID, m any) {
+	register.DeliverReply(n.pl, int(from), m)
+}
 
 func (n *simScript) submit() {
 	if n.idx == len(n.script) {
@@ -807,11 +809,10 @@ func (n *simScript) stalled() string {
 }
 
 // confPipeNode drives the pipelined flow inside the simulator; completion
-// callbacks run synchronously inside Deliver.
+// callbacks run synchronously inside the reply's delivery.
 type confPipeNode struct {
 	pl      *register.Pipeline
 	tr      *simTransport
-	ctx     *sim.Context
 	regs    int
 	atomic  bool // append the all-in-flight atomic-read round
 	multi   bool // write with multi-writer writes
@@ -822,7 +823,7 @@ type confPipeNode struct {
 }
 
 func (n *confPipeNode) Init(ctx *sim.Context) {
-	n.ctx = ctx
+	n.tr.ctx = ctx
 	n.pending = n.regs
 	wrote := func(_ msg.Tagged, err error) { n.wrote(err) }
 	for r := 0; r < n.regs; r++ {
@@ -892,7 +893,7 @@ func (n *confPipeNode) readAtomic(r int, tag msg.Tagged, err error) {
 	}
 }
 
-func (n *confPipeNode) Recv(_ *sim.Context, from msg.NodeID, m any) { n.pl.Deliver(int(from), m) }
+func (n *confPipeNode) Recv(_ *sim.Context, from msg.NodeID, m any) { n.tr.sink(int(from), m, nil) }
 
 // Timer delivers a crashed server's connection reset (simTransport.Send).
 func (n *confPipeNode) Timer(_ *sim.Context, _ int, payload any) {
@@ -901,14 +902,15 @@ func (n *confPipeNode) Timer(_ *sim.Context, _ int, payload any) {
 
 var errSimReset = errors.New("sim: connection reset by crashed server")
 
-// simTransport carries a pipeline's requests over the simulator as a
-// transport.Transport, so the pipelined rows run the same NewPipelineOver
-// binding the socket runtime does. Replies reach the pipeline through
-// confPipeNode.Recv. A request to a crashed server is lost, and — like a TCP
-// peer whose connection the crashed store closes — the sender learns of it
-// one network delay later as a per-server error.
+// simTransport carries a client's requests over the simulator as a
+// transport.Transport with no ReplyBinder, so the rows run the same
+// NewKeyspaceOver binding the socket runtime does: the node's Recv hands each
+// reply boxed to the Sink, and the keyspace's sink makes the typed calls. A
+// request to a crashed server is lost, and — like a TCP peer whose
+// connection the crashed store closes — the sender learns of it one network
+// delay later as a per-server error, through the node's Timer.
 type simTransport struct {
-	node    *confPipeNode
+	ctx     *sim.Context // the sending node's, set by its Init
 	n       int
 	crashed map[int]bool
 	sink    transport.Sink
@@ -919,9 +921,9 @@ func (s *simTransport) Bind(sink transport.Sink) { s.sink = sink }
 func (s *simTransport) Close() error             { return nil }
 
 func (s *simTransport) Send(server int, req any) error {
-	s.node.ctx.Send(msg.NodeID(server), req)
+	s.ctx.Send(msg.NodeID(server), req)
 	if s.crashed[server] {
-		s.node.ctx.After(time.Millisecond, 0, server)
+		s.ctx.After(time.Millisecond, 0, server)
 	}
 	return nil
 }
@@ -963,11 +965,11 @@ func runSimScenario(t *testing.T, sc confScenario) confResult {
 		var tc metrics.TransportCounters
 		// A crashed replica is silent; unless the row says so, the transport
 		// also signals the loss, like a TCP peer's closed connection.
-		node.tr = &simTransport{node: node, n: sc.servers, crashed: map[int]bool{0: sc.crashOne && !sc.silent}}
-		node.pl = register.NewPipelineOver(engine, node.tr,
+		node.tr = &simTransport{n: sc.servers, crashed: map[int]bool{0: sc.crashOne && !sc.silent}}
+		node.pl = register.NewKeyspaceOver([]*register.Engine{engine}, node.tr,
 			register.PipeClock(s.Clock(self)),
 			register.ApplyPipeline(register.Settings{OpTimeout: sc.timeout, Retries: sc.retries,
-				Trace: log, Proc: self, Gauge: &g, Observer: pobs, Counters: &tc}))
+				Trace: log, Proc: self, Gauge: &g, Observer: pobs, Counters: &tc})).Shard(0)
 		s.Add(self, node)
 		s.Run()
 		if node.err == nil && !node.done {
@@ -1450,15 +1452,15 @@ func runKsTCPScenario(t *testing.T, row ksConfRow) ksConfResult {
 // ksSimNode hosts one keyspace client flow inside the simulator.
 type ksSimNode struct {
 	flow *ksFlow
-	ctx  *sim.Context
+	tr   *simTransport
 }
 
 func (n *ksSimNode) Init(ctx *sim.Context) {
-	n.ctx = ctx
+	n.tr.ctx = ctx
 	n.flow.start()
 }
 
-func (n *ksSimNode) Recv(_ *sim.Context, from msg.NodeID, m any) { n.flow.ks.Deliver(int(from), m) }
+func (n *ksSimNode) Recv(_ *sim.Context, from msg.NodeID, m any) { n.tr.sink(int(from), m, nil) }
 
 func runKsSimScenario(t *testing.T, row ksConfRow) ksConfResult {
 	t.Helper()
@@ -1472,7 +1474,7 @@ func runKsSimScenario(t *testing.T, row ksConfRow) ksConfResult {
 	nodes := make([]*ksSimNode, 2)
 	keyspaces := make([]*register.Keyspace, 2)
 	for pi := range nodes {
-		node := &ksSimNode{}
+		node := &ksSimNode{tr: &simTransport{n: ksConfServers}}
 		nodes[pi] = node
 		engines := make([]*register.Engine, ksConfShards)
 		for i := range engines {
@@ -1480,8 +1482,7 @@ func runKsSimScenario(t *testing.T, row ksConfRow) ksConfResult {
 				rng.Derive(17, fmt.Sprintf("conf.ks.sim.%d.%d", pi, i)), register.WithOpStride(uint64(i), ksConfShards))
 		}
 		self := msg.NodeID(ksConfServers + pi)
-		keyspaces[pi] = register.NewKeyspace(engines,
-			func(server int, req any) { node.ctx.Send(msg.NodeID(server), req) },
+		keyspaces[pi] = register.NewKeyspaceOver(engines, node.tr,
 			register.PipeClock(s.Clock(self)),
 			register.ApplyPipeline(register.Settings{Trace: log, Proc: self, Gauge: &g}))
 		s.Add(self, node)

@@ -3,6 +3,7 @@ package register
 import (
 	"math/rand/v2"
 
+	"probquorum/internal/msg"
 	"probquorum/internal/quorum"
 )
 
@@ -14,4 +15,19 @@ func MustEngine(s Settings, writer int32, sys quorum.System, rnd *rand.Rand, ext
 		panic(err)
 	}
 	return e
+}
+
+// DeliverReply hands one boxed reply to p's typed calls, as the sink a
+// keyspace binds does for a transport without a ReplyBinder; any other
+// payload is ignored. Tests that carry a hand-driven Pipeline's replies
+// themselves — the simulator's script nodes, synchronous loopbacks — use it.
+func DeliverReply(p *Pipeline, server int, payload any) {
+	switch m := payload.(type) {
+	case msg.ReadReply:
+		p.ReplyBatch(server, []msg.ReadReply{m}, nil)
+	case msg.WriteAck:
+		p.ReplyBatch(server, nil, []msg.WriteAck{m})
+	case msg.StaleEpoch:
+		p.StaleEpoch(server, m)
+	}
 }

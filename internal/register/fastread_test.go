@@ -17,7 +17,7 @@ import (
 func allClient(n int, opts ...register.PipelineOption) (*register.Pipeline, *loopback) {
 	tr := newLoopback(n)
 	e := register.NewEngine(1, quorum.NewAll(n), rng.Derive(1, "fastread.test"))
-	return register.NewPipelineOver(e, tr, opts...), tr
+	return pipelineOver(e, tr, opts...), tr
 }
 
 // TestAtomicReadFastPathUnanimous pins the elision: after a write reached
@@ -79,7 +79,7 @@ func TestAtomicReadSlowPathOnDisagreement(t *testing.T) {
 func TestAtomicReadSlowPathWhenCacheFresher(t *testing.T) {
 	tr := newLoopback(3)
 	e := register.MustEngine(register.Settings{Monotone: true}, 1, quorum.NewAll(3), rng.Derive(1, "fastread.cache"))
-	cl := register.NewPipelineOver(e, tr)
+	cl := pipelineOver(e, tr)
 	if err := cl.Write(0, 1.0); err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestAtomicReadSlowPathWhenCacheFresher(t *testing.T) {
 func TestMaskingNeverFast(t *testing.T) {
 	tr := newLoopback(4)
 	e := register.MustEngine(register.Settings{Masking: 1}, 1, quorum.NewAll(4), rng.Derive(1, "fastread.mask"))
-	cl := register.NewPipelineOver(e, tr)
+	cl := pipelineOver(e, tr)
 	if err := cl.Write(0, 6.0); err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestStaleDropsZeroOnLateReadReply(t *testing.T) {
 	tr := &dupLoopback{loopback: newLoopback(3)}
 	e := register.NewEngine(1, quorum.NewAll(3), rng.Derive(1, "fastread.stale"))
 	tc := &metrics.TransportCounters{}
-	cl := register.NewPipelineOver(e, tr, register.ApplyPipeline(register.Settings{Counters: tc}))
+	cl := pipelineOver(e, tr, register.ApplyPipeline(register.Settings{Counters: tc}))
 	if err := cl.Write(0, 1.0); err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestPipelineStaleDropsZeroOnLateReadReply(t *testing.T) {
 	tr := &dupLoopback{loopback: newLoopback(3)}
 	e := register.NewEngine(1, quorum.NewAll(3), rng.Derive(1, "fastread.pipestale"))
 	tc := &metrics.TransportCounters{}
-	p := register.NewPipelineOver(e, tr, register.ApplyPipeline(register.Settings{Counters: tc}))
+	p := pipelineOver(e, tr, register.ApplyPipeline(register.Settings{Counters: tc}))
 	defer p.Close(nil)
 	if err := p.Write(0, 1.0); err != nil {
 		t.Fatal(err)

@@ -25,7 +25,7 @@ import (
 // The shards share the transport, and the transport carries op-id-matched
 // replies with no notion of shards — so every shard's engine is confined to
 // its own op-id residue class (WithOpStride): shard i only ever issues ids
-// ≡ i (mod shards), and Deliver routes a reply to its shard from the id's
+// ≡ i (mod shards), and ReplyBatch routes a reply to its shard from the id's
 // low bits alone, no shared routing table. Requests from all shards funnel
 // into the same per-server transport queues, so frame coalescing happens
 // across keys and shards, not per key. Several clients — one process's
@@ -52,25 +52,6 @@ type Keyspace struct {
 	batchPool *sync.Pool
 }
 
-// NewKeyspace builds a keyspace over per-shard engines; engines[i] must
-// have been constructed with WithOpStride(i, len(engines)) so reply routing
-// by op-id residue works, and len(engines) must be a power of two. The
-// shards are one client: their engines share its writer identity and quorum
-// system but must not share rand streams or any other state (independent
-// clients share a transport through NewKeyspacesOver, each keeping its own
-// writer identity and shards). The pipeline options are applied
-// to every shard; pointer-valued options (trace log, gauge, counters,
-// observer) aggregate naturally across shards because the shards share the
-// target. Prefer the transport adapter (tcp.DialKeyspace) unless you are
-// wiring a custom runtime.
-func NewKeyspace(engines []*Engine, send SendFunc, opts ...PipelineOption) *Keyspace {
-	k := newKeyspace(len(engines))
-	for i, e := range engines {
-		k.shards[i] = newShard(e, i, len(engines), send, opts)
-	}
-	return k
-}
-
 func newKeyspace(n int) *Keyspace {
 	if n == 0 || n&(n-1) != 0 {
 		panic(fmt.Sprintf("register: keyspace shard count %d is not a power of two", n))
@@ -86,12 +67,21 @@ func newShard(e *Engine, r, stride int, send SendFunc, opts []PipelineOption) *P
 	return NewPipeline(e, send, opts...)
 }
 
-// NewKeyspaceOver builds a Keyspace running over a Transport, binding its
-// sink to Deliver once for all shards. As with NewPipelineOver, a
-// transport-wide fatal error closes the keyspace, and a per-server error or
-// failed Send marks the server suspected — in the one suspicion table every
-// shard's picks consult — and tops up the operations of every shard that
-// were waiting on it. It is NewKeyspacesOver with one client.
+// NewKeyspaceOver builds a Keyspace running over a Transport: one client
+// whose shard engines are engines. engines[i] must have been constructed
+// with WithOpStride(i, len(engines)) so reply routing by op-id residue works,
+// and len(engines) must be a power of two. The shards are one client: their
+// engines share its writer identity and quorum system but must not share
+// rand streams or any other state. The pipeline options are applied to
+// every shard; pointer-valued options (trace log, gauge, counters, observer)
+// aggregate across shards because the shards share the target. With one
+// engine, Shard(0) is a lone Pipeline over the transport. A transport-wide
+// fatal error closes the keyspace, and a per-server error or failed Send
+// marks the server suspected — in the one suspicion table every shard's
+// picks consult — and tops up the operations of every shard that were
+// waiting on it. Send's ErrNotInView is not a fault — the server left the
+// view on purpose — and stays with the deadline. It is NewKeyspacesOver
+// with one client.
 func NewKeyspaceOver(engines []*Engine, tr transport.Transport, opts ...PipelineOption) *Keyspace {
 	return NewKeyspacesOver(tr, [][]*Engine{engines}, [][]PipelineOption{opts})[0]
 }
@@ -143,16 +133,41 @@ func NewKeyspacesOver(tr transport.Transport, groups [][]*Engine, opts [][]Pipel
 		}
 	}
 	deliverTo(tr, root)
-	// Concrete-typed delivery: batch replies walk straight into the issuing
-	// shard without boxing (the Sink keeps carrying errors). With one shard
-	// there is nothing to demultiplex, so frames go to it directly and never
-	// touch ReplyBatch's pooled scratch.
+	// A transport with a ReplyBinder walks its reply frames straight into the
+	// issuing shards, and its Sink carries only errors. With one shard there
+	// is nothing to demultiplex, so frames go to it directly and never touch
+	// ReplyBatch's pooled scratch.
 	var rs transport.ReplySink = root
 	if len(root.shards) == 1 {
 		rs = root.shards[0]
 	}
 	transport.BindReplies(tr, rs)
 	return clients
+}
+
+// deliverTo binds tr's sink to root, the keyspace that demultiplexes every
+// client of the transport: a transport-wide error closes it, a per-server
+// error is a lost member, and a reply — from a transport without a
+// ReplyBinder, which sends its replies boxed — enters through the same typed
+// calls a bound ReplySink receives. Anything else is ignored.
+func deliverTo(tr transport.Transport, root *Keyspace) {
+	tr.Bind(func(server int, payload any, err error) {
+		switch {
+		case err != nil && server == transport.Broadcast:
+			root.Close(err)
+		case err != nil:
+			root.memberLost(server, err)
+		default:
+			switch m := payload.(type) {
+			case msg.ReadReply:
+				root.ReplyBatch(server, []msg.ReadReply{m}, nil)
+			case msg.WriteAck:
+				root.ReplyBatch(server, nil, []msg.WriteAck{m})
+			case msg.StaleEpoch:
+				root.StaleEpoch(server, m)
+			}
+		}
+	})
 }
 
 // memberLost hands a per-server loss to every shard: the shards share the
@@ -242,34 +257,6 @@ func (k *Keyspace) WriteMulti(key msg.RegisterID, val msg.Value) (msg.Timestamp,
 	return tag.TS, err
 }
 
-// Deliver feeds one server's message into the keyspace, routing it to the
-// issuing shard by the op id's residue class. Non-protocol payloads land on
-// shard 0, which ignores them like any pipeline does. Safe for concurrent
-// use; replies for different shards don't contend.
-func (k *Keyspace) Deliver(server int, payload any) {
-	switch m := payload.(type) {
-	case msg.ReadReply:
-		k.ReadReply(server, m)
-	case msg.WriteAck:
-		k.WriteAck(server, m)
-	case msg.StaleEpoch:
-		k.StaleEpoch(server, m)
-	default:
-		k.shards[0].Deliver(server, payload)
-	}
-}
-
-// ReadReply routes one concrete read reply to its issuing shard — a leg of
-// the boxed Deliver.
-func (k *Keyspace) ReadReply(server int, m msg.ReadReply) {
-	k.shards[m.Op&k.mask].ReadReply(server, m)
-}
-
-// WriteAck routes one concrete write acknowledgement to its issuing shard.
-func (k *Keyspace) WriteAck(server int, m msg.WriteAck) {
-	k.shards[m.Op&k.mask].WriteAck(server, m)
-}
-
 // StaleEpoch routes one concrete stale-epoch reject to its issuing shard;
 // the shard adopts the carried view and re-targets the shared transport.
 func (k *Keyspace) StaleEpoch(server int, m msg.StaleEpoch) {
@@ -286,8 +273,8 @@ type ksBatch struct {
 }
 
 // ReplyBatch demultiplexes one server frame's worth of replies by op-id
-// residue and hands each touched shard its share in a single call — the
-// unboxed counterpart of Deliver (transport.ReplySink). Requests from all
+// residue and hands each touched shard its share in a single call
+// (transport.ReplySink). Requests from all
 // shards funnel into the same per-server queues, so a coalesced reply frame
 // interleaves shards freely; delivering it element by element would take
 // each shard's pipeline lock once per reply. Bucketing first keeps the
@@ -296,12 +283,13 @@ type ksBatch struct {
 func (k *Keyspace) ReplyBatch(server int, reads []msg.ReadReply, acks []msg.WriteAck) {
 	if len(reads)+len(acks) == 1 {
 		// A lone element needs no demux scratch.
-		for _, m := range reads {
-			k.ReadReply(server, m)
+		var op msg.OpID
+		if len(reads) == 1 {
+			op = reads[0].Op
+		} else {
+			op = acks[0].Op
 		}
-		for _, m := range acks {
-			k.WriteAck(server, m)
-		}
+		k.shards[op&k.mask].ReplyBatch(server, reads, acks)
 		return
 	}
 	b, _ := k.batchPool.Get().(*ksBatch)

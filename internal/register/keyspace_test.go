@@ -1,11 +1,11 @@
 package register_test
 
-// Keyspace unit tests over a synchronous in-process loopback: each send
-// applies the request to a replica.Store and delivers the reply inline, so
-// every operation completes by the time its submit call returns. The
+// Keyspace unit tests over a synchronous in-process loopback transport: each
+// send applies the request to a replica.Store and delivers the reply inline,
+// so every operation completes by the time its submit call returns. The
 // loopback exercises the full shard routing path (op-id residue classes)
-// without a transport, which is what lets the memory gates drive a million
-// keys in a unit test.
+// without sockets, which is what lets the memory gates drive a million keys
+// in a unit test.
 
 import (
 	"fmt"
@@ -22,28 +22,19 @@ import (
 	"probquorum/internal/transport"
 )
 
-// loopbackKeyspace builds a keyspace whose sends apply synchronously to
-// fresh replica stores. Engines are strided per the keyspace contract.
+// loopbackKeyspace builds a keyspace over a loopback of fresh replica
+// stores, whose replies reach it boxed through the transport's Sink. Engines
+// are strided per the keyspace contract.
 func loopbackKeyspace(t testing.TB, servers, shards int, sys quorum.System,
 	s register.Settings) (*register.Keyspace, []*replica.Store) {
 	t.Helper()
-	stores := make([]*replica.Store, servers)
-	for i := range stores {
-		stores[i] = replica.New(msg.NodeID(i), nil)
-	}
-	var ks *register.Keyspace
-	send := func(server int, req any) {
-		if reply, ok := stores[server].Apply(req); ok {
-			ks.Deliver(server, reply)
-		}
-	}
+	tr := newLoopback(servers)
 	engines := make([]*register.Engine, shards)
 	for i := range engines {
 		engines[i] = register.MustEngine(s, 1, sys,
 			rng.Derive(7, fmt.Sprintf("keyspace_test.%d", i)), register.WithOpStride(uint64(i), uint64(shards)))
 	}
-	ks = register.NewKeyspace(engines, send, register.ApplyPipeline(s))
-	return ks, stores
+	return register.NewKeyspaceOver(engines, tr, register.ApplyPipeline(s)), tr.stores
 }
 
 // TestKeyspaceRoutesAcrossShards drives writes and reads over enough keys
@@ -122,21 +113,21 @@ func TestKeyspaceRejectsMisconfiguredEngines(t *testing.T) {
 			engines[i] = register.NewEngine(1, sys, rng.Derive(1, "x"),
 				register.WithOpStride(uint64(i), 4))
 		}
-		register.NewKeyspace(engines, func(int, any) {})
+		register.NewKeyspaceOver(engines, newLoopback(3))
 	})
 	mustPanic("unstrided engines", func() {
 		engines := []*register.Engine{
 			register.NewEngine(1, sys, rng.Derive(1, "a")),
 			register.NewEngine(1, sys, rng.Derive(1, "b")),
 		}
-		register.NewKeyspace(engines, func(int, any) {})
+		register.NewKeyspaceOver(engines, newLoopback(3))
 	})
 	mustPanic("wrong residue", func() {
 		engines := []*register.Engine{
 			register.NewEngine(1, sys, rng.Derive(1, "a"), register.WithOpStride(1, 2)),
 			register.NewEngine(1, sys, rng.Derive(1, "b"), register.WithOpStride(0, 2)),
 		}
-		register.NewKeyspace(engines, func(int, any) {})
+		register.NewKeyspaceOver(engines, newLoopback(3))
 	})
 	mustPanic("stride offset out of range", func() {
 		register.WithOpStride(4, 4)
@@ -204,7 +195,7 @@ func TestKeyspaceAllocGate(t *testing.T) {
 	var pl *register.Pipeline
 	plSend := func(server int, req any) {
 		if reply, ok := stores[server].Apply(req); ok {
-			pl.Deliver(server, reply)
+			register.DeliverReply(pl, server, reply)
 		}
 	}
 	pl = register.NewPipeline(
@@ -250,38 +241,17 @@ func TestKeyspaceAllocGate(t *testing.T) {
 			ksAllocs, plAllocs)
 	}
 
-	// Unboxed delivery: replies arrive through the concrete ReplySink methods
-	// (the transport.BindReplies path the TCP binary read loop uses) instead
-	// of being boxed into Deliver's any. De-boxing must not cost allocations
-	// over the boxed path — that is its whole point.
-	cstores := make([]*replica.Store, 5)
-	for i := range cstores {
-		cstores[i] = replica.New(msg.NodeID(i), nil)
-	}
-	var ksc *register.Keyspace
-	cSend := func(server int, req any) {
-		reply, ok := cstores[server].Apply(req)
-		if !ok {
-			return
-		}
-		switch m := reply.(type) {
-		case msg.ReadReply:
-			ksc.ReadReply(server, m)
-		case msg.WriteAck:
-			ksc.WriteAck(server, m)
-		case msg.StaleEpoch:
-			ksc.StaleEpoch(server, m)
-		default:
-			ksc.Deliver(server, reply)
-		}
-	}
+	// Unboxed delivery: replies arrive through a bound ReplySink (the
+	// transport.BindReplies path the TCP read loop uses) instead of boxed
+	// through the Sink. De-boxing must not cost allocations over the boxed
+	// path — that is its whole point.
 	cEngines := make([]*register.Engine, 8)
 	for i := range cEngines {
 		cEngines[i] = register.NewEngine(1, sys,
 			rng.Derive(7, fmt.Sprintf("allocgate.unboxed.%d", i)),
 			register.WithOpStride(uint64(i), 8))
 	}
-	ksc = register.NewKeyspace(cEngines, cSend)
+	ksc := register.NewKeyspaceOver(cEngines, &typedLoopback{loopback: *newLoopback(5)})
 	for i := 0; i < 64; i++ {
 		if err := ksc.Write(key, i); err != nil {
 			t.Fatal(err)
@@ -299,7 +269,7 @@ func TestKeyspaceAllocGate(t *testing.T) {
 		}
 	})
 	if unboxedAllocs > ksAllocs {
-		t.Errorf("unboxed reply path allocates %.1f/op-pair, boxed Deliver %.1f — de-boxing added allocations",
+		t.Errorf("unboxed reply path allocates %.1f/op-pair, boxed Sink %.1f — de-boxing added allocations",
 			unboxedAllocs, ksAllocs)
 	}
 	t.Logf("allocs per write+read pair: pipeline %.1f, keyspace %.1f, keyspace-unboxed %.1f",
@@ -338,6 +308,39 @@ func TestKeyspaceAllocGate(t *testing.T) {
 		t.Errorf("one-shard keyspace: %d allocations over %d frames of %d replies (in flight after: %d), want 0 per frame",
 			frameAllocs, frames, frame, one.InFlight())
 	}
+}
+
+// typedLoopback is a loopback with a ReplyBinder: the stores' typed calls
+// answer, and each reply reaches the bound ReplySink as a one-element frame,
+// as a lone reply frame does over tcp. The frames are a stack: a reply's
+// delivery may send, and so deliver, again before it returns.
+type typedLoopback struct {
+	loopback
+	rs    transport.ReplySink
+	reads []msg.ReadReply
+	acks  []msg.WriteAck
+}
+
+func (l *typedLoopback) BindReplies(rs transport.ReplySink) bool { l.rs = rs; return true }
+
+func (l *typedLoopback) Send(server int, req any) error {
+	switch m := req.(type) {
+	case msg.ReadReq:
+		if r, ok := l.stores[server].ApplyRead(m); ok {
+			n := len(l.reads)
+			l.reads = append(l.reads, r)
+			l.rs.ReplyBatch(server, l.reads[n:], nil)
+			l.reads = l.reads[:n]
+		}
+	case msg.WriteReq:
+		if a, ok := l.stores[server].ApplyWrite(m); ok {
+			n := len(l.acks)
+			l.acks = append(l.acks, a)
+			l.rs.ReplyBatch(server, nil, l.acks[n:])
+			l.acks = l.acks[:n]
+		}
+	}
+	return nil
 }
 
 // frameTransport is a loopback that holds every read reply back until flush,

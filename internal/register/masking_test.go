@@ -167,7 +167,7 @@ func TestPipelineMaskingRejectionRetries(t *testing.T) {
 	var pl *Pipeline
 	send := func(server int, req any) {
 		if reply, ok := c.appliers[server].Apply(req); ok {
-			pl.Deliver(server, reply)
+			DeliverReply(pl, server, reply)
 		}
 	}
 	e := NewEngine(1, quorum.NewProbabilistic(3, 2), rng.Derive(5, "masking.pipeline"), Settings{Masking: 1}.variants)

@@ -42,7 +42,13 @@ func (l *loopback) Send(server int, req any) error {
 func loopbackClient(n, k int, opts ...register.PipelineOption) *register.Pipeline {
 	tr := newLoopback(n)
 	e := register.NewEngine(1, quorum.NewProbabilistic(n, k), rng.Derive(1, "observer.test"))
-	return register.NewPipelineOver(e, tr, opts...)
+	return pipelineOver(e, tr, opts...)
+}
+
+// pipelineOver is the Pipeline of a one-shard keyspace over tr: a lone
+// pipeline bound to a transport.
+func pipelineOver(e *register.Engine, tr transport.Transport, opts ...register.PipelineOption) *register.Pipeline {
+	return register.NewKeyspaceOver([]*register.Engine{e}, tr, opts...).Shard(0)
 }
 
 // TestObserverPhaseAccounting drives writes, reads, and atomic reads through

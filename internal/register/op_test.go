@@ -63,8 +63,8 @@ func TestRetryBudgetArithmetic(t *testing.T) {
 	sys := func() quorum.System { return quorum.NewAll(n) }
 
 	// The engine's two drivers over a transport: the one-shard Keyspace every
-	// tcp client is, and a bare Pipeline. Each reads register 0
-	// once.
+	// tcp client is, and that keyspace's Pipeline driven directly. Each reads
+	// register 0 once.
 	drivers := []struct {
 		name string
 		read func(e *Engine, tr transport.Transport, opts ...PipelineOption) error
@@ -76,7 +76,7 @@ func TestRetryBudgetArithmetic(t *testing.T) {
 			return err
 		}},
 		{"pipeline", func(e *Engine, tr transport.Transport, opts ...PipelineOption) error {
-			p := NewPipelineOver(e, tr, opts...)
+			p := NewKeyspaceOver([]*Engine{e}, tr, opts...).Shard(0)
 			defer p.Close(nil)
 			_, err := p.Read(0)
 			return err

@@ -52,19 +52,20 @@ type SendFunc func(server int, req any)
 // the per-register FIFO, the op-id map that routes replies, the shared
 // deadline list, and the observer, trace and gauge around them.
 //
-// Replies are matched to operations by operation id (Deliver), not by
+// Replies are matched to operations by operation id (ReplyBatch), not by
 // request/reply pairing, so a transport may deliver replies in any order,
 // deliver duplicates, or drop them entirely — a per-operation deadline
-// (PipeTimeout) covers what is lost. Over a Transport (NewPipelineOver) the
+// (PipeTimeout) covers what is lost. Over a Transport (NewKeyspaceOver) the
 // fan-out is fault-aware: a member the transport reports lost is replaced
 // within the attempt, and picks avoid suspected servers (see memberLost).
 type Pipeline struct {
 	mu     sync.Mutex
 	engine *Engine
 	send   SendFunc
-	// tr is the transport underneath send when the pipeline was built by
-	// NewPipelineOver (nil otherwise): view adoptions triggered by stale-epoch
-	// rejects re-target it before the rejected operation re-fans out.
+	// tr is the transport underneath send when the pipeline is a shard of a
+	// keyspace built over one (nil otherwise): view adoptions triggered by
+	// stale-epoch rejects re-target it before the rejected operation re-fans
+	// out.
 	tr transport.Transport
 	// health is the transport's suspicion table, shared with the engine and
 	// with the other shards of a keyspace; nil without a transport, which
@@ -180,50 +181,6 @@ func NewPipeline(engine *Engine, send SendFunc, opts ...PipelineOption) *Pipelin
 		o(p)
 	}
 	return p
-}
-
-// NewPipelineOver builds a Pipeline running over a Transport: sends go
-// through tr.Send and the transport's sink feeds Deliver. A transport-wide
-// fatal error closes the pipeline with it. A per-server error event, or a
-// Send that could not hand its request off, means every request in flight to
-// that server is lost: the server is marked suspected in the suspicion table
-// created here, and the operations waiting on it replace it at once
-// (memberLost) instead of waiting out their deadline. Send's ErrNotInView is
-// not a fault — the server left the view on purpose — and stays with the
-// deadline.
-func NewPipelineOver(engine *Engine, tr transport.Transport, opts ...PipelineOption) *Pipeline {
-	var p *Pipeline
-	p = NewPipeline(engine, sendOver(tr, func(server int, err error) { p.memberLost(server, err) }), opts...)
-	p.bind(tr, transport.NewHealth(tr.N()))
-	deliverTo(tr, p)
-	// Transports with a concrete-typed reply path deliver whole frames into
-	// ReplyBatch, skipping the interface boxing of the Sink closure
-	// (which remains bound for errors and oddball payloads).
-	transport.BindReplies(tr, p)
-	return p
-}
-
-// faultSink is what a transport's traffic is delivered to: a Pipeline, or a
-// Keyspace fanning out to its shards.
-type faultSink interface {
-	Deliver(server int, payload any)
-	Close(err error)
-	memberLost(server int, cause error)
-}
-
-// deliverTo binds tr's sink to fs: replies are delivered, a transport-wide
-// error closes it, a per-server error is a lost member.
-func deliverTo(tr transport.Transport, fs faultSink) {
-	tr.Bind(func(server int, payload any, err error) {
-		switch {
-		case err == nil:
-			fs.Deliver(server, payload)
-		case server == transport.Broadcast:
-			fs.Close(err)
-		default:
-			fs.memberLost(server, err)
-		}
-	})
 }
 
 // sendOver is the SendFunc of a client running over tr: a request tr could
@@ -889,53 +846,6 @@ func (p *Pipeline) memberLost(server int, cause error) {
 	}
 }
 
-// Deliver feeds one server's message into the pipeline. Replies are matched
-// to operations by id; duplicates, messages for abandoned attempts, and
-// non-protocol payloads are ignored, so transports may deliver anything they
-// receive. It is safe for concurrent use.
-func (p *Pipeline) Deliver(server int, payload any) {
-	switch m := payload.(type) {
-	case msg.ReadReply:
-		p.ReadReply(server, m)
-	case msg.WriteAck:
-		p.WriteAck(server, m)
-	case msg.StaleEpoch:
-		p.StaleEpoch(server, m)
-	}
-}
-
-// ReadReply feeds one concrete read reply into the pipeline — a leg of the
-// boxed Deliver.
-func (p *Pipeline) ReadReply(server int, m msg.ReadReply) {
-	p.heard(server)
-	var sends []send
-	p.mu.Lock()
-	ended := p.readReplyLocked(server, m, &sends)
-	p.mu.Unlock()
-	p.settle(sends, ended)
-}
-
-// WriteAck feeds one concrete write acknowledgement into the pipeline — a
-// leg of the boxed Deliver.
-func (p *Pipeline) WriteAck(server int, m msg.WriteAck) {
-	p.heard(server)
-	var sends []send
-	p.mu.Lock()
-	ended := p.writeAckLocked(server, m, &sends)
-	p.mu.Unlock()
-	p.settle(sends, ended)
-}
-
-// settle is the outside-the-lock half of a one-reply delivery: it hands the
-// reply's follow-up sends to the transport and signals the operation the
-// reply ended, if any.
-func (p *Pipeline) settle(sends []send, ended *PendingOp) {
-	p.dispatch(sends)
-	if ended != nil {
-		p.signal(ended)
-	}
-}
-
 // readReplyLocked applies one read reply under p.mu, returning the
 // operation it ended (nil when the reply was late, a duplicate, or merely
 // brought its quorum one step closer). At most one operation can end per
@@ -1010,17 +920,21 @@ func (p *Pipeline) staleDrop() {
 // into, so the batched delivery path allocates nothing per frame.
 var doneOpsPool = sync.Pool{New: func() any { s := make([]*PendingOp, 0, 16); return &s }}
 
-// ReplyBatch feeds one server frame's worth of concrete replies into the
-// pipeline under a single lock acquisition — the unboxed counterpart of
-// Deliver (transport.ReplySink). It is semantically identical to calling
-// ReadReply and WriteAck once per element; the point is cost: a frame the
-// server coalesced from dozens of pipelined replies takes
-// one mutex round trip here instead of one per element, which is where a
-// deeply pipelined client otherwise spends its receive path. Done-channel
-// closes and completion callbacks still run after the lock is dropped, in
-// element order, exactly as on the per-element path.
+// ReplyBatch feeds one server frame's worth of replies into the pipeline
+// under a single lock acquisition (transport.ReplySink) — the one way a read
+// reply or write acknowledgement enters it. Replies are matched to
+// operations by id; duplicates and replies to abandoned attempts are
+// dropped. A frame the server coalesced from dozens of pipelined replies
+// takes one mutex round trip here instead of one per element, which is where
+// a deeply pipelined client otherwise spends its receive path. Done-channel
+// closes and completion callbacks run after the lock is dropped, in element
+// order. It is safe for concurrent use.
 func (p *Pipeline) ReplyBatch(server int, reads []msg.ReadReply, acks []msg.WriteAck) {
 	p.heard(server)
+	if len(reads)+len(acks) == 1 {
+		p.replyOne(server, reads, acks)
+		return
+	}
 	sends := getSends()
 	done := doneOpsPool.Get().(*[]*PendingOp)
 	p.mu.Lock()
@@ -1043,6 +957,26 @@ func (p *Pipeline) ReplyBatch(server int, reads []msg.ReadReply, acks []msg.Writ
 	putSends(sends)
 	*done = (*done)[:0]
 	doneOpsPool.Put(done)
+}
+
+// replyOne is ReplyBatch for a frame of one reply — every reply the
+// simulator delivers, and every reply a transport without a ReplyBinder
+// sends. At most one operation can end per reply, so it needs none of the
+// pooled per-frame scratch.
+func (p *Pipeline) replyOne(server int, reads []msg.ReadReply, acks []msg.WriteAck) {
+	var sends []send
+	var ended *PendingOp
+	p.mu.Lock()
+	if len(reads) == 1 {
+		ended = p.readReplyLocked(server, reads[0], &sends)
+	} else {
+		ended = p.writeAckLocked(server, acks[0], &sends)
+	}
+	p.mu.Unlock()
+	p.dispatch(sends)
+	if ended != nil {
+		p.signal(ended)
+	}
 }
 
 // StaleEpoch handles a replica's stale-epoch reject: adopt the newer view it

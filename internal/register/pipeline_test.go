@@ -12,12 +12,15 @@ import (
 	"probquorum/internal/replica"
 	"probquorum/internal/rng"
 	"probquorum/internal/trace"
+	"probquorum/internal/transport"
 )
 
 // pipeNet is a controllable loop-back transport for Pipeline tests: requests
 // either apply to in-process replica stores synchronously (auto mode) or
 // queue up until the test releases them (manual mode), which is how tests
-// freeze the network to observe genuinely overlapping operations.
+// freeze the network to observe genuinely overlapping operations. Replies go
+// to pl, or — once a keyspace has bound it as a transport.Transport with no
+// ReplyBinder — boxed through its Sink.
 type pipeNet struct {
 	mu      sync.Mutex
 	servers []*replica.Store
@@ -25,6 +28,7 @@ type pipeNet struct {
 	auto    bool
 	drop    func(server int, req any) bool
 	pl      *Pipeline
+	sink    transport.Sink
 }
 
 type pipeMsg struct {
@@ -74,10 +78,20 @@ func (n *pipeNet) queued() int {
 }
 
 func (n *pipeNet) apply(m pipeMsg) {
-	if reply, ok := n.servers[m.server].Apply(m.req); ok {
-		n.pl.Deliver(m.server, reply)
+	reply, ok := n.servers[m.server].Apply(m.req)
+	switch {
+	case !ok:
+	case n.sink != nil:
+		n.sink(m.server, reply, nil)
+	default:
+		DeliverReply(n.pl, m.server, reply)
 	}
 }
+
+func (n *pipeNet) N() int                         { return len(n.servers) }
+func (n *pipeNet) Bind(sink transport.Sink)       { n.sink = sink }
+func (n *pipeNet) Send(server int, req any) error { n.send(server, req); return nil }
+func (n *pipeNet) Close() error                   { return nil }
 
 func pipeFixture(t *testing.T, n int, auto bool, opts ...PipelineOption) (*Pipeline, *pipeNet) {
 	t.Helper()
@@ -346,20 +360,41 @@ func TestPipelineWriteTimestampsFIFO(t *testing.T) {
 	}
 }
 
-// TestPipelineStaleRepliesIgnored delivers duplicated and foreign replies
-// and confirms the id-multiplexed dispatch drops them silently.
+// TestPipelineStaleRepliesIgnored: over a transport with no ReplyBinder,
+// replies arrive boxed through the Sink, and the sink a keyspace binds feeds
+// them to the pipeline's typed calls. Replies to no operation are dropped by
+// id, a non-protocol payload is ignored, the real replies complete the
+// operation, and duplicates of them after completion are dropped too.
 func TestPipelineStaleRepliesIgnored(t *testing.T) {
-	pl, net := pipeFixture(t, 5, false)
+	var tc metrics.TransportCounters
+	net := newPipeNet(5, map[msg.RegisterID]msg.Value{0: 0.0}, false)
+	e := NewEngine(1, quorum.NewMajority(5), rng.Derive(7, "pipeline.test"))
+	pl := NewKeyspaceOver([]*Engine{e}, net, ApplyPipeline(Settings{Counters: &tc})).Shard(0)
 	op := pl.ReadAsync(0)
-	pl.Deliver(0, msg.ReadReply{Op: msg.OpID(1 << 40)})
-	pl.Deliver(0, msg.WriteAck{Op: msg.OpID(1 << 41)})
-	pl.Deliver(0, "not a protocol message")
+	net.sink(0, msg.ReadReply{Op: msg.OpID(1 << 40)}, nil)
+	net.sink(0, msg.WriteAck{Op: msg.OpID(1 << 41)}, nil)
+	net.sink(0, "not a protocol message", nil)
+	if got := tc.StaleDrops.Value(); got != 2 {
+		t.Fatalf("stale drops after two foreign replies = %d, want 2", got)
+	}
+	net.mu.Lock()
+	held := append([]pipeMsg(nil), net.queue...)
+	net.mu.Unlock()
 	net.release()
-	if _, err := op.Wait(); err != nil {
+	got, err := op.Wait()
+	if err != nil {
 		t.Fatalf("read with junk deliveries: %v", err)
 	}
-	// Duplicate the real replies after completion: must be inert too.
-	net.release()
+	if got.Val != 0.0 {
+		t.Fatalf("read %v, want the stores' 0", got.Val)
+	}
+	before := tc.StaleDrops.Value()
+	for _, m := range held {
+		net.apply(m)
+	}
+	if got := tc.StaleDrops.Value() - before; got != int64(len(held)) {
+		t.Fatalf("%d duplicate replies after completion made %d stale drops, want one each", len(held), got)
+	}
 }
 
 func BenchmarkPipelineLoopbackSubmit(b *testing.B) {

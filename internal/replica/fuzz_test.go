@@ -173,7 +173,7 @@ func FuzzStoreMixedKeyBatch(f *testing.F) {
 			},
 		})
 		if verr != nil || !completed {
-			t.Fatalf("visit path rejected the frame decodeBatch accepted: completed=%v err=%v", completed, verr)
+			t.Fatalf("visit path rejected the frame DecodePayload accepted: completed=%v err=%v", completed, verr)
 		}
 		if w.Count() != len(want) {
 			t.Fatalf("visit path answered %d elements, want %d (junk-drop parity broken)", w.Count(), len(want))

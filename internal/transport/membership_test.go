@@ -2,7 +2,6 @@ package transport_test
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 
 	"probquorum/internal/metrics"
@@ -11,29 +10,20 @@ import (
 	"probquorum/internal/transport"
 )
 
-// stubTransport scripts per-server Send outcomes and records what was sent,
-// optionally implementing the membership seams.
+// stubTransport implements the membership seams and records what reaches
+// them.
 type stubTransport struct {
-	n        int
-	sendErrs map[int]error
-	sent     []int
-	sink     transport.Sink
-	rs       transport.ReplySink
-	updated  []quorum.View
-	updErr   error
+	n       int
+	sink    transport.Sink
+	rs      transport.ReplySink
+	updated []quorum.View
+	updErr  error
 }
 
-func (s *stubTransport) N() int                { return s.n }
-func (s *stubTransport) Bind(f transport.Sink) { s.sink = f }
-func (s *stubTransport) Close() error          { return nil }
-
-func (s *stubTransport) Send(server int, req any) error {
-	if err := s.sendErrs[server]; err != nil {
-		return err
-	}
-	s.sent = append(s.sent, server)
-	return nil
-}
+func (s *stubTransport) N() int                         { return s.n }
+func (s *stubTransport) Bind(f transport.Sink)          { s.sink = f }
+func (s *stubTransport) Close() error                   { return nil }
+func (s *stubTransport) Send(server int, req any) error { return nil }
 
 func (s *stubTransport) Update(v quorum.View) error {
 	s.updated = append(s.updated, v)
@@ -41,66 +31,6 @@ func (s *stubTransport) Update(v quorum.View) error {
 }
 
 func (s *stubTransport) BindReplies(rs transport.ReplySink) bool { s.rs = rs; return true }
-
-// TestSendAllCollectsPerServerErrors pins the SendAll contract: it never
-// stops early, the error vector is indexed by server, and the aggregate
-// matches each underlying error through errors.Is/As.
-func TestSendAllCollectsPerServerErrors(t *testing.T) {
-	errDown := errors.New("server down")
-	errGone := fmt.Errorf("drained: %w", errors.New("left the view"))
-	st := &stubTransport{n: 5, sendErrs: map[int]error{1: errDown, 3: errGone}}
-
-	err := transport.SendAll(st, "req")
-	if err == nil {
-		t.Fatal("SendAll returned nil despite two failures")
-	}
-	var me *transport.MultiError
-	if !errors.As(err, &me) {
-		t.Fatalf("SendAll error is %T, want *MultiError", err)
-	}
-	if len(me.Errs) != 5 {
-		t.Fatalf("Errs has %d entries, want 5 (indexed by server)", len(me.Errs))
-	}
-	if me.Errs[1] != errDown || me.Errs[3] != errGone {
-		t.Errorf("Errs = %v, want errDown at 1 and errGone at 3", me.Errs)
-	}
-	if me.Errs[0] != nil || me.Errs[2] != nil || me.Errs[4] != nil {
-		t.Errorf("successful servers carry non-nil entries: %v", me.Errs)
-	}
-	if got := me.Failed(); len(got) != 2 || got[0] != 1 || got[1] != 3 {
-		t.Errorf("Failed() = %v, want [1 3]", got)
-	}
-	// No early stop: servers after the first failure were still attempted.
-	if len(st.sent) != 3 || st.sent[0] != 0 || st.sent[1] != 2 || st.sent[2] != 4 {
-		t.Errorf("sent to %v, want [0 2 4]", st.sent)
-	}
-	if !errors.Is(err, errDown) {
-		t.Error("errors.Is does not see through MultiError to a member error")
-	}
-	for _, want := range []string{"2/5 sends failed", "server 1", "server 3"} {
-		if s := err.Error(); !containsStr(s, want) {
-			t.Errorf("Error() = %q, missing %q", s, want)
-		}
-	}
-
-	st.sendErrs = nil
-	st.sent = nil
-	if err := transport.SendAll(st, "req"); err != nil {
-		t.Fatalf("all-success SendAll = %v, want nil", err)
-	}
-	if len(st.sent) != 5 {
-		t.Fatalf("all-success SendAll reached %d servers, want 5", len(st.sent))
-	}
-}
-
-func containsStr(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
-}
 
 // TestUpdateAndBindRepliesSeams pins the optional-seam helpers: they engage
 // when the transport implements the seam, report false when it does not,

@@ -47,12 +47,11 @@ type tcpTransport struct {
 	epoch  quorum.Epoch
 	closed bool
 
-	// sink is atomic, not mutex-guarded: every reply from every reader
-	// goroutine passes through emit, and a shared lock there serializes the
-	// reply fan-in the pipelined client exists to parallelize. rsink is where
-	// batch frames — every reply a server's serve loop writes — are walked
-	// to: the client's concrete-typed path once bound
-	// (transport.ReplyBinder), until then boxedReplies, which feeds the sink.
+	// sink carries errors and the closing Broadcast; rsink is where every
+	// reply frame is walked to (transport.ReplyBinder). Both are atomic, not
+	// mutex-guarded: the reader goroutines load rsink once per frame, and a
+	// shared lock there would serialize the reply fan-in the pipelined client
+	// exists to parallelize.
 	sink  atomic.Pointer[transport.Sink]
 	rsink atomic.Pointer[transport.ReplySink]
 }
@@ -65,26 +64,8 @@ func newTCPTransport(addrs []string, timeout time.Duration, counters *metrics.Tr
 		conns[srv] = t.newConn(srv, addr)
 	}
 	t.conns.Store(&conns)
-	var boxed transport.ReplySink = boxedReplies{t}
-	t.rsink.Store(&boxed)
 	return t
 }
-
-// boxedReplies is the reply path of a client that never bound a ReplySink:
-// each element of a batch frame is boxed into the Sink, already labeled with
-// the server index its epoch echo resolved to.
-type boxedReplies struct{ t *tcpTransport }
-
-func (b boxedReplies) ReplyBatch(server int, reads []msg.ReadReply, acks []msg.WriteAck) {
-	for _, m := range reads {
-		b.t.emit(server, m, nil)
-	}
-	for _, m := range acks {
-		b.t.emit(server, m, nil)
-	}
-}
-
-func (b boxedReplies) StaleEpoch(server int, m msg.StaleEpoch) { b.t.emit(server, m, nil) }
 
 // newConn builds (but does not dial) one connection slot for server index
 // srv at addr; its configuration is the transport's.
@@ -116,17 +97,17 @@ func (t *tcpTransport) Bind(sink transport.Sink) {
 	t.sink.Store(&sink)
 }
 
-// BindReplies installs the concrete-typed reply path (transport.ReplyBinder):
-// batch frames are then walked straight into rs with zero per-element
-// boxing; errors and non-batch payloads keep flowing through the boxed Sink.
+// BindReplies installs the reply path (transport.ReplyBinder): every reply
+// frame is walked straight into rs with no per-element boxing. Until it is
+// bound, replies are dropped.
 func (t *tcpTransport) BindReplies(rs transport.ReplySink) bool {
 	t.rsink.Store(&rs)
 	return true
 }
 
-func (t *tcpTransport) emit(server int, payload any, err error) {
+func (t *tcpTransport) emit(server int, err error) {
 	if sink := t.sink.Load(); sink != nil {
-		(*sink)(server, payload, err)
+		(*sink)(server, nil, err)
 	}
 }
 
@@ -134,9 +115,9 @@ func (t *tcpTransport) Send(server int, req any) error {
 	conns := *t.conns.Load()
 	if server < 0 || server >= len(conns) {
 		// A send into a view transition (the quorum was picked against a
-		// larger view than the one just adopted). The sentinel lets SendAll's
-		// MultiError record the drop; callers treat it like a missing reply —
-		// the operation's deadline re-issues against the current view.
+		// larger view than the one just adopted). Callers treat the sentinel
+		// like a missing reply — the operation's deadline re-issues against
+		// the current view — and do not suspect the server.
 		return transport.ErrNotInView
 	}
 	return conns[server].enqueue(req)
@@ -219,7 +200,7 @@ func (t *tcpTransport) Close() error {
 	for _, nc := range *t.conns.Load() {
 		nc.close()
 	}
-	t.emit(transport.Broadcast, nil, ErrClientClosed)
+	t.emit(transport.Broadcast, ErrClientClosed)
 	return nil
 }
 
@@ -267,7 +248,7 @@ type netConn struct {
 	wg sync.WaitGroup
 
 	// brReads/brAcks accumulate one batch frame's reply elements for
-	// delivery through ReplyBatch (decodeRawBatched). Only the recv
+	// delivery through ReplyBatch (deliver). Only the recv
 	// goroutine touches them, and the sink must not retain them past the
 	// ReplyBatch call, so they recycle frame to frame with no lock.
 	brReads []msg.ReadReply
@@ -284,23 +265,13 @@ type netConn struct {
 	closed     bool
 }
 
-// emit labels a delivery with the connection's server index — the position
-// it held under the epoch the reply's request was issued under, when the
-// reply carries an epoch echo — unless the connection has been detached from
-// the view (a leaver's late replies and death throes are not news).
-func (nc *netConn) emit(payload any, err error) {
-	if nc.detached.Load() {
-		return
+// fail reports a per-server error under the connection's current server
+// index, unless the connection has been detached from the view (a leaver's
+// death throes are not news).
+func (nc *netConn) fail(err error) {
+	if !nc.detached.Load() {
+		nc.t.emit(int(nc.server.Load()), err)
 	}
-	server := int(nc.server.Load())
-	if e, isReply := transport.ReplyEpoch(payload); isReply {
-		idx, ok := nc.indexForEpoch(e)
-		if !ok {
-			return
-		}
-		server = idx
-	}
-	nc.t.emit(server, payload, err)
 }
 
 // indexForEpoch resolves the server index to label a reply issued under
@@ -462,7 +433,7 @@ func (nc *netConn) writeFrames(out []byte) {
 	}
 	if err := nc.writeFramesLocked(out); err != nil {
 		nc.sendDropped()
-		nc.emit(nil, fmt.Errorf("send: %w", err))
+		nc.fail(fmt.Errorf("send: %w", err))
 	}
 }
 
@@ -537,21 +508,19 @@ func (nc *netConn) dropLocked(err error) {
 
 // readLoop delivers every frame arriving on one connection, but only while
 // this reader is current: a stale generation's death is not news. Each
-// frame's payload is inspected in place (decodeRaw): batch frames walk
-// straight into the bound ReplySink with concrete types — the client-side
-// mirror of the server's batch walk — and anything else is boxed through the
-// Sink. No read deadline is ever armed (a silent server is for the
-// pipeline's per-operation deadline to notice), so any read error, such as
-// a connection closed by a crashed server or a corrupt frame, kills the
-// connection and surfaces as one per-server error delivery.
+// frame's payload is walked in place straight into the bound ReplySink with
+// concrete types (deliver) — the client-side mirror of the server's walk. No
+// read deadline is ever armed (a silent server is for the pipeline's
+// per-operation deadline to notice), so any read error, such as a connection
+// closed by a crashed server or a corrupt frame, kills the connection and
+// surfaces as one per-server error delivery.
 func (nc *netConn) readLoop(conn net.Conn, gen int) {
 	defer nc.wg.Done()
 	fr := msg.NewFrameReader(conn)
 	for {
-		var m any
 		payload, err := fr.NextRaw()
 		if err == nil {
-			m, err = nc.decodeRaw(payload)
+			err = nc.deliver(payload)
 		}
 		if err != nil {
 			nc.mu.Lock()
@@ -562,45 +531,42 @@ func (nc *netConn) readLoop(conn net.Conn, gen int) {
 			nc.mu.Unlock()
 			_ = conn.Close()
 			if !stale {
-				nc.emit(nil, fmt.Errorf("recv: %w", err))
+				nc.fail(fmt.Errorf("recv: %w", err))
 			}
 			return
 		}
-		if m != nil {
-			nc.emit(m, nil)
-		}
 	}
 }
 
-// decodeRaw handles one raw frame. A batch frame — the only kind a server's
-// serve loop coalesces replies into — is delivered concretely
-// (decodeRawBatched) and yields a nil message. Anything else is the cold
-// path — snapshot replies, a lone reply frame from a peer that does not
-// coalesce — and decodes boxed, returned for delivery through the Sink. A
-// decode error is fatal to the connection.
-func (nc *netConn) decodeRaw(payload []byte) (any, error) {
-	if msg.IsBatchPayload(payload) {
-		return nil, nc.decodeRawBatched(payload, *nc.t.rsink.Load())
-	}
-	return msg.DecodePayload(payload)
-}
+// errForeignFrame is the read error for a lone frame that is no reply: it
+// closes the connection, as a malformed frame does.
+var errForeignFrame = errors.New("tcp: frame is not a reply")
 
-// decodeRawBatched walks one batch frame and hands its reply elements to
-// the sink in whole-frame calls — one ReplyBatch per run of elements that
-// resolve to the same server index — so the sink amortizes its internal
-// locking across everything the server coalesced into the frame. In steady
-// state a frame is a single run (all elements echo the same epoch); only a
-// frame straddling a view change splits. Stale-epoch rejects flush the
-// pending run first and are then delivered on their own: the sink's view
-// adoption must not be reordered ahead of replies already decoded. The
-// accumulator slices live on the netConn because only the recv goroutine
-// decodes frames; ReplyBatch's contract says the sink must not retain them.
-// A connection detached from the view delivers nothing: a leaver's late
-// replies are not news.
-func (nc *netConn) decodeRawBatched(payload []byte, rs transport.ReplySink) error {
+// deliver walks one frame — a batch frame, the kind a server's serve loop
+// coalesces replies into, or a lone reply — and hands its replies to the
+// bound ReplySink in whole-frame calls: one ReplyBatch per run of elements
+// that resolve to the same server index, so the sink amortizes its internal
+// locking across everything the server coalesced into the frame. A reply is
+// labeled with the position its server held under the epoch the reply's
+// request was issued under (indexForEpoch); one whose epoch is outside the
+// retained window is dropped. In steady state a frame is a single run (all
+// elements echo the same epoch); only a frame straddling a view change
+// splits. Stale-epoch rejects flush the pending run first and are then
+// delivered on their own: the sink's view adoption must not be reordered
+// ahead of replies already decoded. The accumulator slices live on the
+// netConn because only the recv goroutine decodes frames; ReplyBatch's
+// contract says the sink must not retain them. A connection detached from
+// the view delivers nothing: a leaver's late replies are not news. A
+// malformed frame, or a lone frame that is no reply, is an error.
+func (nc *netConn) deliver(payload []byte) error {
 	if nc.detached.Load() {
 		return nil
 	}
+	rsp := nc.t.rsink.Load()
+	if rsp == nil {
+		return nil
+	}
+	rs := *rsp
 	idx := -1 // server index of the run being accumulated
 	flush := func() {
 		if len(nc.brReads)+len(nc.brAcks) == 0 {
@@ -612,7 +578,7 @@ func (nc *netConn) decodeRawBatched(payload []byte, rs transport.ReplySink) erro
 		nc.brReads = nc.brReads[:0]
 		nc.brAcks = nc.brAcks[:0]
 	}
-	_, err := msg.VisitBatchPayload(payload, msg.BatchVisitor{
+	vis := msg.BatchVisitor{
 		ReadReply: func(m msg.ReadReply) bool {
 			if i, ok := nc.indexForEpoch(m.Epoch); ok {
 				if i != idx {
@@ -642,7 +608,13 @@ func (nc *netConn) decodeRawBatched(payload []byte, rs transport.ReplySink) erro
 		},
 		// Request-kind elements are foreign on a client-bound stream;
 		// nil callbacks drop them like any junk element.
-	})
+	}
+	var err error
+	if msg.IsBatchPayload(payload) {
+		_, err = msg.VisitBatchPayload(payload, vis)
+	} else if handled, _ := msg.VisitPayload(payload, vis); !handled {
+		err = errForeignFrame
+	}
 	flush()
 	return err
 }

@@ -187,8 +187,8 @@ func startLoneFramePeer(t *testing.T, val msg.Value, firstDelay time.Duration) s
 
 // TestLoneReplyFrameBoxedLeg pins the cold reply path: a peer that answers
 // with lone reply frames instead of batch frames still completes a client's
-// operations — the frames decode boxed and reach the register pipeline
-// through the Sink rather than through ReplyBatch.
+// operations — each frame is walked into the bound ReplySink as a frame of
+// one reply, as a batch frame is.
 func TestLoneReplyFrameBoxedLeg(t *testing.T) {
 	addr := startLoneFramePeer(t, "lone", 0)
 	c, err := Dial([]string{addr}, quorum.NewSingleton(1, 0))

@@ -186,14 +186,18 @@ const replyQueueLimit = 1 << 20
 // connection: the loop parks in Write (TCP backpressure) holding at most
 // replyQueueLimit plus one reply, and Server.Close closes the socket under
 // it. Requests — batched or lone — are decoded through the concrete visitor,
-// so the steady-state loop is allocation-free in both directions; only
-// snapshot traffic (and other non-visitor kinds) takes the boxed fallback.
+// so the steady-state loop is allocation-free in both directions; a snapshot
+// request is answered with a lone SnapReply frame.
 //
 // Inside a batch frame a malformed or foreign element is dropped rather than
 // fatal: replies are matched by operation id, not position, so skipping junk
 // cannot desynchronize the stream — the junk element's "operation" simply
 // never completes and the sender's per-operation deadline deals with it. A
-// malformed batch envelope or lone frame closes the connection.
+// malformed batch envelope, or a lone frame the visitor does not handle,
+// closes the connection. So does a crashed store: a client whose request
+// vanished would wait out its whole deadline, while a closed connection
+// surfaces promptly as an error on the client's pending call — its crash
+// signal — and the client re-dials on next use.
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	out := replies{conn: conn, m: s.opts.metrics, buf: msg.GetEncodeBuf()}
@@ -231,6 +235,10 @@ func (s *Server) serveConn(conn net.Conn) {
 			out.w.AddWriteAck(ack)
 			return out.bound()
 		},
+		SnapReq: func(m msg.SnapReq) bool {
+			reply, ok := s.store.ApplySnap(m)
+			return ok && out.writeSnap(reply)
+		},
 		// Reply-kind elements are foreign on a server-bound stream; leaving
 		// their callbacks nil drops them, like any other junk.
 	}
@@ -248,29 +256,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			continue
 		}
-		if handled, cont := msg.VisitPayload(payload, vis); handled {
-			if !cont {
-				return
-			}
-			continue
-		}
-		// Boxed fallback: snapshot requests, and the close-on-junk contract
-		// for anything the store does not serve.
-		m, err := msg.DecodePayload(payload)
-		if err != nil {
-			return
-		}
-		reply, ok := s.store.Apply(m)
-		if !ok {
-			// Crashed store (or a non-protocol message): close the
-			// connection instead of silently skipping the reply. A client
-			// whose request vanished would wait out its whole deadline; a
-			// closed connection surfaces promptly as an error on the
-			// client's pending call — its crash signal — and the client
-			// re-dials on next use.
-			return
-		}
-		if !out.writeFrame(reply) {
+		if handled, cont := msg.VisitPayload(payload, vis); !handled || !cont {
 			return
 		}
 	}
@@ -301,11 +287,10 @@ func (r *replies) flush() bool {
 	return r.write(r.w.Finish(), r.w.Count())
 }
 
-// writeFrame writes the pending replies and then reply, encoded as a
-// standalone frame (in practice a SnapReply: a joining server reads the
-// snapshot as a lone frame, so it is never folded into a batch), in one
-// conn.Write — the cold path.
-func (r *replies) writeFrame(reply any) bool {
+// writeSnap writes the pending replies and then reply, encoded as a
+// standalone frame (a joining server reads the snapshot as a lone frame, so
+// it is never folded into a batch), in one conn.Write — the cold path.
+func (r *replies) writeSnap(reply msg.SnapReply) bool {
 	n := r.w.Count()
 	out := r.w.Finish()
 	if n == 0 {

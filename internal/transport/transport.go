@@ -22,12 +22,13 @@ import (
 // "transport closed" notification (payload nil, err non-nil).
 const Broadcast = -1
 
-// Sink receives inbound traffic from a Transport. For a normal reply, server
-// is the replying server's index, payload the decoded message, and err nil.
-// For a per-server failure (connection died, decode error), payload is nil
-// and err describes the failure. For a transport-wide fatal condition
+// Sink receives inbound traffic from a Transport. For a per-server failure
+// (connection died, decode error), server is that server's index, payload
+// nil and err describes the failure. For a transport-wide fatal condition
 // (shutdown, crash of the underlying runtime), server is Broadcast and err
-// is the terminal error; no further deliveries follow.
+// is the terminal error; no further deliveries follow. A transport with a
+// ReplyBinder (the TCP one) delivers replies through the bound ReplySink and
+// nothing else here; one without sends each reply here boxed, with err nil.
 //
 // Implementations of Transport may invoke the sink from internal goroutines;
 // the sink must not block.
@@ -98,10 +99,10 @@ func (i *instrumented) Update(v quorum.View) error {
 }
 
 // BindReplies forwards concrete-typed delivery through a counting shim, so
-// replies arriving on the unboxed path hit MsgsRecv exactly like boxed ones.
+// replies arriving on the typed path hit MsgsRecv exactly like boxed ones.
 // It reports the inner transport's answer: wrapping a transport without a
-// concrete reply path, the bind is a no-op and callers must keep the boxed
-// Sink fallback.
+// concrete reply path, the bind is a no-op and replies keep arriving boxed
+// through the Sink.
 func (i *instrumented) BindReplies(rs ReplySink) bool {
 	if rb, ok := i.Transport.(ReplyBinder); ok {
 		return rb.BindReplies(&countedReplies{rs: rs, tc: i.tc})

@@ -177,12 +177,16 @@ fi
 # tracker and the iteration cap (MaxRounds replaced it) went. One command
 # reproduces the paper, a loop over one experiment registry: the five
 # per-experiment front ends, their list parser and the per-result CSV
-# renderers went.
-retired_uses="$(grep -rnE 'cmd/(figure2|msgtable|decay|loadavail|quorumtool)|\bParseIntList\b|csvRenderable|\.RenderCSV\(|internal/cluster|\bRunConcurrent\b|convergenceTracker|\bnewWorker\b|\bMaxIterations\b|\bConcurrentConfig\b|\.wts\b|WireGob|WithWire|WithInlineReplies|RegisterValueType|BatchReplySink|WithRetryBackoff|WithLatency|register\.Apply\(|register\.ClientOption|phaseTimer|\bDialPipelined\b|\bPipelinedClient\b|\bPipeClient\b|register\.NewClient|\.Detach\(|\bWithClock\b|\bNew(Atomic)?(Read|Write)Op\b|\bprocNode\b|confSimNode|memSimNode|cluster\.With|cluster\.ClientOption|WithMaxBatch|WithoutFastRead|register\.Monotone\(|register\.(With(Tally|ReadRepair|Masking|View|WriteSystem)|Pipe(Trace|Gauge|Counters|Observer))\(' \
+# renderers went. A reply enters a register client one way, through the
+# typed ReplySink calls, and a frame is decoded one way, by msg's visitor: the
+# boxed Deliver, the test-only transport constructor, tcp's boxing reply
+# adapter and reply-epoch probe, the second batch decoder, and the unused
+# send-to-all helper with its error type went.
+retired_uses="$(grep -rnE '\.Deliver\(|boxedReplies|decodeBatch|\bReplyEpoch\b|\bSendAll\b|\bMultiError\b|NewPipelineOver|cmd/(figure2|msgtable|decay|loadavail|quorumtool)|\bParseIntList\b|csvRenderable|\.RenderCSV\(|internal/cluster|\bRunConcurrent\b|convergenceTracker|\bnewWorker\b|\bMaxIterations\b|\bConcurrentConfig\b|\.wts\b|WireGob|WithWire|WithInlineReplies|RegisterValueType|BatchReplySink|WithRetryBackoff|WithLatency|register\.Apply\(|register\.ClientOption|phaseTimer|\bDialPipelined\b|\bPipelinedClient\b|\bPipeClient\b|register\.NewClient|\.Detach\(|\bWithClock\b|\bNew(Atomic)?(Read|Write)Op\b|\bprocNode\b|confSimNode|memSimNode|cluster\.With|cluster\.ClientOption|WithMaxBatch|WithoutFastRead|register\.Monotone\(|register\.(With(Tally|ReadRepair|Masking|View|WriteSystem)|Pipe(Trace|Gauge|Counters|Observer))\(' \
     --include='*.go' . | grep -v '"PipelinedClient"' || true)"
 gob_imports="$(grep -rn '"encoding/gob"' --include='*.go' --exclude='*_test.go' . || true)"
 if [ -n "$retired_uses$gob_imports" ]; then
-    echo "check.sh: retired identifiers reappeared (gob wire, inline replies, per-element reply sink, serial-client options, client facades, hand-driven operations, the goroutine runtime, the blocking Alg. 1 worker, the per-experiment front ends):" >&2
+    echo "check.sh: retired identifiers reappeared (gob wire, inline replies, per-element reply sink, serial-client options, client facades, hand-driven operations, the goroutine runtime, the blocking Alg. 1 worker, the per-experiment front ends, the boxed reply path):" >&2
     echo "$retired_uses$gob_imports" >&2
     hygiene_fail=1
 fi
