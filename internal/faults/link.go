@@ -53,9 +53,6 @@ func NewLink(backend string) (*Link, error) {
 // Addr returns the address clients should dial in place of the backend.
 func (l *Link) Addr() string { return l.ln.Addr().String() }
 
-// Backend returns the proxied server address.
-func (l *Link) Backend() string { return l.backend }
-
 // SetDelay sets the per-chunk, per-direction forwarding delay (0 restores
 // full speed). Takes effect for chunks forwarded after the call.
 func (l *Link) SetDelay(d time.Duration) { l.delay.Store(int64(d)) }
@@ -65,9 +62,6 @@ func (l *Link) Delay() time.Duration { return time.Duration(l.delay.Load()) }
 
 // SetBlocked stalls (true) or resumes (false) forwarding in both directions.
 func (l *Link) SetBlocked(b bool) { l.blocked.Store(b) }
-
-// Blocked reports whether the link is currently partitioned.
-func (l *Link) Blocked() bool { return l.blocked.Load() }
 
 // Close stops the proxy and closes every proxied connection.
 func (l *Link) Close() {

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"probquorum/internal/metrics"
 	"probquorum/internal/msg"
 	"probquorum/internal/obs"
 	"probquorum/internal/register"
@@ -60,7 +61,9 @@ type Config struct {
 	DrainTimeout time.Duration
 }
 
-// IntervalStat is one reporting interval of a run.
+// IntervalStat is one reporting interval of a run. Its latencies come from
+// the difference of two snapshots of the run's histogram; Max is the top of
+// the interval's highest occupied bucket, capped at the run's maximum.
 type IntervalStat struct {
 	Start     time.Duration `json:"start"`
 	Issued    int64         `json:"issued"`
@@ -77,10 +80,10 @@ type IntervalStat struct {
 
 // KindStats aggregates one operation kind over the whole run.
 type KindStats struct {
-	Issued    int64 `json:"issued"`
-	Completed int64 `json:"completed"`
-	Errors    int64 `json:"errors"`
-	Hist      *Hist `json:"-"`
+	Issued    int64                `json:"issued"`
+	Completed int64                `json:"completed"`
+	Errors    int64                `json:"errors"`
+	Hist      *metrics.LatencyHist `json:"-"`
 }
 
 // Result is everything a run produced.
@@ -104,7 +107,7 @@ type Result struct {
 	IsolationExample    string `json:"isolation_example,omitempty"`
 
 	Kinds     map[string]*KindStats `json:"kinds"`
-	Total     *Hist                 `json:"-"`
+	Total     *metrics.LatencyHist  `json:"-"`
 	Intervals []IntervalStat        `json:"intervals"`
 	Obs       *obs.Snapshot         `json:"obs,omitempty"`
 
@@ -173,13 +176,15 @@ type run struct {
 	logical  atomic.Int64 // trace timestamp source
 	wg       sync.WaitGroup
 
+	// total and the kinds' histograms take completions from client
+	// delivery goroutines without a lock; the issuing goroutine diffs
+	// snapshots of total for each interval.
+	total *metrics.LatencyHist
+
 	// mu guards everything below: completion stats come from client
 	// delivery goroutines, interval rollover from the issuing goroutine.
 	mu           sync.Mutex
-	cur          Hist // current interval
-	curCompleted int64
 	curErrors    int64
-	total        *Hist
 	kinds        map[string]*KindStats
 	completed    int64
 	errors       int64
@@ -205,11 +210,11 @@ func (d *Driver) Run(ctx context.Context) (*Result, error) {
 		cfg:   cfg,
 		pacer: NewPacer(cfg.Rate, cfg.Clock),
 		rng:   rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0x9e3779b97f4a7c15)),
-		total: &Hist{},
+		total: new(metrics.LatencyHist),
 		kinds: map[string]*KindStats{},
 	}
 	for _, k := range []OpKind{OpRead, OpWrite, OpAtomicRead} {
-		r.kinds[k.String()] = &KindStats{Hist: &Hist{}}
+		r.kinds[k.String()] = &KindStats{Hist: new(metrics.LatencyHist)}
 	}
 	if cfg.Soak {
 		r.traceLog = &trace.Log{}
@@ -231,24 +236,28 @@ func (d *Driver) Run(ctx context.Context) (*Result, error) {
 	start := cfg.Clock.Now()
 	intervalStart := start
 	var intervalIssued, intervalShed int64
+	var prevLat metrics.LatencySnapshot
 
 	flushInterval := func(now time.Time) {
+		lat := r.total.Snapshot()
+		cur := lat.Sub(prevLat)
+		prevLat = lat
 		r.mu.Lock()
+		errs := r.curErrors
+		r.curErrors = 0
+		r.mu.Unlock()
 		st := IntervalStat{
 			Start:     intervalStart.Sub(start),
 			Issued:    intervalIssued,
-			Completed: r.curCompleted,
-			Errors:    r.curErrors,
+			Completed: cur.Count,
+			Errors:    errs,
 			Shed:      intervalShed,
-			P50:       r.cur.Quantile(0.50),
-			P99:       r.cur.Quantile(0.99),
-			Max:       r.cur.Max(),
+			P50:       cur.Quantile(0.50),
+			P99:       cur.Quantile(0.99),
+			Max:       cur.Quantile(1),
 			Behind:    r.pacer.Behind(),
 			InFlight:  r.inFlight.Load(),
 		}
-		r.cur.Reset()
-		r.curCompleted, r.curErrors = 0, 0
-		r.mu.Unlock()
 		if cfg.Registry != nil {
 			snap := cfg.Registry.Snapshot()
 			delta := snap.DeltaSince(prevObs)
@@ -427,19 +436,19 @@ func (r *run) nextWriteSeq(key msg.RegisterID) uint32 {
 // complete folds one finished operation into the stats and, in soak mode,
 // the trace. Callbacks arrive on client delivery goroutines.
 func (r *run) complete(kind OpKind, tgt int, key msg.RegisterID, tag msg.Tagged, err error, lat time.Duration, invoke, respond int64) {
-	r.mu.Lock()
 	ks := r.kinds[kind.String()]
+	if err == nil {
+		r.total.Observe(lat)
+		ks.Hist.Observe(lat)
+	}
+	r.mu.Lock()
 	if err != nil {
 		r.errors++
 		r.curErrors++
 		ks.Errors++
 	} else {
 		r.completed++
-		r.curCompleted++
 		ks.Completed++
-		r.cur.Record(lat)
-		r.total.Record(lat)
-		ks.Hist.Record(lat)
 		if kind != OpWrite && !tag.TS.IsZero() {
 			if gotKey, _, ok := DecodeValue(tag.Val); !ok || gotKey != key {
 				r.isoViolation++

@@ -2,6 +2,9 @@ package metrics
 
 import (
 	"math"
+	"math/bits"
+	"math/rand/v2"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -178,23 +181,71 @@ func TestLatencyHistBasics(t *testing.T) {
 	}
 }
 
-func TestLatencyHistQuantileWithinFactor2(t *testing.T) {
-	var h LatencyHist
+func TestLatencyHistLogLinear(t *testing.T) {
+	var edges, bounds, logUniform, linear []time.Duration
+	for e := 4; e < 63; e++ {
+		edges = append(edges, 1<<e-1, 1<<e, 1<<e+1)
+	}
+	for b := 0; b < latencyBuckets; b++ {
+		bounds = append(bounds, time.Duration(lowerBound(b)), bucketTop(b))
+	}
+	r := rand.New(rand.NewPCG(1, 2))
+	for i := 0; i < 20000; i++ {
+		logUniform = append(logUniform, time.Duration(math.Exp(r.Float64()*13+7))) // ~1µs .. ~0.5s
+	}
 	for i := 1; i <= 1000; i++ {
-		h.Observe(time.Duration(i) * time.Millisecond)
+		linear = append(linear, time.Duration(i)*time.Millisecond)
 	}
-	// True p50 = 500ms; the bucketed estimate must be within [500ms, 1s].
-	p50 := h.Quantile(0.5)
-	if p50 < 500*time.Millisecond || p50 > time.Second {
-		t.Fatalf("p50 = %v", p50)
+	tests := []struct {
+		name   string
+		values []time.Duration
+	}{
+		{"below 16 exact", []time.Duration{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}},
+		{"first octaves", []time.Duration{16, 17, 31, 32, 33, 47, 48, 63, 64, 65}},
+		{"octave edges", edges},
+		{"every bucket's bounds", bounds},
+		{"top", []time.Duration{1 << 62, math.MaxInt64}},
+		{"log-uniform", logUniform},
+		{"1..1000 ms", linear},
 	}
-	p99 := h.Quantile(0.99)
-	if p99 < 990*time.Millisecond || p99 > 2*time.Second {
-		t.Fatalf("p99 = %v", p99)
-	}
-	// The top quantile is clamped to the exact max.
-	if got := h.Quantile(1.0); got != h.Max() && got > 2*h.Max() {
-		t.Fatalf("p100 = %v, max = %v", got, h.Max())
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			var h LatencyHist
+			var octaves [64]int64
+			for _, v := range tt.values {
+				b := bucketOf(uint64(v))
+				lo, top := time.Duration(lowerBound(b)), bucketTop(b)
+				if v < lo || v > top {
+					t.Fatalf("value %d in bucket %d = [%d, %d]", v, b, lo, top)
+				}
+				if top-lo > lo/16 {
+					t.Fatalf("bucket %d = [%d, %d] wider than 1/16 of its bound", b, lo, top)
+				}
+				if v < 16 && (lo != v || top != v) {
+					t.Fatalf("value %d below 16 in bucket [%d, %d], want exact", v, lo, top)
+				}
+				h.Observe(v)
+				octaves[max(bits.Len64(uint64(v))-1, 0)]++
+			}
+			s := h.Snapshot()
+			if s.Count != int64(len(tt.values)) {
+				t.Fatalf("count = %d, want %d", s.Count, len(tt.values))
+			}
+			if got := s.Octaves(); got != octaves {
+				t.Fatalf("octaves = %v, want %v", got, octaves)
+			}
+			sorted := slices.Clone(tt.values)
+			slices.Sort(sorted)
+			for _, p := range []float64{0.01, 0.5, 0.9, 0.99, 0.999, 1} {
+				want := sorted[max(int(math.Ceil(p*float64(len(sorted))))-1, 0)]
+				if got := s.Quantile(p); got < want || got-want > want/16 {
+					t.Errorf("p%g = %d, true %d: want an upper bound within 1/16", p*100, got, want)
+				}
+			}
+			if got, want := s.Quantile(1), sorted[len(sorted)-1]; got != want {
+				t.Errorf("p100 = %d, want the max %d", got, want)
+			}
+		})
 	}
 }
 

@@ -12,7 +12,7 @@ import "probquorum/internal/metrics"
 // A metric present now but absent from prev (registered mid-run) is reported
 // in full; one that disappeared is dropped. A LatencySnapshot's Max is a
 // lifetime high-watermark, not a cumulative sum, so the delta keeps the
-// current value rather than inventing a meaningless difference.
+// current value (LatencySnapshot.Sub).
 func (s Snapshot) DeltaSince(prev Snapshot) Snapshot {
 	d := Snapshot{
 		Counters:  make(map[string]int64, len(s.Counters)),
@@ -45,14 +45,7 @@ func (s Snapshot) DeltaSince(prev Snapshot) Snapshot {
 		d.IntHists[name] = dh
 	}
 	for name, l := range s.Latencies {
-		if p, had := prev.Latencies[name]; had {
-			l.Count -= p.Count
-			l.Sum -= p.Sum
-			for i := range l.Buckets {
-				l.Buckets[i] -= p.Buckets[i]
-			}
-		}
-		d.Latencies[name] = l
+		d.Latencies[name] = l.Sub(prev.Latencies[name])
 	}
 	for name, t := range s.Tallies {
 		dt := TallyValue{Counts: append([]int64(nil), t.Counts...), Total: t.Total}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"regexp"
 	"strconv"
 	"strings"
@@ -221,6 +222,37 @@ func TestWritePrometheusParses(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q\n%s", want, out)
 		}
+	}
+}
+
+// TestWritePrometheusGolden pins /metrics byte for byte: the latency
+// histograms' le ladder is one bucket per power of two of nanoseconds, so
+// testdata/prometheus.golden is also what a histogram with exactly those 64
+// buckets exposes for the same observations, octave edges and the largest
+// octave included.
+func TestWritePrometheusGolden(t *testing.T) {
+	reg := populatedRegistry()
+	edges := reg.LatencyHist("golden.edges")
+	for _, d := range []time.Duration{0, 1, 2, 3, 7, 8, 15, 16, 17, 31, 32, 33, 1023, 1024, 1025,
+		250 * time.Microsecond, 2 * time.Millisecond, time.Second, 1 << 62} {
+		edges.Observe(d)
+	}
+	spread := reg.LatencyHist("golden.spread")
+	for i := 1; i <= 1000; i++ {
+		spread.Observe(time.Duration(i*i) * time.Microsecond)
+	}
+	reg.LatencyHist("golden.empty")
+
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/prometheus.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := b.String(); got != string(want) {
+		t.Errorf("exposition differs from testdata/prometheus.golden:\n%s", got)
 	}
 }
 

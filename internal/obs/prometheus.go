@@ -3,10 +3,10 @@ package obs
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strings"
-
-	"probquorum/internal/metrics"
+	"time"
 )
 
 // WritePrometheus renders a snapshot of the registry in the Prometheus text
@@ -16,7 +16,8 @@ import (
 //
 // Counters and gauges map directly; gauges additionally export their
 // high-watermark as <name>_max. LatencyHists become native histograms with
-// cumulative le buckets in seconds plus _sum and _count; IntHistograms
+// cumulative le buckets in seconds, one per power of two of nanoseconds (the
+// log-linear sub-buckets folded), plus _sum and _count; IntHistograms
 // likewise, with le in outcome units. AccessTallies export one
 // <name>_total{server="i"} series per server. Health probes export
 // <name>_up, <name>_sessions, <name>_reads_total and <name>_writes_total.
@@ -45,17 +46,17 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 		l := s.Latencies[name]
 		n := promName(name)
 		fmt.Fprintf(&b, "# TYPE %s histogram\n", n)
+		octaves := l.Octaves()
 		var acc int64
 		top := 0
-		for bkt, c := range l.Buckets {
+		for e, c := range octaves {
 			if c > 0 {
-				top = bkt
+				top = e
 			}
 		}
-		for bkt := 0; bkt <= top; bkt++ {
-			acc += l.Buckets[bkt]
-			le := BucketBoundSeconds(bkt)
-			fmt.Fprintf(&b, "%s_bucket{le=%q} %d\n", n, le, acc)
+		for e := 0; e <= top; e++ {
+			acc += octaves[e]
+			fmt.Fprintf(&b, "%s_bucket{le=%q} %d\n", n, octaveBoundSeconds(e), acc)
 		}
 		fmt.Fprintf(&b, "%s_bucket{le=\"+Inf\"} %d\n", n, l.Count)
 		fmt.Fprintf(&b, "%s_sum %g\n", n, l.Sum.Seconds())
@@ -109,10 +110,15 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 	return err
 }
 
-// BucketBoundSeconds renders the upper bound of latency bucket b in seconds,
-// in the shortest %g form Prometheus accepts as an le label.
-func BucketBoundSeconds(b int) string {
-	return fmt.Sprintf("%g", metrics.BucketBound(b).Seconds())
+// octaveBoundSeconds renders the exclusive upper bound of octave e,
+// 2^(e+1) ns (the largest duration from octave 62 up), in seconds, in the
+// shortest %g form Prometheus accepts as an le label.
+func octaveBoundSeconds(e int) string {
+	bound := time.Duration(math.MaxInt64)
+	if e < 62 {
+		bound = time.Duration(1) << uint(e+1)
+	}
+	return fmt.Sprintf("%g", bound.Seconds())
 }
 
 // promName maps a registry name to a legal Prometheus metric name:

@@ -89,9 +89,6 @@ func isPrime(n int) bool {
 	return true
 }
 
-// Order returns the plane's order q.
-func (f *FPP) Order() int { return f.order }
-
 // N returns q²+q+1.
 func (f *FPP) N() int { return f.order*f.order + f.order + 1 }
 

@@ -1115,12 +1115,11 @@ func (p *Pipeline) signal(op *PendingOp) {
 		if op.o.fast {
 			p.obsv.FastReads.Inc()
 		}
-		// Observed here, not in finishLocked: the pipeline lock is the
-		// throughput bottleneck under load, so the histogram updates happen
-		// after it is released. Each phase entry is a per-operation total
-		// (retries fold into it), and the laps are contiguous from start of
-		// service to completion, so Pick + QuorumWait + WriteBack is Ops
-		// exactly.
+		// Observed here, outside the pipeline lock: the histograms are
+		// lock-free, so tracing does not lengthen the lock's hold time. Each
+		// phase entry is a per-operation total (retries fold into it), and
+		// the laps are contiguous from start of service to completion, so
+		// Pick + QuorumWait + WriteBack is Ops exactly.
 		p.obsv.Pick.Observe(op.pickDur)
 		p.obsv.QuorumWait.Observe(op.waitDur)
 		if op.wbDur > 0 {

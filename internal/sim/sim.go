@@ -199,9 +199,6 @@ func (s *Sim) Now() Time { return s.now }
 // Messages returns the number of messages sent so far.
 func (s *Sim) Messages() int64 { return s.messages }
 
-// Delivered returns the number of events delivered so far.
-func (s *Sim) Delivered() int64 { return s.delivered }
-
 // Stop ends the run after the current event.
 func (s *Sim) Stop() { s.stopped = true }
 
@@ -270,9 +267,6 @@ type Context struct {
 	self msg.NodeID
 	rnd  *rand.Rand
 }
-
-// Self returns the node's identifier.
-func (c *Context) Self() msg.NodeID { return c.self }
 
 // Now returns the current virtual time.
 func (c *Context) Now() Time { return c.sim.now }
