@@ -249,6 +249,26 @@ func TestLatencyHistLogLinear(t *testing.T) {
 	}
 }
 
+func TestLatencyHistQuantileWithinFactor2(t *testing.T) {
+	var h LatencyHist
+	for i := 1; i <= 1000; i++ {
+		h.Observe(time.Duration(i) * time.Millisecond)
+	}
+	// True p50 = 500ms; the bucketed estimate must be within [500ms, 1s].
+	p50 := h.Quantile(0.5)
+	if p50 < 500*time.Millisecond || p50 > time.Second {
+		t.Fatalf("p50 = %v", p50)
+	}
+	p99 := h.Quantile(0.99)
+	if p99 < 990*time.Millisecond || p99 > 2*time.Second {
+		t.Fatalf("p99 = %v", p99)
+	}
+	// The top quantile is clamped to the exact max.
+	if got := h.Quantile(1.0); got != h.Max() {
+		t.Fatalf("p100 = %v, max = %v", got, h.Max())
+	}
+}
+
 func TestLatencyHistNegativeClamped(t *testing.T) {
 	var h LatencyHist
 	h.Observe(-time.Second)
