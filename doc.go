@@ -32,9 +32,9 @@
 // # Client constructors
 //
 // Each runtime has one client type, and every client is one operation
-// engine — register.Operation's transition table driven by a
-// register.Pipeline, its one driver on every runtime, the simulator
-// included — over a register.Keyspace: one shard is a single
+// engine — the register package's internal operation transition table
+// driven by a register.Pipeline, its one driver on every runtime, the
+// simulator included — over a register.Keyspace: one shard is a single
 // pipeline, more shards stripe pipelines across keys. A blocking call is an
 // asynchronous one waited on at once, so a caller issuing blocking calls
 // from one goroutine keeps the paper's one pending operation per process,

@@ -84,18 +84,26 @@ type ByzResult struct {
 // RunByzantine measures masked and unmasked read outcomes under Byzantine
 // replicas. Each trial builds a fresh replica array (servers 0..f-1
 // Byzantine), performs one full-quorum honest write, then one read of each
-// flavor through the real register engines and replica state machines.
+// flavor: a quorum drawn as a register engine draws it, each member's reply
+// from the real replica state machines, and the register's b-masking vote
+// rule (register.Vote) over the replies — with b = 0 for the unmasked read,
+// which is then the plain max-timestamp read.
 func RunByzantine(cfg ByzConfig) (ByzResult, error) {
 	cfg.applyDefaults()
 	if cfg.F >= cfg.N {
 		return ByzResult{}, fmt.Errorf("byzantine: f=%d must be below n=%d", cfg.F, cfg.N)
 	}
-	masked := register.Settings{Masking: cfg.B}
-	if err := masked.Validate(quorum.NewAll(cfg.N)); err != nil {
-		return ByzResult{}, err
+	if cfg.B < 0 {
+		return ByzResult{}, fmt.Errorf("byzantine: masking parameter %d is negative", cfg.B)
 	}
 	res := ByzResult{Config: cfg}
 	const poison = "FABRICATED"
+	// The honest write every trial sends to every replica (the Byzantine
+	// ones swallow it): a writer's first write, to the full quorum, so masked
+	// reads always have an honest candidate with n−f votes available
+	// somewhere; the read quorum decides what they see.
+	write := msg.WriteReq{Reg: 0, Op: 1, Tag: msg.Tagged{TS: msg.Timestamp{Seq: 1}, Val: "honest"}}
+	var replies []msg.Tagged
 	for _, k := range cfg.Ks {
 		sys := quorum.NewProbabilistic(cfg.N, k)
 		seedR := rng.Derive(cfg.Seed, fmt.Sprintf("byz.k=%d", k))
@@ -110,31 +118,21 @@ func RunByzantine(cfg ByzConfig) (ByzResult, error) {
 				} else {
 					appliers[i] = store
 				}
+				appliers[i].Apply(write)
 			}
-			// One honest write to every replica (full quorum), so masked
-			// reads always have an honest candidate with n−f votes
-			// available somewhere; the read quorum decides what they see.
-			wEng := register.NewEngine(0, quorum.NewAll(cfg.N), seedR)
-			ws := wEng.BeginWrite(0, "honest")
-			for _, srv := range ws.Quorum {
-				if rep, ok := appliers[srv].Apply(ws.Request()); ok {
-					ws.OnAck(srv, rep.(msg.WriteAck))
-				}
-			}
-			read := func(settings register.Settings) (msg.Tagged, bool) {
-				e, _ := settings.Engine(1, sys, seedR) // validated above
-				s := e.BeginRead(0)
-				for _, srv := range s.Quorum {
-					if rep, ok := appliers[srv].Apply(s.Request()); ok {
-						s.OnReply(srv, rep.(msg.ReadReply))
+			read := func(b int) (msg.Tagged, bool) {
+				replies = replies[:0]
+				for _, srv := range sys.Pick(seedR) {
+					if rep, ok := appliers[srv].Apply(msg.ReadReq{Reg: 0, Op: 1}); ok {
+						replies = append(replies, rep.(msg.ReadReply).Tag)
 					}
 				}
-				return e.FinishReadMasked(s)
+				return register.Vote(replies, b)
 			}
-			if tag, _ := read(register.Settings{}); tag.Val == poison {
+			if tag, _ := read(0); tag.Val == poison {
 				unmaskedFab++
 			}
-			tag, ok := read(masked)
+			tag, ok := read(cfg.B)
 			switch {
 			case !ok:
 				maskedFail++

@@ -548,6 +548,9 @@ func TestRunByzantineValidation(t *testing.T) {
 	if _, err := RunByzantine(ByzConfig{N: 5, F: 5}); err == nil {
 		t.Fatal("f >= n accepted")
 	}
+	if _, err := RunByzantine(ByzConfig{N: 5, F: 1, B: -1}); err == nil {
+		t.Fatal("negative masking parameter accepted")
+	}
 }
 
 func TestRunSystems(t *testing.T) {

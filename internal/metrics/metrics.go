@@ -2,8 +2,8 @@
 // message counters, per-server access tallies (for load measurements), and
 // simple histograms (for read-freshness distributions).
 //
-// All types are safe for concurrent use so the goroutine runtime and the
-// single-threaded simulator can share them.
+// All types are safe for concurrent use so the TCP runtime's reader and
+// writer goroutines and the single-threaded simulator can share them.
 package metrics
 
 import (

@@ -39,7 +39,7 @@ type Engine struct {
 
 	nextOp     msg.OpID
 	opStride   msg.OpID
-	wseq       uint64 // the largest Seq stamped under this writer id; see BeginWrite
+	wseq       uint64 // the largest Seq stamped under this writer id; see stamp
 	cache      map[msg.RegisterID]msg.Tagged
 	readRepair bool
 	repairs    int64
@@ -48,13 +48,12 @@ type Engine struct {
 	// fastReads counts atomic reads that took the one-round-trip path.
 	fastReads int64
 
-	tally    *metrics.AccessTally
-	messages *metrics.Counter
+	tally *metrics.AccessTally
 
 	// health is the suspicion table of the transport this engine's client is
 	// bound to (nil without one), shared with every other engine over that
 	// transport; mask is the scratch its suspects are copied into for a pick.
-	// See FaultAware.
+	// See faultAware.
 	health *transport.Health
 	mask   quorum.Mask
 
@@ -62,13 +61,13 @@ type Engine struct {
 	// queried quorum only returned older timestamps.
 	cacheHits int64
 
-	// rfree/wfree hold finished sessions whose storage (quorum slice,
-	// reply maps) Begin* recycles, the steady-state mirror of the in-place
-	// recycling Retry* already does — a pipelined client stops allocating
-	// per operation. Sessions enter only through Release*, whose caller
+	// rfree/wfree hold finished sessions whose storage (quorum and tag
+	// slices) a new attempt recycles, the steady-state mirror of the in-place
+	// reuse a retried attempt makes — a pipelined client stops allocating
+	// per operation. Sessions enter only through release, whose caller
 	// vouches that no further reply can touch them.
-	rfree []*ReadSession
-	wfree []*WriteSession
+	rfree []*readSession
+	wfree []*writeSession
 }
 
 // sessionFreeMax bounds the recycled-session free lists; sessions beyond it
@@ -77,12 +76,6 @@ const sessionFreeMax = 512
 
 // Option configures an Engine.
 type Option func(*Engine)
-
-// WithMessageCounter adds 2·|quorum| to c for every operation (requests plus
-// replies), feeding the message-complexity experiments.
-func WithMessageCounter(c *metrics.Counter) Option {
-	return func(e *Engine) { e.messages = c }
-}
 
 // WithOpStride confines every operation id this engine issues to the residue
 // class offset (mod stride): ids start at offset and advance by stride. A
@@ -163,19 +156,19 @@ func (e *Engine) AdoptView(v quorum.View) bool {
 // CacheHits returns how many reads were answered from the monotone cache.
 func (e *Engine) CacheHits() int64 { return e.cacheHits }
 
-// Repairs returns how many repair messages RepairTargets has issued.
+// Repairs returns how many repair messages read repair has issued.
 func (e *Engine) Repairs() int64 { return e.repairs }
 
 // FastReads returns how many atomic reads completed on the one-round-trip
 // fast path, i.e. without a write-back phase.
 func (e *Engine) FastReads() int64 { return e.fastReads }
 
-// RepairTargets returns the write-back requests a completed read should
+// repairTargets returns the write-back requests a completed read should
 // fan out (empty unless Settings.ReadRepair is set): one WriteReq carrying the
 // read's result to each quorum member that returned an older timestamp.
 // Replicas ignore stale repairs by timestamp, so repairs are idempotent
 // and need no acknowledgment.
-func (e *Engine) RepairTargets(s *ReadSession, result msg.Tagged) (servers []int, req msg.WriteReq) {
+func (e *Engine) repairTargets(s *readSession, result msg.Tagged) (servers []int, req msg.WriteReq) {
 	e.guard.enter()
 	defer e.guard.leave()
 	if !e.readRepair || result.TS.IsZero() {
@@ -187,20 +180,16 @@ func (e *Engine) RepairTargets(s *ReadSession, result msg.Tagged) (servers []int
 	}
 	e.nextOp += e.opStride
 	e.repairs += int64(len(servers))
-	if e.messages != nil {
-		e.messages.Add(int64(len(servers)))
-	}
 	return servers, msg.WriteReq{Reg: s.Reg, Op: e.nextOp, Tag: result}
 }
 
-// FaultAware reports whether the engine picks around suspected servers and
-// tops attempts up (TopUpRead, TopUpWrite) instead of restarting them: it has
-// a suspicion table, any Size() distinct servers form a quorum of both its
-// systems (quorum.KSubsets), and it is not b-masking — a masked read needs
-// b+1 matching replies out of one picked quorum, which a substituted member
-// would not have been drawn for. Everything else keeps the restart-and-re-pick
-// path of RetryRead and RetryWrite.
-func (e *Engine) FaultAware() bool {
+// faultAware reports whether the engine picks around suspected servers and
+// tops attempts up (topUp) instead of restarting them: it has a suspicion
+// table, any Size() distinct servers form a quorum of both its systems
+// (quorum.KSubsets), and it is not b-masking — a masked read needs b+1
+// matching replies out of one picked quorum, which a substituted member would
+// not have been drawn for. Everything else keeps the restart-and-re-pick path.
+func (e *Engine) faultAware() bool {
 	return e.health != nil && e.maskB < 0 && quorum.IsKSubsets(e.sys) && quorum.IsKSubsets(e.writeSys)
 }
 
@@ -208,7 +197,7 @@ func (e *Engine) FaultAware() bool {
 // quorum slice, or nil for a fresh one — and accounts for it. Every system
 // draws the same stream into dst as into a fresh slice, so a seeded engine's
 // quorums do not depend on its session pool. While the suspicion table holds
-// a suspect (only clients of FaultAware engines ever cause one), the quorum
+// a suspect (only clients of fault-aware engines ever cause one), the quorum
 // is drawn from the servers it does not suspect.
 func (e *Engine) pick(sys quorum.System, dst []int) []int {
 	var q []int
@@ -221,34 +210,48 @@ func (e *Engine) pick(sys quorum.System, dst []int) []int {
 	if e.tally != nil {
 		e.tally.Touch(q)
 	}
-	if e.messages != nil {
-		e.messages.Add(2 * int64(len(q)))
-	}
 	return q
 }
 
-// BeginRead starts a read of reg: it picks the quorum and returns the
-// session the driver must complete by delivering every member's reply.
-func (e *Engine) BeginRead(reg msg.RegisterID) *ReadSession {
+// beginRead opens an attempt at reading reg under a fresh operation id on a
+// freshly picked quorum. s is the attempt it abandons — quorum members
+// crashed, timed out, or outvoted the honest ones — or nil for a new read.
+// This is the paper's availability mechanism (Section 4): a probabilistic
+// quorum client never depends on any particular quorum, so a client facing
+// unavailable servers simply draws another, and the fresh operation id makes
+// replies addressed to the abandoned attempt fall through the session's
+// filter. An abandoned session's storage is dead the moment its op id is
+// retired, so the attempt reuses it in place; a new read recycles a released
+// session when one is free. Either way a client riding out an outage, or
+// running pipelined, stops allocating per attempt.
+func (e *Engine) beginRead(reg msg.RegisterID, s *readSession) *readSession {
 	e.guard.enter()
 	defer e.guard.leave()
 	e.nextOp += e.opStride
-	var s *ReadSession
-	if n := len(e.rfree); n > 0 {
-		s = e.rfree[n-1]
-		e.rfree[n-1] = nil
-		e.rfree = e.rfree[:n-1]
-	} else {
-		s = new(ReadSession)
+	if s == nil {
+		s = popFree(&e.rfree)
 	}
 	q := e.pick(e.sys, s.Quorum)
-	*s = ReadSession{
+	*s = readSession{
 		Reg:       reg,
 		Op:        e.nextOp,
 		fanout:    fanout{Quorum: q, Epoch: e.epoch},
 		tags:      sizeTags(s.tags, len(q)),
 		unanimous: true,
 	}
+	return s
+}
+
+// popFree pops a released session off free, or allocates one when the list
+// is empty.
+func popFree[S any](free *[]*S) *S {
+	n := len(*free)
+	if n == 0 {
+		return new(S)
+	}
+	s := (*free)[n-1]
+	(*free)[n-1] = nil
+	*free = (*free)[:n-1]
 	return s
 }
 
@@ -271,104 +274,42 @@ func sizeTags(buf []msg.Tagged, n int) []msg.Tagged {
 	return buf[:n]
 }
 
-// ReleaseRead returns a retired read session's storage to the engine for
-// BeginRead to recycle. The caller vouches that the session's operation id
-// has left every reply route — nothing may call OnReply (or read Best) on
-// it afterwards. Releasing is optional; sessions that are never released
-// are simply collected.
-func (e *Engine) ReleaseRead(s *ReadSession) {
+// release returns a finished operation's sessions (either may be nil) to the
+// engine for beginRead and beginWrite to recycle. The caller vouches that
+// their operation ids have left every reply route — nothing may feed them a
+// reply (or read Best) afterwards. Sessions that are never released are
+// simply collected.
+func (e *Engine) release(rs *readSession, ws *writeSession) {
 	e.guard.enter()
 	defer e.guard.leave()
-	if s == nil || len(e.rfree) >= sessionFreeMax {
-		return
+	if rs != nil && len(e.rfree) < sessionFreeMax {
+		e.rfree = append(e.rfree, rs)
 	}
-	e.rfree = append(e.rfree, s)
-}
-
-// RetryRead abandons a read session whose fan-out could not complete —
-// quorum members crashed, timed out, or became unreachable — and starts the
-// operation over with a fresh operation id and a freshly picked quorum.
-// This is the paper's availability mechanism (Section 4): a probabilistic
-// quorum client never depends on any particular quorum, so a client facing
-// unavailable servers simply draws another. The new operation id makes
-// stale replies addressed to the abandoned session fall through the
-// session's duplicate filter.
-func (e *Engine) RetryRead(s *ReadSession) *ReadSession {
-	e.guard.enter()
-	defer e.guard.leave()
-	e.nextOp += e.opStride
-	// The abandoned session's storage is dead the moment its op id is
-	// retired, so the retry recycles its quorum and tag slices — a client
-	// riding out an outage stops allocating per attempt.
-	q := e.pick(e.sys, s.Quorum)
-	return &ReadSession{
-		Reg:       s.Reg,
-		Op:        e.nextOp,
-		fanout:    fanout{Quorum: q, Epoch: e.epoch},
-		tags:      sizeTags(s.tags, len(q)),
-		unanimous: true,
+	if ws != nil && len(e.wfree) < sessionFreeMax {
+		e.wfree = append(e.wfree, ws)
 	}
 }
 
-// RetryWrite abandons a write session whose fan-out could not complete and
-// re-issues the same logical write to a freshly picked quorum. The tag is
-// preserved: a retried write is the same write, and replicas deduplicate by
-// timestamp, so members reached by both the abandoned and the retried
-// attempt converge on one installation. Only the operation id is fresh, so
-// stray acknowledgments of the abandoned attempt are ignored.
-func (e *Engine) RetryWrite(s *WriteSession) *WriteSession {
-	e.guard.enter()
-	defer e.guard.leave()
-	e.nextOp += e.opStride
-	// As in RetryRead, the abandoned session's storage is recycled.
-	return &WriteSession{
-		Reg:    s.Reg,
-		Op:     e.nextOp,
-		Tag:    s.Tag,
-		fanout: fanout{Quorum: checkQuorumCap(e.pick(e.writeSys, s.Quorum)), Epoch: e.epoch},
-	}
-}
-
-// checkQuorumCap enforces the acked bitmask's quorum-size cap (see
-// fanout.replied) on the write path, where there is no tag buffer to
-// do it as a side effect.
-func checkQuorumCap(q []int) []int {
-	if len(q) > 64 {
-		panic("register: quorum exceeds the 64-member session cap")
-	}
-	return q
-}
-
-// TopUpRead replaces the member at quorum position i of s — one known lost
-// and still owed its reply — by a server drawn uniformly from those neither
-// in the attempt nor suspected, and returns it; the caller re-sends
-// s.Request() to it under the same operation id. Every reply already
+// topUp replaces the member at quorum position i of f — one known lost and
+// still owed its reply — by a server drawn uniformly from those neither in
+// the attempt nor suspected, and returns it; the caller re-sends the
+// attempt's request to it under the same operation id. Every reply already
 // collected stays, and the lost member's own reply, should it still come,
 // falls outside the quorum like any stranger's.
 //
-// It is sound because the engine is FaultAware: the quorum after the swap is
-// Size() distinct servers, hence a quorum; for a majority that keeps strict
-// intersection (and with it regularity, ABD atomicity and the unanimous fast
-// read) intact, and for k of n the quorum stays a uniform k-subset of the
-// servers the client believes live — the paper's Section 4 availability
-// argument. ok is false, and nothing changes, when the engine is not
-// FaultAware, s was picked under an older view (its indices mean something
-// else now), position i has already answered, or no candidate remains; the
-// caller then falls back to its deadline and RetryRead.
-func (e *Engine) TopUpRead(s *ReadSession, i int) (server int, ok bool) {
-	return e.topUp(&s.fanout, i)
-}
-
-// TopUpWrite is TopUpRead for a write session: the re-sent request carries
-// the same tag, and replicas deduplicate by timestamp.
-func (e *Engine) TopUpWrite(s *WriteSession, i int) (server int, ok bool) {
-	return e.topUp(&s.fanout, i)
-}
-
+// It is sound because the engine is fault-aware: the quorum after the swap
+// is Size() distinct servers, hence a quorum; for a majority that keeps
+// strict intersection (and with it regularity, ABD atomicity and the
+// unanimous fast read) intact, and for k of n the quorum stays a uniform
+// k-subset of the servers the client believes live — the paper's Section 4
+// availability argument. ok is false, and nothing changes, when the engine is
+// not fault-aware, f was picked under an older view (its indices mean
+// something else now), position i has already answered, or no candidate
+// remains; the caller then falls back to its deadline and a fresh quorum.
 func (e *Engine) topUp(f *fanout, i int) (int, bool) {
 	e.guard.enter()
 	defer e.guard.leave()
-	if !e.FaultAware() || f.Epoch != e.epoch || i < 0 || i >= len(f.Quorum) || !f.Pending(i) {
+	if !e.faultAware() || f.Epoch != e.epoch || i < 0 || i >= len(f.Quorum) || !f.Pending(i) {
 		return 0, false
 	}
 	n := e.sys.N() // the read and write systems cover the same servers
@@ -392,32 +333,19 @@ func (e *Engine) topUp(f *fanout, i int) (int, bool) {
 		}
 	}
 	f.Replace(i, srv)
-	if e.messages != nil {
-		e.messages.Add(2)
-	}
 	return srv, true
 }
 
-// ProbeRead returns a suspected server that is due a probe, for the caller to
-// send s.Request() to as a shadow member: the server is not in s's quorum, so
-// its reply completes nothing and only clears the suspicion (any reply does).
-// At most one read per suspected server and transport.ProbeInterval gets one,
-// which is what notices a recovery while picks avoid the server.
-func (e *Engine) ProbeRead(s *ReadSession) (server int, ok bool) {
-	server, ok = e.health.ProbeTarget()
-	return server, ok && pos(s.Quorum, server) < 0
-}
-
-// FinishRead applies the monotone filter to a completed read session and
+// finishRead applies the monotone filter to a completed read session and
 // returns the value the register returns to the application. For a
 // non-monotone engine it is simply the session's maximum-timestamp value.
-func (e *Engine) FinishRead(s *ReadSession) msg.Tagged {
+func (e *Engine) finishRead(s *readSession) msg.Tagged {
 	e.guard.enter()
 	defer e.guard.leave()
-	return e.finishRead(s)
+	return e.settle(s.Reg, s.Best())
 }
 
-// TryFinishReadFast decides whether a completed atomic-read read phase may
+// tryFinishReadFast decides whether a completed atomic-read read phase may
 // skip its write-back (Mostéfaoui–Raynal): if every quorum reply carried the
 // same timestamp, each member of the quorum already holds the result, and —
 // replicas only ever advancing their timestamps — so does one member of any
@@ -434,10 +362,10 @@ func (e *Engine) FinishRead(s *ReadSession) msg.Tagged {
 // tag it does not actually store would count toward unanimity here.
 //
 // On success it returns the read's result (through the same monotone filter
-// as FinishRead) and true; on any disagreement, cache override, or masking,
-// it returns false and the caller proceeds
-// with the ordinary two-phase transition.
-func (e *Engine) TryFinishReadFast(s *ReadSession) (msg.Tagged, bool) {
+// as finishRead) and true; on any disagreement, cache override, or masking,
+// it returns false and the caller proceeds with the ordinary two-phase
+// transition.
+func (e *Engine) tryFinishReadFast(s *readSession) (msg.Tagged, bool) {
 	e.guard.enter()
 	defer e.guard.leave()
 	if e.maskB >= 0 || !s.Unanimous() {
@@ -449,19 +377,21 @@ func (e *Engine) TryFinishReadFast(s *ReadSession) (msg.Tagged, bool) {
 		}
 	}
 	e.fastReads++
-	return e.finishRead(s), true
+	return e.settle(s.Reg, s.Best()), true
 }
 
-func (e *Engine) finishRead(s *ReadSession) msg.Tagged {
-	best := s.Best()
+// settle passes a read's result for reg through the monotone filter: a
+// monotone engine returns its cached value when that is fresher, and caches
+// the result otherwise.
+func (e *Engine) settle(reg msg.RegisterID, best msg.Tagged) msg.Tagged {
 	if !e.monotone {
 		return best
 	}
-	if cached, ok := e.cache[s.Reg]; ok && best.TS.Less(cached.TS) {
+	if cached, ok := e.cache[reg]; ok && best.TS.Less(cached.TS) {
 		e.cacheHits++
 		return cached
 	}
-	e.cache[s.Reg] = best
+	e.cache[reg] = best
 	return best
 }
 
@@ -478,56 +408,32 @@ func (e *Engine) observeOwnWrite(reg msg.RegisterID, tag msg.Tagged) {
 	}
 }
 
-// BeginWrite starts a single-writer write of val to reg: it stamps it with
-// the engine's next write count, picks the quorum, and returns the session
-// the driver must complete by delivering every member's acknowledgment.
-// Timestamps need only be unique and increasing per (register, writer), so
-// one counter serves every register and Seq counts all the engine's writes.
-func (e *Engine) BeginWrite(reg msg.RegisterID, val msg.Value) *WriteSession {
+// stamp returns the tag of a new single-writer write of val: the engine's
+// next write count under its writer id. Timestamps need only be unique and
+// increasing per (register, writer), so one counter serves every register
+// and Seq counts all the engine's writes.
+func (e *Engine) stamp(val msg.Value) msg.Tagged {
 	e.guard.enter()
 	defer e.guard.leave()
-	e.nextOp += e.opStride
 	e.wseq++
-	tag := msg.Tagged{TS: msg.Timestamp{Seq: e.wseq, Writer: e.writer}, Val: val}
-	e.observeOwnWrite(reg, tag)
-	return e.newWriteSessionLocked(reg, tag)
+	return msg.Tagged{TS: msg.Timestamp{Seq: e.wseq, Writer: e.writer}, Val: val}
 }
 
-// newWriteSessionLocked builds a write session around tag, recycling a
-// released session's storage when one is free.
-func (e *Engine) newWriteSessionLocked(reg msg.RegisterID, tag msg.Tagged) *WriteSession {
-	var s *WriteSession
-	if n := len(e.wfree); n > 0 {
-		s = e.wfree[n-1]
-		e.wfree[n-1] = nil
-		e.wfree = e.wfree[:n-1]
-	} else {
-		s = new(WriteSession)
-	}
-	*s = WriteSession{
-		Reg:    reg,
-		Op:     e.nextOp,
-		Tag:    tag,
-		fanout: fanout{Quorum: checkQuorumCap(e.pick(e.writeSys, s.Quorum)), Epoch: e.epoch},
-	}
-	return s
+// multiWriterTS returns the timestamp a multi-writer write carries after
+// observing maxSeen as the largest timestamp in its read round: one past it
+// and past this engine's own writes, tie-broken by its writer id.
+func (e *Engine) multiWriterTS(maxSeen msg.Timestamp) msg.Timestamp {
+	return msg.Timestamp{Seq: max(maxSeen.Seq, e.wseq) + 1, Writer: e.writer}
 }
 
-// ReleaseWrite is ReleaseRead for write sessions: the caller vouches that
-// nothing may call OnAck on s afterwards.
-func (e *Engine) ReleaseWrite(s *WriteSession) {
-	e.guard.enter()
-	defer e.guard.leave()
-	if s == nil || len(e.wfree) >= sessionFreeMax {
-		return
-	}
-	e.wfree = append(e.wfree, s)
-}
-
-// BeginWriteWithTS starts a write carrying an explicit timestamp: a
-// multi-writer write's, or an atomic read's write-back. A tag of this
-// writer raises the write counter, so a later BeginWrite stamps past it.
-func (e *Engine) BeginWriteWithTS(reg msg.RegisterID, tag msg.Tagged) *WriteSession {
+// beginWrite opens an attempt at writing tag to reg — a stamped
+// single-writer write, a multi-writer write, or an atomic read's write-back —
+// under a fresh operation id on a freshly picked quorum. s is the attempt it
+// abandons, or nil, as in beginRead. A retried write keeps its tag: it is
+// the same write, and replicas deduplicate by timestamp, so members reached
+// by both attempts converge on one installation. A tag of this writer raises
+// the write counter, so a later stamp goes past it.
+func (e *Engine) beginWrite(reg msg.RegisterID, tag msg.Tagged, s *writeSession) *writeSession {
 	e.guard.enter()
 	defer e.guard.leave()
 	e.nextOp += e.opStride
@@ -535,12 +441,15 @@ func (e *Engine) BeginWriteWithTS(reg msg.RegisterID, tag msg.Tagged) *WriteSess
 		e.wseq = max(e.wseq, tag.TS.Seq)
 	}
 	e.observeOwnWrite(reg, tag)
-	return e.newWriteSessionLocked(reg, tag)
-}
-
-// NextMultiWriterTS returns the timestamp a multi-writer write should carry
-// after observing maxSeen as the largest timestamp in its read phase: one
-// past it and past this engine's own writes, tie-broken by its writer id.
-func (e *Engine) NextMultiWriterTS(maxSeen msg.Timestamp) msg.Timestamp {
-	return msg.Timestamp{Seq: max(maxSeen.Seq, e.wseq) + 1, Writer: e.writer}
+	if s == nil {
+		s = popFree(&e.wfree)
+	}
+	q := e.pick(e.writeSys, s.Quorum)
+	if len(q) > 64 {
+		// The acked bitmask's quorum-size cap (see fanout.replied): the
+		// write path has no tag buffer to enforce it as a side effect.
+		panic("register: quorum exceeds the 64-member session cap")
+	}
+	*s = writeSession{Reg: reg, Op: e.nextOp, Tag: tag, fanout: fanout{Quorum: q, Epoch: e.epoch}}
+	return s
 }

@@ -72,38 +72,6 @@ func TestAtomicReadSlowPathOnDisagreement(t *testing.T) {
 	}
 }
 
-// TestAtomicReadSlowPathWhenCacheFresher pins the monotone gate: a unanimous
-// quorum is not enough when the monotone cache holds a fresher value — the
-// read returns the cached value, which this quorum does NOT hold, so the
-// spreading write-back must still run.
-func TestAtomicReadSlowPathWhenCacheFresher(t *testing.T) {
-	tr := newLoopback(3)
-	e := register.MustEngine(register.Settings{Monotone: true}, 1, quorum.NewAll(3), rng.Derive(1, "fastread.cache"))
-	cl := pipelineOver(e, tr)
-	if err := cl.Write(0, 1.0); err != nil {
-		t.Fatal(err)
-	}
-	// The client observed a fresher value than any replica holds: its own
-	// multi-writer write, begun but not yet sent to any member.
-	cached := msg.Tagged{TS: msg.Timestamp{Seq: 8, Writer: 1}, Val: 8.0}
-	e.BeginWriteWithTS(0, cached)
-	tag, err := cl.ReadAtomic(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tag.Val != 8.0 {
-		t.Fatalf("atomic read = %v, want the cached 8.0", tag.Val)
-	}
-	if got := e.FastReads(); got != 0 {
-		t.Fatalf("FastReads = %d, want 0 (fresher cache must force the write-back)", got)
-	}
-	for i, st := range tr.stores {
-		if got := st.Get(0); got.TS != cached.TS {
-			t.Fatalf("replica %d missed the cached value's write-back: %+v", i, got)
-		}
-	}
-}
-
 // TestMaskingNeverFast pins the Byzantine gate: a b-masking engine must not
 // elide write-backs even on unanimous replies — a masked read counts tag
 // support (b+1 matching replies), which the write-back's propagation

@@ -23,14 +23,14 @@ func TestEngineGuardPanicsOnConcurrentEntry(t *testing.T) {
 	defer func() {
 		r := recover()
 		if r == nil {
-			t.Fatalf("BeginRead under a held guard did not panic")
+			t.Fatalf("beginRead under a held guard did not panic")
 		}
 		s, ok := r.(string)
 		if !ok || !strings.Contains(s, "concurrent Engine use") {
 			t.Fatalf("panic = %v, want concurrent-use message", r)
 		}
 	}()
-	e.BeginRead(0)
+	e.beginRead(0, nil)
 }
 
 // TestEngineGuardReleasedOnNormalUse confirms the guard is invisible to the
@@ -40,14 +40,14 @@ func TestEngineGuardReleasedOnNormalUse(t *testing.T) {
 	sys := quorum.NewMajority(5)
 	e := NewEngine(1, sys, rng.Derive(4, "guard.serial"), Settings{Monotone: true}.variants)
 	for i := 0; i < 10; i++ {
-		rs := e.BeginRead(msg.RegisterID(i % 2))
-		rs = e.RetryRead(rs)
+		rs := e.beginRead(msg.RegisterID(i%2), nil)
+		rs = e.beginRead(rs.Reg, rs)
 		for _, srv := range rs.Quorum {
 			rs.OnReply(srv, msg.ReadReply{Reg: rs.Reg, Op: rs.Op})
 		}
-		_ = e.FinishRead(rs)
-		ws := e.BeginWrite(msg.RegisterID(i%2), float64(i))
-		ws = e.RetryWrite(ws)
+		_ = e.finishRead(rs)
+		ws := e.beginWrite(msg.RegisterID(i%2), e.stamp(float64(i)), nil)
+		ws = e.beginWrite(ws.Reg, ws.Tag, ws)
 		for _, srv := range ws.Quorum {
 			ws.OnAck(srv, msg.WriteAck{Reg: ws.Reg, Op: ws.Op})
 		}

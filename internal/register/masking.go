@@ -21,34 +21,21 @@ import (
 // ever succeed; sizes of at least 2b+1 keep the success probability high
 // when at most b servers in the whole system are Byzantine.
 
-// MaskingEnabled reports whether the engine masks reads.
-func (e *Engine) MaskingEnabled() bool { return e.maskB >= 0 }
-
-// MaskB returns the masking parameter (-1 when disabled).
-func (e *Engine) MaskB() int { return e.maskB }
-
-// FinishReadMasked resolves a completed read session under b-masking: the
-// returned value is the maximum-timestamp (timestamp, value) pair reported
-// by more than MaskB quorum members. ok is false when no pair has enough
-// votes — the caller should retry with a fresh quorum. The monotone cache,
-// if enabled, applies after masking, and only successful masked reads
-// update it.
-func (e *Engine) FinishReadMasked(s *ReadSession) (msg.Tagged, bool) {
-	e.guard.enter()
-	defer e.guard.leave()
-	if e.maskB < 0 {
-		return e.finishRead(s), true
-	}
+// Vote is the b-masking read rule: of the (timestamp, value) pairs in
+// replies it returns the one with the largest timestamp among those reported
+// by more than b replies, and ok is false when no pair has that many votes.
+// Pairs match on timestamp and value (reflect.DeepEqual), so b liars that
+// fabricate identically still muster only b votes. Of pairs tied on the
+// largest qualifying timestamp, the one that appears first in replies wins.
+// With b = 0 every pair qualifies and the rule is the plain max-timestamp
+// read.
+func Vote(replies []msg.Tagged, b int) (best msg.Tagged, ok bool) {
 	type group struct {
 		tag   msg.Tagged
 		count int
 	}
 	var groups []group
-	for i := range s.Quorum {
-		if s.replied&(1<<uint(i)) == 0 {
-			continue
-		}
-		tag := s.tags[i]
+	for _, tag := range replies {
 		found := false
 		for gi := range groups {
 			if groups[gi].tag.TS == tag.TS && reflect.DeepEqual(groups[gi].tag.Val, tag.Val) {
@@ -61,26 +48,28 @@ func (e *Engine) FinishReadMasked(s *ReadSession) (msg.Tagged, bool) {
 			groups = append(groups, group{tag: tag, count: 1})
 		}
 	}
-	best := msg.Tagged{}
-	okAny := false
 	for _, g := range groups {
-		if g.count <= e.maskB {
-			continue
-		}
-		if !okAny || best.TS.Less(g.tag.TS) {
-			best = g.tag
-			okAny = true
+		if g.count > b && (!ok || best.TS.Less(g.tag.TS)) {
+			best, ok = g.tag, true
 		}
 	}
-	if !okAny {
+	return best, ok
+}
+
+// finishReadMasked resolves a completed read session under b-masking: the
+// returned value is Vote's over the quorum's replies. ok is false when
+// no pair has enough votes — the caller should retry with a fresh quorum.
+// The monotone cache, if enabled, applies after masking, and only successful
+// masked reads update it. Without masking it is finishRead.
+func (e *Engine) finishReadMasked(s *readSession) (msg.Tagged, bool) {
+	if e.maskB < 0 {
+		return e.finishRead(s), true
+	}
+	e.guard.enter()
+	defer e.guard.leave()
+	best, ok := Vote(s.tags, e.maskB)
+	if !ok {
 		return msg.Tagged{}, false
 	}
-	if e.monotone {
-		if cached, ok := e.cache[s.Reg]; ok && best.TS.Less(cached.TS) {
-			e.cacheHits++
-			return cached, true
-		}
-		e.cache[s.Reg] = best
-	}
-	return best, true
+	return e.settle(s.Reg, best), true
 }

@@ -103,7 +103,7 @@ func TestSessionRobustnessRandomReplies(t *testing.T) {
 		n := 2 + r.IntN(8)
 		k := 1 + r.IntN(n)
 		e := NewEngine(0, quorum.NewProbabilistic(n, k), rng.New(uint64(trial)))
-		s := e.BeginRead(0)
+		s := e.beginRead(0, nil)
 		inQuorum := make(map[int]bool, len(s.Quorum))
 		for _, srv := range s.Quorum {
 			inQuorum[srv] = true

@@ -5,7 +5,7 @@ import (
 )
 
 // send is one outbound fan-out request: hand req to server. The
-// transport-agnostic Operation below appends these to a buffer the Pipeline
+// transport-agnostic operation below appends these to a buffer the Pipeline
 // owns instead of touching a network; the Pipeline pushes them through its
 // SendFunc.
 type send struct {
@@ -22,11 +22,11 @@ const (
 	// opAtomicRead is the ABD read: a read phase followed by an awaited
 	// write-back phase — unless the quorum replied unanimously, in which case
 	// the write-back is elided and the read completes in one round trip (see
-	// Engine.TryFinishReadFast).
+	// Engine.tryFinishReadFast).
 	opAtomicRead
 	// opWriteMulti is the multi-writer write: a read phase discovers the
 	// current maximum timestamp, and the write phase installs the value one
-	// past it, tie-broken by writer id (Engine.NextMultiWriterTS).
+	// past it, tie-broken by writer id (Engine.multiWriterTS).
 	opWriteMulti
 )
 
@@ -39,25 +39,26 @@ const (
 	opPhaseWrite
 )
 
-// Operation is the full state machine of one register operation, decoupled
+// operation is the full state machine of one register operation, decoupled
 // from any transport: the Pipeline starts it, feeds it inbound payloads, and
 // fans out whatever sends it appends. It owns the protocol — quorum
 // sessions, the two-round phase transitions (ABD write-back, multi-writer
-// write), b-masking acceptance, read-repair dispatch, member top-up and the
-// fresh-quorum retry budget — and the Pipeline is its one driver on every
+// write), b-masking acceptance, read-repair dispatch, member top-up, probes
+// and the fresh-quorum retry budget — and it is the only code that calls the
+// Engine's per-round methods. The Pipeline is its one driver on every
 // runtime, the simulator included.
 //
 // Every method that fans out appends to the out slice it is given and
 // returns the extended slice, one request boxing per fan-out; the caller
 // must hand the sends to its carrier before reusing the buffer.
 //
-// An Operation is not safe for concurrent use; it inherits the Engine's
+// An operation is not safe for concurrent use; it inherits the Engine's
 // one-caller-at-a-time discipline.
-type Operation struct {
+type operation struct {
 	// What every reply touches comes first, to share a cache line.
 	e     *Engine
-	rs    *ReadSession
-	ws    *WriteSession
+	rs    *readSession
+	ws    *writeSession
 	reg   msg.RegisterID
 	kind  opKind
 	phase opPhase
@@ -84,7 +85,7 @@ func fanOut(out []send, quorum []int, req any) []send {
 }
 
 // request returns the current phase's request, boxed.
-func (o *Operation) request() any {
+func (o *operation) request() any {
 	if o.phase == opPhaseWrite {
 		return o.ws.Request()
 	}
@@ -92,19 +93,19 @@ func (o *Operation) request() any {
 }
 
 // refan appends the current phase's fan-out to out.
-func (o *Operation) refan(out []send) []send {
+func (o *operation) refan(out []send) []send {
 	return fanOut(out, o.current().Quorum, o.request())
 }
 
 // start begins the first attempt and appends its fan-out to out.
-func (o *Operation) start(out []send) []send {
+func (o *operation) start(out []send) []send {
 	o.attempts = 1
 	if o.kind == opWrite {
 		o.phase = opPhaseWrite
-		o.ws = o.e.BeginWrite(o.reg, o.val)
+		o.ws = o.e.beginWrite(o.reg, o.e.stamp(o.val), nil)
 	} else {
 		o.phase = opPhaseRead
-		o.rs = o.e.BeginRead(o.reg)
+		o.rs = o.e.beginRead(o.reg, nil)
 	}
 	return o.refan(out)
 }
@@ -116,13 +117,13 @@ func (o *Operation) start(out []send) []send {
 // repaired read (done is already set; send them without awaiting
 // anything). Irrelevant replies — stale sessions, non-members, duplicates —
 // are ignored.
-func (o *Operation) deliverReadReply(server int, m msg.ReadReply, out []send) []send {
+func (o *operation) deliverReadReply(server int, m msg.ReadReply, out []send) []send {
 	if o.done || o.rejected || o.phase != opPhaseRead || !o.rs.OnReply(server, m) {
 		return out
 	}
 	switch o.kind {
 	case opAtomicRead:
-		if tag, ok := o.e.TryFinishReadFast(o.rs); ok {
+		if tag, ok := o.e.tryFinishReadFast(o.rs); ok {
 			// Unanimous quorum: every member already holds the result, so
 			// the write-back would install nothing — complete in one round
 			// trip.
@@ -131,17 +132,17 @@ func (o *Operation) deliverReadReply(server int, m msg.ReadReply, out []send) []
 		}
 		// Phase transition: write the read's result back and await the
 		// acknowledgments before returning it (ABD).
-		o.result = o.e.FinishRead(o.rs)
-		return o.beginWrite(o.result, out)
+		o.result = o.e.finishRead(o.rs)
+		return o.writeRound(o.result, out)
 	case opWriteMulti:
-		cur, ok := o.e.FinishReadMasked(o.rs)
+		cur, ok := o.e.finishReadMasked(o.rs)
 		if !ok {
 			o.rejected = true
 			return out
 		}
-		return o.beginWrite(msg.Tagged{TS: o.e.NextMultiWriterTS(cur.TS), Val: o.val}, out)
+		return o.writeRound(msg.Tagged{TS: o.e.multiWriterTS(cur.TS), Val: o.val}, out)
 	}
-	tag, ok := o.e.FinishReadMasked(o.rs)
+	tag, ok := o.e.finishReadMasked(o.rs)
 	if !ok {
 		o.rejected = true
 		return out
@@ -150,24 +151,24 @@ func (o *Operation) deliverReadReply(server int, m msg.ReadReply, out []send) []
 	if !o.e.readRepair {
 		return out
 	}
-	servers, req := o.e.RepairTargets(o.rs, tag)
+	servers, req := o.e.repairTargets(o.rs, tag)
 	if len(servers) == 0 {
 		return out // and box no request
 	}
 	return fanOut(out, servers, req)
 }
 
-// beginWrite opens the second round: tag goes to a freshly picked write
+// writeRound opens the second round: tag goes to a freshly picked write
 // quorum under its own operation id.
-func (o *Operation) beginWrite(tag msg.Tagged, out []send) []send {
+func (o *operation) writeRound(tag msg.Tagged, out []send) []send {
 	o.phase = opPhaseWrite
-	o.ws = o.e.BeginWriteWithTS(o.reg, tag)
+	o.ws = o.e.beginWrite(o.reg, tag, nil)
 	return o.refan(out)
 }
 
 // deliverWriteAck feeds one server's write acknowledgment into the current
 // attempt.
-func (o *Operation) deliverWriteAck(server int, m msg.WriteAck) {
+func (o *operation) deliverWriteAck(server int, m msg.WriteAck) {
 	if o.done || o.rejected || o.phase != opPhaseWrite || !o.ws.OnAck(server, m) {
 		return
 	}
@@ -184,7 +185,7 @@ func (o *Operation) deliverWriteAck(server int, m msg.WriteAck) {
 // plus transport.Update — and re-fans with retryView. Rejects addressed to
 // abandoned attempts, or carrying a view the attempt already runs under,
 // concern nobody.
-func (o *Operation) deliverStaleEpoch(m msg.StaleEpoch) bool {
+func (o *operation) deliverStaleEpoch(m msg.StaleEpoch) bool {
 	if o.done || o.rejected || o.phase == 0 || m.Reg != o.reg {
 		return false
 	}
@@ -199,7 +200,7 @@ func (o *Operation) deliverStaleEpoch(m msg.StaleEpoch) bool {
 // retry it does not consume the retry budget: a reconfiguration is not a
 // fault, and a client riding through a long rolling restart must not run
 // out of attempts because of it. The phase is preserved, as in retry.
-func (o *Operation) retryView(out []send) []send { return o.repick(out) }
+func (o *operation) retryView(out []send) []send { return o.repick(out) }
 
 // retry abandons the current attempt — (under masking) the vote count
 // outvoted the honest replicas — and starts a fresh one on a freshly picked
@@ -207,7 +208,7 @@ func (o *Operation) retryView(out []send) []send { return o.repick(out) }
 // returns ErrQuorumUnavailable instead. A two-round operation retries the
 // round it is in: a failed write-back re-fans the same tag, it does not
 // restart the read.
-func (o *Operation) retry(out []send) ([]send, error) {
+func (o *operation) retry(out []send) ([]send, error) {
 	if err := o.spend(); err != nil {
 		return out, err
 	}
@@ -221,7 +222,7 @@ func (o *Operation) retry(out []send) ([]send, error) {
 // attempt on a fresh quorum otherwise; repicked reports which. The caller
 // suspects the silent members first, so none is drawn as another's
 // replacement.
-func (o *Operation) expire(out []send) (sends []send, repicked bool, err error) {
+func (o *operation) expire(out []send) (sends []send, repicked bool, err error) {
 	if err := o.spend(); err != nil {
 		return out, false, err
 	}
@@ -231,7 +232,7 @@ func (o *Operation) expire(out []send) (sends []send, repicked bool, err error) 
 	return o.repick(out), true, nil
 }
 
-func (o *Operation) spend() error {
+func (o *operation) spend() error {
 	if o.retries > 0 && o.attempts > o.retries {
 		return ErrQuorumUnavailable
 	}
@@ -239,24 +240,24 @@ func (o *Operation) spend() error {
 	return nil
 }
 
-func (o *Operation) repick(out []send) []send {
+func (o *operation) repick(out []send) []send {
 	o.rejected = false
 	if o.phase == opPhaseRead {
-		o.rs = o.e.RetryRead(o.rs)
+		o.rs = o.e.beginRead(o.reg, o.rs)
 	} else {
-		o.ws = o.e.RetryWrite(o.ws)
+		o.ws = o.e.beginWrite(o.reg, o.ws.Tag, o.ws)
 	}
 	return o.refan(out)
 }
 
 // topUp replaces the current attempt's pending members that are lost —
 // server, or every pending member when server < 0 — each by a server drawn
-// from those neither in the attempt nor suspected (Engine.TopUpRead),
+// from those neither in the attempt nor suspected (Engine.topUp),
 // appending the re-sends to out under the same operation id. ok is false
-// when a lost member found no replacement: the engine is not FaultAware, or
+// when a lost member found no replacement: the engine is not fault-aware, or
 // no candidate is left. A server that is not a pending member needs
 // nothing, and reports ok.
-func (o *Operation) topUp(server int, out []send) ([]send, bool) {
+func (o *operation) topUp(server int, out []send) ([]send, bool) {
 	f := o.current()
 	if o.done || o.rejected || f == nil {
 		return out, true
@@ -283,7 +284,7 @@ func (o *Operation) topUp(server int, out []send) ([]send, bool) {
 // meaningful while a write phase is active: before one exists (a plain read,
 // or an atomic read still in its read phase) it returns the zero Tagged
 // instead of panicking, so tracers may call it unconditionally.
-func (o *Operation) pendingTag() msg.Tagged {
+func (o *operation) pendingTag() msg.Tagged {
 	if o.ws == nil {
 		return msg.Tagged{}
 	}
@@ -292,7 +293,7 @@ func (o *Operation) pendingTag() msg.Tagged {
 
 // current returns the membership half of the current attempt's session, nil
 // before the operation has started.
-func (o *Operation) current() *fanout {
+func (o *operation) current() *fanout {
 	switch o.phase {
 	case opPhaseRead:
 		return &o.rs.fanout
@@ -303,7 +304,7 @@ func (o *Operation) current() *fanout {
 }
 
 // currentID is the operation id the current attempt's requests carry.
-func (o *Operation) currentID() msg.OpID {
+func (o *operation) currentID() msg.OpID {
 	if o.phase == opPhaseWrite {
 		return o.ws.Op
 	}
@@ -313,23 +314,27 @@ func (o *Operation) currentID() msg.OpID {
 // secondRound reports whether the operation is in the second round of a
 // two-round operation: an atomic read's write-back, or a multi-writer
 // write's write phase.
-func (o *Operation) secondRound() bool { return o.phase == opPhaseWrite && o.kind != opWrite }
+func (o *operation) secondRound() bool { return o.phase == opPhaseWrite && o.kind != opWrite }
 
 // probe returns the shadow request to send alongside a read-phase attempt
-// when a suspected server is due a probe (Engine.ProbeRead).
-func (o *Operation) probe() (send, bool) {
+// when a suspected server is due a probe: the server is not in the attempt's
+// quorum, so its reply completes nothing and only clears the suspicion (any
+// reply does). At most one read per suspected server and
+// transport.ProbeInterval gets one, which is what notices a recovery while
+// picks avoid the server.
+func (o *operation) probe() (send, bool) {
 	if o.phase != opPhaseRead {
 		return send{}, false
 	}
-	srv, ok := o.e.ProbeRead(o.rs)
-	if !ok {
+	srv, ok := o.e.health.ProbeTarget()
+	if !ok || pos(o.rs.Quorum, srv) >= 0 {
 		return send{}, false
 	}
 	return send{server: srv, req: o.rs.Request()}, true
 }
 
 // desc names the operation for error messages.
-func (o *Operation) desc() string {
+func (o *operation) desc() string {
 	switch o.kind {
 	case opAtomicRead:
 		if o.phase == opPhaseWrite {

@@ -1,7 +1,7 @@
 package register
 
-// In-package tests of the Operation state machine's contracts: the retry
-// budget's arithmetic, driven on the bare Operation and through the
+// In-package tests of the operation state machine's contracts: the retry
+// budget's arithmetic, driven on the bare operation and through the
 // Pipeline, and the pending-tag guard a tracer relies on.
 
 import (
@@ -56,7 +56,7 @@ func (b *blackhole) Send(server int, req any) error {
 // TestRetryBudgetArithmetic pins the retry-budget arithmetic of the one
 // operation engine: retries caps the total attempts at retries+1, and 0
 // means unlimited. The operation rows spend the budget on the bare
-// Operation; the client and pipeline rows run the same Operation under the
+// operation; the client and pipeline rows run the same operation under the
 // Pipeline's deadline, in a one-shard Keyspace and directly.
 func TestRetryBudgetArithmetic(t *testing.T) {
 	const n = 3
@@ -88,7 +88,7 @@ func TestRetryBudgetArithmetic(t *testing.T) {
 
 		t.Run(fmt.Sprintf("operation/retries=%d", retries), func(t *testing.T) {
 			e := NewEngine(1, sys(), rand.New(rand.NewPCG(1, 2)))
-			op := &Operation{e: e, kind: opRead, reg: 0, retries: int32(retries)}
+			op := &operation{e: e, kind: opRead, reg: 0, retries: int32(retries)}
 			op.start(nil)
 			attempts := int64(1)
 			for {
@@ -104,7 +104,7 @@ func TestRetryBudgetArithmetic(t *testing.T) {
 				}
 			}
 			if attempts != wantAttempts {
-				t.Fatalf("Operation allowed %d attempts, want %d", attempts, wantAttempts)
+				t.Fatalf("operation allowed %d attempts, want %d", attempts, wantAttempts)
 			}
 		})
 
@@ -134,7 +134,7 @@ func TestRetryBudgetArithmetic(t *testing.T) {
 	// budget is left.
 	t.Run("operation/view-refans-are-free", func(t *testing.T) {
 		e := NewEngine(1, sys(), rand.New(rand.NewPCG(3, 4)))
-		op := &Operation{e: e, kind: opRead, reg: 0, retries: 1}
+		op := &operation{e: e, kind: opRead, reg: 0, retries: 1}
 		op.start(nil)
 		for i := 0; i < 5; i++ {
 			op.retryView(nil)
@@ -172,7 +172,7 @@ func TestRetryBudgetArithmetic(t *testing.T) {
 // does.
 func TestPendingTagContract(t *testing.T) {
 	e := NewEngine(1, quorum.NewAll(3), rand.New(rand.NewPCG(1, 2)))
-	ro := &Operation{e: e, kind: opAtomicRead, reg: 0}
+	ro := &operation{e: e, kind: opAtomicRead, reg: 0}
 	if got := ro.pendingTag(); got != (msg.Tagged{}) {
 		t.Fatalf("pendingTag before start = %+v, want zero", got)
 	}
@@ -180,7 +180,7 @@ func TestPendingTagContract(t *testing.T) {
 	if got := ro.pendingTag(); got != (msg.Tagged{}) {
 		t.Fatalf("pendingTag during the read phase = %+v, want zero", got)
 	}
-	wo := &Operation{e: e, kind: opWrite, reg: 0, val: 4.0}
+	wo := &operation{e: e, kind: opWrite, reg: 0, val: 4.0}
 	wo.start(nil)
 	if got := wo.pendingTag(); got.Val != 4.0 || got.TS.IsZero() {
 		t.Fatalf("pendingTag of a started write = %+v, want tag carrying 4.0", got)

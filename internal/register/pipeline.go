@@ -43,12 +43,12 @@ type SendFunc func(server int, req any)
 //     (per-process read monotonicity) and write-timestamp ordering intact —
 //     the Engine's monotone cache and write counter are only touched in
 //     per-register program order.
-//   - All Engine and Operation calls are serialized under one mutex, so the
+//   - All Engine and operation calls are serialized under one mutex, so the
 //     Engine's single-caller assertion (opGuard) never trips: session
 //     bookkeeping is cheap and local, and only the network fan-outs overlap.
 //
 // The protocol itself — sessions, the two-round transitions, masking,
-// repair, top-up and the retry budget — is Operation's; the Pipeline owns
+// repair, top-up and the retry budget — is the operation's; the Pipeline owns
 // the per-register FIFO, the op-id map that routes replies, the shared
 // deadline list, and the observer, trace and gauge around them.
 //
@@ -337,7 +337,7 @@ func putSends(s *[]send) {
 // completes; Done exposes the completion signal for select loops.
 type PendingOp struct {
 	// o is the operation's protocol state, driven under the pipeline lock.
-	o        Operation
+	o        operation
 	invoke   int64
 	wsHandle int
 	timer    *pipeTimer
@@ -479,7 +479,7 @@ func (p *Pipeline) WriteMultiAsyncFunc(reg msg.RegisterID, val msg.Value, fn fun
 }
 
 func (p *Pipeline) submit(kind opKind, reg msg.RegisterID, val msg.Value, fn func(msg.Tagged, error)) *PendingOp {
-	op := &PendingOp{o: Operation{e: p.engine, kind: kind, reg: reg, val: val, retries: int32(p.retries)}, callback: fn}
+	op := &PendingOp{o: operation{e: p.engine, kind: kind, reg: reg, val: val, retries: int32(p.retries)}, callback: fn}
 	p.mu.Lock()
 	if p.closed {
 		err := p.closeErr
@@ -510,7 +510,7 @@ func (p *Pipeline) submit(kind opKind, reg msg.RegisterID, val msg.Value, fn fun
 	return op
 }
 
-// startLocked begins the head-of-queue operation: the Operation opens its
+// startLocked begins the head-of-queue operation: the operation opens its
 // session (assigning the operation id and, for writes, the timestamp — so
 // same-register timestamps are assigned in client FIFO order), the id joins
 // the in-flight map, and the quorum fan-out — plus a probe of a suspected
@@ -682,7 +682,7 @@ func (p *Pipeline) expire() {
 
 // onTimeout is an operation's deadline expiring with members still silent.
 // On a fault-aware pipeline it suspects exactly those members, and then the
-// Operation spends one unit of retry budget and replaces them within the
+// operation spends one unit of retry budget and replaces them within the
 // attempt — replies already collected stay, and operations started from now
 // on pick around the suspects, so a silent server costs the operations in
 // flight when it went silent one deadline and later ones nothing. Otherwise,
@@ -698,7 +698,7 @@ func (p *Pipeline) onTimeout(op *PendingOp, attempt int32) {
 		return
 	}
 	f := op.o.current()
-	aware := p.engine.FaultAware()
+	aware := p.engine.faultAware()
 	for i, srv := range f.Quorum {
 		if !f.Pending(i) {
 			continue
@@ -796,7 +796,7 @@ func (p *Pipeline) heard(server int) {
 // is lost (its connection died, or a request could not be handed to it).
 // On a fault-aware engine the server is suspected, so picks avoid it until a
 // reply — in practice a probe's — clears the mark, and every operation still
-// waiting on it replaces it within its attempt (Operation.topUp): one extra
+// waiting on it replaces it within its attempt (operation.topUp): one extra
 // round trip, no retry budget (a crash signal is not a timeout), the
 // deadline untouched. Each replacement is drawn from the servers neither in
 // the attempt nor suspected, and every loss suspects one more server, so an
@@ -815,7 +815,7 @@ func (p *Pipeline) memberLost(server int, cause error) {
 		putSends(sends)
 		return
 	}
-	if p.engine.FaultAware() {
+	if p.engine.faultAware() {
 		p.suspect(server, cause)
 	}
 	for id, op := range p.inflight {
@@ -860,7 +860,7 @@ func (p *Pipeline) readReplyLocked(server int, m msg.ReadReply, sends *[]send) *
 	}
 	// A read reply to an operation already in its second round is a
 	// slow-but-healthy replica answering the completed first round: a
-	// harmless duplicate the Operation ignores, not a stale drop.
+	// harmless duplicate the operation ignores, not a stale drop.
 	first := !op.o.secondRound()
 	*sends = op.o.deliverReadReply(server, m, *sends)
 	switch {
@@ -1041,17 +1041,15 @@ func (p *Pipeline) finishLocked(op *PendingOp, tag msg.Tagged, err error) {
 		p.lapLocked(op, op.waitLap())
 	}
 	// With the in-flight entries gone no reply can reach the sessions again,
-	// so their storage goes back to the engine for the next Begin* to reuse.
+	// so their storage goes back to the engine for the next attempt to reuse.
 	if rs := op.o.rs; rs != nil {
 		delete(p.inflight, rs.Op)
-		p.engine.ReleaseRead(rs)
-		op.o.rs = nil
 	}
 	if ws := op.o.ws; ws != nil {
 		delete(p.inflight, ws.Op)
-		p.engine.ReleaseWrite(ws)
-		op.o.ws = nil
 	}
+	p.engine.release(op.o.rs, op.o.ws)
+	op.o.rs, op.o.ws = nil, nil
 	if p.log != nil && err == nil {
 		respond := int64(p.clock.Now())
 		switch op.o.kind {

@@ -27,7 +27,7 @@ func newCluster(n int, initial map[msg.RegisterID]msg.Value) *cluster {
 }
 
 func (c *cluster) read(e *Engine, reg msg.RegisterID) msg.Tagged {
-	s := e.BeginRead(reg)
+	s := e.beginRead(reg, nil)
 	for _, srv := range s.Quorum {
 		rep, ok := c.servers[srv].Apply(s.Request())
 		if !ok {
@@ -38,17 +38,17 @@ func (c *cluster) read(e *Engine, reg msg.RegisterID) msg.Tagged {
 	if !s.Done() {
 		panic("read session incomplete")
 	}
-	return e.FinishRead(s)
+	return e.finishRead(s)
 }
 
 func (c *cluster) write(e *Engine, reg msg.RegisterID, val msg.Value) msg.Tagged {
-	s := e.BeginWrite(reg, val)
+	s := e.beginWrite(reg, e.stamp(val), nil)
 	c.complete(s)
 	return s.Tag
 }
 
 // complete delivers every quorum member's acknowledgment of s.
-func (c *cluster) complete(s *WriteSession) {
+func (c *cluster) complete(s *writeSession) {
 	for _, srv := range s.Quorum {
 		rep, ok := c.servers[srv].Apply(s.Request())
 		if !ok {
@@ -85,7 +85,7 @@ func TestReadReturnsLatestWriteUnderFullOverlap(t *testing.T) {
 // current timestamp, then a write round one past it.
 func (c *cluster) writeMulti(e *Engine, reg msg.RegisterID, val msg.Value) msg.Tagged {
 	cur := c.read(e, reg)
-	s := e.BeginWriteWithTS(reg, msg.Tagged{TS: e.NextMultiWriterTS(cur.TS), Val: val})
+	s := e.beginWrite(reg, msg.Tagged{TS: e.multiWriterTS(cur.TS), Val: val}, nil)
 	c.complete(s)
 	return s.Tag
 }
@@ -168,24 +168,25 @@ func TestWriteTimestampProperties(t *testing.T) {
 				case 'o':
 					install(reg, c.writeMulti(other, reg, val), true)
 				case 'r':
-					s := e.BeginWrite(reg, val)
+					s := e.beginWrite(reg, e.stamp(val), nil)
 					rep, _ := c.servers[s.Quorum[0]].Apply(s.Request())
 					s.OnAck(s.Quorum[0], rep.(msg.WriteAck))
-					retry := e.RetryWrite(s)
-					if retry.Tag != s.Tag {
-						t.Fatalf("retry re-stamped %v as %v", s.Tag, retry.Tag)
+					tag := s.Tag
+					retry := e.beginWrite(s.Reg, s.Tag, s)
+					if retry.Tag != tag {
+						t.Fatalf("retry re-stamped %v as %v", tag, retry.Tag)
 					}
 					c.complete(retry)
 					install(reg, retry.Tag, true)
 				case 'a':
 					got := c.read(e, reg)
-					s := e.BeginWriteWithTS(reg, got)
+					s := e.beginWrite(reg, got, nil)
 					c.complete(s)
 					install(reg, s.Tag, false)
 				case 'x':
 					cur := c.read(e, reg)
 					install(reg, c.write(e, reg, val+"-plain"), true)
-					s := e.BeginWriteWithTS(reg, msg.Tagged{TS: e.NextMultiWriterTS(cur.TS), Val: val})
+					s := e.beginWrite(reg, msg.Tagged{TS: e.multiWriterTS(cur.TS), Val: val}, nil)
 					c.complete(s)
 					install(reg, s.Tag, true)
 				default:
@@ -198,7 +199,7 @@ func TestWriteTimestampProperties(t *testing.T) {
 
 func TestReadSessionIgnoresForeignAndDuplicateReplies(t *testing.T) {
 	e := NewEngine(0, quorum.NewProbabilistic(6, 3), rng.New(2))
-	s := e.BeginRead(0)
+	s := e.beginRead(0, nil)
 	srv := s.Quorum[0]
 	// Foreign op id.
 	s.OnReply(srv, msg.ReadReply{Reg: 0, Op: s.Op + 99, Tag: msg.Tagged{TS: msg.Timestamp{Seq: 9}, Val: "x"}})
@@ -222,7 +223,7 @@ func TestReadSessionIgnoresForeignAndDuplicateReplies(t *testing.T) {
 
 func TestWriteSessionCompletion(t *testing.T) {
 	e := NewEngine(0, quorum.NewProbabilistic(6, 3), rng.New(3))
-	s := e.BeginWrite(0, "v")
+	s := e.beginWrite(0, e.stamp("v"), nil)
 	for i, srv := range s.Quorum {
 		done := s.OnAck(srv, msg.WriteAck{Reg: 0, Op: s.Op})
 		if want := i == len(s.Quorum)-1; done != want {
@@ -351,8 +352,8 @@ func TestMultiWriterTimestamps(t *testing.T) {
 	// Writer 1 writes; writer 2 reads-modifies-writes with a larger ts.
 	mwWrite := func(e *Engine, val msg.Value) msg.Tagged {
 		cur := c.read(e, 0)
-		tag := msg.Tagged{TS: e.NextMultiWriterTS(cur.TS), Val: val}
-		s := e.BeginWriteWithTS(0, tag)
+		tag := msg.Tagged{TS: e.multiWriterTS(cur.TS), Val: val}
+		s := e.beginWrite(0, tag, nil)
 		for _, srv := range s.Quorum {
 			rep, _ := c.servers[srv].Apply(s.Request())
 			s.OnAck(srv, rep.(msg.WriteAck))
@@ -370,19 +371,15 @@ func TestMultiWriterTimestamps(t *testing.T) {
 	}
 }
 
+// TestEngineTallyAndMessageCounter checks the access tally; message counts
+// are the transports' (metrics.TransportCounters).
 func TestEngineTallyAndMessageCounter(t *testing.T) {
-	var msgs metrics.Counter
 	tally := metrics.NewAccessTally(6)
-	e := NewEngine(0, quorum.NewProbabilistic(6, 2), rng.New(5),
-		Settings{Tally: tally}.variants, WithMessageCounter(&msgs))
+	e := NewEngine(0, quorum.NewProbabilistic(6, 2), rng.New(5), Settings{Tally: tally}.variants)
 	c := newCluster(6, map[msg.RegisterID]msg.Value{0: nil})
 	c.write(e, 0, 1)
 	c.read(e, 0)
 	if got := tally.Total(); got != 2 {
 		t.Fatalf("tally ops = %d, want 2", got)
-	}
-	// Each op: 2 requests + 2 replies = 4 messages.
-	if got := msgs.Value(); got != 8 {
-		t.Fatalf("messages = %d, want 8", got)
 	}
 }

@@ -11,7 +11,7 @@ import (
 // readWithRepair performs a read on the test cluster and applies any repair
 // messages the engine issues, mimicking the drivers.
 func (c *cluster) readWithRepair(e *Engine, reg msg.RegisterID) msg.Tagged {
-	s := e.BeginRead(reg)
+	s := e.beginRead(reg, nil)
 	for _, srv := range s.Quorum {
 		rep, ok := c.servers[srv].Apply(s.Request())
 		if !ok {
@@ -19,8 +19,8 @@ func (c *cluster) readWithRepair(e *Engine, reg msg.RegisterID) msg.Tagged {
 		}
 		s.OnReply(srv, rep.(msg.ReadReply))
 	}
-	tag := e.FinishRead(s)
-	if servers, repair := e.RepairTargets(s, tag); len(servers) > 0 {
+	tag := e.finishRead(s)
+	if servers, repair := e.repairTargets(s, tag); len(servers) > 0 {
 		for _, srv := range servers {
 			c.servers[srv].Apply(repair)
 		}
@@ -30,7 +30,7 @@ func (c *cluster) readWithRepair(e *Engine, reg msg.RegisterID) msg.Tagged {
 
 func TestStaleMembers(t *testing.T) {
 	e := NewEngine(0, quorum.NewAll(3), rng.New(1))
-	s := e.BeginRead(0)
+	s := e.beginRead(0, nil)
 	s.OnReply(0, msg.ReadReply{Reg: 0, Op: s.Op, Tag: msg.Tagged{TS: msg.Timestamp{Seq: 5}, Val: "new"}})
 	s.OnReply(1, msg.ReadReply{Reg: 0, Op: s.Op, Tag: msg.Tagged{TS: msg.Timestamp{Seq: 2}, Val: "old"}})
 	s.OnReply(2, msg.ReadReply{Reg: 0, Op: s.Op, Tag: msg.Tagged{TS: msg.Timestamp{Seq: 5}, Val: "new"}})
@@ -45,13 +45,13 @@ func TestRepairTargetsDisabledByDefault(t *testing.T) {
 	w := NewEngine(0, quorum.NewSingleton(4, 0), rng.New(1))
 	c.write(w, 0, "x")
 	r := NewEngine(1, quorum.NewAll(4), rng.New(2))
-	s := r.BeginRead(0)
+	s := r.beginRead(0, nil)
 	for _, srv := range s.Quorum {
 		rep, _ := c.servers[srv].Apply(s.Request())
 		s.OnReply(srv, rep.(msg.ReadReply))
 	}
-	tag := r.FinishRead(s)
-	if servers, _ := r.RepairTargets(s, tag); servers != nil {
+	tag := r.finishRead(s)
+	if servers, _ := r.repairTargets(s, tag); servers != nil {
 		t.Fatal("repair issued without WithReadRepair")
 	}
 	if r.Repairs() != 0 {
@@ -103,13 +103,13 @@ func TestReadRepairCannotRegressReplicas(t *testing.T) {
 	c.write(w, 0, "old")
 
 	r := NewEngine(1, quorum.NewAll(3), rng.New(2), Settings{ReadRepair: true}.variants)
-	s := r.BeginRead(0)
+	s := r.beginRead(0, nil)
 	for _, srv := range s.Quorum {
 		rep, _ := c.servers[srv].Apply(s.Request())
 		s.OnReply(srv, rep.(msg.ReadReply))
 	}
-	tag := r.FinishRead(s)
-	servers, repair := r.RepairTargets(s, tag)
+	tag := r.finishRead(s)
+	servers, repair := r.repairTargets(s, tag)
 
 	// Before the repair lands, a newer write reaches every replica.
 	wAll := NewEngine(0, quorum.NewAll(3), rng.New(3))

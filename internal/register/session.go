@@ -1,6 +1,6 @@
 // Package register implements the client side of the probabilistic quorum
-// read/write register (paper Sections 4 and 6.2) as runtime-agnostic
-// protocol cores.
+// read/write register (paper Sections 4 and 6.2) as one runtime-agnostic
+// protocol core.
 //
 // A read picks a random quorum, queries every member, and returns the value
 // with the largest timestamp; a write picks a random quorum and installs the
@@ -9,12 +9,15 @@
 // goes backwards in timestamp order (condition [R4]) — this is the paper's
 // "monotone probabilistic quorum algorithm".
 //
-// Sessions carry the per-operation state; Engine carries the per-client
-// state (operation counter, one write counter — timestamps are unique and
-// increasing per (register, writer) — monotone cache, quorum strategy).
-// Drivers — the discrete-event simulator, the goroutine runtime, and the TCP
-// transport — shuttle messages between sessions and replica servers without
-// duplicating any protocol logic.
+// Sessions carry the per-round state; Engine carries the per-client state
+// (operation counter, one write counter — timestamps are unique and
+// increasing per (register, writer) — monotone cache, quorum strategy). The
+// sessions and the Engine's per-round methods are package-internal: the
+// operation transition table (op.go) is the only code that opens, feeds,
+// tops up, retries and finishes a round, and the Pipeline is its one
+// driver. The two runtimes — the discrete-event simulator and the TCP
+// transport — carry messages between a Pipeline and the replica servers
+// without duplicating any protocol logic.
 package register
 
 import (
@@ -76,7 +79,7 @@ func (f *fanout) Pending(i int) bool { return f.replied&(1<<uint(i)) == 0 }
 // is known lost; the caller re-sends the session's Request to it. It refuses
 // — returns false and changes nothing — when position i has already
 // answered (its reply is part of the result) or server is already a member.
-// For a KSubsets system the result is again a quorum; see Engine.TopUpRead.
+// For a KSubsets system the result is again a quorum; see Engine.topUp.
 func (f *fanout) Replace(i, server int) bool {
 	if i < 0 || i >= len(f.Quorum) || !f.Pending(i) || pos(f.Quorum, server) >= 0 {
 		return false
@@ -85,11 +88,11 @@ func (f *fanout) Replace(i, server int) bool {
 	return true
 }
 
-// ReadSession is the client state of one in-flight read operation: it has
-// fanned a ReadReq out to every server in Quorum and completes when all of
-// them have replied (the network is reliable and, in the failure-free model
-// of the paper's Section 4, so are the servers).
-type ReadSession struct {
+// readSession is the client state of one read round: it has fanned a
+// ReadReq out to every server in Quorum and completes when all of them have
+// replied (the network is reliable and, in the failure-free model of the
+// paper's Section 4, so are the servers).
+type readSession struct {
 	Reg msg.RegisterID
 	Op  msg.OpID
 	fanout
@@ -101,12 +104,12 @@ type ReadSession struct {
 	gotAny bool
 	// unanimous stays true while every accepted reply has carried the same
 	// timestamp — the condition under which an atomic read may skip its
-	// write-back phase (see Engine.TryFinishReadFast).
+	// write-back phase (see Engine.tryFinishReadFast).
 	unanimous bool
 }
 
 // Request returns the message to send to each quorum member.
-func (s *ReadSession) Request() msg.ReadReq {
+func (s *readSession) Request() msg.ReadReq {
 	return msg.ReadReq{Reg: s.Reg, Op: s.Op, Epoch: s.Epoch}
 }
 
@@ -114,7 +117,7 @@ func (s *ReadSession) Request() msg.ReadReq {
 // operation is complete. Replies for other operations, duplicate replies,
 // and replies from servers outside the quorum are ignored, so drivers may
 // deliver stale or stray messages safely.
-func (s *ReadSession) OnReply(server int, rep msg.ReadReply) (done bool) {
+func (s *readSession) OnReply(server int, rep msg.ReadReply) (done bool) {
 	if rep.Op != s.Op || rep.Reg != s.Reg {
 		return s.Done()
 	}
@@ -139,13 +142,13 @@ func (s *ReadSession) OnReply(server int, rep msg.ReadReply) (done bool) {
 // timestamp. Like Best, it is only meaningful once Done reports true: a
 // completed unanimous quorum is the precondition for the atomic read's
 // one-round-trip fast path.
-func (s *ReadSession) Unanimous() bool { return s.gotAny && s.unanimous }
+func (s *readSession) Unanimous() bool { return s.gotAny && s.unanimous }
 
 // StaleMembers returns the quorum members whose reply carried a timestamp
 // older than tag's. The read-repair extension pushes tag back to exactly
 // these replicas after the read completes, spreading fresh values without
 // waiting for the writer to land on them again.
-func (s *ReadSession) StaleMembers(tag msg.Tagged) []int {
+func (s *readSession) StaleMembers(tag msg.Tagged) []int {
 	var out []int
 	for i, srv := range s.Quorum {
 		if !s.Pending(i) && s.tags[i].TS.Less(tag.TS) {
@@ -157,12 +160,12 @@ func (s *ReadSession) StaleMembers(tag msg.Tagged) []int {
 
 // Best returns the maximum-timestamp value observed so far. It is only
 // meaningful once Done reports true.
-func (s *ReadSession) Best() msg.Tagged { return s.best }
+func (s *readSession) Best() msg.Tagged { return s.best }
 
-// WriteSession is the client state of one in-flight write operation: it has
-// fanned a WriteReq out to every server in Quorum and completes when all of
-// them have acknowledged.
-type WriteSession struct {
+// writeSession is the client state of one write round: it has fanned a
+// WriteReq out to every server in Quorum and completes when all of them have
+// acknowledged.
+type writeSession struct {
 	Reg msg.RegisterID
 	Op  msg.OpID
 	Tag msg.Tagged
@@ -170,14 +173,14 @@ type WriteSession struct {
 }
 
 // Request returns the message to send to each quorum member.
-func (s *WriteSession) Request() msg.WriteReq {
+func (s *writeSession) Request() msg.WriteReq {
 	return msg.WriteReq{Reg: s.Reg, Op: s.Op, Tag: s.Tag, Epoch: s.Epoch}
 }
 
 // OnAck feeds one server's acknowledgment into the session and reports
 // whether the operation is complete. Acknowledgments from servers outside
 // the quorum are ignored.
-func (s *WriteSession) OnAck(server int, ack msg.WriteAck) (done bool) {
+func (s *writeSession) OnAck(server int, ack msg.WriteAck) (done bool) {
 	if ack.Op != s.Op || ack.Reg != s.Reg {
 		return s.Done()
 	}

@@ -53,12 +53,12 @@ type Settings struct {
 	Monotone bool
 	// ReadRepair makes every completed read push the freshest observed value
 	// back to the quorum members that replied with older timestamps
-	// (write-back, fire-and-forget; see Engine.RepairTargets) — an ablation
+	// (write-back, fire-and-forget) — an ablation
 	// of the freshness/message trade-off, not part of the paper's algorithm.
 	ReadRepair bool
 	// Masking, when positive, enables b-masking reads with b = Masking: a
 	// read accepts only a value reported identically by at least b+1 quorum
-	// members (see Engine.FinishReadMasked), so quorums need more than b
+	// members (see Vote), so quorums need more than b
 	// members. 0 is off.
 	Masking int
 	// Tally records every picked quorum, the paper's per-server load.
@@ -101,7 +101,7 @@ func (s Settings) Validate(sys quorum.System) error {
 
 // Engine validates s against sys and returns an engine with the given writer
 // identity and randomness stream running the register class s selects;
-// extra carries the per-engine options (WithOpStride, WithMessageCounter).
+// extra carries the per-engine options (WithOpStride).
 func (s Settings) Engine(writer int32, sys quorum.System, rnd *rand.Rand, extra ...Option) (*Engine, error) {
 	if err := s.Validate(sys); err != nil {
 		return nil, err

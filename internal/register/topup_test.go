@@ -35,7 +35,7 @@ func TestSessionReplace(t *testing.T) {
 		{"position past the quorum", nil, 3, 4, false, []int{0, 1, 2}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s := &ReadSession{Reg: 7, Op: 9, fanout: fanout{Quorum: []int{0, 1, 2}},
+			s := &readSession{Reg: 7, Op: 9, fanout: fanout{Quorum: []int{0, 1, 2}},
 				tags: make([]msg.Tagged, 3), unanimous: true}
 			for _, srv := range tc.replied {
 				s.OnReply(srv, msg.ReadReply{Reg: 7, Op: 9, Tag: tagged(1, "a")})
@@ -59,7 +59,7 @@ func TestSessionReplace(t *testing.T) {
 // before and after a replacement, and the replaced member's late reply is a
 // stranger's.
 func TestSessionBookkeepingAcrossReplace(t *testing.T) {
-	s := &ReadSession{Reg: 1, Op: 5, fanout: fanout{Quorum: []int{0, 1, 2}},
+	s := &readSession{Reg: 1, Op: 5, fanout: fanout{Quorum: []int{0, 1, 2}},
 		tags: make([]msg.Tagged, 3), unanimous: true}
 	reply := func(srv int, tag msg.Tagged) bool {
 		return s.OnReply(srv, msg.ReadReply{Reg: 1, Op: 5, Tag: tag})
@@ -88,7 +88,7 @@ func TestSessionBookkeepingAcrossReplace(t *testing.T) {
 		t.Fatalf("StaleMembers = %v, want the replacement [4]", got)
 	}
 
-	w := &WriteSession{Reg: 1, Op: 6, fanout: fanout{Quorum: []int{0, 1, 2}}}
+	w := &writeSession{Reg: 1, Op: 6, fanout: fanout{Quorum: []int{0, 1, 2}}}
 	w.OnAck(2, msg.WriteAck{Reg: 1, Op: 6})
 	if w.Replace(2, 3) {
 		t.Fatal("write session replaced a member that had acknowledged")
@@ -116,7 +116,7 @@ func TestTopUpDrawsOutsideAttemptAndSuspects(t *testing.T) {
 	lost := errors.New("lost")
 	seen := map[int]bool{}
 	for i := 0; i < 400; i++ {
-		s := e.BeginRead(0)
+		s := e.beginRead(0, nil)
 		members := append([]int(nil), s.Quorum...)
 		e.health.Suspect(members[0], lost)
 		// Of the three outsiders one is suspected too; the other two are
@@ -129,7 +129,7 @@ func TestTopUpDrawsOutsideAttemptAndSuspects(t *testing.T) {
 		}
 		suspect := outsiders[i%3]
 		e.health.Suspect(suspect, lost)
-		got, ok := e.TopUpRead(s, 0)
+		got, ok := e.topUp(&s.fanout, 0)
 		if !ok {
 			t.Fatalf("top-up refused with two of the outsiders %v unsuspected", outsiders)
 		}
@@ -140,7 +140,7 @@ func TestTopUpDrawsOutsideAttemptAndSuspects(t *testing.T) {
 			t.Fatalf("quorum %v does not hold the replacement %d", s.Quorum, got)
 		}
 		seen[got] = true
-		e.ReleaseRead(s)
+		e.release(s, nil)
 		for srv := 0; srv < 7; srv++ {
 			e.health.Clear(srv)
 		}
@@ -149,13 +149,13 @@ func TestTopUpDrawsOutsideAttemptAndSuspects(t *testing.T) {
 		t.Fatalf("replacements only ever landed on %v", seen)
 	}
 
-	s := e.BeginWrite(0, "v")
+	s := e.beginWrite(0, e.stamp("v"), nil)
 	for srv := 0; srv < 7; srv++ {
 		if pos(s.Quorum, srv) < 0 {
 			e.health.Suspect(srv, lost)
 		}
 	}
-	if _, ok := e.TopUpWrite(s, 1); ok {
+	if _, ok := e.topUp(&s.fanout, 1); ok {
 		t.Fatal("top-up found a replacement with every outsider suspected")
 	}
 }
@@ -180,17 +180,17 @@ func TestTopUpOnlyWhereSound(t *testing.T) {
 		{"no table", NewEngine(1, quorum.NewMajority(5), rng.New(3)), false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := tc.e.FaultAware(); got != tc.want {
-				t.Fatalf("FaultAware = %v, want %v", got, tc.want)
+			if got := tc.e.faultAware(); got != tc.want {
+				t.Fatalf("faultAware = %v, want %v", got, tc.want)
 			}
-			s := tc.e.BeginRead(0)
+			s := tc.e.beginRead(0, nil)
 			before := append([]int(nil), s.Quorum...)
-			_, ok := tc.e.TopUpRead(s, 0)
+			_, ok := tc.e.topUp(&s.fanout, 0)
 			if tc.e.sys.Size() == tc.e.sys.N() {
 				tc.want = false // nobody outside the quorum to draw
 			}
 			if ok != tc.want {
-				t.Fatalf("TopUpRead ok = %v, want %v", ok, tc.want)
+				t.Fatalf("topUp ok = %v, want %v", ok, tc.want)
 			}
 			if !ok && !reflect.DeepEqual(s.Quorum, before) {
 				t.Fatalf("refused top-up changed the quorum: %v -> %v", before, s.Quorum)
@@ -200,7 +200,7 @@ func TestTopUpOnlyWhereSound(t *testing.T) {
 
 	e := NewEngine(1, nil, rng.New(3), Settings{View: &quorum.View{Epoch: 1, Members: []int32{0, 1, 2, 3, 4}}}.variants)
 	e.health = transport.NewHealth(5)
-	s := e.BeginRead(0)
+	s := e.beginRead(0, nil)
 	e.health.Suspect(s.Quorum[0], errors.New("lost"))
 	if !e.AdoptView(quorum.View{Epoch: 2, Members: []int32{0, 1, 2, 3, 4, 5}}) {
 		t.Fatal("view not adopted")
@@ -208,14 +208,15 @@ func TestTopUpOnlyWhereSound(t *testing.T) {
 	if e.health.Any() {
 		t.Fatal("adopting a view kept the old view's suspicions")
 	}
-	if _, ok := e.TopUpRead(s, 0); ok {
+	if _, ok := e.topUp(&s.fanout, 0); ok {
 		t.Fatal("a session picked under epoch 1 was topped up under epoch 2")
 	}
 }
 
-// TestPicksAvoidSuspects: with a suspect, Begin* and Retry* draw around it;
-// with too many, the mask is ignored rather than failing the pick; and with
-// none the engine consumes exactly the stream it does without a table.
+// TestPicksAvoidSuspects: with a suspect, new and retried attempts draw
+// around it; with too many, the mask is ignored rather than failing the pick;
+// and with none the engine consumes exactly the stream it does without a
+// table.
 func TestPicksAvoidSuspects(t *testing.T) {
 	e := faultAwareEngine(quorum.NewMajority(5))
 	e.health.Suspect(2, errors.New("lost"))
@@ -226,20 +227,20 @@ func TestPicksAvoidSuspects(t *testing.T) {
 		}
 	}
 	for i := 0; i < 200; i++ {
-		rs := e.BeginRead(0)
+		rs := e.beginRead(0, nil)
 		check(rs.Quorum)
-		rs = e.RetryRead(rs)
+		rs = e.beginRead(rs.Reg, rs)
 		check(rs.Quorum)
-		e.ReleaseRead(rs)
-		ws := e.BeginWrite(0, i)
+		e.release(rs, nil)
+		ws := e.beginWrite(0, e.stamp(i), nil)
 		check(ws.Quorum)
-		ws = e.RetryWrite(ws)
+		ws = e.beginWrite(ws.Reg, ws.Tag, ws)
 		check(ws.Quorum)
-		e.ReleaseWrite(ws)
+		e.release(nil, ws)
 	}
 	e.health.Suspect(0, errors.New("lost"))
 	e.health.Suspect(1, errors.New("lost"))
-	if q := e.BeginRead(0).Quorum; len(q) != 3 {
+	if q := e.beginRead(0, nil).Quorum; len(q) != 3 {
 		t.Fatalf("with three of five suspected the pick returned %v", q)
 	}
 
@@ -247,13 +248,13 @@ func TestPicksAvoidSuspects(t *testing.T) {
 	aware := NewEngine(1, quorum.NewProbabilistic(34, 6), rng.New(11))
 	aware.health = transport.NewHealth(34)
 	for i := 0; i < 300; i++ {
-		a, b := plain.BeginRead(0), aware.BeginRead(0)
+		a, b := plain.beginRead(0, nil), aware.beginRead(0, nil)
 		if !reflect.DeepEqual(a.Quorum, b.Quorum) {
 			t.Fatalf("pick %d diverged with an empty table: %v vs %v", i, a.Quorum, b.Quorum)
 		}
 		if i%3 == 0 { // recycle some sessions so both pick paths run
-			plain.ReleaseRead(a)
-			aware.ReleaseRead(b)
+			plain.release(a, nil)
+			aware.release(b, nil)
 		}
 	}
 }
@@ -272,7 +273,7 @@ func TestFastReadNeedsFullUnanimousQuorumAfterTopUp(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := faultAwareEngine(quorum.NewMajority(5))
-			s := e.BeginRead(0)
+			s := e.beginRead(0, nil)
 			reply := func(srv int, tag msg.Tagged) bool {
 				return s.OnReply(srv, msg.ReadReply{Reg: 0, Op: s.Op, Tag: tag})
 			}
@@ -280,10 +281,10 @@ func TestFastReadNeedsFullUnanimousQuorumAfterTopUp(t *testing.T) {
 			reply(s.Quorum[1], tagged(4, "v"))
 			lost := s.Quorum[2]
 			e.health.Suspect(lost, errors.New("lost"))
-			if _, ok := e.TryFinishReadFast(s); ok && s.Done() {
+			if _, ok := e.tryFinishReadFast(s); ok && s.Done() {
 				t.Fatal("session done with a member silent")
 			}
-			repl, ok := e.TopUpRead(s, 2)
+			repl, ok := e.topUp(&s.fanout, 2)
 			if !ok {
 				t.Fatal("top-up refused")
 			}
@@ -293,9 +294,41 @@ func TestFastReadNeedsFullUnanimousQuorumAfterTopUp(t *testing.T) {
 			if !reply(repl, tc.replTag) {
 				t.Fatal("quorum incomplete after the replacement answered")
 			}
-			if _, fast := e.TryFinishReadFast(s); fast != tc.wantFast {
+			if _, fast := e.tryFinishReadFast(s); fast != tc.wantFast {
 				t.Fatalf("fast path = %v, want %v", fast, tc.wantFast)
 			}
 		})
+	}
+}
+
+// TestAtomicReadSlowPathWhenCacheFresher pins the monotone gate: a unanimous
+// quorum is not enough when the monotone cache holds a fresher value — the
+// read returns the cached value, which this quorum does NOT hold, so the
+// spreading write-back must still run.
+func TestAtomicReadSlowPathWhenCacheFresher(t *testing.T) {
+	net := newPipeNet(3, nil, true)
+	e := MustEngine(Settings{Monotone: true}, 1, quorum.NewAll(3), rng.Derive(1, "fastread.cache"))
+	cl := NewKeyspaceOver([]*Engine{e}, net).Shard(0)
+	if err := cl.Write(0, 1.0); err != nil {
+		t.Fatal(err)
+	}
+	// The client observed a fresher value than any replica holds: its own
+	// multi-writer write, begun but not yet sent to any member.
+	cached := msg.Tagged{TS: msg.Timestamp{Seq: 8, Writer: 1}, Val: 8.0}
+	e.beginWrite(0, cached, nil)
+	tag, err := cl.ReadAtomic(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tag.Val != 8.0 {
+		t.Fatalf("atomic read = %v, want the cached 8.0", tag.Val)
+	}
+	if got := e.FastReads(); got != 0 {
+		t.Fatalf("FastReads = %d, want 0 (fresher cache must force the write-back)", got)
+	}
+	for i, st := range net.servers {
+		if got := st.Get(0); got.TS != cached.TS {
+			t.Fatalf("replica %d missed the cached value's write-back: %+v", i, got)
+		}
 	}
 }

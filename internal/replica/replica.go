@@ -5,8 +5,7 @@
 // installing the new value if its timestamp is newer.
 //
 // The server is a pure state machine (Apply maps a request to a reply), so
-// the discrete-event simulator, the goroutine runtime, and the TCP transport
-// all drive the same code.
+// the discrete-event simulator and the TCP server drive the same code.
 //
 // The register state is striped: keys are partitioned across storeShards
 // lock-protected shards by a mixed hash of the register id, so concurrent
@@ -63,9 +62,9 @@ type storeShard struct {
 // Store is one replica server's state: a timestamped value per register,
 // striped across storeShards lock partitions.
 //
-// Store is safe for concurrent use; the goroutine runtime and the TCP server
-// deliver requests from many clients at once, and requests touching
-// different keys proceed concurrently.
+// Store is safe for concurrent use; the TCP server delivers requests from
+// many client connections at once, and requests touching different keys
+// proceed concurrently.
 type Store struct {
 	// shards comes first so the array starts at offset 0 of the allocation:
 	// with every stripe a multiple of cacheLine, each then owns its lines.

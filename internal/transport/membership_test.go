@@ -4,7 +4,6 @@ import (
 	"errors"
 	"testing"
 
-	"probquorum/internal/metrics"
 	"probquorum/internal/msg"
 	"probquorum/internal/quorum"
 	"probquorum/internal/transport"
@@ -33,8 +32,7 @@ func (s *stubTransport) Update(v quorum.View) error {
 func (s *stubTransport) BindReplies(rs transport.ReplySink) bool { s.rs = rs; return true }
 
 // TestUpdateAndBindRepliesSeams pins the optional-seam helpers: they engage
-// when the transport implements the seam, report false when it does not,
-// and see through the Instrument wrapper.
+// when the transport implements the seam and report false when it does not.
 func TestUpdateAndBindRepliesSeams(t *testing.T) {
 	v := quorum.View{Epoch: 2, Members: []int32{0, 1, 2}}
 
@@ -58,49 +56,6 @@ func TestUpdateAndBindRepliesSeams(t *testing.T) {
 		t.Fatal("BindReplies did not reach the transport")
 	}
 
-	// Through Instrument: both seams forward. A frame is forwarded whole —
-	// one downstream ReplyBatch per frame, not one call per reply — and
-	// counted per reply, so MsgsRecv reads the same as when the boxed Sink
-	// carries the same traffic.
-	var tc metrics.TransportCounters
-	st2 := &stubTransport{n: 3}
-	wrapped := transport.Instrument(st2, &tc)
-	if ok, err := transport.Update(wrapped, v); !ok || err != nil {
-		t.Fatalf("Update(instrumented) = %v, %v", ok, err)
-	}
-	if len(st2.updated) != 1 {
-		t.Fatal("instrumented Update did not forward")
-	}
-	wrapped.Bind(func(int, any, error) {})
-	sink = &recordingSink{}
-	if !transport.BindReplies(wrapped, sink) {
-		t.Fatal("BindReplies(instrumented) = false")
-	}
-	reads := []msg.ReadReply{{Op: 7}, {Op: 8}, {Op: 9}}
-	acks := []msg.WriteAck{{Op: 10}, {Op: 11}}
-	stale := msg.StaleEpoch{Op: 12, View: v}
-	st2.rs.ReplyBatch(0, reads, acks)
-	st2.rs.StaleEpoch(2, stale)
-	if sink.batches != 1 {
-		t.Errorf("one frame reached the sink as %d ReplyBatch calls, want 1", sink.batches)
-	}
-	if sink.reads != 3 || sink.acks != 2 || sink.stales != 1 {
-		t.Errorf("sink saw %d/%d/%d, want 3/2/1", sink.reads, sink.acks, sink.stales)
-	}
-	unboxed := tc.MsgsRecv.Value()
-	tc.MsgsRecv.Reset()
-	for _, m := range reads {
-		st2.sink(0, m, nil)
-	}
-	for _, m := range acks {
-		st2.sink(0, m, nil)
-	}
-	st2.sink(2, stale, nil)
-	st2.sink(1, nil, errors.New("conn died")) // fault-path traffic is not counted
-	if boxed := tc.MsgsRecv.Value(); unboxed != 6 || boxed != unboxed {
-		t.Errorf("MsgsRecv: %d through ReplyBatch, %d through the boxed Sink, want 6 both", unboxed, boxed)
-	}
-
 	// A transport without the seams: helpers report false / not-updated and
 	// never touch the transport.
 	type sealed struct{ transport.Transport }
@@ -110,14 +65,6 @@ func TestUpdateAndBindRepliesSeams(t *testing.T) {
 	}
 	if transport.BindReplies(plain, sink) {
 		t.Error("BindReplies(sealed) = true, want false")
-	}
-
-	// Instrument over a transport without a concrete reply path must not
-	// claim support: callers are documented to fall back to the boxed Sink
-	// only when BindReplies reports false.
-	sealedWrapped := transport.Instrument(plain, &tc)
-	if transport.BindReplies(sealedWrapped, sink) {
-		t.Error("BindReplies(Instrument(sealed)) = true, want false")
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"probquorum/internal/quorum"
 	"probquorum/internal/register"
 	"probquorum/internal/rng"
-	"probquorum/internal/transport"
 )
 
 // DefaultKeyspaceShards is the client-side shard count DialKeyspace uses
@@ -121,7 +120,7 @@ func DialSet(addrs []string, sys quorum.System, shards int, engines [][]ClientOp
 			sys.N(), len(addrs))
 	}
 	// Message counting costs two contended atomics per message, so the
-	// transport is only instrumented when the caller asked for counters.
+	// transport only counts messages when the caller asked for counters.
 	counted := o.Counters != nil
 	if !counted {
 		o.Counters = &metrics.TransportCounters{}
@@ -158,18 +157,15 @@ func DialSet(addrs []string, sys quorum.System, shards int, engines [][]ClientOp
 		o.OpTimeout = defaultOpTimeout
 	}
 	tr := newTCPTransport(addrs, o.OpTimeout, o.Counters, o.batchHist)
+	tr.countMsgs = counted
 	if o.View != nil {
 		tr.epoch = o.View.Epoch
 	}
 	if err := tr.start(); err != nil {
 		return nil, err
 	}
-	var rt transport.Transport = tr
-	if counted {
-		rt = transport.Instrument(tr, o.Counters)
-	}
 	s := &Set{tr: tr}
-	for _, ks := range register.NewKeyspacesOver(rt, groups, popts) {
+	for _, ks := range register.NewKeyspacesOver(tr, groups, popts) {
 		s.engines = append(s.engines, &Client{ks: ks, set: s})
 	}
 	return s, nil

@@ -34,6 +34,10 @@ type tcpTransport struct {
 	timeout  time.Duration
 	counters *metrics.TransportCounters
 	hist     *metrics.IntHistogram
+	// countMsgs turns on counters.MsgsSent and MsgsRecv: each accepted Send,
+	// and each reply or stale-epoch reject handed to the ReplySink, is one
+	// message. Fault-path traffic is not counted.
+	countMsgs bool
 
 	// conns is the current server-index -> connection mapping. It is an
 	// atomic pointer because membership updates replace it while Send and the
@@ -120,7 +124,11 @@ func (t *tcpTransport) Send(server int, req any) error {
 		// the current view — and do not suspect the server.
 		return transport.ErrNotInView
 	}
-	return conns[server].enqueue(req)
+	err := conns[server].enqueue(req)
+	if err == nil && t.countMsgs {
+		t.counters.MsgsSent.Inc()
+	}
+	return err
 }
 
 // Update re-targets the transport at the view's members (transport.Updater):
@@ -572,6 +580,9 @@ func (nc *netConn) deliver(payload []byte) error {
 		if len(nc.brReads)+len(nc.brAcks) == 0 {
 			return
 		}
+		if nc.t.countMsgs {
+			nc.t.counters.MsgsRecv.Add(int64(len(nc.brReads) + len(nc.brAcks)))
+		}
 		rs.ReplyBatch(idx, nc.brReads, nc.brAcks)
 		clear(nc.brReads)
 		clear(nc.brAcks)
@@ -602,6 +613,9 @@ func (nc *netConn) deliver(payload []byte) error {
 		StaleEpoch: func(m msg.StaleEpoch) bool {
 			if i, ok := nc.indexForEpoch(m.Epoch); ok {
 				flush()
+				if nc.t.countMsgs {
+					nc.t.counters.MsgsRecv.Inc()
+				}
 				rs.StaleEpoch(i, m)
 			}
 			return true

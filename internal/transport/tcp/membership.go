@@ -53,29 +53,6 @@ func viewAddrs(v *quorum.View, addrs []string) ([]string, error) {
 	return addrs, nil
 }
 
-// Join pulls a full snapshot — every register entry plus the source's
-// current membership view — from an existing member at addr into store.
-// Install-if-newer semantics make Join idempotent and safe to run while the
-// source keeps serving writes; entries the joiner receives afterwards
-// through ordinary quorum writes can only be newer.
-//
-// A single source is NOT a safe basis for reconfiguration on its own: a
-// committed write is guaranteed to sit on a write quorum of the current
-// view, not on any one member, so a server seeded only by Join can miss it.
-// Use JoinQuorum for the state transfer that precedes a view change; Join
-// remains the single-exchange building block (and a repair tool).
-func Join(store *replica.Store, addr string, timeout time.Duration) error {
-	reply, err := pullSnapshot(addr, timeout)
-	if err != nil {
-		return err
-	}
-	store.Install(reply.Entries)
-	if reply.View.Epoch != 0 {
-		store.SetView(reply.View)
-	}
-	return nil
-}
-
 // JoinQuorum is the reconfiguration-safe state transfer (the RAMBO-style
 // discipline): it pulls snapshots from a majority — a read quorum — of the
 // view's members and merges them all into store, install-if-newer per

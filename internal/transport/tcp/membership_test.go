@@ -40,7 +40,7 @@ func plant(servers []*Server, reg msg.RegisterID, tag msg.Tagged, on ...int) {
 // TestJoinQuorumCoversCommittedWrites is the regression test for the
 // reconfiguration safety bug: a committed write is only guaranteed to sit on
 // a write quorum of the old view, so seeding a joiner from a single member
-// (Join) can miss it, and a new-view quorum made of such joiners would read
+// can miss it, and a new-view quorum made of such joiners would read
 // stale data. JoinQuorum merges a majority, which must intersect the write
 // quorum.
 func TestJoinQuorumCoversCommittedWrites(t *testing.T) {
@@ -55,9 +55,11 @@ func TestJoinQuorumCoversCommittedWrites(t *testing.T) {
 	// misses the write entirely — this is the failure mode, kept pinned so
 	// the distinction stays visible.
 	lone := replica.New(5, nil)
-	if err := Join(lone, v1.Addrs[0], time.Second); err != nil {
+	reply, err := pullSnapshot(v1.Addrs[0], time.Second)
+	if err != nil {
 		t.Fatal(err)
 	}
+	lone.Install(reply.Entries)
 	if got := lone.Get(9); got.Val != nil {
 		t.Fatalf("single-member transfer from server 0 unexpectedly carried the write: %#v", got)
 	}

@@ -157,7 +157,7 @@ const clientOpPairAllocs = 10
 
 // TestClientDecodeAllocGate pins the one-shard client's reply decode —
 // every reply frame walked into transport.ReplySink and on into the
-// Operation, with no boxing — at its allocation ceiling.
+// operation, with no boxing — at its allocation ceiling.
 func TestClientDecodeAllocGate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")

@@ -1,8 +1,7 @@
 // Package tcp runs the register protocol over real TCP sockets using only
 // the standard library. It exists to demonstrate that the protocol cores are
-// transport-independent: the same replica stores and client sessions that
-// run under the simulator and the goroutine runtime serve here behind
-// network sockets.
+// transport-independent: the same replica stores and client pipeline that
+// run under the simulator serve here behind network sockets.
 //
 // Frames use the hand-rolled length-prefixed binary codec
 // (internal/msg/wire.go, see the DESIGN.md "Wire format" section) — the one

@@ -1,6 +1,7 @@
 package tcp
 
 import (
+	"bytes"
 	"errors"
 	"reflect"
 	"strings"
@@ -552,6 +553,54 @@ func TestMessageCounter(t *testing.T) {
 		t.Fatalf("messages sent/received = %d/%d, want 8/8", sent, recv)
 	}
 }
+
+// TestDeliverCountsReplies: the transport counts MsgsRecv where it hands
+// replies to the ReplySink — each read reply, write ack and stale-epoch
+// reject of a batch frame once — and only when the caller passed counters.
+func TestDeliverCountsReplies(t *testing.T) {
+	var w msg.BatchWriter
+	w.Reset(nil)
+	for op := msg.OpID(1); op <= 3; op++ {
+		if err := w.AddReadReply(msg.ReadReply{Op: op}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.AddWriteAck(msg.WriteAck{Op: 4})
+	w.AddWriteAck(msg.WriteAck{Op: 5})
+	w.AddStaleEpoch(msg.StaleEpoch{Op: 6, View: quorum.View{Epoch: 2, Members: []int32{0}}})
+	payload, err := msg.NewFrameReader(bytes.NewReader(w.Finish())).NextRaw()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, counted := range []bool{false, true} {
+		var tc metrics.TransportCounters
+		tr := newTCPTransport([]string{"127.0.0.1:0"}, time.Second, &tc, nil)
+		tr.countMsgs = counted
+		sink := &tallySink{}
+		tr.BindReplies(sink)
+		if err := (*tr.conns.Load())[0].deliver(payload); err != nil {
+			t.Fatal(err)
+		}
+		if sink.n != 6 {
+			t.Fatalf("the sink got %d messages, want 6", sink.n)
+		}
+		want := int64(0)
+		if counted {
+			want = 6
+		}
+		if got := tc.MsgsRecv.Value(); got != want {
+			t.Errorf("counting %v: MsgsRecv = %d, want %d", counted, got, want)
+		}
+	}
+}
+
+// tallySink counts the messages a transport hands it.
+type tallySink struct{ n int }
+
+func (s *tallySink) ReplyBatch(_ int, reads []msg.ReadReply, acks []msg.WriteAck) {
+	s.n += len(reads) + len(acks)
+}
+func (s *tallySink) StaleEpoch(int, msg.StaleEpoch) { s.n++ }
 
 // TestWithObserverRecordsOps: the observer's Ops histogram is the client's
 // end-to-end latency record — one observation per completed operation.

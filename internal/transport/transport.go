@@ -7,15 +7,9 @@
 // has no idea what a quorum, a timestamp, or a retry is. All protocol logic
 // (pick quorum, fan out, collect, deadline, fresh-quorum retry, ABD
 // write-back, b-masking) lives above this interface in internal/register;
-// fault injection and metrics attach below it, so every runtime gets them
-// for free.
+// fault injection attaches below it, and message counts are kept by the
+// carrier that carries the messages.
 package transport
-
-import (
-	"probquorum/internal/metrics"
-	"probquorum/internal/msg"
-	"probquorum/internal/quorum"
-)
 
 // Broadcast is the pseudo-server index used by Sink deliveries that concern
 // the whole transport rather than one server — most importantly the fatal
@@ -56,71 +50,4 @@ type Transport interface {
 	// the sink receives no further deliveries (implementations may emit one
 	// final Broadcast error first).
 	Close() error
-}
-
-// Instrument wraps t so that every accepted Send increments tc.MsgsSent and
-// every per-server reply delivery increments tc.MsgsRecv. Error and
-// Broadcast deliveries are not counted — the counters measure the logical
-// message complexity of the protocol, not fault-path traffic.
-func Instrument(t Transport, tc *metrics.TransportCounters) Transport {
-	return &instrumented{Transport: t, tc: tc}
-}
-
-type instrumented struct {
-	Transport
-	tc *metrics.TransportCounters
-}
-
-func (i *instrumented) Bind(sink Sink) {
-	i.Transport.Bind(func(server int, payload any, err error) {
-		if err == nil && server >= 0 {
-			i.tc.MsgsRecv.Inc()
-		}
-		sink(server, payload, err)
-	})
-}
-
-func (i *instrumented) Send(server int, req any) error {
-	err := i.Transport.Send(server, req)
-	if err == nil {
-		i.tc.MsgsSent.Inc()
-	}
-	return err
-}
-
-// Update forwards to the wrapped transport's Updater, so instrumentation is
-// transparent to membership changes. Wrapping a non-updatable transport, it
-// is a no-op (the same contract as the package-level Update helper).
-func (i *instrumented) Update(v quorum.View) error {
-	if u, ok := i.Transport.(Updater); ok {
-		return u.Update(v)
-	}
-	return nil
-}
-
-// BindReplies forwards concrete-typed delivery through a counting shim, so
-// replies arriving on the typed path hit MsgsRecv exactly like boxed ones.
-// It reports the inner transport's answer: wrapping a transport without a
-// concrete reply path, the bind is a no-op and replies keep arriving boxed
-// through the Sink.
-func (i *instrumented) BindReplies(rs ReplySink) bool {
-	if rb, ok := i.Transport.(ReplyBinder); ok {
-		return rb.BindReplies(&countedReplies{rs: rs, tc: i.tc})
-	}
-	return false
-}
-
-type countedReplies struct {
-	rs ReplySink
-	tc *metrics.TransportCounters
-}
-
-func (c *countedReplies) ReplyBatch(server int, reads []msg.ReadReply, acks []msg.WriteAck) {
-	c.tc.MsgsRecv.Add(int64(len(reads) + len(acks)))
-	c.rs.ReplyBatch(server, reads, acks)
-}
-
-func (c *countedReplies) StaleEpoch(server int, m msg.StaleEpoch) {
-	c.tc.MsgsRecv.Inc()
-	c.rs.StaleEpoch(server, m)
 }
