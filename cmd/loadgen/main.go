@@ -3,8 +3,10 @@
 // whether or not earlier ones completed, so reported latency includes the
 // queueing delay a closed-loop driver would silently omit. Fault schedules
 // (crash/recover, slow links, partitions, view grow/shrink) run on the wall
-// clock while the load is offered, and -soak mode records every operation
-// and replays the repo's register checkers over the trace after the run.
+// clock while the load is offered. Every run checks its register class as
+// it runs: the online checker (internal/trace) judges each read — plain
+// reads regular, atomic reads atomic, every read from an issued write of its
+// own key — and the command exits non-zero on any violation.
 //
 // Usage:
 //
@@ -15,7 +17,7 @@
 //
 //	loadgen -rate 1000 -duration 10s -mix read=0.6,write=0.3,atomic=0.1
 //	loadgen -rate 500 -duration 8s -schedule '@2s crash 1; @5s recover 1'
-//	loadgen -soak -duration 30s
+//	loadgen -rate 2500 -duration 30s -servers 3 -schedule '@5s crash 1; @10s recover 1'
 //	loadgen frontier -rates 400,800,1600,3200 -o frontier.json
 //
 // The -schedule flag takes the fault DSL inline or a file path; see
@@ -36,6 +38,7 @@ import (
 	"probquorum/internal/faults"
 	"probquorum/internal/loadgen"
 	"probquorum/internal/obs"
+	"probquorum/internal/trace"
 )
 
 func main() {
@@ -104,7 +107,6 @@ func runCmd(args []string) error {
 		duration = fs.Duration("duration", 10*time.Second, "run length")
 		interval = fs.Duration("interval", time.Second, "stats interval")
 		schedule = fs.String("schedule", "", "fault schedule: inline DSL or a file path")
-		soak     = fs.Bool("soak", false, "record a trace and replay the register checkers after the run")
 		obsAddr  = fs.String("obs", "", "also serve /metrics and /healthz on this address during the run")
 		maxInFl  = fs.Int64("max-inflight", 4096, "shed paced slots beyond this many outstanding ops")
 		jsonOut  = fs.String("json", "", "write the machine-readable result here ('-' for stdout)")
@@ -152,7 +154,6 @@ func runCmd(args []string) error {
 		Seed:        *cf.seed,
 		MaxInFlight: *maxInFl,
 		Interval:    *interval,
-		Soak:        *soak,
 		Registry:    registry,
 	}, tb.Targets()...)
 	if err != nil {
@@ -161,8 +162,8 @@ func runCmd(args []string) error {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	fmt.Printf("offering %.0f op/s to %d servers for %v (%s, skew %s, soak=%v)\n",
-		*rate, *cf.servers, *duration, mix, *cf.skew, *soak)
+	fmt.Printf("offering %.0f op/s to %d servers for %v (%s, skew %s)\n",
+		*rate, *cf.servers, *duration, mix, *cf.skew)
 	res, applied, err := loadgen.RunScenario(ctx, d, sched, tb)
 	if err != nil {
 		return err
@@ -192,12 +193,14 @@ func runCmd(args []string) error {
 		}
 	}
 
-	if *soak {
-		if err := res.CheckSoak(); err != nil {
-			return fmt.Errorf("soak FAILED: %w", err)
-		}
-		fmt.Printf("soak PASSED: %d trace ops, well-formedness + reads-from + atomicity + per-key isolation\n",
-			len(res.Trace))
+	return checkFailed(res.Check)
+}
+
+// checkFailed is the run's exit verdict: an error naming the first
+// violation, if the online checker found any.
+func checkFailed(v trace.Verdicts) error {
+	if n := v.Violations(); n > 0 {
+		return fmt.Errorf("register check FAILED: %d violations; first %s", n, v.First)
 	}
 	return nil
 }
@@ -211,6 +214,8 @@ type frontierPoint struct {
 	MaxMicros float64 `json:"max_us"`
 	Errors    int64   `json:"errors"`
 	Shed      int64   `json:"shed"`
+	// Check is the online checker's verdict on the point's reads.
+	Check trace.Verdicts `json:"check"`
 }
 
 func frontierCmd(args []string) error {
@@ -248,6 +253,7 @@ func frontierCmd(args []string) error {
 	}
 	arms := []arm{{"healthy", ""}, {"crash", faultDSL}}
 	results := make(map[string][]frontierPoint, len(arms))
+	var check trace.Verdicts
 	for _, a := range arms {
 		var sched faults.Schedule
 		if a.sched != "" {
@@ -260,9 +266,12 @@ func frontierCmd(args []string) error {
 			if err != nil {
 				return fmt.Errorf("arm %s rate %.0f: %w", a.name, rate, err)
 			}
-			fmt.Fprintf(os.Stderr, "%s %6.0f op/s: achieved %6.0f, p50 %8.0fus p99 %8.0fus errors %d\n",
-				a.name, pt.Offered, pt.Achieved, pt.P50Micros, pt.P99Micros, pt.Errors)
+			fmt.Fprintf(os.Stderr, "%s %6.0f op/s: achieved %6.0f, p50 %8.0fus p99 %8.0fus errors %d, violations %d\n",
+				a.name, pt.Offered, pt.Achieved, pt.P50Micros, pt.P99Micros, pt.Errors, pt.Check.Violations())
 			results[a.name] = append(results[a.name], pt)
+			if pt.Check.Violations() > 0 && check.Violations() == 0 {
+				check = pt.Check
+			}
 		}
 	}
 
@@ -280,9 +289,13 @@ func frontierCmd(args []string) error {
 	buf = append(buf, '\n')
 	if *out == "" {
 		_, err = os.Stdout.Write(buf)
+	} else {
+		err = os.WriteFile(*out, buf, 0o644)
+	}
+	if err != nil {
 		return err
 	}
-	return os.WriteFile(*out, buf, 0o644)
+	return checkFailed(check)
 }
 
 // frontierPointRun measures one point on a fresh testbed, so fault arms
@@ -324,5 +337,6 @@ func frontierPointRun(cf clusterFlags, mix loadgen.Mix, rate float64, duration t
 		MaxMicros: us(res.Total.Max()),
 		Errors:    res.Errors,
 		Shed:      res.Shed,
+		Check:     res.Check,
 	}, nil
 }

@@ -20,7 +20,8 @@ import (
 // sharded keyspace's callback API, implemented by *register.Keyspace
 // in-process and *tcp.Client over the wire. The callback style is
 // what keeps the harness open-loop — one goroutine submits at the paced
-// instants and completions land on the client's delivery goroutines.
+// instants and completions land on the client's delivery goroutines, where
+// the online checker judges each read.
 type Target interface {
 	ReadAsyncFunc(key msg.RegisterID, fn func(msg.Tagged, error)) *register.PendingOp
 	WriteAsyncFunc(key msg.RegisterID, val msg.Value, fn func(msg.Tagged, error)) *register.PendingOp
@@ -46,13 +47,10 @@ type Config struct {
 	MaxInFlight int64
 	// Interval is the stats bucketing period. Zero means 1s.
 	Interval time.Duration
-	// Soak switches the run to correctness mode: plain reads are promoted
-	// to atomic reads, every operation is recorded in a trace with
-	// single-writer-per-key discipline, and the trace replays the
-	// register checkers after the run (see Result.CheckSoak).
-	Soak bool
 	// Registry, when set, is scraped at every interval boundary; each
 	// IntervalStat carries the delta and Result.Obs the whole-run delta.
+	// The online checker's verdict counters are registered in it as
+	// loadgen.check.{checked,stale,inversion,reads_from,isolation}.
 	Registry *obs.Registry
 	// Clock defaults to WallClock. Tests inject virtual time.
 	Clock Clock
@@ -94,31 +92,25 @@ type Result struct {
 	Offered   int64 `json:"offered"`
 	Issued    int64 `json:"issued"`
 	Shed      int64 `json:"shed"`
-	Deflected int64 `json:"deflected"`
 	Completed int64 `json:"completed"`
 	Errors    int64 `json:"errors"`
-	// RetiredKeys counts (client, key) pairs permanently parked by a
-	// failed write in soak mode (the write may yet take effect, so the
-	// pair cannot be reused without risking a well-formedness violation).
-	RetiredKeys int64 `json:"retired_keys"`
-	MaxBehind   int64 `json:"max_behind"`
+	MaxBehind int64 `json:"max_behind"`
 
-	IsolationViolations int64  `json:"isolation_violations"`
-	IsolationExample    string `json:"isolation_example,omitempty"`
+	// Check is the online checker's verdict on every completed read. On a
+	// strict quorum system, such as the testbed's majorities, any read not
+	// judged ok violates the register class it was issued under.
+	Check trace.Verdicts `json:"check"`
 
 	Kinds     map[string]*KindStats `json:"kinds"`
 	Total     *metrics.LatencyHist  `json:"-"`
 	Intervals []IntervalStat        `json:"intervals"`
 	Obs       *obs.Snapshot         `json:"obs,omitempty"`
-
-	// Trace holds the recorded operations in soak mode, nil otherwise.
-	Trace []trace.Op `json:"-"`
 }
 
 // Driver owns one open-loop run over a set of targets. Writes for key k
-// always go through target k mod len(targets) — the single-writer-per-key
-// discipline that makes the soak trace checkable with CheckAtomic — while
-// reads spread across all targets.
+// always go through target k mod len(targets) — one writer per key, so the
+// key's write seqs are in timestamp order, as the online checker needs —
+// while reads spread across all targets.
 type Driver struct {
 	cfg     Config
 	targets []Target
@@ -156,24 +148,15 @@ func NewDriver(cfg Config, targets ...Target) (*Driver, error) {
 	return &Driver{cfg: cfg, targets: targets}, nil
 }
 
-// Per-(target, key) soak states. A pair is busy while an operation is in
-// flight (the pipelined well-formedness condition forbids overlap) and dead
-// once a write on it failed.
-const (
-	pairFree uint8 = iota
-	pairBusy
-	pairDead
-)
-
 // run is the mutable state of one Run call.
 type run struct {
 	d     *Driver
 	cfg   Config
 	pacer *Pacer
 	rng   *rand.Rand
+	chk   *trace.Online
 
 	inFlight atomic.Int64
-	logical  atomic.Int64 // trace timestamp source
 	wg       sync.WaitGroup
 
 	// total and the kinds' histograms take completions from client
@@ -183,18 +166,12 @@ type run struct {
 
 	// mu guards everything below: completion stats come from client
 	// delivery goroutines, interval rollover from the issuing goroutine.
-	mu           sync.Mutex
-	curErrors    int64
-	kinds        map[string]*KindStats
-	completed    int64
-	errors       int64
-	isoViolation int64
-	isoExample   string
-	traceLog     *trace.Log
+	mu        sync.Mutex
+	curErrors int64
+	kinds     map[string]*KindStats
+	completed int64
+	errors    int64
 
-	// pairs is the soak-mode (target, key) state machine; guarded by mu
-	// because callbacks free pairs while the issuing goroutine draws.
-	pairs [][]uint8 // [target][key]
 	// nextSeq is the per-key write sequence, issuing goroutine only.
 	nextSeq []uint32
 }
@@ -202,7 +179,8 @@ type run struct {
 // Run offers load until the duration elapses or ctx is cancelled, then
 // drains in-flight operations and returns the collected result. The error
 // is non-nil only for harness failures; operation errors are counted in the
-// result, because under fault schedules they are data, not failures.
+// result, because under fault schedules they are data, not failures, and so
+// are the checker's verdicts (Result.Check).
 func (d *Driver) Run(ctx context.Context) (*Result, error) {
 	cfg := d.cfg
 	r := &run{
@@ -210,25 +188,21 @@ func (d *Driver) Run(ctx context.Context) (*Result, error) {
 		cfg:   cfg,
 		pacer: NewPacer(cfg.Rate, cfg.Clock),
 		rng:   rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0x9e3779b97f4a7c15)),
+		chk:   trace.NewOnline(cfg.Keys.Keys()),
 		total: new(metrics.LatencyHist),
 		kinds: map[string]*KindStats{},
+
+		nextSeq: make([]uint32, cfg.Keys.Keys()),
 	}
 	for _, k := range []OpKind{OpRead, OpWrite, OpAtomicRead} {
 		r.kinds[k.String()] = &KindStats{Hist: new(metrics.LatencyHist)}
-	}
-	if cfg.Soak {
-		r.traceLog = &trace.Log{}
-		r.pairs = make([][]uint8, len(d.targets))
-		for i := range r.pairs {
-			r.pairs[i] = make([]uint8, cfg.Keys.Keys())
-		}
-		r.nextSeq = make([]uint32, cfg.Keys.Keys())
 	}
 
 	res := &Result{Rate: cfg.Rate, Kinds: r.kinds, Total: r.total}
 	var prevObs obs.Snapshot
 	var firstObs obs.Snapshot
 	if cfg.Registry != nil {
+		r.chk.Register("loadgen.check", cfg.Registry)
 		prevObs = cfg.Registry.Snapshot()
 		firstObs = prevObs
 	}
@@ -291,16 +265,7 @@ func (d *Driver) Run(ctx context.Context) (*Result, error) {
 			intervalShed++
 			continue
 		}
-		kind := cfg.Mix.Pick(r.rng)
-		if cfg.Soak && kind == OpRead {
-			kind = OpAtomicRead
-		}
-		key, tgt, ok := r.draw(kind)
-		if !ok {
-			res.Deflected++
-			continue
-		}
-		r.issue(kind, tgt, key, r.pacer.ScheduledAt(seq))
+		r.issue(cfg.Mix.Pick(r.rng), r.pacer.ScheduledAt(seq))
 		res.Issued++
 		intervalIssued++
 	}
@@ -328,21 +293,8 @@ func (d *Driver) Run(ctx context.Context) (*Result, error) {
 	r.mu.Lock()
 	res.Completed = r.completed
 	res.Errors = r.errors
-	res.IsolationViolations = r.isoViolation
-	res.IsolationExample = r.isoExample
-	if cfg.Soak {
-		for _, row := range r.pairs {
-			for _, s := range row {
-				if s == pairDead {
-					res.RetiredKeys++
-				}
-			}
-		}
-	}
 	r.mu.Unlock()
-	if cfg.Soak {
-		res.Trace = r.traceLog.Ops()
-	}
+	res.Check = r.chk.Verdicts()
 	if cfg.Registry != nil {
 		final := cfg.Registry.Snapshot()
 		delta := final.DeltaSince(firstObs)
@@ -351,61 +303,26 @@ func (d *Driver) Run(ctx context.Context) (*Result, error) {
 	return res, nil
 }
 
-// draw picks the key and target for one operation. Writes are pinned to the
-// key's home target; reads go to a random target. In soak mode pairs that
-// are busy or dead force a redraw (bounded), keeping the trace well-formed.
-func (r *run) draw(kind OpKind) (msg.RegisterID, int, bool) {
-	const redraws = 8
-	for attempt := 0; attempt < redraws; attempt++ {
-		key := r.cfg.Keys.Pick(r.rng)
-		tgt := int(key) % len(r.d.targets)
-		if kind != OpWrite {
-			tgt = r.rng.IntN(len(r.d.targets))
-		}
-		if !r.cfg.Soak {
-			return key, tgt, true
-		}
-		r.mu.Lock()
-		if kind != OpWrite {
-			// Reads may use any free target: probe from the random start.
-			for i := 0; i < len(r.d.targets); i++ {
-				t := (tgt + i) % len(r.d.targets)
-				if r.pairs[t][key] == pairFree {
-					r.mu.Unlock()
-					return key, t, true
-				}
-			}
-			r.mu.Unlock()
-			continue
-		}
-		free := r.pairs[tgt][key] == pairFree
-		r.mu.Unlock()
-		if free {
-			return key, tgt, true
-		}
+// issue draws a key and submits one operation of kind to its target. A
+// write goes to the key's home target, a read to a random one. The floor a
+// read is judged against is sampled here, before submission.
+func (r *run) issue(kind OpKind, sched time.Time) {
+	key := r.cfg.Keys.Pick(r.rng)
+	target := r.d.targets[int(key)%len(r.d.targets)]
+	if kind != OpWrite {
+		target = r.d.targets[r.rng.IntN(len(r.d.targets))]
 	}
-	return 0, 0, false
-}
-
-// issue submits one operation and wires its completion callback.
-func (r *run) issue(kind OpKind, tgt int, key msg.RegisterID, sched time.Time) {
-	target := r.d.targets[tgt]
 	r.inFlight.Add(1)
 	r.wg.Add(1)
-	var invoke int64
-	if r.cfg.Soak {
-		r.mu.Lock()
-		r.pairs[tgt][key] = pairBusy
-		r.mu.Unlock()
-		invoke = r.logical.Add(1)
+	floor := r.chk.Floor(key)
+	var seq uint32
+	if kind == OpWrite {
+		r.nextSeq[key]++
+		seq = r.nextSeq[key]
+		r.chk.Issue(key, seq)
 	}
 	fn := func(tag msg.Tagged, err error) {
-		lat := r.cfg.Clock.Now().Sub(sched)
-		var respond int64
-		if r.cfg.Soak {
-			respond = r.logical.Add(1)
-		}
-		r.complete(kind, tgt, key, tag, err, lat, invoke, respond)
+		r.complete(kind, key, seq, floor, tag, err, r.cfg.Clock.Now().Sub(sched))
 		r.inFlight.Add(-1)
 		r.wg.Done()
 	}
@@ -415,7 +332,6 @@ func (r *run) issue(kind OpKind, tgt int, key msg.RegisterID, sched time.Time) {
 	case OpAtomicRead:
 		target.ReadAtomicAsyncFunc(key, fn)
 	case OpWrite:
-		seq := r.nextWriteSeq(key)
 		target.WriteAsyncFunc(key, EncodeValue(key, seq), fn)
 	}
 	r.mu.Lock()
@@ -423,23 +339,28 @@ func (r *run) issue(kind OpKind, tgt int, key msg.RegisterID, sched time.Time) {
 	r.mu.Unlock()
 }
 
-// nextWriteSeq hands out the per-key write sequence. Outside soak mode the
-// allocation is lazy because nextSeq is only sized for soak runs.
-func (r *run) nextWriteSeq(key msg.RegisterID) uint32 {
-	if r.nextSeq == nil {
-		r.nextSeq = make([]uint32, r.cfg.Keys.Keys())
-	}
-	r.nextSeq[key]++
-	return r.nextSeq[key]
-}
-
-// complete folds one finished operation into the stats and, in soak mode,
-// the trace. Callbacks arrive on client delivery goroutines.
-func (r *run) complete(kind OpKind, tgt int, key msg.RegisterID, tag msg.Tagged, err error, lat time.Duration, invoke, respond int64) {
+// complete folds one finished operation into the stats and the online
+// checker: an acknowledged write raises its key's floor, and a read is
+// judged against the floor it took at submission. A failed write stays
+// issued (it may yet take effect); a failed read returned nothing to judge.
+// Callbacks arrive on client delivery goroutines.
+func (r *run) complete(kind OpKind, key msg.RegisterID, seq uint32, floor trace.Floor, tag msg.Tagged, err error, lat time.Duration) {
 	ks := r.kinds[kind.String()]
 	if err == nil {
 		r.total.Observe(lat)
 		ks.Hist.Observe(lat)
+		if kind == OpWrite {
+			r.chk.Ack(key, seq)
+		} else {
+			got, gotSeq := key, uint32(0) // the zero timestamp: never written
+			if !tag.TS.IsZero() {
+				var ok bool
+				if got, gotSeq, ok = DecodeValue(tag.Val); !ok {
+					got = -1
+				}
+			}
+			r.chk.Read(key, floor, kind == OpAtomicRead, got, gotSeq)
+		}
 	}
 	r.mu.Lock()
 	if err != nil {
@@ -449,45 +370,6 @@ func (r *run) complete(kind OpKind, tgt int, key msg.RegisterID, tag msg.Tagged,
 	} else {
 		r.completed++
 		ks.Completed++
-		if kind != OpWrite && !tag.TS.IsZero() {
-			if gotKey, _, ok := DecodeValue(tag.Val); !ok || gotKey != key {
-				r.isoViolation++
-				if r.isoExample == "" {
-					r.isoExample = fmt.Sprintf("read of key %d returned value %v (decoded key %d, ok=%v)",
-						key, tag.Val, gotKey, ok)
-				}
-			}
-		}
-	}
-	if !r.cfg.Soak {
-		r.mu.Unlock()
-		return
-	}
-	tk := trace.KindRead
-	if kind == OpWrite {
-		tk = trace.KindWrite
-	}
-	op := trace.Op{
-		Kind:   tk,
-		Proc:   msg.NodeID(tgt),
-		Reg:    key,
-		Invoke: invoke,
-		Tag:    tag,
-	}
-	switch {
-	case err != nil && kind == OpWrite:
-		// The write may still take effect later; record it as pending and
-		// retire the pair so no later op on it can overlap.
-		op.Pending = true
-		r.traceLog.Record(op)
-		r.pairs[tgt][key] = pairDead
-	case err != nil:
-		// A failed read changed nothing: drop it and free the pair.
-		r.pairs[tgt][key] = pairFree
-	default:
-		op.Respond = respond
-		r.traceLog.Record(op)
-		r.pairs[tgt][key] = pairFree
 	}
 	r.mu.Unlock()
 }

@@ -3,6 +3,7 @@ package loadgen
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -18,17 +19,25 @@ import (
 type fakeStore struct {
 	mu     sync.Mutex
 	regs   map[msg.RegisterID]msg.Tagged
+	prev   map[msg.RegisterID]msg.Tagged // each key's value before its last write
 	writes int
+	atomic int
 }
 
 type fakeTarget struct {
-	id        int32
-	store     *fakeStore
-	failEvery int // every Nth write through this target fails (0 = never)
+	id    int32
+	store *fakeStore
+	// failEvery makes every Nth write fail after it took effect, as a write
+	// whose acknowledgments were lost does (0 = never).
+	failEvery int
+	// staleEvery makes every Nth atomic read return its key's value before
+	// the last write, which was acknowledged: a planted stale read (0 =
+	// never).
+	staleEvery int
 }
 
 func newFakeCluster(n int) []*fakeTarget {
-	store := &fakeStore{regs: map[msg.RegisterID]msg.Tagged{}}
+	store := &fakeStore{regs: map[msg.RegisterID]msg.Tagged{}, prev: map[msg.RegisterID]msg.Tagged{}}
 	targets := make([]*fakeTarget, n)
 	for i := range targets {
 		targets[i] = &fakeTarget{id: int32(i), store: store}
@@ -45,20 +54,29 @@ func (f *fakeTarget) ReadAsyncFunc(key msg.RegisterID, fn func(msg.Tagged, error
 }
 
 func (f *fakeTarget) ReadAtomicAsyncFunc(key msg.RegisterID, fn func(msg.Tagged, error)) *register.PendingOp {
-	return f.ReadAsyncFunc(key, fn)
+	f.store.mu.Lock()
+	f.store.atomic++
+	tag := f.store.regs[key]
+	if f.staleEvery > 0 && f.store.atomic%f.staleEvery == 0 {
+		tag = f.store.prev[key]
+	}
+	f.store.mu.Unlock()
+	fn(tag, nil)
+	return nil
 }
 
 func (f *fakeTarget) WriteAsyncFunc(key msg.RegisterID, val msg.Value, fn func(msg.Tagged, error)) *register.PendingOp {
 	f.store.mu.Lock()
 	f.store.writes++
-	if f.failEvery > 0 && f.store.writes%f.failEvery == 0 {
-		f.store.mu.Unlock()
+	tag := msg.Tagged{TS: msg.Timestamp{Seq: f.store.regs[key].TS.Seq + 1, Writer: f.id}, Val: val}
+	f.store.prev[key] = f.store.regs[key]
+	f.store.regs[key] = tag
+	failed := f.failEvery > 0 && f.store.writes%f.failEvery == 0
+	f.store.mu.Unlock()
+	if failed {
 		fn(msg.Tagged{}, errors.New("injected write failure"))
 		return nil
 	}
-	tag := msg.Tagged{TS: msg.Timestamp{Seq: f.store.regs[key].TS.Seq + 1, Writer: f.id}, Val: val}
-	f.store.regs[key] = tag
-	f.store.mu.Unlock()
 	fn(tag, nil)
 	return nil
 }
@@ -108,24 +126,32 @@ func TestDriverHealthyRun(t *testing.T) {
 	if kindIssued != res.Issued {
 		t.Fatalf("per-kind issued sums to %d, want %d", kindIssued, res.Issued)
 	}
-	if res.IsolationViolations != 0 {
-		t.Fatalf("isolation violations on a healthy run: %d (%s)", res.IsolationViolations, res.IsolationExample)
+	// Every completed read, plain or atomic, went through the checker.
+	reads := res.Kinds[OpRead.String()].Completed + res.Kinds[OpAtomicRead.String()].Completed
+	if res.Check.Checked != reads || reads == 0 {
+		t.Fatalf("checked %d reads, want the %d completed", res.Check.Checked, reads)
 	}
-	if res.Trace != nil {
-		t.Fatal("non-soak run recorded a trace")
+	if n := res.Check.Violations(); n != 0 {
+		t.Fatalf("%d violations on a healthy run: %s", n, res.Check)
 	}
 }
 
-func TestDriverSoakTraceChecks(t *testing.T) {
-	clock := &testClock{}
+// The fake cluster's every fifth atomic read returns the value before its
+// key's last write, which was acknowledged before the read was submitted:
+// the run must report it, and only it.
+func TestDriverReportsStaleAtomicRead(t *testing.T) {
+	cl := newFakeCluster(2)
+	for _, f := range cl {
+		f.staleEvery = 5
+	}
 	d, err := NewDriver(Config{
-		Rate:     2000,
+		Rate:     1000,
 		Duration: time.Second,
+		Mix:      Mix{Read: 0.3, Write: 0.4, Atomic: 0.3},
 		Keys:     UniformKeys{N: 8},
 		Seed:     7,
-		Soak:     true,
-		Clock:    clock,
-	}, cluster2()...)
+		Clock:    &testClock{},
+	}, cl[0], cl[1])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,30 +159,39 @@ func TestDriverSoakTraceChecks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Trace == nil || len(res.Trace) == 0 {
-		t.Fatal("soak run recorded no trace")
+	atomic := res.Kinds[OpAtomicRead.String()].Completed
+	if atomic < 100 {
+		t.Fatalf("only %d atomic reads completed", atomic)
 	}
-	// Soak promotes plain reads: nothing may remain under the "read" kind.
-	if ks := res.Kinds[OpRead.String()]; ks.Issued != 0 {
-		t.Fatalf("%d plain reads issued in soak mode", ks.Issued)
+	// A planted read of a key never written returns the initial value, which
+	// is not stale; every other planted read is.
+	if res.Check.Stale == 0 || res.Check.Stale > atomic/5 {
+		t.Fatalf("stale %d, want between 1 and %d (every fifth of %d atomic reads): %s",
+			res.Check.Stale, atomic/5, atomic, res.Check)
 	}
-	if err := res.CheckSoak(); err != nil {
-		t.Fatalf("soak checkers rejected a healthy run: %v", err)
+	if res.Check.Violations() != res.Check.Stale {
+		t.Fatalf("violations other than the planted stale reads: %s", res.Check)
+	}
+	if !strings.HasPrefix(res.Check.First, "stale: atomic read of key") {
+		t.Fatalf("first violation %q", res.Check.First)
+	}
+	if !strings.Contains(res.Summary(), "check: ") {
+		t.Fatalf("summary has no verdict line:\n%s", res.Summary())
 	}
 }
 
-func TestDriverSoakFailedWritesRetireKeys(t *testing.T) {
-	clock := &testClock{}
+// Every third write fails after it took effect, so reads return values whose
+// writes were never acknowledged. Those writes were issued: no violation.
+func TestDriverFailedWritesNoFalseAlarm(t *testing.T) {
 	bad := newFakeCluster(1)[0]
 	bad.failEvery = 3
 	d, err := NewDriver(Config{
 		Rate:     1000,
 		Duration: time.Second,
-		Mix:      Mix{Read: 0.2, Write: 0.8},
+		Mix:      Mix{Read: 0.1, Write: 0.8, Atomic: 0.1},
 		Keys:     UniformKeys{N: 8},
 		Seed:     9,
-		Soak:     true,
-		Clock:    clock,
+		Clock:    &testClock{},
 	}, bad)
 	if err != nil {
 		t.Fatal(err)
@@ -168,18 +203,8 @@ func TestDriverSoakFailedWritesRetireKeys(t *testing.T) {
 	if res.Errors == 0 {
 		t.Fatal("fault injection produced no errors")
 	}
-	if res.RetiredKeys == 0 {
-		t.Fatal("failed writes retired no keys")
-	}
-	// The trace must still pass: failed writes are pending, their pairs
-	// retired, so no overlap and no phantom values.
-	if err := res.CheckSoak(); err != nil {
-		t.Fatalf("soak checkers rejected the faulty run: %v", err)
-	}
-	// With 8 keys and a write-heavy mix, some slots must have been
-	// deflected off retired pairs by the end.
-	if res.Deflected == 0 {
-		t.Log("note: no deflections (all redraws found free pairs)")
+	if res.Check.Checked == 0 || res.Check.Violations() != 0 {
+		t.Fatalf("verdict %s, want reads checked and no violation", res.Check)
 	}
 }
 

@@ -8,10 +8,11 @@
 // The harness drives the sharded keyspace client's asynchronous seam
 // (Target) so one goroutine can keep thousands of operations in flight,
 // measures per-operation latency from scheduled-issue to completion in a
-// log-linear histogram fine enough for p50/p99 frontiers, scrapes an obs
-// registry per interval, and — under fault schedules from internal/faults —
-// produces the latency-vs-offered-load frontier. cmd/loadgen is the CLI
-// over this package.
+// log-linear histogram fine enough for p50/p99 frontiers, judges every read
+// with the online register checker (trace.Online) as it completes, scrapes
+// an obs registry per interval, and — under fault schedules from
+// internal/faults — produces the latency-vs-offered-load frontier.
+// cmd/loadgen is the CLI over this package.
 package loadgen
 
 import (

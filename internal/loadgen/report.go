@@ -1,48 +1,20 @@
 package loadgen
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
 	"time"
 
 	"probquorum/internal/obs"
-	"probquorum/internal/trace"
 )
-
-// CheckSoak replays the register checkers over a soak run's trace: the
-// pipelined well-formedness condition, [R2] reads-from, single-writer
-// atomicity (valid because soak promotes every read to an ABD atomic read
-// and pins each key's writes to one client), and the per-key isolation
-// tally accumulated during the run. A nil return is the soak verdict the
-// CI smoke gate asserts on.
-func (res *Result) CheckSoak() error {
-	if res.Trace == nil {
-		return errors.New("loadgen: not a soak run (no trace recorded)")
-	}
-	if res.IsolationViolations > 0 {
-		return fmt.Errorf("loadgen: %d per-key isolation violations (first: %s)",
-			res.IsolationViolations, res.IsolationExample)
-	}
-	if err := trace.CheckPipelinedWellFormed(res.Trace); err != nil {
-		return fmt.Errorf("loadgen: well-formedness: %w", err)
-	}
-	if err := trace.CheckReadsFrom(res.Trace); err != nil {
-		return fmt.Errorf("loadgen: reads-from: %w", err)
-	}
-	if err := trace.CheckAtomic(res.Trace); err != nil {
-		return fmt.Errorf("loadgen: atomicity: %w", err)
-	}
-	return nil
-}
 
 // Summary renders the human-readable run report.
 func (res *Result) Summary() string {
 	var b strings.Builder
 	achieved := float64(res.Completed) / res.Elapsed.Seconds()
-	fmt.Fprintf(&b, "offered %.0f op/s for %v: issued %d, completed %d, errors %d, shed %d, deflected %d\n",
-		res.Rate, res.Elapsed.Round(time.Millisecond), res.Issued, res.Completed, res.Errors, res.Shed, res.Deflected)
+	fmt.Fprintf(&b, "offered %.0f op/s for %v: issued %d, completed %d, errors %d, shed %d\n",
+		res.Rate, res.Elapsed.Round(time.Millisecond), res.Issued, res.Completed, res.Errors, res.Shed)
 	fmt.Fprintf(&b, "achieved %.0f op/s  p50 %v  p99 %v  max %v  (max backlog %d slots)\n",
 		achieved, res.Total.Quantile(0.50), res.Total.Quantile(0.99), res.Total.Max(), res.MaxBehind)
 	for _, kind := range []OpKind{OpRead, OpWrite, OpAtomicRead} {
@@ -61,12 +33,9 @@ func (res *Result) Summary() string {
 		}
 		b.WriteByte('\n')
 	}
-	if res.Trace != nil {
-		fmt.Fprintf(&b, "soak: %d trace ops, %d retired keys, %d isolation violations\n",
-			len(res.Trace), res.RetiredKeys, res.IsolationViolations)
-	}
+	fmt.Fprintf(&b, "check: %s\n", res.Check)
 	if res.Obs != nil {
-		fmt.Fprintf(&b, "server obs delta: %s\n", obsCounterLine(res.Obs))
+		fmt.Fprintf(&b, "obs delta: %s\n", obsCounterLine(res.Obs))
 	}
 	return b.String()
 }
@@ -90,7 +59,7 @@ func faultCounterLine(s *obs.Snapshot) string {
 }
 
 // obsCounterLine compresses an obs delta to its non-zero counters in sorted
-// order — the at-a-glance server-side view of the run.
+// order — the at-a-glance view of the run's clients, servers and verdicts.
 func obsCounterLine(s *obs.Snapshot) string {
 	names := make([]string, 0, len(s.Counters))
 	for name, v := range s.Counters {

@@ -175,9 +175,11 @@ func ParseSkew(spec string, keys int) (KeyPicker, error) {
 	}
 }
 
-// Values are stamped with their key so the soak checker can verify per-key
-// isolation: a read on key k must only ever observe values encoded for k.
-// The high 32 bits carry the key, the low 32 a per-key write sequence.
+// Values are stamped with their key and a per-key write sequence, the two
+// numbers the online checker judges a read by: a read on key k must only
+// ever observe values encoded for k (isolation), with a sequence that was
+// issued (reads-from) and no older than its floors. The high 32 bits carry
+// the key, the low 32 the sequence.
 
 // EncodeValue packs (key, seq) into the uint64 the harness writes.
 func EncodeValue(key msg.RegisterID, seq uint32) uint64 {

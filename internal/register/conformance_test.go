@@ -1019,8 +1019,26 @@ func TestConformance(t *testing.T) {
 			h := h
 			t.Run(sc.name+"/"+h.name, func(t *testing.T) {
 				t.Parallel()
-				sc.check(t, h.run(t, sc))
+				r := h.run(t, sc)
+				sc.check(t, r)
+				checkOnlineAgrees(t, r.ops)
 			})
+		}
+	}
+}
+
+// checkOnlineAgrees replays a row's trace through the online checker
+// (trace.ReplayOnline, every read judged as atomic). A read it flags is one
+// the offline checkers reject, so on a trace CheckReadsFrom and CheckAtomic
+// accept it must flag nothing.
+func checkOnlineAgrees(t *testing.T, ops []trace.Op) {
+	t.Helper()
+	if trace.CheckReadsFrom(ops) != nil || trace.CheckAtomic(ops) != nil {
+		return
+	}
+	for i, v := range trace.ReplayOnline(ops) {
+		if v != trace.VerdictOK {
+			t.Fatalf("online checker judged op %d (%+v) %v on a trace the offline checkers accept", i, ops[i], v)
 		}
 	}
 }
@@ -1516,7 +1534,9 @@ func TestKeyspaceConformance(t *testing.T) {
 			h := h
 			t.Run(row.name+"/"+h.name, func(t *testing.T) {
 				t.Parallel()
-				row.check(t, h.run(t, row))
+				r := h.run(t, row)
+				row.check(t, r)
+				checkOnlineAgrees(t, r.ops)
 			})
 		}
 	}

@@ -120,21 +120,28 @@ echo "== load harness smoke soak =="
 # A 30-second open-loop soak against an in-process TCP server set, always
 # under the race detector: the harness's callback completions, the fault
 # links' pipe goroutines, and the keyspace client's delivery goroutines all
-# meet here, and the run replays the trace checkers (well-formedness,
-# reads-from, atomicity, per-key isolation) as its exit criterion — CI's
-# proof that a random sustained workload stays linearizable end to end. The
-# crash arm is a fault the transport signals (top-up on error); the partition
-# arm is a silent one (top-up on deadline), so the atomicity checker runs
-# across both.
-go run -race ./cmd/loadgen -soak -duration 30s -rate 250 -servers 3 \
+# meet here. Every read is judged as it completes by the online checker
+# (internal/trace): plain reads must be regular, atomic reads free of new-old
+# inversions, and every read must return an issued write of its own key. The
+# command's exit status is the verdict: CI's proof that a random sustained
+# workload keeps each register class end to end. The crash arm is a fault the
+# transport signals (top-up on error); the partition arm is a silent one
+# (top-up on deadline), and the slow link is where a write reaches one member
+# of its quorum up to 2ms before the other, the window in which an atomic read
+# that skipped its write-back shows as an inversion. Eight clients, four keys,
+# an atomic-heavy mix and 3500 op/s keep several atomic readers of each key
+# inside that window: an atomic read without write-back fails this stage.
+go run -race ./cmd/loadgen -duration 30s -rate 3500 -servers 3 -clients 8 -keys 4 \
+    -mix read=0.2,write=0.2,atomic=0.6 \
     -schedule '@5s crash 1; @10s recover 1; @15s slow 2 2ms; @20s slow 2 0s; @22s partition 1; @26s heal'
 
 echo "== fuzz corpora =="
 # Replay every checked-in fuzz corpus entry (plus the f.Add seeds) as
-# ordinary tests: the wire codec's round-trip and malformed-input fuzzers
-# and the striped store's mixed-key batch and map-model fuzzers must stay
-# green on the regression inputs without needing -fuzz time.
-go test $race -run 'Fuzz' ./internal/msg ./internal/replica
+# ordinary tests: the wire codec's round-trip and malformed-input fuzzers,
+# the striped store's mixed-key batch and map-model fuzzers, and the online
+# checker's agreement with the offline ones must stay green on the
+# regression inputs without needing -fuzz time.
+go test $race -run 'Fuzz' ./internal/msg ./internal/replica ./internal/trace
 
 echo "== API hygiene =="
 # The deprecated aliases (tcp.ErrQuorumUnavailable, cluster.ErrTooManyRetries,
@@ -188,14 +195,16 @@ fi
 # the compiler says so: the exported read and write sessions went, and so
 # did the engine's message counter, next to the two the transports keep. A
 # carrier counts the messages it carries: the counting wrapper went. A joiner
-# merges a read quorum: the single-source join went.
-retired_uses="$({ grep -rnE '\.Deliver\(|boxedReplies|decodeBatch|\bReplyEpoch\b|\bSendAll\b|\bMultiError\b|NewPipelineOver|cmd/(figure2|msgtable|decay|loadavail|quorumtool)|\bParseIntList\b|csvRenderable|\.RenderCSV\(|internal/cluster|\bRunConcurrent\b|convergenceTracker|\bnewWorker\b|\bMaxIterations\b|\bConcurrentConfig\b|\.wts\b|WireGob|WithWire|WithInlineReplies|RegisterValueType|BatchReplySink|WithRetryBackoff|WithLatency|register\.Apply\(|register\.ClientOption|phaseTimer|\bDialPipelined\b|\bPipelinedClient\b|\bPipeClient\b|register\.NewClient|\.Detach\(|\bWithClock\b|\bNew(Atomic)?(Read|Write)Op\b|\bprocNode\b|confSimNode|memSimNode|cluster\.With|cluster\.ClientOption|WithMaxBatch|WithoutFastRead|register\.Monotone\(|register\.(With(Tally|ReadRepair|Masking|View|WriteSystem)|Pipe(Trace|Gauge|Counters|Observer))\(|\bWithMessageCounter\b|\b(Read|Write)Session\b|transport\.Instrument\b|^func Instrument\(|\btcp\.Join\b|^func Join\(' \
+# merges a read quorum: the single-source join went. Every load run checks
+# its register class online: the soak mode, its trace and the offline replay
+# of it went.
+retired_uses="$({ grep -rnE '\.Deliver\(|boxedReplies|decodeBatch|\bReplyEpoch\b|\bSendAll\b|\bMultiError\b|NewPipelineOver|cmd/(figure2|msgtable|decay|loadavail|quorumtool)|\bParseIntList\b|csvRenderable|\.RenderCSV\(|internal/cluster|\bRunConcurrent\b|convergenceTracker|\bnewWorker\b|\bMaxIterations\b|\bConcurrentConfig\b|\.wts\b|WireGob|WithWire|WithInlineReplies|RegisterValueType|BatchReplySink|WithRetryBackoff|WithLatency|register\.Apply\(|register\.ClientOption|phaseTimer|\bDialPipelined\b|\bPipelinedClient\b|\bPipeClient\b|register\.NewClient|\.Detach\(|\bWithClock\b|\bNew(Atomic)?(Read|Write)Op\b|\bprocNode\b|confSimNode|memSimNode|cluster\.With|cluster\.ClientOption|WithMaxBatch|WithoutFastRead|register\.Monotone\(|register\.(With(Tally|ReadRepair|Masking|View|WriteSystem)|Pipe(Trace|Gauge|Counters|Observer))\(|\bWithMessageCounter\b|\b(Read|Write)Session\b|transport\.Instrument\b|^func Instrument\(|\btcp\.Join\b|^func Join\(|\bCheckSoak\b|\bRetiredKeys\b|\bDeflected\b|\bSoak:|-soak\b' \
     --include='*.go' . | grep -v '"PipelinedClient"'
     grep -rnE 'loadgen\.Hist\b|histBucketOf' --include='*.go' . | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'
 } || true)"
 gob_imports="$(grep -rn '"encoding/gob"' --include='*.go' --exclude='*_test.go' . || true)"
 if [ -n "$retired_uses$gob_imports" ]; then
-    echo "check.sh: retired identifiers reappeared (gob wire, inline replies, per-element reply sink, serial-client options, client facades, hand-driven operations, the goroutine runtime, the blocking Alg. 1 worker, the per-experiment front ends, the boxed reply path, the second latency histogram, the exported sessions, the counting wrapper, the single-source join):" >&2
+    echo "check.sh: retired identifiers reappeared (gob wire, inline replies, per-element reply sink, serial-client options, client facades, hand-driven operations, the goroutine runtime, the blocking Alg. 1 worker, the per-experiment front ends, the boxed reply path, the second latency histogram, the exported sessions, the counting wrapper, the single-source join, the soak mode):" >&2
     echo "$retired_uses$gob_imports" >&2
     hygiene_fail=1
 fi
