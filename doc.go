@@ -31,18 +31,19 @@
 //
 // # Client constructors
 //
-// Each runtime has one client type, and every client is one operation
-// engine — the register package's internal operation transition table
-// driven by a register.Pipeline, its one driver on every runtime, the
-// simulator included — over a register.Keyspace: one shard is a single
-// pipeline, more shards stripe pipelines across keys. A blocking call is an
-// asynchronous one waited on at once, so a caller issuing blocking calls
-// from one goroutine keeps the paper's one pending operation per process,
-// and asynchronous calls keep many registers in flight. One blessed
-// constructor per cell:
+// There is one client type, register.Keyspace, on every runtime: the
+// register package's internal operation transition table, driven by one
+// package-internal pipeline per shard — one shard, or several striped
+// across keys. Its operations are declared once (Read, ReadAtomic, Write,
+// WriteMulti and their …AsyncFunc forms), and tcp.Client embeds it, adding
+// only what belongs to the sockets. A blocking call is an asynchronous one
+// waited on at once, so a caller issuing blocking calls from one goroutine
+// keeps the paper's one pending operation per process, and asynchronous
+// calls keep many registers in flight. Every cell below yields a Keyspace;
+// one blessed constructor per cell:
 //
 //	              tcp (sockets)      register cores (sim, custom)
-//	one shard     tcp.Dial           register.NewPipeline
+//	one shard     tcp.Dial           register.NewKeyspace
 //	sharded       tcp.DialKeyspace   register.NewKeyspaceOver
 //	many engines  tcp.DialSet        register.NewKeyspacesOver
 //
@@ -53,17 +54,17 @@
 // socket per server whatever the process count). tcp.Dial and
 // tcp.DialKeyspace are a set with one engine, closed with it.
 //
-// The second column is what the first is built from: a Pipeline takes a raw
-// send function, which is how the discrete-event simulator drives it, and a
-// Keyspace a transport.Transport; the simulator also passes
+// The second column is what the first is built from: NewKeyspace takes a
+// raw send function, which is how the discrete-event simulator drives it, and
+// NewKeyspaceOver a transport.Transport; the simulator also passes
 // PipeClock(sim.Clock), so deadlines run on virtual time. Replies enter
 // either one way, through the typed calls of transport.ReplySink: the tcp
 // reader walks each frame into them, the simulator's process nodes
 // type-switch each message into them, and a keyspace dispatches the boxed
-// replies of a transport without a ReplyBinder into them. Every cell is configured by one struct, register.Settings:
-// the register class (monotone, read repair, b-masking, a membership view,
-// an asymmetric write system), the deadline and retry budget, and the
-// instruments. Register alone reads it — Settings.Engine validates it and
+// replies of a transport without a ReplyBinder into them. Every cell is
+// configured by one struct, register.Settings: the register class
+// (monotone, read repair, b-masking, a membership view, an asymmetric write
+// system), the deadline and retry budget, and the instruments. Register alone reads it — Settings.Engine validates it and
 // builds the engine, register.ApplyPipeline the pipeline option — so no
 // adapter translates its fields and a bad setting is refused with the same
 // error everywhere. The simulator runner takes a Settings value; each tcp
@@ -76,9 +77,9 @@
 // deadline (2s) and one data path: requests coalesced into batch frames by a
 // writer goroutine per connection, one server loop per connection coalescing
 // its replies, and replies delivered a whole frame at a time
-// (transport.ReplySink). Register values written over tcp must be in the
-// wire codec's value union; anything else is refused with
-// msg.ErrUnsupportedValue.
+// (transport.ReplySink). Register values must be in the wire codec's value
+// union on every runtime, the simulator included: every write entry refuses
+// anything else with msg.ErrUnsupportedValue before sending (msg.CheckValue).
 //
 // The cmd/ tools regenerate every experiment at paper scale; EXPERIMENTS.md
 // records paper-versus-measured outcomes. The benchmark lives in bench/

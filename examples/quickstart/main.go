@@ -94,7 +94,7 @@ func run() error {
 		fmt.Printf("  v%-2d -> %-8v / %-8v%s\n", v, p.Val, m.Val, marker)
 	}
 	fmt.Printf("plain regressions: %d, monotone cache hits: %d\n\n",
-		plainRegressions, monoReader.Keyspace().CacheHits())
+		plainRegressions, monoReader.CacheHits())
 
 	// 4. Crash four servers. Quorums of 3 keep succeeding — the client
 	// replaces each crashed member with a live server — until fewer than k

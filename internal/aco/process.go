@@ -145,13 +145,6 @@ func (j *job) outcome() Outcome {
 	return Outcome{Converged: j.mon.converged, Rounds: j.mon.rounds, Iterations: j.mon.iterations, Final: final}
 }
 
-// asyncClient is what a process runs its register operations on: a
-// *register.Pipeline in the simulator, a *tcp.Client over sockets.
-type asyncClient interface {
-	ReadAsyncFunc(key msg.RegisterID, fn func(msg.Tagged, error)) *register.PendingOp
-	WriteAsyncFunc(key msg.RegisterID, val msg.Value, fn func(msg.Tagged, error)) *register.PendingOp
-}
-
 // process is one application process of Alg. 1: read all m registers, apply
 // the operator to the view, write the owned registers, report the iteration
 // to the monitor, repeat. It never blocks: each operation is submitted from
@@ -162,14 +155,14 @@ type asyncClient interface {
 // before: one pending operation per process, the paper's model. A pipelined
 // one submits all m reads at once, then the owned writes, so their quorum
 // round-trips overlap; same-register operations stay FIFO inside the
-// Pipeline, so the monotone variant's guarantees are unchanged either way.
+// client, so the monotone variant's guarantees are unchanged either way.
 // Completions of one phase may run on several goroutines at once: each
 // writes only its own slot, and the one that takes pending to zero starts
 // the next phase.
 type process struct {
 	*job
 	idx     int
-	cl      asyncClient
+	cl      *register.Keyspace
 	serial  bool
 	owned   []int
 	view    []msg.Value // the m components read this iteration
@@ -184,9 +177,10 @@ type process struct {
 	pending   atomic.Int32
 }
 
-// process builds process pi of the job over cl; startIteration(0) runs it
-// from the start of the monitor's clock.
-func (j *job) process(pi int, cl asyncClient, pipelined bool) *process {
+// process builds process pi of the job over cl — a one-shard NewKeyspace in
+// the simulator, a tcp.Client's keyspace over sockets; startIteration(0)
+// runs it from the start of the monitor's clock.
+func (j *job) process(pi int, cl *register.Keyspace, pipelined bool) *process {
 	m, owned := j.op.M(), j.part.Owned(pi)
 	p := &process{
 		job: j, idx: pi, cl: cl, serial: !pipelined, owned: owned,

@@ -43,7 +43,7 @@ type SimConfig struct {
 	// an iteration are in flight at once, as are the writes of the owned
 	// components. Otherwise a process waits for each operation before it
 	// submits the next — one pending operation per process, the paper's
-	// model. Both run on the same register.Pipeline, deadlines and crash
+	// model. Both run on the same register.Keyspace, deadlines and crash
 	// schedule included.
 	Pipelined bool
 	// Gauge, if non-nil, tracks the pipelined processes' in-flight
@@ -97,12 +97,12 @@ type SimResult struct {
 	VirtualTime sim.Time
 }
 
-// simProc runs a process as a simulator node: its pipeline's sends and
+// simProc runs a process as a simulator node: its client's sends and
 // deadlines are simulator events, so the simulator needs no protocol driver
 // of its own.
 type simProc struct {
 	*process
-	pl  *register.Pipeline
+	cl  *register.Keyspace
 	ctx *sim.Context
 }
 
@@ -112,17 +112,17 @@ func (n *simProc) Init(ctx *sim.Context) {
 	n.startIteration(0)
 }
 
-// Recv hands a replica's reply to the pipeline's typed calls, the ones a
+// Recv hands a replica's reply to the client's typed calls, the ones a
 // TCP client's reader makes: the simulator carries messages boxed, and
 // nothing behind this switch sees the box.
 func (n *simProc) Recv(_ *sim.Context, from msg.NodeID, m any) {
 	switch m := m.(type) {
 	case msg.ReadReply:
-		n.pl.ReplyBatch(int(from), []msg.ReadReply{m}, nil)
+		n.cl.ReplyBatch(int(from), []msg.ReadReply{m}, nil)
 	case msg.WriteAck:
-		n.pl.ReplyBatch(int(from), nil, []msg.WriteAck{m})
+		n.cl.ReplyBatch(int(from), nil, []msg.WriteAck{m})
 	case msg.StaleEpoch:
-		n.pl.StaleEpoch(int(from), m)
+		n.cl.StaleEpoch(int(from), m)
 	}
 }
 
@@ -170,8 +170,8 @@ func RunSim(cfg SimConfig) (SimResult, error) {
 		OpTimeout: cfg.OpTimeout, Retries: cfg.Retries, Trace: cfg.Trace, Gauge: cfg.Gauge,
 		Monotone: cfg.Monotone, ReadRepair: cfg.ReadRepair, Tally: cfg.Tally, WriteSystem: cfg.WriteSystem,
 	}
-	pls := make([]*register.Pipeline, procs)
-	for pi := range pls {
+	cls := make([]*register.Keyspace, procs)
+	for pi := range cls {
 		engine, err := settings.Engine(int32(pi), cfg.System, rng.Derive(cfg.Seed, fmt.Sprintf("aco.engine.%d", pi)))
 		if err != nil {
 			return SimResult{}, err
@@ -180,8 +180,8 @@ func RunSim(cfg SimConfig) (SimResult, error) {
 		node := &simProc{}
 		send := func(server int, req any) { node.ctx.Send(msg.NodeID(server), req) }
 		settings.Proc = self
-		pls[pi] = register.NewPipeline(engine, send, register.ApplyPipeline(settings), register.PipeClock(s.Clock(self)))
-		node.pl, node.process = pls[pi], j.process(pi, pls[pi], cfg.Pipelined)
+		cls[pi] = register.NewKeyspace(engine, send, register.ApplyPipeline(settings), register.PipeClock(s.Clock(self)))
+		node.cl, node.process = cls[pi], j.process(pi, cls[pi], cfg.Pipelined)
 		s.Add(self, node)
 	}
 
@@ -192,9 +192,9 @@ func RunSim(cfg SimConfig) (SimResult, error) {
 	}
 	res := SimResult{Outcome: j.outcome(), VirtualTime: s.Now()}
 	res.Messages = s.Messages()
-	for _, pl := range pls {
-		res.CacheHits += pl.Engine().CacheHits()
-		res.Retries += pl.Retries()
+	for _, cl := range cls {
+		res.CacheHits += cl.CacheHits()
+		res.Retries += cl.Retries()
 	}
 	return res, nil
 }

@@ -153,7 +153,7 @@ func RunTCP(cfg TCPConfig) (TCPResult, error) {
 		defer t.Stop()
 	}
 	for pi := range engines {
-		j.process(pi, set.Engine(pi), cfg.Pipelined).startIteration(0)
+		j.process(pi, set.Engine(pi).Keyspace, cfg.Pipelined).startIteration(0)
 	}
 	for j.mon.busy.Load() > 0 {
 		<-j.mon.idle
@@ -168,7 +168,7 @@ func RunTCP(cfg TCPConfig) (TCPResult, error) {
 	}
 	res.Outcome = j.outcome()
 	for pi := range engines {
-		res.CacheHits += set.Engine(pi).Keyspace().CacheHits()
+		res.CacheHits += set.Engine(pi).CacheHits()
 	}
 	sent, recv := counters.Messages()
 	res.Messages, res.TopUps = sent+recv, counters.TopUps.Value()

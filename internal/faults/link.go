@@ -121,8 +121,12 @@ func (l *Link) serve(client net.Conn) {
 }
 
 // pipe forwards src to dst chunk by chunk, applying the link's current delay
-// and stalling while blocked. A read or write error on either side ends the
-// pair (serve closes both).
+// and stalling while blocked. A clean EOF from src is passed on as a
+// half-close. Any other end — a reset, such as a server closing with
+// requests unread (a crashed store does), or a failed write — closes dst
+// too, so the other direction fails and closes src: both endpoints hear at
+// once that the path is gone, as they would without the proxy, not at their
+// next write (for a client waiting on replies, its deadline).
 func (l *Link) pipe(dst, src net.Conn) {
 	buf := make([]byte, 32*1024)
 	for {
@@ -141,11 +145,13 @@ func (l *Link) pipe(dst, src net.Conn) {
 				time.Sleep(time.Duration(d))
 			}
 			if _, werr := dst.Write(buf[:n]); werr != nil {
+				_ = dst.Close()
 				return
 			}
 		}
 		if err != nil {
 			if err != io.EOF {
+				_ = dst.Close()
 				return
 			}
 			// Half-close: propagate EOF and stop this direction.

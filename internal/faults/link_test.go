@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"errors"
 	"io"
 	"net"
 	"testing"
@@ -155,5 +156,45 @@ func TestLinkCloseUnblocksStalledPipes(t *testing.T) {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("Close did not return while a pipe was stalled on a partition")
+	}
+}
+
+// TestLinkPassesOnReset: a backend that resets its connection — as a server
+// closing with requests unread does — ends the client's side of the proxied
+// connection at once, not at the client's next write. The client here only
+// reads, so it hears of the reset from the link or not at all.
+func TestLinkPassesOnReset(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		_, _ = conn.Read(make([]byte, 1))
+		_ = conn.(*net.TCPConn).SetLinger(0) // close with a reset
+		_ = conn.Close()
+	}()
+	link, err := NewLink(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer link.Close()
+	conn, err := net.Dial("tcp", link.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(time.Second))
+	_, err = conn.Read(make([]byte, 1))
+	var nerr net.Error
+	if err == nil || errors.As(err, &nerr) && nerr.Timeout() {
+		t.Fatalf("read after the backend's reset = %v, want the connection closed", err)
 	}
 }

@@ -25,9 +25,13 @@ type NodeID int32
 // register per vector component (Section 5 of the paper).
 type RegisterID int32
 
-// Value is the contents of a register. In-memory runtimes pass values
-// directly; callers must treat values as immutable after they are written
-// (copy at the boundary, per the usual Go guidance for shared slices).
+// Value is the contents of a register. Its dynamic type must be in the wire
+// codec's value union (nil, int64, int, uint64, float64, bool, string,
+// []byte, []float64, []bool): that union is what every register client
+// accepts, on every runtime, and a write of anything else is refused with
+// ErrUnsupportedValue (CheckValue). The simulator passes values directly;
+// callers must treat values as immutable after they are written (copy at the
+// boundary, per the usual Go guidance for shared slices).
 type Value = any
 
 // Timestamp orders the writes applied to a register. Seq is the writer-local

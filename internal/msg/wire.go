@@ -160,6 +160,19 @@ var ErrFrameTooLarge = errors.New("msg: wire frame exceeds MaxWireFrame")
 // []byte, []float64, []bool).
 var ErrUnsupportedValue = errors.New("msg: register value type not supported on the wire")
 
+// CheckValue returns nil for a value in the codec's union and an error
+// wrapping ErrUnsupportedValue for any other. Every register client calls it
+// on a write's value before submitting the write: found later, inside a
+// connection's writer, the value would kill the connection and burn the
+// retry budget of every operation sharing its frame.
+func CheckValue(v Value) error {
+	switch v.(type) {
+	case nil, int64, int, uint64, float64, bool, string, []byte, []float64, []bool:
+		return nil
+	}
+	return fmt.Errorf("msg: cannot encode a %T value: %w", v, ErrUnsupportedValue)
+}
+
 var errShortPayload = errors.New("msg: truncated wire payload")
 
 // AppendMessage appends one complete wire frame (length prefix + payload)
@@ -423,8 +436,8 @@ func appendValue(dst []byte, v Value) ([]byte, error) {
 			dst = append(dst, x)
 		}
 		return dst, nil
-	default:
-		return dst, fmt.Errorf("msg: cannot encode a %T value: %w", v, ErrUnsupportedValue)
+	default: // outside the union
+		return dst, CheckValue(v)
 	}
 }
 

@@ -153,6 +153,26 @@ func TestScalarKinds(t *testing.T) {
 	}
 }
 
+// TestCheckValueAgreesWithCodec: the clients' up-front check accepts exactly
+// the values the encoder can carry — every type of the union, nil included —
+// and refuses the rest, named types of a union kind among them.
+func TestCheckValueAgreesWithCodec(t *testing.T) {
+	type namedFloat float64
+	for _, v := range []Value{
+		nil, int64(-3), 7, uint64(9), 2.5, true, "s", []byte("b"), []float64{1, 2}, []bool{true},
+		int32(1), float32(1), namedFloat(1), []int{1}, map[int]int{}, exoticValue{A: 1}, &exoticValue{},
+	} {
+		_, encErr := AppendMessage(nil, WriteReq{Reg: 1, Op: 1, Tag: Tagged{Val: v}})
+		checkErr := CheckValue(v)
+		if (encErr == nil) != (checkErr == nil) {
+			t.Errorf("%T: CheckValue = %v, encoder = %v; want both nil or both errors", v, checkErr, encErr)
+		}
+		if checkErr != nil && !errors.Is(checkErr, ErrUnsupportedValue) {
+			t.Errorf("%T: CheckValue = %v, want ErrUnsupportedValue", v, checkErr)
+		}
+	}
+}
+
 // TestWireUnsupportedValue pins the edge of the union from both sides: a
 // value of any other type fails every encode entry point with
 // ErrUnsupportedValue, leaving the destination as it was, and a foreign

@@ -2,7 +2,7 @@ package register_test
 
 // Byzantine replicas and atomicity on the simulator: replica.NewByzantine
 // behind replica.SimNode fabricates read replies and swallows writes, and
-// scripted Pipeline clients run against it on virtual time, so each row
+// scripted NewKeyspace clients run against it on virtual time, so each row
 // replays exactly from its seed.
 
 import (

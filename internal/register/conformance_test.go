@@ -562,9 +562,9 @@ func runPipelinedFlowOf(pc *tcp.Client, regs int, multi bool) error {
 	pend := make([]*register.PendingOp, 0, regs)
 	for r := 0; r < regs; r++ {
 		if multi {
-			pend = append(pend, pc.Keyspace().WriteMultiAsyncFunc(msg.RegisterID(r), float64(r+1), nil))
+			pend = append(pend, pc.WriteMultiAsyncFunc(msg.RegisterID(r), float64(r+1), nil))
 		} else {
-			pend = append(pend, pc.WriteAsync(msg.RegisterID(r), float64(r+1)))
+			pend = append(pend, pc.WriteAsyncFunc(msg.RegisterID(r), float64(r+1), nil))
 		}
 	}
 	for _, op := range pend {
@@ -574,7 +574,7 @@ func runPipelinedFlowOf(pc *tcp.Client, regs int, multi bool) error {
 	}
 	pend = pend[:0]
 	for r := 0; r < regs; r++ {
-		pend = append(pend, pc.ReadAsync(msg.RegisterID(r)))
+		pend = append(pend, pc.ReadAsyncFunc(msg.RegisterID(r), nil))
 	}
 	for i, op := range pend {
 		tag, err := op.Wait()
@@ -597,7 +597,7 @@ func runPipelinedAtomicFlow(pc *tcp.Client, regs int) error {
 	}
 	pend := make([]*register.PendingOp, 0, regs)
 	for r := 0; r < regs; r++ {
-		pend = append(pend, pc.ReadAtomicAsync(msg.RegisterID(r)))
+		pend = append(pend, pc.ReadAtomicAsyncFunc(msg.RegisterID(r), nil))
 	}
 	for i, op := range pend {
 		tag, err := op.Wait()
@@ -695,11 +695,10 @@ func runTCPScenario(t *testing.T, sc confScenario) confResult {
 		} else {
 			ferr = runPipelinedFlowOf(pc, sc.regs, sc.multiWriter)
 		}
-		ks := pc.Keyspace()
-		return confResult{ops: log.Ops(), fastReads: ks.FastReads(),
+		return confResult{ops: log.Ops(), fastReads: pc.FastReads(),
 			writeBacks: pobs.WriteBack.Count(), gaugeMax: g.Max(), errs: []error{ferr},
-			topUps: tc.TopUps.Value(), retries: ks.Retries(), signalsCrash: !sc.silent,
-			repairs: ks.Shard(0).Engine().Repairs()}
+			topUps: tc.TopUps.Value(), retries: pc.Retries(), signalsCrash: !sc.silent,
+			repairs: pc.Repairs()}
 	}
 	clients := make([]*tcp.Client, len(sc.scripts))
 	keyspaces := make([]*register.Keyspace, len(sc.scripts))
@@ -722,7 +721,7 @@ func runTCPScenario(t *testing.T, sc confScenario) confResult {
 		}
 		defer cl.Close()
 		clients[pi] = cl
-		keyspaces[pi] = cl.Keyspace()
+		keyspaces[pi] = cl.Keyspace
 	}
 	// Crash after dialing: the eager dial needs live listeners, and a
 	// crashed store then closes connections on the next request.
@@ -741,13 +740,14 @@ func runTCPScenario(t *testing.T, sc confScenario) confResult {
 		writeBacks: pobs.WriteBack.Count(), errs: errs}
 }
 
-// simScript runs one script on a register.Pipeline inside the simulator,
-// callback-chained: each step's completion submits the next, so the script
-// is a depth-1 pipeline — what a blocking call is on every other runtime.
+// simScript runs one script on a register.NewKeyspace client inside the
+// simulator, callback-chained: each step's completion submits the next, so
+// the script is a depth-1 pipeline — what a blocking call is on every other
+// runtime.
 // Deadlines are simulator events on the node's virtual clock, and
-// stale-epoch rejects adopt newer views inside the pipeline.
+// stale-epoch rejects adopt newer views inside the client.
 type simScript struct {
-	pl       *register.Pipeline
+	pl       *register.Keyspace
 	script   []confStep
 	ctx      *sim.Context
 	idx      int // the step in flight, or len(script) once finished
@@ -760,7 +760,7 @@ func addSimScript(s *sim.Sim, self msg.NodeID, engine *register.Engine, script [
 	opts ...register.PipelineOption) *simScript {
 	n := &simScript{script: script}
 	send := func(server int, req any) { n.ctx.Send(msg.NodeID(server), req) }
-	n.pl = register.NewPipeline(engine, send, append(opts, register.PipeClock(s.Clock(self)))...)
+	n.pl = register.NewKeyspace(engine, send, append(opts, register.PipeClock(s.Clock(self)))...)
 	s.Add(self, n)
 	return n
 }
@@ -811,7 +811,7 @@ func (n *simScript) stalled() string {
 // confPipeNode drives the pipelined flow inside the simulator; completion
 // callbacks run synchronously inside the reply's delivery.
 type confPipeNode struct {
-	pl      *register.Pipeline
+	pl      *register.Keyspace
 	tr      *simTransport
 	regs    int
 	atomic  bool // append the all-in-flight atomic-read round
@@ -969,7 +969,7 @@ func runSimScenario(t *testing.T, sc confScenario) confResult {
 		node.pl = register.NewKeyspaceOver([]*register.Engine{engine}, node.tr,
 			register.PipeClock(s.Clock(self)),
 			register.ApplyPipeline(register.Settings{OpTimeout: sc.timeout, Retries: sc.retries,
-				Trace: log, Proc: self, Gauge: &g, Observer: pobs, Counters: &tc})).Shard(0)
+				Trace: log, Proc: self, Gauge: &g, Observer: pobs, Counters: &tc}))
 		s.Add(self, node)
 		s.Run()
 		if node.err == nil && !node.done {
@@ -1457,7 +1457,7 @@ func runKsTCPScenario(t *testing.T, row ksConfRow) ksConfResult {
 		defer kc.Close()
 		clients[i] = kc
 	}
-	flows := ksFlows(row, clients[0].Keyspace(), clients[1].Keyspace())
+	flows := ksFlows(row, clients[0].Keyspace, clients[1].Keyspace)
 	for _, f := range flows {
 		f.start()
 	}

@@ -20,8 +20,9 @@ import (
 // process, and the drivers respect that. The discipline is enforced: every
 // state-mutating method carries a cheap atomic assertion (see opGuard) that
 // panics on concurrent entry instead of corrupting state silently. Clients
-// that want many operations in flight wrap the Engine in a Pipeline, which
-// serializes its Engine calls while overlapping the network round-trips.
+// that want many operations in flight run the Engine in a Keyspace, whose
+// shard serializes its Engine calls while overlapping the network
+// round-trips.
 type Engine struct {
 	guard opGuard
 

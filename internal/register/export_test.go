@@ -17,17 +17,17 @@ func MustEngine(s Settings, writer int32, sys quorum.System, rnd *rand.Rand, ext
 	return e
 }
 
-// DeliverReply hands one boxed reply to p's typed calls, as the sink a
+// DeliverReply hands one boxed reply to k's typed calls, as the sink a
 // keyspace binds does for a transport without a ReplyBinder; any other
-// payload is ignored. Tests that carry a hand-driven Pipeline's replies
+// payload is ignored. Tests that carry a NewKeyspace client's replies
 // themselves — the simulator's script nodes, synchronous loopbacks — use it.
-func DeliverReply(p *Pipeline, server int, payload any) {
+func DeliverReply(k *Keyspace, server int, payload any) {
 	switch m := payload.(type) {
 	case msg.ReadReply:
-		p.ReplyBatch(server, []msg.ReadReply{m}, nil)
+		k.ReplyBatch(server, []msg.ReadReply{m}, nil)
 	case msg.WriteAck:
-		p.ReplyBatch(server, nil, []msg.WriteAck{m})
+		k.ReplyBatch(server, nil, []msg.WriteAck{m})
 	case msg.StaleEpoch:
-		p.StaleEpoch(server, m)
+		k.StaleEpoch(server, m)
 	}
 }

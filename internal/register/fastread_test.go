@@ -14,10 +14,10 @@ import (
 	"probquorum/internal/rng"
 )
 
-func allClient(n int, opts ...register.PipelineOption) (*register.Pipeline, *loopback) {
+func allClient(n int, opts ...register.PipelineOption) (*register.Keyspace, *loopback) {
 	tr := newLoopback(n)
 	e := register.NewEngine(1, quorum.NewAll(n), rng.Derive(1, "fastread.test"))
-	return pipelineOver(e, tr, opts...), tr
+	return clientOver(e, tr, opts...), tr
 }
 
 // TestAtomicReadFastPathUnanimous pins the elision: after a write reached
@@ -35,7 +35,7 @@ func TestAtomicReadFastPathUnanimous(t *testing.T) {
 	if tag.Val != 2.5 {
 		t.Fatalf("atomic read = %v, want 2.5", tag.Val)
 	}
-	if got := cl.Engine().FastReads(); got != 1 {
+	if got := cl.FastReads(); got != 1 {
 		t.Fatalf("FastReads = %d, want 1 (unanimous quorum must elide the write-back)", got)
 	}
 }
@@ -62,7 +62,7 @@ func TestAtomicReadSlowPathOnDisagreement(t *testing.T) {
 	if tag.Val != 9.0 {
 		t.Fatalf("atomic read = %v, want the fresh 9.0", tag.Val)
 	}
-	if got := cl.Engine().FastReads(); got != 0 {
+	if got := cl.FastReads(); got != 0 {
 		t.Fatalf("FastReads = %d, want 0 (disagreeing quorum must write back)", got)
 	}
 	for i, st := range tr.stores {
@@ -79,7 +79,7 @@ func TestAtomicReadSlowPathOnDisagreement(t *testing.T) {
 func TestMaskingNeverFast(t *testing.T) {
 	tr := newLoopback(4)
 	e := register.MustEngine(register.Settings{Masking: 1}, 1, quorum.NewAll(4), rng.Derive(1, "fastread.mask"))
-	cl := pipelineOver(e, tr)
+	cl := clientOver(e, tr)
 	if err := cl.Write(0, 6.0); err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestStaleDropsZeroOnLateReadReply(t *testing.T) {
 	tr := &dupLoopback{loopback: newLoopback(3)}
 	e := register.NewEngine(1, quorum.NewAll(3), rng.Derive(1, "fastread.stale"))
 	tc := &metrics.TransportCounters{}
-	cl := pipelineOver(e, tr, register.ApplyPipeline(register.Settings{Counters: tc}))
+	cl := clientOver(e, tr, register.ApplyPipeline(register.Settings{Counters: tc}))
 	if err := cl.Write(0, 1.0); err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestPipelineStaleDropsZeroOnLateReadReply(t *testing.T) {
 	tr := &dupLoopback{loopback: newLoopback(3)}
 	e := register.NewEngine(1, quorum.NewAll(3), rng.Derive(1, "fastread.pipestale"))
 	tc := &metrics.TransportCounters{}
-	p := pipelineOver(e, tr, register.ApplyPipeline(register.Settings{Counters: tc}))
+	p := clientOver(e, tr, register.ApplyPipeline(register.Settings{Counters: tc}))
 	defer p.Close(nil)
 	if err := p.Write(0, 1.0); err != nil {
 		t.Fatal(err)
@@ -204,7 +204,7 @@ func TestFastReadAllocGate(t *testing.T) {
 			t.Fatal("unexpected value; schedule no longer unanimous")
 		}
 	})
-	if got := cl.Engine().FastReads(); got < 200 {
+	if got := cl.FastReads(); got < 200 {
 		t.Fatalf("FastReads = %d; the measured reads did not stay on the fast path", got)
 	}
 	if fast != plain {

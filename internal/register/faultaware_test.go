@@ -55,7 +55,7 @@ func TestFlappingServerNoLivelock(t *testing.T) {
 	)
 	tr := &flappy{loopback: newLoopback(n), flap: 2, period: 3 * time.Millisecond, start: time.Now()}
 	var tc metrics.TransportCounters
-	pl := pipelineOver(
+	pl := clientOver(
 		register.NewEngine(1, quorum.NewMajority(n), rng.Derive(1, "flappy.test")), tr,
 		register.ApplyPipeline(register.Settings{OpTimeout: 40 * time.Millisecond, Retries: 3, Counters: &tc}))
 	defer pl.Close(nil)
@@ -148,7 +148,7 @@ func TestSilentServerCostsOneDeadline(t *testing.T) {
 	var tc metrics.TransportCounters
 	// k = 4 of 5 rather than a majority: four of every five quorums contain
 	// server 0, so the first operation below meets it within a few draws.
-	pl := pipelineOver(
+	pl := clientOver(
 		register.NewEngine(1, quorum.NewProbabilistic(5, 4), rng.Derive(2, "mute.test")), tr,
 		register.ApplyPipeline(register.Settings{OpTimeout: deadline, Counters: &tc}))
 	defer pl.Close(nil)
@@ -237,7 +237,7 @@ func (l *lossy) Send(server int, req any) error {
 // a second.
 func readWithin(t *testing.T, sys quorum.System, tr *lossy) error {
 	t.Helper()
-	pl := pipelineOver(register.NewEngine(1, sys, rng.Derive(4, "lossy.test")), tr)
+	pl := clientOver(register.NewEngine(1, sys, rng.Derive(4, "lossy.test")), tr)
 	defer pl.Close(nil)
 	done := make(chan error, 1)
 	go func() { _, err := pl.Read(0); done <- err }()

@@ -13,16 +13,16 @@ import "sync/atomic"
 // The CAS also serializes the winning callers under the Go memory model, so
 // the race detector reports the misuse as this panic, not as a map race.
 //
-// Concurrent clients should not see this panic: they wrap the Engine in a
-// Pipeline, which serializes its Engine calls under one mutex while keeping
-// many operations in flight on the network.
+// Concurrent clients should not see this panic: they run the Engine in a
+// Keyspace, whose shard serializes its Engine calls under one mutex while
+// keeping many operations in flight on the network.
 type opGuard struct {
 	busy atomic.Int32
 }
 
 func (g *opGuard) enter() {
 	if !g.busy.CompareAndSwap(0, 1) {
-		panic("register: concurrent Engine use detected — the Engine allows one pending operation per process; use a Pipeline for concurrent operations")
+		panic("register: concurrent Engine use detected — the Engine allows one pending operation per process; use a Keyspace for concurrent operations")
 	}
 }
 

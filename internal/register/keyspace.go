@@ -9,18 +9,23 @@ import (
 	"probquorum/internal/transport"
 )
 
-// Keyspace is the register client every adapter binds: one client process
-// multiplexing operations on any number of independent keys over a single
-// transport. With one shard it is a single Pipeline; a blocking call is an
-// asynchronous one waited on at once, which at depth one is the paper's
-// model of one pending operation per process.
+// Keyspace is the register client, the one client type on every runtime:
+// one client process multiplexing operations on any number of independent
+// keys. The simulator runs it with one shard over a node's sends
+// (NewKeyspace), and TCP with one shard or several over a connection set
+// (NewKeyspaceOver, NewKeyspacesOver); the operations are declared here
+// once, and each is one submission to the shard ShardFor names. A blocking
+// call is an asynchronous one waited on at once, which at depth one is the
+// paper's model of one pending operation per process. A write whose value
+// is outside the wire codec's union is refused with msg.ErrUnsupportedValue
+// on every runtime before anything is sent.
 //
-// A lone Pipeline already overlaps round-trips across registers, but every
+// One shard already overlaps round-trips across registers, but every
 // submission, reply, and completion serializes on its one mutex (and its one
 // Engine) — with many cores driving many hot keys, that lock is the ceiling.
-// A Keyspace stripes the key space across a power-of-two number of
-// Pipelines, each wrapping its own Engine, so clients on different shards
-// never share a lock, a session map, or a monotone cache.
+// A Keyspace stripes the key space across a power-of-two number of shards,
+// each wrapping its own Engine, so clients on different shards never share a
+// lock, a session map, or a monotone cache.
 //
 // The shards share the transport, and the transport carries op-id-matched
 // replies with no notion of shards — so every shard's engine is confined to
@@ -32,16 +37,16 @@ import (
 // engines — share a transport the same way (NewKeyspacesOver): each holds a
 // block of residues, and one root keyspace over all of them is the demux.
 //
-// Per-key guarantees are the Pipeline's, unchanged: operations on one key
-// are FIFO per client ([R4]-preserving), operations on different keys
-// proceed fully concurrently. Keys never written read as the zero
-// msg.Tagged. Idle keys cost nothing in the pipelines (queue entries are
-// recycled, session maps are per-operation); client-side only the monotone
-// cache, where enabled, survives per touched key. Write timestamps come from
-// one counter per shard engine: ShardFor fixes each key to one shard, so
-// they stay unique and increasing per (register, writer).
+// Per-key guarantees are a shard's: operations on one key are FIFO per
+// client ([R4]-preserving), operations on different keys proceed fully
+// concurrently. Keys never written read as the zero msg.Tagged. Idle keys
+// cost nothing in the shards (queue entries are recycled, session maps are
+// per-operation); client-side only the monotone cache, where enabled,
+// survives per touched key. Write timestamps come from one counter per shard
+// engine: ShardFor fixes each key to one shard, so they stay unique and
+// increasing per (register, writer).
 type Keyspace struct {
-	shards []*Pipeline
+	shards []*pipeline
 	mask   msg.OpID
 
 	// batchPool recycles ReplyBatch's per-frame demux scratch (buckets are
@@ -56,15 +61,26 @@ func newKeyspace(n int) *Keyspace {
 	if n == 0 || n&(n-1) != 0 {
 		panic(fmt.Sprintf("register: keyspace shard count %d is not a power of two", n))
 	}
-	return &Keyspace{shards: make([]*Pipeline, n), mask: msg.OpID(n - 1), batchPool: new(sync.Pool)}
+	return &Keyspace{shards: make([]*pipeline, n), mask: msg.OpID(n - 1), batchPool: new(sync.Pool)}
 }
 
 // newShard wraps the engine serving op-id residue r of stride.
-func newShard(e *Engine, r, stride int, send SendFunc, opts []PipelineOption) *Pipeline {
+func newShard(e *Engine, r, stride int, send SendFunc, opts []PipelineOption) *pipeline {
 	if e.opStride != msg.OpID(stride) || e.nextOp&msg.OpID(stride-1) != msg.OpID(r) {
 		panic(fmt.Sprintf("register: keyspace shard %d engine not built with WithOpStride(%d, %d)", r, r, stride))
 	}
-	return NewPipeline(e, send, opts...)
+	return newPipeline(e, send, opts)
+}
+
+// NewKeyspace builds a one-shard client over send, with no transport under
+// it: every fault is left to the deadline's restart-and-re-pick, and replies
+// enter through ReplyBatch and StaleEpoch. It is the simulator's client (one
+// per process node, on the node's sim.Clock through PipeClock). The engine
+// must be built without WithOpStride.
+func NewKeyspace(engine *Engine, send SendFunc, opts ...PipelineOption) *Keyspace {
+	k := newKeyspace(1)
+	k.shards[0] = newShard(engine, 0, 1, send, opts)
+	return k
 }
 
 // NewKeyspaceOver builds a Keyspace running over a Transport: one client
@@ -72,11 +88,10 @@ func newShard(e *Engine, r, stride int, send SendFunc, opts []PipelineOption) *P
 // with WithOpStride(i, len(engines)) so reply routing by op-id residue works,
 // and len(engines) must be a power of two. The shards are one client: their
 // engines share its writer identity and quorum system but must not share
-// rand streams or any other state. The pipeline options are applied to
-// every shard; pointer-valued options (trace log, gauge, counters, observer)
-// aggregate across shards because the shards share the target. With one
-// engine, Shard(0) is a lone Pipeline over the transport. A transport-wide
-// fatal error closes the keyspace, and a per-server error or failed Send
+// rand streams or any other state. The options are applied to every shard;
+// pointer-valued options (trace log, gauge, counters, observer) aggregate
+// across shards because the shards share the target. A transport-wide fatal
+// error closes the keyspace, and a per-server error or failed Send
 // marks the server suspected — in the one suspicion table every shard's
 // picks consult — and tops up the operations of every shard that were
 // waiting on it. Send's ErrNotInView is not a fault — the server left the
@@ -126,7 +141,7 @@ func NewKeyspacesOver(tr transport.Transport, groups [][]*Engine, opts [][]Pipel
 		clients[i] = c
 	}
 	if len(groups) < g {
-		idle := NewPipeline(nil, nil)
+		idle := newPipeline(nil, nil, nil)
 		idle.Close(nil)
 		for r := len(groups) * s; r < g*s; r++ {
 			root.shards[r] = idle
@@ -191,70 +206,69 @@ func (k *Keyspace) ShardFor(key msg.RegisterID) int {
 // Shards returns the number of client-side shards.
 func (k *Keyspace) Shards() int { return len(k.shards) }
 
-// Shard exposes shard i's pipeline (tests inspect per-shard retries and
-// in-flight counts). Routing operations around ShardFor breaks the op-id
-// residue discipline; use the keyspace methods.
-func (k *Keyspace) Shard(i int) *Pipeline { return k.shards[i] }
+// submit hands one operation to the shard serving key.
+func (k *Keyspace) submit(kind opKind, key msg.RegisterID, val msg.Value, fn func(msg.Tagged, error)) *PendingOp {
+	return k.shards[k.ShardFor(key)].submit(kind, key, val, fn)
+}
 
-// Read performs one pipelined read of key, blocking until it completes.
+// Read performs one read of key, blocking until it completes. Operations
+// submitted by other goroutines proceed concurrently underneath it.
 func (k *Keyspace) Read(key msg.RegisterID) (msg.Tagged, error) {
-	return k.shards[k.ShardFor(key)].Read(key)
+	return k.submit(opRead, key, nil, nil).Wait()
 }
 
-// Write performs one pipelined write of key, blocking until acknowledged.
-func (k *Keyspace) Write(key msg.RegisterID, val msg.Value) error {
-	return k.shards[k.ShardFor(key)].Write(key, val)
-}
-
-// ReadAtomic performs one pipelined ABD atomic read of key, blocking until
-// it completes (one round trip when the quorum is unanimous).
+// ReadAtomic performs one ABD atomic read of key, blocking until it
+// completes: a read phase followed, when the quorum's replies disagree, by
+// an awaited write-back of the result to a fresh quorum. A unanimous quorum
+// elides the write-back and the read completes in one round trip. Over a
+// strict quorum system this gives single-writer atomicity.
 func (k *Keyspace) ReadAtomic(key msg.RegisterID) (msg.Tagged, error) {
-	return k.shards[k.ShardFor(key)].ReadAtomic(key)
+	return k.submit(opAtomicRead, key, nil, nil).Wait()
 }
 
-// ReadAsync submits a read of key and returns immediately.
-func (k *Keyspace) ReadAsync(key msg.RegisterID) *PendingOp {
-	return k.shards[k.ShardFor(key)].ReadAsync(key)
-}
-
-// WriteAsync submits a write of key and returns immediately.
-func (k *Keyspace) WriteAsync(key msg.RegisterID, val msg.Value) *PendingOp {
-	return k.shards[k.ShardFor(key)].WriteAsync(key, val)
-}
-
-// ReadAtomicAsync submits an ABD atomic read of key and returns immediately.
-func (k *Keyspace) ReadAtomicAsync(key msg.RegisterID) *PendingOp {
-	return k.shards[k.ShardFor(key)].ReadAtomicAsync(key)
-}
-
-// ReadAsyncFunc submits a read of key whose completion invokes fn.
-func (k *Keyspace) ReadAsyncFunc(key msg.RegisterID, fn func(msg.Tagged, error)) *PendingOp {
-	return k.shards[k.ShardFor(key)].ReadAsyncFunc(key, fn)
-}
-
-// WriteAsyncFunc submits a write of key whose completion invokes fn.
-func (k *Keyspace) WriteAsyncFunc(key msg.RegisterID, val msg.Value, fn func(msg.Tagged, error)) *PendingOp {
-	return k.shards[k.ShardFor(key)].WriteAsyncFunc(key, val, fn)
-}
-
-// ReadAtomicAsyncFunc submits an ABD atomic read of key whose completion
-// invokes fn.
-func (k *Keyspace) ReadAtomicAsyncFunc(key msg.RegisterID, fn func(msg.Tagged, error)) *PendingOp {
-	return k.shards[k.ShardFor(key)].ReadAtomicAsyncFunc(key, fn)
-}
-
-// WriteMultiAsyncFunc submits a multi-writer write of key (see
-// Pipeline.WriteMultiAsyncFunc) whose completion invokes fn.
-func (k *Keyspace) WriteMultiAsyncFunc(key msg.RegisterID, val msg.Value, fn func(msg.Tagged, error)) *PendingOp {
-	return k.shards[k.ShardFor(key)].WriteMultiAsyncFunc(key, val, fn)
+// Write performs one write of key, blocking until acknowledged. A retried
+// write keeps its timestamp (replicas deduplicate installations by
+// timestamp), so partial fan-outs of abandoned attempts are harmless.
+func (k *Keyspace) Write(key msg.RegisterID, val msg.Value) error {
+	_, err := k.submit(opWrite, key, val, nil).Wait()
+	return err
 }
 
 // WriteMulti performs one multi-writer write of key — a read round
 // discovers the current maximum timestamp, and the write round installs val
 // one past it, tie-broken by writer id — and returns the timestamp written.
 func (k *Keyspace) WriteMulti(key msg.RegisterID, val msg.Value) (msg.Timestamp, error) {
-	tag, err := k.WriteMultiAsyncFunc(key, val, nil).Wait()
+	tag, err := k.submit(opWriteMulti, key, val, nil).Wait()
 	return tag.TS, err
+}
+
+// ReadAsyncFunc submits a read of key and returns at once; its completion
+// invokes fn (if non-nil) outside every lock, on the goroutine that
+// completed the operation — a simulator event, a connection's reader, a
+// deadline timer. Callback submission is how drivers that never block (the
+// simulator, an Alg. 1 process, the open-loop load generator) chain
+// operations; Wait on the returned operation suits the rest.
+func (k *Keyspace) ReadAsyncFunc(key msg.RegisterID, fn func(msg.Tagged, error)) *PendingOp {
+	return k.submit(opRead, key, nil, fn)
+}
+
+// ReadAtomicAsyncFunc submits an ABD atomic read of key whose completion
+// invokes fn.
+func (k *Keyspace) ReadAtomicAsyncFunc(key msg.RegisterID, fn func(msg.Tagged, error)) *PendingOp {
+	return k.submit(opAtomicRead, key, nil, fn)
+}
+
+// WriteAsyncFunc submits a write of key whose completion invokes fn with the
+// tag written.
+func (k *Keyspace) WriteAsyncFunc(key msg.RegisterID, val msg.Value, fn func(msg.Tagged, error)) *PendingOp {
+	return k.submit(opWrite, key, val, fn)
+}
+
+// WriteMultiAsyncFunc submits a multi-writer write of key (the paper's
+// Section 8 extension, see WriteMulti) whose completion invokes fn with the
+// tag written.
+func (k *Keyspace) WriteMultiAsyncFunc(key msg.RegisterID, val msg.Value, fn func(msg.Tagged, error)) *PendingOp {
+	return k.submit(opWriteMulti, key, val, fn)
 }
 
 // StaleEpoch routes one concrete stale-epoch reject to its issuing shard;
@@ -372,7 +386,7 @@ func (k *Keyspace) InFlight() int {
 func (k *Keyspace) CacheHits() int64 {
 	var n int64
 	for _, s := range k.shards {
-		n += s.Engine().CacheHits()
+		n += s.engine.CacheHits()
 	}
 	return n
 }
@@ -382,7 +396,17 @@ func (k *Keyspace) CacheHits() int64 {
 func (k *Keyspace) FastReads() int64 {
 	var n int64
 	for _, s := range k.shards {
-		n += s.Engine().FastReads()
+		n += s.engine.FastReads()
+	}
+	return n
+}
+
+// Repairs returns the total read-repair messages issued across shard
+// engines.
+func (k *Keyspace) Repairs() int64 {
+	var n int64
+	for _, s := range k.shards {
+		n += s.engine.Repairs()
 	}
 	return n
 }

@@ -8,6 +8,7 @@ package register_test
 // in a unit test.
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -137,6 +138,56 @@ func TestKeyspaceRejectsMisconfiguredEngines(t *testing.T) {
 	})
 }
 
+// TestNewKeyspaceRefusesUnsupportedValue: the simulator's client refuses a
+// value outside the wire codec's union as a TCP client does — every write
+// entry fails with msg.ErrUnsupportedValue without a single send, a
+// callback hears the same error, and the client keeps working.
+func TestNewKeyspaceRefusesUnsupportedValue(t *testing.T) {
+	type custom struct{ A, B int }
+	bad := custom{A: 1, B: 2}
+	stores := []*replica.Store{replica.New(0, nil), replica.New(1, nil), replica.New(2, nil)}
+	sends := 0
+	var cl *register.Keyspace
+	send := func(server int, req any) {
+		sends++
+		if reply, ok := stores[server].Apply(req); ok {
+			register.DeliverReply(cl, server, reply)
+		}
+	}
+	cl = register.NewKeyspace(register.NewEngine(1, quorum.NewMajority(3), rng.Derive(1, "refuse")), send)
+
+	var cbErr error
+	wait := func(op *register.PendingOp) error { _, err := op.Wait(); return err }
+	for name, write := range map[string]func(msg.Value) error{
+		"Write":               func(v msg.Value) error { return cl.Write(0, v) },
+		"WriteMulti":          func(v msg.Value) error { _, err := cl.WriteMulti(0, v); return err },
+		"WriteAsyncFunc":      func(v msg.Value) error { return wait(cl.WriteAsyncFunc(0, v, nil)) },
+		"WriteMultiAsyncFunc": func(v msg.Value) error { return wait(cl.WriteMultiAsyncFunc(0, v, nil)) },
+		"callback": func(v msg.Value) error {
+			cbErr = nil
+			err := wait(cl.WriteAsyncFunc(0, v, func(_ msg.Tagged, err error) { cbErr = err }))
+			if cbErr != err {
+				t.Errorf("callback got %v, Wait got %v", cbErr, err)
+			}
+			return err
+		},
+	} {
+		sends = 0
+		if err := write(bad); !errors.Is(err, msg.ErrUnsupportedValue) {
+			t.Errorf("%s of a %T: err = %v, want msg.ErrUnsupportedValue", name, bad, err)
+		}
+		if sends != 0 {
+			t.Errorf("%s of a %T sent %d requests, want none", name, bad, sends)
+		}
+		if err := write(1.5); err != nil {
+			t.Errorf("%s after the refused one: %v", name, err)
+		}
+	}
+	if n := cl.InFlight(); n != 0 {
+		t.Errorf("InFlight = %d after every write completed, want 0", n)
+	}
+}
+
 // TestKeyspaceConcurrentDistinctKeys hammers the keyspace from 8 goroutines
 // on disjoint key ranges — the parallelism claim the striping exists for,
 // and a race-detector target for the shared-transport delivery path.
@@ -179,9 +230,10 @@ func TestKeyspaceConcurrentDistinctKeys(t *testing.T) {
 	}
 }
 
-// TestKeyspaceAllocGate pins the keyspace's steady-state per-operation
-// allocations to the direct pipeline path: the shard hop adds zero — same
-// sessions, same queues, no routing-table entries.
+// TestKeyspaceAllocGate pins a sharded keyspace's steady-state per-operation
+// allocations to a one-shard client's (NewKeyspace, the simulator's shape):
+// the shard hop adds zero — same sessions, same queues, no routing-table
+// entries.
 func TestKeyspaceAllocGate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
@@ -192,13 +244,13 @@ func TestKeyspaceAllocGate(t *testing.T) {
 	for i := range stores {
 		stores[i] = replica.New(msg.NodeID(i), nil)
 	}
-	var pl *register.Pipeline
+	var pl *register.Keyspace
 	plSend := func(server int, req any) {
 		if reply, ok := stores[server].Apply(req); ok {
 			register.DeliverReply(pl, server, reply)
 		}
 	}
-	pl = register.NewPipeline(
+	pl = register.NewKeyspace(
 		register.NewEngine(1, sys, rng.Derive(3, "allocgate.pipeline")), plSend)
 
 	ks, _ := loopbackKeyspace(t, 5, 8, sys, register.Settings{})
@@ -237,7 +289,7 @@ func TestKeyspaceAllocGate(t *testing.T) {
 		}
 	})
 	if ksAllocs > plAllocs {
-		t.Errorf("keyspace path allocates %.1f/op-pair, direct pipeline %.1f — sharding added allocations",
+		t.Errorf("keyspace path allocates %.1f/op-pair, one shard %.1f — sharding added allocations",
 			ksAllocs, plAllocs)
 	}
 
@@ -272,11 +324,11 @@ func TestKeyspaceAllocGate(t *testing.T) {
 		t.Errorf("unboxed reply path allocates %.1f/op-pair, boxed Sink %.1f — de-boxing added allocations",
 			unboxedAllocs, ksAllocs)
 	}
-	t.Logf("allocs per write+read pair: pipeline %.1f, keyspace %.1f, keyspace-unboxed %.1f",
+	t.Logf("allocs per write+read pair: one shard %.1f, keyspace %.1f, keyspace-unboxed %.1f",
 		plAllocs, ksAllocs, unboxedAllocs)
 
 	// One shard, the shape of every tcp.Dial client: a coalesced reply frame
-	// goes straight to the shard's pipeline and must complete its operations
+	// goes straight to the shard and must complete its operations
 	// without a single allocation — no demux scratch, pooled or not. Only the
 	// flush is measured, so the count is taken by hand; like AllocsPerRun it
 	// runs on one P and judges the mean per frame, so a stray allocation by
@@ -285,8 +337,8 @@ func TestKeyspaceAllocGate(t *testing.T) {
 	one := register.NewKeyspaceOver([]*register.Engine{
 		register.NewEngine(1, quorum.NewAll(1), rng.Derive(7, "allocgate.oneshard")),
 	}, ft)
-	if _, direct := ft.rs.(*register.Pipeline); !direct {
-		t.Errorf("one-shard keyspace bound %T for frames, want its pipeline: nothing to demultiplex", ft.rs)
+	if _, demux := ft.rs.(*register.Keyspace); demux {
+		t.Errorf("one-shard keyspace bound %T for frames, want its shard: nothing to demultiplex", ft.rs)
 	}
 	const frame, frames = 8, 200
 	var frameAllocs uint64
@@ -294,7 +346,7 @@ func TestKeyspaceAllocGate(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for round := 0; round < 64+frames; round++ {
 		for k := msg.RegisterID(0); k < frame; k++ {
-			one.ReadAsync(k)
+			one.ReadAsyncFunc(k, nil)
 		}
 		runtime.ReadMemStats(&ms)
 		before := ms.Mallocs
@@ -387,7 +439,7 @@ func TestKeyspacesShareOneDemux(t *testing.T) {
 	var ops []*register.PendingOp
 	for _, c := range clients {
 		for k := msg.RegisterID(0); k < 8; k++ {
-			ops = append(ops, c.ReadAsync(k))
+			ops = append(ops, c.ReadAsyncFunc(k, nil))
 		}
 	}
 	ft.reads = append(ft.reads, msg.ReadReply{Op: 6}, msg.ReadReply{Op: 7})

@@ -165,14 +165,14 @@ func TestMaskedMonotoneCacheInteraction(t *testing.T) {
 // budget like a deadline would — and only an honest value is ever returned.
 func TestPipelineMaskingRejectionRetries(t *testing.T) {
 	c := newByzCluster(3, map[int]bool{0: true}, map[msg.RegisterID]msg.Value{0: "honest"})
-	var pl *Pipeline
+	var pl *Keyspace
 	send := func(server int, req any) {
 		if reply, ok := c.appliers[server].Apply(req); ok {
 			DeliverReply(pl, server, reply)
 		}
 	}
 	e := NewEngine(1, quorum.NewProbabilistic(3, 2), rng.Derive(5, "masking.pipeline"), Settings{Masking: 1}.variants)
-	pl = NewPipeline(e, send)
+	pl = NewKeyspace(e, send)
 	for i := 0; i < 30; i++ {
 		tag, err := pl.Read(0)
 		if err != nil {

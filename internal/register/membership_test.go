@@ -335,8 +335,8 @@ func TestMembershipGrowShrinkTCP(t *testing.T) {
 	for _, st := range stores {
 		st.SetView(v2)
 	}
-	waitEpoch(t, "writer grow", 2, writer.Keyspace().Epoch)
-	waitEpoch(t, "reader grow", 2, reader.Keyspace().Epoch)
+	waitEpoch(t, "writer grow", 2, writer.Epoch)
+	waitEpoch(t, "reader grow", 2, reader.Epoch)
 	time.Sleep(150 * time.Millisecond)
 
 	// Shrink: seal the whole 7-server view, then the survivors merge a read
@@ -356,8 +356,8 @@ func TestMembershipGrowShrinkTCP(t *testing.T) {
 	for _, st := range stores {
 		st.SetView(v3)
 	}
-	waitEpoch(t, "writer shrink", 3, writer.Keyspace().Epoch)
-	waitEpoch(t, "reader shrink", 3, reader.Keyspace().Epoch)
+	waitEpoch(t, "writer shrink", 3, writer.Epoch)
+	waitEpoch(t, "reader shrink", 3, reader.Epoch)
 	time.Sleep(100 * time.Millisecond)
 
 	close(stop)
@@ -546,7 +546,7 @@ func TestMembershipCrashJoinRace(t *testing.T) {
 	for _, st := range append(stores[1:], joiner) {
 		st.SetView(v2)
 	}
-	waitEpoch(t, "crash-join", 2, cl.Keyspace().Epoch)
+	waitEpoch(t, "crash-join", 2, cl.Epoch)
 	time.Sleep(150 * time.Millisecond)
 
 	close(stop)
@@ -629,7 +629,7 @@ func TestMembershipViewChangeMidBatch(t *testing.T) {
 			t.Fatalf("server %d rejected v2", i)
 		}
 	}
-	waitEpoch(t, "writer", 2, cl.Keyspace().Epoch)
+	waitEpoch(t, "writer", 2, cl.Epoch)
 	time.Sleep(100 * time.Millisecond) // keep load flowing on the new epoch
 	close(stop)
 	if err := <-loadErr; err != nil {

@@ -39,16 +39,15 @@ func (l *loopback) Send(server int, req any) error {
 	return nil
 }
 
-func loopbackClient(n, k int, opts ...register.PipelineOption) *register.Pipeline {
+func loopbackClient(n, k int, opts ...register.PipelineOption) *register.Keyspace {
 	tr := newLoopback(n)
 	e := register.NewEngine(1, quorum.NewProbabilistic(n, k), rng.Derive(1, "observer.test"))
-	return pipelineOver(e, tr, opts...)
+	return clientOver(e, tr, opts...)
 }
 
-// pipelineOver is the Pipeline of a one-shard keyspace over tr: a lone
-// pipeline bound to a transport.
-func pipelineOver(e *register.Engine, tr transport.Transport, opts ...register.PipelineOption) *register.Pipeline {
-	return register.NewKeyspaceOver([]*register.Engine{e}, tr, opts...).Shard(0)
+// clientOver is a one-shard keyspace over tr.
+func clientOver(e *register.Engine, tr transport.Transport, opts ...register.PipelineOption) *register.Keyspace {
+	return register.NewKeyspaceOver([]*register.Engine{e}, tr, opts...)
 }
 
 // TestObserverPhaseAccounting drives writes, reads, and atomic reads through

@@ -5,8 +5,8 @@ import (
 )
 
 // send is one outbound fan-out request: hand req to server. The
-// transport-agnostic operation below appends these to a buffer the Pipeline
-// owns instead of touching a network; the Pipeline pushes them through its
+// transport-agnostic operation below appends these to a buffer its pipeline
+// owns instead of touching a network; the pipeline pushes them through its
 // SendFunc.
 type send struct {
 	server int
@@ -40,12 +40,12 @@ const (
 )
 
 // operation is the full state machine of one register operation, decoupled
-// from any transport: the Pipeline starts it, feeds it inbound payloads, and
+// from any transport: a pipeline (one shard of a Keyspace) starts it, feeds it inbound payloads, and
 // fans out whatever sends it appends. It owns the protocol — quorum
 // sessions, the two-round phase transitions (ABD write-back, multi-writer
 // write), b-masking acceptance, read-repair dispatch, member top-up, probes
 // and the fresh-quorum retry budget — and it is the only code that calls the
-// Engine's per-round methods. The Pipeline is its one driver on every
+// Engine's per-round methods. The pipeline is its one driver on every
 // runtime, the simulator included.
 //
 // Every method that fans out appends to the out slice it is given and

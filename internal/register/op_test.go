@@ -1,8 +1,8 @@
 package register
 
 // In-package tests of the operation state machine's contracts: the retry
-// budget's arithmetic, driven on the bare operation and through the
-// Pipeline, and the pending-tag guard a tracer relies on.
+// budget's arithmetic, driven on the bare operation and through a
+// Keyspace and its shard, and the pending-tag guard a tracer relies on.
 
 import (
 	"errors"
@@ -57,13 +57,13 @@ func (b *blackhole) Send(server int, req any) error {
 // operation engine: retries caps the total attempts at retries+1, and 0
 // means unlimited. The operation rows spend the budget on the bare
 // operation; the client and pipeline rows run the same operation under the
-// Pipeline's deadline, in a one-shard Keyspace and directly.
+// client's deadline, through a one-shard Keyspace and on its shard directly.
 func TestRetryBudgetArithmetic(t *testing.T) {
 	const n = 3
 	sys := func() quorum.System { return quorum.NewAll(n) }
 
 	// The engine's two drivers over a transport: the one-shard Keyspace every
-	// tcp client is, and that keyspace's Pipeline driven directly. Each reads
+	// tcp client is, and that keyspace's shard driven directly. Each reads
 	// register 0 once.
 	drivers := []struct {
 		name string
@@ -76,9 +76,9 @@ func TestRetryBudgetArithmetic(t *testing.T) {
 			return err
 		}},
 		{"pipeline", func(e *Engine, tr transport.Transport, opts ...PipelineOption) error {
-			p := NewKeyspaceOver([]*Engine{e}, tr, opts...).Shard(0)
+			p := NewKeyspaceOver([]*Engine{e}, tr, opts...).shards[0]
 			defer p.Close(nil)
-			_, err := p.Read(0)
+			_, err := p.submit(opRead, 0, nil, nil).Wait()
 			return err
 		}},
 	}

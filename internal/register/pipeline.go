@@ -15,24 +15,26 @@ import (
 )
 
 // ErrPipelineClosed is returned by operations submitted to (or pending in) a
-// Pipeline that has been closed.
+// Keyspace that has been closed.
 var ErrPipelineClosed = errors.New("register: pipeline closed")
 
 // SendFunc transmits one protocol request to one replica server. It must not
 // block indefinitely and must be safe for concurrent use; transports coalesce
 // the requests queued for a server into batch frames on their own schedule.
 // Delivery may fail silently (a dropped frame, a partitioned peer) — the
-// Pipeline's per-operation deadline then tops the attempt up or re-issues it.
+// client's per-operation deadline then tops the attempt up or re-issues it.
 type SendFunc func(server int, req any)
 
-// Pipeline is the register client: a concurrency-safe driver of
-// Operations over one Engine that keeps many operations in flight per
-// process. The paper's model allows one pending operation per process, which
-// serializes every quorum round-trip; the Pipeline relaxes exactly the part
-// of that discipline that latency-bound deployments cannot afford while
-// preserving the guarantees the algorithm's correctness actually rests on
-// (used at depth one — each operation waited on before the next — it is the
-// paper's model):
+// pipeline is one shard of a Keyspace, the register client: a
+// concurrency-safe driver of operations over one Engine that keeps many
+// operations in flight per process. It is package-internal — a client
+// submits through the Keyspace's operations, each one call of submit. The
+// paper's model allows one pending operation per process, which serializes
+// every quorum round-trip; the pipeline relaxes exactly the part of that
+// discipline that latency-bound deployments cannot afford while preserving
+// the guarantees the algorithm's correctness actually rests on (used at
+// depth one — each operation waited on before the next — it is the paper's
+// model):
 //
 //   - Operations on different registers proceed fully concurrently — reads of
 //     m registers overlap their quorum round-trips instead of paying m
@@ -48,7 +50,7 @@ type SendFunc func(server int, req any)
 //     bookkeeping is cheap and local, and only the network fan-outs overlap.
 //
 // The protocol itself — sessions, the two-round transitions, masking,
-// repair, top-up and the retry budget — is the operation's; the Pipeline owns
+// repair, top-up and the retry budget — is the operation's; the pipeline owns
 // the per-register FIFO, the op-id map that routes replies, the shared
 // deadline list, and the observer, trace and gauge around them.
 //
@@ -58,7 +60,7 @@ type SendFunc func(server int, req any)
 // (PipeTimeout) covers what is lost. Over a Transport (NewKeyspaceOver) the
 // fan-out is fault-aware: a member the transport reports lost is replaced
 // within the attempt, and picks avoid suspected servers (see memberLost).
-type Pipeline struct {
+type pipeline struct {
 	mu     sync.Mutex
 	engine *Engine
 	send   SendFunc
@@ -99,7 +101,7 @@ type Pipeline struct {
 	// stopped timer, callback included, until its original expiry comes
 	// round; Close clears live so that what lingers is one word, not the
 	// pipeline and everything it points to.
-	live *atomic.Pointer[Pipeline]
+	live *atomic.Pointer[pipeline]
 
 	closed   bool
 	closeErr error
@@ -107,7 +109,7 @@ type Pipeline struct {
 	fanSeq   atomic.Uint32 // dispatch counter for FanOut sampling
 }
 
-// Clock is the time a Pipeline runs on. Now stamps trace records and the
+// Clock is the time a Keyspace runs on. Now stamps trace records and the
 // observer's phase marks and dates the deadline list, and AfterFunc arms the
 // list's one runtime timer. The default is the process's monotonic clock
 // with time.AfterFunc; the simulator passes a node's virtual clock
@@ -140,13 +142,13 @@ func (wallClock) Now() time.Duration { return time.Since(processStart) }
 
 func (wallClock) AfterFunc(d time.Duration, f func()) Timer { return time.AfterFunc(d, f) }
 
-// PipelineOption configures a Pipeline (and so a Keyspace).
-type PipelineOption func(*Pipeline)
+// PipelineOption configures every shard of a Keyspace.
+type PipelineOption func(*pipeline)
 
-// PipeClock runs the pipeline — deadlines, trace stamps and phase marks — on
+// PipeClock runs the client — deadlines, trace stamps and phase marks — on
 // clock instead of the process's monotonic clock.
 func PipeClock(clock Clock) PipelineOption {
-	return func(p *Pipeline) { p.clock = clock }
+	return func(p *pipeline) { p.clock = clock }
 }
 
 // PipeTimeout arms a per-operation deadline: an operation not complete
@@ -163,14 +165,14 @@ func PipeClock(clock Clock) PipelineOption {
 // Deadlines run on the pipeline's Clock: wall-clock timers by default,
 // simulator events under PipeClock(sim.Clock).
 func PipeTimeout(d time.Duration, retries int) PipelineOption {
-	return func(p *Pipeline) { p.opTimeout = d; p.retries = retries }
+	return func(p *pipeline) { p.opTimeout = d; p.retries = retries }
 }
 
-// NewPipeline wraps engine for concurrent use, sending requests through
-// send. The Pipeline owns the engine from now on: calling Engine methods
-// directly while the Pipeline is live trips the engine's concurrency guard.
-func NewPipeline(engine *Engine, send SendFunc, opts ...PipelineOption) *Pipeline {
-	p := &Pipeline{
+// newPipeline wraps engine for concurrent use, sending requests through
+// send. The pipeline owns the engine from now on: calling Engine methods
+// directly while the pipeline is live trips the engine's concurrency guard.
+func newPipeline(engine *Engine, send SendFunc, opts []PipelineOption) *pipeline {
+	p := &pipeline{
 		engine:   engine,
 		send:     send,
 		clock:    wallClock{},
@@ -195,15 +197,11 @@ func sendOver(tr transport.Transport, lost func(server int, cause error)) SendFu
 
 // bind attaches the pipeline (and its engine's picks) to the transport it
 // runs over and that transport's suspicion table.
-func (p *Pipeline) bind(tr transport.Transport, h *transport.Health) {
+func (p *pipeline) bind(tr transport.Transport, h *transport.Health) {
 	p.tr = tr
 	p.health = h
 	p.engine.health = h
 }
-
-// Engine returns the wrapped engine. Callers must not invoke its methods
-// while operations are in flight.
-func (p *Pipeline) Engine() *Engine { return p.engine }
 
 // AdoptView installs a newer membership view on the pipeline's engine (and
 // re-targets its transport, when it has one), reporting whether the view was
@@ -211,7 +209,7 @@ func (p *Pipeline) Engine() *Engine { return p.engine }
 // they migrate lazily — via a stale-epoch reject or their own retry deadline —
 // which is safe because a transition-window replica accepts ops stamped with
 // epochs at or above its own.
-func (p *Pipeline) AdoptView(v quorum.View) bool {
+func (p *pipeline) AdoptView(v quorum.View) bool {
 	p.mu.Lock()
 	ok := p.engine.AdoptView(v)
 	p.mu.Unlock()
@@ -230,7 +228,7 @@ func (p *Pipeline) AdoptView(v quorum.View) bool {
 // Epoch returns the membership epoch the pipeline currently operates under
 // (0 in static mode). Unlike Engine().Epoch(), it is safe to call while
 // operations are in flight: adoption happens under the pipeline lock.
-func (p *Pipeline) Epoch() quorum.Epoch {
+func (p *pipeline) Epoch() quorum.Epoch {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.engine.Epoch()
@@ -240,15 +238,15 @@ func (p *Pipeline) Epoch() quorum.Epoch {
 // expiries, each answered by a top-up of the silent members or a re-issue on
 // a fresh quorum, and masked reads the vote count rejected. Top-ups on a
 // transport's error signal are not retries.
-func (p *Pipeline) Retries() int64 { return p.retried.Load() }
+func (p *pipeline) Retries() int64 { return p.retried.Load() }
 
 // Health returns, per server, whether the pipeline's transport currently
 // suspects it, since when, and the last failure attributed to it (nil for a
 // pipeline built without a transport).
-func (p *Pipeline) Health() []transport.ServerHealth { return p.health.Snapshot() }
+func (p *pipeline) Health() []transport.ServerHealth { return p.health.Snapshot() }
 
 // InFlight returns the number of submitted-but-incomplete operations.
-func (p *Pipeline) InFlight() int {
+func (p *pipeline) InFlight() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	n := 0
@@ -277,7 +275,7 @@ type regQueue struct {
 // working width — so steady state stays allocation-free.
 const qfreeMax = 256
 
-func (p *Pipeline) getQueueLocked() *regQueue {
+func (p *pipeline) getQueueLocked() *regQueue {
 	if n := len(p.qfree); n > 0 {
 		q := p.qfree[n-1]
 		p.qfree[n-1] = nil
@@ -287,7 +285,7 @@ func (p *Pipeline) getQueueLocked() *regQueue {
 	return &regQueue{}
 }
 
-func (p *Pipeline) putQueueLocked(q *regQueue) {
+func (p *pipeline) putQueueLocked(q *regQueue) {
 	if len(p.qfree) >= qfreeMax || cap(q.ops) > qfreeMax {
 		return
 	}
@@ -415,81 +413,23 @@ func (op *PendingOp) complete() {
 	op.cmu.Unlock()
 }
 
-// Read performs one pipelined read, blocking until it completes. Operations
-// submitted by other goroutines proceed concurrently underneath it.
-func (p *Pipeline) Read(reg msg.RegisterID) (msg.Tagged, error) {
-	return p.ReadAsync(reg).Wait()
-}
-
-// Write performs one pipelined write, blocking until it is acknowledged.
-func (p *Pipeline) Write(reg msg.RegisterID, val msg.Value) error {
-	_, err := p.WriteAsync(reg, val).Wait()
-	return err
-}
-
-// ReadAtomic performs one pipelined ABD atomic read, blocking until it
-// completes: a read phase followed, when the quorum's replies disagree, by
-// an awaited write-back of the result. A unanimous quorum elides the
-// write-back and the read completes in one round trip.
-func (p *Pipeline) ReadAtomic(reg msg.RegisterID) (msg.Tagged, error) {
-	return p.ReadAtomicAsync(reg).Wait()
-}
-
-// ReadAsync submits a read and returns immediately; Wait on the returned
-// operation for the result.
-func (p *Pipeline) ReadAsync(reg msg.RegisterID) *PendingOp {
-	return p.submit(opRead, reg, nil, nil)
-}
-
-// ReadAtomicAsync submits an ABD atomic read and returns immediately.
-func (p *Pipeline) ReadAtomicAsync(reg msg.RegisterID) *PendingOp {
-	return p.submit(opAtomicRead, reg, nil, nil)
-}
-
-// WriteAsync submits a write and returns immediately.
-func (p *Pipeline) WriteAsync(reg msg.RegisterID, val msg.Value) *PendingOp {
-	return p.submit(opWrite, reg, val, nil)
-}
-
-// ReadAsyncFunc submits a read whose completion invokes fn (outside the
-// pipeline lock, on the goroutine that completed the operation). Callback
-// submission is how single-threaded drivers — the discrete-event simulator —
-// chain pipelined operations without blocking.
-func (p *Pipeline) ReadAsyncFunc(reg msg.RegisterID, fn func(msg.Tagged, error)) *PendingOp {
-	return p.submit(opRead, reg, nil, fn)
-}
-
-// WriteAsyncFunc submits a write whose completion invokes fn.
-func (p *Pipeline) WriteAsyncFunc(reg msg.RegisterID, val msg.Value, fn func(msg.Tagged, error)) *PendingOp {
-	return p.submit(opWrite, reg, val, fn)
-}
-
-// ReadAtomicAsyncFunc submits an ABD atomic read whose completion invokes fn.
-func (p *Pipeline) ReadAtomicAsyncFunc(reg msg.RegisterID, fn func(msg.Tagged, error)) *PendingOp {
-	return p.submit(opAtomicRead, reg, nil, fn)
-}
-
-// WriteMultiAsyncFunc submits a multi-writer write of val (the paper's
-// Section 8 extension): a read round discovers the register's current
-// maximum timestamp, and a write round installs val one past it, tie-broken
-// by writer id. Its completion invokes fn (if non-nil) with the tag
-// written.
-func (p *Pipeline) WriteMultiAsyncFunc(reg msg.RegisterID, val msg.Value, fn func(msg.Tagged, error)) *PendingOp {
-	return p.submit(opWriteMulti, reg, val, fn)
-}
-
-func (p *Pipeline) submit(kind opKind, reg msg.RegisterID, val msg.Value, fn func(msg.Tagged, error)) *PendingOp {
+// submit queues one operation of kind on reg and starts it when it heads
+// its register's queue. A write whose value is outside the wire codec's
+// union (msg.CheckValue) is refused before the lock, and completes — with
+// fn, if any, called at once — exactly as a submission to a closed pipeline
+// does: nothing is sent and no budget is spent.
+func (p *pipeline) submit(kind opKind, reg msg.RegisterID, val msg.Value, fn func(msg.Tagged, error)) *PendingOp {
 	op := &PendingOp{o: operation{e: p.engine, kind: kind, reg: reg, val: val, retries: int32(p.retries)}, callback: fn}
+	if kind == opWrite || kind == opWriteMulti {
+		if err := msg.CheckValue(val); err != nil {
+			return op.refuse(err)
+		}
+	}
 	p.mu.Lock()
 	if p.closed {
 		err := p.closeErr
 		p.mu.Unlock()
-		op.err = err
-		op.complete()
-		if fn != nil {
-			fn(msg.Tagged{}, err)
-		}
-		return op
+		return op.refuse(err)
 	}
 	if p.gauge != nil {
 		p.gauge.Inc()
@@ -510,12 +450,22 @@ func (p *Pipeline) submit(kind opKind, reg msg.RegisterID, val msg.Value, fn fun
 	return op
 }
 
+// refuse completes an operation that was never started with err.
+func (op *PendingOp) refuse(err error) *PendingOp {
+	op.err = err
+	op.complete()
+	if op.callback != nil {
+		op.callback(msg.Tagged{}, err)
+	}
+	return op
+}
+
 // startLocked begins the head-of-queue operation: the operation opens its
 // session (assigning the operation id and, for writes, the timestamp — so
 // same-register timestamps are assigned in client FIFO order), the id joins
 // the in-flight map, and the quorum fan-out — plus a probe of a suspected
 // server, when one is due — is captured.
-func (p *Pipeline) startLocked(op *PendingOp, sends *[]send) {
+func (p *pipeline) startLocked(op *PendingOp, sends *[]send) {
 	if p.obsv != nil {
 		op.phaseMark = p.clock.Now()
 	}
@@ -540,7 +490,7 @@ func (p *Pipeline) startLocked(op *PendingOp, sends *[]send) {
 }
 
 // traceWriteLocked records op's write round as pending in the trace.
-func (p *Pipeline) traceWriteLocked(op *PendingOp) {
+func (p *pipeline) traceWriteLocked(op *PendingOp) {
 	if p.log != nil {
 		op.wsHandle = p.log.Begin(trace.Op{
 			Kind: trace.KindWrite, Proc: p.proc, Reg: op.o.reg,
@@ -551,7 +501,7 @@ func (p *Pipeline) traceWriteLocked(op *PendingOp) {
 
 // lapLocked closes op's current observer phase into *into and starts the
 // next one.
-func (p *Pipeline) lapLocked(op *PendingOp, into *time.Duration) {
+func (p *pipeline) lapLocked(op *PendingOp, into *time.Duration) {
 	if p.obsv == nil {
 		return
 	}
@@ -569,7 +519,7 @@ func (op *PendingOp) waitLap() *time.Duration {
 	return &op.waitDur
 }
 
-func (p *Pipeline) armTimerLocked(op *PendingOp) {
+func (p *pipeline) armTimerLocked(op *PendingOp) {
 	if p.opTimeout <= 0 {
 		return
 	}
@@ -601,7 +551,7 @@ func (p *Pipeline) armTimerLocked(op *PendingOp) {
 	if !p.expiryArmed {
 		p.expiryArmed = true
 		if p.expiry == nil {
-			live := new(atomic.Pointer[Pipeline])
+			live := new(atomic.Pointer[pipeline])
 			live.Store(p)
 			p.live = live
 			p.expiry = p.clock.AfterFunc(p.opTimeout, func() {
@@ -618,7 +568,7 @@ func (p *Pipeline) armTimerLocked(op *PendingOp) {
 // unlinkTimerLocked removes an entry from the deadline list; a no-op if the
 // entry is not linked. Unlinked entries have nil prev/next and are not the
 // head.
-func (p *Pipeline) unlinkTimerLocked(pt *pipeTimer) {
+func (p *pipeline) unlinkTimerLocked(pt *pipeTimer) {
 	if pt.prev != nil {
 		pt.prev.next = pt.next
 	} else if p.thead == pt {
@@ -639,7 +589,7 @@ func (p *Pipeline) unlinkTimerLocked(pt *pipeTimer) {
 // alone: a wake scheduled for this entry's deadline finds a later head (or
 // none) and re-arms, so completions pay two pointer writes instead of a
 // timer-heap Stop.
-func (p *Pipeline) releaseTimerLocked(op *PendingOp) {
+func (p *pipeline) releaseTimerLocked(op *PendingOp) {
 	pt := op.timer
 	if pt == nil {
 		return
@@ -659,7 +609,7 @@ func (p *Pipeline) releaseTimerLocked(op *PendingOp) {
 // re-validates (op, attempt) under the lock and a re-arm re-links the
 // entry — so a completion racing the wake degrades to a no-op, exactly like
 // the old per-operation timer's stale fire.
-func (p *Pipeline) expire() {
+func (p *pipeline) expire() {
 	now := p.clock.Now()
 	var ops []*PendingOp
 	var attempts []int32
@@ -691,7 +641,7 @@ func (p *Pipeline) expire() {
 // probabilistic quorum client depends on no particular quorum) and the stale
 // session's operation id leaves the in-flight map, so late replies to it are
 // ignored.
-func (p *Pipeline) onTimeout(op *PendingOp, attempt int32) {
+func (p *pipeline) onTimeout(op *PendingOp, attempt int32) {
 	p.mu.Lock()
 	if op.finished || op.o.attempts != attempt || p.closed {
 		p.mu.Unlock()
@@ -753,14 +703,14 @@ func (op *PendingOp) unavailable() error {
 }
 
 // retriedLocked counts one attempt that spent retry budget.
-func (p *Pipeline) retriedLocked() {
+func (p *pipeline) retriedLocked() {
 	p.retried.Add(1)
 	if p.counters != nil {
 		p.counters.Retries.Inc()
 	}
 }
 
-func (p *Pipeline) countTopUps(n int) {
+func (p *pipeline) countTopUps(n int) {
 	if p.counters != nil && n > 0 {
 		p.counters.TopUps.Add(int64(n))
 	}
@@ -769,7 +719,7 @@ func (p *Pipeline) countTopUps(n int) {
 // refannedLocked follows a re-pick of op's current round: the abandoned
 // attempt's operation id, prev, leaves the in-flight map for the fresh one,
 // the pick is lapped, and the deadline restarts.
-func (p *Pipeline) refannedLocked(op *PendingOp, prev msg.OpID) {
+func (p *pipeline) refannedLocked(op *PendingOp, prev msg.OpID) {
 	delete(p.inflight, prev)
 	p.inflight[op.o.currentID()] = op
 	p.lapLocked(op, &op.pickDur)
@@ -778,7 +728,7 @@ func (p *Pipeline) refannedLocked(op *PendingOp, prev msg.OpID) {
 
 // suspect marks server suspected in the shared table, counting it if that is
 // news.
-func (p *Pipeline) suspect(server int, cause error) {
+func (p *pipeline) suspect(server int, cause error) {
 	if p.health.Suspect(server, cause) && p.counters != nil {
 		p.counters.Suspicions.Inc()
 	}
@@ -786,7 +736,7 @@ func (p *Pipeline) suspect(server int, cause error) {
 
 // heard notes a reply from server: any reply is proof of life and lifts a
 // suspicion. On a healthy run it is the one atomic load of Any.
-func (p *Pipeline) heard(server int) {
+func (p *pipeline) heard(server int) {
 	if p.health.Any() {
 		p.health.Clear(server)
 	}
@@ -806,7 +756,7 @@ func (p *Pipeline) heard(server int) {
 // An operation that cannot replace the member — the engine is not
 // fault-aware, or no candidate is left — waits for its deadline; without
 // one, it fails with the member's error.
-func (p *Pipeline) memberLost(server int, cause error) {
+func (p *pipeline) memberLost(server int, cause error) {
 	sends := getSends()
 	var failed []*PendingOp
 	p.mu.Lock()
@@ -850,7 +800,7 @@ func (p *Pipeline) memberLost(server int, cause error) {
 // operation it ended (nil when the reply was late, a duplicate, or merely
 // brought its quorum one step closer). At most one operation can end per
 // reply — the one the reply's op id addresses.
-func (p *Pipeline) readReplyLocked(server int, m msg.ReadReply, sends *[]send) *PendingOp {
+func (p *pipeline) readReplyLocked(server int, m msg.ReadReply, sends *[]send) *PendingOp {
 	op := p.inflight[m.Op]
 	if op == nil {
 		// Late reply to an abandoned or completed attempt: dropped by
@@ -897,7 +847,7 @@ func (p *Pipeline) readReplyLocked(server int, m msg.ReadReply, sends *[]send) *
 // writeAckLocked applies one write acknowledgement under p.mu, returning
 // the operation it completed (nil when the ack was late, a duplicate, or
 // merely brought its quorum one step closer).
-func (p *Pipeline) writeAckLocked(server int, m msg.WriteAck, sends *[]send) *PendingOp {
+func (p *pipeline) writeAckLocked(server int, m msg.WriteAck, sends *[]send) *PendingOp {
 	op := p.inflight[m.Op]
 	if op == nil {
 		p.staleDrop()
@@ -910,7 +860,7 @@ func (p *Pipeline) writeAckLocked(server int, m msg.WriteAck, sends *[]send) *Pe
 	return p.completeLocked(op, sends)
 }
 
-func (p *Pipeline) staleDrop() {
+func (p *pipeline) staleDrop() {
 	if p.counters != nil {
 		p.counters.StaleDrops.Inc()
 	}
@@ -929,7 +879,7 @@ var doneOpsPool = sync.Pool{New: func() any { s := make([]*PendingOp, 0, 16); re
 // a deeply pipelined client otherwise spends its receive path. Done-channel
 // closes and completion callbacks run after the lock is dropped, in element
 // order. It is safe for concurrent use.
-func (p *Pipeline) ReplyBatch(server int, reads []msg.ReadReply, acks []msg.WriteAck) {
+func (p *pipeline) ReplyBatch(server int, reads []msg.ReadReply, acks []msg.WriteAck) {
 	p.heard(server)
 	if len(reads)+len(acks) == 1 {
 		p.replyOne(server, reads, acks)
@@ -963,7 +913,7 @@ func (p *Pipeline) ReplyBatch(server int, reads []msg.ReadReply, acks []msg.Writ
 // simulator delivers, and every reply a transport without a ReplyBinder
 // sends. At most one operation can end per reply, so it needs none of the
 // pooled per-frame scratch.
-func (p *Pipeline) replyOne(server int, reads []msg.ReadReply, acks []msg.WriteAck) {
+func (p *pipeline) replyOne(server int, reads []msg.ReadReply, acks []msg.WriteAck) {
 	var sends []send
 	var ended *PendingOp
 	p.mu.Lock()
@@ -984,7 +934,7 @@ func (p *Pipeline) replyOne(server int, reads []msg.ReadReply, acks []msg.WriteA
 // quorum of the new view — without spending retry budget, so an arbitrarily
 // long reconfiguration cannot exhaust an operation. Rejects for attempts the
 // pipeline already abandoned drain as stale drops like any late reply.
-func (p *Pipeline) StaleEpoch(server int, m msg.StaleEpoch) {
+func (p *pipeline) StaleEpoch(server int, m msg.StaleEpoch) {
 	p.heard(server)
 	sends := getSends()
 	p.mu.Lock()
@@ -1017,7 +967,7 @@ func (p *Pipeline) StaleEpoch(server int, m msg.StaleEpoch) {
 
 // completeLocked ends op successfully and starts the next operation on its
 // register; the caller signals the returned op after unlocking.
-func (p *Pipeline) completeLocked(op *PendingOp, sends *[]send) *PendingOp {
+func (p *pipeline) completeLocked(op *PendingOp, sends *[]send) *PendingOp {
 	p.finishLocked(op, op.o.result, nil)
 	p.advanceQueueLocked(op.o.reg, sends)
 	return op
@@ -1025,7 +975,7 @@ func (p *Pipeline) completeLocked(op *PendingOp, sends *[]send) *PendingOp {
 
 // failLocked ends op with err and starts the next operation on its
 // register; the caller signals the returned op after unlocking.
-func (p *Pipeline) failLocked(op *PendingOp, err error, sends *[]send) *PendingOp {
+func (p *pipeline) failLocked(op *PendingOp, err error, sends *[]send) *PendingOp {
 	p.finishLocked(op, msg.Tagged{}, err)
 	p.advanceQueueLocked(op.o.reg, sends)
 	return op
@@ -1033,7 +983,7 @@ func (p *Pipeline) failLocked(op *PendingOp, err error, sends *[]send) *PendingO
 
 // finishLocked records the operation's terminal state and removes it from
 // the in-flight map.
-func (p *Pipeline) finishLocked(op *PendingOp, tag msg.Tagged, err error) {
+func (p *pipeline) finishLocked(op *PendingOp, tag msg.Tagged, err error) {
 	op.finished = true
 	op.o.result, op.err = tag, err
 	p.releaseTimerLocked(op)
@@ -1070,7 +1020,7 @@ func (p *Pipeline) finishLocked(op *PendingOp, tag msg.Tagged, err error) {
 // advanceQueueLocked pops the completed head of a register's FIFO queue and
 // starts the next waiting operation, preserving per-client per-register
 // order.
-func (p *Pipeline) advanceQueueLocked(reg msg.RegisterID, sends *[]send) {
+func (p *pipeline) advanceQueueLocked(reg msg.RegisterID, sends *[]send) {
 	q := p.queues[reg]
 	if q == nil || q.head >= len(q.ops) {
 		return
@@ -1085,7 +1035,7 @@ func (p *Pipeline) advanceQueueLocked(reg msg.RegisterID, sends *[]send) {
 	p.startLocked(q.ops[q.head], sends)
 }
 
-func (p *Pipeline) dispatch(sends []send) {
+func (p *pipeline) dispatch(sends []send) {
 	if p.obsv != nil && len(sends) > 0 && p.fanSeq.Add(1)&7 == 0 {
 		// FanOut times the hand-off to the transport, sampled one dispatch
 		// in eight: the hand-off span's distribution is what matters (a
@@ -1108,7 +1058,7 @@ func (p *Pipeline) dispatch(sends []send) {
 // and invokes its callback — all outside the pipeline lock, so callbacks may
 // submit follow-up operations. The retry timer was already released (under
 // the lock) by finishLocked.
-func (p *Pipeline) signal(op *PendingOp) {
+func (p *pipeline) signal(op *PendingOp) {
 	if p.obsv != nil && op.err == nil {
 		if op.o.fast {
 			p.obsv.FastReads.Inc()
@@ -1135,7 +1085,7 @@ func (p *Pipeline) signal(op *PendingOp) {
 // ErrPipelineClosed), makes further submissions fail immediately, and stops
 // the deadline timer, so a closed pipeline is collectable at once. It does
 // not touch the transport; callers close that separately.
-func (p *Pipeline) Close(err error) {
+func (p *pipeline) Close(err error) {
 	if err == nil {
 		err = ErrPipelineClosed
 	}

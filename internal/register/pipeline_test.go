@@ -15,7 +15,7 @@ import (
 	"probquorum/internal/transport"
 )
 
-// pipeNet is a controllable loop-back transport for Pipeline tests: requests
+// pipeNet is a controllable loop-back transport for client tests: requests
 // either apply to in-process replica stores synchronously (auto mode) or
 // queue up until the test releases them (manual mode), which is how tests
 // freeze the network to observe genuinely overlapping operations. Replies go
@@ -27,7 +27,7 @@ type pipeNet struct {
 	queue   []pipeMsg
 	auto    bool
 	drop    func(server int, req any) bool
-	pl      *Pipeline
+	pl      *Keyspace
 	sink    transport.Sink
 }
 
@@ -93,13 +93,13 @@ func (n *pipeNet) Bind(sink transport.Sink)       { n.sink = sink }
 func (n *pipeNet) Send(server int, req any) error { n.send(server, req); return nil }
 func (n *pipeNet) Close() error                   { return nil }
 
-func pipeFixture(t *testing.T, n int, auto bool, opts ...PipelineOption) (*Pipeline, *pipeNet) {
+func pipeFixture(t *testing.T, n int, auto bool, opts ...PipelineOption) (*Keyspace, *pipeNet) {
 	t.Helper()
 	initial := map[msg.RegisterID]msg.Value{0: 0.0, 1: 0.0, 2: 0.0, 3: 0.0}
 	net := newPipeNet(n, initial, auto)
 	sys := quorum.NewMajority(n)
 	e := NewEngine(1, sys, rng.Derive(7, "pipeline.test"), Settings{Monotone: true}.variants)
-	pl := NewPipeline(e, net.send, opts...)
+	pl := NewKeyspace(e, net.send, opts...)
 	net.pl = pl
 	return pl, net
 }
@@ -111,9 +111,9 @@ func TestPipelineOverlapsDistinctRegisters(t *testing.T) {
 	g := &metrics.Gauge{}
 	pl, net := pipeFixture(t, 5, false, ApplyPipeline(Settings{Gauge: g}))
 
-	r0 := pl.ReadAsync(0)
-	r1 := pl.ReadAsync(1)
-	w2 := pl.WriteAsync(2, 42.0)
+	r0 := pl.ReadAsyncFunc(0, nil)
+	r1 := pl.ReadAsyncFunc(1, nil)
+	w2 := pl.WriteAsyncFunc(2, 42.0, nil)
 
 	if got := pl.InFlight(); got != 3 {
 		t.Fatalf("InFlight = %d, want 3 (distinct registers must overlap)", got)
@@ -148,8 +148,8 @@ func TestPipelineOverlapsDistinctRegisters(t *testing.T) {
 func TestPipelineFIFOPerRegister(t *testing.T) {
 	pl, net := pipeFixture(t, 5, false)
 
-	w := pl.WriteAsync(0, 3.14)
-	r := pl.ReadAsync(0)
+	w := pl.WriteAsyncFunc(0, 3.14, nil)
+	r := pl.ReadAsyncFunc(0, nil)
 	firstWave := net.queued()
 	if firstWave == 0 {
 		t.Fatalf("write issued no requests")
@@ -187,8 +187,8 @@ func TestPipelineTraceInvariants(t *testing.T) {
 	var ops []*PendingOp
 	for round := 0; round < 5; round++ {
 		for reg := 0; reg < 4; reg++ {
-			ops = append(ops, pl.WriteAsync(msg.RegisterID(reg), float64(round*10+reg)))
-			ops = append(ops, pl.ReadAsync(msg.RegisterID(reg)))
+			ops = append(ops, pl.WriteAsyncFunc(msg.RegisterID(reg), float64(round*10+reg), nil))
+			ops = append(ops, pl.ReadAsyncFunc(msg.RegisterID(reg), nil))
 		}
 		net.release()
 	}
@@ -266,8 +266,8 @@ func TestPipelineAdvancesQueueAfterExhaustion(t *testing.T) {
 		defer mu.Unlock()
 		return dropping
 	}
-	first := pl.ReadAsync(0)
-	second := pl.ReadAsync(0)
+	first := pl.ReadAsyncFunc(0, nil)
+	second := pl.ReadAsyncFunc(0, nil)
 	if _, err := first.Wait(); !errors.Is(err, ErrQuorumUnavailable) {
 		t.Fatalf("first op err = %v, want ErrQuorumUnavailable", err)
 	}
@@ -284,7 +284,7 @@ func TestPipelineAdvancesQueueAfterExhaustion(t *testing.T) {
 func TestPipelineClose(t *testing.T) {
 	pl, _ := pipeFixture(t, 5, false)
 	sentinel := errors.New("transport gone")
-	op := pl.ReadAsync(0)
+	op := pl.ReadAsyncFunc(0, nil)
 	pl.Close(sentinel)
 	if _, err := op.Wait(); !errors.Is(err, sentinel) {
 		t.Fatalf("pending op err = %v, want sentinel", err)
@@ -296,7 +296,7 @@ func TestPipelineClose(t *testing.T) {
 }
 
 // TestPipelineConcurrentUseNeverTripsGuard is the regression test for the
-// Engine's documented-but-unenforced concurrency contract: the Pipeline must
+// Engine's documented-but-unenforced concurrency contract: the client must
 // serialize its Engine calls so the new opGuard assertion never fires, no
 // matter how many goroutines hammer it.
 func TestPipelineConcurrentUseNeverTripsGuard(t *testing.T) {
@@ -334,7 +334,7 @@ func TestPipelineWriteTimestampsFIFO(t *testing.T) {
 	pl, net := pipeFixture(t, 5, false)
 	var ops []*PendingOp
 	for i := 0; i < 5; i++ {
-		ops = append(ops, pl.WriteAsync(0, float64(i)))
+		ops = append(ops, pl.WriteAsyncFunc(0, float64(i), nil))
 	}
 	for net.release() > 0 {
 	}
@@ -349,7 +349,7 @@ func TestPipelineWriteTimestampsFIFO(t *testing.T) {
 		}
 		prev = tag.TS
 	}
-	tag := pl.ReadAsync(0)
+	tag := pl.ReadAsyncFunc(0, nil)
 	net.release()
 	got, err := tag.Wait()
 	if err != nil {
@@ -369,8 +369,8 @@ func TestPipelineStaleRepliesIgnored(t *testing.T) {
 	var tc metrics.TransportCounters
 	net := newPipeNet(5, map[msg.RegisterID]msg.Value{0: 0.0}, false)
 	e := NewEngine(1, quorum.NewMajority(5), rng.Derive(7, "pipeline.test"))
-	pl := NewKeyspaceOver([]*Engine{e}, net, ApplyPipeline(Settings{Counters: &tc})).Shard(0)
-	op := pl.ReadAsync(0)
+	pl := NewKeyspaceOver([]*Engine{e}, net, ApplyPipeline(Settings{Counters: &tc}))
+	op := pl.ReadAsyncFunc(0, nil)
 	net.sink(0, msg.ReadReply{Op: msg.OpID(1 << 40)}, nil)
 	net.sink(0, msg.WriteAck{Op: msg.OpID(1 << 41)}, nil)
 	net.sink(0, "not a protocol message", nil)
@@ -402,7 +402,7 @@ func BenchmarkPipelineLoopbackSubmit(b *testing.B) {
 	net := newPipeNet(5, initial, true)
 	sys := quorum.NewMajority(5)
 	e := NewEngine(1, sys, rng.Derive(7, "pipeline.bench"), Settings{Monotone: true}.variants)
-	pl := NewPipeline(e, net.send)
+	pl := NewKeyspace(e, net.send)
 	net.pl = pl
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -14,9 +14,9 @@
 // increasing per (register, writer) — monotone cache, quorum strategy). The
 // sessions and the Engine's per-round methods are package-internal: the
 // operation transition table (op.go) is the only code that opens, feeds,
-// tops up, retries and finishes a round, and the Pipeline is its one
-// driver. The two runtimes — the discrete-event simulator and the TCP
-// transport — carry messages between a Pipeline and the replica servers
+// tops up, retries and finishes a round, and the Keyspace's shard pipeline
+// is its one driver. The two runtimes — the discrete-event simulator and the
+// TCP transport — carry messages between a Keyspace and the replica servers
 // without duplicating any protocol logic.
 package register
 

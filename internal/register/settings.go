@@ -125,10 +125,10 @@ func (s Settings) variants(e *Engine) {
 	e.writeSys = s.WriteSystem // nil: NewEngine writes with the read system
 }
 
-// ApplyPipeline translates s into the option a Pipeline or Keyspace is built
-// with: the deadline and retry budget of PipeTimeout, and the instruments.
+// ApplyPipeline translates s into the option a Keyspace is built with: the
+// deadline and retry budget of PipeTimeout, and the instruments.
 func ApplyPipeline(s Settings) PipelineOption {
-	return func(p *Pipeline) {
+	return func(p *pipeline) {
 		p.opTimeout, p.retries = s.OpTimeout, s.Retries
 		p.counters, p.log, p.proc = s.Counters, s.Trace, s.Proc
 		p.obsv, p.gauge = s.Observer, s.Gauge

@@ -308,7 +308,7 @@ func TestFastReadNeedsFullUnanimousQuorumAfterTopUp(t *testing.T) {
 func TestAtomicReadSlowPathWhenCacheFresher(t *testing.T) {
 	net := newPipeNet(3, nil, true)
 	e := MustEngine(Settings{Monotone: true}, 1, quorum.NewAll(3), rng.Derive(1, "fastread.cache"))
-	cl := NewKeyspaceOver([]*Engine{e}, net).Shard(0)
+	cl := NewKeyspaceOver([]*Engine{e}, net)
 	if err := cl.Write(0, 1.0); err != nil {
 		t.Fatal(err)
 	}

@@ -304,7 +304,7 @@ func (c *Context) Stopped() bool { return c.sim.stopped }
 // Clock is one node's view of virtual time, in the shape of a wall clock:
 // Now is the simulated time since the start of the run, and AfterFunc runs f
 // as an event of the node d later. It is how code written against real time
-// — a register.Pipeline's deadlines — runs on the simulator. The value is
+// — a register.Keyspace's deadlines — runs on the simulator. The value is
 // the same for the whole run; it never goes stale between events.
 type Clock struct {
 	sim  *Sim

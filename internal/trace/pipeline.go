@@ -9,10 +9,10 @@ import (
 
 // This file extends the checkers to pipelined executions, where one process
 // legitimately has many operations pending at once. CheckWellFormed's
-// one-pending-op-per-process rule is exactly the discipline the Pipeline
-// relaxes, so pipelined traces get their own structural condition: per
-// process and register, operations still must not overlap (the Pipeline's
-// per-client per-register FIFO), which is the property conditions [R2] and
+// one-pending-op-per-process rule is exactly the discipline the register
+// client relaxes, so pipelined traces get their own structural condition: per
+// process and register, operations still must not overlap (the client's
+// per-register FIFO), which is the property conditions [R2] and
 // [R4] rest on once operations overlap across registers.
 
 // CheckPipelinedWellFormed verifies the structural conditions of a pipelined

@@ -17,14 +17,15 @@ import (
 // unconditional default.
 const DefaultKeyspaceShards = 16
 
-// Client is the register client over TCP: a register.Keyspace (one pipeline
-// per client-side shard, reply routing by op-id residue) over its Set's
-// batching connections, so requests from every shard coalesce into the same
-// per-server frames. Dial builds the one-shard case — a single pipeline —
-// and DialKeyspace the sharded one; see register.Keyspace for the sharding
-// and ordering contract. A blocking call is an asynchronous one waited on at
-// once, so a caller issuing from one goroutine keeps the paper's one pending
-// operation per process.
+// Client is the register client over TCP: the register.Keyspace it embeds
+// (reply routing by op-id residue, one engine per client-side shard) over
+// its Set's batching connections, so requests from every shard coalesce
+// into the same per-server frames. Every operation and aggregate — Read,
+// WriteAsyncFunc, CacheHits, Health, … — is the keyspace's own, the value
+// check included; Client adds only what belongs to the sockets: Close (in
+// place of the keyspace's Close(err)), Counters and RegisterHealth. Dial
+// builds the one-shard case and DialKeyspace the sharded one; see
+// register.Keyspace for the sharding and ordering contract.
 //
 // The fan-out is fault-aware over majority and k-of-n systems (DESIGN.md,
 // "Fault-aware fan-out"). A crashed replica — its connection dies, or a burst
@@ -32,16 +33,16 @@ const DefaultKeyspaceShards = 16
 // round trip: each replaces that member with a fresh server and keeps the
 // replies it has. A silent one costs the operations in flight one
 // per-operation deadline, once. Either way the server is then suspected
-// (Keyspace().Health, RegisterHealth): picks avoid it, and a shadow request
-// every transport.ProbeInterval notices its recovery. Other quorum systems
-// keep the plain path — the deadline re-issues the operation on a freshly
-// picked quorum. Dead connections re-dial transparently with capped backoff
-// on next use.
+// (Health, RegisterHealth): picks avoid it, and a shadow request every
+// transport.ProbeInterval notices its recovery. Other quorum systems keep
+// the plain path — the deadline re-issues the operation on a freshly picked
+// quorum. Dead connections re-dial transparently with capped backoff on next
+// use.
 //
 // Client is safe for concurrent use by any number of goroutines; goroutines
 // working distinct keys on distinct shards contend on no client lock at all.
 type Client struct {
-	ks  *register.Keyspace
+	*register.Keyspace
 	set *Set
 	own bool // dialed alone: Close closes the set too
 }
@@ -166,7 +167,7 @@ func DialSet(addrs []string, sys quorum.System, shards int, engines [][]ClientOp
 	}
 	s := &Set{tr: tr}
 	for _, ks := range register.NewKeyspacesOver(tr, groups, popts) {
-		s.engines = append(s.engines, &Client{ks: ks, set: s})
+		s.engines = append(s.engines, &Client{Keyspace: ks, set: s})
 	}
 	return s, nil
 }
@@ -177,77 +178,6 @@ func (s *Set) Engine(i int) *Client { return s.engines[i] }
 // Close tears down every connection and fails the pending operations of
 // every engine with ErrClientClosed. It is idempotent.
 func (s *Set) Close() { _ = s.tr.Close() }
-
-// Read performs one quorum read of key, blocking until it completes.
-func (c *Client) Read(key msg.RegisterID) (msg.Tagged, error) {
-	return c.ks.Read(key)
-}
-
-// ReadAtomic performs one ABD atomic read of key: a quorum read followed,
-// when the quorum's replies disagree, by an awaited write-back of the
-// observed value to a fresh quorum. Over a strict quorum system this gives
-// single-writer atomicity.
-func (c *Client) ReadAtomic(key msg.RegisterID) (msg.Tagged, error) {
-	return c.ks.ReadAtomic(key)
-}
-
-// Write performs one quorum write of key, blocking until acknowledged. A
-// retried write keeps its timestamp (replicas deduplicate installations by
-// timestamp), so partial fan-outs of abandoned attempts are harmless.
-func (c *Client) Write(key msg.RegisterID, val msg.Value) error {
-	_, err := c.WriteAsyncFunc(key, val, nil).Wait()
-	return err
-}
-
-// WriteMulti performs one multi-writer write of key (a read round, then a
-// write one past the highest timestamp it saw) and returns the timestamp
-// written.
-func (c *Client) WriteMulti(key msg.RegisterID, val msg.Value) (msg.Timestamp, error) {
-	if err := checkValue(val); err != nil {
-		return msg.Timestamp{}, err
-	}
-	return c.ks.WriteMulti(key, val)
-}
-
-// ReadAsync submits a read of key and returns immediately.
-func (c *Client) ReadAsync(key msg.RegisterID) *register.PendingOp {
-	return c.ks.ReadAsync(key)
-}
-
-// ReadAtomicAsync submits an ABD atomic read of key and returns immediately.
-func (c *Client) ReadAtomicAsync(key msg.RegisterID) *register.PendingOp {
-	return c.ks.ReadAtomicAsync(key)
-}
-
-// WriteAsync submits a write of key and returns immediately.
-func (c *Client) WriteAsync(key msg.RegisterID, val msg.Value) *register.PendingOp {
-	return c.WriteAsyncFunc(key, val, nil)
-}
-
-// ReadAsyncFunc submits a read of key whose completion invokes fn — the
-// open-loop driver seam (internal/loadgen.Target).
-func (c *Client) ReadAsyncFunc(key msg.RegisterID, fn func(msg.Tagged, error)) *register.PendingOp {
-	return c.ks.ReadAsyncFunc(key, fn)
-}
-
-// ReadAtomicAsyncFunc submits an ABD atomic read of key whose completion
-// invokes fn.
-func (c *Client) ReadAtomicAsyncFunc(key msg.RegisterID, fn func(msg.Tagged, error)) *register.PendingOp {
-	return c.ks.ReadAtomicAsyncFunc(key, fn)
-}
-
-// WriteAsyncFunc submits a write of key whose completion invokes fn.
-func (c *Client) WriteAsyncFunc(key msg.RegisterID, val msg.Value, fn func(msg.Tagged, error)) *register.PendingOp {
-	if err := checkValue(val); err != nil {
-		return rejectWrite(key, err, fn)
-	}
-	return c.ks.WriteAsyncFunc(key, val, fn)
-}
-
-// Keyspace exposes the underlying keyspace: its shards' pipelines and
-// engines, and the aggregate retry, in-flight, cache-hit, fast-read, epoch
-// and health accessors.
-func (c *Client) Keyspace() *register.Keyspace { return c.ks }
 
 // Counters exposes the client's transport fault counters (its set's).
 func (c *Client) Counters() *metrics.TransportCounters { return c.set.tr.counters }
@@ -261,7 +191,7 @@ func (c *Client) RegisterHealth(reg *obs.Registry, name string) {
 		i, addr := i, nc.addr
 		reg.RegisterHealth(fmt.Sprintf("%s.%d", name, i), func() obs.Health {
 			h := obs.Health{Live: true, Addr: addr}
-			if rows := c.ks.Health(); i < len(rows) {
+			if rows := c.Health(); i < len(rows) {
 				h.Live = !rows[i].Suspected
 				if rows[i].Suspected {
 					h.Since = &rows[i].Since
@@ -283,5 +213,5 @@ func (c *Client) Close() {
 		c.set.Close()
 		return
 	}
-	c.ks.Close(ErrClientClosed)
+	c.Keyspace.Close(ErrClientClosed)
 }

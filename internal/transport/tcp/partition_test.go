@@ -178,7 +178,7 @@ func TestCloseFailsPendingRead(t *testing.T) {
 				done <- err
 			}()
 			deadline := time.After(time.Second)
-			for cl.Keyspace().InFlight() == 0 { // close under the read, not before it
+			for cl.InFlight() == 0 { // close under the read, not before it
 				select {
 				case <-deadline:
 					t.Fatal("read never went in flight")
@@ -210,7 +210,7 @@ func TestCloseFailsPendingAsync(t *testing.T) {
 	for _, s := range servers {
 		s.Store().Crash()
 	}
-	op := cl.ReadAsync(0)
+	op := cl.ReadAsyncFunc(0, nil)
 	cl.Close()
 	done := make(chan error, 1)
 	go func() { _, err := op.Wait(); done <- err }()

@@ -109,7 +109,7 @@ func TestPipelinedClientConcurrencyTraced(t *testing.T) {
 	// goroutines above happen to serialize.
 	burst := make([]*register.PendingOp, regs)
 	for r := 0; r < regs; r++ {
-		burst[r] = c.ReadAsync(msg.RegisterID(r))
+		burst[r] = c.ReadAsyncFunc(msg.RegisterID(r), nil)
 	}
 	for _, op := range burst {
 		if _, err := op.Wait(); err != nil {
@@ -342,7 +342,7 @@ func TestPipelinedClientsTracedRandomSchedule(t *testing.T) {
 			// client overlapped operations at least once.
 			pend := make([]*register.PendingOp, 0, regs)
 			for reg := msg.RegisterID(0); reg < regs; reg++ {
-				pend = append(pend, pc.ReadAsync(reg))
+				pend = append(pend, pc.ReadAsyncFunc(reg, nil))
 			}
 			for _, op := range pend {
 				if _, err := op.Wait(); err != nil {
@@ -434,7 +434,7 @@ func TestPipelinedMaskingAndRepair(t *testing.T) {
 	if err := readAllHonest(repair, regs); err != nil {
 		t.Fatal(err)
 	}
-	if got := repair.Keyspace().Shard(0).Engine().Repairs(); got != 16 {
+	if got := repair.Repairs(); got != 16 {
 		t.Fatalf("repairs = %d, want 16 (four stale members on each of four registers)", got)
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -464,7 +464,7 @@ func TestPipelinedMaskingAndRepair(t *testing.T) {
 func readAllHonest(c *Client, n int) error {
 	ops := make([]*register.PendingOp, n)
 	for reg := range ops {
-		ops[reg] = c.ReadAsync(msg.RegisterID(reg))
+		ops[reg] = c.ReadAsyncFunc(msg.RegisterID(reg), nil)
 	}
 	for reg, op := range ops {
 		tag, err := op.Wait()

@@ -52,8 +52,8 @@ func TestClosedClientIsCollectable(t *testing.T) {
 				for key := msg.RegisterID(0); key < 64; key++ { // every shard arms its timer
 					var werr, rerr error
 					if arm.async {
-						_, werr = c.WriteAsync(key, float64(key)).Wait()
-						_, rerr = c.ReadAsync(key).Wait()
+						_, werr = c.WriteAsyncFunc(key, float64(key), nil).Wait()
+						_, rerr = c.ReadAsyncFunc(key, nil).Wait()
 					} else {
 						werr = c.Write(key, float64(key))
 						_, rerr = c.Read(key)

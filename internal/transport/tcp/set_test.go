@@ -79,8 +79,8 @@ func TestConnSetSeparateCaches(t *testing.T) {
 			t.Fatalf("B read %d = %+v, %v; want the zero value A's cache must not leak", i, tag, err)
 		}
 	}
-	if a.Keyspace().CacheHits() == 0 || b.Keyspace().CacheHits() != 0 {
-		t.Errorf("cache hits A = %d, B = %d; want A > 0, B = 0", a.Keyspace().CacheHits(), b.Keyspace().CacheHits())
+	if a.CacheHits() == 0 || b.CacheHits() != 0 {
+		t.Errorf("cache hits A = %d, B = %d; want A > 0, B = 0", a.CacheHits(), b.CacheHits())
 	}
 }
 
@@ -94,7 +94,7 @@ func TestConnSetSeparateRetryBudgets(t *testing.T) {
 		WithOpTimeout(faultOpTimeout))
 	links[1].SetBlocked(true)
 	links[2].SetBlocked(true)
-	pb := b.WriteAsync(1, 2.0)
+	pb := b.WriteAsyncFunc(1, 2.0, nil)
 	if err := a.Write(0, 1.0); !errors.Is(err, register.ErrQuorumUnavailable) {
 		t.Fatalf("A's write through the partition: err = %v, want ErrQuorumUnavailable", err)
 	}
@@ -108,7 +108,7 @@ func TestConnSetSeparateRetryBudgets(t *testing.T) {
 	if _, err := pb.Wait(); err != nil {
 		t.Fatalf("B's write after the heal: %v", err)
 	}
-	if ra, rb := a.Keyspace().Retries(), b.Keyspace().Retries(); ra != 1 || rb < ra {
+	if ra, rb := a.Retries(), b.Retries(); ra != 1 || rb < ra {
 		t.Errorf("retries A = %d, B = %d; want A = 1 (its budget) and B at least as many", ra, rb)
 	}
 }
@@ -136,7 +136,7 @@ func TestConnSetDemux(t *testing.T) {
 			if reg%2 == 1 {
 				w = b
 			}
-			ops = append(ops, w.WriteAsync(reg, float64(r)), a.ReadAtomicAsync(reg), b.ReadAtomicAsync(reg))
+			ops = append(ops, w.WriteAsyncFunc(reg, float64(r), nil), a.ReadAtomicAsyncFunc(reg, nil), b.ReadAtomicAsyncFunc(reg, nil))
 		}
 		for _, op := range ops {
 			if _, err := op.Wait(); err != nil {
@@ -161,7 +161,7 @@ func TestConnSetCloseEngine(t *testing.T) {
 	for _, l := range links {
 		l.SetBlocked(true)
 	}
-	pa, pb := a.WriteAsync(0, 1.0), b.WriteAsync(1, 2.0)
+	pa, pb := a.WriteAsyncFunc(0, 1.0, nil), b.WriteAsyncFunc(1, 2.0, nil)
 	a.Close()
 	if _, err := pa.Wait(); !errors.Is(err, ErrClientClosed) {
 		t.Fatalf("A's pending write after A closed: err = %v, want ErrClientClosed", err)
@@ -201,15 +201,15 @@ func TestConnSetCrashSuspectedOnce(t *testing.T) {
 	links[1].SetBlocked(true)
 	var ops []*register.PendingOp
 	for reg := msg.RegisterID(0); reg < 8; reg++ {
-		ops = append(ops, a.WriteAsync(2*reg, 1.0), b.WriteAsync(2*reg+1, 1.0))
+		ops = append(ops, a.WriteAsyncFunc(2*reg, 1.0, nil), b.WriteAsyncFunc(2*reg+1, 1.0, nil))
 	}
 	// The picks are seeded: some of each engine's quorums include server 1.
 	waitFor(t, 2*time.Second, "writes clear of server 1 to complete", func() bool {
-		return a.Keyspace().InFlight() < 8 && b.Keyspace().InFlight() < 8
+		return a.InFlight() < 8 && b.InFlight() < 8
 	})
-	if a.Keyspace().InFlight() == 0 || b.Keyspace().InFlight() == 0 {
+	if a.InFlight() == 0 || b.InFlight() == 0 {
 		t.Fatalf("in flight on the blocked server: A %d, B %d; want both > 0",
-			a.Keyspace().InFlight(), b.Keyspace().InFlight())
+			a.InFlight(), b.InFlight())
 	}
 	servers[1].Store().Crash()
 	links[1].SetBlocked(false)
@@ -224,10 +224,10 @@ func TestConnSetCrashSuspectedOnce(t *testing.T) {
 	if tca.TopUps.Value() == 0 || tcb.TopUps.Value() == 0 {
 		t.Errorf("top-ups A = %d, B = %d; want both > 0", tca.TopUps.Value(), tcb.TopUps.Value())
 	}
-	if ra, rb := a.Keyspace().Retries(), b.Keyspace().Retries(); ra+rb != 0 {
+	if ra, rb := a.Retries(), b.Retries(); ra+rb != 0 {
 		t.Errorf("retries A = %d, B = %d; want 0: a crash signal costs no deadline", ra, rb)
 	}
-	if !a.Keyspace().Health()[1].Suspected || !b.Keyspace().Health()[1].Suspected {
+	if !a.Health()[1].Suspected || !b.Health()[1].Suspected {
 		t.Error("the crashed server is not suspected by both engines")
 	}
 }
@@ -255,7 +255,7 @@ func TestConnSetEngineOptions(t *testing.T) {
 	links[0].SetBlocked(true)
 	var ops []*register.PendingOp
 	for reg := msg.RegisterID(0); reg < 8; reg++ {
-		ops = append(ops, a.WriteAsync(reg, 1.0))
+		ops = append(ops, a.WriteAsyncFunc(reg, 1.0, nil))
 	}
 	expired := time.After(defaultOpTimeout + time.Second)
 	for _, op := range ops {

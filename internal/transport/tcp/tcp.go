@@ -459,29 +459,3 @@ func WithInFlightGauge(g *metrics.Gauge) ClientOption {
 func WithTrace(log *trace.Log) ClientOption {
 	return func(o *clientOpts) { o.Trace = log }
 }
-
-// checkValue rejects a register value the wire codec cannot carry
-// (msg.ErrUnsupportedValue) before the write is submitted: discovered later,
-// inside a connection's writer, it would kill the connection and burn the
-// retry budget of every operation sharing the frame. It trial-encodes the
-// value into pooled scratch, so the codec stays the one place that knows the
-// value union.
-func checkValue(val msg.Value) error {
-	buf := msg.GetEncodeBuf()
-	defer msg.PutEncodeBuf(buf)
-	var w msg.BatchWriter
-	w.Reset((*buf)[:0])
-	err := w.AddReadReply(msg.ReadReply{Tag: msg.Tagged{Val: val}})
-	*buf = w.Finish()[:0] // capture pool-buffer growth
-	return err
-}
-
-// rejectWrite returns an already-failed operation for a write checkValue
-// refused, invoking fn (if any) with the error. Submitting to a pipeline
-// closed with err is how register hands out a failed PendingOp; this is the
-// cold path.
-func rejectWrite(reg msg.RegisterID, err error, fn func(msg.Tagged, error)) *register.PendingOp {
-	p := register.NewPipeline(nil, nil)
-	p.Close(err)
-	return p.WriteAsyncFunc(reg, nil, fn)
-}

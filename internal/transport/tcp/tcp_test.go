@@ -147,7 +147,7 @@ func TestMonotoneOverTCP(t *testing.T) {
 		}
 		last = tag.TS
 	}
-	if r.Keyspace().CacheHits() == 0 {
+	if r.CacheHits() == 0 {
 		t.Fatal("k=1 monotone client never used its cache")
 	}
 }
@@ -256,7 +256,9 @@ func TestValueUnionOverTCP(t *testing.T) {
 // TestUnsupportedValueFailsFast pins every write entry point's up-front
 // check: a value outside the codec's union is refused with
 // msg.ErrUnsupportedValue before anything is sent — no retry budget burns,
-// no connection dies — and the client keeps working.
+// no connection dies, no server is suspected — and the client keeps
+// working. The check lives in the one submission path, so the multi-writer
+// write and the embedded keyspace's own methods cannot skip it.
 func TestUnsupportedValueFailsFast(t *testing.T) {
 	type custom struct{ A, B int }
 	bad := custom{A: 1, B: 2}
@@ -282,9 +284,11 @@ func TestUnsupportedValueFailsFast(t *testing.T) {
 	}{
 		{"Client.Write", func(v msg.Value) error { return serial.Write(0, v) }, serial.Counters()},
 		{"Client.WriteMulti", func(v msg.Value) error { _, err := serial.WriteMulti(0, v); return err }, serial.Counters()},
-		{"Client.WriteAsync", func(v msg.Value) error { return wait(serial.WriteAsync(0, v)) }, serial.Counters()},
+		{"Client.WriteAsync", func(v msg.Value) error { return wait(serial.WriteAsyncFunc(0, v, nil)) }, serial.Counters()},
+		{"Client.WriteMultiAsyncFunc", func(v msg.Value) error { return wait(serial.WriteMultiAsyncFunc(0, v, nil)) }, serial.Counters()},
+		{"Client.Keyspace.WriteAsyncFunc", func(v msg.Value) error { return wait(serial.Keyspace.WriteAsyncFunc(0, v, nil)) }, serial.Counters()},
 		{"KeyspaceClient.Write", func(v msg.Value) error { return ks.Write(0, v) }, ks.Counters()},
-		{"KeyspaceClient.WriteAsync", func(v msg.Value) error { return wait(ks.WriteAsync(0, v)) }, ks.Counters()},
+		{"KeyspaceClient.WriteAsync", func(v msg.Value) error { return wait(ks.WriteAsyncFunc(0, v, nil)) }, ks.Counters()},
 		{"KeyspaceClient.WriteAsyncFunc", func(v msg.Value) error {
 			got := make(chan error, 1)
 			op := ks.WriteAsyncFunc(0, v, func(_ msg.Tagged, err error) { got <- err })
@@ -301,8 +305,9 @@ func TestUnsupportedValueFailsFast(t *testing.T) {
 			if err := tc.write("fine"); err != nil {
 				t.Fatalf("write after the refused one: %v", err)
 			}
-			if r, d := tc.counters.Retries.Value(), tc.counters.Reconnects.Value(); r != 0 || d != 0 {
-				t.Errorf("refused write cost %d retries and %d reconnects, want 0 and 0", r, d)
+			c := tc.counters
+			if r, d, s := c.Retries.Value(), c.Reconnects.Value(), c.Suspicions.Value(); r != 0 || d != 0 || s != 0 {
+				t.Errorf("refused write cost %d retries, %d reconnects and %d suspicions, want none", r, d, s)
 			}
 		})
 	}
@@ -689,7 +694,7 @@ func TestReadRepairOverTCP(t *testing.T) {
 	if _, err := r.Read(0); err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Keyspace().Shard(0).Engine().Repairs(); got != 4 {
+	if got := r.Repairs(); got != 4 {
 		t.Fatalf("repairs = %d, want 4", got)
 	}
 	// The repairs are fire-and-forget: give them a moment to land.
@@ -723,7 +728,7 @@ func TestReadAtomicSpreadsValues(t *testing.T) {
 	r := dialClient(t, addrs, quorum.NewAll(5), WithWriter(2))
 	ops := make([]*register.PendingOp, regs)
 	for reg := range ops {
-		ops[reg] = r.ReadAtomicAsync(msg.RegisterID(reg))
+		ops[reg] = r.ReadAtomicAsyncFunc(msg.RegisterID(reg), nil)
 	}
 	for reg, op := range ops {
 		tag, err := op.Wait()

@@ -197,14 +197,22 @@ fi
 # carrier counts the messages it carries: the counting wrapper went. A joiner
 # merges a read quorum: the single-source join went. Every load run checks
 # its register class online: the soak mode, its trace and the offline replay
-# of it went.
-retired_uses="$({ grep -rnE '\.Deliver\(|boxedReplies|decodeBatch|\bReplyEpoch\b|\bSendAll\b|\bMultiError\b|NewPipelineOver|cmd/(figure2|msgtable|decay|loadavail|quorumtool)|\bParseIntList\b|csvRenderable|\.RenderCSV\(|internal/cluster|\bRunConcurrent\b|convergenceTracker|\bnewWorker\b|\bMaxIterations\b|\bConcurrentConfig\b|\.wts\b|WireGob|WithWire|WithInlineReplies|RegisterValueType|BatchReplySink|WithRetryBackoff|WithLatency|register\.Apply\(|register\.ClientOption|phaseTimer|\bDialPipelined\b|\bPipelinedClient\b|\bPipeClient\b|register\.NewClient|\.Detach\(|\bWithClock\b|\bNew(Atomic)?(Read|Write)Op\b|\bprocNode\b|confSimNode|memSimNode|cluster\.With|cluster\.ClientOption|WithMaxBatch|WithoutFastRead|register\.Monotone\(|register\.(With(Tally|ReadRepair|Masking|View|WriteSystem)|Pipe(Trace|Gauge|Counters|Observer))\(|\bWithMessageCounter\b|\b(Read|Write)Session\b|transport\.Instrument\b|^func Instrument\(|\btcp\.Join\b|^func Join\(|\bCheckSoak\b|\bRetiredKeys\b|\bDeflected\b|\bSoak:|-soak\b' \
+# of it went. There is one client type, register.Keyspace, on every runtime,
+# and its operations are declared once, on it: the exported Pipeline, its
+# constructor and Keyspace.Shard went (the simulator builds a one-shard
+# NewKeyspace), and so did tcp.Client's forwarders — it embeds the keyspace —
+# the no-callback async variants (an …AsyncFunc with a nil callback is the
+# same operation) and aco's client interface. The value check is msg's
+# CheckValue, called in the one submission path: tcp's copy of it and the
+# throwaway closed client its refusals completed through went, so no write
+# entry of any client can skip it again.
+retired_uses="$({ grep -rnE '\.Deliver\(|boxedReplies|decodeBatch|\bReplyEpoch\b|\bSendAll\b|\bMultiError\b|NewPipelineOver|cmd/(figure2|msgtable|decay|loadavail|quorumtool)|\bParseIntList\b|csvRenderable|\.RenderCSV\(|internal/cluster|\bRunConcurrent\b|convergenceTracker|\bnewWorker\b|\bMaxIterations\b|\bConcurrentConfig\b|\.wts\b|WireGob|WithWire|WithInlineReplies|RegisterValueType|BatchReplySink|WithRetryBackoff|WithLatency|register\.Apply\(|register\.ClientOption|phaseTimer|\bDialPipelined\b|\bPipelinedClient\b|\bPipeClient\b|register\.NewClient|\.Detach\(|\bWithClock\b|\bNew(Atomic)?(Read|Write)Op\b|\bprocNode\b|confSimNode|memSimNode|cluster\.With|cluster\.ClientOption|WithMaxBatch|WithoutFastRead|register\.Monotone\(|register\.(With(Tally|ReadRepair|Masking|View|WriteSystem)|Pipe(Trace|Gauge|Counters|Observer))\(|\bWithMessageCounter\b|\b(Read|Write)Session\b|transport\.Instrument\b|^func Instrument\(|\btcp\.Join\b|^func Join\(|\bCheckSoak\b|\bRetiredKeys\b|\bDeflected\b|\bSoak:|-soak\b|register\.NewPipeline\b|register\.Pipeline\b|\.Shard\(|\bcheckValue\b|\brejectWrite\b|\basyncClient\b|\.(Read|Write|ReadAtomic)Async\(|^func \(c \*Client\) (Read|Write)' \
     --include='*.go' . | grep -v '"PipelinedClient"'
     grep -rnE 'loadgen\.Hist\b|histBucketOf' --include='*.go' . | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'
 } || true)"
 gob_imports="$(grep -rn '"encoding/gob"' --include='*.go' --exclude='*_test.go' . || true)"
 if [ -n "$retired_uses$gob_imports" ]; then
-    echo "check.sh: retired identifiers reappeared (gob wire, inline replies, per-element reply sink, serial-client options, client facades, hand-driven operations, the goroutine runtime, the blocking Alg. 1 worker, the per-experiment front ends, the boxed reply path, the second latency histogram, the exported sessions, the counting wrapper, the single-source join, the soak mode):" >&2
+    echo "check.sh: retired identifiers reappeared (gob wire, inline replies, per-element reply sink, serial-client options, client facades, hand-driven operations, the goroutine runtime, the blocking Alg. 1 worker, the per-experiment front ends, the boxed reply path, the second latency histogram, the exported sessions, the counting wrapper, the single-source join, the soak mode, the second client surface):" >&2
     echo "$retired_uses$gob_imports" >&2
     hygiene_fail=1
 fi

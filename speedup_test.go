@@ -65,10 +65,8 @@ func blockingRounds(tb testing.TB, c *tcp.Client, rounds int) int {
 
 // asyncRounds runs the same shape with every operation of a phase in flight
 // at once — writes, then reads when writeFirst, else the other way round —
-// over keys drawn by pick, and returns operations completed.
-func asyncRounds(tb testing.TB, read func(msg.RegisterID) *register.PendingOp,
-	write func(msg.RegisterID, msg.Value) *register.PendingOp,
-	pick func([]msg.RegisterID), rounds int, writeFirst bool) int {
+// on cl, over keys drawn by pick, and returns operations completed.
+func asyncRounds(tb testing.TB, cl *register.Keyspace, pick func([]msg.RegisterID), rounds int, writeFirst bool) int {
 	tb.Helper()
 	ops := 0
 	keys := make([]msg.RegisterID, gateRegs)
@@ -79,9 +77,9 @@ func asyncRounds(tb testing.TB, read func(msg.RegisterID) *register.PendingOp,
 			pend = pend[:0]
 			for _, k := range keys {
 				if (phase == 0) == writeFirst {
-					pend = append(pend, write(k, float64(it)))
+					pend = append(pend, cl.WriteAsyncFunc(k, float64(it), nil))
 				} else {
-					pend = append(pend, read(k))
+					pend = append(pend, cl.ReadAsyncFunc(k, nil))
 				}
 			}
 			for _, op := range pend {
@@ -133,7 +131,7 @@ func TestPipelineSpeedupTCP(t *testing.T) {
 	blockingRate := float64(blockingRounds(t, cl, rounds)) / time.Since(start).Seconds()
 
 	pipelined := func(n int) int {
-		return asyncRounds(t, cl.ReadAsync, cl.WriteAsync, cycling(0, gateRegs), n, false)
+		return asyncRounds(t, cl.Keyspace, cycling(0, gateRegs), n, false)
 	}
 	pipelined(5)
 	start = time.Now()
@@ -163,7 +161,7 @@ func keyspaceRounds(tb testing.TB, kc *tcp.Client, n, keysEach, rounds int) int 
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			ops[g] = asyncRounds(tb, kc.ReadAsync, kc.WriteAsync, cycling(g*keysEach, keysEach), rounds, true)
+			ops[g] = asyncRounds(tb, kc.Keyspace, cycling(g*keysEach, keysEach), rounds, true)
 		}(g)
 	}
 	wg.Wait()
@@ -193,7 +191,7 @@ func TestKeyspaceSpeedupTCP(t *testing.T) {
 	}
 	defer solo.Close()
 	single := func(n int) int {
-		return asyncRounds(t, solo.ReadAsync, solo.WriteAsync, cycling(0, 1), n, true)
+		return asyncRounds(t, solo.Keyspace, cycling(0, 1), n, true)
 	}
 	single(5) // warm the connections
 	start := time.Now()
@@ -240,7 +238,7 @@ func TestKeyspaceBatchCoalescing(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		pend := make([]*register.PendingOp, 0, keys)
 		for k := 0; k < keys; k++ {
-			pend = append(pend, kc.WriteAsync(msg.RegisterID(k), round))
+			pend = append(pend, kc.WriteAsyncFunc(msg.RegisterID(k), round, nil))
 		}
 		for _, op := range pend {
 			if _, err := op.Wait(); err != nil {
