@@ -198,3 +198,95 @@ func TestLinkPassesOnReset(t *testing.T) {
 		t.Fatalf("read after the backend's reset = %v, want the connection closed", err)
 	}
 }
+
+// transferThrough writes writes payloads of size bytes through a link with
+// the given delay to a backend that reads them all, and returns the time from
+// the first write to the arrival of the last byte. The bytes must arrive
+// intact and in order.
+func transferThrough(t *testing.T, delay time.Duration, writes, size int) time.Duration {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	got := make([]byte, writes*size)
+	arrived := make(chan error, 1)
+	var last time.Time
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			arrived <- err
+			return
+		}
+		defer conn.Close()
+		_, err = io.ReadFull(conn, got)
+		last = time.Now()
+		arrived <- err
+	}()
+	link, err := NewLink(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer link.Close()
+	link.SetDelay(delay)
+	conn, err := net.Dial("tcp", link.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	want := make([]byte, writes*size)
+	for i := range want {
+		want[i] = byte(i / size * 7)
+	}
+	start := time.Now()
+	for i := 0; i < writes; i++ {
+		if _, err := conn.Write(want[i*size : (i+1)*size]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	select {
+	case err := <-arrived:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%d writes of %d B did not arrive through a %v link", writes, size, delay)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("byte %d = %d, want %d: the link reordered or corrupted the stream", i, got[i], want[i])
+		}
+	}
+	return last.Sub(start)
+}
+
+// TestLinkDelayIsALine: a slow link adds its delay to each chunk and leaves
+// throughput alone. 200 writes through a 2 ms link arrive within about 2 ms,
+// plus slack, of what they take through an undelayed one — including 200
+// writes of a whole proxy read each, which a link that waited the delay
+// before forwarding each chunk took at least 200 × 2 ms to pass.
+func TestLinkDelayIsALine(t *testing.T) {
+	const delay, slack = 2 * time.Millisecond, 100 * time.Millisecond
+	tests := []struct {
+		name   string
+		writes int
+		size   int
+	}{
+		{"small writes", 200, 16},
+		{"writes of a whole read", 200, 32 * 1024},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			fast := transferThrough(t, 0, tt.writes, tt.size)
+			slow := transferThrough(t, delay, tt.writes, tt.size)
+			t.Logf("undelayed %v, delayed %v", fast, slow)
+			if slow < delay {
+				t.Fatalf("delayed transfer took %v, under the link's %v delay", slow, delay)
+			}
+			if slow > fast+delay+slack {
+				t.Fatalf("delayed transfer took %v against %v undelayed: the %v delay queued chunks instead of delaying them", slow, fast, delay)
+			}
+		})
+	}
+}

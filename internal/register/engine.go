@@ -72,7 +72,7 @@ type Engine struct {
 }
 
 // sessionFreeMax bounds the recycled-session free lists; sessions beyond it
-// are dropped for the garbage collector, like pipeline timers past tfreeMax.
+// are dropped for the garbage collector.
 const sessionFreeMax = 512
 
 // Option configures an Engine.

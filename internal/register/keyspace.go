@@ -40,11 +40,11 @@ import (
 // Per-key guarantees are a shard's: operations on one key are FIFO per
 // client ([R4]-preserving), operations on different keys proceed fully
 // concurrently. Keys never written read as the zero msg.Tagged. Idle keys
-// cost nothing in the shards (queue entries are recycled, session maps are
-// per-operation); client-side only the monotone cache, where enabled,
-// survives per touched key. Write timestamps come from one counter per shard
-// engine: ShardFor fixes each key to one shard, so they stay unique and
-// increasing per (register, writer).
+// cost nothing in the shards (a register leaves its shard's FIFO table when
+// its queue drains, and sessions are per-operation); client-side only the
+// monotone cache, where enabled, survives per touched key. Write timestamps
+// come from one counter per shard engine: ShardFor fixes each key to one
+// shard, so they stay unique and increasing per (register, writer).
 type Keyspace struct {
 	shards []*pipeline
 	mask   msg.OpID

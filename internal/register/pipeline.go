@@ -51,8 +51,11 @@ type SendFunc func(server int, req any)
 //
 // The protocol itself — sessions, the two-round transitions, masking,
 // repair, top-up and the retry budget — is the operation's; the pipeline owns
-// the per-register FIFO, the op-id map that routes replies, the shared
-// deadline list, and the observer, trace and gauge around them.
+// the per-register FIFO, the op-id table that routes replies, the shared
+// deadline list, and the observer, trace and gauge around them. The FIFO
+// link and the deadline-list entry are fields of the PendingOp, and the two
+// tables are flat arrays (optable.go), so an operation's path through the
+// pipeline touches no Go map and allocates nothing beyond its PendingOp.
 //
 // Replies are matched to operations by operation id (ReplyBatch), not by
 // request/reply pairing, so a transport may deliver replies in any order,
@@ -84,17 +87,19 @@ type pipeline struct {
 	opTimeout time.Duration
 	retries   int
 
-	inflight map[msg.OpID]*PendingOp
-	queues   map[msg.RegisterID]*regQueue
-	qfree    []*regQueue  // recycled empty queue entries, capped at qfreeMax
-	tfree    []*pipeTimer // recycled deadline-list entries, capped at tfreeMax
+	// ops finds the operation a reply's op id addresses, queues holds each
+	// register's FIFO, and inflight counts the operations submitted and not
+	// yet complete.
+	ops      opRing
+	queues   fifoTable
+	inflight int
 
-	// The shared deadline list (see pipeTimer): thead/ttail order armed
+	// The shared deadline list (see armTimerLocked): thead/ttail order armed
 	// operations by expiry, expiry is the one runtime timer armed at the
 	// head's deadline, and expiryArmed says whether a wake is scheduled —
 	// releases never touch the timer, so a wake may find nothing expired
 	// and simply re-arm for the new head.
-	thead, ttail *pipeTimer
+	thead, ttail *PendingOp
 	expiry       Timer
 	expiryArmed  bool
 	// live is how expiry's callback finds the pipeline. The runtime keeps a
@@ -103,6 +108,7 @@ type pipeline struct {
 	// pipeline and everything it points to.
 	live *atomic.Pointer[pipeline]
 
+	warm     int // sink of warmLocked's loads
 	closed   bool
 	closeErr error
 	retried  atomic.Int64
@@ -172,13 +178,11 @@ func PipeTimeout(d time.Duration, retries int) PipelineOption {
 // send. The pipeline owns the engine from now on: calling Engine methods
 // directly while the pipeline is live trips the engine's concurrency guard.
 func newPipeline(engine *Engine, send SendFunc, opts []PipelineOption) *pipeline {
-	p := &pipeline{
-		engine:   engine,
-		send:     send,
-		clock:    wallClock{},
-		inflight: make(map[msg.OpID]*PendingOp),
-		queues:   make(map[msg.RegisterID]*regQueue),
+	stride := msg.OpID(1)
+	if engine != nil {
+		stride = engine.opStride
 	}
+	p := &pipeline{engine: engine, send: send, clock: wallClock{}, ops: newOpRing(stride)}
 	for _, o := range opts {
 		o(p)
 	}
@@ -249,72 +253,8 @@ func (p *pipeline) Health() []transport.ServerHealth { return p.health.Snapshot(
 func (p *pipeline) InFlight() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	n := 0
-	for _, q := range p.queues {
-		n += len(q.ops) - q.head
-	}
-	return n
+	return p.inflight
 }
-
-// regQueue is one register's FIFO of submitted operations: ops[head] is in
-// flight, the rest are waiting their turn. The head index advances instead
-// of re-slicing so the entry keeps its backing array across a burst, and an
-// emptied entry goes back on the pipeline's free list — a keyspace client
-// touching thousands of keys reaches steady state without a queue
-// allocation per newly-hot key, and a key gone idle costs no memory beyond
-// its (deleted) map slot.
-type regQueue struct {
-	ops  []*PendingOp
-	head int
-}
-
-// qfreeMax bounds the recycled-queue free list; beyond it (and for entries
-// whose backing array grew past qfreeMax slots) emptied queues are released
-// to the collector rather than pinned forever. Sized for a client keeping a
-// couple of hundred registers in flight — the reply-coalescing benchmarks'
-// working width — so steady state stays allocation-free.
-const qfreeMax = 256
-
-func (p *pipeline) getQueueLocked() *regQueue {
-	if n := len(p.qfree); n > 0 {
-		q := p.qfree[n-1]
-		p.qfree[n-1] = nil
-		p.qfree = p.qfree[:n-1]
-		return q
-	}
-	return &regQueue{}
-}
-
-func (p *pipeline) putQueueLocked(q *regQueue) {
-	if len(p.qfree) >= qfreeMax || cap(q.ops) > qfreeMax {
-		return
-	}
-	q.ops = q.ops[:0]
-	q.head = 0
-	p.qfree = append(p.qfree, q)
-}
-
-// pipeTimer is one operation's entry in the pipeline's shared deadline
-// list. Every arm uses the same p.opTimeout, so deadlines are monotone in
-// arm order and a FIFO suffices: armTimerLocked links entries at the tail,
-// expiries pop from the head, and the whole pipeline keeps exactly one
-// runtime timer (p.expiry) armed at the head entry's deadline. At pipeline
-// throughput a per-operation time.Timer almost never fires (operations
-// complete in microseconds against a multi-second deadline) but costs a
-// timer-heap Reset on every arm and Stop on every completion — the shared
-// list makes both a couple of pointer writes, and the one runtime timer
-// wakes at most once per opTimeout interval. An unlinked entry has nil
-// prev/next and is not the head, which is how armTimerLocked tells a
-// recycled node from a still-linked one. Entries are pooled on p.tfree.
-type pipeTimer struct {
-	op         *PendingOp
-	attempt    int32
-	deadline   time.Duration // on p.clock
-	prev, next *pipeTimer
-}
-
-// tfreeMax bounds the recycled-timer free list, like qfreeMax for queues.
-const tfreeMax = 512
 
 // sendsPool recycles the fan-out buffers the pipeline's entry points fill
 // under the lock and drain outside it (concurrent callers cannot share a
@@ -335,10 +275,16 @@ func putSends(s *[]send) {
 // completes; Done exposes the completion signal for select loops.
 type PendingOp struct {
 	// o is the operation's protocol state, driven under the pipeline lock.
-	o        operation
-	invoke   int64
-	wsHandle int
-	timer    *pipeTimer
+	o operation
+	// next is the operation queued behind this one on its register.
+	next *PendingOp
+	// The operation's deadline-list entry (see armTimerLocked): its links,
+	// its deadline on the pipeline's clock, and (armed, below) the attempt
+	// it was armed for.
+	tprev, tnext *PendingOp
+	deadline     time.Duration
+	invoke       int64
+	wsHandle     int
 
 	// phaseMark is the pipeline clock's reading at the start of the current
 	// observer phase; it and the phase durations stay zero (and cost
@@ -363,6 +309,7 @@ type PendingOp struct {
 	done      chan struct{}
 	callback  func(msg.Tagged, error)
 	err       error
+	armed     int32
 	finished  bool
 	completed bool
 }
@@ -413,11 +360,12 @@ func (op *PendingOp) complete() {
 	op.cmu.Unlock()
 }
 
-// submit queues one operation of kind on reg and starts it when it heads
-// its register's queue. A write whose value is outside the wire codec's
-// union (msg.CheckValue) is refused before the lock, and completes — with
-// fn, if any, called at once — exactly as a submission to a closed pipeline
-// does: nothing is sent and no budget is spent.
+// submit queues one operation of kind on reg — linked at the tail of its
+// register's FIFO — and starts it when it heads the queue. A write whose
+// value is outside the wire codec's union (msg.CheckValue) is refused before
+// the lock, and completes — with fn, if any, called at once — exactly as a
+// submission to a closed pipeline does: nothing is sent and no budget is
+// spent.
 func (p *pipeline) submit(kind opKind, reg msg.RegisterID, val msg.Value, fn func(msg.Tagged, error)) *PendingOp {
 	op := &PendingOp{o: operation{e: p.engine, kind: kind, reg: reg, val: val, retries: int32(p.retries)}, callback: fn}
 	if kind == opWrite || kind == opWriteMulti {
@@ -434,14 +382,9 @@ func (p *pipeline) submit(kind opKind, reg msg.RegisterID, val msg.Value, fn fun
 	if p.gauge != nil {
 		p.gauge.Inc()
 	}
-	q := p.queues[reg]
-	if q == nil {
-		q = p.getQueueLocked()
-		p.queues[reg] = q
-	}
-	q.ops = append(q.ops, op)
+	p.inflight++
 	sends := getSends()
-	if len(q.ops)-q.head == 1 {
+	if p.queues.push(reg, op) {
 		p.startLocked(op, sends)
 	}
 	p.mu.Unlock()
@@ -463,7 +406,7 @@ func (op *PendingOp) refuse(err error) *PendingOp {
 // startLocked begins the head-of-queue operation: the operation opens its
 // session (assigning the operation id and, for writes, the timestamp — so
 // same-register timestamps are assigned in client FIFO order), the id joins
-// the in-flight map, and the quorum fan-out — plus a probe of a suspected
+// the in-flight table, and the quorum fan-out — plus a probe of a suspected
 // server, when one is due — is captured.
 func (p *pipeline) startLocked(op *PendingOp, sends *[]send) {
 	if p.obsv != nil {
@@ -473,7 +416,7 @@ func (p *pipeline) startLocked(op *PendingOp, sends *[]send) {
 		op.invoke = int64(p.clock.Now())
 	}
 	*sends = op.o.start(*sends)
-	p.inflight[op.o.currentID()] = op
+	p.ops.put(op.o.currentID(), op)
 	if op.o.kind == opWrite {
 		p.traceWriteLocked(op)
 	}
@@ -519,35 +462,32 @@ func (op *PendingOp) waitLap() *time.Duration {
 	return &op.waitDur
 }
 
+// armTimerLocked links op at the tail of the pipeline's shared deadline
+// list. Every arm uses the same p.opTimeout, so deadlines are monotone in
+// arm order and a FIFO suffices: entries link at the tail, expiries pop from
+// the head, and the whole pipeline keeps exactly one runtime timer
+// (p.expiry) armed at the head entry's deadline. At pipeline throughput a
+// per-operation time.Timer almost never fires (operations complete in
+// microseconds against a multi-second deadline) but costs a timer-heap Reset
+// on every arm and Stop on every completion — the shared list makes both a
+// couple of pointer writes on the PendingOp, and the one runtime timer wakes
+// at most once per opTimeout interval.
 func (p *pipeline) armTimerLocked(op *PendingOp) {
 	if p.opTimeout <= 0 {
 		return
 	}
-	pt := op.timer
-	if pt == nil {
-		if n := len(p.tfree); n > 0 {
-			pt = p.tfree[n-1]
-			p.tfree[n-1] = nil
-			p.tfree = p.tfree[:n-1]
-		} else {
-			pt = &pipeTimer{}
-		}
-		op.timer = pt
-	} else {
-		// Re-arm (retry or second round): the entry may still be linked at
-		// its old position; the new deadline belongs at the tail.
-		p.unlinkTimerLocked(pt)
-	}
-	pt.op = op
-	pt.attempt = op.o.attempts
-	pt.deadline = p.clock.Now() + p.opTimeout
-	pt.prev = p.ttail
+	// A re-arm (retry or second round) may find the entry still linked at
+	// its old position; the new deadline belongs at the tail.
+	p.unlinkTimerLocked(op)
+	op.armed = op.o.attempts
+	op.deadline = p.clock.Now() + p.opTimeout
+	op.tprev = p.ttail
 	if p.ttail != nil {
-		p.ttail.next = pt
+		p.ttail.tnext = op
 	} else {
-		p.thead = pt
+		p.thead = op
 	}
-	p.ttail = pt
+	p.ttail = op
 	if !p.expiryArmed {
 		p.expiryArmed = true
 		if p.expiry == nil {
@@ -565,59 +505,42 @@ func (p *pipeline) armTimerLocked(op *PendingOp) {
 	}
 }
 
-// unlinkTimerLocked removes an entry from the deadline list; a no-op if the
-// entry is not linked. Unlinked entries have nil prev/next and are not the
-// head.
-func (p *pipeline) unlinkTimerLocked(pt *pipeTimer) {
-	if pt.prev != nil {
-		pt.prev.next = pt.next
-	} else if p.thead == pt {
-		p.thead = pt.next
+// unlinkTimerLocked removes op from the deadline list; a no-op if it is not
+// linked. An unlinked entry has nil links and is not the head. The runtime
+// timer is deliberately left alone: a wake scheduled for this entry's
+// deadline finds a later head (or none) and re-arms, so a completion pays
+// two pointer writes instead of a timer-heap Stop.
+func (p *pipeline) unlinkTimerLocked(op *PendingOp) {
+	if op.tprev != nil {
+		op.tprev.tnext = op.tnext
+	} else if p.thead == op {
+		p.thead = op.tnext
 	} else {
 		return // not linked
 	}
-	if pt.next != nil {
-		pt.next.prev = pt.prev
+	if op.tnext != nil {
+		op.tnext.tprev = op.tprev
 	} else {
-		p.ttail = pt.prev
+		p.ttail = op.tprev
 	}
-	pt.prev, pt.next = nil, nil
-}
-
-// releaseTimerLocked unlinks a finished operation's deadline entry and
-// returns it to the free list. The runtime timer is deliberately left
-// alone: a wake scheduled for this entry's deadline finds a later head (or
-// none) and re-arms, so completions pay two pointer writes instead of a
-// timer-heap Stop.
-func (p *pipeline) releaseTimerLocked(op *PendingOp) {
-	pt := op.timer
-	if pt == nil {
-		return
-	}
-	op.timer = nil
-	p.unlinkTimerLocked(pt)
-	pt.op = nil
-	if len(p.tfree) < tfreeMax {
-		p.tfree = append(p.tfree, pt)
-	}
+	op.tprev, op.tnext = nil, nil
 }
 
 // expire is the shared runtime timer's callback: pop every head entry whose
 // deadline has passed, re-arm for the new head (or stand down if the list
 // emptied), then run the timeout path for each popped operation outside the
-// lock. Expired entries stay owned by their operation (op.timer) — onTimeout
-// re-validates (op, attempt) under the lock and a re-arm re-links the
-// entry — so a completion racing the wake degrades to a no-op, exactly like
-// the old per-operation timer's stale fire.
+// lock. onTimeout re-validates (op, attempt) under the lock and a re-arm
+// re-links the entry, so a completion racing the wake degrades to a no-op,
+// exactly like a per-operation timer's stale fire.
 func (p *pipeline) expire() {
 	now := p.clock.Now()
 	var ops []*PendingOp
 	var attempts []int32
 	p.mu.Lock()
-	for pt := p.thead; pt != nil && pt.deadline <= now; pt = p.thead {
-		p.unlinkTimerLocked(pt)
-		ops = append(ops, pt.op)
-		attempts = append(attempts, pt.attempt)
+	for op := p.thead; op != nil && op.deadline <= now; op = p.thead {
+		p.unlinkTimerLocked(op)
+		ops = append(ops, op)
+		attempts = append(attempts, op.armed)
 	}
 	if p.thead != nil {
 		p.expiry.Reset(p.thead.deadline - now)
@@ -639,8 +562,8 @@ func (p *pipeline) expire() {
 // or when a silent member has no replacement left, the operation is re-issued
 // on a freshly picked quorum (the paper's availability mechanism: a
 // probabilistic quorum client depends on no particular quorum) and the stale
-// session's operation id leaves the in-flight map, so late replies to it are
-// ignored.
+// session's operation id leaves the in-flight table, so late replies to it
+// are ignored.
 func (p *pipeline) onTimeout(op *PendingOp, attempt int32) {
 	p.mu.Lock()
 	if op.finished || op.o.attempts != attempt || p.closed {
@@ -717,11 +640,11 @@ func (p *pipeline) countTopUps(n int) {
 }
 
 // refannedLocked follows a re-pick of op's current round: the abandoned
-// attempt's operation id, prev, leaves the in-flight map for the fresh one,
+// attempt's operation id, prev, leaves the in-flight table for the fresh one,
 // the pick is lapped, and the deadline restarts.
 func (p *pipeline) refannedLocked(op *PendingOp, prev msg.OpID) {
-	delete(p.inflight, prev)
-	p.inflight[op.o.currentID()] = op
+	p.ops.remove(prev)
+	p.ops.put(op.o.currentID(), op)
 	p.lapLocked(op, &op.pickDur)
 	p.armTimerLocked(op)
 }
@@ -768,23 +691,23 @@ func (p *pipeline) memberLost(server int, cause error) {
 	if p.engine.faultAware() {
 		p.suspect(server, cause)
 	}
-	for id, op := range p.inflight {
-		// An atomic read in its write-back is in the map under both its
+	p.ops.each(func(id msg.OpID, op *PendingOp) {
+		// An atomic read in its write-back is in the table under both its
 		// sessions' ids; it is topped up once, under the current round's.
 		if id != op.o.currentID() {
-			continue
+			return
 		}
 		n := len(*sends)
 		var ok bool
 		if *sends, ok = op.o.topUp(server, *sends); ok {
 			p.countTopUps(len(*sends) - n)
-			continue
+			return
 		}
 		op.err = fmt.Errorf("server %d: %w", server, cause)
 		if p.opTimeout <= 0 {
 			failed = append(failed, op)
 		}
-	}
+	})
 	for _, op := range failed {
 		p.failLocked(op, fmt.Errorf("%s reg %d: %w", op.o.desc(), op.o.reg, op.err), sends)
 	}
@@ -801,7 +724,7 @@ func (p *pipeline) memberLost(server int, cause error) {
 // brought its quorum one step closer). At most one operation can end per
 // reply — the one the reply's op id addresses.
 func (p *pipeline) readReplyLocked(server int, m msg.ReadReply, sends *[]send) *PendingOp {
-	op := p.inflight[m.Op]
+	op := p.ops.get(m.Op)
 	if op == nil {
 		// Late reply to an abandoned or completed attempt: dropped by
 		// op-id, observable through StaleDrops.
@@ -831,11 +754,11 @@ func (p *pipeline) readReplyLocked(server int, m msg.ReadReply, sends *[]send) *
 	case first && op.o.secondRound():
 		// The second round began (an atomic read's write-back, a
 		// multi-writer write's write phase). The first round's id stays in
-		// the map, so a slow replica's late read reply drains as a
+		// the table, so a slow replica's late read reply drains as a
 		// duplicate; a multi-writer write is traced, as a write, from here,
 		// and the deadline restarts.
 		p.lapLocked(op, &op.waitDur)
-		p.inflight[op.o.currentID()] = op
+		p.ops.put(op.o.currentID(), op)
 		if op.o.kind == opWriteMulti {
 			p.traceWriteLocked(op)
 		}
@@ -848,7 +771,7 @@ func (p *pipeline) readReplyLocked(server int, m msg.ReadReply, sends *[]send) *
 // the operation it completed (nil when the ack was late, a duplicate, or
 // merely brought its quorum one step closer).
 func (p *pipeline) writeAckLocked(server int, m msg.WriteAck, sends *[]send) *PendingOp {
-	op := p.inflight[m.Op]
+	op := p.ops.get(m.Op)
 	if op == nil {
 		p.staleDrop()
 		return nil
@@ -872,9 +795,10 @@ var doneOpsPool = sync.Pool{New: func() any { s := make([]*PendingOp, 0, 16); re
 
 // ReplyBatch feeds one server frame's worth of replies into the pipeline
 // under a single lock acquisition (transport.ReplySink) — the one way a read
-// reply or write acknowledgement enters it. Replies are matched to
-// operations by id; duplicates and replies to abandoned attempts are
-// dropped. A frame the server coalesced from dozens of pipelined replies
+// reply or write acknowledgement enters it. Each reply finds its round by
+// op id in the in-flight table, one slot load (opRing); duplicates and
+// replies to abandoned attempts find another round's id there, or none, and
+// are dropped. A frame the server coalesced from dozens of pipelined replies
 // takes one mutex round trip here instead of one per element, which is where
 // a deeply pipelined client otherwise spends its receive path. Done-channel
 // closes and completion callbacks run after the lock is dropped, in element
@@ -888,6 +812,7 @@ func (p *pipeline) ReplyBatch(server int, reads []msg.ReadReply, acks []msg.Writ
 	sends := getSends()
 	done := doneOpsPool.Get().(*[]*PendingOp)
 	p.mu.Lock()
+	p.warm += p.warmLocked(reads, acks)
 	for _, m := range reads {
 		if op := p.readReplyLocked(server, m, sends); op != nil {
 			*done = append(*done, op)
@@ -907,6 +832,29 @@ func (p *pipeline) ReplyBatch(server int, reads []msg.ReadReply, acks []msg.Writ
 	putSends(sends)
 	*done = (*done)[:0]
 	doneOpsPool.Put(done)
+}
+
+// warmLocked loads, for each reply of a frame, the operation it addresses
+// and that operation's current quorum before any reply is applied. The loads
+// of different replies do not depend on each other, so their cache misses
+// overlap here instead of queueing one reply's chain behind the last's.
+func (p *pipeline) warmLocked(reads []msg.ReadReply, acks []msg.WriteAck) int {
+	n := 0
+	for i := range reads {
+		if op := p.ops.get(reads[i].Op); op != nil {
+			if f := op.o.current(); f != nil && len(f.Quorum) > 0 {
+				n += f.Quorum[0]
+			}
+		}
+	}
+	for i := range acks {
+		if op := p.ops.get(acks[i].Op); op != nil {
+			if f := op.o.current(); f != nil && len(f.Quorum) > 0 {
+				n += f.Quorum[0]
+			}
+		}
+	}
+	return n
 }
 
 // replyOne is ReplyBatch for a frame of one reply — every reply the
@@ -938,7 +886,7 @@ func (p *pipeline) StaleEpoch(server int, m msg.StaleEpoch) {
 	p.heard(server)
 	sends := getSends()
 	p.mu.Lock()
-	op := p.inflight[m.Op]
+	op := p.ops.get(m.Op)
 	if op == nil || !op.o.deliverStaleEpoch(m) {
 		p.staleDrop()
 		p.mu.Unlock()
@@ -982,21 +930,22 @@ func (p *pipeline) failLocked(op *PendingOp, err error, sends *[]send) *PendingO
 }
 
 // finishLocked records the operation's terminal state and removes it from
-// the in-flight map.
+// the in-flight table.
 func (p *pipeline) finishLocked(op *PendingOp, tag msg.Tagged, err error) {
 	op.finished = true
 	op.o.result, op.err = tag, err
-	p.releaseTimerLocked(op)
+	p.inflight--
+	p.unlinkTimerLocked(op)
 	if err == nil {
 		p.lapLocked(op, op.waitLap())
 	}
 	// With the in-flight entries gone no reply can reach the sessions again,
 	// so their storage goes back to the engine for the next attempt to reuse.
 	if rs := op.o.rs; rs != nil {
-		delete(p.inflight, rs.Op)
+		p.ops.remove(rs.Op)
 	}
 	if ws := op.o.ws; ws != nil {
-		delete(p.inflight, ws.Op)
+		p.ops.remove(ws.Op)
 	}
 	p.engine.release(op.o.rs, op.o.ws)
 	op.o.rs, op.o.ws = nil, nil
@@ -1021,18 +970,9 @@ func (p *pipeline) finishLocked(op *PendingOp, tag msg.Tagged, err error) {
 // starts the next waiting operation, preserving per-client per-register
 // order.
 func (p *pipeline) advanceQueueLocked(reg msg.RegisterID, sends *[]send) {
-	q := p.queues[reg]
-	if q == nil || q.head >= len(q.ops) {
-		return
+	if next := p.queues.pop(reg); next != nil {
+		p.startLocked(next, sends)
 	}
-	q.ops[q.head] = nil
-	q.head++
-	if q.head == len(q.ops) {
-		delete(p.queues, reg)
-		p.putQueueLocked(q)
-		return
-	}
-	p.startLocked(q.ops[q.head], sends)
 }
 
 func (p *pipeline) dispatch(sends []send) {
@@ -1056,7 +996,7 @@ func (p *pipeline) dispatch(sends []send) {
 
 // signal completes an operation towards its waiters: closes its done channel
 // and invokes its callback — all outside the pipeline lock, so callbacks may
-// submit follow-up operations. The retry timer was already released (under
+// submit follow-up operations. The deadline entry was already unlinked (under
 // the lock) by finishLocked.
 func (p *pipeline) signal(op *PendingOp) {
 	if p.obsv != nil && op.err == nil {
@@ -1097,32 +1037,34 @@ func (p *pipeline) Close(err error) {
 	p.closed = true
 	p.closeErr = err
 	var victims []*PendingOp
-	for _, q := range p.queues {
-		for _, op := range q.ops[q.head:] {
-			if !op.finished {
-				op.finished = true
-				op.o.result, op.err = msg.Tagged{}, err
-				p.releaseTimerLocked(op)
-				if p.gauge != nil {
-					p.gauge.Dec()
-				}
-				victims = append(victims, op)
-			}
+	p.queues.each(func(f *fifo) {
+		for op := f.head; op != nil; op = op.next {
+			victims = append(victims, op)
+		}
+	})
+	for _, op := range victims {
+		op.next = nil
+		op.finished = true
+		op.o.result, op.err = msg.Tagged{}, err
+		p.unlinkTimerLocked(op)
+		if p.gauge != nil {
+			p.gauge.Dec()
 		}
 	}
-	p.inflight = make(map[msg.OpID]*PendingOp)
-	p.queues = make(map[msg.RegisterID]*regQueue)
-	// Release what the pipeline held for operations to come. The runtime
+	p.inflight = 0
+	// Release what the pipeline held for operations to come: the tables drop
+	// every operation (a reply arriving later finds none), and the runtime
 	// timer is cut loose too (see live): left armed it would keep the
 	// pipeline, the engine and the transport reachable until it fires, an
 	// OpTimeout after the last arm. A fire already past Stop finds an empty
 	// list and stands down.
+	clear(p.ops.slots)
+	p.ops.over = nil
+	p.queues = fifoTable{}
 	if p.expiry != nil {
 		p.expiry.Stop()
 		p.live.Store(nil)
 	}
-	p.thead, p.ttail = nil, nil
-	p.qfree, p.tfree = nil, nil
 	p.mu.Unlock()
 	for _, op := range victims {
 		p.signal(op)

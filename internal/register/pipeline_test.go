@@ -397,6 +397,71 @@ func TestPipelineStaleRepliesIgnored(t *testing.T) {
 	}
 }
 
+// TestPipelineOpOutlivesRing: one attempt stays in flight while more than a
+// ring's worth of newer operations complete. When its slot of the in-flight
+// table comes round at the ring's cap its id moves to the overflow map, and
+// the round that takes the slot stays in flight too. The old attempt still
+// completes when its replies arrive, and their late duplicates count as
+// stale drops: the slot's full id tells the two rounds apart.
+func TestPipelineOpOutlivesRing(t *testing.T) {
+	var tc metrics.TransportCounters
+	pl, net := pipeFixture(t, 5, false, ApplyPipeline(Settings{Counters: &tc}))
+	p := pl.shards[0]
+	old := pl.ReadAsyncFunc(0, nil)
+	net.mu.Lock()
+	held := net.queue
+	net.queue = nil
+	net.mu.Unlock()
+
+	var owner *PendingOp
+	for n := 0; owner == nil; n++ {
+		if n > 2*ringMax {
+			t.Fatalf("%d newer operations completed and the old attempt never left the ring", n)
+		}
+		op := pl.ReadAsyncFunc(1, nil)
+		p.mu.Lock()
+		overflowed := len(p.ops.over) > 0
+		p.mu.Unlock()
+		if overflowed {
+			owner = op // holds the old attempt's slot, in flight
+			break
+		}
+		net.release()
+		if _, err := op.Wait(); err != nil {
+			t.Fatalf("newer read %d: %v", n, err)
+		}
+	}
+	if got := len(p.ops.slots); got != ringMax {
+		t.Fatalf("ring of %d slots when the old attempt overflowed, want the cap %d", got, ringMax)
+	}
+
+	for _, m := range held {
+		net.apply(m)
+	}
+	select {
+	case <-old.Done():
+	default:
+		t.Fatal("the old attempt's replies did not complete it")
+	}
+	if got, err := old.Wait(); err != nil || got.Val != 0.0 {
+		t.Fatalf("old read = %v, %v; want the stores' 0", got.Val, err)
+	}
+	before := tc.StaleDrops.Value()
+	for _, m := range held {
+		net.apply(m)
+	}
+	if got := tc.StaleDrops.Value() - before; got != int64(len(held)) {
+		t.Fatalf("%d late duplicates made %d stale drops, want one each", len(held), got)
+	}
+	net.release()
+	if _, err := owner.Wait(); err != nil {
+		t.Fatalf("the slot's new owner: %v", err)
+	}
+	if n, over := pl.InFlight(), len(p.ops.over); n != 0 || over != 0 {
+		t.Fatalf("%d in flight, %d ids in the overflow map after everything completed", n, over)
+	}
+}
+
 func BenchmarkPipelineLoopbackSubmit(b *testing.B) {
 	initial := map[msg.RegisterID]msg.Value{0: 0.0}
 	net := newPipeNet(5, initial, true)

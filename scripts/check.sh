@@ -82,9 +82,12 @@ echo "== allocation gates =="
 # leaves (and allocates) what its traffic cost, not what worst-case
 # connections would. So do the store's memory gates:
 # bytes of live heap per stored register, and the stripe layout that keeps
-# neighbouring locks off one cache line.
+# neighbouring locks off one cache line. The client's per-layer benchmark
+# (512 operations in flight on a sharded keyspace over the in-memory network)
+# runs once per size, so it keeps compiling and completing.
 go test $race -run 'TestWireAllocGates|TestPickIntoAllocs|TestObserverAllocGate|TestFastReadAllocGate|TestKeyspaceAllocGate|TestKeyspaceIdleKeyBytes|TestServeAllocGate|TestClientDecodeAllocGate|TestClosedClientIsCollectable|TestRunTCPLeavesLittleReachable|TestStoreBytesPerKey|TestStoreLayout' \
     ./internal/msg ./internal/quorum ./internal/register ./internal/replica ./internal/transport/tcp ./internal/aco
+go test -run '^$' -bench KeyspaceDeep -benchtime 1x ./internal/register
 
 echo "== membership churn smoke =="
 # The membership conformance suite (rolling restarts, grow/shrink across
@@ -205,14 +208,18 @@ fi
 # same operation) and aco's client interface. The value check is msg's
 # CheckValue, called in the one submission path: tcp's copy of it and the
 # throwaway closed client its refusals completed through went, so no write
-# entry of any client can skip it again.
-retired_uses="$({ grep -rnE '\.Deliver\(|boxedReplies|decodeBatch|\bReplyEpoch\b|\bSendAll\b|\bMultiError\b|NewPipelineOver|cmd/(figure2|msgtable|decay|loadavail|quorumtool)|\bParseIntList\b|csvRenderable|\.RenderCSV\(|internal/cluster|\bRunConcurrent\b|convergenceTracker|\bnewWorker\b|\bMaxIterations\b|\bConcurrentConfig\b|\.wts\b|WireGob|WithWire|WithInlineReplies|RegisterValueType|BatchReplySink|WithRetryBackoff|WithLatency|register\.Apply\(|register\.ClientOption|phaseTimer|\bDialPipelined\b|\bPipelinedClient\b|\bPipeClient\b|register\.NewClient|\.Detach\(|\bWithClock\b|\bNew(Atomic)?(Read|Write)Op\b|\bprocNode\b|confSimNode|memSimNode|cluster\.With|cluster\.ClientOption|WithMaxBatch|WithoutFastRead|register\.Monotone\(|register\.(With(Tally|ReadRepair|Masking|View|WriteSystem)|Pipe(Trace|Gauge|Counters|Observer))\(|\bWithMessageCounter\b|\b(Read|Write)Session\b|transport\.Instrument\b|^func Instrument\(|\btcp\.Join\b|^func Join\(|\bCheckSoak\b|\bRetiredKeys\b|\bDeflected\b|\bSoak:|-soak\b|register\.NewPipeline\b|register\.Pipeline\b|\.Shard\(|\bcheckValue\b|\brejectWrite\b|\basyncClient\b|\.(Read|Write|ReadAtomic)Async\(|^func \(c \*Client\) (Read|Write)' \
+# entry of any client can skip it again. An operation's FIFO link and
+# deadline entry are fields of its PendingOp, found through two flat tables:
+# the per-register queue entries, the deadline-list nodes and the free lists
+# that recycled both went, so the submit and reply paths stay free of Go maps
+# and side allocations.
+retired_uses="$({ grep -rnE '\.Deliver\(|boxedReplies|decodeBatch|\bReplyEpoch\b|\bSendAll\b|\bMultiError\b|NewPipelineOver|cmd/(figure2|msgtable|decay|loadavail|quorumtool)|\bParseIntList\b|csvRenderable|\.RenderCSV\(|internal/cluster|\bRunConcurrent\b|convergenceTracker|\bnewWorker\b|\bMaxIterations\b|\bConcurrentConfig\b|\.wts\b|WireGob|WithWire|WithInlineReplies|RegisterValueType|BatchReplySink|WithRetryBackoff|WithLatency|register\.Apply\(|register\.ClientOption|phaseTimer|\bDialPipelined\b|\bPipelinedClient\b|\bPipeClient\b|register\.NewClient|\.Detach\(|\bWithClock\b|\bNew(Atomic)?(Read|Write)Op\b|\bprocNode\b|confSimNode|memSimNode|cluster\.With|cluster\.ClientOption|WithMaxBatch|WithoutFastRead|register\.Monotone\(|register\.(With(Tally|ReadRepair|Masking|View|WriteSystem)|Pipe(Trace|Gauge|Counters|Observer))\(|\bWithMessageCounter\b|\b(Read|Write)Session\b|transport\.Instrument\b|^func Instrument\(|\btcp\.Join\b|^func Join\(|\bCheckSoak\b|\bRetiredKeys\b|\bDeflected\b|\bSoak:|-soak\b|register\.NewPipeline\b|register\.Pipeline\b|\.Shard\(|\bcheckValue\b|\brejectWrite\b|\basyncClient\b|\.(Read|Write|ReadAtomic)Async\(|^func \(c \*Client\) (Read|Write)|\bregQueue\b|\bqfree(Max)?\b|\bpipeTimer\b|\btfree(Max)?\b' \
     --include='*.go' . | grep -v '"PipelinedClient"'
     grep -rnE 'loadgen\.Hist\b|histBucketOf' --include='*.go' . | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'
 } || true)"
 gob_imports="$(grep -rn '"encoding/gob"' --include='*.go' --exclude='*_test.go' . || true)"
 if [ -n "$retired_uses$gob_imports" ]; then
-    echo "check.sh: retired identifiers reappeared (gob wire, inline replies, per-element reply sink, serial-client options, client facades, hand-driven operations, the goroutine runtime, the blocking Alg. 1 worker, the per-experiment front ends, the boxed reply path, the second latency histogram, the exported sessions, the counting wrapper, the single-source join, the soak mode, the second client surface):" >&2
+    echo "check.sh: retired identifiers reappeared (gob wire, inline replies, per-element reply sink, serial-client options, client facades, hand-driven operations, the goroutine runtime, the blocking Alg. 1 worker, the per-experiment front ends, the boxed reply path, the second latency histogram, the exported sessions, the counting wrapper, the single-source join, the soak mode, the second client surface, the pipeline's side structures):" >&2
     echo "$retired_uses$gob_imports" >&2
     hygiene_fail=1
 fi
